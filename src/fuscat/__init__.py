@@ -43,16 +43,14 @@ from .char_theory import (
     subcategory_cointegral,
     tau,
 )
-from .wedderburn import BlockStructure, adapt_to_idempotent, compute_blocks, expand_in_units
+from .wedderburn import BlockStructure, adapt_to_idempotent, compute_blocks
 from .subalg import (
     SubalgebraIndex,
     build_lattice,
     block_partition,
     ce_basis,
     epsilon_L,
-    intersect_subalgebra,
     pi_down,
-    product_subalgebra,
     restrict,
     subalgebra_from_subcategory,
     subcategory_from_subalgebra,

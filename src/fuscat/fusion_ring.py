@@ -11,6 +11,7 @@ under duality and fusion.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -27,7 +28,6 @@ __all__ = [
     "build_ring",
     "validate",
     "fp_dims",
-    "is_commutative",
     "subcategory_closure",
     "enumerate_subcategories",
     "subcategory_meet",
@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 MAX_CLOSURE_CALLS = 10**6
+# Input multiplicities above this are rejected: the bound keeps the r^4
+# associativity sums exact in int64 at any rank that fits in memory.
+MAX_MULTIPLICITY = 2**20
 
 
 class PerronFailure(Exception):
@@ -160,16 +163,13 @@ def _structure_violations(N: np.ndarray, dual: Sequence[int]) -> list[str]:
     return out
 
 
-def fp_dims(
-    N, dual: Sequence[int] | None = None, tol: Tolerance = DEFAULT_TOL
-) -> tuple[np.ndarray, float]:
+def fp_dims(N) -> tuple[np.ndarray, float]:
     """Frobenius-Perron dimensions and global dimension from the N tensor.
 
     The dimension vector is the Perron eigenvector of the total left
     multiplication matrix, normalized so the unit has dimension 1.
     """
     N = np.asarray(N, dtype=float)
-    r = N.shape[0]
     M = N.sum(axis=0)
     w, V = np.linalg.eig(M)
     idx = int(np.argmax(w.real))
@@ -198,7 +198,7 @@ def build_ring(
         raise RingDataError(violations)
     if len(labels) != N.shape[0]:
         raise RingDataError([f"{len(labels)} labels for rank {N.shape[0]}"])
-    dims, global_dim = fp_dims(N, dual, tol)
+    dims, global_dim = fp_dims(N)
     ring = FusionRingData(tuple(labels), N, tuple(dual), dims, global_dim)
     post = validate(ring, tol)
     if post:
@@ -225,10 +225,6 @@ def validate(ring: FusionRingData, tol: Tolerance = DEFAULT_TOL) -> list[str]:
     if not tol.close(ring.global_dim, float(np.sum(d**2))):
         out.append("global_dim != sum of squared dimensions")
     return out
-
-
-def is_commutative(ring: FusionRingData) -> bool:
-    return ring.commutative
 
 
 def _closure_indices(ring: FusionRingData, seeds: Iterable[int]) -> tuple[int, ...]:
@@ -335,18 +331,36 @@ def ring_to_dict(ring: FusionRingData) -> dict:
 
 
 def ring_from_dict(data: dict, tol: Tolerance = DEFAULT_TOL) -> FusionRingData:
+    """Ring from parsed JSON; shape and entry types are checked before any cast."""
     try:
         labels = data["labels"]
         dual = data["dual"]
         N = data["N"]
     except (KeyError, TypeError) as exc:
         raise RingDataError([f"missing or malformed field: {exc}"]) from exc
-    N = np.asarray(N)
-    if N.dtype.kind not in "iu":
-        if not np.array_equal(N, np.round(N)):
-            raise RingDataError(["N entries must be integers"])
-        N = N.astype(int)
-    return build_ring(labels, N, dual, tol)
+    if not all(isinstance(x, list) for x in (labels, dual, N)):
+        raise RingDataError(["labels, dual and N must be lists"])
+    r = len(N)
+    cube = all(
+        isinstance(row, list)
+        and len(row) == r
+        and all(isinstance(v, list) and len(v) == r for v in row)
+        for row in N
+    )
+    if not cube:
+        raise RingDataError([f"N must be a {r} x {r} x {r} nested list"])
+    if not all(_is_integer(x) and abs(x) <= MAX_MULTIPLICITY for row in N for v in row for x in v):
+        raise RingDataError([f"N entries must be integers of magnitude at most {MAX_MULTIPLICITY}"])
+    if not all(_is_integer(x) for x in dual):
+        raise RingDataError(["dual entries must be integers"])
+    return build_ring(labels, np.array(N, dtype=int), [int(x) for x in dual], tol)
+
+
+def _is_integer(x) -> bool:
+    """A JSON number with an integer value; booleans are not numbers here."""
+    if isinstance(x, bool):
+        return False
+    return isinstance(x, int) or (isinstance(x, float) and math.isfinite(x) and x.is_integer())
 
 
 def load_ring_json(path, tol: Tolerance = DEFAULT_TOL) -> FusionRingData:

@@ -21,12 +21,7 @@ import numpy as np
 
 from . import subalg
 from .char_theory import chi
-from .fusion_ring import (
-    FusionRingData,
-    FusionSubcategory,
-    build_ring,
-    enumerate_subcategories,
-)
+from .fusion_ring import FusionRingData, FusionSubcategory, build_ring
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -36,7 +31,6 @@ from .linalg import (
     snap_integer_array,
     subspace_contains,
 )
-from .wedderburn import compute_blocks
 
 __all__ = [
     "BadTable",
@@ -49,7 +43,6 @@ __all__ = [
     "CharacterTable",
     "build_group",
     "parse_group",
-    "load_group_json",
     "character_table",
     "rep_fusion_ring",
     "vec_fusion_ring",
@@ -331,18 +324,6 @@ def parse_group(source: str) -> FiniteGroup:
     raise UnknownBuiltin(f"unknown builtin group {source!r}")
 
 
-def load_group_json(path) -> FiniteGroup:
-    """Load a {"elements": [...], "table": [[...]]} multiplication-table file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    try:
-        elements = data["elements"]
-        table = data["table"]
-    except (KeyError, TypeError) as exc:
-        raise BadTable(f"missing or malformed field: {exc}") from exc
-    return build_group(str(path), elements, table)
-
-
 @dataclass(frozen=True, eq=False)
 class CharacterTable:
     """Complex character table: rows are irreducibles over conjugacy classes."""
@@ -588,23 +569,22 @@ def _expected_class_sum_span(
 
 
 def crosscheck_rep(
-    G: FiniteGroup, seed: int = 0, tol: Tolerance = DEFAULT_TOL
+    G: FiniteGroup, lattice: subalg.LatticeTable, tol: Tolerance = DEFAULT_TOL
 ) -> dict:
-    """Check the correspondence for Rep(G) against normal-subgroup theory.
+    """Check the correspondence table of Rep(G) against normal-subgroup theory.
 
     Subcategories must biject with normal subgroups N, with subalgebra
     dimension |N|, matching trivial-action subcategory, matching unit block of
     the partition, and central subspace spanned by the class sums inside N.
     Raises :class:`OracleMismatch` with the full diff on any disagreement.
     """
-    table, ring = _rep_data(G, seed)
-    B = compute_blocks(ring, seed=seed, tol=tol)
-    subcats = enumerate_subcategories(ring)
+    seed = lattice.blocks.seed
+    table = character_table_cached(G, seed)
     normals = normal_subgroups(G)
     mismatches: list[str] = []
-    if len(subcats) != len(normals):
+    if len(lattice.entries) != len(normals):
         mismatches.append(
-            f"{len(subcats)} subcategories vs {len(normals)} normal subgroups"
+            f"{len(lattice.entries)} subcategories vs {len(normals)} normal subgroups"
         )
     entries = []
     seen = set()
@@ -613,22 +593,19 @@ def crosscheck_rep(
         if D.indices in seen:
             mismatches.append(f"duplicate subcategory for N={N}")
         seen.add(D.indices)
-        if D.indices not in {S.indices for S in subcats}:
+        e = lattice.entry(D.indices)
+        if e is None:
             mismatches.append(f"subcategory of N={N} missing from enumeration")
             continue
-        L = subalg.subalgebra_from_subcategory(D, B, tol)
+        L = e.subalgebra
         if abs(L.dim_l - len(N)) > 1e-6 * max(1, len(N)):
             mismatches.append(f"dim of subalgebra for N={N} is {L.dim_l}, expected {len(N)}")
-        back = subalg.subcategory_from_subalgebra(L, tol)
-        if back.indices != D.indices:
-            mismatches.append(f"round trip for N={N} gave {back.indices}")
-        partition = subalg.block_partition(L, tol)
-        if tuple(sorted(partition[0])) != D.indices:
+        if tuple(sorted(e.partition[0])) != D.indices:
             mismatches.append(
-                f"unit partition block for N={N} is {partition[0]}, expected {D.indices}"
+                f"unit partition block for N={N} is {e.partition[0]}, expected {D.indices}"
             )
         expected_span = _expected_class_sum_span(table, N)
-        span = L._ce_span
+        span = L.ce_span
         n_classes = expected_span.shape[1]
         if L.ce_dim != n_classes:
             mismatches.append(
@@ -651,7 +628,7 @@ def crosscheck_rep(
     report = {
         "group": G.name,
         "normal_subgroups": len(normals),
-        "subcategories": len(subcats),
+        "subcategories": len(lattice.entries),
         "entries": entries,
         "mismatches": mismatches,
     }
@@ -661,40 +638,36 @@ def crosscheck_rep(
 
 
 def crosscheck_vec(
-    G: FiniteGroup, seed: int = 0, tol: Tolerance = DEFAULT_TOL
+    G: FiniteGroup, lattice: subalg.LatticeTable, tol: Tolerance = DEFAULT_TOL
 ) -> dict:
-    """Check the correspondence for the group-graded ring against subgroup theory.
+    """Check the correspondence table of the group-graded ring against subgroups.
 
     Subcategories must be exactly the subgroups, with subalgebra dimensions
     |G|/|H|, and block summand dimensions the irreducible degrees of G.
     """
-    ring = vec_fusion_ring(G)
     _, pos = _vec_perm(G)
-    B = compute_blocks(ring, seed=seed, tol=tol)
-    subcats = enumerate_subcategories(ring)
     subs = subgroups(G)
     sub_indices = {H: tuple(sorted(pos[g] for g in H)) for H in subs}
     mismatches: list[str] = []
-    if len(subcats) != len(subs):
-        mismatches.append(f"{len(subcats)} subcategories vs {len(subs)} subgroups")
-    if {S.indices for S in subcats} != set(sub_indices.values()):
+    if len(lattice.entries) != len(subs):
+        mismatches.append(f"{len(lattice.entries)} subcategories vs {len(subs)} subgroups")
+    if {e.subcategory.indices for e in lattice.entries} != set(sub_indices.values()):
         mismatches.append("subcategory index sets differ from subgroups")
     entries = []
     for H in subs:
-        match = [S for S in subcats if S.indices == sub_indices[H]]
-        if not match:
+        e = lattice.entry(sub_indices[H])
+        if e is None:
             continue
-        D = match[0]
-        L = subalg.subalgebra_from_subcategory(D, B, tol)
+        L = e.subalgebra
         expected = G.order / len(H)
         if abs(L.dim_l - expected) > 1e-6 * expected:
             mismatches.append(
                 f"dim of subalgebra for H={H} is {L.dim_l}, expected {expected}"
             )
         entries.append({"subgroup": list(H), "subalgebra_dim": L.dim_l})
-    degrees = sorted(character_table_cached(G, seed).degrees)
-    block_dims = sorted(snap_integer(blk.summand_dim, tol) for blk in B.blocks)
-    mults = sorted(blk.m for blk in B.blocks)
+    degrees = sorted(character_table_cached(G, lattice.blocks.seed).degrees)
+    block_dims = sorted(snap_integer(blk.summand_dim, tol) for blk in lattice.blocks.blocks)
+    mults = sorted(blk.m for blk in lattice.blocks.blocks)
     if block_dims != degrees or mults != degrees:
         mismatches.append(
             f"block summand dims {block_dims} / multiplicities {mults} vs degrees {degrees}"
@@ -702,7 +675,7 @@ def crosscheck_vec(
     report = {
         "group": G.name,
         "subgroups": len(subs),
-        "subcategories": len(subcats),
+        "subcategories": len(lattice.entries),
         "entries": entries,
         "mismatches": mismatches,
     }

@@ -1,8 +1,8 @@
 """Tolerance-aware dense linear algebra over complex double precision.
 
-Every other module sits on top of these kernels: least-squares solves,
-eigendecompositions, simultaneous diagonalization of commuting families,
-subspace intersection, and integer snapping.  Matrices and vectors are plain
+Every other module sits on top of these kernels: simultaneous
+diagonalization of commuting families, orthonormal bases, subspace
+containment and intersection, and integer snapping.  Matrices and vectors are plain
 ``numpy`` arrays of ``complex128``; all randomness flows through one explicit
 seed and all comparisons go through a :class:`Tolerance`.
 """
@@ -17,13 +17,9 @@ import numpy as np
 __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
-    "Inconsistent",
-    "NotDiagonalizable",
     "NotCommuting",
     "DegenerateSeed",
     "NotNearInteger",
-    "solve_linear",
-    "eigen",
     "common_eigenbasis",
     "joint_eigenspaces",
     "orthonormal_basis",
@@ -32,14 +28,6 @@ __all__ = [
     "snap_integer",
     "snap_integer_array",
 ]
-
-
-class Inconsistent(Exception):
-    """Linear system has no solution within tolerance."""
-
-
-class NotDiagonalizable(Exception):
-    """No full eigenbasis could be produced within tolerance."""
 
 
 class NotCommuting(Exception):
@@ -108,52 +96,6 @@ def _as_vector(b) -> np.ndarray:
     if b.ndim != 1:
         raise ValueError(f"expected a vector, got ndim={b.ndim}")
     return b
-
-
-def solve_linear(A, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Solve A x = b, returning the minimum-norm least-squares solution.
-
-    Raises :class:`Inconsistent` when the residual ``max|Ax-b|`` exceeds
-    tolerance, i.e. when the system is overdetermined and inconsistent.
-    """
-    A = _as_matrix(A)
-    b = _as_vector(b)
-    if A.shape[0] != b.shape[0]:
-        raise ValueError(f"shape mismatch: A is {A.shape}, b has length {b.shape[0]}")
-    x, *_ = np.linalg.lstsq(A, b, rcond=None)
-    residual = float(np.max(np.abs(A @ x - b))) if b.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(b))) if b.size else 0.0)
-    if residual > tol.abs_tol + tol.rel_tol * scale:
-        raise Inconsistent(f"residual {residual:.3e} exceeds tolerance")
-    return x
-
-
-def eigen(A, tol: Tolerance = DEFAULT_TOL) -> list[tuple[complex, np.ndarray]]:
-    """Eigenpairs of a square matrix, ordered by descending (real, imag) part.
-
-    Raises :class:`NotDiagonalizable` when the eigenvector matrix is rank
-    deficient within tolerance (no full eigenbasis).
-    """
-    A = _as_matrix(A)
-    n, m = A.shape
-    if n != m:
-        raise ValueError("matrix must be square")
-    if n == 0:
-        return []
-    w, V = np.linalg.eig(A)
-    sv = np.linalg.svd(V, compute_uv=False)
-    if sv[-1] <= max(tol.abs_tol, 1e3 * np.finfo(float).eps) * sv[0]:
-        raise NotDiagonalizable("eigenvector matrix is numerically singular")
-    scale = max(1.0, float(np.max(np.abs(A))))
-    order = np.lexsort((-w.imag, -w.real))
-    pairs = []
-    for k in order:
-        v = V[:, k]
-        res = float(np.max(np.abs(A @ v - w[k] * v)))
-        if res > 1e4 * np.finfo(float).eps * scale + tol.abs_tol:
-            raise NotDiagonalizable(f"eigenpair residual {res:.3e} too large")
-        pairs.append((complex(w[k]), _canonical_phase(v)))
-    return pairs
 
 
 def _canonical_phase(v: np.ndarray) -> np.ndarray:

@@ -4,9 +4,11 @@ A unitary subalgebra of the adjoint algebra is encoded by block-row selections
 relative to an adapted block structure: the subcategory's cointegral is an
 idempotent of CF(C), the blocks are re-based so it becomes a diagonal 0/1
 pattern, and the rows carrying 1 name the simple summands of the subalgebra.
-Restriction of class functions, the central subspace with its class-sum basis,
-the induced partition of the simples, and the lattice operations all live
-here.
+Each subalgebra also stores its restriction projector, from which restriction
+of class functions, the inverse map to subcategories and the induced
+partition of the simples are read.  The central subspace with its class-sum
+basis lives here too, and so does the correspondence table of a ring, which
+is built once and answers the lattice operations by lookup.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import numpy as np
 from .char_theory import (
     CentralElement,
     ClassFunction,
-    chi,
     subcategory_cointegral,
     unit_central_element,
 )
@@ -37,7 +38,6 @@ from .linalg import (
     Tolerance,
     orthonormal_basis,
     subspace_contains,
-    subspace_intersection,
 )
 from .wedderburn import BlockStructure, adapt_to_idempotent
 
@@ -45,7 +45,6 @@ __all__ = [
     "ClosureViolation",
     "PartitionMismatch",
     "ClosureFailure",
-    "CEIntersectionMismatch",
     "RoundTripFailure",
     "MonotonicityFailure",
     "InequalityViolation",
@@ -59,8 +58,6 @@ __all__ = [
     "block_partition",
     "ce_basis",
     "pi_down",
-    "product_subalgebra",
-    "intersect_subalgebra",
     "verify_dim_inequality",
     "verify_cointegral_trace_sum",
     "build_lattice",
@@ -83,10 +80,6 @@ class ClosureFailure(Exception):
     """The class-sum span of a subalgebra is not multiplicatively closed."""
 
 
-class CEIntersectionMismatch(Exception):
-    """Central subspaces do not intersect in the predicted dimension."""
-
-
 class RoundTripFailure(Exception):
     """A subcategory does not survive the round trip through its subalgebra."""
 
@@ -106,6 +99,9 @@ class SubalgebraIndex:
     ``rows[j]`` lists the selected rows of block j in the adapted structure
     ``blocks``; ``dim_l`` is the subalgebra dimension (a sum of summand
     dimensions) and ``ce_dim`` the dimension of its central subspace.
+    ``projector`` is the restriction projector ``U diag(mask) U^-1`` on
+    chi-basis coefficients, where U has the adapted matrix units as columns
+    and the mask keeps the units F^j_st whose column t is a selected row.
     """
 
     base: BlockStructure
@@ -113,6 +109,7 @@ class SubalgebraIndex:
     rows: tuple[tuple[int, ...], ...]
     dim_l: float
     ce_dim: int
+    projector: np.ndarray
 
     @property
     def ring(self) -> FusionRingData:
@@ -126,7 +123,8 @@ class SubalgebraIndex:
         return [(j, s) for j, r in enumerate(self.rows) for s in r]
 
     @cached_property
-    def _ce_span(self) -> np.ndarray:
+    def ce_span(self) -> np.ndarray:
+        """Orthonormal basis of the central subspace, in idempotent coordinates."""
         vecs = [b.coeffs for b in ce_basis(self, check=False)]
         return orthonormal_basis(vecs)
 
@@ -166,32 +164,25 @@ def subalgebra_from_subcategory(
         sum(adapted.blocks[j].summand_dim * len(r) for j, r in enumerate(rows))
     )
     ce_dim = int(sum(len(r) * adapted.blocks[j].m for j, r in enumerate(rows)))
-    return SubalgebraIndex(B, adapted, tuple(rows), dim_l, ce_dim)
+    mask = np.array([t in rows[j] for j, _s, t in adapted.unit_index()])
+    projector = adapted._unit_matrix[:, mask] @ adapted._unit_matrix_inv[mask]
+    projector.setflags(write=False)
+    return SubalgebraIndex(B, adapted, tuple(rows), dim_l, ce_dim, projector)
 
 
 def epsilon_L(L: SubalgebraIndex) -> ClassFunction:
     """Restriction of the unit class function: the sum of selected diagonal units."""
-    total = np.zeros(L.ring.rank, dtype=complex)
-    for j, r in enumerate(L.rows):
-        for t in r:
-            total += L.blocks.blocks[j].units[t, t]
-    return ClassFunction(L.ring, total)
+    return ClassFunction(L.ring, L.projector[:, 0])
 
 
 def restrict(f: ClassFunction, L: SubalgebraIndex) -> ClassFunction:
-    """Component of f in the subalgebra's character space, embedded in CF(C).
+    """Component of f in the subalgebra's character space, embedded in CF(C)."""
+    return ClassFunction(L.ring, L.projector @ f.coeffs)
 
-    Expands f in the adapted matrix units and keeps exactly the coefficients
-    whose column index is a selected row.
-    """
-    comps = L.blocks.expand(f.coeffs)
-    total = np.zeros(L.ring.rank, dtype=complex)
-    for j, (blk, P) in enumerate(zip(L.blocks.blocks, comps)):
-        keep = L.rows[j]
-        for t in keep:
-            for s in range(blk.m):
-                total += P[s, t] * blk.units[s, t]
-    return ClassFunction(L.ring, total)
+
+def _normalized_restrictions(L: SubalgebraIndex) -> np.ndarray:
+    """Column i is the restriction of chi_i divided by d_i; column 0 is epsilon_L."""
+    return L.projector / L.ring.dims
 
 
 def subcategory_from_subalgebra(
@@ -199,13 +190,9 @@ def subcategory_from_subalgebra(
 ) -> FusionSubcategory:
     """Simples whose characters restrict to dimension multiples of epsilon_L."""
     ring = L.ring
-    eps = epsilon_L(L).coeffs
-    members = []
-    for i in range(ring.rank):
-        res = restrict(chi(ring, i), L).coeffs
-        if np.max(np.abs(res - ring.dims[i] * eps)) <= PARTITION_TOL * max(1.0, ring.dims[i]):
-            members.append(i)
-    indices = tuple(members)
+    Q = _normalized_restrictions(L)
+    close = np.max(np.abs(Q - Q[:, :1]), axis=0) <= PARTITION_TOL
+    indices = tuple(int(i) for i in np.flatnonzero(close))
     closed = subcategory_closure(ring, indices)
     if closed.indices != indices:
         raise ClosureViolation(
@@ -224,7 +211,7 @@ def block_partition(
     the class-sum basis.
     """
     ring = L.ring
-    vecs = [restrict(chi(ring, i), L).coeffs / ring.dims[i] for i in range(ring.rank)]
+    vecs = _normalized_restrictions(L).T
     classes: list[list[int]] = []
     for i, v in enumerate(vecs):
         for cls in classes:
@@ -237,7 +224,7 @@ def block_partition(
 
     # Central-side partition: coordinates i, i' are equivalent when every
     # element of the central subspace has equal i and i' coordinates.
-    span = L._ce_span
+    span = L.ce_span
     profiles = [span[i, :] for i in range(ring.rank)]
     scale = max(1.0, float(np.max(np.abs(span)))) if span.size else 1.0
     ce_classes: list[list[int]] = []
@@ -315,99 +302,6 @@ def pi_down(z: CentralElement, L: SubalgebraIndex, tol: Tolerance = DEFAULT_TOL)
     return CentralElement(ring, cols[:, keep] @ coeffs[keep])
 
 
-def product_subalgebra(
-    L: SubalgebraIndex, M: SubalgebraIndex, tol: Tolerance = DEFAULT_TOL
-) -> SubalgebraIndex:
-    """Smallest unitary subalgebra containing both, via the correspondence.
-
-    Realized as the subalgebra of the meet of the two subcategories.
-    """
-    _check_same_base(L, M)
-    SL = subcategory_from_subalgebra(L, tol)
-    SM = subcategory_from_subalgebra(M, tol)
-    return subalgebra_from_subcategory(subcategory_meet(SL, SM), L.base, tol)
-
-
-def intersect_subalgebra(
-    L: SubalgebraIndex, M: SubalgebraIndex, tol: Tolerance = DEFAULT_TOL
-) -> SubalgebraIndex:
-    """Intersection of two subalgebras, via the correspondence.
-
-    Realized as the subalgebra of the join of the two subcategories; the
-    result's central dimension is cross-checked against the actual subspace
-    intersection of the two class-sum spans.
-    """
-    _check_same_base(L, M)
-    SL = subcategory_from_subalgebra(L, tol)
-    SM = subcategory_from_subalgebra(M, tol)
-    result = subalgebra_from_subcategory(subcategory_join(SL, SM), L.base, tol)
-    meet_dim = len(subspace_intersection(L._ce_span, M._ce_span, tol))
-    if meet_dim != result.ce_dim:
-        raise CEIntersectionMismatch(
-            f"central subspaces intersect in dimension {meet_dim}, expected {result.ce_dim}"
-        )
-    return result
-
-
-def _check_same_base(L: SubalgebraIndex, M: SubalgebraIndex) -> None:
-    if L.ring is not M.ring:
-        raise ValueError("subalgebras belong to different rings")
-
-
-def verify_dim_inequality(
-    L: SubalgebraIndex, M: SubalgebraIndex, tol: Tolerance = DEFAULT_TOL
-) -> tuple[float, float, bool]:
-    """Check dim(LM) <= dim(L) dim(M) / dim(L n M), with equality diagnostics.
-
-    Returns (lhs, rhs, orders_agree) where orders_agree reports whether the
-    two raw subcategory products coincide.  On a commutative ring the two
-    sides must agree within tolerance.
-    """
-    _check_same_base(L, M)
-    SL = subcategory_from_subalgebra(L, tol)
-    SM = subcategory_from_subalgebra(M, tol)
-    lhs = product_subalgebra(L, M, tol).dim_l
-    inter = intersect_subalgebra(L, M, tol)
-    rhs = L.dim_l * M.dim_l / inter.dim_l
-    bound = 1e-8 * max(1.0, rhs)
-    if lhs > rhs + bound:
-        raise InequalityViolation(f"dim(LM) = {lhs} exceeds bound {rhs}")
-    prod_lm, _ = subcategory_product(SL, SM)
-    prod_ml, _ = subcategory_product(SM, SL)
-    equal = prod_lm == prod_ml
-    if L.ring.commutative and abs(lhs - rhs) > bound:
-        raise InequalityViolation(
-            f"commutative ring but dim(LM) = {lhs} differs from {rhs}"
-        )
-    return lhs, rhs, equal
-
-
-def verify_cointegral_trace_sum(
-    D: FusionSubcategory, B: BlockStructure, tol: Tolerance = DEFAULT_TOL
-) -> float:
-    """Residual of dim(C)/fpdim(D) = weighted diagonal sum of the cointegral.
-
-    Expands the subcategory cointegral in the (not necessarily adapted) unit
-    basis and sums diagonal coefficients weighted by summand dimension; also
-    asserts that after adaptation all coefficients on unselected rows vanish.
-    """
-    lam = subcategory_cointegral(D)
-    comps = B.expand(lam.coeffs)
-    total = 0.0 + 0.0j
-    for blk, P in zip(B.blocks, comps):
-        total += np.trace(P) * blk.summand_dim
-    residual = abs(total - D.ring.global_dim / D.fpdim)
-
-    L = subalgebra_from_subcategory(D, B, tol)
-    comps_ad = L.blocks.expand(lam.coeffs)
-    for j, P in enumerate(comps_ad):
-        selected = set(L.rows[j])
-        for s in range(P.shape[0]):
-            if s not in selected:
-                residual = max(residual, float(np.max(np.abs(P[s, :]))))
-    return float(residual)
-
-
 @dataclass(frozen=True, eq=False)
 class LatticeEntry:
     subcategory: FusionSubcategory
@@ -417,9 +311,83 @@ class LatticeEntry:
 
 @dataclass(frozen=True, eq=False)
 class LatticeTable:
+    """The correspondence of one ring under one block structure.
+
+    Entries are in enumeration order and are looked up by subcategory
+    indices; the lattice operations on subalgebras are lookups of the meet
+    and the join of the subcategories.
+    """
+
     ring: FusionRingData
+    blocks: BlockStructure
     entries: tuple[LatticeEntry, ...]
     hasse_edges: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def _by_indices(self) -> dict[tuple[int, ...], LatticeEntry]:
+        return {e.subcategory.indices: e for e in self.entries}
+
+    def entry(self, indices: tuple[int, ...]) -> LatticeEntry | None:
+        """The entry of the subcategory with these indices, if it is in the table."""
+        return self._by_indices.get(indices)
+
+    def product(self, a: LatticeEntry, b: LatticeEntry) -> LatticeEntry | None:
+        """Smallest subalgebra containing both: the entry of the meet."""
+        return self.entry(subcategory_meet(a.subcategory, b.subcategory).indices)
+
+    def intersection(self, a: LatticeEntry, b: LatticeEntry) -> LatticeEntry | None:
+        """Intersection of the two subalgebras: the entry of the join."""
+        return self.entry(subcategory_join(a.subcategory, b.subcategory).indices)
+
+
+def verify_dim_inequality(
+    a: LatticeEntry, b: LatticeEntry, product: LatticeEntry, intersection: LatticeEntry
+) -> tuple[float, float, bool]:
+    """Check dim(LM) <= dim(L) dim(M) / dim(L n M), with equality diagnostics.
+
+    ``product`` and ``intersection`` are the table entries of the meet and the
+    join of the two subcategories.  Returns (lhs, rhs, orders_agree) where
+    orders_agree reports whether the two raw subcategory products coincide.
+    On a commutative ring the two sides must agree within tolerance.
+    """
+    L, M = a.subalgebra, b.subalgebra
+    lhs = product.subalgebra.dim_l
+    rhs = L.dim_l * M.dim_l / intersection.subalgebra.dim_l
+    bound = 1e-8 * max(1.0, rhs)
+    if lhs > rhs + bound:
+        raise InequalityViolation(f"dim(LM) = {lhs} exceeds bound {rhs}")
+    prod_lm, _ = subcategory_product(a.subcategory, b.subcategory)
+    prod_ml, _ = subcategory_product(b.subcategory, a.subcategory)
+    equal = prod_lm == prod_ml
+    if L.ring.commutative and abs(lhs - rhs) > bound:
+        raise InequalityViolation(
+            f"commutative ring but dim(LM) = {lhs} differs from {rhs}"
+        )
+    return lhs, rhs, equal
+
+
+def verify_cointegral_trace_sum(e: LatticeEntry) -> float:
+    """Residual of dim(C)/fpdim(D) = weighted diagonal sum of the cointegral.
+
+    Expands the subcategory cointegral in the (not necessarily adapted) unit
+    basis and sums diagonal coefficients weighted by summand dimension; also
+    asserts that after adaptation all coefficients on unselected rows vanish.
+    """
+    D, L = e.subcategory, e.subalgebra
+    lam = subcategory_cointegral(D)
+    comps = L.base.expand(lam.coeffs)
+    total = 0.0 + 0.0j
+    for blk, P in zip(L.base.blocks, comps):
+        total += np.trace(P) * blk.summand_dim
+    residual = abs(total - D.ring.global_dim / D.fpdim)
+
+    comps_ad = L.blocks.expand(lam.coeffs)
+    for j, P in enumerate(comps_ad):
+        selected = set(L.rows[j])
+        for s in range(P.shape[0]):
+            if s not in selected:
+                residual = max(residual, float(np.max(np.abs(P[s, :]))))
+    return float(residual)
 
 
 def build_lattice(
@@ -427,13 +395,14 @@ def build_lattice(
 ) -> LatticeTable:
     """Full correspondence table between subcategories and subalgebras.
 
-    Verifies, for every enumerated subcategory: the round trip through its
+    The one place where subalgebras are built from subcategories; every
+    consumer of the correspondence reads this table.  Verifies, for every
+    enumerated subcategory: the round trip through its
     subalgebra, injectivity of the central subspaces, and anti-monotonicity of
     the correspondence.  Emits Hasse edges of the subcategory inclusion order.
     """
-    subcats = enumerate_subcategories(ring)
     entries = []
-    for D in subcats:
+    for D in enumerate_subcategories(ring):
         L = subalgebra_from_subcategory(D, B, tol)
         back = subcategory_from_subalgebra(L, tol)
         if back.indices != D.indices:
@@ -443,8 +412,8 @@ def build_lattice(
     for a in range(len(entries)):
         for b in range(a + 1, len(entries)):
             La, Lb = entries[a].subalgebra, entries[b].subalgebra
-            same_dim = La._ce_span.shape[1] == Lb._ce_span.shape[1]
-            if same_dim and subspace_contains(La._ce_span, Lb._ce_span, tol):
+            same_dim = La.ce_span.shape[1] == Lb.ce_span.shape[1]
+            if same_dim and subspace_contains(La.ce_span, Lb.ce_span, tol):
                 raise RoundTripFailure(
                     "distinct subcategories produced identical central subspaces: "
                     f"{entries[a].subcategory.indices} vs {entries[b].subcategory.indices}"
@@ -455,8 +424,8 @@ def build_lattice(
             if a == b:
                 continue
             if set(ea.subcategory.indices) <= set(eb.subcategory.indices):
-                inner = eb.subalgebra._ce_span
-                outer = ea.subalgebra._ce_span
+                inner = eb.subalgebra.ce_span
+                outer = ea.subalgebra.ce_span
                 if not subspace_contains(outer, inner, tol):
                     raise MonotonicityFailure(
                         f"inclusion {ea.subcategory.indices} <= {eb.subcategory.indices} "
@@ -472,4 +441,4 @@ def build_lattice(
             if any(sets[a] < sets[c] < sets[b] for c in range(len(entries))):
                 continue
             edges.append((a, b))
-    return LatticeTable(ring, tuple(entries), tuple(sorted(edges)))
+    return LatticeTable(ring, B, tuple(entries), tuple(sorted(edges)))

@@ -35,13 +35,7 @@ from .char_theory import (
     tau,
     unit_central_element,
 )
-from .fusion_ring import (
-    FusionRingData,
-    enumerate_subcategories,
-    subcategory_join,
-    subcategory_meet,
-    subcategory_product,
-)
+from .fusion_ring import FusionRingData, subcategory_product
 from .groups import (
     FiniteGroup,
     character_table_cached,
@@ -49,7 +43,7 @@ from .groups import (
     crosscheck_vec,
     OracleMismatch,
 )
-from .linalg import DEFAULT_TOL, Tolerance, snap_integer
+from .linalg import DEFAULT_TOL, Tolerance, snap_integer, subspace_intersection
 from .wedderburn import (
     compute_blocks,
     verify_class_sum_pairings,
@@ -73,6 +67,7 @@ BATTERY = [
     "alternating:4",
 ]
 BATTERY_LARGE = BATTERY + ["symmetric:4"]
+LATTICE_CHECK = "lattice round trip, injectivity, monotonicity"
 
 
 @dataclass(frozen=True)
@@ -241,7 +236,12 @@ def verify_ring(
     checks.append(CheckResult("class sum pairings", verify_class_sum_pairings(B), 1e-8))
     checks.append(CheckResult("integral equals diagonal class sums", verify_integral_classsum(B), 1e-8))
 
-    subcats = enumerate_subcategories(ring)
+    try:
+        table = subalg.build_lattice(ring, B, tol)
+    except Exception as exc:  # noqa: BLE001 - report as a failed check
+        checks.append(CheckResult(LATTICE_CHECK, 1.0, 0.0, info=str(exc)))
+        return checks
+
     worst_idem = 0.0
     worst_dimprod = 0.0
     worst_diag = 0.0
@@ -249,13 +249,11 @@ def verify_ring(
     worst_norm = 0.0
     worst_proj = 0.0
     worst_respair = 0.0
-    entries = []
-    for D in subcats:
+    for e in table.entries:
+        D, L = e.subcategory, e.subalgebra
         lam_d = subcategory_cointegral(D)
         sq = cf_multiply(lam_d, lam_d)
         worst_idem = max(worst_idem, float(np.max(np.abs(sq.coeffs - lam_d.coeffs))))
-        L = subalg.subalgebra_from_subcategory(D, B, tol)
-        entries.append((D, L))
         worst_dimprod = max(worst_dimprod, abs(L.dim_l * D.fpdim - dim))
         comps = L.blocks.expand(lam_d.coeffs)
         for j, P in enumerate(comps):
@@ -264,11 +262,10 @@ def verify_ring(
                 for t in range(P.shape[1]):
                     expected = 1.0 if (s == t and s in sel) else 0.0
                     worst_diag = max(worst_diag, abs(complex(P[s, t]) - expected))
-        worst_trace = max(worst_trace, subalg.verify_cointegral_trace_sum(D, B, tol))
+        worst_trace = max(worst_trace, subalg.verify_cointegral_trace_sum(e))
 
-        partition = subalg.block_partition(L, tol)
         ell0 = np.zeros(r, dtype=complex)
-        ell0[list(partition[0])] = 1.0
+        ell0[list(e.partition[0])] = 1.0
         eps_l = subalg.epsilon_L(L)
         worst_norm = max(worst_norm, abs(pairing(eps_l, CentralElement(ring, ell0)) - 1.0))
 
@@ -297,44 +294,33 @@ def verify_ring(
     checks.append(CheckResult("unit idempotent pairing normalization", worst_norm, 1e-8))
     checks.append(CheckResult("integral projects to the unit idempotent", worst_proj, 1e-8))
     checks.append(CheckResult("restriction compatible with pairing", worst_respair, 1e-8))
-
-    try:
-        lattice = subalg.build_lattice(ring, B, tol)
-        checks.append(
-            CheckResult(
-                "lattice round trip, injectivity, monotonicity",
-                0.0,
-                0.0,
-                info=f"{len(lattice.entries)} subcategories",
-            )
-        )
-    except Exception as exc:  # noqa: BLE001 - report as a failed check
-        checks.append(
-            CheckResult("lattice round trip, injectivity, monotonicity", 1.0, 0.0, info=str(exc))
-        )
+    checks.append(
+        CheckResult(LATTICE_CHECK, 0.0, 0.0, info=f"{len(table.entries)} subcategories")
+    )
 
     worst_meetjoin = 0.0
     worst_bound = 0.0
     worst_comm_eq = 0.0
     strict = 0
-    for Da, La in entries:
-        for Db, Lb in entries:
-            meet = subcategory_meet(Da, Db)
-            join = subcategory_join(Da, Db)
-            LM = subalg.product_subalgebra(La, Lb, tol)
-            if subalg.subcategory_from_subalgebra(LM, tol).indices != meet.indices:
+    for ea in table.entries:
+        for eb in table.entries:
+            meet = table.product(ea, eb)
+            join = table.intersection(ea, eb)
+            if meet is None or join is None:
                 worst_meetjoin = max(worst_meetjoin, 1.0)
-            LiM = subalg.intersect_subalgebra(La, Lb, tol)
-            if subalg.subcategory_from_subalgebra(LiM, tol).indices != join.indices:
+                continue
+            La, Lb = ea.subalgebra, eb.subalgebra
+            ce_meet = len(subspace_intersection(La.ce_span, Lb.ce_span, tol))
+            if ce_meet != join.subalgebra.ce_dim:
                 worst_meetjoin = max(worst_meetjoin, 1.0)
-            lhs, rhs, orders_agree = subalg.verify_dim_inequality(La, Lb, tol)
+            lhs, rhs, orders_agree = subalg.verify_dim_inequality(ea, eb, meet, join)
             worst_bound = max(worst_bound, lhs - rhs)
             if lhs < rhs - 1e-8:
                 strict += 1
             if ring.commutative:
                 worst_comm_eq = max(worst_comm_eq, abs(lhs - rhs))
-            prod_ab, _ = subcategory_product(Da, Db)
-            if not set(prod_ab) <= set(join.indices):
+            prod_ab, _ = subcategory_product(ea.subcategory, eb.subcategory)
+            if not set(prod_ab) <= set(join.subcategory.indices):
                 worst_meetjoin = max(worst_meetjoin, 1.0)
             if ring.commutative and not orders_agree:
                 worst_meetjoin = max(worst_meetjoin, 1.0)
@@ -362,10 +348,10 @@ def verify_ring(
         checks.append(CheckResult("squared degrees sum to the order", deg_res, 0.0))
         try:
             if kind == "rep":
-                report = crosscheck_rep(group, seed, tol)
+                report = crosscheck_rep(group, table, tol)
                 info = f"{report['normal_subgroups']} normal subgroups"
             else:
-                report = crosscheck_vec(group, seed, tol)
+                report = crosscheck_vec(group, table, tol)
                 info = f"{report['subgroups']} subgroups"
             checks.append(CheckResult("group oracle crosscheck", 0.0, 0.0, info=info))
         except OracleMismatch as exc:

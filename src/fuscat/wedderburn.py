@@ -37,7 +37,6 @@ __all__ = [
     "Block",
     "BlockStructure",
     "compute_blocks",
-    "expand_in_units",
     "adapt_to_idempotent",
     "verify_class_sum_pairings",
     "verify_dual_bases",
@@ -132,13 +131,6 @@ class BlockStructure:
             out.append(alpha[pos : pos + blk.m * blk.m].reshape(blk.m, blk.m))
             pos += blk.m * blk.m
         return out
-
-
-def expand_in_units(f: ClassFunction, B: BlockStructure) -> list[np.ndarray]:
-    """Unique coefficients alpha with f = sum alpha^j_st F^j_st, per block."""
-    if f.ring is not B.ring:
-        raise ValueError("class function and block structure belong to different rings")
-    return B.expand(f.coeffs)
 
 
 def _center_basis(ring: FusionRingData, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:

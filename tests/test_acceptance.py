@@ -146,6 +146,18 @@ def test_criterion_12_determinism(tmp_path):
     print("PASS  criterion 12 (byte-identical reports)")
 
 
+@pytest.mark.parametrize("seed", range(1, 16))
+def test_battery_passes_under_seed(seed):
+    report = cli.verify_report(RunConfig("verify", None, seed=seed, battery=True))
+    failures = [
+        (r["source"], c["name"], c["residual"], c["info"])
+        for r in report["results"]
+        for c in r["checks"]
+        if not c["passed"]
+    ]
+    assert failures == []
+
+
 def test_battery_all_checks_green(battery):
     failures = [
         (source, c.name, c.residual, c.bound)

@@ -82,6 +82,23 @@ class TestVerify:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"labels": ["1", "x"], "dual": [0, 1], "N": [[[1, 0], [0, 1]], [[0, 1]]]}',
+            '{"labels": ["1"], "dual": ["a"], "N": [[[1]]]}',
+            '{"labels": ["1"], "dual": [0], "N": [[[1e400]]]}',
+        ],
+        ids=["ragged_N", "non_integer_dual", "overflowing_N"],
+    )
+    def test_malformed_ring_is_one_line_error(self, text, tmp_path, capsys):
+        path = tmp_path / "malformed.json"
+        path.write_text(text)
+        code, _, err = run_cli(["analyze", f"ring:{path}"], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_source(self, capsys):
         code, _, err = run_cli(["verify"], capsys)
         assert code == 2

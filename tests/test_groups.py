@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from fuscat import groups
 from fuscat.groups import (
     BadTable,
     NotNormal,
@@ -18,6 +17,12 @@ from fuscat.groups import (
     trivial_action_subcategory,
     vec_fusion_ring,
 )
+from fuscat.subalg import build_lattice
+from fuscat.wedderburn import compute_blocks
+
+
+def lattice_of(ring):
+    return build_lattice(ring, compute_blocks(ring))
 
 
 class TestParse:
@@ -190,47 +195,29 @@ class TestTrivialAction:
 
 class TestCrosschecks:
     def test_rep_s3(self, s3_group):
-        report = crosscheck_rep(s3_group)
+        report = crosscheck_rep(s3_group, lattice_of(rep_fusion_ring(s3_group)))
         assert report["normal_subgroups"] == 3
         assert report["subcategories"] == 3
         assert sorted(round(e["subalgebra_dim"]) for e in report["entries"]) == [1, 3, 6]
         assert report["mismatches"] == []
 
     def test_vec_s3(self, s3_group):
-        report = crosscheck_vec(s3_group)
+        report = crosscheck_vec(s3_group, lattice_of(vec_fusion_ring(s3_group)))
         assert report["subgroups"] == 6
         assert sorted(round(e["subalgebra_dim"]) for e in report["entries"]) == [1, 2, 3, 3, 3, 6]
 
     def test_rep_c2(self):
-        report = crosscheck_rep(parse_group("cyclic:2"))
+        G = parse_group("cyclic:2")
+        report = crosscheck_rep(G, lattice_of(rep_fusion_ring(G)))
         assert report["normal_subgroups"] == 2
 
     def test_rep_q8(self):
-        report = crosscheck_rep(parse_group("quaternion:8"))
+        G = parse_group("quaternion:8")
+        report = crosscheck_rep(G, lattice_of(rep_fusion_ring(G)))
         assert report["normal_subgroups"] == 6
         assert report["mismatches"] == []
 
     def test_vec_a4(self):
-        report = crosscheck_vec(parse_group("alternating:4"))
+        G = parse_group("alternating:4")
+        report = crosscheck_vec(G, lattice_of(vec_fusion_ring(G)))
         assert report["subgroups"] == 10
-
-
-class TestGroupJson:
-    def test_load_and_use(self, tmp_path):
-        import json
-
-        path = tmp_path / "c3.json"
-        path.write_text(
-            json.dumps({"elements": ["e", "a", "b"], "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]})
-        )
-        G = groups.load_group_json(path)
-        assert G.order == 3
-        assert vec_fusion_ring(G).rank == 3
-
-    def test_malformed(self, tmp_path):
-        import json
-
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"elements": ["e"]}))
-        with pytest.raises(BadTable):
-            groups.load_group_json(path)

@@ -3,20 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuscat import linalg
 from fuscat.linalg import (
     DEFAULT_TOL,
     DegenerateSeed,
-    Inconsistent,
     NotCommuting,
     NotNearInteger,
     Tolerance,
     common_eigenbasis,
-    eigen,
     joint_eigenspaces,
     orthonormal_basis,
     snap_integer,
-    solve_linear,
     subspace_intersection,
 )
 
@@ -52,55 +48,6 @@ def s3_class_matrices():
                         M[d_idx, reps.index(z)] += 1
         mats.append(M)
     return classes, mats
-
-
-class TestSolveLinear:
-    def test_identity(self):
-        x = solve_linear(np.eye(2), np.array([1.0, 2.0]))
-        assert np.allclose(x, [1, 2])
-
-    def test_rank_deficient_inconsistent(self):
-        with pytest.raises(Inconsistent):
-            solve_linear(np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([1.0, 1.0]))
-
-    def test_s3_fusion_matrix_eigen_equation(self):
-        # Fusion matrix of rho in Rep(S3); oracle: hand multiplication shows
-        # M d = 2 d for the dimension vector d = (1, 1, 2).
-        M = np.array([[0, 0, 1], [0, 0, 1], [1, 1, 1]], dtype=float)
-        d = np.array([1.0, 1.0, 2.0])
-        assert np.allclose(M @ d, 2 * d)
-        x = solve_linear(M, 2 * d)
-        assert np.allclose(x, d)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            solve_linear(np.eye(2), np.array([1.0, 2.0, 3.0]))
-
-
-class TestEigen:
-    def test_diagonal(self):
-        pairs = eigen(np.diag([3.0, 1.0]))
-        assert abs(pairs[0][0] - 3) < 1e-12 and abs(pairs[1][0] - 1) < 1e-12
-        assert np.allclose(np.abs(pairs[0][1]), [1, 0])
-
-    def test_swap_matrix(self):
-        pairs = eigen(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert sorted(round(p[0].real) for p in pairs) == [-1, 1]
-
-    def test_class_sum_matrix_of_transpositions(self):
-        classes, mats = s3_class_matrices()
-        # transpositions form the class of size 3
-        M = mats[[len(c) for c in classes].index(3)]
-        vals = sorted(round(p[0].real) for p in eigen(M))
-        assert vals == [-3, 0, 3]
-
-    def test_not_diagonalizable(self):
-        with pytest.raises(linalg.NotDiagonalizable):
-            eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_ordering(self):
-        pairs = eigen(np.diag([1.0, 5.0, -2.0]))
-        assert [round(p[0].real) for p in pairs] == [5, 1, -2]
 
 
 class TestCommonEigenbasis:
@@ -199,16 +146,6 @@ class TestSnap:
 def test_tolerance_close_symmetric(a, b):
     tol = Tolerance()
     assert tol.close(a, b) == tol.close(b, a)
-
-
-@given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**31))
-@settings(max_examples=25, deadline=None)
-def test_hermitian_eigenvalues_real(n, seed):
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    H = A + A.conj().T
-    for val, _vec in eigen(H):
-        assert abs(val.imag) < 1e-8
 
 
 @given(st.integers(min_value=-10**6, max_value=10**6), st.floats(min_value=-5e-7, max_value=5e-7))

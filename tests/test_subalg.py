@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fuscat import subalg
+from fuscat import groups, subalg, verify, wedderburn
 from fuscat.char_theory import (
     CentralElement,
     chi,
@@ -17,15 +17,14 @@ from fuscat.fusion_ring import (
     subcategory_join,
     subcategory_meet,
 )
-from fuscat.linalg import orthonormal_basis, subspace_contains
+from fuscat.linalg import DEFAULT_TOL, orthonormal_basis, subspace_contains, subspace_intersection
 from fuscat.subalg import (
+    LatticeTable,
     build_lattice,
     block_partition,
     ce_basis,
     epsilon_L,
-    intersect_subalgebra,
     pi_down,
-    product_subalgebra,
     restrict,
     subalgebra_from_subcategory,
     subcategory_from_subalgebra,
@@ -39,6 +38,20 @@ def s3_subalgebras(s3_ring, s3_blocks):
     """Subalgebras of the adjoint algebra of Rep(S3), keyed by subcategory."""
     subs = enumerate_subcategories(s3_ring)
     return {D.indices: subalgebra_from_subcategory(D, s3_blocks) for D in subs}
+
+
+@pytest.fixture(scope="module")
+def s3_table(s3_ring, s3_blocks):
+    return build_lattice(s3_ring, s3_blocks)
+
+
+@pytest.fixture(scope="module")
+def vec_s3_table(vec_s3_ring, vec_s3_blocks):
+    return build_lattice(vec_s3_ring, vec_s3_blocks)
+
+
+def dim_inequality(table, a, b):
+    return verify_dim_inequality(a, b, table.product(a, b), table.intersection(a, b))
 
 
 class TestFromSubcategory:
@@ -178,87 +191,80 @@ class TestPiDown:
 
 
 class TestLatticeOps:
-    def test_product_with_unit_subalgebra(self, s3_subalgebras):
-        one = s3_subalgebras[(0, 1, 2)]  # the unit subalgebra
-        for L in s3_subalgebras.values():
-            out = product_subalgebra(L, one)
-            assert out.rows == L.rows
+    def test_product_with_unit_subalgebra(self, s3_table):
+        one = s3_table.entry((0, 1, 2))  # the unit subalgebra
+        for e in s3_table.entries:
+            assert s3_table.product(e, one).subalgebra.rows == e.subalgebra.rows
 
-    def test_intersect_with_whole(self, s3_subalgebras):
-        whole = s3_subalgebras[(0,)]
-        for L in s3_subalgebras.values():
-            out = intersect_subalgebra(L, whole)
-            assert out.rows == L.rows
+    def test_intersect_with_whole(self, s3_table):
+        whole = s3_table.entry((0,))
+        for e in s3_table.entries:
+            assert s3_table.intersection(e, whole).subalgebra.rows == e.subalgebra.rows
 
-    def test_vec_s3_reflection_pair(self, vec_s3_ring, vec_s3_blocks):
-        subs = [D for D in enumerate_subcategories(vec_s3_ring) if len(D.indices) == 2]
-        L = subalgebra_from_subcategory(subs[0], vec_s3_blocks)
-        M = subalgebra_from_subcategory(subs[1], vec_s3_blocks)
-        assert product_subalgebra(L, M).dim_l == pytest.approx(6)
-        assert intersect_subalgebra(L, M).dim_l == pytest.approx(1)
+    def test_vec_s3_reflection_pair(self, vec_s3_table):
+        a, b = [e for e in vec_s3_table.entries if len(e.subcategory) == 2][:2]
+        assert vec_s3_table.product(a, b).subalgebra.dim_l == pytest.approx(6)
+        assert vec_s3_table.intersection(a, b).subalgebra.dim_l == pytest.approx(1)
 
-    def test_rep_s3_idempotence_and_nesting(self, s3_subalgebras):
-        a3 = s3_subalgebras[(0, 1)]
-        s3 = s3_subalgebras[(0,)]  # the whole group algebra
-        assert product_subalgebra(a3, a3).rows == a3.rows
-        inter = intersect_subalgebra(a3, s3)
-        assert inter.dim_l == pytest.approx(3)
+    def test_rep_s3_idempotence_and_nesting(self, s3_table):
+        a3 = s3_table.entry((0, 1))
+        s3 = s3_table.entry((0,))  # the whole group algebra
+        assert s3_table.product(a3, a3) is a3
+        assert s3_table.intersection(a3, s3).subalgebra.dim_l == pytest.approx(3)
 
-    def test_meet_join_identities(self, vec_s3_ring, vec_s3_blocks):
-        subs = enumerate_subcategories(vec_s3_ring)
-        Ls = {D.indices: subalgebra_from_subcategory(D, vec_s3_blocks) for D in subs}
-        for Da in subs:
-            for Db in subs:
-                lm = product_subalgebra(Ls[Da.indices], Ls[Db.indices])
+    def test_meet_join_identities(self, vec_s3_table):
+        for a in vec_s3_table.entries:
+            for b in vec_s3_table.entries:
+                lm = vec_s3_table.product(a, b).subalgebra
                 assert (
                     subcategory_from_subalgebra(lm).indices
-                    == subcategory_meet(Da, Db).indices
+                    == subcategory_meet(a.subcategory, b.subcategory).indices
                 )
-                li = intersect_subalgebra(Ls[Da.indices], Ls[Db.indices])
+                li = vec_s3_table.intersection(a, b).subalgebra
                 assert (
                     subcategory_from_subalgebra(li).indices
-                    == subcategory_join(Da, Db).indices
+                    == subcategory_join(a.subcategory, b.subcategory).indices
                 )
+                ce = subspace_intersection(a.subalgebra.ce_span, b.subalgebra.ce_span)
+                assert len(ce) == li.ce_dim
 
 
 class TestDimInequality:
-    def test_equal_arguments(self, s3_subalgebras):
-        L = s3_subalgebras[(0, 1)]
-        lhs, rhs, _ = verify_dim_inequality(L, L)
+    def test_equal_arguments(self, s3_table):
+        a3 = s3_table.entry((0, 1))
+        lhs, rhs, _ = dim_inequality(s3_table, a3, a3)
         assert lhs == pytest.approx(rhs) == pytest.approx(3)
 
-    def test_vec_s3_strict_instance(self, vec_s3_ring, vec_s3_blocks):
-        subs = [D for D in enumerate_subcategories(vec_s3_ring) if len(D.indices) == 2]
-        L = subalgebra_from_subcategory(subs[0], vec_s3_blocks)
-        M = subalgebra_from_subcategory(subs[1], vec_s3_blocks)
-        lhs, rhs, orders_agree = verify_dim_inequality(L, M)
+    def test_vec_s3_strict_instance(self, vec_s3_table):
+        a, b = [e for e in vec_s3_table.entries if len(e.subcategory) == 2][:2]
+        lhs, rhs, orders_agree = dim_inequality(vec_s3_table, a, b)
         assert lhs == pytest.approx(6)
         assert rhs == pytest.approx(9)
         assert not orders_agree
 
-    def test_rep_s3_equality(self, s3_subalgebras):
-        a3 = s3_subalgebras[(0, 1)]
-        s3 = s3_subalgebras[(0,)]
-        lhs, rhs, orders_agree = verify_dim_inequality(a3, s3)
+    def test_rep_s3_equality(self, s3_table):
+        a3 = s3_table.entry((0, 1))
+        s3 = s3_table.entry((0,))
+        lhs, rhs, orders_agree = dim_inequality(s3_table, a3, s3)
         assert lhs == pytest.approx(6)
         assert rhs == pytest.approx(6 * 3 / 3)
         assert orders_agree
 
 
 class TestCointegralTraceSum:
-    def test_trivial_subcategory(self, s3_ring, s3_blocks):
+    def test_trivial_subcategory(self, s3_ring, s3_table):
         D = subcategory_closure(s3_ring, [])
-        assert verify_cointegral_trace_sum(D, s3_blocks) < 1e-8
+        assert verify_cointegral_trace_sum(s3_table.entry(D.indices)) < 1e-8
 
-    def test_rep_c2_value(self, s3_ring, s3_blocks):
+    def test_rep_c2_value(self, s3_ring, s3_table):
         # diagonal coefficients of F^e + F^3cyc weighted by summand dims:
         # 1*1 + 1*2 = 3 = 6/2
         D = subcategory_closure(s3_ring, [1])
-        assert verify_cointegral_trace_sum(D, s3_blocks) < 1e-8
+        assert verify_cointegral_trace_sum(s3_table.entry(D.indices)) < 1e-8
 
-    def test_whole_category(self, s3_ring, s3_blocks):
+    def test_whole_category(self, s3_ring, s3_table):
         D = subcategory_closure(s3_ring, [2])
-        assert verify_cointegral_trace_sum(D, s3_blocks) < 1e-8
+        assert verify_cointegral_trace_sum(s3_table.entry(D.indices)) < 1e-8
 
 
 class TestRestrictionPairing:
@@ -291,3 +297,56 @@ class TestBuildLattice:
         table = build_lattice(trivial_ring, compute_blocks(trivial_ring))
         assert len(table.entries) == 1
         assert table.entries[0].subalgebra.dim_l == pytest.approx(1)
+
+
+class TestProjector:
+    def test_idempotent_with_trace_ce_dim(self, s3_table, vec_s3_table):
+        for table in (s3_table, vec_s3_table):
+            for e in table.entries:
+                P = e.subalgebra.projector
+                assert np.allclose(P @ P, P)
+                assert np.trace(P) == pytest.approx(e.subalgebra.ce_dim)
+
+    def test_restriction_reads_only_the_projector(self, s3_ring, s3_subalgebras, monkeypatch):
+        def no_expand(self, coeffs):
+            raise AssertionError("expand called")
+
+        monkeypatch.setattr(wedderburn.BlockStructure, "expand", no_expand)
+        L = s3_subalgebras[(0, 1)]
+        assert np.allclose(restrict(unit_class_function(s3_ring), L).coeffs, epsilon_L(L).coeffs)
+        assert subcategory_from_subalgebra(L).indices == (0, 1)
+        assert block_partition(L) == ((0, 1), (2,))
+
+
+class TestVerifyReadsTable:
+    def test_correspondence_computed_once(self, vec_s3_ring, s3_group, monkeypatch):
+        calls = {"adapt": 0, "blocks": 0}
+        real_adapt = subalg.adapt_to_idempotent
+        real_blocks = wedderburn.compute_blocks
+
+        def counted_adapt(*args, **kwargs):
+            calls["adapt"] += 1
+            return real_adapt(*args, **kwargs)
+
+        def counted_blocks(*args, **kwargs):
+            calls["blocks"] += 1
+            return real_blocks(*args, **kwargs)
+
+        monkeypatch.setattr(subalg, "adapt_to_idempotent", counted_adapt)
+        for mod in (wedderburn, subalg, groups, verify):
+            monkeypatch.setattr(mod, "compute_blocks", counted_blocks, raising=False)
+        checks = verify.verify_ring(vec_s3_ring, group=s3_group, kind="vec")
+        assert all(c.passed for c in checks)
+        n_subcats = len(enumerate_subcategories(vec_s3_ring))
+        assert calls == {"adapt": n_subcats, "blocks": 1}
+
+    def test_missing_meet_fails_the_check(self, vec_s3_ring, monkeypatch):
+        real_build = subalg.build_lattice
+
+        def without_trivial(ring, B, tol=DEFAULT_TOL):
+            t = real_build(ring, B, tol)
+            return LatticeTable(t.ring, t.blocks, t.entries[1:], t.hasse_edges)
+
+        monkeypatch.setattr(subalg, "build_lattice", without_trivial)
+        checks = {c.name: c for c in verify.verify_ring(vec_s3_ring)}
+        assert not checks["meet and join correspondence"].passed

@@ -9,7 +9,6 @@ from fuscat.wedderburn import (
     NotIdempotent,
     adapt_to_idempotent,
     compute_blocks,
-    expand_in_units,
     verify_class_sum_pairings,
     verify_dual_bases,
     verify_integral_classsum,
@@ -79,18 +78,18 @@ class TestComputeBlocks:
 
 class TestExpand:
     def test_unit_expands_to_identity(self, s3_ring, s3_blocks):
-        comps = expand_in_units(unit_class_function(s3_ring), s3_blocks)
+        comps = s3_blocks.expand(unit_class_function(s3_ring).coeffs)
         for blk, P in zip(s3_blocks.blocks, comps):
             assert np.allclose(P, np.eye(blk.m))
 
     def test_rho_diagonal_values(self, s3_ring, s3_blocks):
         # evaluation picture: chi_rho takes values (2, 0, -1) on the blocks
         # ordered (identity class, transpositions, 3-cycles)
-        comps = expand_in_units(chi(s3_ring, 2), s3_blocks)
+        comps = s3_blocks.expand(chi(s3_ring, 2).coeffs)
         assert [round(complex(P[0, 0]).real) for P in comps] == [2, 0, -1]
 
     def test_cointegral_hits_block_zero(self, s3_ring, s3_blocks):
-        comps = expand_in_units(cointegral(s3_ring), s3_blocks)
+        comps = s3_blocks.expand(cointegral(s3_ring).coeffs)
         assert complex(comps[0][0, 0]) == pytest.approx(1)
         assert all(np.max(np.abs(P)) < 1e-12 for P in comps[1:])
 
