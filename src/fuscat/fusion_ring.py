@@ -39,8 +39,10 @@ __all__ = [
 ]
 
 MAX_CLOSURE_CALLS = 10**6
-# Input multiplicities above this are rejected: the bound keeps the r^4
-# associativity sums exact in int64 at any rank that fits in memory.
+# Multiplicities above this are rejected.  The associativity check sums r
+# products of two entries in float64 BLAS; with entries of magnitude at most
+# 2**20 every partial sum is an integer below r * 2**40, which float64 holds
+# exactly (r * 2**40 < 2**53) for every rank r < 8192.
 MAX_MULTIPLICITY = 2**20
 
 
@@ -93,6 +95,18 @@ class FusionRingData:
     @cached_property
     def N_float(self) -> np.ndarray:
         out = self.N.astype(float)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        """0/1 matrix of shape (r, r*r): entry [i, j*r + k] is [N_ijk > 0].
+
+        float32 halves the memory traffic of the closure products; a sum of
+        non-negative terms of which one is 1 stays positive after rounding, so
+        the ``> 0`` test on those products is exact at any rank.
+        """
+        out = (self.N > 0).astype(np.float32).reshape(self.rank, -1)
         out.setflags(write=False)
         return out
 
@@ -153,14 +167,36 @@ def _structure_violations(N: np.ndarray, dual: Sequence[int]) -> list[str]:
         if not np.array_equal(N[:, :, 0], expected):
             bad = np.argwhere(N[:, :, 0] != expected)[0]
             out.append(f"duality axiom fails: N[{bad[0]}][{bad[1]}][0]")
-    lhs = np.einsum("ijk,klp->ijlp", N, N)
-    rhs = np.einsum("jlk,ikp->ijlp", N, N)
-    if not np.array_equal(lhs, rhs):
-        bad = np.argwhere(lhs != rhs)[0]
-        out.append(
-            "associativity fails at (i,j,l,p)=({},{},{},{})".format(*(int(x) for x in bad))
-        )
+    too_big = np.abs(N) > MAX_MULTIPLICITY
+    if np.any(too_big):
+        i, j, k = np.argwhere(too_big)[0]
+        out.append(f"multiplicity N[{i}][{j}][{k}] exceeds {MAX_MULTIPLICITY}")
+        return out
+    bad = _associativity_failure(N)
+    if bad is not None:
+        out.append("associativity fails at (i,j,l,p)=({},{},{},{})".format(*bad))
     return out
+
+
+def _associativity_failure(N: np.ndarray) -> tuple[int, int, int, int] | None:
+    """First (i,j,l,p) with sum_k N_ijk N_klp != sum_k N_jlk N_ikp, if any.
+
+    One i at a time as two float64 matrix products, so memory stays O(r^3);
+    exact because every partial sum is an integer below 2**53 (see
+    ``MAX_MULTIPLICITY``).  Blocks are scanned in i order and each block is
+    laid out as [j, l, p], so the index found is the lexicographically first.
+    """
+    r = N.shape[0]
+    F = N.astype(float)
+    right = F.reshape(r, r * r)
+    left = F.reshape(r * r, r)
+    for i in range(r):
+        lhs = F[i] @ right
+        rhs = (left @ F[i]).reshape(r, r * r)
+        if not np.array_equal(lhs, rhs):
+            j, l, p = np.argwhere((lhs != rhs).reshape(r, r, r))[0]
+            return i, int(j), int(l), int(p)
+    return None
 
 
 def fp_dims(N) -> tuple[np.ndarray, float]:
@@ -200,7 +236,7 @@ def build_ring(
         raise RingDataError([f"{len(labels)} labels for rank {N.shape[0]}"])
     dims, global_dim = fp_dims(N)
     ring = FusionRingData(tuple(labels), N, tuple(dual), dims, global_dim)
-    post = validate(ring, tol)
+    post = _dimension_violations(ring, tol)
     if post:
         raise RingDataError(post)
     return ring
@@ -208,13 +244,18 @@ def build_ring(
 
 def validate(ring: FusionRingData, tol: Tolerance = DEFAULT_TOL) -> list[str]:
     """Check every ring axiom; returns a list of violations (empty = ok)."""
-    out = _structure_violations(ring.N, ring.dual)
+    return _structure_violations(ring.N, ring.dual) + _dimension_violations(ring, tol)
+
+
+def _dimension_violations(ring: FusionRingData, tol: Tolerance) -> list[str]:
+    """Unit dimension, positivity, homomorphism, sphericality and global dimension."""
+    out: list[str] = []
     d = ring.dims
     if not tol.close(d[0], 1.0):
         out.append(f"d_0 = {d[0]!r} != 1")
     if np.any(d < 1.0 - 1e-8):
         out.append(f"dimension below 1 at index {int(np.argmin(d))}")
-    prod = np.einsum("ijk,k->ij", ring.N.astype(float), d)
+    prod = np.einsum("ijk,k->ij", ring.N_float, d)
     outer = np.outer(d, d)
     if not tol.allclose(prod, outer):
         bad = np.unravel_index(int(np.argmax(np.abs(prod - outer))), prod.shape)
@@ -227,6 +268,18 @@ def validate(ring: FusionRingData, tol: Tolerance = DEFAULT_TOL) -> list[str]:
     return out
 
 
+def _indicator(ring: FusionRingData, indices: Iterable[int]) -> np.ndarray:
+    m = np.zeros(ring.rank, dtype=np.float32)
+    m[list(indices)] = 1.0
+    return m
+
+
+def _fusion_hit(ring: FusionRingData, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Simples k with N_ijk > 0 for some i in a, j in b (0/1 indicator vectors)."""
+    r = ring.rank
+    return (b @ (a @ ring.support).reshape(r, r)) > 0
+
+
 def _closure_indices(ring: FusionRingData, seeds: Iterable[int]) -> tuple[int, ...]:
     member = np.zeros(ring.rank, dtype=bool)
     member[0] = True
@@ -236,11 +289,9 @@ def _closure_indices(ring: FusionRingData, seeds: Iterable[int]) -> tuple[int, .
         member[int(s)] = True
     dual = np.array(ring.dual)
     while True:
-        new = member.copy()
-        new[dual[member]] = True
-        idx = np.flatnonzero(new)
-        hit = np.any(ring.N[np.ix_(idx, idx)] > 0, axis=(0, 1))
-        new = new | hit
+        new = member | member[dual]
+        m = new.astype(np.float32)
+        new |= _fusion_hit(ring, m, m)
         if np.array_equal(new, member):
             return tuple(int(i) for i in np.flatnonzero(member))
         member = new
@@ -314,9 +365,7 @@ def subcategory_product(
     the product set is itself a fusion subcategory.
     """
     ring = _check_same_ring(D1, D2)
-    i1 = list(D1.indices)
-    i2 = list(D2.indices)
-    hit = np.any(ring.N[np.ix_(i1, i2)] > 0, axis=(0, 1))
+    hit = _fusion_hit(ring, _indicator(ring, D1.indices), _indicator(ring, D2.indices))
     indices = tuple(int(k) for k in np.flatnonzero(hit))
     closed = indices == _closure_indices(ring, indices)
     return indices, closed

@@ -481,33 +481,34 @@ def vec_fusion_ring(G: FiniteGroup) -> FusionRingData:
     return build_ring(labels, N, dual)
 
 
-def _closure_of(G: FiniteGroup, seed: frozenset[int]) -> frozenset[int]:
-    members = set(seed) | {G.identity}
-    frontier = list(members)
-    while frontier:
-        nxt = []
-        for a in list(members):
-            for b in frontier:
-                for c in (G.mul(a, b), G.mul(b, a)):
-                    if c not in members:
-                        members.add(c)
-                        nxt.append(c)
-        frontier = nxt
-    return frozenset(members)
+def _closure_of(G: FiniteGroup, seed) -> frozenset[int]:
+    """Subgroup generated by the seed: close under products read from the table.
+
+    A finite set that contains the identity and is closed under the product is
+    a subgroup.
+    """
+    member = np.zeros(G.order, dtype=bool)
+    member[G.identity] = True
+    member[list(seed)] = True
+    while True:
+        idx = np.flatnonzero(member)
+        member[G.table[np.ix_(idx, idx)].ravel()] = True
+        if np.count_nonzero(member) == len(idx):
+            return frozenset(int(g) for g in idx)
 
 
-def subgroups(G: FiniteGroup) -> list[tuple[int, ...]]:
-    """All subgroups, as sorted element index tuples, by closure extension."""
-    trivial = frozenset({G.identity})
+def _extension_closure(G: FiniteGroup, pieces) -> list[tuple[int, ...]]:
+    """Every closure of unions of the pieces, by breadth-first extension."""
+    trivial = _closure_of(G, ())
     found = {trivial}
     frontier = [trivial]
     while frontier:
         nxt = []
         for H in frontier:
-            for g in range(G.order):
-                if g in H:
+            for piece in pieces:
+                if set(piece) <= H:
                     continue
-                H2 = _closure_of(G, H | {g})
+                H2 = _closure_of(G, H | set(piece))
                 if H2 not in found:
                     found.add(H2)
                     nxt.append(H2)
@@ -515,15 +516,19 @@ def subgroups(G: FiniteGroup) -> list[tuple[int, ...]]:
     return sorted((tuple(sorted(H)) for H in found), key=lambda h: (len(h), h))
 
 
+def subgroups(G: FiniteGroup) -> list[tuple[int, ...]]:
+    """All subgroups, as sorted element index tuples, by closure extension."""
+    return _extension_closure(G, [(g,) for g in range(G.order)])
+
+
 def normal_subgroups(G: FiniteGroup) -> list[tuple[int, ...]]:
-    out = []
-    for H in subgroups(G):
-        members = set(H)
-        if all(
-            G.mul(G.mul(g, h), G.inverse[g]) in members for g in range(G.order) for h in H
-        ):
-            out.append(H)
-    return out
+    """Normal subgroups, ordered like :func:`subgroups`.
+
+    A normal subgroup is a union of conjugacy classes, and the subgroup
+    generated by a union of classes is normal, so extending by whole classes
+    reaches every normal subgroup and nothing else.
+    """
+    return _extension_closure(G, G.classes)
 
 
 def trivial_action_subcategory(

@@ -102,6 +102,8 @@ class SubalgebraIndex:
     ``projector`` is the restriction projector ``U diag(mask) U^-1`` on
     chi-basis coefficients, where U has the adapted matrix units as columns
     and the mask keeps the units F^j_st whose column t is a selected row.
+    ``cointegral_components`` holds the subcategory cointegral expanded in
+    the adapted matrix units, one read-only m x m array per block.
     """
 
     base: BlockStructure
@@ -110,6 +112,7 @@ class SubalgebraIndex:
     dim_l: float
     ce_dim: int
     projector: np.ndarray
+    cointegral_components: tuple[np.ndarray, ...]
 
     @property
     def ring(self) -> FusionRingData:
@@ -145,6 +148,8 @@ def subalgebra_from_subcategory(
     lam = subcategory_cointegral(D)
     adapted = adapt_to_idempotent(B, lam, tol)
     comps = adapted.expand(lam.coeffs)
+    for P in comps:
+        P.setflags(write=False)
     rows = []
     for blk, P in zip(adapted.blocks, comps):
         selected = []
@@ -167,7 +172,7 @@ def subalgebra_from_subcategory(
     mask = np.array([t in rows[j] for j, _s, t in adapted.unit_index()])
     projector = adapted._unit_matrix[:, mask] @ adapted._unit_matrix_inv[mask]
     projector.setflags(write=False)
-    return SubalgebraIndex(B, adapted, tuple(rows), dim_l, ce_dim, projector)
+    return SubalgebraIndex(B, adapted, tuple(rows), dim_l, ce_dim, projector, tuple(comps))
 
 
 def epsilon_L(L: SubalgebraIndex) -> ClassFunction:
@@ -371,7 +376,7 @@ def verify_cointegral_trace_sum(e: LatticeEntry) -> float:
 
     Expands the subcategory cointegral in the (not necessarily adapted) unit
     basis and sums diagonal coefficients weighted by summand dimension; also
-    asserts that after adaptation all coefficients on unselected rows vanish.
+    asserts that its adapted components vanish on unselected rows.
     """
     D, L = e.subcategory, e.subalgebra
     lam = subcategory_cointegral(D)
@@ -381,8 +386,7 @@ def verify_cointegral_trace_sum(e: LatticeEntry) -> float:
         total += np.trace(P) * blk.summand_dim
     residual = abs(total - D.ring.global_dim / D.fpdim)
 
-    comps_ad = L.blocks.expand(lam.coeffs)
-    for j, P in enumerate(comps_ad):
+    for j, P in enumerate(L.cointegral_components):
         selected = set(L.rows[j])
         for s in range(P.shape[0]):
             if s not in selected:

@@ -255,8 +255,7 @@ def verify_ring(
         sq = cf_multiply(lam_d, lam_d)
         worst_idem = max(worst_idem, float(np.max(np.abs(sq.coeffs - lam_d.coeffs))))
         worst_dimprod = max(worst_dimprod, abs(L.dim_l * D.fpdim - dim))
-        comps = L.blocks.expand(lam_d.coeffs)
-        for j, P in enumerate(comps):
+        for j, P in enumerate(L.cointegral_components):
             sel = set(L.rows[j])
             for s in range(P.shape[0]):
                 for t in range(P.shape[1]):

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuscat import fusion_ring, groups
+from fuscat.cli import parse_source
 from fuscat.fusion_ring import (
+    MAX_MULTIPLICITY,
     FusionRingData,
     RingDataError,
     build_ring,
@@ -18,6 +22,8 @@ from fuscat.fusion_ring import (
     subcategory_product,
     validate,
 )
+from fuscat.linalg import DEFAULT_TOL
+from fuscat.verify import battery_sources
 
 
 class TestValidate:
@@ -47,6 +53,85 @@ class TestValidate:
         N[1, 1, 0] = 1
         with pytest.raises(RingDataError):
             build_ring(["1", "x"], N, [1, 0])  # dual(0) != 0
+
+
+def _reference_associativity(N):
+    """The full r^4 two-einsum check, as an independent oracle."""
+    lhs = np.einsum("ijk,klp->ijlp", N, N)
+    rhs = np.einsum("jlk,ikp->ijlp", N, N)
+    if np.array_equal(lhs, rhs):
+        return []
+    bad = np.argwhere(lhs != rhs)[0]
+    return ["associativity fails at (i,j,l,p)=({},{},{},{})".format(*(int(x) for x in bad))]
+
+
+@pytest.fixture(scope="module")
+def vec_a5_ring():
+    return groups.vec_fusion_ring(groups.parse_group("alternating:5"))
+
+
+class TestStructureCheck:
+    @pytest.mark.parametrize("entry", [(1, 1, 2), (1, 2, 1), (2, 1, 2)])
+    def test_perturbed_s3_matches_reference(self, s3_ring, entry):
+        N = s3_ring.N.copy()
+        N[entry] += 1
+        expected = _reference_associativity(N)
+        assert expected
+        with pytest.raises(RingDataError) as exc:
+            build_ring(s3_ring.labels, N, s3_ring.dual)
+        assert exc.value.violations == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_perturbed_vec_s3_matches_reference(self, vec_s3_ring, seed):
+        rng = np.random.default_rng(seed)
+        N = vec_s3_ring.N.copy()
+        i, j, k = (int(x) for x in rng.integers(1, vec_s3_ring.rank, 3))
+        N[i, j, k] += 1
+        expected = _reference_associativity(N)
+        assert expected
+        with pytest.raises(RingDataError) as exc:
+            build_ring(vec_s3_ring.labels, N, vec_s3_ring.dual)
+        assert exc.value.violations == expected
+
+    def test_build_checks_structure_once(self, s3_ring, monkeypatch):
+        calls = []
+        original = fusion_ring._structure_violations
+
+        def spy(N, dual):
+            calls.append(1)
+            return original(N, dual)
+
+        monkeypatch.setattr(fusion_ring, "_structure_violations", spy)
+        build_ring(s3_ring.labels, s3_ring.N, s3_ring.dual)
+        assert len(calls) == 1
+
+    def test_validate_still_checks_structure(self, s3_ring):
+        N = s3_ring.N.copy()
+        N[1, 1, 2] = 1
+        bad = FusionRingData(s3_ring.labels, N, s3_ring.dual, s3_ring.dims, s3_ring.global_dim)
+        assert _reference_associativity(N)[0] in validate(bad)
+
+    def test_multiplicity_bound(self, s3_ring):
+        N = s3_ring.N.copy()
+        N[1, 1, 2] = 2**21
+        with pytest.raises(RingDataError) as exc:
+            build_ring(s3_ring.labels, N, s3_ring.dual)
+        assert exc.value.violations == [f"multiplicity N[1][1][2] exceeds {MAX_MULTIPLICITY}"]
+        N[1, 1, 2] = MAX_MULTIPLICITY
+        with pytest.raises(RingDataError) as exc:
+            build_ring(s3_ring.labels, N, s3_ring.dual)
+        assert exc.value.violations == _reference_associativity(N)
+
+    def test_associativity_memory_below_r4(self, vec_a5_ring):
+        N = vec_a5_ring.N
+        r = vec_a5_ring.rank
+        tracemalloc.start()
+        try:
+            assert fusion_ring._structure_violations(N, vec_a5_ring.dual) == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < r**4 * 8 / 8  # an r^4 float64 tensor would need r^4 * 8 bytes
 
 
 class TestFpDims:
@@ -101,6 +186,52 @@ class TestEnumerate:
     def test_fpdim_ratio_at_least_one(self, vec_s3_ring):
         for S in enumerate_subcategories(vec_s3_ring):
             assert vec_s3_ring.global_dim / S.fpdim >= 1 - 1e-9
+
+
+def _reference_closure(ring, seeds):
+    """Closure by re-slicing the support on every pass, as an independent oracle."""
+    member = np.zeros(ring.rank, dtype=bool)
+    member[0] = True
+    member[list(seeds)] = True
+    dual = np.array(ring.dual)
+    while True:
+        new = member.copy()
+        new[dual[member]] = True
+        idx = np.flatnonzero(new)
+        new |= np.any(ring.N[np.ix_(idx, idx)] > 0, axis=(0, 1))
+        if np.array_equal(new, member):
+            return tuple(int(i) for i in np.flatnonzero(member))
+        member = new
+
+
+def _reference_subcategories(ring):
+    found = {_reference_closure(ring, [])}
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for D in frontier:
+            for i in range(ring.rank):
+                if i not in D:
+                    D2 = _reference_closure(ring, D + (i,))
+                    if D2 not in found:
+                        found.add(D2)
+                        nxt.append(D2)
+        frontier = nxt
+    return found
+
+
+class TestEnumerateAgainstReference:
+    @pytest.mark.parametrize("source", battery_sources(large=True))
+    def test_battery(self, source):
+        ring, _group, _kind = parse_source(source, 0, DEFAULT_TOL)
+        subs = [S.indices for S in enumerate_subcategories(ring)]
+        assert len(subs) == len(set(subs))
+        assert set(subs) == _reference_subcategories(ring)
+
+    def test_vec_alternating_5(self, vec_a5_ring):
+        subs = [S.indices for S in enumerate_subcategories(vec_a5_ring)]
+        assert len(subs) == 59
+        assert set(subs) == _reference_subcategories(vec_a5_ring)
 
 
 class TestMeetJoinProduct:

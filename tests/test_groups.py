@@ -18,6 +18,7 @@ from fuscat.groups import (
     vec_fusion_ring,
 )
 from fuscat.subalg import build_lattice
+from fuscat.verify import battery_groups
 from fuscat.wedderburn import compute_blocks
 
 
@@ -221,3 +222,15 @@ class TestCrosschecks:
         G = parse_group("alternating:4")
         report = crosscheck_vec(G, lattice_of(vec_fusion_ring(G)))
         assert report["subgroups"] == 10
+
+
+@pytest.mark.parametrize("name", battery_groups(large=True) + ["alternating:5"])
+def test_normal_subgroups_are_conjugation_closed_subgroups(name):
+    G = parse_group(name)
+    t = G.table
+
+    def conjugation_closed(H):
+        members = set(H)
+        return all(int(t[t[g, h], G.inverse[g]]) in members for g in range(G.order) for h in H)
+
+    assert normal_subgroups(G) == [H for H in subgroups(G) if conjugation_closed(H)]
