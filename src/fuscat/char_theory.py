@@ -23,6 +23,8 @@ __all__ = [
     "idempotent",
     "unit_class_function",
     "unit_central_element",
+    "cf_star_table",
+    "cf_star_blocks",
     "cf_multiply",
     "ce_multiply",
     "pairing",
@@ -129,9 +131,47 @@ def unit_central_element(ring: FusionRingData) -> CentralElement:
     return CentralElement(ring, np.ones(ring.rank, dtype=complex))
 
 
+def cf_star_table(ring: FusionRingData, F: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """All star products of two stacks of coefficient vectors: out[a, b] = F[a] * G[b].
+
+    ``F @ N.reshape(r, r*r)`` contracts the first factor in one BLAS product
+    (real and imaginary parts separately, so the float N is never cast to
+    complex), and one batched ``matmul`` with G contracts the second.  The
+    output has shape (len(F), len(G), r); callers with many rows pass F in
+    row blocks to bound the len(F) * r * r temporary.
+    """
+    F = np.asarray(F)
+    r = ring.rank
+    N = ring.N_float.reshape(r, r * r)
+    if np.iscomplexobj(F):
+        T = np.empty((F.shape[0], r * r), dtype=complex)
+        T.real = F.real @ N
+        T.imag = F.imag @ N
+    else:
+        T = F @ N
+    return np.matmul(np.asarray(G), T.reshape(F.shape[0], r, r))
+
+
+# Cap on the rows * r * r entries of one cf_star_blocks block; it binds for r > 161.
+_STAR_BLOCK_ENTRIES = 2**18
+
+
+def cf_star_blocks(ring: FusionRingData, F: np.ndarray, G: np.ndarray):
+    """Yield (lo, cf_star_table(ring, F[lo:hi], G)) over row blocks of F.
+
+    A block has at most r // 16 rows (at least one), fewer when its r * r
+    slices would pass ``_STAR_BLOCK_ENTRIES`` entries, so even when F and G
+    each hold r vectors no temporary reaches r**3 entries.
+    """
+    r = ring.rank
+    step = max(1, min(r // 16, _STAR_BLOCK_ENTRIES // (r * r)))
+    for lo in range(0, len(F), step):
+        yield lo, cf_star_table(ring, F[lo : lo + step], G)
+
+
 def cf_star(ring: FusionRingData, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Raw star product of coefficient vectors through the fusion tensor."""
-    return np.einsum("i,j,ijk->k", f, g, ring.N_float)
+    return cf_star_table(ring, np.asarray(f)[None], np.asarray(g)[None])[0, 0]
 
 
 def cf_multiply(f: ClassFunction, g: ClassFunction) -> ClassFunction:

@@ -33,6 +33,7 @@ __all__ = [
     "subcategory_meet",
     "subcategory_join",
     "subcategory_product",
+    "subcategory_product_set",
     "ring_to_dict",
     "ring_from_dict",
     "load_ring_json",
@@ -364,11 +365,15 @@ def subcategory_product(
     Order matters when the ring is noncommutative; the flag reports whether
     the product set is itself a fusion subcategory.
     """
+    indices = subcategory_product_set(D1, D2)
+    return indices, indices == _closure_indices(D1.ring, indices)
+
+
+def subcategory_product_set(D1: FusionSubcategory, D2: FusionSubcategory) -> tuple[int, ...]:
+    """Raw product set {k : N[i][j][k] > 0, i in D1, j in D2}, without the closedness test."""
     ring = _check_same_ring(D1, D2)
     hit = _fusion_hit(ring, _indicator(ring, D1.indices), _indicator(ring, D2.indices))
-    indices = tuple(int(k) for k in np.flatnonzero(hit))
-    closed = indices == _closure_indices(ring, indices)
-    return indices, closed
+    return tuple(int(k) for k in np.flatnonzero(hit))
 
 
 def ring_to_dict(ring: FusionRingData) -> dict:

@@ -110,8 +110,8 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def orthonormal_basis(vectors, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (as columns) of the span of the given vectors."""
+def _orthonormal_columns(vectors, tol: Tolerance) -> np.ndarray:
+    """Orthonormal basis (as columns) of the span, in the SVD's own phases."""
     if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
         M = np.asarray(vectors, dtype=complex)
     else:
@@ -126,35 +126,43 @@ def orthonormal_basis(vectors, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         return np.zeros((M.shape[0], 0), dtype=complex)
     thr = max(tol.abs_tol, s[0] * max(tol.rel_tol, M.shape[0] * np.finfo(float).eps))
     rank = int(np.sum(s > thr))
-    Q = U[:, :rank]
-    for k in range(rank):
+    return U[:, :rank]
+
+
+def orthonormal_basis(vectors, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis (as columns) of the span of the given vectors."""
+    Q = _orthonormal_columns(vectors, tol)
+    for k in range(Q.shape[1]):
         Q[:, k] = _canonical_phase(Q[:, k])
     return Q
 
 
 def subspace_contains(big, vectors, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True when every given vector lies in span(big) within tolerance."""
-    Q = orthonormal_basis(big, tol)
-    for v in _iter_vectors(vectors):
-        nrm = np.linalg.norm(v)
-        if nrm == 0:
-            continue
-        res = v - Q @ (Q.conj().T @ v)
-        if np.max(np.abs(res)) > tol.abs_tol * 100 + tol.rel_tol * nrm:
-            return False
-    return True
+    """True when every given vector lies in span(big) within tolerance.
 
-
-def _iter_vectors(vectors):
+    ``vectors`` is a sequence of vectors or a matrix whose columns are the
+    vectors.  ``big`` is orthonormalized once and all vectors are tested by
+    one projection; zero vectors are skipped.
+    """
     if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        return [vectors[:, k] for k in range(vectors.shape[1])]
-    return [_as_vector(v) for v in vectors]
+        V = np.asarray(vectors, dtype=complex)
+    else:
+        vecs = [_as_vector(v) for v in vectors]
+        if not vecs:
+            return True
+        V = np.column_stack(vecs)
+    Q = _orthonormal_columns(big, tol)
+    nrm = np.linalg.norm(V, axis=0)
+    R = V - Q @ (Q.conj().T @ V) if Q.shape[1] else V
+    res = np.max(np.abs(R), axis=0, initial=0.0)
+    outside = (nrm > 0) & (res > tol.abs_tol * 100 + tol.rel_tol * nrm)
+    return not bool(np.any(outside))
 
 
 def subspace_intersection(B1, B2, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     """Orthonormal basis of span(B1) ∩ span(B2), via principal angles."""
-    Q1 = orthonormal_basis(B1, tol)
-    Q2 = orthonormal_basis(B2, tol)
+    Q1 = _orthonormal_columns(B1, tol)
+    Q2 = _orthonormal_columns(B2, tol)
     if Q1.shape[1] == 0 or Q2.shape[1] == 0:
         return []
     if Q1.shape[0] != Q2.shape[0]:

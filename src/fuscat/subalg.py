@@ -31,7 +31,6 @@ from .fusion_ring import (
     subcategory_closure,
     subcategory_join,
     subcategory_meet,
-    subcategory_product,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -172,7 +171,11 @@ def subalgebra_from_subcategory(
     mask = np.array([t in rows[j] for j, _s, t in adapted.unit_index()])
     projector = adapted._unit_matrix[:, mask] @ adapted._unit_matrix_inv[mask]
     projector.setflags(write=False)
-    return SubalgebraIndex(B, adapted, tuple(rows), dim_l, ce_dim, projector, tuple(comps))
+    # Keep the adapted blocks without the unit matrix and inverse cached on
+    # ``adapted``: only this construction reads them, and kept for every
+    # subalgebra of a table they would make up a third of its memory.
+    blocks = BlockStructure(B.ring, adapted.blocks, adapted.seed)
+    return SubalgebraIndex(B, blocks, tuple(rows), dim_l, ce_dim, projector, tuple(comps))
 
 
 def epsilon_L(L: SubalgebraIndex) -> ClassFunction:
@@ -216,44 +219,51 @@ def block_partition(
     the class-sum basis.
     """
     ring = L.ring
-    vecs = _normalized_restrictions(L).T
-    classes: list[list[int]] = []
-    for i, v in enumerate(vecs):
-        for cls in classes:
-            if np.max(np.abs(v - vecs[cls[0]])) <= PARTITION_TOL:
-                cls.append(i)
-                break
-        else:
-            classes.append([i])
-    classes.sort(key=lambda cls: (0 not in cls, cls[0]))
+    classes = _group_equal_rows(_normalized_restrictions(L).T, PARTITION_TOL)
 
     # Central-side partition: coordinates i, i' are equivalent when every
     # element of the central subspace has equal i and i' coordinates.
     span = L.ce_span
-    profiles = [span[i, :] for i in range(ring.rank)]
     scale = max(1.0, float(np.max(np.abs(span)))) if span.size else 1.0
-    ce_classes: list[list[int]] = []
-    for i, prof in enumerate(profiles):
-        for cls in ce_classes:
-            if np.max(np.abs(prof - profiles[cls[0]])) <= PARTITION_TOL * scale:
-                cls.append(i)
-                break
-        else:
-            ce_classes.append([i])
-    ce_classes.sort(key=lambda cls: (0 not in cls, cls[0]))
-    if [sorted(c) for c in classes] != [sorted(c) for c in ce_classes]:
+    ce_classes = _group_equal_rows(span, PARTITION_TOL * scale)
+    if classes != ce_classes:
         raise PartitionMismatch(
             f"character partition {classes} differs from central partition {ce_classes}"
         )
 
-    for cls in classes:
-        ell = np.zeros(ring.rank, dtype=complex)
-        ell[cls] = 1.0
-        if not subspace_contains(span, [ell], tol):
-            raise PartitionMismatch(
-                f"indicator idempotent of class {cls} is outside the central subspace"
-            )
-    return tuple(tuple(sorted(c)) for c in classes)
+    indicators = np.zeros((ring.rank, len(classes)))
+    for c, cls in enumerate(classes):
+        indicators[cls, c] = 1.0
+    if not subspace_contains(span, indicators, tol):
+        bad = next(
+            cls
+            for c, cls in enumerate(classes)
+            if not subspace_contains(span, indicators[:, c : c + 1], tol)
+        )
+        raise PartitionMismatch(
+            f"indicator idempotent of class {bad} is outside the central subspace"
+        )
+    return tuple(tuple(c) for c in classes)
+
+
+def _group_equal_rows(rows: np.ndarray, tol: float) -> list[list[int]]:
+    """Partition of the row indices by near-equal rows.
+
+    Each row joins the first class whose first row is within ``tol`` of it in
+    the max norm, or starts a new class.  The class of row 0 comes first, the
+    rest in order of their smallest member.
+    """
+    classes: list[list[int]] = []
+    for i in range(len(rows)):
+        if classes:
+            reps = rows[[cls[0] for cls in classes]]
+            near = np.flatnonzero(np.max(np.abs(reps - rows[i]), axis=1) <= tol)
+            if near.size:
+                classes[near[0]].append(i)
+                continue
+        classes.append([i])
+    classes.sort(key=lambda cls: (0 not in cls, cls[0]))
+    return classes
 
 
 def ce_basis(
@@ -273,7 +283,7 @@ def ce_basis(
             for t in range(blk.m):
                 out.append(CentralElement(ring, blk.class_sums[s, t]))
     if check:
-        vecs = [b.coeffs for b in out]
+        vecs = np.array([b.coeffs for b in out]).reshape(len(out), ring.rank).T
         span = orthonormal_basis(vecs)
         if span.shape[1] != L.ce_dim:
             raise ClosureFailure(
@@ -281,10 +291,9 @@ def ce_basis(
             )
         if not subspace_contains(span, [unit_central_element(ring).coeffs], tol):
             raise ClosureFailure("central subspace does not contain the unit")
-        for a in vecs:
-            for b in vecs:
-                if not subspace_contains(span, [a * b], tol):
-                    raise ClosureFailure("central subspace is not closed under product")
+        for k in range(vecs.shape[1]):
+            if not subspace_contains(span, vecs * vecs[:, k : k + 1], tol):
+                raise ClosureFailure("central subspace is not closed under product")
     return out
 
 
@@ -346,14 +355,20 @@ class LatticeTable:
 
 
 def verify_dim_inequality(
-    a: LatticeEntry, b: LatticeEntry, product: LatticeEntry, intersection: LatticeEntry
+    a: LatticeEntry,
+    b: LatticeEntry,
+    product: LatticeEntry,
+    intersection: LatticeEntry,
+    raw_ab: tuple[int, ...],
+    raw_ba: tuple[int, ...],
 ) -> tuple[float, float, bool]:
     """Check dim(LM) <= dim(L) dim(M) / dim(L n M), with equality diagnostics.
 
     ``product`` and ``intersection`` are the table entries of the meet and the
-    join of the two subcategories.  Returns (lhs, rhs, orders_agree) where
-    orders_agree reports whether the two raw subcategory products coincide.
-    On a commutative ring the two sides must agree within tolerance.
+    join of the two subcategories; ``raw_ab`` and ``raw_ba`` are their raw
+    products in both orders (:func:`subcategory_product_set`).  Returns (lhs,
+    rhs, orders_agree) where orders_agree reports whether the two raw products
+    coincide.  On a commutative ring the two sides must agree within tolerance.
     """
     L, M = a.subalgebra, b.subalgebra
     lhs = product.subalgebra.dim_l
@@ -361,14 +376,11 @@ def verify_dim_inequality(
     bound = 1e-8 * max(1.0, rhs)
     if lhs > rhs + bound:
         raise InequalityViolation(f"dim(LM) = {lhs} exceeds bound {rhs}")
-    prod_lm, _ = subcategory_product(a.subcategory, b.subcategory)
-    prod_ml, _ = subcategory_product(b.subcategory, a.subcategory)
-    equal = prod_lm == prod_ml
     if L.ring.commutative and abs(lhs - rhs) > bound:
         raise InequalityViolation(
             f"commutative ring but dim(LM) = {lhs} differs from {rhs}"
         )
-    return lhs, rhs, equal
+    return lhs, rhs, raw_ab == raw_ba
 
 
 def verify_cointegral_trace_sum(e: LatticeEntry) -> float:

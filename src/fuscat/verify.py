@@ -18,11 +18,10 @@ from . import subalg
 from .char_theory import (
     CentralElement,
     ClassFunction,
-    beta_tau,
     ce_multiply,
     cf_multiply,
     cf_right_action,
-    cf_star,
+    cf_star_blocks,
     chi,
     cointegral,
     fourier_forward,
@@ -30,12 +29,11 @@ from .char_theory import (
     idempotent,
     integral,
     pairing,
-    pairing_trace_residual,
     subcategory_cointegral,
     tau,
     unit_central_element,
 )
-from .fusion_ring import FusionRingData, subcategory_product
+from .fusion_ring import FusionRingData, subcategory_product_set
 from .groups import (
     FiniteGroup,
     character_table_cached,
@@ -45,6 +43,7 @@ from .groups import (
 )
 from .linalg import DEFAULT_TOL, Tolerance, snap_integer, subspace_intersection
 from .wedderburn import (
+    _unit_relation_residual,
     compute_blocks,
     verify_class_sum_pairings,
     verify_dual_bases,
@@ -150,12 +149,18 @@ def verify_ring(
     worst = max(worst, float(np.max(np.abs(fourier_inverse(lam).coeffs - u.coeffs))))
     checks.append(CheckResult("cointegral normalization", worst, 1e-8))
 
+    # <chi_i, F^-1(chi_j)> = d_i F^-1(chi_j)_i against dim(C) tau(chi_i * chi_j),
+    # and tau(chi_i * chi_j) against delta_{j, i*}, one row block of products at a time.
+    eye = np.eye(r)
+    inv = np.array([fourier_inverse(f).coeffs for f in basis])
+    pair = (inv * ring.dims).T
+    dual_eye = eye[list(ring.dual)]
     worst = 0.0
-    for i in range(r):
-        for j in range(r):
-            worst = max(worst, pairing_trace_residual(basis[i], basis[j]))
-            expected = 1.0 if j == ring.dual[i] else 0.0
-            worst = max(worst, abs(beta_tau(basis[i], basis[j]) - expected))
+    for lo, prods in cf_star_blocks(ring, eye, eye):
+        taus = prods[:, :, 0]
+        rows = slice(lo, lo + len(prods))
+        worst = max(worst, float(np.max(np.abs(pair[rows] - dim * taus))))
+        worst = max(worst, float(np.max(np.abs(taus - dual_eye[rows]))))
     checks.append(CheckResult("pairing against trace form", worst, 1e-8))
 
     worst = 0.0
@@ -176,18 +181,7 @@ def verify_ring(
     count_residual = abs(sum(blk.m**2 for blk in B.blocks) - r)
     checks.append(CheckResult("block multiplicities fill the rank", count_residual, 0.0))
 
-    worst = 0.0
-    all_units = [
-        (j, s, t, B.blocks[j].units[s, t])
-        for j, blk in enumerate(B.blocks)
-        for s in range(blk.m)
-        for t in range(blk.m)
-    ]
-    for j1, s1, t1, u1 in all_units:
-        for j2, s2, t2, u2 in all_units:
-            prod = cf_star(ring, u1, u2)
-            expected = B.blocks[j1].units[s1, t2] if (j1 == j2 and s2 == t1) else 0.0
-            worst = max(worst, float(np.max(np.abs(prod - expected))))
+    worst = _unit_relation_residual(ring, [blk.units for blk in B.blocks])
     unit_sum = sum(
         blk.units[s, s] for blk in B.blocks for s in range(blk.m)
     )
@@ -301,8 +295,13 @@ def verify_ring(
     worst_bound = 0.0
     worst_comm_eq = 0.0
     strict = 0
-    for ea in table.entries:
-        for eb in table.entries:
+    raw = {
+        (a, b): subcategory_product_set(ea.subcategory, eb.subcategory)
+        for a, ea in enumerate(table.entries)
+        for b, eb in enumerate(table.entries)
+    }
+    for a, ea in enumerate(table.entries):
+        for b, eb in enumerate(table.entries):
             meet = table.product(ea, eb)
             join = table.intersection(ea, eb)
             if meet is None or join is None:
@@ -312,14 +311,15 @@ def verify_ring(
             ce_meet = len(subspace_intersection(La.ce_span, Lb.ce_span, tol))
             if ce_meet != join.subalgebra.ce_dim:
                 worst_meetjoin = max(worst_meetjoin, 1.0)
-            lhs, rhs, orders_agree = subalg.verify_dim_inequality(ea, eb, meet, join)
+            lhs, rhs, orders_agree = subalg.verify_dim_inequality(
+                ea, eb, meet, join, raw[a, b], raw[b, a]
+            )
             worst_bound = max(worst_bound, lhs - rhs)
             if lhs < rhs - 1e-8:
                 strict += 1
             if ring.commutative:
                 worst_comm_eq = max(worst_comm_eq, abs(lhs - rhs))
-            prod_ab, _ = subcategory_product(ea.subcategory, eb.subcategory)
-            if not set(prod_ab) <= set(join.subcategory.indices):
+            if not set(raw[a, b]) <= set(join.subcategory.indices):
                 worst_meetjoin = max(worst_meetjoin, 1.0)
             if ring.commutative and not orders_agree:
                 worst_meetjoin = max(worst_meetjoin, 1.0)

@@ -24,6 +24,8 @@ from .char_theory import (
     ClassFunction,
     _fourier_inverse_raw,
     cf_star,
+    cf_star_blocks,
+    cf_star_table,
     cointegral,
     unit_central_element,
 )
@@ -169,17 +171,26 @@ def _lagrange_idempotents(
     return out
 
 
-def _unit_relation_residual(ring: FusionRingData, units: np.ndarray) -> float:
-    """Max residual of F_st F_s't' = delta_{s',t} F_st' over one block."""
-    m = units.shape[0]
+def _unit_relation_residual(ring: FusionRingData, unit_blocks) -> float:
+    """Max residual of F^j_st F^i_uv = delta_ij delta_ut F^j_sv over the given blocks.
+
+    ``unit_blocks`` is a sequence of (m, m, rank) unit arrays.  All units are
+    stacked in (block, row, column) order and multiplied against all of them
+    by :func:`cf_star_blocks`; in the products of F^j_st the expected units
+    F^j_s0..F^j_s(m-1) occupy consecutive columns and are subtracted in place.
+    """
+    U = np.concatenate([units.reshape(-1, ring.rank) for units in unit_blocks])
+    expected = []
+    col = 0
+    for units in unit_blocks:
+        m = units.shape[0]
+        expected.extend((col + t * m, units[s]) for s in range(m) for t in range(m))
+        col += m * m
     worst = 0.0
-    for s in range(m):
-        for t in range(m):
-            for s2 in range(m):
-                for t2 in range(m):
-                    prod = cf_star(ring, units[s, t], units[s2, t2])
-                    expected = units[s, t2] if s2 == t else 0.0
-                    worst = max(worst, float(np.max(np.abs(prod - expected))))
+    for lo, prods in cf_star_blocks(ring, U, U):
+        for a, (start, row) in enumerate(expected[lo : lo + len(prods)]):
+            prods[a, start : start + len(row)] -= row
+        worst = max(worst, float(np.max(np.abs(prods))))
     return worst
 
 
@@ -241,10 +252,8 @@ def _build_block_units(
             units[s, 0] = b / (c / scale)
         if degenerate:
             continue
-        for s in range(1, m):
-            for t in range(1, m):
-                units[s, t] = cf_star(ring, units[s, 0], units[0, t])
-        if _unit_relation_residual(ring, units) <= check_tol:
+        units[1:, 1:] = cf_star_table(ring, units[1:, 0], units[0, 1:])
+        if _unit_relation_residual(ring, [units]) <= check_tol:
             return units
     raise SplitFailure(f"could not build matrix units for an m={m} block")
 

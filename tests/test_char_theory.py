@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,9 @@ from fuscat.char_theory import (
     ce_multiply,
     cf_multiply,
     cf_right_action,
+    cf_star,
+    cf_star_blocks,
+    cf_star_table,
     chi,
     cointegral,
     ell_D,
@@ -226,6 +231,71 @@ class TestPairingTraceIdentity:
         for ring in (s3_ring, vec_s3_ring):
             for _ in range(20):
                 assert pairing_trace_residual(rand_cf(ring, rng), rand_cf(ring, rng)) < 1e-8
+
+
+def reference_star(ring, f, g):
+    return np.einsum("i,j,ijk->k", f, g, ring.N_float)
+
+
+def rand_rows(ring, rng, n):
+    return rng.standard_normal((n, ring.rank)) + 1j * rng.standard_normal((n, ring.rank))
+
+
+STAR_RINGS = ["s3_ring", "vec_s3_ring", "su2_ring"]
+
+
+class TestStarTable:
+    @pytest.mark.parametrize("ring_name", STAR_RINGS)
+    def test_table_matches_einsum_loop(self, request, ring_name):
+        ring = request.getfixturevalue(ring_name)
+        rng = np.random.default_rng(7)
+        F, G = rand_rows(ring, rng, 4), rand_rows(ring, rng, 5)
+        table = cf_star_table(ring, F, G)
+        assert table.shape == (4, 5, ring.rank)
+        expected = np.array([[reference_star(ring, f, g) for g in G] for f in F])
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(table - expected)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("ring_name", STAR_RINGS)
+    def test_cf_star_is_one_row_case(self, request, ring_name):
+        ring = request.getfixturevalue(ring_name)
+        rng = np.random.default_rng(8)
+        f, g = rand_rows(ring, rng, 2)
+        out = cf_star(ring, f, g)
+        assert out.shape == (ring.rank,)
+        assert np.array_equal(out, cf_star_table(ring, f[None], g[None])[0, 0])
+        expected = reference_star(ring, f, g)
+        assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_real_rows_stay_real(self, s3_ring):
+        table = cf_star_table(s3_ring, np.eye(3), np.eye(3))
+        assert table.dtype == np.float64
+        assert np.array_equal(table, s3_ring.N_float)
+
+    def test_blocks_cover_every_row_in_order(self, su2_ring):
+        rng = np.random.default_rng(9)
+        r = su2_ring.rank
+        F, G = rand_rows(su2_ring, rng, r), rand_rows(su2_ring, rng, 3)
+        blocks = list(cf_star_blocks(su2_ring, F, G))
+        assert len(blocks) > 1
+        assert [lo for lo, _ in blocks] == list(np.cumsum([0] + [len(t) for _, t in blocks[:-1]]))
+        whole = cf_star_table(su2_ring, F, G)
+        stacked = np.concatenate([t for _, t in blocks])
+        assert np.max(np.abs(stacked - whole)) <= 1e-13 * np.max(np.abs(whole))
+        assert all(len(t) <= r // 16 for _, t in blocks)
+
+    def test_fusion_tensor_is_not_cast_to_complex(self, su2_ring):
+        r = su2_ring.rank
+        rng = np.random.default_rng(10)
+        f, g = rand_rows(su2_ring, rng, 2)
+        su2_ring.N_float  # cached before tracing
+        tracemalloc.start()
+        try:
+            cf_star(su2_ring, f, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < r**3 * 8  # a complex copy of N would take r^3 * 16 bytes
 
 
 class TestSubcategoryElements:

@@ -65,11 +65,6 @@ def _reference_associativity(N):
     return ["associativity fails at (i,j,l,p)=({},{},{},{})".format(*(int(x) for x in bad))]
 
 
-@pytest.fixture(scope="module")
-def vec_a5_ring():
-    return groups.vec_fusion_ring(groups.parse_group("alternating:5"))
-
-
 class TestStructureCheck:
     @pytest.mark.parametrize("entry", [(1, 1, 2), (1, 2, 1), (2, 1, 2)])
     def test_perturbed_s3_matches_reference(self, s3_ring, entry):

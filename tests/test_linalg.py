@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from fuscat.linalg import (
     joint_eigenspaces,
     orthonormal_basis,
     snap_integer,
+    subspace_contains,
     subspace_intersection,
 )
 
@@ -122,6 +125,65 @@ class TestSubspaces:
         B.append(B[0] + B[1])  # dependent vector: rank stays 3
         assert orthonormal_basis(B).shape[1] == 3
         assert len(subspace_intersection(B, B)) == 3
+
+
+def reference_contains(big, vectors, tol=DEFAULT_TOL):
+    """Per-vector containment test: one projection per vector."""
+    Q = orthonormal_basis(big, tol)
+    for v in vectors:
+        nrm = np.linalg.norm(v)
+        if nrm == 0:
+            continue
+        res = v - Q @ (Q.conj().T @ v)
+        if np.max(np.abs(res)) > tol.abs_tol * 100 + tol.rel_tol * nrm:
+            return False
+    return True
+
+
+class TestSubspaceContainsBatched:
+    @pytest.fixture(scope="class")
+    def mixed(self):
+        """A 3-dim span in C^8 and vectors inside it, on both sides of the bound, and zero."""
+        rng = np.random.default_rng(11)
+        big = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+        Q = orthonormal_basis(big)
+        inside = [big @ (rng.standard_normal(3) + 1j * rng.standard_normal(3)) for _ in range(3)]
+        x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        w = x - Q @ (Q.conj().T @ x)
+        w /= np.max(np.abs(w))  # orthogonal to the span, largest entry of modulus 1
+        base = inside[0]
+        bound = DEFAULT_TOL.abs_tol * 100 + DEFAULT_TOL.rel_tol * np.linalg.norm(base)
+        vectors = {
+            "inside": inside,
+            "within": [base + 0.99 * bound * w],
+            "past": [base + 1.01 * bound * w],
+            "zero": [np.zeros(8, dtype=complex)],
+        }
+        return big, vectors
+
+    def test_single_vectors(self, mixed):
+        big, vectors = mixed
+        expected = {"inside": True, "within": True, "past": False, "zero": True}
+        for kind, vecs in vectors.items():
+            for v in vecs:
+                assert reference_contains(big, [v]) is expected[kind], kind
+                assert subspace_contains(big, [v]) is expected[kind], kind
+
+    def test_every_mixture_agrees_with_reference(self, mixed):
+        big, vectors = mixed
+        pool = [v for vecs in vectors.values() for v in vecs]
+        for k in range(1, len(pool) + 1):
+            for combo in itertools.combinations(pool, k):
+                want = reference_contains(big, combo)
+                assert subspace_contains(big, list(combo)) is want
+                assert subspace_contains(big, np.column_stack(combo)) is want
+
+    def test_zero_span(self, mixed):
+        _, vectors = mixed
+        empty = np.zeros((8, 1))
+        assert subspace_contains(empty, vectors["zero"])
+        assert not subspace_contains(empty, vectors["inside"][:1])
+        assert subspace_contains(empty, [])
 
 
 class TestSnap:

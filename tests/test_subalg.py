@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,10 +18,13 @@ from fuscat.fusion_ring import (
     subcategory_closure,
     subcategory_join,
     subcategory_meet,
+    subcategory_product_set,
 )
 from fuscat.linalg import DEFAULT_TOL, orthonormal_basis, subspace_contains, subspace_intersection
 from fuscat.subalg import (
+    ClosureFailure,
     LatticeTable,
+    PartitionMismatch,
     build_lattice,
     block_partition,
     ce_basis,
@@ -51,7 +56,11 @@ def vec_s3_table(vec_s3_ring, vec_s3_blocks):
 
 
 def dim_inequality(table, a, b):
-    return verify_dim_inequality(a, b, table.product(a, b), table.intersection(a, b))
+    raw_ab = subcategory_product_set(a.subcategory, b.subcategory)
+    raw_ba = subcategory_product_set(b.subcategory, a.subcategory)
+    return verify_dim_inequality(
+        a, b, table.product(a, b), table.intersection(a, b), raw_ab, raw_ba
+    )
 
 
 class TestFromSubcategory:
@@ -168,6 +177,48 @@ class TestCeBasis:
         expected = orthonormal_basis([np.array([1.0, 1, 1]), np.array([2.0, 2, -1])])
         assert subspace_contains(span, expected)
         assert subspace_contains(expected, span)
+
+
+def dropped_row(L, j, s):
+    """L with row s of block j unselected and its ce_dim lowered to match."""
+    rows = list(L.rows)
+    rows[j] = tuple(x for x in rows[j] if x != s)
+    return dataclasses.replace(L, rows=tuple(rows), ce_dim=L.ce_dim - L.blocks.blocks[j].m)
+
+
+class TestCeBasisDetectsBadSelection:
+    @pytest.mark.parametrize(
+        "drop, message",
+        [((2, 0), "not closed under product"), ((0, 0), "does not contain the unit")],
+    )
+    def test_dropped_row(self, s3_subalgebras, drop, message):
+        L = dropped_row(s3_subalgebras[(0,)], *drop)
+        with pytest.raises(ClosureFailure, match=message):
+            ce_basis(L)
+
+    @pytest.mark.parametrize("s", [0, 1])
+    def test_dropped_row_of_a_matrix_block(self, vec_s3_table, s):
+        L = vec_s3_table.entry((0,)).subalgebra
+        assert L.blocks.blocks[2].m == 2 and L.rows[2] == (0, 1)
+        with pytest.raises(ClosureFailure, match="not closed under product"):
+            ce_basis(dropped_row(L, 2, s))
+
+    def test_dropped_row_keeping_ce_dim(self, s3_subalgebras):
+        L = s3_subalgebras[(0,)]
+        L = dataclasses.replace(dropped_row(L, 2, 0), ce_dim=L.ce_dim)
+        with pytest.raises(ClosureFailure, match="span has dimension 2, expected 3"):
+            ce_basis(L)
+
+
+class TestBlockPartitionIndicators:
+    def test_names_the_first_class_outside_the_span(self, s3_subalgebras):
+        # span{E_0, E_sgn + 2 E_rho} separates all three coordinates, as the
+        # character partition ((0,), (1,), (2,)) does, but holds only the
+        # first indicator; the second class is the first one outside.
+        L = dataclasses.replace(s3_subalgebras[(0,)])
+        L.__dict__["ce_span"] = orthonormal_basis([np.array([1.0, 0, 0]), np.array([0.0, 1, 2])])
+        with pytest.raises(PartitionMismatch, match=r"class \[1\] is outside"):
+            block_partition(L)
 
 
 class TestPiDown:

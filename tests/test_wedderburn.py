@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fuscat import groups
+from fuscat import groups, wedderburn
 from fuscat.char_theory import ClassFunction, chi, cointegral, cf_multiply, unit_class_function
 from fuscat.fusion_ring import enumerate_subcategories
 from fuscat.char_theory import subcategory_cointegral
+from fuscat.linalg import DEFAULT_TOL
 from fuscat.wedderburn import (
     NotIdempotent,
     adapt_to_idempotent,
@@ -13,6 +16,8 @@ from fuscat.wedderburn import (
     verify_dual_bases,
     verify_integral_classsum,
 )
+
+from conftest import perturb_unit
 
 
 def block_shape(B):
@@ -216,3 +221,67 @@ class TestStructuralInvariants:
                 prod = cf_star(s3_ring, chi(s3_ring, i).coeffs, F)
                 scale = prod[np.argmax(np.abs(F))] / F[np.argmax(np.abs(F))]
                 assert np.max(np.abs(prod - scale * F)) < 1e-10
+
+
+# The bound _build_block_units applies to the residual of a new block.
+CHECK_TOL = max(100 * DEFAULT_TOL.abs_tol, 1e-10)
+
+
+def reference_unit_residual(ring, unit_blocks):
+    """One einsum per ordered pair of units, over all the given blocks."""
+    units = [
+        (j, s, t, u[s, t])
+        for j, u in enumerate(unit_blocks)
+        for s in range(len(u))
+        for t in range(len(u))
+    ]
+    worst = 0.0
+    for j1, s1, t1, u1 in units:
+        for j2, s2, t2, u2 in units:
+            prod = np.einsum("i,j,ijk->k", u1, u2, ring.N_float)
+            expected = unit_blocks[j1][s1, t2] if (j1 == j2 and s2 == t1) else 0.0
+            worst = max(worst, float(np.max(np.abs(prod - expected))))
+    return worst
+
+
+class TestUnitRelationResidual:
+    def test_built_units_pass(self, vec_s3_ring, vec_s3_blocks):
+        for blk in vec_s3_blocks.blocks:
+            assert wedderburn._unit_relation_residual(vec_s3_ring, [blk.units]) <= CHECK_TOL
+        all_units = [blk.units for blk in vec_s3_blocks.blocks]
+        assert wedderburn._unit_relation_residual(vec_s3_ring, all_units) <= 1e-8
+
+    @pytest.mark.parametrize("s, t", [(0, 1), (1, 0), (1, 1)])
+    def test_matches_reference_loop(self, vec_s3_ring, vec_s3_blocks, s, t):
+        for B in (vec_s3_blocks, perturb_unit(vec_s3_blocks, s, t, 3, 1e-6)):
+            all_units = [blk.units for blk in B.blocks]
+            got = wedderburn._unit_relation_residual(vec_s3_ring, all_units)
+            assert got == pytest.approx(reference_unit_residual(vec_s3_ring, all_units), abs=1e-14)
+
+    @pytest.mark.parametrize("s, t", [(0, 1), (1, 0), (1, 1)])
+    def test_perturbed_unit_exceeds_check_tol(self, vec_s3_ring, vec_s3_blocks, s, t):
+        B = perturb_unit(vec_s3_blocks, s, t, 3, 1e-6)
+        block = next(blk for blk in B.blocks if blk.m == 2)
+        assert wedderburn._unit_relation_residual(vec_s3_ring, [block.units]) > CHECK_TOL
+        all_units = [blk.units for blk in B.blocks]
+        assert wedderburn._unit_relation_residual(vec_s3_ring, all_units) > CHECK_TOL
+
+    def test_memory_below_r3_while_splitting(self, monkeypatch, vec_a5_ring):
+        original = wedderburn._unit_relation_residual
+        seen = []
+
+        def traced(ring, unit_blocks):
+            tracemalloc.start()
+            try:
+                out = original(ring, unit_blocks)
+                seen.append((max(len(u) for u in unit_blocks), tracemalloc.get_traced_memory()[1]))
+            finally:
+                tracemalloc.stop()
+            return out
+
+        vec_a5_ring.N_float  # cached before tracing
+        monkeypatch.setattr(wedderburn, "_unit_relation_residual", traced)
+        compute_blocks(vec_a5_ring)
+        r = vec_a5_ring.rank
+        assert max(m for m, _ in seen) == 5
+        assert all(peak < r**3 * 16 for _, peak in seen)  # an r^3 complex table
