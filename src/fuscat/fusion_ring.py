@@ -11,9 +11,9 @@ under duality and fusion.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -269,6 +269,10 @@ def _dimension_violations(ring: FusionRingData, tol: Tolerance) -> list[str]:
     return out
 
 
+# Largest (k, r, r) float32 product, in bytes, that one closure block forms.
+_CLOSURE_BLOCK_BYTES = 1 << 16
+
+
 def _indicator(ring: FusionRingData, indices: Iterable[int]) -> np.ndarray:
     m = np.zeros(ring.rank, dtype=np.float32)
     m[list(indices)] = 1.0
@@ -276,26 +280,59 @@ def _indicator(ring: FusionRingData, indices: Iterable[int]) -> np.ndarray:
 
 
 def _fusion_hit(ring: FusionRingData, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Simples k with N_ijk > 0 for some i in a, j in b (0/1 indicator vectors)."""
+    """Row by row, simples k with N_ijk > 0 for some i in a, j in b.
+
+    ``a`` and ``b`` are (K, r) float32 0/1 rows; the result is (K, r) bool.
+    """
     r = ring.rank
-    return (b @ (a @ ring.support).reshape(r, r)) > 0
+    prods = (a @ ring.support).reshape(len(a), r, r)
+    return np.matmul(b[:, None, :], prods)[:, 0, :] > 0
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a (K, r) bool matrix: the first index of each distinct row, and
+    for every row the position of its distinct row in that list."""
+    if len(rows) == 1:
+        return np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
+    packed = np.packbits(rows, axis=1)
+    keys = packed.view(f"V{packed.shape[1]}").ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse.ravel()
+
+
+def _close_rows(ring: FusionRingData, member: np.ndarray) -> np.ndarray:
+    """Close every row of a (K, r) bool membership matrix under duality and fusion.
+
+    Only the rows that changed on the last pass are iterated again; equal
+    rows close equally, so each distinct one is computed once per pass, in
+    row blocks whose (k, r, r) product stays below ``_CLOSURE_BLOCK_BYTES``.
+    """
+    r = ring.rank
+    dual = np.array(ring.dual)
+    step = max(1, _CLOSURE_BLOCK_BYTES // (4 * r * r))
+    active = np.arange(len(member))
+    while active.size:
+        rows = member[active]
+        first, inverse = _distinct_rows(rows)
+        cur = rows[first]
+        new = cur | cur[:, dual]
+        for lo in range(0, len(new), step):
+            m = new[lo : lo + step].astype(np.float32)
+            new[lo : lo + step] |= _fusion_hit(ring, m, m)
+        changed = np.any(new != cur, axis=1)
+        member[active] = new[inverse]
+        active = active[changed[inverse]]
+    return member
 
 
 def _closure_indices(ring: FusionRingData, seeds: Iterable[int]) -> tuple[int, ...]:
-    member = np.zeros(ring.rank, dtype=bool)
-    member[0] = True
+    member = np.zeros((1, ring.rank), dtype=bool)
+    member[0, 0] = True
     for s in seeds:
         if not 0 <= int(s) < ring.rank:
             raise ValueError(f"seed index {s} out of range")
-        member[int(s)] = True
-    dual = np.array(ring.dual)
-    while True:
-        new = member | member[dual]
-        m = new.astype(np.float32)
-        new |= _fusion_hit(ring, m, m)
-        if np.array_equal(new, member):
-            return tuple(int(i) for i in np.flatnonzero(member))
-        member = new
+        member[0, int(s)] = True
+    return tuple(np.flatnonzero(_close_rows(ring, member)[0]).tolist())
 
 
 def _make_subcategory(ring: FusionRingData, indices: tuple[int, ...]) -> FusionSubcategory:
@@ -314,28 +351,31 @@ def enumerate_subcategories(
     """All fusion subcategories, by breadth-first closure of extensions.
 
     Complete because every fusion subcategory is the closure of a finite
-    generating set.  Sorted by (fpdim, lexicographic indices).
+    generating set.  The extensions D + {i} of one breadth-first level are
+    closed together; ``max_closures`` bounds their total number.  Sorted by
+    (fpdim, lexicographic indices).
     """
     trivial = subcategory_closure(ring, [])
     found: dict[tuple[int, ...], FusionSubcategory] = {trivial.indices: trivial}
-    frontier = [trivial]
+    frontier = np.zeros((1, ring.rank), dtype=bool)
+    frontier[0, list(trivial.indices)] = True
     calls = 0
-    while frontier:
-        nxt = []
-        for D in frontier:
-            for i in range(ring.rank):
-                if i in D.indices:
-                    continue
-                calls += 1
-                if calls > max_closures:
-                    raise RuntimeError(
-                        f"subcategory enumeration exceeded {max_closures} closure calls"
-                    )
-                D2 = subcategory_closure(ring, D.indices + (i,))
-                if D2.indices not in found:
-                    found[D2.indices] = D2
-                    nxt.append(D2)
-        frontier = nxt
+    while len(frontier):
+        # One candidate D + {i} per frontier row D and simple i outside it.
+        rows, cols = np.nonzero(~frontier)
+        calls += len(rows)
+        if calls > max_closures:
+            raise RuntimeError(f"subcategory enumeration exceeded {max_closures} closure calls")
+        candidates = frontier[rows]
+        candidates[np.arange(len(rows)), cols] = True
+        closed = _close_rows(ring, candidates)
+        new = []
+        for row in closed[_distinct_rows(closed)[0]]:
+            indices = tuple(np.flatnonzero(row).tolist())
+            if indices not in found:
+                found[indices] = _make_subcategory(ring, indices)
+                new.append(row)
+        frontier = np.array(new, dtype=bool).reshape(len(new), ring.rank)
     return sorted(found.values(), key=lambda D: (round(D.fpdim, 9), D.indices))
 
 
@@ -372,8 +412,8 @@ def subcategory_product(
 def subcategory_product_set(D1: FusionSubcategory, D2: FusionSubcategory) -> tuple[int, ...]:
     """Raw product set {k : N[i][j][k] > 0, i in D1, j in D2}, without the closedness test."""
     ring = _check_same_ring(D1, D2)
-    hit = _fusion_hit(ring, _indicator(ring, D1.indices), _indicator(ring, D2.indices))
-    return tuple(int(k) for k in np.flatnonzero(hit))
+    hit = _fusion_hit(ring, _indicator(ring, D1.indices)[None], _indicator(ring, D2.indices)[None])
+    return tuple(int(k) for k in np.flatnonzero(hit[0]))
 
 
 def ring_to_dict(ring: FusionRingData) -> dict:
@@ -403,18 +443,41 @@ def ring_from_dict(data: dict, tol: Tolerance = DEFAULT_TOL) -> FusionRingData:
     )
     if not cube:
         raise RingDataError([f"N must be a {r} x {r} x {r} nested list"])
-    if not all(_is_integer(x) and abs(x) <= MAX_MULTIPLICITY for row in N for v in row for x in v):
+    N = _integer_array(N, 3, MAX_MULTIPLICITY)
+    if N is None:
         raise RingDataError([f"N entries must be integers of magnitude at most {MAX_MULTIPLICITY}"])
-    if not all(_is_integer(x) for x in dual):
-        raise RingDataError(["dual entries must be integers"])
-    return build_ring(labels, np.array(N, dtype=int), [int(x) for x in dual], tol)
+    dual = _integer_array(dual, 1, MAX_MULTIPLICITY)
+    if dual is None:
+        raise RingDataError([f"dual entries must be integers of magnitude at most {MAX_MULTIPLICITY}"])
+    return build_ring(labels, N, dual.tolist(), tol)
 
 
-def _is_integer(x) -> bool:
-    """A JSON number with an integer value; booleans are not numbers here."""
-    if isinstance(x, bool):
-        return False
-    return isinstance(x, int) or (isinstance(x, float) and math.isfinite(x) and x.is_integer())
+def _integer_array(values: list, depth: int, bound: int) -> np.ndarray | None:
+    """A regular nested list of JSON integers as an int64 array, else None.
+
+    One C-level scan of the entry types (booleans are not numbers here), then
+    one cast checked as a whole.  Integer-valued floats are accepted; NaN,
+    infinities, fractions and magnitudes above ``bound`` are not.
+    """
+    flat = values
+    for _ in range(depth - 1):
+        flat = chain.from_iterable(flat)
+    types = set(map(type, flat))
+    if not types <= {int, float}:
+        return None
+    try:
+        if float in types:
+            real = np.array(values, dtype=float)
+            if not np.all(np.abs(real) <= bound) or not np.all(real == np.trunc(real)):
+                return None
+            arr = real.astype(np.int64)
+        else:
+            arr = np.array(values, dtype=np.int64)
+    except OverflowError:
+        return None
+    if arr.size and (arr.max() > bound or arr.min() < -bound):
+        return None
+    return arr
 
 
 def load_ring_json(path, tol: Tolerance = DEFAULT_TOL) -> FusionRingData:

@@ -84,11 +84,18 @@ class _SplitFailed(Exception):
     """Internal: a subspace could not be split cleanly; retry with new seed."""
 
 
-def _as_matrix(A) -> np.ndarray:
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={A.ndim}")
-    return A
+def _as_stack(mats) -> np.ndarray:
+    """The family as one (m, n, n) array, float64 for real input, else complex128."""
+    mats = [np.asarray(M) for M in mats]
+    if not mats:
+        raise ValueError("need at least one matrix")
+    for M in mats:
+        if M.ndim != 2:
+            raise ValueError(f"expected a matrix, got ndim={M.ndim}")
+    n = mats[0].shape[0]
+    if any(M.shape != (n, n) for M in mats):
+        raise ValueError("all matrices must be square of equal dimension")
+    return np.stack(mats, dtype=np.result_type(float, *mats))
 
 
 def _as_vector(b) -> np.ndarray:
@@ -195,15 +202,39 @@ def snap_integer_array(arr, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return rounded.astype(int)
 
 
-def _commuting_or_raise(mats: Sequence[np.ndarray], tol: Tolerance) -> None:
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            A, B = mats[i], mats[j]
+# Largest temporary, in bytes, that the batched checks of joint_eigenspaces
+# allocate at once; a few hundred KB keeps them well below the family itself.
+_BLOCK_BYTES = 1 << 18
+
+
+def _max_abs(S: np.ndarray) -> np.ndarray:
+    """max |S[i]| for each matrix of the stack, without a full-size temporary."""
+    return np.array([float(np.max(np.abs(M))) for M in S])
+
+
+def _commuting_or_raise(S: np.ndarray, tol: Tolerance) -> None:
+    """Raise NotCommuting naming the first pair (i, j), i < j, that fails.
+
+    Each matrix is tested against all later ones, one row block of the stack
+    at a time, with the pairwise bound
+    ``10 * (abs_tol + rel_tol * max(1, max|A| * max|B|))``.
+    """
+    m, n, _ = S.shape
+    scale = _max_abs(S)
+    step = max(1, _BLOCK_BYTES // (n * n * S.itemsize))
+    for i in range(m - 1):
+        A = S[i]
+        for lo in range(i + 1, m, step):
+            blk = S[lo : lo + step]
+            comm = np.matmul(A, blk)
+            comm -= np.matmul(blk, A)
+            res = np.max(np.abs(comm), axis=(1, 2))
             bound = 10 * (
-                tol.abs_tol
-                + tol.rel_tol * max(1.0, float(np.max(np.abs(A))) * float(np.max(np.abs(B))))
+                tol.abs_tol + tol.rel_tol * np.maximum(1.0, scale[i] * scale[lo : lo + step])
             )
-            if np.max(np.abs(A @ B - B @ A)) > bound:
+            bad = np.flatnonzero(res > bound)
+            if bad.size:
+                j = lo + int(bad[0])
                 raise NotCommuting(f"matrices {i} and {j} do not commute within tolerance")
 
 
@@ -259,16 +290,39 @@ def _refine(V: np.ndarray, mats: Sequence[np.ndarray], tol: Tolerance) -> list[n
     return [V]
 
 
-def _verify_joint(spaces: Sequence[np.ndarray], mats: Sequence[np.ndarray], tol: Tolerance) -> None:
+def _verify_joint(spaces: Sequence[np.ndarray], S: np.ndarray, tol: Tolerance) -> None:
+    """Every matrix of the stack acts on every space as a scalar.
+
+    Per space, ``S @ V`` is formed once per row block of matrices and both
+    tests (restriction is scalar; space is invariant) run on the whole block.
+    The first failing matrix of the first failing space names the failure.
+    """
+    m, n, _ = S.shape
+    bounds = 10 * tol.abs_tol * np.maximum(1.0, _max_abs(S))
+    flat = S.reshape(m * n, n)
     for V in spaces:
         k = V.shape[1]
-        for A in mats:
-            Ap = V.conj().T @ A @ V
-            mu = np.trace(Ap) / k
-            bound = 10 * tol.abs_tol * max(1.0, float(np.max(np.abs(A))))
-            if np.max(np.abs(Ap - mu * np.eye(k))) > bound:
-                raise _SplitFailed("joint eigenspace verification failed (non-scalar)")
-            if np.max(np.abs(A @ V - V @ Ap)) > bound:
+        step = max(1, _BLOCK_BYTES // (n * k * 16))
+        for lo in range(0, m, step):
+            hi = min(m, lo + step)
+            rows = flat[lo * n : hi * n]
+            if np.iscomplexobj(rows):
+                SV = rows @ V
+            else:
+                SV = np.empty((rows.shape[0], k), dtype=complex)
+                SV.real = rows @ V.real
+                SV.imag = rows @ V.imag
+            SV = SV.reshape(hi - lo, n, k)
+            Ap = np.matmul(V.conj().T, SV)
+            mu = np.trace(Ap, axis1=1, axis2=2) / k
+            non_scalar = np.max(np.abs(Ap - mu[:, None, None] * np.eye(k)), axis=(1, 2))
+            SV -= np.matmul(V, Ap)
+            not_invariant = np.max(np.abs(SV), axis=(1, 2))
+            bound = bounds[lo:hi]
+            bad = np.flatnonzero((non_scalar > bound) | (not_invariant > bound))
+            if bad.size:
+                if non_scalar[bad[0]] > bound[bad[0]]:
+                    raise _SplitFailed("joint eigenspace verification failed (non-scalar)")
                 raise _SplitFailed("joint eigenspace verification failed (not invariant)")
 
 
@@ -282,21 +336,18 @@ def joint_eigenspaces(
     returned array holds an orthonormal basis of one maximal joint eigenspace
     (every input matrix acts on it as a scalar).  Deterministic given seed.
     """
-    mats = [_as_matrix(M) for M in mats]
-    if not mats:
-        raise ValueError("need at least one matrix")
-    n = mats[0].shape[0]
-    for M in mats:
-        if M.shape != (n, n):
-            raise ValueError("all matrices must be square of equal dimension")
+    S = _as_stack(mats)
+    n = S.shape[1]
     if n == 0:
         return []
-    _commuting_or_raise(mats, tol)
+    _commuting_or_raise(S, tol)
     last = None
     for attempt in range(_MAX_SEED_TRIES):
         rng = np.random.default_rng(seed + attempt)
-        coeffs = rng.standard_normal(len(mats))
-        Y = sum(c * M for c, M in zip(coeffs, mats))
+        coeffs = rng.standard_normal(len(S))
+        # Summed in the stack's dtype: for a real stack the real part is the
+        # same, bit for bit, as the sum of the complex casts.
+        Y = sum(c * M for c, M in zip(coeffs, S)).astype(complex, copy=False)
         try:
             w, U = np.linalg.eig(Y)
             ctol = max(tol.abs_tol, 1e-7 * max(1.0, float(np.max(np.abs(w)))))
@@ -305,10 +356,10 @@ def joint_eigenspaces(
                 V = orthonormal_basis(U[:, c], tol)
                 if V.shape[1] != len(c):
                     raise _SplitFailed("eigenvector cluster is rank deficient")
-                spaces.extend(_refine(V, mats, tol))
+                spaces.extend(_refine(V, S, tol))
             if sum(V.shape[1] for V in spaces) != n:
                 raise _SplitFailed("joint eigenspaces do not fill the space")
-            _verify_joint(spaces, mats, tol)
+            _verify_joint(spaces, S, tol)
             return spaces
         except _SplitFailed as exc:
             last = exc

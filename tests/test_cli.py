@@ -89,8 +89,34 @@ class TestVerify:
             '{"labels": ["1", "x"], "dual": [0, 1], "N": [[[1, 0], [0, 1]], [[0, 1]]]}',
             '{"labels": ["1"], "dual": ["a"], "N": [[[1]]]}',
             '{"labels": ["1"], "dual": [0], "N": [[[1e400]]]}',
+            '{"labels": ["1"], "dual": [0], "N": [[[true]]]}',
+            '{"labels": ["1"], "dual": [0], "N": [[["1"]]]}',
+            '{"labels": ["1"], "dual": [0], "N": [[[NaN]]]}',
+            '{"labels": ["1"], "dual": [0], "N": [[[-Infinity]]]}',
+            '{"labels": ["1", "x"], "dual": [0, 1], "N": [[[1, 0], [0, 1]], [[0, 1], [1.5, 0]]]}',
+            '{"labels": ["1"], "dual": [0], "N": [[[1180591620717411303424]]]}',
+            '{"labels": ["1"], "dual": [0], "N": [[[%s]]]}' % (10**400),
+            '{"labels": ["1"], "dual": [true], "N": [[[1]]]}',
+            '{"labels": ["1"], "dual": [NaN], "N": [[[1]]]}',
+            '{"labels": ["1"], "dual": [0.5], "N": [[[1]]]}',
+            '{"labels": [], "dual": [], "N": []}',
         ],
-        ids=["ragged_N", "non_integer_dual", "overflowing_N"],
+        ids=[
+            "ragged_N",
+            "non_integer_dual",
+            "overflowing_N",
+            "boolean_N",
+            "string_N",
+            "nan_N",
+            "infinite_N",
+            "fractional_N",
+            "int64_overflowing_N",
+            "float_overflowing_int_N",
+            "boolean_dual",
+            "nan_dual",
+            "fractional_dual",
+            "empty_N",
+        ],
     )
     def test_malformed_ring_is_one_line_error(self, text, tmp_path, capsys):
         path = tmp_path / "malformed.json"

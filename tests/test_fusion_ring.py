@@ -200,19 +200,22 @@ def _reference_closure(ring, seeds):
 
 
 def _reference_subcategories(ring):
+    """The subcategories by one closure per candidate, and the number of closures."""
     found = {_reference_closure(ring, [])}
     frontier = list(found)
+    calls = 0
     while frontier:
         nxt = []
         for D in frontier:
             for i in range(ring.rank):
                 if i not in D:
+                    calls += 1
                     D2 = _reference_closure(ring, D + (i,))
                     if D2 not in found:
                         found.add(D2)
                         nxt.append(D2)
         frontier = nxt
-    return found
+    return found, calls
 
 
 class TestEnumerateAgainstReference:
@@ -221,12 +224,55 @@ class TestEnumerateAgainstReference:
         ring, _group, _kind = parse_source(source, 0, DEFAULT_TOL)
         subs = [S.indices for S in enumerate_subcategories(ring)]
         assert len(subs) == len(set(subs))
-        assert set(subs) == _reference_subcategories(ring)
+        assert set(subs) == _reference_subcategories(ring)[0]
 
     def test_vec_alternating_5(self, vec_a5_ring):
         subs = [S.indices for S in enumerate_subcategories(vec_a5_ring)]
         assert len(subs) == 59
-        assert set(subs) == _reference_subcategories(vec_a5_ring)
+        assert set(subs) == _reference_subcategories(vec_a5_ring)[0]
+
+    @pytest.mark.parametrize("block_bytes", [None, 1], ids=["default_blocks", "one_row_blocks"])
+    @pytest.mark.parametrize("source", ["vec:symmetric:4", "rep:symmetric:4", "vec:dihedral:8"])
+    def test_close_rows_matches_reference_row_by_row(self, source, block_bytes, monkeypatch):
+        if block_bytes is not None:
+            monkeypatch.setattr(fusion_ring, "_CLOSURE_BLOCK_BYTES", block_bytes)
+        ring, _group, _kind = parse_source(source, 0, DEFAULT_TOL)
+        rng = np.random.default_rng(5)
+        seeds = [tuple(rng.choice(ring.rank, size=k, replace=False)) for k in rng.integers(0, 3, size=40)]
+        seeds += seeds[::4]  # repeated rows are closed once and copied back to each
+        member = np.zeros((len(seeds), ring.rank), dtype=bool)
+        member[:, 0] = True
+        for row, seed in zip(member, seeds):
+            row[list(seed)] = True
+        closed = fusion_ring._close_rows(ring, member)
+        assert [tuple(np.flatnonzero(row).tolist()) for row in closed] == [
+            _reference_closure(ring, seed) for seed in seeds
+        ]
+
+    @pytest.mark.parametrize("source", ["vec:symmetric:3", "rep:symmetric:4", "vec:dihedral:8"])
+    def test_max_closures_counts_one_per_candidate(self, source):
+        ring, _group, _kind = parse_source(source, 0, DEFAULT_TOL)
+        found, calls = _reference_subcategories(ring)
+        assert {S.indices for S in enumerate_subcategories(ring, max_closures=calls)} == found
+        with pytest.raises(RuntimeError, match=f"exceeded {calls - 1} closure calls"):
+            enumerate_subcategories(ring, max_closures=calls - 1)
+
+    def test_blocked_closure_matches_reference(self, vec_a5_ring, monkeypatch):
+        monkeypatch.setattr(fusion_ring, "_CLOSURE_BLOCK_BYTES", 1)
+        subs = [S.indices for S in enumerate_subcategories(vec_a5_ring)]
+        assert set(subs) == _reference_subcategories(vec_a5_ring)[0]
+
+    def test_enumeration_memory_below_r3(self, vec_a5_ring):
+        r = vec_a5_ring.rank
+        vec_a5_ring.support  # cached before tracing
+        tracemalloc.start()
+        try:
+            subs = enumerate_subcategories(vec_a5_ring)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(subs) == 59
+        assert peak < r**3 * 8  # one (K, r, r) product over a whole frontier level takes K * r^2 * 4
 
 
 class TestMeetJoinProduct:

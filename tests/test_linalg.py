@@ -1,10 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuscat import linalg, wedderburn
 from fuscat.linalg import (
     DEFAULT_TOL,
     DegenerateSeed,
@@ -19,7 +21,7 @@ from fuscat.linalg import (
     subspace_intersection,
 )
 
-from conftest import s3_mult_table
+from conftest import s3_mult_table, su2_fusion_ring
 
 
 def s3_class_matrices():
@@ -99,6 +101,108 @@ class TestCommonEigenbasis:
         A = Q @ D @ np.linalg.inv(Q)
         spaces = joint_eigenspaces([A, A @ A], seed=0)
         assert sorted(V.shape[1] for V in spaces) == [1, 1, 2]
+
+
+def _first_noncommuting_pair(mats, tol=DEFAULT_TOL):
+    """Reference: the pairwise loop, i-major, with the documented bound."""
+    for i, j in itertools.combinations(range(len(mats)), 2):
+        A, B = mats[i], mats[j]
+        bound = 10 * (tol.abs_tol + tol.rel_tol * max(1.0, np.max(np.abs(A)) * np.max(np.abs(B))))
+        if np.max(np.abs(A @ B - B @ A)) > bound:
+            return i, j
+    return None
+
+
+def _family(m, bad_pairs, complex_, seed=3):
+    """m matrices of size 6 in which exactly the given pairs fail to commute.
+
+    In a random basis every matrix is block diagonal over the coordinate
+    pairs {0,1}, {2,3}, {4,5}.  Pair number b of bad_pairs gets two
+    non-commuting 2x2 blocks on coordinates {2b, 2b+1}; every other matrix
+    is a scalar there.
+    """
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        out = rng.standard_normal(shape)
+        return out + 1j * rng.standard_normal(shape) if complex_ else out
+
+    P = draw(6, 6)
+    blocks = [[np.eye(2) * draw(1)[0] for _ in range(3)] for _ in range(m)]
+    for b, (i, j) in enumerate(bad_pairs):
+        blocks[i][b] = draw(2, 2)
+        blocks[j][b] = draw(2, 2)
+    mats = []
+    for blk in blocks:
+        D = np.zeros((6, 6), dtype=complex if complex_ else float)
+        for b in range(3):
+            D[2 * b : 2 * b + 2, 2 * b : 2 * b + 2] = blk[b]
+        mats.append(P @ D @ np.linalg.inv(P))
+    return mats
+
+
+@pytest.fixture(params=[None, 1], ids=["one_block", "one_matrix_blocks"])
+def block_bytes(request, monkeypatch):
+    """Run once with the default row blocks and once with one matrix per block."""
+    if request.param is not None:
+        monkeypatch.setattr(linalg, "_BLOCK_BYTES", request.param)
+
+
+class TestBatchedChecks:
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize(
+        "bad_pairs", [[(9, 11)], [(5, 6), (3, 10)], [(2, 7), (2, 8)]], ids=["last", "i_major", "shared_i"]
+    )
+    def test_commutation_names_reference_pair(self, complex_, bad_pairs, block_bytes):
+        mats = _family(12, bad_pairs, complex_)
+        expected = _first_noncommuting_pair(mats)
+        assert expected is not None
+        with pytest.raises(NotCommuting, match=rf"^matrices {expected[0]} and {expected[1]} do not"):
+            linalg._commuting_or_raise(linalg._as_stack(mats), DEFAULT_TOL)
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_commuting_family_passes(self, complex_):
+        mats = _family(12, [], complex_)
+        assert _first_noncommuting_pair(mats) is None
+        linalg._commuting_or_raise(linalg._as_stack(mats), DEFAULT_TOL)
+
+    @staticmethod
+    def _diagonal_stack(m=9):
+        # Only the last matrix separates coordinates 0 and 1.
+        S = np.stack([np.diag([1.0, 1.0, 2.0, 3.0]) * (t + 1) for t in range(m)])
+        S[-1, 1, 1] = 5.0
+        return S
+
+    def test_verify_joint_accepts_joint_eigenspaces(self, block_bytes):
+        spaces = [np.eye(4, dtype=complex)[:, [k]] for k in range(4)]
+        linalg._verify_joint(spaces, self._diagonal_stack(), DEFAULT_TOL)
+
+    def test_verify_joint_rejects_non_scalar_space(self, block_bytes):
+        eye = np.eye(4, dtype=complex)
+        spaces = [eye[:, [2]], eye[:, [3]], eye[:, [0, 1]]]
+        with pytest.raises(linalg._SplitFailed, match="non-scalar"):
+            linalg._verify_joint(spaces, self._diagonal_stack(), DEFAULT_TOL)
+
+    def test_verify_joint_rejects_non_invariant_space(self, block_bytes):
+        eye = np.eye(4, dtype=complex)
+        mixed = (eye[:, [0]] + eye[:, [1]]) / np.sqrt(2)
+        spaces = [eye[:, [2]], eye[:, [3]], mixed]
+        with pytest.raises(linalg._SplitFailed, match="not invariant"):
+            linalg._verify_joint(spaces, self._diagonal_stack(), DEFAULT_TOL)
+
+    def test_su2_60_centre_split_memory_below_r3(self):
+        ring = su2_fusion_ring(60)
+        r = ring.rank
+        center, left = wedderburn._center_basis(ring, DEFAULT_TOL)
+        lz = [np.tensordot(center[:, b], left, axes=(0, 0)) for b in range(center.shape[1])]
+        tracemalloc.start()
+        try:
+            spaces = joint_eigenspaces(lz)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(spaces) == r
+        assert peak < r**3 * 16  # per-matrix complex copies of the family alone take m * r^2 * 16
 
 
 class TestSubspaces:
