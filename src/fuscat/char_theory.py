@@ -210,8 +210,9 @@ def antipodal(a: CentralElement) -> CentralElement:
 
 
 def _fourier_inverse_raw(ring: FusionRingData, f: np.ndarray) -> np.ndarray:
+    """Inverse Fourier image of each coefficient vector along the last axis of f."""
     dual = np.array(ring.dual)
-    return f[dual] * ring.global_dim / ring.dims[dual]
+    return f[..., dual] * ring.global_dim / ring.dims[dual]
 
 
 def fourier_inverse(f: ClassFunction) -> CentralElement:

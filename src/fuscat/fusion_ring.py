@@ -41,8 +41,8 @@ __all__ = [
 
 MAX_CLOSURE_CALLS = 10**6
 # Multiplicities above this are rejected.  The associativity check sums r
-# products of two entries in float64 BLAS; with entries of magnitude at most
-# 2**20 every partial sum is an integer below r * 2**40, which float64 holds
+# products of two entries in BLAS; with entries of magnitude at most 2**20
+# every partial sum is an integer below r * 2**40, which float64 holds
 # exactly (r * 2**40 < 2**53) for every rank r < 8192.
 MAX_MULTIPLICITY = 2**20
 
@@ -182,18 +182,25 @@ def _structure_violations(N: np.ndarray, dual: Sequence[int]) -> list[str]:
 def _associativity_failure(N: np.ndarray) -> tuple[int, int, int, int] | None:
     """First (i,j,l,p) with sum_k N_ijk N_klp != sum_k N_jlk N_ikp, if any.
 
-    One i at a time as two float64 matrix products, so memory stays O(r^3);
-    exact because every partial sum is an integer below 2**53 (see
-    ``MAX_MULTIPLICITY``).  Blocks are scanned in i order and each block is
-    laid out as [j, l, p], so the index found is the lexicographically first.
+    One i at a time as two matrix products, so memory stays O(r^3).  Exact
+    because every partial sum, in any order, is an integer of magnitude at
+    most r * max|N|**2: float32 holds all of them when that is below 2**24,
+    float64 otherwise (below 2**53, see ``MAX_MULTIPLICITY``).  Blocks are
+    scanned in i order and each block is laid out as [j, l, p], so the index
+    found is the lexicographically first.
     """
     r = N.shape[0]
-    F = N.astype(float)
+    peak = max(int(N.max(initial=0)), -int(N.min(initial=0)))
+    F = N.astype(np.float32 if r * peak**2 < 2**24 else np.float64)
     right = F.reshape(r, r * r)
     left = F.reshape(r * r, r)
+    # Two (r, r*r) buffers reused for every i; rhs is written through the
+    # (r*r, r) view that left @ F[i] produces.
+    lhs = np.empty((r, r * r), dtype=F.dtype)
+    rhs = np.empty((r, r * r), dtype=F.dtype)
     for i in range(r):
-        lhs = F[i] @ right
-        rhs = (left @ F[i]).reshape(r, r * r)
+        np.matmul(F[i], right, out=lhs)
+        np.matmul(left, F[i], out=rhs.reshape(r * r, r))
         if not np.array_equal(lhs, rhs):
             j, l, p = np.argwhere((lhs != rhs).reshape(r, r, r))[0]
             return i, int(j), int(l), int(p)
@@ -287,6 +294,24 @@ def _fusion_hit(ring: FusionRingData, a: np.ndarray, b: np.ndarray) -> np.ndarra
     r = ring.rank
     prods = (a @ ring.support).reshape(len(a), r, r)
     return np.matmul(b[:, None, :], prods)[:, 0, :] > 0
+
+
+def _raw_product_table(ring: FusionRingData, member: np.ndarray) -> np.ndarray:
+    """Raw products of all ordered pairs of rows of a (S, r) bool membership matrix.
+
+    ``out[a, b]`` is the (r,) bool row of :func:`_fusion_hit` for rows a and b.
+    The product with ``support`` depends on the left row alone, so it is
+    formed once per row, in row blocks whose (k, r, r) product stays below
+    ``_CLOSURE_BLOCK_BYTES``, and meets every right row in one batched product.
+    """
+    S, r = member.shape
+    m = member.astype(np.float32)
+    out = np.empty((S, S, r), dtype=bool)
+    step = max(1, _CLOSURE_BLOCK_BYTES // (4 * r * r))
+    for lo in range(0, S, step):
+        prods = (m[lo : lo + step] @ ring.support).reshape(-1, r, r)
+        out[lo : lo + step] = np.matmul(m, prods) > 0
+    return out
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -426,14 +451,19 @@ def ring_to_dict(ring: FusionRingData) -> dict:
 
 def ring_from_dict(data: dict, tol: Tolerance = DEFAULT_TOL) -> FusionRingData:
     """Ring from parsed JSON; shape and entry types are checked before any cast."""
-    try:
-        labels = data["labels"]
-        dual = data["dual"]
-        N = data["N"]
-    except (KeyError, TypeError) as exc:
-        raise RingDataError([f"missing or malformed field: {exc}"]) from exc
+    fields = ("labels", "dual", "N")
+    if not isinstance(data, dict):
+        raise RingDataError([f"ring JSON must be an object with fields {', '.join(fields)}"])
+    missing = [f for f in fields if f not in data]
+    if missing:
+        raise RingDataError([f"missing field: {', '.join(missing)}"])
+    labels, dual, N = (data[f] for f in fields)
     if not all(isinstance(x, list) for x in (labels, dual, N)):
         raise RingDataError(["labels, dual and N must be lists"])
+    if not all(isinstance(x, str) for x in labels):
+        raise RingDataError(["labels must be strings"])
+    if len(set(labels)) != len(labels):
+        raise RingDataError(["labels must be distinct"])
     r = len(N)
     cube = all(
         isinstance(row, list)

@@ -25,11 +25,11 @@ from .fusion_ring import FusionRingData, FusionSubcategory, build_ring
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _span_contains,
     common_eigenbasis,
     orthonormal_basis,
     snap_integer,
     snap_integer_array,
-    subspace_contains,
 )
 
 __all__ = [
@@ -617,8 +617,8 @@ def crosscheck_rep(
                 f"central dimension for N={N} is {L.ce_dim}, expected {n_classes}"
             )
         elif not (
-            subspace_contains(expected_span, span, tol)
-            and subspace_contains(span, expected_span, tol)
+            _span_contains(expected_span, span, tol)
+            and _span_contains(span, expected_span, tol)
         ):
             mismatches.append(f"central subspace for N={N} is not the class sums in N")
         entries.append(

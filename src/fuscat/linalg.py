@@ -158,12 +158,21 @@ def subspace_contains(big, vectors, tol: Tolerance = DEFAULT_TOL) -> bool:
         if not vecs:
             return True
         V = np.column_stack(vecs)
-    Q = _orthonormal_columns(big, tol)
+    return _span_contains(_orthonormal_columns(big, tol), V, tol)
+
+
+def _span_contains(Q: np.ndarray, V: np.ndarray, tol: Tolerance) -> bool:
+    """:func:`subspace_contains` for a ``big`` already given by orthonormal columns Q."""
     nrm = np.linalg.norm(V, axis=0)
     R = V - Q @ (Q.conj().T @ V) if Q.shape[1] else V
     res = np.max(np.abs(R), axis=0, initial=0.0)
     outside = (nrm > 0) & (res > tol.abs_tol * 100 + tol.rel_tol * nrm)
     return not bool(np.any(outside))
+
+
+def _unit_cosine_floor(tol: Tolerance) -> float:
+    """Principal-angle cosines at or above this count as 1: a shared direction."""
+    return 1.0 - max(100 * tol.abs_tol, 1e-8)
 
 
 def subspace_intersection(B1, B2, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
@@ -175,9 +184,16 @@ def subspace_intersection(B1, B2, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarr
     if Q1.shape[0] != Q2.shape[0]:
         raise ValueError("vectors must have equal length")
     U, s, _ = np.linalg.svd(Q1.conj().T @ Q2, full_matrices=False)
-    keep = s >= 1.0 - max(100 * tol.abs_tol, 1e-8)
-    basis = Q1 @ U[:, keep]
+    basis = Q1 @ U[:, s >= _unit_cosine_floor(tol)]
     return [_canonical_phase(basis[:, k]) for k in range(basis.shape[1])]
+
+
+def _intersection_dim(Q1: np.ndarray, Q2: np.ndarray, tol: Tolerance) -> int:
+    """``len(subspace_intersection(Q1, Q2))`` for spans given by orthonormal columns."""
+    if Q1.shape[1] == 0 or Q2.shape[1] == 0:
+        return 0
+    s = np.linalg.svd(Q1.conj().T @ Q2, compute_uv=False)
+    return int(np.count_nonzero(s >= _unit_cosine_floor(tol)))
 
 
 def snap_integer(x, tol: Tolerance = DEFAULT_TOL) -> int:

@@ -27,17 +27,13 @@ from .char_theory import (
 from .fusion_ring import (
     FusionRingData,
     FusionSubcategory,
+    _close_rows,
     enumerate_subcategories,
     subcategory_closure,
     subcategory_join,
     subcategory_meet,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
-    orthonormal_basis,
-    subspace_contains,
-)
+from .linalg import DEFAULT_TOL, Tolerance, _span_contains, orthonormal_basis
 from .wedderburn import BlockStructure, adapt_to_idempotent
 
 __all__ = [
@@ -234,11 +230,11 @@ def block_partition(
     indicators = np.zeros((ring.rank, len(classes)))
     for c, cls in enumerate(classes):
         indicators[cls, c] = 1.0
-    if not subspace_contains(span, indicators, tol):
+    if not _span_contains(span, indicators, tol):
         bad = next(
             cls
             for c, cls in enumerate(classes)
-            if not subspace_contains(span, indicators[:, c : c + 1], tol)
+            if not _span_contains(span, indicators[:, c : c + 1], tol)
         )
         raise PartitionMismatch(
             f"indicator idempotent of class {bad} is outside the central subspace"
@@ -251,17 +247,16 @@ def _group_equal_rows(rows: np.ndarray, tol: float) -> list[list[int]]:
 
     Each row joins the first class whose first row is within ``tol`` of it in
     the max norm, or starts a new class.  The class of row 0 comes first, the
-    rest in order of their smallest member.
+    rest in order of their smallest member.  Computed one class at a time:
+    the first row not yet placed starts a class and takes every unplaced row
+    near it, which are exactly the rows that no earlier first row took.
     """
     classes: list[list[int]] = []
-    for i in range(len(rows)):
-        if classes:
-            reps = rows[[cls[0] for cls in classes]]
-            near = np.flatnonzero(np.max(np.abs(reps - rows[i]), axis=1) <= tol)
-            if near.size:
-                classes[near[0]].append(i)
-                continue
-        classes.append([i])
+    rest = np.arange(len(rows))
+    while rest.size:
+        near = np.max(np.abs(rows[rest] - rows[rest[0]]), axis=1) <= tol
+        classes.append(rest[near].tolist())
+        rest = rest[~near]
     classes.sort(key=lambda cls: (0 not in cls, cls[0]))
     return classes
 
@@ -289,10 +284,10 @@ def ce_basis(
             raise ClosureFailure(
                 f"class-sum span has dimension {span.shape[1]}, expected {L.ce_dim}"
             )
-        if not subspace_contains(span, [unit_central_element(ring).coeffs], tol):
+        if not _span_contains(span, unit_central_element(ring).coeffs[:, None], tol):
             raise ClosureFailure("central subspace does not contain the unit")
         for k in range(vecs.shape[1]):
-            if not subspace_contains(span, vecs * vecs[:, k : k + 1], tol):
+            if not _span_contains(span, vecs * vecs[:, k : k + 1], tol):
                 raise ClosureFailure("central subspace is not closed under product")
     return out
 
@@ -329,7 +324,8 @@ class LatticeTable:
 
     Entries are in enumeration order and are looked up by subcategory
     indices; the lattice operations on subalgebras are lookups of the meet
-    and the join of the subcategories.
+    and the join of the subcategories, one pair at a time or, through the
+    membership matrix, for many pairs at once.
     """
 
     ring: FusionRingData
@@ -344,6 +340,32 @@ class LatticeTable:
     def entry(self, indices: tuple[int, ...]) -> LatticeEntry | None:
         """The entry of the subcategory with these indices, if it is in the table."""
         return self._by_indices.get(indices)
+
+    @cached_property
+    def membership(self) -> np.ndarray:
+        """(S, r) bool matrix: row e marks the simples of entry e's subcategory."""
+        out = np.zeros((len(self.entries), self.ring.rank), dtype=bool)
+        for e, entry in enumerate(self.entries):
+            out[e, list(entry.subcategory.indices)] = True
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def _by_row(self) -> dict[bytes, int]:
+        return {row.tobytes(): e for e, row in enumerate(self.membership)}
+
+    def _lookup(self, rows: np.ndarray) -> np.ndarray:
+        """Entry position of each (K, r) bool membership row, -1 where none has it."""
+        return np.array([self._by_row.get(row.tobytes(), -1) for row in rows], dtype=np.intp)
+
+    def meets_and_joins(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Entry positions of the meet and the join of each pair (a[k], b[k]).
+
+        Meets are row intersections; the joins close all the row unions at
+        once.  -1 marks a result missing from the table.
+        """
+        M = self.membership
+        return self._lookup(M[a] & M[b]), self._lookup(_close_rows(self.ring, M[a] | M[b]))
 
     def product(self, a: LatticeEntry, b: LatticeEntry) -> LatticeEntry | None:
         """Smallest subalgebra containing both: the entry of the meet."""
@@ -429,7 +451,7 @@ def build_lattice(
         for b in range(a + 1, len(entries)):
             La, Lb = entries[a].subalgebra, entries[b].subalgebra
             same_dim = La.ce_span.shape[1] == Lb.ce_span.shape[1]
-            if same_dim and subspace_contains(La.ce_span, Lb.ce_span, tol):
+            if same_dim and _span_contains(La.ce_span, Lb.ce_span, tol):
                 raise RoundTripFailure(
                     "distinct subcategories produced identical central subspaces: "
                     f"{entries[a].subcategory.indices} vs {entries[b].subcategory.indices}"
@@ -442,7 +464,7 @@ def build_lattice(
             if set(ea.subcategory.indices) <= set(eb.subcategory.indices):
                 inner = eb.subalgebra.ce_span
                 outer = ea.subalgebra.ce_span
-                if not subspace_contains(outer, inner, tol):
+                if not _span_contains(outer, inner, tol):
                     raise MonotonicityFailure(
                         f"inclusion {ea.subcategory.indices} <= {eb.subcategory.indices} "
                         "was not reversed by the central subspaces"

@@ -33,7 +33,7 @@ from .char_theory import (
     tau,
     unit_central_element,
 )
-from .fusion_ring import FusionRingData, subcategory_product_set
+from .fusion_ring import FusionRingData, _raw_product_table
 from .groups import (
     FiniteGroup,
     character_table_cached,
@@ -41,7 +41,7 @@ from .groups import (
     crosscheck_vec,
     OracleMismatch,
 )
-from .linalg import DEFAULT_TOL, Tolerance, snap_integer, subspace_intersection
+from .linalg import DEFAULT_TOL, Tolerance, _intersection_dim, snap_integer
 from .wedderburn import (
     _unit_relation_residual,
     compute_blocks,
@@ -275,11 +275,10 @@ def verify_ring(
             worst_proj, float(np.max(np.abs(pid.coeffs - ell0 / D.fpdim)))
         )
 
-        ce = subalg.ce_basis(L, tol)
-        for f in (basis[i] for i in range(r)):
-            res_f = subalg.restrict(f, L)
-            for z in ce:
-                worst_respair = max(worst_respair, abs(pairing(res_f, z) - pairing(f, z)))
+        # <restrict(chi_i), z> = (P^T (d z))_i against <chi_i, z> = d_i z_i,
+        # for all i and every class sum z of the basis at once.
+        Z = np.array([z.coeffs for z in subalg.ce_basis(L, tol)]).T * ring.dims[:, None]
+        worst_respair = max(worst_respair, float(np.max(np.abs(L.projector.T @ Z - Z))))
     checks.append(CheckResult("subcategory cointegrals idempotent", worst_idem, 1e-8))
     checks.append(CheckResult("subalgebra dimension product", worst_dimprod, 1e-6))
     checks.append(CheckResult("cointegral diagonal form", worst_diag, 1e-8))
@@ -295,38 +294,35 @@ def verify_ring(
     worst_bound = 0.0
     worst_comm_eq = 0.0
     strict = 0
-    raw = {
-        (a, b): subcategory_product_set(ea.subcategory, eb.subcategory)
-        for a, ea in enumerate(table.entries)
-        for b, eb in enumerate(table.entries)
-    }
     entries = table.entries
+    M = table.membership
+    raw = _raw_product_table(ring, M)
+    raw_sets = [[tuple(np.flatnonzero(row).tolist()) for row in rows] for rows in raw]
     # Meet, join and the central-subspace intersection are symmetric in the
     # pair: computed once per unordered pair, then checked in both orders.
-    for a, ea in enumerate(entries):
-        for b in range(a, len(entries)):
-            eb = entries[b]
-            meet = table.product(ea, eb)
-            join = table.intersection(ea, eb)
-            if meet is None or join is None:
+    pairs_a, pairs_b = np.triu_indices(len(entries))
+    meets, joins = table.meets_and_joins(pairs_a, pairs_b)
+    for a, b, m, j in zip(pairs_a.tolist(), pairs_b.tolist(), meets.tolist(), joins.tolist()):
+        if m < 0 or j < 0:
+            worst_meetjoin = max(worst_meetjoin, 1.0)
+            continue
+        meet, join = entries[m], entries[j]
+        ce_meet = _intersection_dim(entries[a].subalgebra.ce_span, entries[b].subalgebra.ce_span, tol)
+        if ce_meet != join.subalgebra.ce_dim:
+            worst_meetjoin = max(worst_meetjoin, 1.0)
+        for x, y in ((a, b),) if a == b else ((a, b), (b, a)):
+            lhs, rhs, orders_agree = subalg.verify_dim_inequality(
+                entries[x], entries[y], meet, join, raw_sets[x][y], raw_sets[y][x]
+            )
+            worst_bound = max(worst_bound, lhs - rhs)
+            if lhs < rhs - 1e-8:
+                strict += 1
+            if ring.commutative:
+                worst_comm_eq = max(worst_comm_eq, abs(lhs - rhs))
+            if np.any(raw[x, y] & ~M[j]):
                 worst_meetjoin = max(worst_meetjoin, 1.0)
-                continue
-            ce_meet = len(subspace_intersection(ea.subalgebra.ce_span, eb.subalgebra.ce_span, tol))
-            if ce_meet != join.subalgebra.ce_dim:
+            if ring.commutative and not orders_agree:
                 worst_meetjoin = max(worst_meetjoin, 1.0)
-            for x, y in ((a, b),) if a == b else ((a, b), (b, a)):
-                lhs, rhs, orders_agree = subalg.verify_dim_inequality(
-                    entries[x], entries[y], meet, join, raw[x, y], raw[y, x]
-                )
-                worst_bound = max(worst_bound, lhs - rhs)
-                if lhs < rhs - 1e-8:
-                    strict += 1
-                if ring.commutative:
-                    worst_comm_eq = max(worst_comm_eq, abs(lhs - rhs))
-                if not set(raw[x, y]) <= set(join.subcategory.indices):
-                    worst_meetjoin = max(worst_meetjoin, 1.0)
-                if ring.commutative and not orders_agree:
-                    worst_meetjoin = max(worst_meetjoin, 1.0)
     checks.append(CheckResult("meet and join correspondence", worst_meetjoin, 0.0))
     checks.append(
         CheckResult(

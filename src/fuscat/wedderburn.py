@@ -313,11 +313,7 @@ def compute_blocks(
         if abs(tau_f.imag) > 1e-6 or tau_f.real <= 0:
             raise NotSemisimple(f"block trace {tau_f!r} is not real positive")
         n = m / tau_f.real
-        sums = np.zeros_like(units)
-        for s in range(m):
-            for t in range(m):
-                sums[s, t] = _fourier_inverse_raw(ring, units[s, t])
-        raw.append(Block(m, n, ring.global_dim / n, units, sums))
+        raw.append(Block(m, n, ring.global_dim / n, units, _fourier_inverse_raw(ring, units)))
     if lam_block < 0:
         raise NotSemisimple("no block contains the cointegral")
 
@@ -372,11 +368,9 @@ def adapt_to_idempotent(
         U = np.column_stack([item[2] for item in cols])
         Uinv = np.linalg.inv(U)
         units = np.einsum("as,tb,abk->stk", U, Uinv, blk.units)
-        sums = np.zeros_like(units)
-        for s in range(m):
-            for t in range(m):
-                sums[s, t] = _fourier_inverse_raw(ring, units[s, t])
-        new_blocks.append(Block(blk.m, blk.n, blk.summand_dim, units, sums))
+        new_blocks.append(
+            Block(blk.m, blk.n, blk.summand_dim, units, _fourier_inverse_raw(ring, units))
+        )
     return BlockStructure(ring, tuple(new_blocks), B.seed)
 
 

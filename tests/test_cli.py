@@ -125,6 +125,24 @@ class TestVerify:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"labels": [1, 2], "dual": [0, 1], "N": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]}', "labels"),
+            ('{"labels": ["a", "a"], "dual": [0, 1], "N": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]}', "labels"),
+            ('[{"labels": ["1"], "dual": [0], "N": [[[1]]]}]', "object"),
+        ],
+        ids=["integer_labels", "duplicate_labels", "top_level_list"],
+    )
+    def test_bad_labels_or_top_level_named(self, text, field, tmp_path, capsys):
+        path = tmp_path / "malformed.json"
+        path.write_text(text)
+        code, _, err = run_cli(["analyze", f"ring:{path}"], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert field in err and "list indices" not in err
+
     def test_missing_source(self, capsys):
         code, _, err = run_cli(["verify"], capsys)
         assert code == 2

@@ -25,6 +25,8 @@ from fuscat.fusion_ring import (
 from fuscat.linalg import DEFAULT_TOL
 from fuscat.verify import battery_sources
 
+from conftest import su2_fusion_ring
+
 
 class TestValidate:
     def test_trivial_ring_ok(self, trivial_ring):
@@ -116,6 +118,54 @@ class TestStructureCheck:
         with pytest.raises(RingDataError) as exc:
             build_ring(s3_ring.labels, N, s3_ring.dual)
         assert exc.value.violations == _reference_associativity(N)
+
+    def test_float64_path_for_large_multiplicities(self):
+        # lhs(0,0,0,0) = 2**40 + 1 and rhs(0,0,0,0) = 2**40 + 2: float32
+        # rounds both to 2**40, so r * max|N|**2 >= 2**24 must select float64.
+        N = np.zeros((2, 2, 2), dtype=int)
+        N[0, 0, 0] = 2**20
+        N[0, 0, 1] = N[1, 0, 0] = 1
+        N[0, 1, 0] = 2
+        assert np.float32(2**40 + 1) == np.float32(2**40 + 2)
+        assert _reference_associativity(N)[0].endswith("=(0,0,0,0)")
+        assert fusion_ring._associativity_failure(N) == (0, 0, 0, 0)
+
+    @pytest.mark.parametrize("value", [2000, 2400, MAX_MULTIPLICITY])
+    def test_large_entry_matches_reference(self, s3_ring, value):
+        # r * value**2 is below 2**24 for 2000 (the float32 path near its
+        # limit) and above it for 2400 and MAX_MULTIPLICITY.
+        N = s3_ring.N.copy()
+        N[1, 2, 2] = value
+        expected = _reference_associativity(N)
+        assert expected
+        with pytest.raises(RingDataError) as exc:
+            build_ring(s3_ring.labels, N, s3_ring.dual)
+        assert exc.value.violations == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_perturbed_su2_matches_reference(self, seed):
+        ring = su2_fusion_ring(20)
+        rng = np.random.default_rng(seed)
+        N = ring.N.copy()
+        i, j, k = (int(x) for x in rng.integers(1, ring.rank, 3))
+        N[i, j, k] += 3
+        assert ring.rank * int(N.max()) ** 2 < 2**24
+        expected = _reference_associativity(N)
+        assert expected
+        with pytest.raises(RingDataError) as exc:
+            build_ring(ring.labels, N, ring.dual)
+        assert exc.value.violations == expected
+
+    def test_structure_check_memory_on_su2_60(self):
+        ring = su2_fusion_ring(60)
+        r = ring.rank
+        tracemalloc.start()
+        try:
+            assert fusion_ring._structure_violations(ring.N, ring.dual) == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < r**3 * 20  # N itself, as int64, takes r^3 * 8 bytes
 
     def test_associativity_memory_below_r4(self, vec_a5_ring):
         N = vec_a5_ring.N

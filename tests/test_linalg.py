@@ -230,6 +230,25 @@ class TestSubspaces:
         assert orthonormal_basis(B).shape[1] == 3
         assert len(subspace_intersection(B, B)) == 3
 
+    @pytest.mark.parametrize("shared", range(4))
+    @pytest.mark.parametrize("gap", [0.0, 0.5, 2.0, 1e4])
+    def test_intersection_dim_of_orthonormal_spans(self, shared, gap):
+        # Two spans in C^9 share `shared` directions and have one more pair
+        # of directions at principal-angle cosine 1 - gap * 1e-7; the default
+        # cosine floor 1 - 1e-7 counts the pair for gap 0 and 0.5 only.
+        rng = np.random.default_rng(shared)
+        Q, _ = np.linalg.qr(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
+        delta = gap * 100 * DEFAULT_TOL.abs_tol
+        c = 1.0 - delta
+        tilted = c * Q[:, shared] + np.sqrt(1.0 - c * c) * Q[:, shared + 1]
+        B1 = np.column_stack([Q[:, :shared], Q[:, shared : shared + 1], Q[:, 6:8]])
+        B2 = np.column_stack([Q[:, :shared], tilted, Q[:, shared + 2 : shared + 4] + Q[:, 8:9]])
+        Q1, Q2 = orthonormal_basis(B1), orthonormal_basis(B2)
+        expected = len(subspace_intersection(B1, B2))
+        assert expected == shared + (gap < 1)
+        assert linalg._intersection_dim(Q1, Q2, DEFAULT_TOL) == expected
+        assert linalg._intersection_dim(Q1, Q2[:, :0], DEFAULT_TOL) == 0
+
 
 def reference_contains(big, vectors, tol=DEFAULT_TOL):
     """Per-vector containment test: one projection per vector."""
@@ -267,20 +286,24 @@ class TestSubspaceContainsBatched:
 
     def test_single_vectors(self, mixed):
         big, vectors = mixed
+        Q = orthonormal_basis(big)
         expected = {"inside": True, "within": True, "past": False, "zero": True}
         for kind, vecs in vectors.items():
             for v in vecs:
                 assert reference_contains(big, [v]) is expected[kind], kind
                 assert subspace_contains(big, [v]) is expected[kind], kind
+                assert linalg._span_contains(Q, v[:, None], DEFAULT_TOL) is expected[kind], kind
 
     def test_every_mixture_agrees_with_reference(self, mixed):
         big, vectors = mixed
+        Q = orthonormal_basis(big)
         pool = [v for vecs in vectors.values() for v in vecs]
         for k in range(1, len(pool) + 1):
             for combo in itertools.combinations(pool, k):
                 want = reference_contains(big, combo)
                 assert subspace_contains(big, list(combo)) is want
                 assert subspace_contains(big, np.column_stack(combo)) is want
+                assert linalg._span_contains(Q, np.column_stack(combo), DEFAULT_TOL) is want
 
     def test_zero_span(self, mixed):
         _, vectors = mixed
@@ -288,6 +311,9 @@ class TestSubspaceContainsBatched:
         assert subspace_contains(empty, vectors["zero"])
         assert not subspace_contains(empty, vectors["inside"][:1])
         assert subspace_contains(empty, [])
+        no_columns = np.zeros((8, 0), dtype=complex)
+        assert linalg._span_contains(no_columns, vectors["zero"][0][:, None], DEFAULT_TOL)
+        assert not linalg._span_contains(no_columns, vectors["inside"][0][:, None], DEFAULT_TOL)
 
 
 class TestSnap:

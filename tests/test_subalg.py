@@ -221,6 +221,51 @@ class TestBlockPartitionIndicators:
             block_partition(L)
 
 
+def group_equal_rows_reference(rows, tol):
+    """The per-row greedy rule: each row joins the first class whose first
+    row is within tol (max norm), else starts a class; unit class first."""
+    classes = []
+    for i in range(len(rows)):
+        if classes:
+            reps = rows[[cls[0] for cls in classes]]
+            near = np.flatnonzero(np.max(np.abs(reps - rows[i]), axis=1) <= tol)
+            if near.size:
+                classes[near[0]].append(i)
+                continue
+        classes.append([i])
+    classes.sort(key=lambda cls: (0 not in cls, cls[0]))
+    return classes
+
+
+class TestGroupEqualRows:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_row_rule(self, seed):
+        # Clusters of noisy copies plus chains a ~ b ~ c with a !~ c, in
+        # shuffled order, so a row can be near several class heads.
+        rng = np.random.default_rng(seed)
+        tol = 1e-3
+        width = 4
+        centres = rng.standard_normal((5, width)) + 1j * rng.standard_normal((5, width))
+        rows = [centres[rng.integers(5)] + rng.uniform(-0.4, 0.4, width) * tol for _ in range(30)]
+        for _ in range(3):
+            start = rng.standard_normal(width)
+            rows.extend(start + k * 0.6 * tol for k in range(5))
+        rows = np.array(rows)[rng.permutation(len(rows))]
+        expected = group_equal_rows_reference(rows, tol)
+        assert len(expected) < len(rows)
+        assert subalg._group_equal_rows(rows, tol) == expected
+        assert subalg._group_equal_rows(rows.real.copy(), tol) == group_equal_rows_reference(
+            rows.real.copy(), tol
+        )
+
+    def test_restriction_rows_of_a_table(self, vec_s3_table):
+        for e in vec_s3_table.entries:
+            rows = subalg._normalized_restrictions(e.subalgebra).T
+            assert subalg._group_equal_rows(rows, subalg.PARTITION_TOL) == (
+                group_equal_rows_reference(rows, subalg.PARTITION_TOL)
+            )
+
+
 class TestPiDown:
     def test_unit_retained(self, s3_ring, s3_subalgebras):
         for L in s3_subalgebras.values():

@@ -1,14 +1,23 @@
+import dataclasses
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from fuscat import verify
-from fuscat.fusion_ring import enumerate_subcategories
+from fuscat import subalg, verify
+from fuscat.fusion_ring import (
+    _raw_product_table,
+    subcategory_join,
+    subcategory_meet,
+    subcategory_product_set,
+)
+from fuscat.linalg import DEFAULT_TOL
 from fuscat.verify import verify_ring
 
 from conftest import perturb_unit
 
 MATRIX_UNIT_CHECK = "matrix unit relations and unit sum"
+RESTRICTION_CHECK = "restriction compatible with pairing"
 
 
 def by_name(checks):
@@ -55,19 +64,55 @@ class TestMatrixUnitCheck:
         assert peak < r**3 * 16  # an r^3 complex table
 
 
-def test_pair_loop_computes_each_ordered_product_once(monkeypatch, vec_s3_ring):
-    original = verify.subcategory_product_set
+def test_pair_loop_computes_each_ordered_product_once(monkeypatch, vec_s3_ring, vec_s3_blocks):
+    # The batched tables the pair loop reads agree with the per-pair
+    # functions on every ordered pair (raw products) and every unordered
+    # pair (meets and joins); vec_s3 is noncommutative, so order matters.
+    table = subalg.build_lattice(vec_s3_ring, vec_s3_blocks)
+    entries = table.entries
+    S = len(entries)
+    raw = _raw_product_table(vec_s3_ring, table.membership)
+    assert raw.shape == (S, S, vec_s3_ring.rank)
+    for a, ea in enumerate(entries):
+        for b, eb in enumerate(entries):
+            expected = subcategory_product_set(ea.subcategory, eb.subcategory)
+            assert tuple(np.flatnonzero(raw[a, b]).tolist()) == expected
+    pairs_a, pairs_b = np.triu_indices(S)
+    meets, joins = table.meets_and_joins(pairs_a, pairs_b)
+    assert len(meets) == len(joins) == S * (S + 1) // 2
+    for a, b, m, j in zip(pairs_a, pairs_b, meets, joins):
+        Da, Db = entries[a].subcategory, entries[b].subcategory
+        assert m >= 0 and j >= 0
+        assert entries[m].subcategory.indices == subcategory_meet(Da, Db).indices
+        assert entries[j].subcategory.indices == subcategory_join(Da, Db).indices
+
     calls = []
 
-    def spy(D1, D2):
-        calls.append((D1.indices, D2.indices))
-        return original(D1, D2)
+    def spy(ring, member):
+        calls.append(len(member))
+        return _raw_product_table(ring, member)
 
-    monkeypatch.setattr(verify, "subcategory_product_set", spy)
+    monkeypatch.setattr(verify, "_raw_product_table", spy)
     checks = by_name(verify_ring(vec_s3_ring))
     assert checks["meet and join correspondence"].passed
-    S = len(enumerate_subcategories(vec_s3_ring))
-    assert len(calls) == len(set(calls)) == S * S
+    assert calls == [S]
+
+
+def test_perturbed_projector_fails_restriction_pairing(monkeypatch, vec_s3_ring):
+    real_build = subalg.build_lattice
+
+    def perturbed(ring, B, tol=DEFAULT_TOL):
+        t = real_build(ring, B, tol)
+        e = t.entries[1]
+        P = e.subalgebra.projector.copy()
+        P[0, 1] += 1e-6
+        bad = dataclasses.replace(e, subalgebra=dataclasses.replace(e.subalgebra, projector=P))
+        entries = t.entries[:1] + (bad,) + t.entries[2:]
+        return subalg.LatticeTable(t.ring, t.blocks, entries, t.hasse_edges)
+
+    assert by_name(verify_ring(vec_s3_ring))[RESTRICTION_CHECK].passed
+    monkeypatch.setattr(subalg, "build_lattice", perturbed)
+    assert not by_name(verify_ring(vec_s3_ring))[RESTRICTION_CHECK].passed
 
 
 def test_pairing_check_uses_blocked_star_products(monkeypatch, su2_ring):
