@@ -212,7 +212,10 @@ def antipodal(a: CentralElement) -> CentralElement:
 def _fourier_inverse_raw(ring: FusionRingData, f: np.ndarray) -> np.ndarray:
     """Inverse Fourier image of each coefficient vector along the last axis of f."""
     dual = np.array(ring.dual)
-    return f[..., dual] * ring.global_dim / ring.dims[dual]
+    out = np.take(f, dual, axis=-1).astype(np.result_type(f, ring.dims), copy=False)
+    out *= ring.global_dim
+    out /= ring.dims[dual]
+    return out
 
 
 def fourier_inverse(f: ClassFunction) -> CentralElement:

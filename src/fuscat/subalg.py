@@ -33,8 +33,15 @@ from .fusion_ring import (
     subcategory_join,
     subcategory_meet,
 )
-from .linalg import DEFAULT_TOL, Tolerance, _span_contains, orthonormal_basis
-from .wedderburn import BlockStructure, adapt_to_idempotent
+from .linalg import (
+    _BLOCK_BYTES,
+    DEFAULT_TOL,
+    Tolerance,
+    _orthonormal_columns,
+    _span_contains,
+    _spans_contained,
+)
+from .wedderburn import BlockStructure, _adapt_stack
 
 __all__ = [
     "ClosureViolation",
@@ -122,9 +129,18 @@ class SubalgebraIndex:
 
     @cached_property
     def ce_span(self) -> np.ndarray:
-        """Orthonormal basis of the central subspace, in idempotent coordinates."""
-        vecs = [b.coeffs for b in ce_basis(self, check=False)]
-        return orthonormal_basis(vecs)
+        """Orthonormal basis of the central subspace, in idempotent coordinates.
+
+        The columns keep the SVD's own phases: every reader tests containment,
+        counts an intersection or compares rows, and none of these sees a
+        phase per column.
+        """
+        sums = [
+            blk.class_sums[list(r)].reshape(-1, self.ring.rank)
+            for blk, r in zip(self.blocks.blocks, self.rows)
+            if r
+        ]
+        return _orthonormal_columns(np.concatenate(sums).T, DEFAULT_TOL)
 
     def __repr__(self) -> str:
         return f"SubalgebraIndex(rows={self.rows}, dim={self.dim_l:.6g})"
@@ -138,40 +154,95 @@ def subalgebra_from_subcategory(
     Adapts the block structure to the subcategory's cointegral and reads off
     the diagonal 0/1 pattern as the block-row selection.
     """
-    if D.ring is not B.ring:
+    [L] = _subalgebras([D], B, tol)
+    if isinstance(L, Exception):
+        raise L
+    return L
+
+
+def _subalgebras(
+    subcats: list[FusionSubcategory], B: BlockStructure, tol: Tolerance
+) -> list[SubalgebraIndex | Exception]:
+    """:func:`subalgebra_from_subcategory` for many subcategories in one stacked pass.
+
+    Entry s is the subalgebra of ``subcats[s]``, or the exception that the
+    single call raises for it.  All cointegrals are adapted by one
+    :func:`_adapt_stack`; their adapted components are ``U^-1 Lambda_j U``
+    per block, and the projectors come from :func:`_projectors`, so no
+    adapted unit matrix is formed or inverted.
+    """
+    ring = B.ring
+    if any(D.ring is not ring for D in subcats):
         raise ValueError("subcategory and block structure belong to different rings")
-    lam = subcategory_cointegral(D)
-    adapted = adapt_to_idempotent(B, lam, tol)
-    comps = adapted.expand(lam.coeffs)
-    for P in comps:
-        P.setflags(write=False)
-    rows = []
-    for blk, P in zip(adapted.blocks, comps):
-        selected = []
-        for s in range(blk.m):
-            val = complex(P[s, s])
-            if abs(val - 1) <= tol.snap_tol:
-                selected.append(s)
-            elif abs(val) > tol.snap_tol:
-                raise ClosureViolation(f"diagonal coefficient {val!r} is not 0 or 1")
-        off = P - np.diag(np.diag(P))
-        if np.max(np.abs(off)) > tol.snap_tol:
-            raise ClosureViolation("adapted cointegral has off-diagonal coefficients")
-        rows.append(tuple(selected))
-    if not rows or 0 not in rows[0]:
-        raise ClosureViolation("unit summand is missing from the subalgebra")
-    dim_l = float(
-        sum(adapted.blocks[j].summand_dim * len(r) for j, r in enumerate(rows))
-    )
-    ce_dim = int(sum(len(r) * adapted.blocks[j].m for j, r in enumerate(rows)))
-    mask = np.array([t in rows[j] for j, _s, t in adapted.unit_index()])
-    projector = adapted._unit_matrix[:, mask] @ adapted._unit_matrix_inv[mask]
-    projector.setflags(write=False)
-    # Keep the adapted blocks without the unit matrix and inverse cached on
-    # ``adapted``: only this construction reads them, and kept for every
-    # subalgebra of a table they would make up a third of its memory.
-    blocks = BlockStructure(B.ring, adapted.blocks, adapted.seed)
-    return SubalgebraIndex(B, blocks, tuple(rows), dim_l, ce_dim, projector, tuple(comps))
+    adapted = _adapt_stack(B, np.array([subcategory_cointegral(D).coeffs for D in subcats]), tol)
+    errors = list(adapted.errors)
+    S = len(subcats)
+    rows: list[list[tuple[int, ...]]] = [[] for _ in range(S)]
+    comps, idems = [], []
+    for blk, P, U, Uinv in zip(B.blocks, adapted.comps, adapted.bases, adapted.inverses):
+        A = Uinv @ P @ U
+        A.setflags(write=False)
+        diag = np.diagonal(A, axis1=1, axis2=2)
+        selected = np.abs(diag - 1) <= tol.snap_tol
+        bad = ~selected & (np.abs(diag) > tol.snap_tol)
+        off = np.max(np.abs(np.where(np.eye(blk.m, dtype=bool), 0, A)), axis=(1, 2))
+        for s in range(S):
+            if errors[s] is not None:
+                continue
+            if bad[s].any():
+                val = complex(diag[s, int(np.argmax(bad[s]))])
+                errors[s] = ClosureViolation(f"diagonal coefficient {val!r} is not 0 or 1")
+            elif off[s] > tol.snap_tol:
+                errors[s] = ClosureViolation("adapted cointegral has off-diagonal coefficients")
+            else:
+                rows[s].append(tuple(np.flatnonzero(selected[s]).tolist()))
+        comps.append(A)
+        # The snapped idempotent U diag(mask) U^-1 of the block.
+        idems.append((U * selected[:, None, :]) @ Uinv)
+    projectors = _projectors(B, idems)
+    out: list[SubalgebraIndex | Exception] = []
+    for s in range(S):
+        if errors[s] is None and 0 not in rows[s][0]:
+            errors[s] = ClosureViolation("unit summand is missing from the subalgebra")
+        if errors[s] is not None:
+            out.append(errors[s])
+            continue
+        sel = rows[s]
+        dim_l = float(sum(B.blocks[j].summand_dim * len(r) for j, r in enumerate(sel)))
+        ce_dim = int(sum(len(r) * B.blocks[j].m for j, r in enumerate(sel)))
+        blocks = BlockStructure(ring, adapted.blocks[s], B.seed)
+        components = tuple(A[s] for A in comps)
+        out.append(SubalgebraIndex(B, blocks, tuple(sel), dim_l, ce_dim, projectors[s], components))
+    return out
+
+
+def _projectors(B: BlockStructure, idems: list[np.ndarray]) -> np.ndarray:
+    """(S, r, r) projectors ``U blockdiag_j(I_m (x) L_j^T) U^-1`` from the base units.
+
+    ``idems[j]`` holds the (S, m, m) snapped idempotents L_j of block j and
+    U is the base unit matrix.  This equals ``U' diag(mask) U'^-1`` for the
+    adapted units U', without forming U'.  The (r, r) middle products are
+    formed for a row block of S at a time, at most ``_BLOCK_BYTES`` of them.
+    """
+    r = B.rank
+    S = len(idems[0])
+    # Rows (k, a), columns b: the coefficient k of the base unit F^j_ab.
+    units = [blk.units.transpose(2, 0, 1).reshape(r * blk.m, blk.m) for blk in B.blocks]
+    out = np.empty((S, r, r), dtype=complex)
+    step = max(1, _BLOCK_BYTES // (r * r * out.itemsize))
+    buf = np.empty((min(step, S), r, r), dtype=complex)
+    for lo in range(0, S, step):
+        G = buf[: min(step, S - lo)]
+        pos = 0
+        for blk, F, L in zip(B.blocks, units, idems):
+            width = blk.m * blk.m
+            G[:, :, pos : pos + width] = np.matmul(
+                F, L[lo : lo + step].transpose(0, 2, 1)
+            ).reshape(len(G), r, width)
+            pos += width
+        np.matmul(G, B._unit_matrix_inv, out=out[lo : lo + step])
+    out.setflags(write=False)
+    return out
 
 
 def epsilon_L(L: SubalgebraIndex) -> ClassFunction:
@@ -247,16 +318,44 @@ def _group_equal_rows(rows: np.ndarray, tol: float) -> list[list[int]]:
 
     Each row joins the first class whose first row is within ``tol`` of it in
     the max norm, or starts a new class.  The class of row 0 comes first, the
-    rest in order of their smallest member.  Computed one class at a time:
-    the first row not yet placed starts a class and takes every unplaced row
-    near it, which are exactly the rows that no earlier first row took.
+    rest in order of their smallest member.
+
+    Two rows within ``tol`` differ by at most ``bound`` in a fixed weighted
+    sum of their real and imaginary parts, so sorting by that key and cutting
+    where it jumps by more than ``bound`` never separates them, and the rule
+    runs on each run of keys alone.  A run whose rows all lie within ``tol``
+    of its smallest member is one class.  Any other run is split one class
+    at a time: its first row not yet placed takes every unplaced row near it,
+    which are exactly the rows that no earlier first row took.
     """
+    parts = [rows.real, rows.imag] if np.iscomplexobj(rows) else [rows]
+    flat = np.concatenate(parts, axis=1)
+    # Generic weights: rows that differ keep distinct keys unless their
+    # difference happens to be orthogonal to the weights.
+    weights = np.random.default_rng(0).uniform(1, 2, flat.shape[1])
+    key = flat @ weights
+    rounding = 2 * flat.shape[1] * np.finfo(float).eps * float(np.max(np.abs(flat), initial=0.0))
+    bound = 2 * weights.sum() * (tol + rounding)
+    order = np.argsort(key, kind="stable")
+    run_of = np.empty(len(rows), dtype=np.intp)
+    run_of[order] = np.concatenate(([0], np.cumsum(np.diff(key[order]) > bound)))
+    members = np.lexsort((np.arange(len(rows)), run_of))  # by run, then by index
+    starts = np.flatnonzero(np.diff(run_of[members], prepend=-1))
+    heads = members[starts]
+    near_head = np.max(np.abs(rows - rows[heads[run_of]]), axis=1, initial=0.0) <= tol
+    whole = np.logical_and.reduceat(near_head[members], starts).tolist() if len(rows) else []
+    ends = [*starts.tolist()[1:], len(rows)]
+    members = members.tolist()
     classes: list[list[int]] = []
-    rest = np.arange(len(rows))
-    while rest.size:
-        near = np.max(np.abs(rows[rest] - rows[rest[0]]), axis=1) <= tol
-        classes.append(rest[near].tolist())
-        rest = rest[~near]
+    for lo, hi, one_class in zip(starts.tolist(), ends, whole):
+        if one_class:
+            classes.append(members[lo:hi])
+            continue
+        rest = np.array(members[lo:hi])
+        while rest.size:
+            near = np.max(np.abs(rows[rest] - rows[rest[0]]), axis=1) <= tol
+            classes.append(rest[near].tolist())
+            rest = rest[~near]
     classes.sort(key=lambda cls: (0 not in cls, cls[0]))
     return classes
 
@@ -279,7 +378,7 @@ def ce_basis(
                 out.append(CentralElement(ring, blk.class_sums[s, t]))
     if check:
         vecs = np.array([b.coeffs for b in out]).reshape(len(out), ring.rank).T
-        span = orthonormal_basis(vecs)
+        span = L.ce_span
         if span.shape[1] != L.ce_dim:
             raise ClosureFailure(
                 f"class-sum span has dimension {span.shape[1]}, expected {L.ce_dim}"
@@ -344,11 +443,7 @@ class LatticeTable:
     @cached_property
     def membership(self) -> np.ndarray:
         """(S, r) bool matrix: row e marks the simples of entry e's subcategory."""
-        out = np.zeros((len(self.entries), self.ring.rank), dtype=bool)
-        for e, entry in enumerate(self.entries):
-            out[e, list(entry.subcategory.indices)] = True
-        out.setflags(write=False)
-        return out
+        return _membership(self.ring, [e.subcategory for e in self.entries])
 
     @cached_property
     def _by_row(self) -> dict[bytes, int]:
@@ -433,50 +528,76 @@ def build_lattice(
 ) -> LatticeTable:
     """Full correspondence table between subcategories and subalgebras.
 
-    The one place where subalgebras are built from subcategories; every
-    consumer of the correspondence reads this table.  Verifies, for every
-    enumerated subcategory: the round trip through its
-    subalgebra, injectivity of the central subspaces, and anti-monotonicity of
-    the correspondence.  Emits Hasse edges of the subcategory inclusion order.
+    The one place where subalgebras are built from subcategories, all of them
+    in one stacked pass; every consumer of the correspondence reads this
+    table.  Verifies, for every enumerated subcategory: the round trip
+    through its subalgebra, injectivity of the central subspaces, and
+    anti-monotonicity of the correspondence.  Emits Hasse edges of the
+    subcategory inclusion order.  The first failing subcategory, then the
+    first failing pair, raises as it would one at a time.
     """
+    subcats = enumerate_subcategories(ring)
     entries = []
-    for D in enumerate_subcategories(ring):
-        L = subalgebra_from_subcategory(D, B, tol)
+    for D, L in zip(subcats, _subalgebras(subcats, B, tol)):
+        if isinstance(L, Exception):
+            raise L
         back = subcategory_from_subalgebra(L, tol)
         if back.indices != D.indices:
             raise RoundTripFailure(f"{D.indices} round-tripped to {back.indices}")
         entries.append(LatticeEntry(D, L, block_partition(L, tol)))
 
+    spans = [e.subalgebra.ce_span for e in entries]
+    widths = np.array([Q.shape[1] for Q in spans])
     for a in range(len(entries)):
-        for b in range(a + 1, len(entries)):
-            La, Lb = entries[a].subalgebra, entries[b].subalgebra
-            same_dim = La.ce_span.shape[1] == Lb.ce_span.shape[1]
-            if same_dim and _span_contains(La.ce_span, Lb.ce_span, tol):
-                raise RoundTripFailure(
-                    "distinct subcategories produced identical central subspaces: "
-                    f"{entries[a].subcategory.indices} vs {entries[b].subcategory.indices}"
-                )
+        later = a + 1 + np.flatnonzero(widths[a + 1 :] == widths[a])
+        if not later.size:
+            continue
+        same = _spans_contained(spans[a], [spans[b] for b in later], tol)
+        if same.any():
+            b = int(later[np.argmax(same)])
+            raise RoundTripFailure(
+                "distinct subcategories produced identical central subspaces: "
+                f"{entries[a].subcategory.indices} vs {entries[b].subcategory.indices}"
+            )
 
-    for a, ea in enumerate(entries):
-        for b, eb in enumerate(entries):
-            if a == b:
-                continue
-            if set(ea.subcategory.indices) <= set(eb.subcategory.indices):
-                inner = eb.subalgebra.ce_span
-                outer = ea.subalgebra.ce_span
-                if not _span_contains(outer, inner, tol):
-                    raise MonotonicityFailure(
-                        f"inclusion {ea.subcategory.indices} <= {eb.subcategory.indices} "
-                        "was not reversed by the central subspaces"
-                    )
-
-    edges = []
-    sets = [set(e.subcategory.indices) for e in entries]
+    inside = _inclusions(_membership(ring, [e.subcategory for e in entries]))
     for a in range(len(entries)):
-        for b in range(len(entries)):
-            if a == b or not sets[a] < sets[b]:
-                continue
-            if any(sets[a] < sets[c] < sets[b] for c in range(len(entries))):
-                continue
-            edges.append((a, b))
-    return LatticeTable(ring, B, tuple(entries), tuple(sorted(edges)))
+        supersets = np.flatnonzero(inside[a])
+        supersets = supersets[supersets != a]
+        if not supersets.size:
+            continue
+        reversed_ = _spans_contained(spans[a], [spans[b] for b in supersets], tol)
+        if not reversed_.all():
+            b = int(supersets[np.argmin(reversed_)])
+            raise MonotonicityFailure(
+                f"inclusion {entries[a].subcategory.indices} <= {entries[b].subcategory.indices} "
+                "was not reversed by the central subspaces"
+            )
+    return LatticeTable(ring, B, tuple(entries), _hasse_edges(inside))
+
+
+def _membership(ring: FusionRingData, subcats) -> np.ndarray:
+    """(S, r) bool matrix: row e marks the simples of subcategory e."""
+    out = np.zeros((len(subcats), ring.rank), dtype=bool)
+    for e, D in enumerate(subcats):
+        out[e, list(D.indices)] = True
+    out.setflags(write=False)
+    return out
+
+
+def _inclusions(M: np.ndarray) -> np.ndarray:
+    """(S, S) bool matrix: entry (a, b) when row a of M is a subset of row b."""
+    Mf = M.astype(float)
+    return Mf @ Mf.T == Mf.sum(axis=1)[:, None]
+
+
+def _hasse_edges(inside: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """Covering pairs (a, b) of the strict inclusions, in sorted order.
+
+    ``inside`` is :func:`_inclusions`; a pair is strict when the inclusion
+    does not hold both ways, and covering when no c lies strictly between.
+    """
+    strict = inside & ~inside.T
+    Sf = strict.astype(float)
+    cover = strict & ~(Sf @ Sf > 0)
+    return tuple((int(a), int(b)) for a, b in np.argwhere(cover))

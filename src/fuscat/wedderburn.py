@@ -30,7 +30,7 @@ from .char_theory import (
     unit_central_element,
 )
 from .fusion_ring import FusionRingData
-from .linalg import DEFAULT_TOL, Tolerance, joint_eigenspaces, snap_integer
+from .linalg import _BLOCK_BYTES, DEFAULT_TOL, Tolerance, joint_eigenspaces, snap_integer
 
 __all__ = [
     "SplitFailure",
@@ -126,11 +126,21 @@ class BlockStructure:
 
     def expand(self, coeffs: np.ndarray) -> list[np.ndarray]:
         """Coefficients of a chi-basis vector in the matrix-unit basis, per block."""
-        alpha = self._unit_matrix_inv @ np.asarray(coeffs, dtype=complex)
+        return [comps[0] for comps in self._expand_rows(np.asarray(coeffs)[None])]
+
+    def _expand_rows(self, coeffs: np.ndarray) -> list[np.ndarray]:
+        """:meth:`expand` of each row of an (S, rank) array: one (S, m, m) array per block.
+
+        Each row is multiplied by the inverse on its own, so it expands to the
+        same bits as it does alone; one matrix product for all rows would
+        round differently.
+        """
+        inv = self._unit_matrix_inv
+        alpha = np.stack([inv @ c for c in np.asarray(coeffs, dtype=complex)])
         out = []
         pos = 0
         for blk in self.blocks:
-            out.append(alpha[pos : pos + blk.m * blk.m].reshape(blk.m, blk.m))
+            out.append(alpha[:, pos : pos + blk.m * blk.m].reshape(-1, blk.m, blk.m))
             pos += blk.m * blk.m
         return out
 
@@ -334,44 +344,139 @@ def adapt_to_idempotent(
     """
     if p.ring is not B.ring:
         raise ValueError("idempotent and block structure belong to different rings")
+    adapted = _adapt_stack(B, p.coeffs[None], tol)
+    if adapted.errors[0] is not None:
+        raise adapted.errors[0]
+    return BlockStructure(B.ring, adapted.blocks[0], B.seed)
+
+
+@dataclass(frozen=True, eq=False)
+class _Adaptation:
+    """S idempotents adapted at once (:func:`_adapt_stack`).
+
+    Per block j, stacked over the S idempotents: ``comps[j]`` holds their
+    (S, m, m) components in the base matrix units, ``bases[j]`` the
+    eigenbases U that adapt the block (ones for an m = 1 block) and
+    ``inverses[j]`` their inverses.  ``blocks[s]`` is the adapted block tuple
+    of idempotent s, and ``errors[s]`` the exception that adapting it alone
+    raises; where that is set, ``blocks[s]`` is None and the arrays of row s
+    are placeholders.
+    """
+
+    comps: tuple[np.ndarray, ...]
+    bases: tuple[np.ndarray, ...]
+    inverses: tuple[np.ndarray, ...]
+    blocks: tuple[tuple[Block, ...] | None, ...]
+    errors: tuple[Exception | None, ...]
+
+
+def _stacked(fn, A: np.ndarray, errors: list):
+    """``fn`` on a stack of matrices; matrix by matrix if the stacked call fails.
+
+    A matrix whose own call raises ``LinAlgError`` records it as its row's
+    error, unless the row has one, and gets the result for the identity.
+    """
+    try:
+        return fn(A)
+    except np.linalg.LinAlgError:
+        pass
+    eye = np.eye(A.shape[-1], dtype=A.dtype)
+    outs = []
+    for s, X in enumerate(A):
+        try:
+            outs.append(fn(X))
+        except np.linalg.LinAlgError as exc:
+            if errors[s] is None:
+                errors[s] = exc
+            outs.append(fn(eye))
+    if isinstance(outs[0], tuple):
+        return tuple(np.stack(parts) for parts in zip(*outs))
+    return np.stack(outs)
+
+
+def _adapt_stack(B: BlockStructure, coeffs: np.ndarray, tol: Tolerance) -> _Adaptation:
+    """:func:`adapt_to_idempotent` for each row of an (S, rank) array at once.
+
+    Per block with m > 1, one stacked eigvals, SVD and inverse serve all S
+    components; only the signature sort of the eigenvectors runs per row.
+    The adapted units are formed by two batched products in row blocks of S,
+    and their class sums by one inverse Fourier image.  A row that fails
+    keeps the first error it would raise alone; its later blocks are
+    computed on the identity so that they cannot fail in its place.
+    """
     ring = B.ring
-    comps = B.expand(p.coeffs)
-    new_blocks = []
+    r = ring.rank
+    comps = B._expand_rows(coeffs)
+    S = len(comps[0])
+    errors: list[Exception | None] = [None] * S
+    bases, inverses, adapted = [], [], []
     for blk, P in zip(B.blocks, comps):
         m = blk.m
         if m == 1:
-            val = complex(P[0, 0])
-            if min(abs(val), abs(val - 1)) > tol.snap_tol:
-                raise NotIdempotent(f"block eigenvalue {val!r} is not in {{0, 1}}")
-            new_blocks.append(blk)
+            vals = P[:, 0, 0]
+            for s in np.flatnonzero(np.minimum(np.abs(vals), np.abs(vals - 1)) > tol.snap_tol):
+                if errors[s] is None:
+                    errors[s] = NotIdempotent(
+                        f"block eigenvalue {complex(vals[s])!r} is not in {{0, 1}}"
+                    )
+            bases.append(np.ones_like(P))
+            inverses.append(bases[-1])
+            adapted.append(None)
             continue
-        w = np.linalg.eigvals(P)
-        ones = int(np.sum(np.abs(w - 1) <= tol.snap_tol))
-        zeros = int(np.sum(np.abs(w) <= tol.snap_tol))
-        if ones + zeros != m:
-            bad = w[int(np.argmax(np.minimum(np.abs(w - 1), np.abs(w))))]
-            raise NotIdempotent(f"block eigenvalue {bad!r} is not in {{0, 1}}")
+        eye = np.eye(m, dtype=complex)
+        failed = np.array([e is not None for e in errors])
+        w = _stacked(np.linalg.eigvals, np.where(failed[:, None, None], eye, P), errors)
+        ones = np.count_nonzero(np.abs(w - 1) <= tol.snap_tol, axis=1)
+        zeros = np.count_nonzero(np.abs(w) <= tol.snap_tol, axis=1)
+        # A row that failed before is the identity here, so cannot fail again.
+        for s in np.flatnonzero(ones + zeros != m):
+            bad = w[s][int(np.argmax(np.minimum(np.abs(w[s] - 1), np.abs(w[s]))))]
+            errors[s] = NotIdempotent(f"block eigenvalue {bad!r} is not in {{0, 1}}")
+        failed = np.array([e is not None for e in errors])
+        ones[failed] = m
         # Eigenbasis without eigenvector ambiguity: the eigenvalue-1 space is
         # the column space of P, the eigenvalue-0 space its kernel.
-        Us, _, Vh = np.linalg.svd(P)
-        image = [Us[:, k] for k in range(ones)]
-        kernel = [Vh[k].conj() for k in range(ones, m)]
-        cols = []
-        for one, group in ((0, image), (1, kernel)):
-            for v in group:
-                piv = v[int(np.argmax(np.abs(v)))]
-                if abs(piv) > 0:
-                    v = v * (abs(piv) / piv)
-                sig = tuple((round(float(-c.real), 9), round(float(-c.imag), 9)) for c in v)
-                cols.append((one, sig, v))
-        cols.sort(key=lambda item: item[:2])
-        U = np.column_stack([item[2] for item in cols])
-        Uinv = np.linalg.inv(U)
-        units = np.einsum("as,tb,abk->stk", U, Uinv, blk.units)
-        new_blocks.append(
-            Block(blk.m, blk.n, blk.summand_dim, units, _fourier_inverse_raw(ring, units))
+        Us, _, Vh = _stacked(np.linalg.svd, np.where(failed[:, None, None], eye, P), errors)
+        image = np.arange(m) < ones[:, None]
+        cols = np.where(image[:, None, :], Us, Vh.conj().transpose(0, 2, 1))
+        piv = np.take_along_axis(cols, np.argmax(np.abs(cols), axis=1)[:, None, :], axis=1)
+        phase = np.ones_like(piv)
+        np.divide(np.abs(piv), piv, out=phase, where=np.abs(piv) > 0)
+        cols *= phase
+        U = np.empty_like(cols)
+        for s in range(S):
+            if failed[s]:
+                U[s] = eye
+                continue
+            neg_re, neg_im = (-cols[s].real).T.tolist(), (-cols[s].imag).T.tolist()
+            keys = [
+                (k >= ones[s], tuple((round(x, 9), round(y, 9)) for x, y in zip(re, im)))
+                for k, (re, im) in enumerate(zip(neg_re, neg_im))
+            ]
+            U[s] = cols[s][:, sorted(range(m), key=keys.__getitem__)]
+        Uinv = _stacked(np.linalg.inv, U, errors)
+        # units'[s, t] = sum_ab U[a, s] Uinv[t, b] units[a, b]
+        X = blk.units.reshape(m, m * r)
+        units = np.empty((S, m, m, r), dtype=complex)
+        step = max(1, _BLOCK_BYTES // (m * m * r * units.itemsize))
+        for lo in range(0, S, step):
+            Y = np.matmul(U[lo : lo + step].transpose(0, 2, 1), X)
+            np.matmul(
+                Uinv[lo : lo + step, None], Y.reshape(-1, m, m, r), out=units[lo : lo + step]
+            )
+        sums = _fourier_inverse_raw(ring, units)
+        bases.append(U)
+        inverses.append(Uinv)
+        adapted.append(
+            [Block(m, blk.n, blk.summand_dim, units[s], sums[s]) for s in range(S)]
         )
-    return BlockStructure(ring, tuple(new_blocks), B.seed)
+    blocks = tuple(
+        None
+        if errors[s] is not None
+        else tuple(blk if new is None else new[s] for blk, new in zip(B.blocks, adapted))
+        for s in range(S)
+    )
+    return _Adaptation(tuple(comps), tuple(bases), tuple(inverses), blocks, tuple(errors))
 
 
 def verify_class_sum_pairings(B: BlockStructure) -> float:

@@ -1,0 +1,426 @@
+"""The stacked correspondence table against the one-subcategory-at-a-time build.
+
+The reference below is the per-subcategory construction the stacked pass
+replaced: every block adapted by its own eigvals/SVD/inverse and an einsum,
+the cointegral expanded a second time in the adapted unit matrix, the
+projector read from that matrix and its inverse, one containment test per
+pair, and Hasse edges from an O(S^3) loop over Python sets.  It looks up
+``subcategory_cointegral``, ``enumerate_subcategories`` and
+``block_partition`` through ``subalg`` at call time, so a test that perturbs
+one of them perturbs both constructions alike.
+"""
+
+import os
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from fuscat import cli, subalg, wedderburn
+from fuscat.char_theory import ClassFunction, _fourier_inverse_raw
+from fuscat.cli import parse_source
+from fuscat.fusion_ring import enumerate_subcategories
+from fuscat.linalg import DEFAULT_TOL, _span_contains
+from fuscat.subalg import (
+    ClosureViolation,
+    LatticeEntry,
+    LatticeTable,
+    MonotonicityFailure,
+    RoundTripFailure,
+    SubalgebraIndex,
+    build_lattice,
+    subalgebra_from_subcategory,
+)
+from fuscat.verify import battery_sources
+from fuscat.wedderburn import Block, BlockStructure, NotIdempotent, compute_blocks
+
+from conftest import su2_fusion_ring
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def reference_adapt(B, p, tol=DEFAULT_TOL):
+    ring = B.ring
+    comps = B.expand(p.coeffs)
+    new_blocks = []
+    for blk, P in zip(B.blocks, comps):
+        m = blk.m
+        if m == 1:
+            val = complex(P[0, 0])
+            if min(abs(val), abs(val - 1)) > tol.snap_tol:
+                raise NotIdempotent(f"block eigenvalue {val!r} is not in {{0, 1}}")
+            new_blocks.append(blk)
+            continue
+        w = np.linalg.eigvals(P)
+        ones = int(np.sum(np.abs(w - 1) <= tol.snap_tol))
+        zeros = int(np.sum(np.abs(w) <= tol.snap_tol))
+        if ones + zeros != m:
+            bad = w[int(np.argmax(np.minimum(np.abs(w - 1), np.abs(w))))]
+            raise NotIdempotent(f"block eigenvalue {bad!r} is not in {{0, 1}}")
+        Us, _, Vh = np.linalg.svd(P)
+        image = [Us[:, k] for k in range(ones)]
+        kernel = [Vh[k].conj() for k in range(ones, m)]
+        cols = []
+        for one, group in ((0, image), (1, kernel)):
+            for v in group:
+                piv = v[int(np.argmax(np.abs(v)))]
+                if abs(piv) > 0:
+                    v = v * (abs(piv) / piv)
+                sig = tuple((round(float(-c.real), 9), round(float(-c.imag), 9)) for c in v)
+                cols.append((one, sig, v))
+        cols.sort(key=lambda item: item[:2])
+        U = np.column_stack([item[2] for item in cols])
+        Uinv = np.linalg.inv(U)
+        units = np.einsum("as,tb,abk->stk", U, Uinv, blk.units)
+        new_blocks.append(
+            Block(blk.m, blk.n, blk.summand_dim, units, _fourier_inverse_raw(ring, units))
+        )
+    return BlockStructure(ring, tuple(new_blocks), B.seed)
+
+
+def reference_subalgebra(D, B, tol=DEFAULT_TOL):
+    lam = subalg.subcategory_cointegral(D)
+    adapted = reference_adapt(B, lam, tol)
+    comps = adapted.expand(lam.coeffs)
+    rows = []
+    for blk, P in zip(adapted.blocks, comps):
+        selected = []
+        for s in range(blk.m):
+            val = complex(P[s, s])
+            if abs(val - 1) <= tol.snap_tol:
+                selected.append(s)
+            elif abs(val) > tol.snap_tol:
+                raise ClosureViolation(f"diagonal coefficient {val!r} is not 0 or 1")
+        off = P - np.diag(np.diag(P))
+        if np.max(np.abs(off)) > tol.snap_tol:
+            raise ClosureViolation("adapted cointegral has off-diagonal coefficients")
+        rows.append(tuple(selected))
+    if not rows or 0 not in rows[0]:
+        raise ClosureViolation("unit summand is missing from the subalgebra")
+    dim_l = float(sum(adapted.blocks[j].summand_dim * len(r) for j, r in enumerate(rows)))
+    ce_dim = int(sum(len(r) * adapted.blocks[j].m for j, r in enumerate(rows)))
+    mask = np.array([t in rows[j] for j, _s, t in adapted.unit_index()])
+    projector = adapted._unit_matrix[:, mask] @ adapted._unit_matrix_inv[mask]
+    blocks = BlockStructure(B.ring, adapted.blocks, adapted.seed)
+    return SubalgebraIndex(B, blocks, tuple(rows), dim_l, ce_dim, projector, tuple(comps))
+
+
+def reference_edges(sets):
+    edges = []
+    for a in range(len(sets)):
+        for b in range(len(sets)):
+            if a == b or not sets[a] < sets[b]:
+                continue
+            if any(sets[a] < sets[c] < sets[b] for c in range(len(sets))):
+                continue
+            edges.append((a, b))
+    return tuple(sorted(edges))
+
+
+def reference_build_lattice(ring, B, tol=DEFAULT_TOL):
+    entries = []
+    for D in subalg.enumerate_subcategories(ring):
+        L = reference_subalgebra(D, B, tol)
+        back = subalg.subcategory_from_subalgebra(L, tol)
+        if back.indices != D.indices:
+            raise RoundTripFailure(f"{D.indices} round-tripped to {back.indices}")
+        entries.append(LatticeEntry(D, L, subalg.block_partition(L, tol)))
+    for a in range(len(entries)):
+        for b in range(a + 1, len(entries)):
+            La, Lb = entries[a].subalgebra, entries[b].subalgebra
+            same_dim = La.ce_span.shape[1] == Lb.ce_span.shape[1]
+            if same_dim and _span_contains(La.ce_span, Lb.ce_span, tol):
+                raise RoundTripFailure(
+                    "distinct subcategories produced identical central subspaces: "
+                    f"{entries[a].subcategory.indices} vs {entries[b].subcategory.indices}"
+                )
+    for a, ea in enumerate(entries):
+        for b, eb in enumerate(entries):
+            if a != b and set(ea.subcategory.indices) <= set(eb.subcategory.indices):
+                if not _span_contains(ea.subalgebra.ce_span, eb.subalgebra.ce_span, tol):
+                    raise MonotonicityFailure(
+                        f"inclusion {ea.subcategory.indices} <= {eb.subcategory.indices} "
+                        "was not reversed by the central subspaces"
+                    )
+    edges = reference_edges([set(e.subcategory.indices) for e in entries])
+    return LatticeTable(ring, B, tuple(entries), edges)
+
+
+def ring_of(source):
+    if source.startswith("su2:"):
+        return su2_fusion_ring(int(source[4:]))
+    return parse_source(source, 0, DEFAULT_TOL)[0]
+
+
+def assert_tables_match(new, ref):
+    assert len(new.entries) == len(ref.entries)
+    for e, f in zip(new.entries, ref.entries):
+        L, R = e.subalgebra, f.subalgebra
+        assert e.subcategory.indices == f.subcategory.indices
+        assert (L.rows, L.dim_l, L.ce_dim, e.partition) == (R.rows, R.dim_l, R.ce_dim, f.partition)
+        for b1, b2 in zip(L.blocks.blocks, R.blocks.blocks):
+            assert np.max(np.abs(b1.units - b2.units)) <= 1e-12
+        for P1, P2 in zip(L.cointegral_components, R.cointegral_components):
+            assert np.max(np.abs(P1 - P2)) <= 1e-12
+        assert np.max(np.abs(L.projector - R.projector)) <= 1e-12
+    assert new.hasse_edges == ref.hasse_edges
+
+
+@pytest.mark.parametrize(
+    "source", battery_sources(large=True) + ["vec:alternating:5", "su2:40"]
+)
+def test_stacked_table_matches_per_subcategory_build(source):
+    ring = ring_of(source)
+    B = compute_blocks(ring)
+    assert_tables_match(build_lattice(ring, B), reference_build_lattice(ring, B))
+
+
+@pytest.fixture(scope="module")
+def s4():
+    """vec:symmetric:4: 30 subcategories, blocks of multiplicity 1, 1, 2, 3, 3."""
+    ring = ring_of("vec:symmetric:4")
+    return ring, compute_blocks(ring)
+
+
+def raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def perturb_cointegrals(monkeypatch, ring, deltas):
+    """Add deltas[k] to the cointegral of the k-th enumerated subcategory."""
+    original = subalg.subcategory_cointegral
+    position = {D.indices: k for k, D in enumerate(enumerate_subcategories(ring))}
+
+    def perturbed(D):
+        lam = original(D)
+        k = position[D.indices]
+        return ClassFunction(ring, lam.coeffs + deltas[k]) if k in deltas else lam
+
+    monkeypatch.setattr(subalg, "subcategory_cointegral", perturbed)
+
+
+def unit(B, j, s, t):
+    return B.blocks[j].units[s, t]
+
+
+def central(B, j):
+    return B.blocks[j].central_idempotent
+
+
+def swap_to(k):
+    """Delta turning a cointegral into that of the k-th subcategory."""
+
+    def delta(B, own):
+        D = enumerate_subcategories(B.ring)[k]
+        return subalg.subcategory_cointegral(D).coeffs - own
+
+    return delta
+
+
+def nan(B, own):
+    return np.full(B.rank, np.nan)
+
+
+# Each case maps enumeration positions to the delta, a function of B and the
+# unperturbed cointegral, added to that subcategory's cointegral.
+PERTURBATIONS = {
+    # The m = 1 blocks 0 and 1 leave {0, 1} in subcategory 4, block 0 in
+    # subcategory 9; subcategory 4 is named, by its block 0.
+    "m1_eigenvalue": (
+        {
+            4: lambda B, own: 0.3 * unit(B, 0, 0, 0) + 0.2 * unit(B, 1, 0, 0),
+            9: lambda B, own: 0.2 * unit(B, 0, 0, 0),
+        },
+        NotIdempotent,
+    ),
+    # Subcategory 2 fails in blocks 2 and 4, subcategory 6 already in block 3:
+    # the stacked pass sees 6 fail first, yet 2 is named, by its block 2.
+    "block_order": (
+        {
+            2: lambda B, own: 0.35 * central(B, 2) + 0.25 * central(B, 4),
+            6: lambda B, own: 0.3 * central(B, 3),
+        },
+        NotIdempotent,
+    ),
+    # A nilpotent part in a block where the cointegral vanishes: eigenvalues
+    # stay 0, but the adapted component is not diagonal.
+    "off_diagonal": ({29: lambda B, own: 1e-3 * unit(B, 3, 0, 1)}, ClosureViolation),
+    "unit_missing": ({5: lambda B, own: -unit(B, 0, 0, 0)}, ClosureViolation),
+    "round_trip_before_eigenvalue": (
+        {3: swap_to(7), 8: lambda B, own: 0.3 * central(B, 4)},
+        RoundTripFailure,
+    ),
+    "eigenvalue_before_round_trip": (
+        {1: lambda B, own: 0.3 * central(B, 4), 3: swap_to(7)},
+        NotIdempotent,
+    ),
+    # A NaN cointegral passes the m = 1 tests (NaN compares false) and makes
+    # the first m > 1 block's eigvals raise; the stacked call then runs
+    # matrix by matrix and keeps that error for its row alone.
+    "linalg_error": (
+        {3: nan, 6: lambda B, own: 0.3 * central(B, 2)},
+        np.linalg.LinAlgError,
+    ),
+    "linalg_error_later": (
+        {3: lambda B, own: 0.3 * central(B, 4), 6: nan},
+        NotIdempotent,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PERTURBATIONS))
+def test_first_failure_matches_reference(monkeypatch, s4, case):
+    ring, B = s4
+    spec, expected = PERTURBATIONS[case]
+    subs = enumerate_subcategories(ring)
+    own = {k: subalg.subcategory_cointegral(subs[k]).coeffs for k in spec}
+    deltas = {k: delta(B, own[k]) for k, delta in spec.items()}
+    perturb_cointegrals(monkeypatch, ring, deltas)
+    outcome = raised(build_lattice, ring, B)
+    assert outcome == raised(reference_build_lattice, ring, B)
+    assert outcome[0] is expected
+    # Each single call fails, or succeeds, as the reference does for it alone.
+    for D in subs:
+        try:
+            R = reference_subalgebra(D, B)
+        except Exception as exc:  # noqa: BLE001 - compared below
+            assert raised(subalgebra_from_subcategory, D, B) == (type(exc), str(exc))
+        else:
+            assert subalgebra_from_subcategory(D, B).rows == R.rows
+
+
+def test_stacked_call_falls_back_matrix_by_matrix():
+    A = np.stack([2 * np.eye(3), np.zeros((3, 3)), np.diag([1.0, 2, 4])]).astype(complex)
+    errors = [None, None, None]
+    inv = wedderburn._stacked(np.linalg.inv, A, errors)
+    assert errors[0] is None and errors[2] is None
+    assert isinstance(errors[1], np.linalg.LinAlgError)
+    assert np.allclose(inv, [np.eye(3) / 2, np.eye(3), np.diag([1, 0.5, 0.25])])
+    errors = [None, None, None]
+    assert np.allclose(wedderburn._stacked(np.linalg.inv, A[[0, 2]], errors), inv[[0, 2]])
+    assert errors == [None, None, None]
+
+
+@pytest.mark.parametrize("at", [5, 9])
+def test_duplicate_subcategory_fails_injectivity_as_reference(monkeypatch, s4, at):
+    ring, B = s4
+    subs = enumerate_subcategories(ring)
+    with_duplicate = subs[:at] + [subs[4]] + subs[at:]
+    monkeypatch.setattr(subalg, "enumerate_subcategories", lambda _ring: with_duplicate)
+    outcome = raised(build_lattice, ring, B)
+    assert outcome == raised(reference_build_lattice, ring, B)
+    assert outcome[0] is RoundTripFailure and "identical central subspaces" in outcome[1]
+
+
+@pytest.mark.parametrize("target", [4, 12, 21])
+def test_skewed_span_fails_monotonicity_as_reference(monkeypatch, s4, target):
+    # The target's central subspace is replaced by a random one of the same
+    # dimension; partitions are skipped, so only the pair checks can fail.
+    ring, B = s4
+    indices = enumerate_subcategories(ring)[target].indices
+    original = SubalgebraIndex.ce_span.func
+
+    def skewed(self):
+        Q = original(self)
+        if subalg.subcategory_from_subalgebra(self).indices != indices:
+            return Q
+        rng = np.random.default_rng(target)
+        return np.linalg.qr(rng.standard_normal(Q.shape) + 1j * rng.standard_normal(Q.shape))[0]
+
+    monkeypatch.setattr(SubalgebraIndex, "ce_span", property(skewed))
+    monkeypatch.setattr(subalg, "block_partition", lambda L, tol=DEFAULT_TOL: ((0,),))
+    outcome = raised(build_lattice, ring, B)
+    assert outcome == raised(reference_build_lattice, ring, B)
+    assert outcome[0] is MonotonicityFailure
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_hasse_edges_match_set_loop(seed):
+    # Random families of subsets of 7 points, with repeated rows, the empty
+    # set and the full set.
+    rng = np.random.default_rng(seed)
+    M = rng.random((30, 7)) < rng.uniform(0.2, 0.8)
+    M = np.concatenate([M, M[:4], np.zeros((1, 7), bool), np.ones((1, 7), bool)])
+    M = M[rng.permutation(len(M))]
+    sets = [set(np.flatnonzero(row).tolist()) for row in M]
+    edges = subalg._hasse_edges(subalg._inclusions(M))
+    assert edges == reference_edges(sets)
+    assert len(edges) > 0
+
+
+def test_lattice_memory_above_the_table(vec_a5_ring):
+    ring = vec_a5_ring
+    B = compute_blocks(ring)
+    ring.N_float, ring.support, B._unit_matrix_inv  # cached before tracing
+    enumerate_subcategories(ring)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        table = build_lattice(ring, B)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table.entries) == 59
+    assert retained - start > 8e6  # units, class sums, projectors and spans of 59 entries
+    assert peak - retained <= 2e6
+
+
+def test_adaptation_memory_above_its_result(vec_a5_ring):
+    # The adapted units of the m = 5 block alone take 1.4 MB for all 59
+    # cointegrals; they are formed in row blocks, and each block's class sums
+    # are read without a copy.
+    ring = vec_a5_ring
+    B = compute_blocks(ring)
+    B._unit_matrix_inv
+    subs = enumerate_subcategories(ring)
+    coeffs = np.array([subalg.subcategory_cointegral(D).coeffs for D in subs])
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        adapted = wedderburn._adapt_stack(B, coeffs, DEFAULT_TOL)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(e is None for e in adapted.errors)
+    assert retained - start > 6e6
+    assert peak - retained <= 1e6
+
+
+def test_one_unit_matrix_inverse(monkeypatch, vec_a5_ring):
+    ring = vec_a5_ring
+    B = compute_blocks(ring)
+    shapes = []
+    real_inv = np.linalg.inv
+
+    def spy(a):
+        shapes.append(np.shape(a))
+        return real_inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", spy)
+    build_lattice(ring, B)
+    r = ring.rank
+    assert shapes.count((r, r)) == 1  # the base unit matrix, once
+    assert all(len(s) == 3 and s[1] < r for s in shapes if s != (r, r))  # stacked block bases
+
+
+def test_lattice_report_bytes_unchanged(tmp_path):
+    out = tmp_path / "lattice.json"
+    argv = ["lattice", "vec:symmetric:4", "--format", "json", "--seed", "0", "--output", str(out)]
+    assert cli.main(argv) == 0
+    with open(os.path.join(DATA, "lattice_vec_symmetric_4.json"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
+def test_ce_basis_check_reads_the_stored_span(monkeypatch, vec_s3_ring, vec_s3_blocks):
+    table = build_lattice(vec_s3_ring, vec_s3_blocks)
+    for e in table.entries:
+        e.subalgebra.ce_span
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for e in table.entries:
+        assert len(subalg.ce_basis(e.subalgebra)) == e.subalgebra.ce_dim

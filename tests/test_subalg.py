@@ -416,25 +416,27 @@ class TestProjector:
 
 class TestVerifyReadsTable:
     def test_correspondence_computed_once(self, vec_s3_ring, s3_group, monkeypatch):
-        calls = {"adapt": 0, "blocks": 0}
-        real_adapt = subalg.adapt_to_idempotent
+        # One stacked adaptation covers the cointegrals of all subcategories.
+        calls = {"adapt": [], "blocks": 0}
+        real_adapt = subalg._adapt_stack
         real_blocks = wedderburn.compute_blocks
 
-        def counted_adapt(*args, **kwargs):
-            calls["adapt"] += 1
-            return real_adapt(*args, **kwargs)
+        def counted_adapt(B, coeffs, tol):
+            calls["adapt"].append(len(coeffs))
+            return real_adapt(B, coeffs, tol)
 
         def counted_blocks(*args, **kwargs):
             calls["blocks"] += 1
             return real_blocks(*args, **kwargs)
 
-        monkeypatch.setattr(subalg, "adapt_to_idempotent", counted_adapt)
+        monkeypatch.setattr(subalg, "_adapt_stack", counted_adapt)
+        monkeypatch.setattr(wedderburn, "_adapt_stack", counted_adapt)
         for mod in (wedderburn, subalg, groups, verify):
             monkeypatch.setattr(mod, "compute_blocks", counted_blocks, raising=False)
         checks = verify.verify_ring(vec_s3_ring, group=s3_group, kind="vec")
         assert all(c.passed for c in checks)
         n_subcats = len(enumerate_subcategories(vec_s3_ring))
-        assert calls == {"adapt": n_subcats, "blocks": 1}
+        assert calls == {"adapt": [n_subcats], "blocks": 1}
 
     def test_missing_meet_fails_the_check(self, vec_s3_ring, monkeypatch):
         real_build = subalg.build_lattice
