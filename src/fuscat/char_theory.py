@@ -223,11 +223,17 @@ def fourier_inverse(f: ClassFunction) -> CentralElement:
     return CentralElement(f.ring, _fourier_inverse_raw(f.ring, f.coeffs))
 
 
+def _fourier_forward_raw(ring: FusionRingData, a: np.ndarray) -> np.ndarray:
+    """Fourier image of each coefficient vector along the last axis of a."""
+    out = np.take(a, np.array(ring.dual), axis=-1).astype(np.result_type(a, ring.dims), copy=False)
+    out *= ring.dims
+    out /= ring.global_dim
+    return out
+
+
 def fourier_forward(a: CentralElement) -> ClassFunction:
     """Fourier transform CE -> CF, the exact inverse of :func:`fourier_inverse`."""
-    ring = a.ring
-    dual = np.array(ring.dual)
-    return ClassFunction(ring, a.coeffs[dual] * ring.dims / ring.global_dim)
+    return ClassFunction(a.ring, _fourier_forward_raw(a.ring, a.coeffs))
 
 
 def cf_right_action(f: ClassFunction, b: CentralElement) -> ClassFunction:

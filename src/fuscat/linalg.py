@@ -218,10 +218,46 @@ def subspace_intersection(B1, B2, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarr
 
 def _intersection_dim(Q1: np.ndarray, Q2: np.ndarray, tol: Tolerance) -> int:
     """``len(subspace_intersection(Q1, Q2))`` for spans given by orthonormal columns."""
-    if Q1.shape[1] == 0 or Q2.shape[1] == 0:
-        return 0
-    s = np.linalg.svd(Q1.conj().T @ Q2, compute_uv=False)
-    return int(np.count_nonzero(s >= _unit_cosine_floor(tol)))
+    return int(_intersection_dims([Q1, Q2], np.array([0]), np.array([1]), tol)[0])
+
+
+def _intersection_dims(
+    spans: Sequence[np.ndarray], a: np.ndarray, b: np.ndarray, tol: Tolerance
+) -> np.ndarray:
+    """``_intersection_dim(spans[a[k]], spans[b[k]], tol)`` for every pair k.
+
+    The principal-angle cosines of a pair are the singular values of its
+    block of the Gram matrix of all spans' columns.  The Gram matrix is
+    formed for a row block of spans at a time, at most ``_BLOCK_BYTES`` (at
+    least one span), against the columns from the first span that a pair of
+    the row block reads; within a row block, the pairs of each (width of a,
+    width of b) share one batched SVD.
+    """
+    out = np.zeros(len(a), dtype=int)
+    if not len(a):
+        return out
+    widths = np.array([Q.shape[1] for Q in spans])
+    ends = np.cumsum(widths)
+    starts = ends - widths
+    Q = np.concatenate(spans, axis=1)
+    floor = _unit_cosine_floor(tol)
+    limit = max(1, _BLOCK_BYTES // (16 * max(1, Q.shape[1])))
+    lo = 0
+    while lo < len(spans):
+        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + limit, side="right")))
+        pairs = np.flatnonzero((a >= lo) & (a < hi) & (widths[a] > 0) & (widths[b] > 0))
+        if pairs.size:
+            col0 = starts[b[pairs]].min()
+            G = Q[:, starts[lo] : ends[hi - 1]].conj().T @ Q[:, col0:]
+            keys = widths[a[pairs]] * (widths.max() + 1) + widths[b[pairs]]
+            for key in set(keys.tolist()):
+                k = pairs[keys == key]
+                rows = starts[a[k]][:, None] - starts[lo] + np.arange(widths[a[k[0]]])
+                cols = starts[b[k]][:, None] - col0 + np.arange(widths[b[k[0]]])
+                s = np.linalg.svd(G[rows[:, :, None], cols[:, None, :]], compute_uv=False)
+                out[k] = np.count_nonzero(s >= floor, axis=1)
+        lo = hi
+    return out
 
 
 def snap_integer(x, tol: Tolerance = DEFAULT_TOL) -> int:

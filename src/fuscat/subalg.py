@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -369,26 +370,41 @@ def ce_basis(
     arbitrary.  When ``check`` is set, verifies that the span contains the
     unit and is closed under multiplication.
     """
-    ring = L.ring
-    out = []
-    for j, r in enumerate(L.rows):
-        blk = L.blocks.blocks[j]
-        for s in r:
-            for t in range(blk.m):
-                out.append(CentralElement(ring, blk.class_sums[s, t]))
+    vecs = L.blocks._rows("class_sums")[_selected_units([L])[0]]
     if check:
-        vecs = np.array([b.coeffs for b in out]).reshape(len(out), ring.rank).T
-        span = L.ce_span
-        if span.shape[1] != L.ce_dim:
-            raise ClosureFailure(
-                f"class-sum span has dimension {span.shape[1]}, expected {L.ce_dim}"
-            )
-        if not _span_contains(span, unit_central_element(ring).coeffs[:, None], tol):
-            raise ClosureFailure("central subspace does not contain the unit")
-        for k in range(vecs.shape[1]):
-            if not _span_contains(span, vecs * vecs[:, k : k + 1], tol):
-                raise ClosureFailure("central subspace is not closed under product")
-    return out
+        _check_closure(L, vecs.T, tol)
+    return [CentralElement(L.ring, v) for v in vecs]
+
+
+def _check_closure(L: SubalgebraIndex, vecs: np.ndarray, tol: Tolerance) -> None:
+    """Raise ClosureFailure unless span(L) has dimension ce_dim, holds the unit
+    and holds every coordinatewise product of two columns of vecs.
+
+    The products ``vecs[:, k] * vecs`` are tested for a block of k at a time,
+    at most ``_BLOCK_BYTES`` of them, in one projection per block.
+    """
+    span = L.ce_span
+    if span.shape[1] != L.ce_dim:
+        raise ClosureFailure(f"class-sum span has dimension {span.shape[1]}, expected {L.ce_dim}")
+    if not _span_contains(span, unit_central_element(L.ring).coeffs[:, None], tol):
+        raise ClosureFailure("central subspace does not contain the unit")
+    r, n = vecs.shape
+    step = max(1, _BLOCK_BYTES // (16 * r * max(1, n)))
+    for lo in range(0, n, step):
+        prods = vecs[:, lo : lo + step, None] * vecs[:, None, :]
+        if not _span_contains(span, prods.reshape(r, -1), tol):
+            raise ClosureFailure("central subspace is not closed under product")
+
+
+def _selected_units(subalgebras: list[SubalgebraIndex]) -> np.ndarray:
+    """(k, n) bool: per subalgebra, the units F^j_st (unit_index order) whose row s is selected."""
+    ms = np.array([blk.m for blk in subalgebras[0].base.blocks])
+    first = np.cumsum(ms) - ms
+    lay = subalgebras[0].base._layout()
+    rows = np.zeros((len(subalgebras), ms.sum()), dtype=bool)
+    for k, L in enumerate(subalgebras):
+        rows[k, [first[j] + s for j, sel in enumerate(L.rows) for s in sel]] = True
+    return rows[:, first[lay.block] + lay.s]
 
 
 def pi_down(z: CentralElement, L: SubalgebraIndex, tol: Tolerance = DEFAULT_TOL) -> CentralElement:
@@ -399,15 +415,16 @@ def pi_down(z: CentralElement, L: SubalgebraIndex, tol: Tolerance = DEFAULT_TOL)
     """
     if z.ring is not L.ring:
         raise ValueError("central element and subalgebra belong to different rings")
-    ring = L.ring
-    B = L.blocks
-    index = B.unit_index()
-    cols = np.column_stack([B.blocks[j].class_sums[s, t] for j, s, t in index])
-    coeffs = np.linalg.solve(cols, z.coeffs)
-    keep = np.zeros(len(index), dtype=bool)
-    for pos, (j, s, _t) in enumerate(index):
-        keep[pos] = s in L.rows[j]
-    return CentralElement(ring, cols[:, keep] @ coeffs[keep])
+    sums = L.blocks._rows("class_sums")[None]
+    return CentralElement(L.ring, _pi_down_rows(sums, _selected_units([L]), z.coeffs)[0])
+
+
+def _pi_down_rows(sums: np.ndarray, keep: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """:func:`pi_down` of z for a stack of subalgebras, given their (k, n, r)
+    adapted class sums and (k, n) :func:`_selected_units`, one batched solve."""
+    cols = sums.transpose(0, 2, 1)
+    coeffs = np.linalg.solve(cols, np.broadcast_to(np.asarray(z)[:, None], (len(sums), len(z), 1)))
+    return np.matmul(cols, coeffs * keep[:, :, None])[:, :, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -507,20 +524,38 @@ def verify_cointegral_trace_sum(e: LatticeEntry) -> float:
     basis and sums diagonal coefficients weighted by summand dimension; also
     asserts that its adapted components vanish on unselected rows.
     """
-    D, L = e.subcategory, e.subalgebra
-    lam = subcategory_cointegral(D)
-    comps = L.base.expand(lam.coeffs)
-    total = 0.0 + 0.0j
-    for blk, P in zip(L.base.blocks, comps):
-        total += np.trace(P) * blk.summand_dim
-    residual = abs(total - D.ring.global_dim / D.fpdim)
+    return float(_cointegral_trace_sums([e], _stack_entries([e]))[0])
 
-    for j, P in enumerate(L.cointegral_components):
-        selected = set(L.rows[j])
-        for s in range(P.shape[0]):
-            if s not in selected:
-                residual = max(residual, float(np.max(np.abs(P[s, :]))))
-    return float(residual)
+
+class _EntryStack(NamedTuple):
+    """Entries of one table stacked along axis 0; unit positions in unit_index order."""
+
+    cointegrals: np.ndarray  # (k, r) subcategory cointegrals
+    components: np.ndarray  # (k, n) adapted cointegral components
+    keep: np.ndarray  # (k, n) :func:`_selected_units`
+
+
+def _stack_entries(entries) -> _EntryStack:
+    """The :class:`_EntryStack` of table entries that share one base structure."""
+    return _EntryStack(
+        np.array([subcategory_cointegral(e.subcategory).coeffs for e in entries]),
+        np.array([np.concatenate([P.ravel() for P in e.subalgebra.cointegral_components]) for e in entries]),
+        _selected_units([e.subalgebra for e in entries]),
+    )
+
+
+def _cointegral_trace_sums(entries, stack: _EntryStack) -> np.ndarray:
+    """:func:`verify_cointegral_trace_sum` of entries sharing one base structure.
+
+    All cointegrals are expanded by one :meth:`BlockStructure._expand_rows`.
+    """
+    base = entries[0].subalgebra.base
+    comps = base._expand_rows(stack.cointegrals)
+    total = sum(np.trace(P, axis1=1, axis2=2) * blk.summand_dim for blk, P in zip(base.blocks, comps))
+    fpdim = np.array([e.subcategory.fpdim for e in entries])
+    residual = np.abs(total - base.ring.global_dim / fpdim)
+    outside = np.max(np.abs(np.where(stack.keep, 0.0, stack.components)), axis=1)
+    return np.maximum(residual, outside)
 
 
 def build_lattice(

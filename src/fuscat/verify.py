@@ -18,18 +18,17 @@ from . import subalg
 from .char_theory import (
     CentralElement,
     ClassFunction,
+    _fourier_forward_raw,
+    _fourier_inverse_raw,
     ce_multiply,
-    cf_multiply,
     cf_right_action,
     cf_star_blocks,
-    chi,
+    cf_star_table,
     cointegral,
     fourier_forward,
     fourier_inverse,
-    idempotent,
     integral,
     pairing,
-    subcategory_cointegral,
     tau,
     unit_central_element,
 )
@@ -41,7 +40,7 @@ from .groups import (
     crosscheck_vec,
     OracleMismatch,
 )
-from .linalg import DEFAULT_TOL, Tolerance, _intersection_dim, snap_integer
+from .linalg import _BLOCK_BYTES, DEFAULT_TOL, Tolerance, _intersection_dims, snap_integer
 from .wedderburn import (
     _unit_relation_residual,
     compute_blocks,
@@ -95,12 +94,126 @@ def battery_sources(large: bool = False) -> list[str]:
     return out
 
 
-def _basis_functions(ring: FusionRingData) -> list[ClassFunction]:
-    return [chi(ring, i) for i in range(ring.rank)]
-
-
 def _random_cf(ring: FusionRingData, rng) -> ClassFunction:
     return ClassFunction(ring, rng.standard_normal(ring.rank) + 1j * rng.standard_normal(ring.rank))
+
+
+def _worst(*arrays) -> float:
+    """Largest absolute entry over all the given arrays."""
+    return max(float(np.max(np.abs(a), initial=0.0)) for a in arrays)
+
+
+def _duality_residual(ring: FusionRingData) -> float:
+    """Max residual of <chi_i, E_j> = d_i delta_ij and E_i E_j = delta_ij E_i.
+
+    All pairings come from one product; the coordinatewise products are
+    formed one row block of i at a time, at most ``_BLOCK_BYTES`` of them.
+    """
+    r, dims = ring.rank, ring.dims
+    chis, idems = np.eye(r), np.eye(r)
+    worst = _worst(chis @ (idems * dims).T - np.diag(dims))
+    step = max(1, _BLOCK_BYTES // (idems.itemsize * r * r))
+    for lo in range(0, r, step):
+        prods = idems[lo : lo + step, None, :] * idems
+        prods[np.arange(len(prods)), np.arange(lo, lo + len(prods))] -= idems[lo : lo + step]
+        worst = max(worst, _worst(prods))
+    return worst
+
+
+# The per-subcategory checks, with their bounds, in report order.
+ENTRY_CHECKS = (
+    ("subcategory cointegrals idempotent", 1e-8),
+    ("subalgebra dimension product", 1e-6),
+    ("cointegral diagonal form", 1e-8),
+    ("cointegral trace sum", 1e-8),
+    ("unit idempotent pairing normalization", 1e-8),
+    ("integral projects to the unit idempotent", 1e-8),
+    ("restriction compatible with pairing", 1e-8),
+)
+
+
+def _entry_residuals(ring: FusionRingData, entries, tol: Tolerance) -> list[float]:
+    """Worst residuals of the per-subcategory checks over some table entries,
+    in the order of ``ENTRY_CHECKS``.
+
+    The entries are stacked along axis 0; every unit array is in the
+    unit_index order of the shared base structure.
+    """
+    r, dim = ring.rank, ring.global_dim
+    stack = subalg._stack_entries(entries)
+    lam, keep = stack.cointegrals, stack.keep
+    lay = entries[0].subalgebra.base._layout()
+    diag = lay.s == lay.t
+    fpdim = np.array([e.subcategory.fpdim for e in entries])
+    dim_l = np.array([e.subalgebra.dim_l for e in entries])
+    sums = np.array([e.subalgebra.blocks._rows("class_sums") for e in entries])
+    proj = np.array([e.subalgebra.projector for e in entries])
+    ell0 = np.zeros((len(entries), r))
+    for k, e in enumerate(entries):
+        ell0[k, list(e.partition[0])] = 1.0
+    # Each cointegral times itself: row k of the first factor meets row k of the second.
+    idem = cf_star_table(ring, lam, lam[:, None])[:, 0] - lam
+    norm = np.sum(proj[:, :, 0] * ell0 * ring.dims, axis=1) - 1.0
+    diag_sum = np.sum(sums * (keep & diag)[:, :, None], axis=1)
+    pid = subalg._pi_down_rows(sums, keep, np.eye(1, r, dtype=complex)[0])  # the integral E_0
+    # <restrict(chi_i), z> = (P^T (d z))_i against <chi_i, z> = d_i z_i,
+    # for all i and every class sum z of the basis at once.
+    Z = sums.transpose(0, 2, 1) * ring.dims[:, None]
+    respair = np.matmul(proj.transpose(0, 2, 1), Z)
+    respair -= Z
+    respair *= keep[:, None, :]
+    for k, e in enumerate(entries):
+        subalg._check_closure(e.subalgebra, sums[k, keep[k]].T, tol)
+    return [
+        _worst(idem),
+        _worst(dim_l * fpdim - dim),
+        _worst(stack.components - (keep & diag)),
+        _worst(subalg._cointegral_trace_sums(entries, stack)),
+        _worst(norm),
+        _worst(ell0 - (fpdim / dim)[:, None] * diag_sum, pid - ell0 / fpdim[:, None]),
+        _worst(respair),
+    ]
+
+
+def _pair_checks(ring: FusionRingData, table: subalg.LatticeTable, tol: Tolerance) -> list[CheckResult]:
+    """Meet/join correspondence and the product dimension bound over all pairs.
+
+    Meet, join and the central-subspace intersection are symmetric in the
+    pair: read once per unordered pair, then checked in both orders.
+    """
+    entries = table.entries
+    M = table.membership
+    raw = _raw_product_table(ring, M)
+    a, b = np.triu_indices(len(entries))
+    meets, joins = table.meets_and_joins(a, b)
+    found = (meets >= 0) & (joins >= 0)
+    a, b, meets, joins = a[found], b[found], meets[found], joins[found]
+    dim_l = np.array([e.subalgebra.dim_l for e in entries])
+    ce_dim = np.array([e.subalgebra.ce_dim for e in entries])
+    spans = [e.subalgebra.ce_span for e in entries]
+    # dim(LM) against dim(L) dim(M) / dim(L n M): the meet's subalgebra is the product.
+    lhs, rhs = dim_l[meets], dim_l[a] * dim_l[b] / dim_l[joins]
+    gap = lhs - rhs
+    ab, ba = raw[a, b], raw[b, a]
+    mismatch = (
+        not found.all()
+        or np.any(_intersection_dims(spans, a, b, tol) != ce_dim[joins])
+        or np.any((ab | ba) & ~M[joins])
+        or (ring.commutative and not np.array_equal(ab, ba))
+    )
+    strict = int(np.sum(np.where(a == b, 1, 2)[lhs < rhs - 1e-8]))
+    checks = [
+        CheckResult("meet and join correspondence", float(mismatch), 0.0),
+        CheckResult(
+            "product dimension bound",
+            float(np.max(gap, initial=0.0)),
+            1e-8,
+            info=f"{strict} strict instances",
+        ),
+    ]
+    if ring.commutative:
+        checks.append(CheckResult("product dimension equality (commutative)", _worst(gap), 1e-8))
+    return checks
 
 
 def verify_ring(
@@ -115,32 +228,27 @@ def verify_ring(
     rng = np.random.default_rng(seed)
     r = ring.rank
     dim = ring.global_dim
-    basis = _basis_functions(ring)
+    dims = ring.dims
+    dual = list(ring.dual)
 
-    # Fourier transform is a bijection with the stated closed forms.
-    worst = 0.0
-    for i in range(r):
-        f = basis[i]
-        back = fourier_forward(fourier_inverse(f))
-        worst = max(worst, float(np.max(np.abs(back.coeffs - f.coeffs))))
-        a = idempotent(ring, i)
-        back_a = fourier_inverse(fourier_forward(a))
-        worst = max(worst, float(np.max(np.abs(back_a.coeffs - a.coeffs))))
-        img = fourier_inverse(f).coeffs
-        expected = np.zeros(r, dtype=complex)
-        expected[ring.dual[i]] = dim / ring.dims[i]
-        worst = max(worst, float(np.max(np.abs(img - expected))))
+    # Fourier transform is a bijection with the stated closed forms: row i of
+    # each array is the image of chi_i or of E_i, in complex coefficients as
+    # for any class function.
+    eye = np.eye(r)
+    basis = eye.astype(complex)
+    inv = _fourier_inverse_raw(ring, basis)
+    closed = np.zeros((r, r))
+    closed[np.arange(r), dual] = dim / dims
+    worst = _worst(
+        _fourier_forward_raw(ring, inv) - eye,
+        _fourier_inverse_raw(ring, _fourier_forward_raw(ring, basis)) - eye,
+        inv - closed,
+    )
     checks.append(CheckResult("fourier round trip and closed form", worst, 1e-8))
 
-    worst = 0.0
-    for i in range(r):
-        for j in range(r):
-            expected = ring.dims[i] if i == j else 0.0
-            worst = max(worst, abs(pairing(basis[i], idempotent(ring, j)) - expected))
-            prod = ce_multiply(idempotent(ring, i), idempotent(ring, j)).coeffs
-            exp_vec = idempotent(ring, i).coeffs if i == j else 0.0
-            worst = max(worst, float(np.max(np.abs(prod - exp_vec))))
-    checks.append(CheckResult("pairing duality and idempotent orthogonality", worst, 1e-8))
+    checks.append(
+        CheckResult("pairing duality and idempotent orthogonality", _duality_residual(ring), 1e-8)
+    )
 
     lam = cointegral(ring)
     worst = abs(pairing(lam, integral(ring)) - 1.0 / dim)
@@ -151,16 +259,13 @@ def verify_ring(
 
     # <chi_i, F^-1(chi_j)> = d_i F^-1(chi_j)_i against dim(C) tau(chi_i * chi_j),
     # and tau(chi_i * chi_j) against delta_{j, i*}, one row block of products at a time.
-    eye = np.eye(r)
-    inv = np.array([fourier_inverse(f).coeffs for f in basis])
-    pair = (inv * ring.dims).T
-    dual_eye = eye[list(ring.dual)]
+    pair = (inv * dims).T
+    dual_eye = eye[dual]
     worst = 0.0
     for lo, prods in cf_star_blocks(ring, eye, eye):
         taus = prods[:, :, 0]
         rows = slice(lo, lo + len(prods))
-        worst = max(worst, float(np.max(np.abs(pair[rows] - dim * taus))))
-        worst = max(worst, float(np.max(np.abs(taus - dual_eye[rows]))))
+        worst = max(worst, _worst(pair[rows] - dim * taus, taus - dual_eye[rows]))
     checks.append(CheckResult("pairing against trace form", worst, 1e-8))
 
     worst = 0.0
@@ -181,21 +286,18 @@ def verify_ring(
     count_residual = abs(sum(blk.m**2 for blk in B.blocks) - r)
     checks.append(CheckResult("block multiplicities fill the rank", count_residual, 0.0))
 
+    lay = B._layout()
+    diag = lay.s == lay.t
+    units = B._rows("units")
     worst = _unit_relation_residual(ring, [blk.units for blk in B.blocks])
-    unit_sum = sum(
-        blk.units[s, s] for blk in B.blocks for s in range(blk.m)
-    )
-    eps1 = np.zeros(r, dtype=complex)
-    eps1[0] = 1.0
-    worst = max(worst, float(np.max(np.abs(unit_sum - eps1))))
+    worst = max(worst, _worst(units[diag].sum(axis=0) - eye[0]))
     checks.append(CheckResult("matrix unit relations and unit sum", worst, 1e-8))
 
-    worst = 0.0
-    for blk in B.blocks:
-        for s in range(blk.m):
-            worst = max(worst, abs(complex(blk.units[s, s][0]) - 1.0 / blk.n))
-        worst = max(worst, abs(blk.summand_dim - dim / blk.n))
-    worst = max(worst, abs(sum(blk.m * blk.summand_dim for blk in B.blocks) - dim))
+    worst = _worst(
+        units[diag, 0] - 1.0 / lay.n[diag],
+        lay.summand_dim - dim / lay.n,
+        [lay.summand_dim[diag].sum() - dim],
+    )
     checks.append(CheckResult("block trace constants", worst, 1e-8))
 
     if group is not None and kind == "rep":
@@ -236,104 +338,19 @@ def verify_ring(
         checks.append(CheckResult(LATTICE_CHECK, 1.0, 0.0, info=str(exc)))
         return checks
 
-    worst_idem = 0.0
-    worst_dimprod = 0.0
-    worst_diag = 0.0
-    worst_trace = 0.0
-    worst_norm = 0.0
-    worst_proj = 0.0
-    worst_respair = 0.0
-    for e in table.entries:
-        D, L = e.subcategory, e.subalgebra
-        lam_d = subcategory_cointegral(D)
-        sq = cf_multiply(lam_d, lam_d)
-        worst_idem = max(worst_idem, float(np.max(np.abs(sq.coeffs - lam_d.coeffs))))
-        worst_dimprod = max(worst_dimprod, abs(L.dim_l * D.fpdim - dim))
-        for j, P in enumerate(L.cointegral_components):
-            sel = set(L.rows[j])
-            for s in range(P.shape[0]):
-                for t in range(P.shape[1]):
-                    expected = 1.0 if (s == t and s in sel) else 0.0
-                    worst_diag = max(worst_diag, abs(complex(P[s, t]) - expected))
-        worst_trace = max(worst_trace, subalg.verify_cointegral_trace_sum(e))
-
-        ell0 = np.zeros(r, dtype=complex)
-        ell0[list(e.partition[0])] = 1.0
-        eps_l = subalg.epsilon_L(L)
-        worst_norm = max(worst_norm, abs(pairing(eps_l, CentralElement(ring, ell0)) - 1.0))
-
-        diag_sum = np.zeros(r, dtype=complex)
-        for j, rr in enumerate(L.rows):
-            for s in rr:
-                diag_sum += L.blocks.blocks[j].class_sums[s, s]
-        worst_proj = max(
-            worst_proj, float(np.max(np.abs(ell0 - (D.fpdim / dim) * diag_sum)))
-        )
-        lam_big = integral(ring)
-        pid = subalg.pi_down(lam_big, L, tol)
-        worst_proj = max(
-            worst_proj, float(np.max(np.abs(pid.coeffs - ell0 / D.fpdim)))
-        )
-
-        # <restrict(chi_i), z> = (P^T (d z))_i against <chi_i, z> = d_i z_i,
-        # for all i and every class sum z of the basis at once.
-        Z = np.array([z.coeffs for z in subalg.ce_basis(L, tol)]).T * ring.dims[:, None]
-        worst_respair = max(worst_respair, float(np.max(np.abs(L.projector.T @ Z - Z))))
-    checks.append(CheckResult("subcategory cointegrals idempotent", worst_idem, 1e-8))
-    checks.append(CheckResult("subalgebra dimension product", worst_dimprod, 1e-6))
-    checks.append(CheckResult("cointegral diagonal form", worst_diag, 1e-8))
-    checks.append(CheckResult("cointegral trace sum", worst_trace, 1e-8))
-    checks.append(CheckResult("unit idempotent pairing normalization", worst_norm, 1e-8))
-    checks.append(CheckResult("integral projects to the unit idempotent", worst_proj, 1e-8))
-    checks.append(CheckResult("restriction compatible with pairing", worst_respair, 1e-8))
-    checks.append(
-        CheckResult(LATTICE_CHECK, 0.0, 0.0, info=f"{len(table.entries)} subcategories")
-    )
-
-    worst_meetjoin = 0.0
-    worst_bound = 0.0
-    worst_comm_eq = 0.0
-    strict = 0
+    # The per-subcategory checks, for a row block of entries at a time: each
+    # entry takes r * r complex entries in about eight temporaries (its
+    # adapted class sums, projector, restriction products and solve), which
+    # together stay within _BLOCK_BYTES.
     entries = table.entries
-    M = table.membership
-    raw = _raw_product_table(ring, M)
-    raw_sets = [[tuple(np.flatnonzero(row).tolist()) for row in rows] for rows in raw]
-    # Meet, join and the central-subspace intersection are symmetric in the
-    # pair: computed once per unordered pair, then checked in both orders.
-    pairs_a, pairs_b = np.triu_indices(len(entries))
-    meets, joins = table.meets_and_joins(pairs_a, pairs_b)
-    for a, b, m, j in zip(pairs_a.tolist(), pairs_b.tolist(), meets.tolist(), joins.tolist()):
-        if m < 0 or j < 0:
-            worst_meetjoin = max(worst_meetjoin, 1.0)
-            continue
-        meet, join = entries[m], entries[j]
-        ce_meet = _intersection_dim(entries[a].subalgebra.ce_span, entries[b].subalgebra.ce_span, tol)
-        if ce_meet != join.subalgebra.ce_dim:
-            worst_meetjoin = max(worst_meetjoin, 1.0)
-        for x, y in ((a, b),) if a == b else ((a, b), (b, a)):
-            lhs, rhs, orders_agree = subalg.verify_dim_inequality(
-                entries[x], entries[y], meet, join, raw_sets[x][y], raw_sets[y][x]
-            )
-            worst_bound = max(worst_bound, lhs - rhs)
-            if lhs < rhs - 1e-8:
-                strict += 1
-            if ring.commutative:
-                worst_comm_eq = max(worst_comm_eq, abs(lhs - rhs))
-            if np.any(raw[x, y] & ~M[j]):
-                worst_meetjoin = max(worst_meetjoin, 1.0)
-            if ring.commutative and not orders_agree:
-                worst_meetjoin = max(worst_meetjoin, 1.0)
-    checks.append(CheckResult("meet and join correspondence", worst_meetjoin, 0.0))
-    checks.append(
-        CheckResult(
-            "product dimension bound",
-            worst_bound,
-            1e-8,
-            info=f"{strict} strict instances",
-        )
-    )
-    if ring.commutative:
-        checks.append(CheckResult("product dimension equality (commutative)", worst_comm_eq, 1e-8))
+    worst = np.zeros(len(ENTRY_CHECKS))
+    step = max(1, _BLOCK_BYTES // (8 * 16 * r * r))
+    for lo in range(0, len(entries), step):
+        worst = np.maximum(worst, _entry_residuals(ring, entries[lo : lo + step], tol))
+    for (name, bound), res in zip(ENTRY_CHECKS, worst.tolist()):
+        checks.append(CheckResult(name, res, bound))
+    checks.append(CheckResult(LATTICE_CHECK, 0.0, 0.0, info=f"{len(entries)} subcategories"))
+    checks.extend(_pair_checks(ring, table, tol))
 
     if group is not None:
         T = character_table_cached(group, seed)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,6 +89,19 @@ class Block:
         return self.units[range(self.m), range(self.m)].sum(axis=0)
 
 
+class _UnitLayout(NamedTuple):
+    """Per matrix unit F^j_st, in unit_index order: its block j, row s and
+    column t, the position of F^j_ts, and the scale n_j and summand
+    dimension of its block."""
+
+    block: np.ndarray
+    s: np.ndarray
+    t: np.ndarray
+    transpose: np.ndarray
+    n: np.ndarray
+    summand_dim: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class BlockStructure:
     """The full Wedderburn data of CF(C) for one fusion ring."""
@@ -109,10 +123,24 @@ class BlockStructure:
             for t in range(blk.m)
         ]
 
+    def _rows(self, name: str) -> np.ndarray:
+        """The ``units`` or ``class_sums`` of all blocks as rows, in unit_index order."""
+        return np.concatenate([getattr(blk, name).reshape(-1, self.rank) for blk in self.blocks])
+
+    def _layout(self) -> _UnitLayout:
+        """Index arrays of the matrix units, in unit_index order."""
+        ms = np.array([blk.m for blk in self.blocks])
+        block = np.repeat(np.arange(len(ms)), ms * ms)
+        start = np.repeat(np.cumsum(ms * ms) - ms * ms, ms * ms)
+        m = ms[block]
+        s, t = np.divmod(np.arange(len(block)) - start, m)
+        n = np.array([blk.n for blk in self.blocks])[block]
+        summand_dim = np.array([blk.summand_dim for blk in self.blocks])[block]
+        return _UnitLayout(block, s, t, start + t * m + s, n, summand_dim)
+
     @cached_property
     def _unit_matrix(self) -> np.ndarray:
-        cols = [self.blocks[j].units[s, t] for j, s, t in self.unit_index()]
-        return np.column_stack(cols)
+        return np.ascontiguousarray(self._rows("units").T)
 
     @cached_property
     def _unit_matrix_inv(self) -> np.ndarray:
@@ -282,7 +310,9 @@ def compute_blocks(
     """
     center, left = _center_basis(ring, tol)
     center_dim = center.shape[1]
-    lz = [np.tensordot(center[:, b], left, axes=(0, 0)) for b in range(center_dim)]
+    r = ring.rank
+    # One copy of the transposed view, then one product for all centre vectors.
+    lz = (center.T @ np.ascontiguousarray(left).reshape(r, r * r)).reshape(center_dim, r, r)
     spaces = joint_eigenspaces(lz, seed=seed, tol=tol)
     if len(spaces) != center_dim:
         raise NotSemisimple(
@@ -483,50 +513,30 @@ def verify_class_sum_pairings(B: BlockStructure) -> float:
     """Max residual of the unit/class-sum pairing identities.
 
     <F^j_st, C^i_uv> = delta_ij delta_vs delta_ut dim_j and
-    <eps_1, C^j_st> = delta_st dim_j, over all index tuples.
+    <eps_1, C^j_st> = delta_st dim_j, over all index tuples: the first is one
+    product of all units against all class sums.
     """
-    ring = B.ring
-    d = ring.dims
-    worst = 0.0
-    for j, bj in enumerate(B.blocks):
-        for i, bi in enumerate(B.blocks):
-            # pairing of all units of block j against all class sums of block i
-            vals = np.einsum("stk,uvk,k->stuv", bj.units, bi.class_sums, d.astype(complex))
-            expected = np.zeros_like(vals)
-            if i == j:
-                for s in range(bj.m):
-                    for t in range(bj.m):
-                        expected[s, t, t, s] = bj.summand_dim
-            worst = max(worst, float(np.max(np.abs(vals - expected))))
-    for bj in B.blocks:
-        vals = bj.class_sums[:, :, 0]  # <eps_1, C> picks the E_0 coefficient, d_0 = 1
-        expected = np.eye(bj.m) * bj.summand_dim
-        worst = max(worst, float(np.max(np.abs(vals - expected))))
-    return worst
+    lay = B._layout()
+    sums = B._rows("class_sums")
+    vals = (B._rows("units") * B.ring.dims) @ sums.T
+    vals[np.arange(len(vals)), lay.transpose] -= lay.summand_dim
+    # <eps_1, C> picks the E_0 coefficient, d_0 = 1
+    unit = sums[:, 0] - np.where(lay.s == lay.t, lay.summand_dim, 0.0)
+    return max(float(np.max(np.abs(vals))), float(np.max(np.abs(unit))))
 
 
 def verify_dual_bases(B: BlockStructure) -> float:
     """Max entry deviation of sum_j n_j F^j_st (x) F^j_ts = sum_i chi_i (x) chi_{i*}."""
-    ring = B.ring
-    lhs = np.zeros((ring.rank, ring.rank), dtype=complex)
-    for blk in B.blocks:
-        lhs += blk.n * np.einsum("sta,tsb->ab", blk.units, blk.units)
-    rhs = np.zeros((ring.rank, ring.rank), dtype=complex)
-    for i in range(ring.rank):
-        rhs[i, ring.dual[i]] += 1.0
-    return float(np.max(np.abs(lhs - rhs)))
+    lay = B._layout()
+    units = B._rows("units")
+    lhs = (units * lay.n[:, None]).T @ units[lay.transpose]
+    return float(np.max(np.abs(lhs - np.eye(B.rank)[list(B.ring.dual)])))
 
 
 def verify_integral_classsum(B: BlockStructure) -> float:
     """Residual of dim(C) * Lambda = sum of the diagonal class sums."""
-    ring = B.ring
-    total = np.zeros(ring.rank, dtype=complex)
-    for blk in B.blocks:
-        for s in range(blk.m):
-            total += blk.class_sums[s, s]
-    expected = np.zeros(ring.rank, dtype=complex)
-    expected[0] = ring.global_dim
-    residual = float(np.max(np.abs(total - expected)))
-    u = unit_central_element(ring).coeffs
-    residual = max(residual, float(np.max(np.abs(B.blocks[0].class_sums[0, 0] - u))))
-    return residual
+    lay = B._layout()
+    total = B._rows("class_sums")[lay.s == lay.t].sum(axis=0)
+    total[0] -= B.ring.global_dim
+    u = unit_central_element(B.ring).coeffs
+    return max(float(np.max(np.abs(total))), float(np.max(np.abs(B.blocks[0].class_sums[0, 0] - u))))

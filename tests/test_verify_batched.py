@@ -1,0 +1,625 @@
+"""The array-expression verify suites against the per-element loops they replaced.
+
+The reference below is the earlier ``verify_ring`` with its per-simple,
+per-block, per-subcategory and per-pair Python loops, together with the
+earlier per-block ``verify_class_sum_pairings``, ``verify_dual_bases`` and
+``verify_integral_classsum`` and the per-unit ``verify_cointegral_trace_sum``,
+``pi_down`` and ``ce_basis`` closure test.  It looks up ``compute_blocks``
+through ``verify`` and ``build_lattice`` through ``subalg`` at call time, so a
+test that perturbs one of them perturbs both suites alike.
+"""
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from fuscat import char_theory, linalg, subalg, verify, wedderburn
+from fuscat.char_theory import (
+    CentralElement,
+    ce_multiply,
+    cf_multiply,
+    cf_right_action,
+    cf_star_blocks,
+    chi,
+    cointegral,
+    fourier_forward,
+    fourier_inverse,
+    idempotent,
+    integral,
+    pairing,
+    subcategory_cointegral,
+    tau,
+    unit_central_element,
+)
+from fuscat.cli import parse_source
+from fuscat.fusion_ring import _raw_product_table
+from fuscat.groups import OracleMismatch, character_table_cached, crosscheck_rep, crosscheck_vec
+from fuscat.linalg import DEFAULT_TOL, _span_contains, snap_integer
+from fuscat.verify import LATTICE_CHECK, CheckResult, battery_sources, verify_ring
+from fuscat.wedderburn import _unit_relation_residual
+
+from conftest import perturb_unit, su2_fusion_ring
+
+
+def reference_class_sum_pairings(B):
+    d = B.ring.dims
+    worst = 0.0
+    for j, bj in enumerate(B.blocks):
+        for i, bi in enumerate(B.blocks):
+            vals = np.einsum("stk,uvk,k->stuv", bj.units, bi.class_sums, d.astype(complex))
+            expected = np.zeros_like(vals)
+            if i == j:
+                for s in range(bj.m):
+                    for t in range(bj.m):
+                        expected[s, t, t, s] = bj.summand_dim
+            worst = max(worst, float(np.max(np.abs(vals - expected))))
+    for bj in B.blocks:
+        expected = np.eye(bj.m) * bj.summand_dim
+        worst = max(worst, float(np.max(np.abs(bj.class_sums[:, :, 0] - expected))))
+    return worst
+
+
+def reference_dual_bases(B):
+    r = B.ring.rank
+    lhs = np.zeros((r, r), dtype=complex)
+    for blk in B.blocks:
+        lhs += blk.n * np.einsum("sta,tsb->ab", blk.units, blk.units)
+    rhs = np.zeros((r, r), dtype=complex)
+    for i in range(r):
+        rhs[i, B.ring.dual[i]] += 1.0
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def reference_integral_classsum(B):
+    ring = B.ring
+    total = np.zeros(ring.rank, dtype=complex)
+    for blk in B.blocks:
+        for s in range(blk.m):
+            total += blk.class_sums[s, s]
+    expected = np.zeros(ring.rank, dtype=complex)
+    expected[0] = ring.global_dim
+    residual = float(np.max(np.abs(total - expected)))
+    u = unit_central_element(ring).coeffs
+    return max(residual, float(np.max(np.abs(B.blocks[0].class_sums[0, 0] - u))))
+
+
+def reference_trace_sum(e):
+    D, L = e.subcategory, e.subalgebra
+    comps = L.base.expand(subcategory_cointegral(D).coeffs)
+    total = 0.0 + 0.0j
+    for blk, P in zip(L.base.blocks, comps):
+        total += np.trace(P) * blk.summand_dim
+    residual = abs(total - D.ring.global_dim / D.fpdim)
+    for j, P in enumerate(L.cointegral_components):
+        for s in range(P.shape[0]):
+            if s not in set(L.rows[j]):
+                residual = max(residual, float(np.max(np.abs(P[s, :]))))
+    return float(residual)
+
+
+def reference_pi_down(z, L):
+    B = L.blocks
+    index = B.unit_index()
+    cols = np.column_stack([B.blocks[j].class_sums[s, t] for j, s, t in index])
+    coeffs = np.linalg.solve(cols, z.coeffs)
+    keep = np.array([s in L.rows[j] for j, s, _t in index])
+    return cols[:, keep] @ coeffs[keep]
+
+
+def reference_ce_basis(L, tol):
+    out = [
+        L.blocks.blocks[j].class_sums[s, t]
+        for j, r in enumerate(L.rows)
+        for s in r
+        for t in range(L.blocks.blocks[j].m)
+    ]
+    vecs = np.array(out).reshape(len(out), L.ring.rank).T
+    span = L.ce_span
+    if span.shape[1] != L.ce_dim:
+        raise subalg.ClosureFailure(f"class-sum span has dimension {span.shape[1]}, expected {L.ce_dim}")
+    if not _span_contains(span, unit_central_element(L.ring).coeffs[:, None], tol):
+        raise subalg.ClosureFailure("central subspace does not contain the unit")
+    for k in range(vecs.shape[1]):
+        if not _span_contains(span, vecs * vecs[:, k : k + 1], tol):
+            raise subalg.ClosureFailure("central subspace is not closed under product")
+    return out
+
+
+def reference_verify_ring(ring, group=None, kind=None, seed=0, tol=DEFAULT_TOL):
+    checks = []
+    rng = np.random.default_rng(seed)
+    r = ring.rank
+    dim = ring.global_dim
+    basis = [chi(ring, i) for i in range(r)]
+
+    worst = 0.0
+    for i in range(r):
+        f = basis[i]
+        back = fourier_forward(fourier_inverse(f))
+        worst = max(worst, float(np.max(np.abs(back.coeffs - f.coeffs))))
+        a = idempotent(ring, i)
+        back_a = fourier_inverse(fourier_forward(a))
+        worst = max(worst, float(np.max(np.abs(back_a.coeffs - a.coeffs))))
+        expected = np.zeros(r, dtype=complex)
+        expected[ring.dual[i]] = dim / ring.dims[i]
+        worst = max(worst, float(np.max(np.abs(fourier_inverse(f).coeffs - expected))))
+    checks.append(CheckResult("fourier round trip and closed form", worst, 1e-8))
+
+    worst = 0.0
+    for i in range(r):
+        for j in range(r):
+            expected = ring.dims[i] if i == j else 0.0
+            worst = max(worst, abs(pairing(basis[i], idempotent(ring, j)) - expected))
+            prod = ce_multiply(idempotent(ring, i), idempotent(ring, j)).coeffs
+            exp_vec = idempotent(ring, i).coeffs if i == j else 0.0
+            worst = max(worst, float(np.max(np.abs(prod - exp_vec))))
+    checks.append(CheckResult("pairing duality and idempotent orthogonality", worst, 1e-8))
+
+    lam = cointegral(ring)
+    worst = abs(pairing(lam, integral(ring)) - 1.0 / dim)
+    worst = max(worst, abs(tau(lam) - 1.0 / dim))
+    u = unit_central_element(ring)
+    worst = max(worst, float(np.max(np.abs(fourier_inverse(lam).coeffs - u.coeffs))))
+    checks.append(CheckResult("cointegral normalization", worst, 1e-8))
+
+    eye = np.eye(r)
+    inv = np.array([fourier_inverse(f).coeffs for f in basis])
+    pair = (inv * ring.dims).T
+    dual_eye = eye[list(ring.dual)]
+    worst = 0.0
+    for lo, prods in cf_star_blocks(ring, eye, eye):
+        taus = prods[:, :, 0]
+        rows = slice(lo, lo + len(prods))
+        worst = max(worst, float(np.max(np.abs(pair[rows] - dim * taus))))
+        worst = max(worst, float(np.max(np.abs(taus - dual_eye[rows]))))
+    checks.append(CheckResult("pairing against trace form", worst, 1e-8))
+
+    worst = 0.0
+    for _ in range(20):
+        f = char_theory.ClassFunction(ring, rng.standard_normal(r) + 1j * rng.standard_normal(r))
+        a = np.asarray(rng.standard_normal(r) + 1j * rng.standard_normal(r))
+        b = np.asarray(rng.standard_normal(r) + 1j * rng.standard_normal(r))
+        ca, cb = CentralElement(ring, a), CentralElement(ring, b)
+        lhs = pairing(cf_right_action(f, cb), ca)
+        rhs = pairing(f, ce_multiply(cb, ca))
+        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+        back = fourier_forward(fourier_inverse(f))
+        worst = max(worst, float(np.max(np.abs(back.coeffs - f.coeffs))))
+    checks.append(CheckResult("right action adjointness, random round trips", worst, 1e-8))
+
+    B = verify.compute_blocks(ring, seed=seed, tol=tol)
+    checks.append(
+        CheckResult("block multiplicities fill the rank", abs(sum(b.m**2 for b in B.blocks) - r), 0.0)
+    )
+    worst = _unit_relation_residual(ring, [blk.units for blk in B.blocks])
+    unit_sum = sum(blk.units[s, s] for blk in B.blocks for s in range(blk.m))
+    eps1 = np.zeros(r, dtype=complex)
+    eps1[0] = 1.0
+    worst = max(worst, float(np.max(np.abs(unit_sum - eps1))))
+    checks.append(CheckResult("matrix unit relations and unit sum", worst, 1e-8))
+
+    worst = 0.0
+    for blk in B.blocks:
+        for s in range(blk.m):
+            worst = max(worst, abs(complex(blk.units[s, s][0]) - 1.0 / blk.n))
+        worst = max(worst, abs(blk.summand_dim - dim / blk.n))
+    worst = max(worst, abs(sum(blk.m * blk.summand_dim for blk in B.blocks) - dim))
+    checks.append(CheckResult("block trace constants", worst, 1e-8))
+
+    if group is not None and kind == "rep":
+        class_sizes = sorted(len(c) for c in group.classes)
+        snapped = sorted(snap_integer(blk.summand_dim, tol) for blk in B.blocks)
+        nvals = sorted(snap_integer(blk.n, tol) for blk in B.blocks)
+        expected_n = sorted(group.order // len(c) for c in group.classes)
+        residual = 0.0 if (snapped == class_sizes and nvals == expected_n) else 1.0
+        info = f"summand dims {snapped} vs class sizes {class_sizes}"
+        checks.append(CheckResult("block data matches conjugacy classes", residual, 0.0, info=info))
+    if group is not None and kind == "vec":
+        degrees = sorted(character_table_cached(group, seed).degrees)
+        snapped = sorted(snap_integer(blk.summand_dim, tol) for blk in B.blocks)
+        mults = sorted(blk.m for blk in B.blocks)
+        residual = 0.0 if (snapped == degrees and mults == degrees) else 1.0
+        info = f"summand dims {snapped} vs degrees {degrees}"
+        checks.append(CheckResult("block data matches irreducible degrees", residual, 0.0, info=info))
+
+    checks.append(CheckResult("dual bases identity", reference_dual_bases(B), 1e-8))
+    checks.append(CheckResult("class sum pairings", reference_class_sum_pairings(B), 1e-8))
+    checks.append(
+        CheckResult("integral equals diagonal class sums", reference_integral_classsum(B), 1e-8)
+    )
+
+    try:
+        table = subalg.build_lattice(ring, B, tol)
+    except Exception as exc:  # noqa: BLE001
+        checks.append(CheckResult(LATTICE_CHECK, 1.0, 0.0, info=str(exc)))
+        return checks
+
+    worst = dict.fromkeys(("idem", "dimprod", "diag", "trace", "norm", "proj", "respair"), 0.0)
+    for e in table.entries:
+        D, L = e.subcategory, e.subalgebra
+        lam_d = subcategory_cointegral(D)
+        sq = cf_multiply(lam_d, lam_d)
+        worst["idem"] = max(worst["idem"], float(np.max(np.abs(sq.coeffs - lam_d.coeffs))))
+        worst["dimprod"] = max(worst["dimprod"], abs(L.dim_l * D.fpdim - dim))
+        for j, P in enumerate(L.cointegral_components):
+            for s in range(P.shape[0]):
+                for t in range(P.shape[1]):
+                    expected = 1.0 if (s == t and s in L.rows[j]) else 0.0
+                    worst["diag"] = max(worst["diag"], abs(complex(P[s, t]) - expected))
+        worst["trace"] = max(worst["trace"], reference_trace_sum(e))
+        ell0 = np.zeros(r, dtype=complex)
+        ell0[list(e.partition[0])] = 1.0
+        eps_l = subalg.epsilon_L(L)
+        worst["norm"] = max(worst["norm"], abs(pairing(eps_l, CentralElement(ring, ell0)) - 1.0))
+        diag_sum = np.zeros(r, dtype=complex)
+        for j, rr in enumerate(L.rows):
+            for s in rr:
+                diag_sum += L.blocks.blocks[j].class_sums[s, s]
+        worst["proj"] = max(worst["proj"], float(np.max(np.abs(ell0 - (D.fpdim / dim) * diag_sum))))
+        pid = reference_pi_down(integral(ring), L)
+        worst["proj"] = max(worst["proj"], float(np.max(np.abs(pid - ell0 / D.fpdim))))
+        Z = np.array(reference_ce_basis(L, tol)).T * ring.dims[:, None]
+        worst["respair"] = max(worst["respair"], float(np.max(np.abs(L.projector.T @ Z - Z))))
+    names = (
+        ("subcategory cointegrals idempotent", 1e-8),
+        ("subalgebra dimension product", 1e-6),
+        ("cointegral diagonal form", 1e-8),
+        ("cointegral trace sum", 1e-8),
+        ("unit idempotent pairing normalization", 1e-8),
+        ("integral projects to the unit idempotent", 1e-8),
+        ("restriction compatible with pairing", 1e-8),
+    )
+    for (name, bound), res in zip(names, worst.values()):
+        checks.append(CheckResult(name, res, bound))
+    checks.append(CheckResult(LATTICE_CHECK, 0.0, 0.0, info=f"{len(table.entries)} subcategories"))
+
+    worst_meetjoin = worst_bound = worst_comm_eq = 0.0
+    strict = 0
+    entries = table.entries
+    M = table.membership
+    raw = _raw_product_table(ring, M)
+    raw_sets = [[tuple(np.flatnonzero(row).tolist()) for row in rows] for rows in raw]
+    pairs_a, pairs_b = np.triu_indices(len(entries))
+    meets, joins = table.meets_and_joins(pairs_a, pairs_b)
+    for a, b, m, j in zip(pairs_a.tolist(), pairs_b.tolist(), meets.tolist(), joins.tolist()):
+        if m < 0 or j < 0:
+            worst_meetjoin = 1.0
+            continue
+        meet, join = entries[m], entries[j]
+        ce_meet = linalg._intersection_dim(
+            entries[a].subalgebra.ce_span, entries[b].subalgebra.ce_span, tol
+        )
+        if ce_meet != join.subalgebra.ce_dim:
+            worst_meetjoin = 1.0
+        for x, y in ((a, b),) if a == b else ((a, b), (b, a)):
+            lhs, rhs, orders_agree = subalg.verify_dim_inequality(
+                entries[x], entries[y], meet, join, raw_sets[x][y], raw_sets[y][x]
+            )
+            worst_bound = max(worst_bound, lhs - rhs)
+            strict += lhs < rhs - 1e-8
+            if ring.commutative:
+                worst_comm_eq = max(worst_comm_eq, abs(lhs - rhs))
+            if np.any(raw[x, y] & ~M[j]) or (ring.commutative and not orders_agree):
+                worst_meetjoin = 1.0
+    checks.append(CheckResult("meet and join correspondence", worst_meetjoin, 0.0))
+    checks.append(
+        CheckResult("product dimension bound", worst_bound, 1e-8, info=f"{strict} strict instances")
+    )
+    if ring.commutative:
+        checks.append(CheckResult("product dimension equality (commutative)", worst_comm_eq, 1e-8))
+
+    if group is not None:
+        T = character_table_cached(group, seed)
+        sizes = np.array([len(c) for c in group.classes], dtype=float)
+        gram = (T.rows * sizes) @ T.rows.conj().T
+        row_res = float(np.max(np.abs(gram - group.order * np.eye(len(sizes)))))
+        col = T.rows.conj().T @ T.rows
+        col_res = float(np.max(np.abs(col - np.diag(group.order / sizes))))
+        deg_res = abs(sum(d * d for d in T.degrees) - group.order)
+        checks.append(CheckResult("character orthogonality", max(row_res, col_res), 1e-7))
+        checks.append(CheckResult("squared degrees sum to the order", deg_res, 0.0))
+        try:
+            if kind == "rep":
+                info = f"{crosscheck_rep(group, table, tol)['normal_subgroups']} normal subgroups"
+            else:
+                info = f"{crosscheck_vec(group, table, tol)['subgroups']} subgroups"
+            checks.append(CheckResult("group oracle crosscheck", 0.0, 0.0, info=info))
+        except OracleMismatch as exc:
+            checks.append(CheckResult("group oracle crosscheck", 1.0, 0.0, info=str(exc)))
+    return checks
+
+
+def assert_same_report(new, ref, atol=1e-13):
+    assert [(c.name, c.bound, c.info, c.passed) for c in new] == [
+        (c.name, c.bound, c.info, c.passed) for c in ref
+    ]
+    for a, b in zip(new, ref):
+        assert abs(a.residual - b.residual) <= atol, (a.name, a.residual, b.residual)
+
+
+def failing(checks):
+    return {c.name for c in checks if not c.passed}
+
+
+@pytest.mark.parametrize("source", battery_sources(large=True) + ["vec:alternating:5"])
+def test_same_report_as_the_loops(source):
+    ring, group, kind = parse_source(source, 0, DEFAULT_TOL)
+    new = verify_ring(ring, group, kind)
+    assert all(c.passed for c in new)
+    assert_same_report(new, reference_verify_ring(ring, group, kind))
+
+
+def test_same_report_on_su2(su2_ring):
+    assert_same_report(verify_ring(su2_ring), reference_verify_ring(su2_ring))
+
+
+def test_block_suites_match_the_loops(vec_a5_ring):
+    B = wedderburn.compute_blocks(vec_a5_ring)
+    for new, ref in (
+        (wedderburn.verify_class_sum_pairings, reference_class_sum_pairings),
+        (wedderburn.verify_dual_bases, reference_dual_bases),
+        (wedderburn.verify_integral_classsum, reference_integral_classsum),
+    ):
+        assert abs(new(B) - ref(B)) <= 1e-13
+
+
+def _swap_one_meet(monkeypatch, ring):
+    """For the first pair (a, b) with a strictly below b, report the meet and the join swapped."""
+    real = subalg.LatticeTable.meets_and_joins
+
+    def swapped(self, a, b):
+        meets, joins = real(self, a, b)
+        k = int(np.flatnonzero(meets != joins)[0])
+        meets, joins = meets.copy(), joins.copy()
+        meets[k], joins[k] = joins[k], meets[k]
+        return meets, joins
+
+    monkeypatch.setattr(subalg.LatticeTable, "meets_and_joins", swapped)
+
+
+def _perturb_projector(monkeypatch, ring):
+    real_build = subalg.build_lattice
+
+    def perturbed(ring, B, tol=DEFAULT_TOL):
+        t = real_build(ring, B, tol)
+        e = t.entries[1]
+        P = e.subalgebra.projector.copy()
+        P[0, 1] += 1e-6
+        bad = dataclasses.replace(e, subalgebra=dataclasses.replace(e.subalgebra, projector=P))
+        return subalg.LatticeTable(t.ring, t.blocks, (t.entries[0], bad, *t.entries[2:]), t.hasse_edges)
+
+    monkeypatch.setattr(subalg, "build_lattice", perturbed)
+
+
+def _perturb_unit(monkeypatch, ring):
+    bad = perturb_unit(verify.compute_blocks(ring), 0, 1, 3, 1e-6)
+    monkeypatch.setattr(verify, "compute_blocks", lambda ring, seed=0, tol=None: bad)
+
+
+def _miscount_intersections(monkeypatch, ring):
+    """Count one dimension too many in the intersection of two distinct spans."""
+    real = linalg._intersection_dims
+
+    def miscounted(spans, a, b, tol):
+        out = real(spans, a, b, tol)
+        return out + [spans[x] is not spans[y] for x, y in zip(a, b)]
+
+    # The loops reach it through linalg._intersection_dim.
+    monkeypatch.setattr(linalg, "_intersection_dims", miscounted)
+    monkeypatch.setattr(verify, "_intersection_dims", miscounted)
+
+
+def _patch_raw_products(monkeypatch, edit):
+    """Raw products edited by edit(table, membership) in both suites."""
+    real = _raw_product_table
+
+    def edited(ring, member):
+        raw = real(ring, member)
+        edit(raw, member)
+        return raw
+
+    monkeypatch.setattr(verify, "_raw_product_table", edited)
+    monkeypatch.setitem(globals(), "_raw_product_table", edited)
+
+
+def _raw_product_outside_join(monkeypatch, ring):
+    # Entry 1 times itself reaches a simple outside entry 1, its own join.
+    _patch_raw_products(monkeypatch, lambda raw, M: raw[1, 1].__ior__(~M[1]))
+
+
+def _raw_products_in_different_orders(monkeypatch, ring):
+    # On a commutative ring both orders must give one product; keep the
+    # changed one inside the whole category so that only the order differs.
+    def edit(raw, M):
+        raw[1, 2] = M[-1]
+        raw[2, 1] = M[0]
+
+    _patch_raw_products(monkeypatch, edit)
+
+
+@pytest.mark.parametrize(
+    "perturb, source, expected",
+    [
+        (_swap_one_meet, "vec:symmetric:3", {"meet and join correspondence"}),
+        (_miscount_intersections, "vec:symmetric:3", {"meet and join correspondence"}),
+        (_raw_product_outside_join, "vec:symmetric:3", {"meet and join correspondence"}),
+        (_raw_products_in_different_orders, "rep:product:cyclic:2*cyclic:2", {"meet and join correspondence"}),
+        (_perturb_projector, "vec:symmetric:3", {"restriction compatible with pairing"}),
+        (_perturb_unit, "vec:symmetric:3", {"class sum pairings", "dual bases identity"}),
+    ],
+    ids=["meet", "intersection", "raw-outside-join", "raw-orders", "projector", "unit"],
+)
+def test_perturbations_fail_the_same_checks(monkeypatch, perturb, source, expected):
+    ring = parse_source(source, 0, DEFAULT_TOL)[0]
+    perturb(monkeypatch, ring)
+    new = verify_ring(ring)
+    assert expected <= failing(new)
+    assert failing(new) == failing(reference_verify_ring(ring))
+
+
+def test_product_dimension_violation_fails_by_name(monkeypatch, vec_s3_ring):
+    # Raising dim_l of the trivial subcategory's subalgebra breaks the bound
+    # for the pairs of incomparable subcategories that meet in it.
+    names = [c.name for c in verify_ring(vec_s3_ring)]
+    real_build = subalg.build_lattice
+
+    def perturbed(ring, B, tol=DEFAULT_TOL):
+        t = real_build(ring, B, tol)
+        e = t.entries[0]
+        bad = dataclasses.replace(e, subalgebra=dataclasses.replace(e.subalgebra, dim_l=e.subalgebra.dim_l + 1e-3))
+        return subalg.LatticeTable(t.ring, t.blocks, (bad, *t.entries[1:]), t.hasse_edges)
+
+    monkeypatch.setattr(subalg, "build_lattice", perturbed)
+    checks = verify_ring(vec_s3_ring)
+    assert [c.name for c in checks] == names
+    bound = {c.name: c for c in checks}["product dimension bound"]
+    assert not bound.passed and bound.residual == pytest.approx(1e-3)
+    assert failing(checks) == {"product dimension bound", "subalgebra dimension product"}
+    # The loops raised instead, losing every check of the ring.
+    with pytest.raises(subalg.InequalityViolation):
+        reference_verify_ring(vec_s3_ring)
+
+
+def test_commutative_equality_fails_by_name(monkeypatch):
+    # Lowering dim_l of the trivial subcategory's subalgebra leaves the bound
+    # but breaks the equality for two order-2 subcategories, which meet in it.
+    ring, group, kind = parse_source("rep:product:cyclic:2*cyclic:2", 0, DEFAULT_TOL)
+    real_build = subalg.build_lattice
+
+    def perturbed(ring, B, tol=DEFAULT_TOL):
+        t = real_build(ring, B, tol)
+        e = t.entries[0]
+        assert e.subcategory.indices == (0,)
+        bad = dataclasses.replace(e, subalgebra=dataclasses.replace(e.subalgebra, dim_l=e.subalgebra.dim_l / 2))
+        return subalg.LatticeTable(t.ring, t.blocks, (bad, *t.entries[1:]), t.hasse_edges)
+
+    names = [c.name for c in verify_ring(ring, group, kind)]
+    monkeypatch.setattr(subalg, "build_lattice", perturbed)
+    checks = verify_ring(ring, group, kind)
+    assert [c.name for c in checks] == names
+    assert {"product dimension equality (commutative)", "subalgebra dimension product"} <= failing(checks)
+    assert "product dimension bound" not in failing(checks)
+
+
+@pytest.mark.parametrize("k", [30, 40])
+def test_no_per_element_pairings(monkeypatch, k):
+    ring = su2_fusion_ring(k)
+    calls = {"idempotent": 0, "pairing": 0}
+
+    def counted(name, real):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return spy
+
+    spies = {name: counted(name, getattr(char_theory, name)) for name in calls}
+    for mod in (char_theory, verify):
+        for name, spy in spies.items():
+            monkeypatch.setattr(mod, name, spy, raising=False)
+    assert all(c.passed for c in verify_ring(ring))
+    # One cointegral pairing and two per random draw; the integral is E_0.
+    assert calls == {"idempotent": 1, "pairing": 41}
+
+
+@pytest.mark.parametrize("source", ["vec:symmetric:3", "vec:dihedral:8", "vec:symmetric:4"])
+def test_pair_svds_one_per_width_group(monkeypatch, source):
+    # The Gram matrices of the two smaller rings fit one row block; the 30
+    # central spans of vec:symmetric:4 (234 columns) take several.
+    ring = parse_source(source, 0, DEFAULT_TOL)[0]
+    real_pairs, real_svd = verify._pair_checks, np.linalg.svd
+    seen = {"svd": 0}
+
+    def pair_checks(ring, table, tol):
+        w = np.array([e.subalgebra.ce_dim for e in table.entries])
+        a, b = np.triu_indices(len(w))
+        seen["groups"], seen["pairs"] = len(set(zip(w[a].tolist(), w[b].tolist()))), len(a)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        try:
+            return real_pairs(ring, table, tol)
+        finally:
+            monkeypatch.setattr(np.linalg, "svd", real_svd)
+
+    def counting_svd(*args, **kwargs):
+        seen["svd"] += 1
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "_pair_checks", pair_checks)
+    assert all(c.passed for c in verify_ring(ring))
+    if source == "vec:symmetric:4":
+        assert 0 < seen["svd"] < seen["pairs"] // 4
+    else:
+        assert 0 < seen["svd"] <= seen["groups"] < seen["pairs"]
+
+
+def test_intersection_dims_in_row_blocks(monkeypatch):
+    # Nested random spans of mixed widths; a small Gram cap forces several row blocks.
+    rng = np.random.default_rng(3)
+    base = np.linalg.qr(rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))[0]
+    spans = [base[:, :w] for w in (0, 1, 3, 3, 5)] + [
+        np.linalg.qr(rng.standard_normal((12, w)))[0] for w in (2, 4)
+    ]
+    a, b = np.triu_indices(len(spans))
+    expected = [linalg._intersection_dim(spans[x], spans[y], DEFAULT_TOL) for x, y in zip(a, b)]
+    monkeypatch.setattr(linalg, "_BLOCK_BYTES", 16 * 3 * 18)
+    assert linalg._intersection_dims(spans, b, a, DEFAULT_TOL).tolist() == expected
+    assert linalg._intersection_dims(spans, a, b, DEFAULT_TOL).tolist() == expected
+    assert [expected[k] for k in np.flatnonzero(a == b)] == [0, 1, 3, 3, 5, 2, 4]
+    assert expected[len(spans) + 1 : 2 * len(spans) - 3] == [1, 1, 1]  # span 1 inside 2, 3, 4
+
+
+def test_duality_check_memory_below_r3():
+    ring = su2_fusion_ring(60)
+    r = ring.rank
+    tracemalloc.start()
+    try:
+        assert verify._duality_residual(ring) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Below one r^3 float table, let alone the r^3 * 16 bytes of a complex one.
+    assert peak < r**3 * 8
+
+
+def test_ce_basis_closure_in_blocks(monkeypatch, vec_a5_ring):
+    table = subalg.build_lattice(vec_a5_ring, verify.compute_blocks(vec_a5_ring))
+    L = table.entries[0].subalgebra
+    assert L.ce_dim == vec_a5_ring.rank
+    L.ce_span
+    real = subalg._span_contains
+    columns = []
+
+    def spy(Q, V, tol):
+        columns.append(V.shape[1])
+        return real(Q, V, tol)
+
+    monkeypatch.setattr(subalg, "_span_contains", spy)
+    basis = subalg.ce_basis(L)
+    n = len(basis)
+    step = subalg._BLOCK_BYTES // (16 * vec_a5_ring.rank * n)
+    assert columns[0] == 1 and sum(columns[1:]) == n * n
+    assert len(columns) == 1 + -(-n // step)
+    assert [z.coeffs.tolist() for z in basis] == [v.tolist() for v in reference_ce_basis(L, DEFAULT_TOL)]
+
+
+def test_trace_sum_and_pi_down_match_the_loops(vec_s3_ring, vec_s3_blocks):
+    table = subalg.build_lattice(vec_s3_ring, vec_s3_blocks)
+    stacked = subalg._cointegral_trace_sums(table.entries, subalg._stack_entries(table.entries))
+    for e, res in zip(table.entries, stacked):
+        assert subalg.verify_cointegral_trace_sum(e) == res
+        assert res == pytest.approx(reference_trace_sum(e), abs=1e-15)
+        z = CentralElement(vec_s3_ring, np.arange(vec_s3_ring.rank) + 1j)
+        got = subalg.pi_down(z, e.subalgebra).coeffs
+        assert np.allclose(got, reference_pi_down(z, e.subalgebra), atol=1e-13)
+
+
+def test_fourier_forward_rows(su2_ring):
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((3, su2_ring.rank)) + 1j * rng.standard_normal((3, su2_ring.rank))
+    out = char_theory._fourier_forward_raw(su2_ring, A)
+    for a, row in zip(A, out):
+        dual = np.array(su2_ring.dual)
+        assert np.array_equal(row, a[dual] * su2_ring.dims / su2_ring.global_dim)
+        assert np.array_equal(fourier_forward(CentralElement(su2_ring, a)).coeffs, row)
