@@ -72,9 +72,15 @@ def parse_source(source: str, seed: int, tol: Tolerance) -> tuple[FusionRingData
             return vec_fusion_ring(G), G, "vec"
         if kind == "ring" and rest:
             return load_ring_json(rest, tol), None, "ring"
-    except (UnknownBuiltin, BadTable, RingDataError) as exc:
-        raise InputFailure(f"{source}: {exc}") from exc
-    except (OSError, json.JSONDecodeError) as exc:
+    except (
+        UnknownBuiltin,
+        BadTable,
+        RingDataError,
+        OSError,
+        UnicodeDecodeError,
+        json.JSONDecodeError,
+        RecursionError,
+    ) as exc:
         raise InputFailure(f"{source}: {exc}") from exc
     raise InputFailure(f"unrecognized source {source!r} (use rep:<group>, vec:<group>, ring:<file>)")
 

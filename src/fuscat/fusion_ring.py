@@ -173,25 +173,37 @@ def _structure_violations(N: np.ndarray, dual: Sequence[int]) -> list[str]:
         i, j, k = np.argwhere(too_big)[0]
         out.append(f"multiplicity N[{i}][{j}][{k}] exceeds {MAX_MULTIPLICITY}")
         return out
+    # The certificate is sound only when e_0 is a two-sided unit, so it runs
+    # only on data that passed every check above; the dense scan stays the
+    # only reporter of a failure.
+    if not out and r >= _WORD_PROOF_MIN_RANK and _associative_by_words(N):
+        return out
     bad = _associativity_failure(N)
     if bad is not None:
         out.append("associativity fails at (i,j,l,p)=({},{},{},{})".format(*bad))
     return out
 
 
+def _exact_float(N: np.ndarray) -> np.ndarray:
+    """N as the narrowest float type in which every sum of r products of two
+    entries is exact: every partial sum, in any order, is an integer of
+    magnitude at most r * max|N|**2, which float32 holds when that is below
+    2**24 and float64 otherwise (below 2**53, see ``MAX_MULTIPLICITY``)."""
+    r = N.shape[0]
+    peak = max(int(N.max(initial=0)), -int(N.min(initial=0)))
+    return N.astype(np.float32 if r * peak**2 < 2**24 else np.float64)
+
+
 def _associativity_failure(N: np.ndarray) -> tuple[int, int, int, int] | None:
     """First (i,j,l,p) with sum_k N_ijk N_klp != sum_k N_jlk N_ikp, if any.
 
-    One i at a time as two matrix products, so memory stays O(r^3).  Exact
-    because every partial sum, in any order, is an integer of magnitude at
-    most r * max|N|**2: float32 holds all of them when that is below 2**24,
-    float64 otherwise (below 2**53, see ``MAX_MULTIPLICITY``).  Blocks are
-    scanned in i order and each block is laid out as [j, l, p], so the index
-    found is the lexicographically first.
+    One i at a time as two matrix products in the exact float type of
+    :func:`_exact_float`, so memory stays O(r^3).  Blocks are scanned in i
+    order and each block is laid out as [j, l, p], so the index found is the
+    lexicographically first.
     """
     r = N.shape[0]
-    peak = max(int(N.max(initial=0)), -int(N.min(initial=0)))
-    F = N.astype(np.float32 if r * peak**2 < 2**24 else np.float64)
+    F = _exact_float(N)
     right = F.reshape(r, r * r)
     left = F.reshape(r * r, r)
     # Two (r, r*r) buffers reused for every i; rhs is written through the
@@ -205,6 +217,119 @@ def _associativity_failure(N: np.ndarray) -> tuple[int, int, int, int] | None:
             j, l, p = np.argwhere((lhs != rhs).reshape(r, r, r))[0]
             return i, int(j), int(l), int(p)
     return None
+
+
+def _associative_by_words(N: np.ndarray) -> bool:
+    """True only if the ring is associative; False means "not proved".
+
+    Light's test.  A = {a : (x a) y = x (a y) for all simples x, y} is a
+    linear subspace, holds e_0 by the unit axioms, and is closed under
+    products: (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).  So when
+    every generator g of :func:`_word_generators` lies in A, A holds every
+    word over them, and the words span the ring.  Per g this compares
+    lhs[x, y, p] = sum_k N_xgk N_kyp with rhs[x, y, p] = sum_k N_gyk N_xkp,
+    two (r, r, r) products in the exact float type of :func:`_exact_float`:
+    |G| r^4 multiply-adds per side instead of the dense scan's r^5.
+    """
+    r = N.shape[0]
+    # The search's working arrays are freed before the float buffers exist,
+    # so the peak memory is the dense scan's.
+    gens = _word_generators(N)
+    F = _exact_float(N)
+    right = F.reshape(r, r * r)
+    lhs = np.empty((r, r * r), dtype=F.dtype)
+    rhs = np.empty((r, r, r), dtype=F.dtype)
+    for g in gens:
+        np.matmul(F[:, g, :], right, out=lhs)
+        np.matmul(F[g], F, out=rhs)
+        if not np.array_equal(lhs, rhs.reshape(r, r * r)):
+            return False
+    return True
+
+
+# Prime modulus of the word search: entries stay below p, so every sum of r
+# products of two of them is below r * p**2, which int64 holds for r < 2**31.
+_WORD_PRIME = 65521
+# Rank from which build_ring proves associativity by words before any dense
+# scan.  Below it the dense r^5 scan is faster: with one BLAS thread the word
+# proof costs 1.5x the scan on SU(2)_23 and vec:symmetric:4 (rank 24), 1.1x
+# on SU(2)_27 (rank 28), 0.9x on SU(2)_29 and vec:cyclic:30 (rank 30).
+_WORD_PROOF_MIN_RANK = 29
+
+
+def _word_generators(N: np.ndarray) -> list[int]:
+    """Simples G whose left-normed words (e_0 g_1 g_2 ... g_n) span Q^r.
+
+    A Krylov search mod ``_WORD_PRIME``: the span starts as {e_0} and is
+    right-multiplied by the generators found so far (v -> v N[:, g, :]);
+    whenever it stops growing, the first simple outside it joins G, and that
+    simple itself joins the span.  Rank r mod p implies rank r over Q, since
+    some r x r minor of the integer word vectors is non-zero mod p and so
+    non-zero.
+    """
+    p = _WORD_PRIME
+    r = N.shape[0]
+    span = _EchelonMod(r, p)
+    added = span.extend(np.eye(1, r, dtype=np.int64))
+    right: list[np.ndarray] = []  # N[:, g, :] mod p, one (r, r) slice per generator
+    gens: list[int] = []
+    while span.k < r:
+        if len(added) and right:
+            # The new rows times every generator, one generator at a time, so
+            # that each product is first reduced against what the previous
+            # ones added.
+            added = np.concatenate([span.extend(added @ m % p) for m in right])
+            continue
+        # The span stopped growing: the first simple outside it is the first
+        # row of the identity that the basis does not reduce to zero.
+        outside = np.eye(r, dtype=np.int64)
+        outside[span.pivots] -= span.basis[: span.k]
+        g = int(np.flatnonzero(outside.any(axis=1))[0])
+        gens.append(g)
+        right.append(N[:, g, :] % p)
+        # The generator itself, and the whole span times it.
+        added = np.concatenate(
+            [span.extend(np.eye(1, r, g, dtype=np.int64)), span.extend(span.basis[: span.k] @ right[-1] % p)]
+        )
+    return gens
+
+
+class _EchelonMod:
+    """A subspace of (Z/p)^r as a reduced row echelon basis, grown in place."""
+
+    def __init__(self, r: int, p: int):
+        self.p = p
+        self.basis = np.zeros((r, r), dtype=np.int64)
+        self.pivots: list[int] = []
+        self.k = 0
+
+    def extend(self, rows: np.ndarray) -> np.ndarray:
+        """Add ``rows`` to the span; returns the rows that entered the basis.
+
+        The rows are reduced against the basis in one product, brought to
+        reduced echelon form among themselves, and then cleared from the old
+        basis rows in one more product; with the old basis they span the new
+        one.
+        """
+        p, k = self.p, self.k
+        rows = (rows - rows[:, self.pivots] @ self.basis[:k]) % p
+        rows = rows[rows.any(axis=1)]
+        new = rows[:0]
+        cols: list[int] = []
+        while len(rows):
+            row = rows[0]
+            c = int(row.nonzero()[0][0])
+            row = row * pow(int(row[c]), -1, p) % p
+            rows = (rows[1:] - rows[1:, c, None] * row) % p
+            rows = rows[rows.any(axis=1)]
+            new = np.concatenate([(new - new[:, c, None] * row) % p, row[None]])
+            cols.append(c)
+        if cols:
+            self.basis[:k] = (self.basis[:k] - self.basis[:k, cols] @ new) % p
+        self.basis[k : k + len(cols)] = new
+        self.pivots += cols
+        self.k += len(cols)
+        return new
 
 
 def fp_dims(N) -> tuple[np.ndarray, float]:

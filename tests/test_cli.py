@@ -1,6 +1,12 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuscat import cli
 
@@ -143,6 +149,18 @@ class TestVerify:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert field in err and "list indices" not in err
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000],
+        ids=["not_utf8", "nested_100k_deep"],
+    )
+    def test_undecodable_ring_file_is_one_line_error(self, content, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, _, err = run_cli(["analyze", f"ring:{path}"], capsys)
+        assert code == 2
+        assert err.startswith(f"error: ring:{path}: ") and err.count("\n") == 1
+
     def test_missing_source(self, capsys):
         code, _, err = run_cli(["verify"], capsys)
         assert code == 2
@@ -196,3 +214,46 @@ class TestConfig:
     def test_nonpositive_tolerance_rejected(self, capsys):
         code, _, err = run_cli(["analyze", "rep:cyclic:2", "--abs-tol", "-1"], capsys)
         assert code == 2
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=24,
+)
+
+
+@st.composite
+def _small_cubes(draw):
+    """Ring-shaped objects of rank 1-3 with small entries: these reach the
+    axiom checks, and now and then a valid ring that is analysed in full."""
+    r = draw(st.integers(1, 3))
+    entries = st.integers(-1, 2)
+    N = draw(st.lists(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=r, max_size=r), min_size=r, max_size=r))
+    dual = draw(st.lists(st.integers(-1, r), min_size=r, max_size=r))
+    return {"labels": [f"s{i}" for i in range(r)], "dual": dual, "N": N}
+
+
+_RING_FILES = st.one_of(
+    st.binary(max_size=64),
+    _JSON.map(lambda v: json.dumps(v).encode()),
+    st.fixed_dictionaries({"labels": _JSON, "dual": _JSON, "N": _JSON}).map(lambda v: json.dumps(v).encode()),
+    _small_cubes().map(lambda v: json.dumps(v).encode()),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_RING_FILES)
+def test_fuzzed_ring_file_exits_0_or_2_with_one_error_line(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ring.json"
+        path.write_bytes(content)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["analyze", f"ring:{path}"])
+    assert code in (0, 2)
+    if code == 2:
+        lines = err.getvalue().split("\n")
+        assert len(lines) == 2 and lines[0].startswith("error:") and lines[1] == ""
+    else:
+        assert err.getvalue() == "" and out.getvalue()

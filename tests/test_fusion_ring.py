@@ -179,6 +179,165 @@ class TestStructureCheck:
         assert peak < r**4 * 8 / 8  # an r^4 float64 tensor would need r^4 * 8 bytes
 
 
+
+def _dense_violation(N):
+    """The violation the dense scan reports for N, the reference above the cut."""
+    bad = fusion_ring._associativity_failure(N)
+    assert bad is not None
+    return "associativity fails at (i,j,l,p)=({},{},{},{})".format(*bad)
+
+
+def _rank_mod_p(M, p):
+    """Rank of an integer matrix mod a prime p, by plain Gaussian elimination."""
+    M = np.array(M, dtype=np.int64) % p
+    rank = 0
+    for c in range(M.shape[1]):
+        rows = rank + np.flatnonzero(M[rank:, c])
+        if not rows.size:
+            continue
+        M[[rank, rows[0]]] = M[[rows[0], rank]]
+        M[rank] = M[rank] * pow(int(M[rank, c]), -1, p) % p
+        factors = M[:, c].copy()
+        factors[rank] = 0
+        M = (M - np.outer(factors, M[rank])) % p
+        rank += 1
+    return rank
+
+
+def _word_vectors(N, gens, p):
+    """e_0 and its left-normed words over gens mod p, breadth first by length,
+    repeated vectors dropped; at most rank many lengths."""
+    r = N.shape[0]
+    seen = {}
+    level = [np.eye(1, r, dtype=np.int64)[0]]
+    for _ in range(r):
+        fresh = []
+        for v in level:
+            key = v.tobytes()
+            if key not in seen:
+                seen[key] = v
+                fresh.append(v)
+        if len(seen) > 4 * r:
+            break
+        level = [v @ N[:, g, :] % p for v in fresh for g in gens]
+    return np.array(list(seen.values()))
+
+
+@pytest.fixture(scope="module")
+def vec_s5_ring():
+    """Group ring of S5: rank 120, non-commutative, four generating simples."""
+    return groups.vec_fusion_ring(groups.parse_group("symmetric:5"))
+
+
+@pytest.fixture(scope="module")
+def su2_60_ring():
+    return su2_fusion_ring(60)
+
+
+class TestWordCertificate:
+    """Light's test from a few generating simples, with the dense scan as the
+    only reporter of a failure."""
+
+    @pytest.fixture
+    def dense_calls(self, monkeypatch):
+        calls = []
+        original = fusion_ring._associativity_failure
+
+        def spy(N):
+            calls.append(N.shape[0])
+            return original(N)
+
+        monkeypatch.setattr(fusion_ring, "_associativity_failure", spy)
+        return calls
+
+    @pytest.mark.parametrize("name", ["su2_ring", "su2_60_ring", "vec_a5_ring", "vec_s5_ring"])
+    def test_valid_rings_above_cut_skip_dense_scan(self, name, request, dense_calls):
+        ring = request.getfixturevalue(name)
+        assert ring.rank >= fusion_ring._WORD_PROOF_MIN_RANK
+        assert fusion_ring._structure_violations(ring.N, ring.dual) == []
+        assert dense_calls == []
+
+    @pytest.mark.parametrize("source", battery_sources(large=True))
+    def test_battery_rings_below_cut_use_dense_scan(self, source, dense_calls):
+        ring, _group, _kind = parse_source(source, 0, DEFAULT_TOL)
+        dense_calls.clear()
+        assert ring.rank < fusion_ring._WORD_PROOF_MIN_RANK
+        assert fusion_ring._structure_violations(ring.N, ring.dual) == []
+        assert dense_calls == [ring.rank]
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", ["su2_ring", "su2_60_ring", "vec_a5_ring"])
+    def test_perturbed_ring_gets_dense_violation(self, name, seed, request, dense_calls):
+        ring = request.getfixturevalue(name)
+        rng = np.random.default_rng(seed)
+        N = ring.N.copy()
+        i, j, k = (int(x) for x in rng.integers(1, ring.rank, 3))
+        N[i, j, k] += 1
+        expected = [_dense_violation(N)]
+        dense_calls.clear()
+        assert fusion_ring._structure_violations(N, ring.dual) == expected
+        assert dense_calls == [ring.rank]  # the certificate failed and handed over
+        with pytest.raises(RingDataError) as exc:
+            build_ring(ring.labels, N, ring.dual)
+        assert exc.value.violations == expected
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("name", ["su2_ring", "vec_a5_ring"])
+    def test_unit_and_associativity_broken_together(self, name, seed, request):
+        ring = request.getfixturevalue(name)
+        rng = np.random.default_rng(seed)
+        j, k = (int(x) for x in rng.choice(np.arange(1, ring.rank), 2, replace=False))
+        N = ring.N.copy()
+        N[0, j, k] += 1
+        assert fusion_ring._structure_violations(N, ring.dual) == [
+            f"unit axiom fails: N[0][{j}][{k}] != delta",
+            _dense_violation(N),
+        ]
+
+    def test_broken_unit_never_trusts_the_certificate(self, monkeypatch):
+        # e_0 e_0 = e_0 + e_2 and e_0 e_2 = 0: the unit axiom fails, the ring
+        # is not associative, and yet the one generator e_1 passes Light's
+        # test, because e_0 no longer lies in the set the test builds on.
+        N = np.array(
+            [
+                [[1, 0, 1], [0, 1, 0], [0, 0, 0]],
+                [[0, 1, 0], [1, 0, 1], [0, 1, 0]],
+                [[0, 0, 0], [0, 1, 0], [1, 0, 1]],
+            ]
+        )
+        monkeypatch.setattr(fusion_ring, "_WORD_PROOF_MIN_RANK", 1)
+        assert fusion_ring._word_generators(N) == [1]
+        assert fusion_ring._associative_by_words(N)
+        violations = fusion_ring._structure_violations(N, [0, 1, 2])
+        assert violations[0].startswith("unit axiom fails")
+        assert violations[-1] == _dense_violation(N)
+
+    @pytest.mark.parametrize(
+        "name, count",
+        [("su2_ring", 1), ("su2_60_ring", 1), ("vec_a5_ring", 3), ("vec_s5_ring", 4), ("vec_s3_ring", 2)],
+    )
+    def test_words_over_generators_span(self, name, count, request):
+        ring = request.getfixturevalue(name)
+        p = fusion_ring._WORD_PRIME
+        assert p > 2 and all(p % q for q in range(2, int(p**0.5) + 1))
+        gens = fusion_ring._word_generators(ring.N)
+        assert len(gens) == count
+        assert _rank_mod_p(_word_vectors(ring.N, gens, p), p) == ring.rank
+        # No generator is redundant in the search: without the last one the
+        # words span less.
+        assert _rank_mod_p(_word_vectors(ring.N, gens[:-1], p), p) < ring.rank
+
+    def test_structure_check_memory_on_s5(self, vec_s5_ring):
+        r = vec_s5_ring.rank
+        tracemalloc.start()
+        try:
+            assert fusion_ring._structure_violations(vec_s5_ring.N, vec_s5_ring.dual) == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < r**3 * 20
+
+
 class TestFpDims:
     def test_pointed_ring_dims_all_one(self, vec_s3_ring):
         assert np.allclose(vec_s3_ring.dims, 1.0)
