@@ -43,7 +43,7 @@ from .char_theory import (
     subcategory_cointegral,
     tau,
 )
-from .wedderburn import BlockStructure, adapt_to_idempotent, compute_blocks
+from .wedderburn import BlockStructure, compute_blocks
 from .subalg import (
     SubalgebraIndex,
     build_lattice,

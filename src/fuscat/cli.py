@@ -311,11 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     env_abs = os.environ.get("FUSCAT_TOL")
-    abs_tol = args.abs_tol if args.abs_tol is not None else (float(env_abs) if env_abs else 1e-9)
+    try:
+        abs_tol = args.abs_tol if args.abs_tol is not None else (float(env_abs) if env_abs else 1e-9)
+    except ValueError:
+        raise InputFailure(f"FUSCAT_TOL={env_abs!r} is not a number") from None
     rel_tol = args.rel_tol if args.rel_tol is not None else 1e-9
     snap_tol = args.snap_tol if args.snap_tol is not None else 1e-6
-    if abs_tol <= 0 or rel_tol <= 0 or snap_tol <= 0:
-        raise InputFailure("tolerances must be positive")
+    if not all(np.isfinite(t) and t > 0 for t in (abs_tol, rel_tol, snap_tol)):
+        raise InputFailure("tolerances must be finite and positive")
     return RunConfig(
         command=args.command,
         source=getattr(args, "source", None),

@@ -56,7 +56,8 @@ class Tolerance:
     snap_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.abs_tol < 0 or self.rel_tol < 0 or self.snap_tol < 0:
+        # Written so that NaN, which compares false, is rejected too.
+        if not (self.abs_tol >= 0 and self.rel_tol >= 0 and self.snap_tol >= 0):
             raise ValueError("tolerances must be non-negative")
 
     def close(self, a: complex, b: complex) -> bool:

@@ -1,9 +1,9 @@
 """The bijection between fusion subcategories and unitary subalgebras.
 
 A unitary subalgebra of the adjoint algebra is encoded by block-row selections
-relative to an adapted block structure: the subcategory's cointegral is an
-idempotent of CF(C), the blocks are re-based so it becomes a diagonal 0/1
-pattern, and the rows carrying 1 name the simple summands of the subalgebra.
+relative to an adapted basis: the subcategory's cointegral is an idempotent
+of CF(C), each block is re-based so it becomes a diagonal 0/1 pattern, and
+the rows carrying 1 name the simple summands of the subalgebra.
 Each subalgebra also stores its restriction projector, from which restriction
 of class functions, the inverse map to subcategories and the induced
 partition of the simples are read.  The central subspace with its class-sum
@@ -42,7 +42,7 @@ from .linalg import (
     _span_contains,
     _spans_contained,
 )
-from .wedderburn import BlockStructure, _adapt_stack
+from .wedderburn import BlockStructure, _adapt_stack, _adapted_class_sums
 
 __all__ = [
     "ClosureViolation",
@@ -99,34 +99,41 @@ class InequalityViolation(Exception):
 class SubalgebraIndex:
     """A unitary subalgebra of the adjoint algebra, as block-row data.
 
-    ``rows[j]`` lists the selected rows of block j in the adapted structure
-    ``blocks``; ``dim_l`` is the subalgebra dimension (a sum of summand
-    dimensions) and ``ce_dim`` the dimension of its central subspace.
-    ``projector`` is the restriction projector ``U diag(mask) U^-1`` on
-    chi-basis coefficients, where U has the adapted matrix units as columns
-    and the mask keeps the units F^j_st whose column t is a selected row.
-    ``cointegral_components`` holds the subcategory cointegral expanded in
-    the adapted matrix units, one read-only m x m array per block.
+    Every block of the base structure ``base`` is re-based so that the
+    subcategory cointegral is diagonal; the adapted matrix units F'^j_st are
+    never formed, only arrays over them, indexed in the base's unit_index
+    order.  ``rows[j]`` lists the selected rows of block j; ``dim_l`` is the
+    subalgebra dimension (a sum of summand dimensions) and ``ce_dim`` the
+    dimension of its central subspace.  ``projector`` is the restriction
+    projector ``U diag(mask) U^-1`` on chi-basis coefficients, where U has
+    the adapted matrix units as columns and the mask keeps the units F'^j_st
+    whose column t is a selected row.  ``class_sums`` (r, r) holds the
+    E-basis coefficients of the class sum of each adapted unit, one row per
+    unit, and ``cointegral_components`` (r,) the subcategory cointegral
+    expanded in the adapted units.
     """
 
     base: BlockStructure
-    blocks: BlockStructure
     rows: tuple[tuple[int, ...], ...]
     dim_l: float
     ce_dim: int
     projector: np.ndarray
-    cointegral_components: tuple[np.ndarray, ...]
+    class_sums: np.ndarray
+    cointegral_components: np.ndarray
 
     @property
     def ring(self) -> FusionRingData:
-        return self.blocks.ring
+        return self.base.ring
 
-    @property
-    def block_indices(self) -> tuple[int, ...]:
-        return tuple(j for j, r in enumerate(self.rows) if r)
-
-    def selected_pairs(self) -> list[tuple[int, int]]:
-        return [(j, s) for j, r in enumerate(self.rows) for s in r]
+    @cached_property
+    def selected(self) -> np.ndarray:
+        """(r,) bool: the adapted units F'^j_st whose row s is selected, in unit_index order."""
+        ms = np.array([blk.m for blk in self.base.blocks])
+        first = np.cumsum(ms) - ms
+        lay = self.base._layout()
+        rows = np.zeros(ms.sum(), dtype=bool)
+        rows[[first[j] + s for j, sel in enumerate(self.rows) for s in sel]] = True
+        return rows[first[lay.block] + lay.s]
 
     @cached_property
     def ce_span(self) -> np.ndarray:
@@ -136,12 +143,7 @@ class SubalgebraIndex:
         counts an intersection or compares rows, and none of these sees a
         phase per column.
         """
-        sums = [
-            blk.class_sums[list(r)].reshape(-1, self.ring.rank)
-            for blk, r in zip(self.blocks.blocks, self.rows)
-            if r
-        ]
-        return _orthonormal_columns(np.concatenate(sums).T, DEFAULT_TOL)
+        return _orthonormal_columns(self.class_sums[self.selected].T, DEFAULT_TOL)
 
     def __repr__(self) -> str:
         return f"SubalgebraIndex(rows={self.rows}, dim={self.dim_l:.6g})"
@@ -169,8 +171,9 @@ def _subalgebras(
     Entry s is the subalgebra of ``subcats[s]``, or the exception that the
     single call raises for it.  All cointegrals are adapted by one
     :func:`_adapt_stack`; their adapted components are ``U^-1 Lambda_j U``
-    per block, and the projectors come from :func:`_projectors`, so no
-    adapted unit matrix is formed or inverted.
+    per block, the class sums come from :func:`_adapted_class_sums` and the
+    projectors from :func:`_projectors`, so no adapted unit is formed and no
+    adapted unit matrix is inverted.
     """
     ring = B.ring
     if any(D.ring is not ring for D in subcats):
@@ -182,7 +185,6 @@ def _subalgebras(
     comps, idems = [], []
     for blk, P, U, Uinv in zip(B.blocks, adapted.comps, adapted.bases, adapted.inverses):
         A = Uinv @ P @ U
-        A.setflags(write=False)
         diag = np.diagonal(A, axis1=1, axis2=2)
         selected = np.abs(diag - 1) <= tol.snap_tol
         bad = ~selected & (np.abs(diag) > tol.snap_tol)
@@ -201,6 +203,9 @@ def _subalgebras(
         # The snapped idempotent U diag(mask) U^-1 of the block.
         idems.append((U * selected[:, None, :]) @ Uinv)
     projectors = _projectors(B, idems)
+    sums = _adapted_class_sums(B, adapted)
+    components = np.concatenate([A.reshape(S, -1) for A in comps], axis=1)
+    components.setflags(write=False)
     out: list[SubalgebraIndex | Exception] = []
     for s in range(S):
         if errors[s] is None and 0 not in rows[s][0]:
@@ -211,9 +216,9 @@ def _subalgebras(
         sel = rows[s]
         dim_l = float(sum(B.blocks[j].summand_dim * len(r) for j, r in enumerate(sel)))
         ce_dim = int(sum(len(r) * B.blocks[j].m for j, r in enumerate(sel)))
-        blocks = BlockStructure(ring, adapted.blocks[s], B.seed)
-        components = tuple(A[s] for A in comps)
-        out.append(SubalgebraIndex(B, blocks, tuple(sel), dim_l, ce_dim, projectors[s], components))
+        out.append(
+            SubalgebraIndex(B, tuple(sel), dim_l, ce_dim, projectors[s], sums[s], components[s])
+        )
     return out
 
 
@@ -370,7 +375,7 @@ def ce_basis(
     arbitrary.  When ``check`` is set, verifies that the span contains the
     unit and is closed under multiplication.
     """
-    vecs = L.blocks._rows("class_sums")[_selected_units([L])[0]]
+    vecs = L.class_sums[L.selected]
     if check:
         _check_closure(L, vecs.T, tol)
     return [CentralElement(L.ring, v) for v in vecs]
@@ -396,17 +401,6 @@ def _check_closure(L: SubalgebraIndex, vecs: np.ndarray, tol: Tolerance) -> None
             raise ClosureFailure("central subspace is not closed under product")
 
 
-def _selected_units(subalgebras: list[SubalgebraIndex]) -> np.ndarray:
-    """(k, n) bool: per subalgebra, the units F^j_st (unit_index order) whose row s is selected."""
-    ms = np.array([blk.m for blk in subalgebras[0].base.blocks])
-    first = np.cumsum(ms) - ms
-    lay = subalgebras[0].base._layout()
-    rows = np.zeros((len(subalgebras), ms.sum()), dtype=bool)
-    for k, L in enumerate(subalgebras):
-        rows[k, [first[j] + s for j, sel in enumerate(L.rows) for s in sel]] = True
-    return rows[:, first[lay.block] + lay.s]
-
-
 def pi_down(z: CentralElement, L: SubalgebraIndex, tol: Tolerance = DEFAULT_TOL) -> CentralElement:
     """Projection of a central element onto the subalgebra's central subspace.
 
@@ -415,13 +409,12 @@ def pi_down(z: CentralElement, L: SubalgebraIndex, tol: Tolerance = DEFAULT_TOL)
     """
     if z.ring is not L.ring:
         raise ValueError("central element and subalgebra belong to different rings")
-    sums = L.blocks._rows("class_sums")[None]
-    return CentralElement(L.ring, _pi_down_rows(sums, _selected_units([L]), z.coeffs)[0])
+    return CentralElement(L.ring, _pi_down_rows(L.class_sums[None], L.selected[None], z.coeffs)[0])
 
 
 def _pi_down_rows(sums: np.ndarray, keep: np.ndarray, z: np.ndarray) -> np.ndarray:
     """:func:`pi_down` of z for a stack of subalgebras, given their (k, n, r)
-    adapted class sums and (k, n) :func:`_selected_units`, one batched solve."""
+    adapted class sums and (k, n) selected-unit masks, one batched solve."""
     cols = sums.transpose(0, 2, 1)
     coeffs = np.linalg.solve(cols, np.broadcast_to(np.asarray(z)[:, None], (len(sums), len(z), 1)))
     return np.matmul(cols, coeffs * keep[:, :, None])[:, :, 0]
@@ -532,15 +525,15 @@ class _EntryStack(NamedTuple):
 
     cointegrals: np.ndarray  # (k, r) subcategory cointegrals
     components: np.ndarray  # (k, n) adapted cointegral components
-    keep: np.ndarray  # (k, n) :func:`_selected_units`
+    keep: np.ndarray  # (k, n) :attr:`SubalgebraIndex.selected`
 
 
 def _stack_entries(entries) -> _EntryStack:
     """The :class:`_EntryStack` of table entries that share one base structure."""
     return _EntryStack(
         np.array([subcategory_cointegral(e.subcategory).coeffs for e in entries]),
-        np.array([np.concatenate([P.ravel() for P in e.subalgebra.cointegral_components]) for e in entries]),
-        _selected_units([e.subalgebra for e in entries]),
+        np.array([e.subalgebra.cointegral_components for e in entries]),
+        np.array([e.subalgebra.selected for e in entries]),
     )
 
 

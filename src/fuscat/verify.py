@@ -146,7 +146,7 @@ def _entry_residuals(ring: FusionRingData, entries, tol: Tolerance) -> list[floa
     diag = lay.s == lay.t
     fpdim = np.array([e.subcategory.fpdim for e in entries])
     dim_l = np.array([e.subalgebra.dim_l for e in entries])
-    sums = np.array([e.subalgebra.blocks._rows("class_sums") for e in entries])
+    sums = np.array([e.subalgebra.class_sums for e in entries])
     proj = np.array([e.subalgebra.projector for e in entries])
     ell0 = np.zeros((len(entries), r))
     for k, e in enumerate(entries):

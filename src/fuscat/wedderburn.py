@@ -21,8 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .char_theory import (
-    CentralElement,
-    ClassFunction,
     _fourier_inverse_raw,
     cf_star,
     cf_star_blocks,
@@ -40,7 +38,6 @@ __all__ = [
     "Block",
     "BlockStructure",
     "compute_blocks",
-    "adapt_to_idempotent",
     "verify_class_sum_pairings",
     "verify_dual_bases",
     "verify_integral_classsum",
@@ -145,12 +142,6 @@ class BlockStructure:
     @cached_property
     def _unit_matrix_inv(self) -> np.ndarray:
         return np.linalg.inv(self._unit_matrix)
-
-    def unit(self, j: int, s: int, t: int) -> ClassFunction:
-        return ClassFunction(self.ring, self.blocks[j].units[s, t])
-
-    def class_sum(self, j: int, s: int, t: int) -> CentralElement:
-        return CentralElement(self.ring, self.blocks[j].class_sums[s, t])
 
     def expand(self, coeffs: np.ndarray) -> list[np.ndarray]:
         """Coefficients of a chi-basis vector in the matrix-unit basis, per block."""
@@ -362,24 +353,6 @@ def compute_blocks(
     return BlockStructure(ring, (raw[lam_block], *rest), seed)
 
 
-def adapt_to_idempotent(
-    B: BlockStructure, p: ClassFunction, tol: Tolerance = DEFAULT_TOL
-) -> BlockStructure:
-    """Re-diagonalize each block so the idempotent p becomes diag(1..1, 0..0).
-
-    Conjugates the matrix units of every block by an eigenbasis of p's block
-    component: eigenvalue-1 rows first, ordered by eigenvector signature.
-    Raises :class:`NotIdempotent` if a block eigenvalue is outside the {0, 1}
-    tolerance band.
-    """
-    if p.ring is not B.ring:
-        raise ValueError("idempotent and block structure belong to different rings")
-    adapted = _adapt_stack(B, p.coeffs[None], tol)
-    if adapted.errors[0] is not None:
-        raise adapted.errors[0]
-    return BlockStructure(B.ring, adapted.blocks[0], B.seed)
-
-
 @dataclass(frozen=True, eq=False)
 class _Adaptation:
     """S idempotents adapted at once (:func:`_adapt_stack`).
@@ -387,16 +360,14 @@ class _Adaptation:
     Per block j, stacked over the S idempotents: ``comps[j]`` holds their
     (S, m, m) components in the base matrix units, ``bases[j]`` the
     eigenbases U that adapt the block (ones for an m = 1 block) and
-    ``inverses[j]`` their inverses.  ``blocks[s]`` is the adapted block tuple
-    of idempotent s, and ``errors[s]`` the exception that adapting it alone
-    raises; where that is set, ``blocks[s]`` is None and the arrays of row s
-    are placeholders.
+    ``inverses[j]`` their inverses.  ``errors[s]`` is the exception that
+    adapting idempotent s alone raises; where that is set, the arrays of row
+    s are placeholders.
     """
 
     comps: tuple[np.ndarray, ...]
     bases: tuple[np.ndarray, ...]
     inverses: tuple[np.ndarray, ...]
-    blocks: tuple[tuple[Block, ...] | None, ...]
     errors: tuple[Exception | None, ...]
 
 
@@ -425,21 +396,21 @@ def _stacked(fn, A: np.ndarray, errors: list):
 
 
 def _adapt_stack(B: BlockStructure, coeffs: np.ndarray, tol: Tolerance) -> _Adaptation:
-    """:func:`adapt_to_idempotent` for each row of an (S, rank) array at once.
+    """Re-diagonalize each block for each row of an (S, rank) array of idempotents.
 
-    Per block with m > 1, one stacked eigvals, SVD and inverse serve all S
-    components; only the signature sort of the eigenvectors runs per row.
-    The adapted units are formed by two batched products in row blocks of S,
-    and their class sums by one inverse Fourier image.  A row that fails
-    keeps the first error it would raise alone; its later blocks are
-    computed on the identity so that they cannot fail in its place.
+    Per block, the eigenbasis U of the idempotent's component makes it
+    diag(1..1, 0..0): eigenvalue-1 columns first, each group ordered by
+    eigenvector signature.  Per block with m > 1, one stacked eigvals, SVD
+    and inverse serve all S components; only the signature sort of the
+    eigenvectors runs per row.  A row with a block eigenvalue outside the
+    {0, 1} tolerance band gets :class:`NotIdempotent` as its error.  A row
+    that fails keeps the first error it would raise alone; its later blocks
+    are computed on the identity so that they cannot fail in its place.
     """
-    ring = B.ring
-    r = ring.rank
     comps = B._expand_rows(coeffs)
     S = len(comps[0])
     errors: list[Exception | None] = [None] * S
-    bases, inverses, adapted = [], [], []
+    bases, inverses = [], []
     for blk, P in zip(B.blocks, comps):
         m = blk.m
         if m == 1:
@@ -451,7 +422,6 @@ def _adapt_stack(B: BlockStructure, coeffs: np.ndarray, tol: Tolerance) -> _Adap
                     )
             bases.append(np.ones_like(P))
             inverses.append(bases[-1])
-            adapted.append(None)
             continue
         eye = np.eye(m, dtype=complex)
         failed = np.array([e is not None for e in errors])
@@ -485,28 +455,38 @@ def _adapt_stack(B: BlockStructure, coeffs: np.ndarray, tol: Tolerance) -> _Adap
             ]
             U[s] = cols[s][:, sorted(range(m), key=keys.__getitem__)]
         Uinv = _stacked(np.linalg.inv, U, errors)
-        # units'[s, t] = sum_ab U[a, s] Uinv[t, b] units[a, b]
-        X = blk.units.reshape(m, m * r)
-        units = np.empty((S, m, m, r), dtype=complex)
-        step = max(1, _BLOCK_BYTES // (m * m * r * units.itemsize))
-        for lo in range(0, S, step):
-            Y = np.matmul(U[lo : lo + step].transpose(0, 2, 1), X)
-            np.matmul(
-                Uinv[lo : lo + step, None], Y.reshape(-1, m, m, r), out=units[lo : lo + step]
-            )
-        sums = _fourier_inverse_raw(ring, units)
         bases.append(U)
         inverses.append(Uinv)
-        adapted.append(
-            [Block(m, blk.n, blk.summand_dim, units[s], sums[s]) for s in range(S)]
-        )
-    blocks = tuple(
-        None
-        if errors[s] is not None
-        else tuple(blk if new is None else new[s] for blk, new in zip(B.blocks, adapted))
-        for s in range(S)
-    )
-    return _Adaptation(tuple(comps), tuple(bases), tuple(inverses), blocks, tuple(errors))
+    return _Adaptation(tuple(comps), tuple(bases), tuple(inverses), tuple(errors))
+
+
+def _adapted_class_sums(B: BlockStructure, adapted: _Adaptation) -> np.ndarray:
+    """(S, r, r) class sums of each row's adapted matrix units, rows in unit_index order.
+
+    The adapted unit F'^j_st is ``sum_ab U[a, s] Uinv[t, b] F^j_ab`` for the
+    eigenbasis U of block j, and the inverse Fourier image is linear, so the
+    base class sums are conjugated the same way; no adapted unit is formed.
+    The products are formed for a row block of S at a time, at most
+    ``_BLOCK_BYTES`` of them.
+    """
+    r = B.rank
+    S = len(adapted.errors)
+    out = np.empty((S, r, r), dtype=complex)
+    pos = 0
+    for blk, U, Uinv in zip(B.blocks, adapted.bases, adapted.inverses):
+        m = blk.m
+        sums = out[:, pos : pos + m * m].reshape(S, m, m, r)
+        pos += m * m
+        if m == 1:
+            sums[:] = blk.class_sums
+            continue
+        X = blk.class_sums.reshape(m, m * r)
+        step = max(1, _BLOCK_BYTES // (m * m * r * out.itemsize))
+        for lo in range(0, S, step):
+            Y = np.matmul(U[lo : lo + step].transpose(0, 2, 1), X)
+            np.matmul(Uinv[lo : lo + step, None], Y.reshape(-1, m, m, r), out=sums[lo : lo + step])
+    out.setflags(write=False)
+    return out
 
 
 def verify_class_sum_pairings(B: BlockStructure) -> float:

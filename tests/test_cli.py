@@ -211,9 +211,28 @@ class TestConfig:
         cfg = cli.config_from_args(args)
         assert cfg.tol.abs_tol == pytest.approx(1e-5)
 
-    def test_nonpositive_tolerance_rejected(self, capsys):
-        code, _, err = run_cli(["analyze", "rep:cyclic:2", "--abs-tol", "-1"], capsys)
+    @pytest.mark.parametrize(
+        "command, flags, env",
+        [
+            ("analyze", ["--abs-tol", "-1"], None),
+            ("analyze", [], "abc"),
+            ("analyze", [], "nan"),
+            ("analyze", ["--abs-tol", "nan"], None),
+            ("analyze", ["--abs-tol", "inf"], None),
+            ("verify", ["--abs-tol", "nan"], None),
+            ("verify", ["--abs-tol", "inf"], None),
+            ("lattice", ["--snap-tol", "inf"], None),
+            ("lattice", ["--snap-tol", "nan"], None),
+            ("lattice", ["--rel-tol", "nan"], None),
+        ],
+    )
+    def test_nonpositive_tolerance_rejected(self, capsys, monkeypatch, command, flags, env):
+        if env is not None:
+            monkeypatch.setenv("FUSCAT_TOL", env)
+        code, _, err = run_cli([command, "rep:cyclic:2", *flags], capsys)
         assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 _JSON = st.recursive(

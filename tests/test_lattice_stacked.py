@@ -2,7 +2,8 @@
 
 The reference below is the per-subcategory construction the stacked pass
 replaced: every block adapted by its own eigvals/SVD/inverse and an einsum,
-the cointegral expanded a second time in the adapted unit matrix, the
+the class sums read as the inverse Fourier image of the adapted units, the
+cointegral expanded a second time in the adapted unit matrix, the
 projector read from that matrix and its inverse, one containment test per
 pair, and Hasse edges from an O(S^3) loop over Python sets.  It looks up
 ``subcategory_cointegral``, ``enumerate_subcategories`` and
@@ -101,8 +102,10 @@ def reference_subalgebra(D, B, tol=DEFAULT_TOL):
     ce_dim = int(sum(len(r) * adapted.blocks[j].m for j, r in enumerate(rows)))
     mask = np.array([t in rows[j] for j, _s, t in adapted.unit_index()])
     projector = adapted._unit_matrix[:, mask] @ adapted._unit_matrix_inv[mask]
-    blocks = BlockStructure(B.ring, adapted.blocks, adapted.seed)
-    return SubalgebraIndex(B, blocks, tuple(rows), dim_l, ce_dim, projector, tuple(comps))
+    components = np.concatenate([P.ravel() for P in comps])
+    return SubalgebraIndex(
+        B, tuple(rows), dim_l, ce_dim, projector, adapted._rows("class_sums"), components
+    )
 
 
 def reference_edges(sets):
@@ -158,10 +161,8 @@ def assert_tables_match(new, ref):
         L, R = e.subalgebra, f.subalgebra
         assert e.subcategory.indices == f.subcategory.indices
         assert (L.rows, L.dim_l, L.ce_dim, e.partition) == (R.rows, R.dim_l, R.ce_dim, f.partition)
-        for b1, b2 in zip(L.blocks.blocks, R.blocks.blocks):
-            assert np.max(np.abs(b1.units - b2.units)) <= 1e-12
-        for P1, P2 in zip(L.cointegral_components, R.cointegral_components):
-            assert np.max(np.abs(P1 - P2)) <= 1e-12
+        assert np.max(np.abs(L.class_sums - R.class_sums)) <= 1e-12
+        assert np.max(np.abs(L.cointegral_components - R.cointegral_components)) <= 1e-12
         assert np.max(np.abs(L.projector - R.projector)) <= 1e-12
     assert new.hasse_edges == ref.hasse_edges
 
@@ -363,14 +364,21 @@ def test_lattice_memory_above_the_table(vec_a5_ring):
     finally:
         tracemalloc.stop()
     assert len(table.entries) == 59
-    assert retained - start > 8e6  # units, class sums, projectors and spans of 59 entries
+    # The table holds the class sums, projectors and spans of 59 entries,
+    # 7.8 MB; the adapted units of all entries would add 3.4 MB more.
+    held = sum(
+        L.class_sums.nbytes + L.projector.nbytes + L.ce_span.nbytes
+        for L in (e.subalgebra for e in table.entries)
+    )
+    assert held <= retained - start <= 10e6
     assert peak - retained <= 2e6
 
 
 def test_adaptation_memory_above_its_result(vec_a5_ring):
-    # The adapted units of the m = 5 block alone take 1.4 MB for all 59
-    # cointegrals; they are formed in row blocks, and each block's class sums
-    # are read without a copy.
+    # The adaptation keeps per block the (S, m, m) components, bases and
+    # inverses: 3 S r numbers, 170 kB for the 59 cointegrals, where one
+    # (S, r, r) array would take 3.4 MB.  The adapted class sums are that
+    # one array; they are formed in row blocks of S, without the units.
     ring = vec_a5_ring
     B = compute_blocks(ring)
     B._unit_matrix_inv
@@ -381,11 +389,16 @@ def test_adaptation_memory_above_its_result(vec_a5_ring):
         start = tracemalloc.get_traced_memory()[0]
         adapted = wedderburn._adapt_stack(B, coeffs, DEFAULT_TOL)
         retained, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        sums = wedderburn._adapted_class_sums(B, adapted)
+        sums_retained, sums_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert all(e is None for e in adapted.errors)
-    assert retained - start > 6e6
+    assert retained - start <= 5e5
     assert peak - retained <= 1e6
+    assert sums.shape == (59, 60, 60) and sums_retained - retained >= sums.nbytes
+    assert sums_peak - sums_retained <= 1e6
 
 
 def test_one_unit_matrix_inverse(monkeypatch, vec_a5_ring):

@@ -340,6 +340,13 @@ def test_tolerance_close_symmetric(a, b):
     assert tol.close(a, b) == tol.close(b, a)
 
 
+@pytest.mark.parametrize("field", ["abs_tol", "rel_tol", "snap_tol"])
+@pytest.mark.parametrize("value", [-1.0, float("nan")])
+def test_tolerance_rejects_negative_and_nan(field, value):
+    with pytest.raises(ValueError, match="non-negative"):
+        Tolerance(**{field: value})
+
+
 @given(st.integers(min_value=-10**6, max_value=10**6), st.floats(min_value=-5e-7, max_value=5e-7))
 @settings(max_examples=50, deadline=None)
 def test_snap_roundtrip(n, eps):

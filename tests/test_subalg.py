@@ -99,8 +99,9 @@ class TestEpsilonAndRestrict:
         assert np.allclose(eps.coeffs, cointegral(s3_ring).coeffs)
 
     def test_epsilon_a3(self, s3_blocks, s3_subalgebras):
+        # All blocks of rep:symmetric:3 have m = 1, so adapting leaves the units.
         L = s3_subalgebras[(0, 1)]
-        expected = L.blocks.blocks[0].units[0, 0] + L.blocks.blocks[2].units[0, 0]
+        expected = L.base.blocks[0].units[0, 0] + L.base.blocks[2].units[0, 0]
         assert np.allclose(epsilon_L(L).coeffs, expected)
 
     def test_restrict_unit(self, s3_ring, s3_subalgebras):
@@ -113,7 +114,7 @@ class TestEpsilonAndRestrict:
         # A3 subalgebra keeps 2 F^e - F^3cyc, which is not 2 eps_L
         L = s3_subalgebras[(0, 1)]
         out = restrict(chi(s3_ring, 2), L)
-        expected = 2 * L.blocks.blocks[0].units[0, 0] - L.blocks.blocks[2].units[0, 0]
+        expected = 2 * L.base.blocks[0].units[0, 0] - L.base.blocks[2].units[0, 0]
         assert np.allclose(out.coeffs, expected)
         assert not np.allclose(out.coeffs, 2 * epsilon_L(L).coeffs)
 
@@ -183,7 +184,7 @@ def dropped_row(L, j, s):
     """L with row s of block j unselected and its ce_dim lowered to match."""
     rows = list(L.rows)
     rows[j] = tuple(x for x in rows[j] if x != s)
-    return dataclasses.replace(L, rows=tuple(rows), ce_dim=L.ce_dim - L.blocks.blocks[j].m)
+    return dataclasses.replace(L, rows=tuple(rows), ce_dim=L.ce_dim - L.base.blocks[j].m)
 
 
 class TestCeBasisDetectsBadSelection:
@@ -199,7 +200,7 @@ class TestCeBasisDetectsBadSelection:
     @pytest.mark.parametrize("s", [0, 1])
     def test_dropped_row_of_a_matrix_block(self, vec_s3_table, s):
         L = vec_s3_table.entry((0,)).subalgebra
-        assert L.blocks.blocks[2].m == 2 and L.rows[2] == (0, 1)
+        assert L.base.blocks[2].m == 2 and L.rows[2] == (0, 1)
         with pytest.raises(ClosureFailure, match="not closed under product"):
             ce_basis(dropped_row(L, 2, s))
 

@@ -85,6 +85,11 @@ def reference_integral_classsum(B):
     return max(residual, float(np.max(np.abs(B.blocks[0].class_sums[0, 0] - u))))
 
 
+def unit_position(L):
+    """Position of each adapted unit (j, s, t) in L's per-unit arrays."""
+    return {jst: u for u, jst in enumerate(L.base.unit_index())}
+
+
 def reference_trace_sum(e):
     D, L = e.subcategory, e.subalgebra
     comps = L.base.expand(subcategory_cointegral(D).coeffs)
@@ -92,28 +97,27 @@ def reference_trace_sum(e):
     for blk, P in zip(L.base.blocks, comps):
         total += np.trace(P) * blk.summand_dim
     residual = abs(total - D.ring.global_dim / D.fpdim)
-    for j, P in enumerate(L.cointegral_components):
-        for s in range(P.shape[0]):
-            if s not in set(L.rows[j]):
-                residual = max(residual, float(np.max(np.abs(P[s, :]))))
+    for (j, s, t), u in unit_position(L).items():
+        if s not in set(L.rows[j]):
+            residual = max(residual, abs(complex(L.cointegral_components[u])))
     return float(residual)
 
 
 def reference_pi_down(z, L):
-    B = L.blocks
-    index = B.unit_index()
-    cols = np.column_stack([B.blocks[j].class_sums[s, t] for j, s, t in index])
+    index = L.base.unit_index()
+    cols = L.class_sums.T
     coeffs = np.linalg.solve(cols, z.coeffs)
     keep = np.array([s in L.rows[j] for j, s, _t in index])
     return cols[:, keep] @ coeffs[keep]
 
 
 def reference_ce_basis(L, tol):
+    pos = unit_position(L)
     out = [
-        L.blocks.blocks[j].class_sums[s, t]
+        L.class_sums[pos[j, s, t]]
         for j, r in enumerate(L.rows)
         for s in r
-        for t in range(L.blocks.blocks[j].m)
+        for t in range(L.base.blocks[j].m)
     ]
     vecs = np.array(out).reshape(len(out), L.ring.rank).T
     span = L.ce_span
@@ -243,11 +247,10 @@ def reference_verify_ring(ring, group=None, kind=None, seed=0, tol=DEFAULT_TOL):
         sq = cf_multiply(lam_d, lam_d)
         worst["idem"] = max(worst["idem"], float(np.max(np.abs(sq.coeffs - lam_d.coeffs))))
         worst["dimprod"] = max(worst["dimprod"], abs(L.dim_l * D.fpdim - dim))
-        for j, P in enumerate(L.cointegral_components):
-            for s in range(P.shape[0]):
-                for t in range(P.shape[1]):
-                    expected = 1.0 if (s == t and s in L.rows[j]) else 0.0
-                    worst["diag"] = max(worst["diag"], abs(complex(P[s, t]) - expected))
+        pos = unit_position(L)
+        for (j, s, t), u in pos.items():
+            expected = 1.0 if (s == t and s in L.rows[j]) else 0.0
+            worst["diag"] = max(worst["diag"], abs(complex(L.cointegral_components[u]) - expected))
         worst["trace"] = max(worst["trace"], reference_trace_sum(e))
         ell0 = np.zeros(r, dtype=complex)
         ell0[list(e.partition[0])] = 1.0
@@ -256,7 +259,7 @@ def reference_verify_ring(ring, group=None, kind=None, seed=0, tol=DEFAULT_TOL):
         diag_sum = np.zeros(r, dtype=complex)
         for j, rr in enumerate(L.rows):
             for s in rr:
-                diag_sum += L.blocks.blocks[j].class_sums[s, s]
+                diag_sum += L.class_sums[pos[j, s, s]]
         worst["proj"] = max(worst["proj"], float(np.max(np.abs(ell0 - (D.fpdim / dim) * diag_sum))))
         pid = reference_pi_down(integral(ring), L)
         worst["proj"] = max(worst["proj"], float(np.max(np.abs(pid - ell0 / D.fpdim))))

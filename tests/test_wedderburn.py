@@ -9,8 +9,9 @@ from fuscat.fusion_ring import enumerate_subcategories
 from fuscat.char_theory import subcategory_cointegral
 from fuscat.linalg import DEFAULT_TOL
 from fuscat.wedderburn import (
+    Block,
+    BlockStructure,
     NotIdempotent,
-    adapt_to_idempotent,
     compute_blocks,
     verify_class_sum_pairings,
     verify_dual_bases,
@@ -99,11 +100,37 @@ class TestExpand:
         assert all(np.max(np.abs(P)) < 1e-12 for P in comps[1:])
 
 
+def adapt_one(B, p):
+    """_adapt_stack of the single idempotent p."""
+    return wedderburn._adapt_stack(B, p.coeffs[None], DEFAULT_TOL)
+
+
+def adapted_structure(B, p):
+    """B re-based by the eigenbases that adapt it to p.
+
+    Test side only: the units are conjugated by the bases, the class sums are
+    what _adapted_class_sums gives for them.
+    """
+    adapted = adapt_one(B, p)
+    assert adapted.errors[0] is None
+    sums = wedderburn._adapted_class_sums(B, adapted)[0]
+    blocks, pos = [], 0
+    for blk, U, Uinv in zip(B.blocks, adapted.bases, adapted.inverses):
+        m = blk.m
+        units = np.einsum("as,tb,abk->stk", U[0], Uinv[0], blk.units)
+        blocks.append(Block(m, blk.n, blk.summand_dim, units, sums[pos : pos + m * m].reshape(m, m, -1)))
+        pos += m * m
+    return BlockStructure(B.ring, tuple(blocks), B.seed)
+
+
 class TestAdapt:
     def test_identity_idempotent_is_noop(self, vec_s3_ring, vec_s3_blocks):
-        out = adapt_to_idempotent(vec_s3_blocks, unit_class_function(vec_s3_ring))
-        for b1, b2 in zip(out.blocks, vec_s3_blocks.blocks):
-            assert np.allclose(b1.units, b2.units, atol=1e-12)
+        adapted = adapt_one(vec_s3_blocks, unit_class_function(vec_s3_ring))
+        assert adapted.errors[0] is None
+        for blk, U in zip(vec_s3_blocks.blocks, adapted.bases):
+            assert np.allclose(U[0], np.eye(blk.m), atol=1e-12)
+        sums = wedderburn._adapted_class_sums(vec_s3_blocks, adapted)[0]
+        assert np.allclose(sums, vec_s3_blocks._rows("class_sums"), atol=1e-12)
 
     def test_reflection_subgroup_idempotent(self, vec_s3_ring, vec_s3_blocks, s3_group):
         # p = (chi_e + chi_t)/2 for a transposition t: a rank-one projection
@@ -115,8 +142,7 @@ class TestAdapt:
         coeffs[0] = coeffs[t] = 0.5
         p = ClassFunction(vec_s3_ring, coeffs)
         assert np.allclose(cf_multiply(p, p).coeffs, p.coeffs)
-        adapted = adapt_to_idempotent(vec_s3_blocks, p)
-        comps = adapted.expand(p.coeffs)
+        comps = adapted_structure(vec_s3_blocks, p).expand(p.coeffs)
         # triv block coefficient 1, sign block 0, rho block diag(1, 0)
         assert complex(comps[0][0, 0]) == pytest.approx(1)
         assert abs(complex(comps[1][0, 0])) < 1e-9
@@ -124,12 +150,11 @@ class TestAdapt:
 
     def test_non_idempotent_rejected(self, vec_s3_ring, vec_s3_blocks):
         half = ClassFunction(vec_s3_ring, 0.5 * unit_class_function(vec_s3_ring).coeffs)
-        with pytest.raises(NotIdempotent):
-            adapt_to_idempotent(vec_s3_blocks, half)
+        assert isinstance(adapt_one(vec_s3_blocks, half).errors[0], NotIdempotent)
 
     def test_adapt_preserves_block_invariants(self, vec_s3_ring, vec_s3_blocks):
         for D in enumerate_subcategories(vec_s3_ring):
-            adapted = adapt_to_idempotent(vec_s3_blocks, subcategory_cointegral(D))
+            adapted = adapted_structure(vec_s3_blocks, subcategory_cointegral(D))
             assert verify_class_sum_pairings(adapted) < 1e-8
             assert verify_dual_bases(adapted) < 1e-8
             assert verify_integral_classsum(adapted) < 1e-8
