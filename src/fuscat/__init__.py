@@ -21,7 +21,6 @@ from .fusion_ring import (
     subcategory_closure,
     subcategory_join,
     subcategory_meet,
-    subcategory_product,
     validate,
 )
 from .char_theory import (
@@ -50,9 +49,7 @@ from .subalg import (
     block_partition,
     ce_basis,
     epsilon_L,
-    pi_down,
     restrict,
-    subalgebra_from_subcategory,
     subcategory_from_subalgebra,
 )
 from .groups import (

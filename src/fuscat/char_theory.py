@@ -21,7 +21,6 @@ __all__ = [
     "CentralElement",
     "chi",
     "idempotent",
-    "unit_class_function",
     "unit_central_element",
     "cf_star_table",
     "cf_star_blocks",
@@ -36,7 +35,6 @@ __all__ = [
     "cf_right_action",
     "tau",
     "beta_tau",
-    "pairing_trace_residual",
     "subcategory_cointegral",
     "ell_D",
 ]
@@ -119,11 +117,6 @@ def chi(ring: FusionRingData, i: int) -> ClassFunction:
 def idempotent(ring: FusionRingData, i: int) -> CentralElement:
     """The i-th primitive idempotent E_i as a central element."""
     return CentralElement(ring, _basis_vector(ring, i))
-
-
-def unit_class_function(ring: FusionRingData) -> ClassFunction:
-    """The unit of CF(C): the character of the unit object."""
-    return chi(ring, 0)
 
 
 def unit_central_element(ring: FusionRingData) -> CentralElement:
@@ -251,14 +244,6 @@ def beta_tau(f: ClassFunction, g: ClassFunction) -> complex:
     """The trace form tau(f * g); {chi_i, chi_{i*}} are dual bases for it."""
     _same_ring(f, g)
     return complex(cf_star(f.ring, f.coeffs, g.coeffs)[0])
-
-
-def pairing_trace_residual(f: ClassFunction, g: ClassFunction) -> float:
-    """Residual of <f, F^{-1}(g)> = dim(C) tau(f*g); zero in exact arithmetic."""
-    _same_ring(f, g)
-    lhs = pairing(f, fourier_inverse(g))
-    rhs = f.ring.global_dim * beta_tau(f, g)
-    return abs(lhs - rhs)
 
 
 def subcategory_cointegral(D: FusionSubcategory) -> ClassFunction:

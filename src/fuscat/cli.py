@@ -273,39 +273,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Character theory and the subalgebra lattice of fusion categories.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    source_help = "rep:<group>, vec:<group>, or ring:<file.json>"
 
-    def add_common(p, need_source=True):
-        if need_source:
-            p.add_argument("source", help="rep:<group>, vec:<group>, or ring:<file.json>")
+    def add_common(p, formats):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--abs-tol", type=float, default=None)
         p.add_argument("--rel-tol", type=float, default=None)
         p.add_argument("--snap-tol", type=float, default=None)
         p.add_argument("--output", default=None, help="write the report to a file")
+        p.add_argument("--format", choices=formats, default="text")
 
     p = sub.add_parser("analyze", help="ring summary, block table, transform data")
-    add_common(p)
-    p.add_argument("--format", choices=["text", "json"], default="text")
+    p.add_argument("source", help=source_help)
+    add_common(p, ["text", "json"])
     p.add_argument("--dump-units", action="store_true", help="include full matrix-unit coefficients")
 
     p = sub.add_parser("subcategories", help="enumerate fusion subcategories")
-    add_common(p)
-    p.add_argument("--format", choices=["text", "json"], default="text")
+    p.add_argument("source", help=source_help)
+    add_common(p, ["text", "json"])
 
     p = sub.add_parser("lattice", help="subcategory/subalgebra correspondence table")
-    add_common(p)
-    p.add_argument("--format", choices=["text", "json", "dot"], default="text")
+    p.add_argument("source", help=source_help)
+    add_common(p, ["text", "json", "dot"])
 
     p = sub.add_parser("verify", help="run every identity suite")
-    p.add_argument("source", nargs="?", default=None)
+    p.add_argument("source", nargs="?", default=None, help=source_help)
     p.add_argument("--battery", action="store_true", help="run the built-in group battery")
     p.add_argument("--large", action="store_true", help="include symmetric:4 in the battery")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--abs-tol", type=float, default=None)
-    p.add_argument("--rel-tol", type=float, default=None)
-    p.add_argument("--snap-tol", type=float, default=None)
-    p.add_argument("--output", default=None)
-    p.add_argument("--format", choices=["text", "json"], default="text")
+    add_common(p, ["text", "json"])
     return parser
 
 
@@ -321,10 +316,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raise InputFailure("tolerances must be finite and positive")
     return RunConfig(
         command=args.command,
-        source=getattr(args, "source", None),
+        source=args.source,
         seed=args.seed,
         tol=Tolerance(abs_tol, rel_tol, snap_tol),
-        format=getattr(args, "format", "text"),
+        format=args.format,
         output=args.output,
         battery=getattr(args, "battery", False),
         large=getattr(args, "large", False),
@@ -333,42 +328,43 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _emit(text: str, output: str | None) -> None:
-    if output:
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InputFailure(f"cannot write the report: {exc}") from exc
+
+
+# Per command: the report builder and its renderers other than JSON.
+_COMMANDS = {
+    "analyze": (analyze_report, {"text": analyze_text}),
+    "subcategories": (subcategories_report, {"text": subcategories_text}),
+    "lattice": (lattice_report, {"text": lattice_text, "dot": lattice_dot}),
+    "verify": (verify_report, {"text": verify_text}),
+}
 
 
 def run(cfg: RunConfig) -> int:
-    if cfg.command == "analyze":
-        report = analyze_report(cfg)
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n" if cfg.format == "json" else analyze_text(report)
-        _emit(text, cfg.output)
-        return 0
-    if cfg.command == "subcategories":
-        report = subcategories_report(cfg)
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n" if cfg.format == "json" else subcategories_text(report)
-        _emit(text, cfg.output)
-        return 0
-    if cfg.command == "lattice":
-        report = lattice_report(cfg)
-        if cfg.format == "json":
-            text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        elif cfg.format == "dot":
-            text = lattice_dot(report)
-        else:
-            text = lattice_text(report)
-        _emit(text, cfg.output)
-        return 0
+    if cfg.command not in _COMMANDS:
+        raise InputFailure(f"unknown command {cfg.command!r}")
     if cfg.command == "verify":
         if not cfg.battery and not cfg.source:
             raise InputFailure("verify needs a source or --battery")
-        report = verify_report(cfg)
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n" if cfg.format == "json" else verify_text(report)
-        _emit(text, cfg.output)
-        return 0 if report["passed"] else 1
-    raise InputFailure(f"unknown command {cfg.command!r}")
+        if cfg.battery and cfg.source:
+            raise InputFailure("verify takes a source or --battery, not both")
+        if cfg.large and not cfg.battery:
+            raise InputFailure("--large applies only to --battery")
+    build, renderers = _COMMANDS[cfg.command]
+    report = build(cfg)
+    if cfg.format == "json":
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    else:
+        text = renderers[cfg.format](report)
+    _emit(text, cfg.output)
+    return 1 if cfg.command == "verify" and not report["passed"] else 0
 
 
 def main(argv: list[str] | None = None) -> int:

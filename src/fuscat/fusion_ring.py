@@ -32,8 +32,6 @@ __all__ = [
     "enumerate_subcategories",
     "subcategory_meet",
     "subcategory_join",
-    "subcategory_product",
-    "subcategory_product_set",
     "ring_to_dict",
     "ring_from_dict",
     "load_ring_json",
@@ -405,12 +403,6 @@ def _dimension_violations(ring: FusionRingData, tol: Tolerance) -> list[str]:
 _CLOSURE_BLOCK_BYTES = 1 << 16
 
 
-def _indicator(ring: FusionRingData, indices: Iterable[int]) -> np.ndarray:
-    m = np.zeros(ring.rank, dtype=np.float32)
-    m[list(indices)] = 1.0
-    return m
-
-
 def _fusion_hit(ring: FusionRingData, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row by row, simples k with N_ijk > 0 for some i in a, j in b.
 
@@ -545,25 +537,6 @@ def subcategory_join(D1: FusionSubcategory, D2: FusionSubcategory) -> FusionSubc
     """Closure of the union of index sets."""
     ring = _check_same_ring(D1, D2)
     return subcategory_closure(ring, set(D1.indices) | set(D2.indices))
-
-
-def subcategory_product(
-    D1: FusionSubcategory, D2: FusionSubcategory
-) -> tuple[tuple[int, ...], bool]:
-    """Raw product set {k : N[i][j][k] > 0, i in D1, j in D2} and closedness.
-
-    Order matters when the ring is noncommutative; the flag reports whether
-    the product set is itself a fusion subcategory.
-    """
-    indices = subcategory_product_set(D1, D2)
-    return indices, indices == _closure_indices(D1.ring, indices)
-
-
-def subcategory_product_set(D1: FusionSubcategory, D2: FusionSubcategory) -> tuple[int, ...]:
-    """Raw product set {k : N[i][j][k] > 0, i in D1, j in D2}, without the closedness test."""
-    ring = _check_same_ring(D1, D2)
-    hit = _fusion_hit(ring, _indicator(ring, D1.indices)[None], _indicator(ring, D2.indices)[None])
-    return tuple(int(k) for k in np.flatnonzero(hit[0]))
 
 
 def ring_to_dict(ring: FusionRingData) -> dict:

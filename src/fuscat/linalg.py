@@ -23,8 +23,6 @@ __all__ = [
     "common_eigenbasis",
     "joint_eigenspaces",
     "orthonormal_basis",
-    "subspace_intersection",
-    "subspace_contains",
     "snap_integer",
     "snap_integer_array",
 ]
@@ -145,25 +143,12 @@ def orthonormal_basis(vectors, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return Q
 
 
-def subspace_contains(big, vectors, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True when every given vector lies in span(big) within tolerance.
-
-    ``vectors`` is a sequence of vectors or a matrix whose columns are the
-    vectors.  ``big`` is orthonormalized once and all vectors are tested by
-    one projection; zero vectors are skipped.
-    """
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        V = np.asarray(vectors, dtype=complex)
-    else:
-        vecs = [_as_vector(v) for v in vectors]
-        if not vecs:
-            return True
-        V = np.column_stack(vecs)
-    return _span_contains(_orthonormal_columns(big, tol), V, tol)
-
-
 def _span_contains(Q: np.ndarray, V: np.ndarray, tol: Tolerance) -> bool:
-    """:func:`subspace_contains` for a ``big`` already given by orthonormal columns Q."""
+    """True when every column of V lies in span(Q) within tolerance.
+
+    Q holds orthonormal columns; all columns of V are tested by one
+    projection, and zero columns are skipped.
+    """
     return not bool(np.any(_outside_columns(Q, V, tol)))
 
 
@@ -204,31 +189,15 @@ def _unit_cosine_floor(tol: Tolerance) -> float:
     return 1.0 - max(100 * tol.abs_tol, 1e-8)
 
 
-def subspace_intersection(B1, B2, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
-    """Orthonormal basis of span(B1) ∩ span(B2), via principal angles."""
-    Q1 = _orthonormal_columns(B1, tol)
-    Q2 = _orthonormal_columns(B2, tol)
-    if Q1.shape[1] == 0 or Q2.shape[1] == 0:
-        return []
-    if Q1.shape[0] != Q2.shape[0]:
-        raise ValueError("vectors must have equal length")
-    U, s, _ = np.linalg.svd(Q1.conj().T @ Q2, full_matrices=False)
-    basis = Q1 @ U[:, s >= _unit_cosine_floor(tol)]
-    return [_canonical_phase(basis[:, k]) for k in range(basis.shape[1])]
-
-
-def _intersection_dim(Q1: np.ndarray, Q2: np.ndarray, tol: Tolerance) -> int:
-    """``len(subspace_intersection(Q1, Q2))`` for spans given by orthonormal columns."""
-    return int(_intersection_dims([Q1, Q2], np.array([0]), np.array([1]), tol)[0])
-
-
 def _intersection_dims(
     spans: Sequence[np.ndarray], a: np.ndarray, b: np.ndarray, tol: Tolerance
 ) -> np.ndarray:
-    """``_intersection_dim(spans[a[k]], spans[b[k]], tol)`` for every pair k.
+    """dim(span(spans[a[k]]) n span(spans[b[k]])) for every pair k.
 
-    The principal-angle cosines of a pair are the singular values of its
-    block of the Gram matrix of all spans' columns.  The Gram matrix is
+    Each span is given by orthonormal columns.  The dimension of a pair's
+    intersection is the number of its principal-angle cosines at or above
+    :func:`_unit_cosine_floor`, and those cosines are the singular values
+    of its block of the Gram matrix of all spans' columns.  The Gram matrix is
     formed for a row block of spans at a time, at most ``_BLOCK_BYTES`` (at
     least one span), against the columns from the first span that a pair of
     the row block reads; within a row block, the pairs of each (width of a,

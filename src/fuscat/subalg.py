@@ -31,8 +31,6 @@ from .fusion_ring import (
     _close_rows,
     enumerate_subcategories,
     subcategory_closure,
-    subcategory_join,
-    subcategory_meet,
 )
 from .linalg import (
     _BLOCK_BYTES,
@@ -50,19 +48,14 @@ __all__ = [
     "ClosureFailure",
     "RoundTripFailure",
     "MonotonicityFailure",
-    "InequalityViolation",
     "SubalgebraIndex",
     "LatticeEntry",
     "LatticeTable",
-    "subalgebra_from_subcategory",
     "epsilon_L",
     "restrict",
     "subcategory_from_subalgebra",
     "block_partition",
     "ce_basis",
-    "pi_down",
-    "verify_dim_inequality",
-    "verify_cointegral_trace_sum",
     "build_lattice",
 ]
 
@@ -91,17 +84,13 @@ class MonotonicityFailure(Exception):
     """The correspondence failed to reverse an inclusion."""
 
 
-class InequalityViolation(Exception):
-    """The product-dimension bound failed."""
-
-
 @dataclass(frozen=True, eq=False)
 class SubalgebraIndex:
     """A unitary subalgebra of the adjoint algebra, as block-row data.
 
     Every block of the base structure ``base`` is re-based so that the
     subcategory cointegral is diagonal; the adapted matrix units F'^j_st are
-    never formed, only arrays over them, indexed in the base's unit_index
+    never formed, only arrays over them, in the base's (block, row, column)
     order.  ``rows[j]`` lists the selected rows of block j; ``dim_l`` is the
     subalgebra dimension (a sum of summand dimensions) and ``ce_dim`` the
     dimension of its central subspace.  ``projector`` is the restriction
@@ -127,7 +116,7 @@ class SubalgebraIndex:
 
     @cached_property
     def selected(self) -> np.ndarray:
-        """(r,) bool: the adapted units F'^j_st whose row s is selected, in unit_index order."""
+        """(r,) bool: the adapted units F'^j_st whose row s is selected, in (block, row, column) order."""
         ms = np.array([blk.m for blk in self.base.blocks])
         first = np.cumsum(ms) - ms
         lay = self.base._layout()
@@ -149,27 +138,15 @@ class SubalgebraIndex:
         return f"SubalgebraIndex(rows={self.rows}, dim={self.dim_l:.6g})"
 
 
-def subalgebra_from_subcategory(
-    D: FusionSubcategory, B: BlockStructure, tol: Tolerance = DEFAULT_TOL
-) -> SubalgebraIndex:
-    """The unitary subalgebra whose trivial-restriction subcategory is D.
-
-    Adapts the block structure to the subcategory's cointegral and reads off
-    the diagonal 0/1 pattern as the block-row selection.
-    """
-    [L] = _subalgebras([D], B, tol)
-    if isinstance(L, Exception):
-        raise L
-    return L
-
-
 def _subalgebras(
     subcats: list[FusionSubcategory], B: BlockStructure, tol: Tolerance
 ) -> list[SubalgebraIndex | Exception]:
-    """:func:`subalgebra_from_subcategory` for many subcategories in one stacked pass.
+    """The unitary subalgebra of each subcategory, all in one stacked pass.
 
-    Entry s is the subalgebra of ``subcats[s]``, or the exception that the
-    single call raises for it.  All cointegrals are adapted by one
+    Entry s is the subalgebra whose trivial-restriction subcategory is
+    ``subcats[s]``, or the exception that building it raises: each block is
+    adapted to the subcategory's cointegral and its diagonal 0/1 pattern is
+    read off as the block-row selection.  All cointegrals are adapted by one
     :func:`_adapt_stack`; their adapted components are ``U^-1 Lambda_j U``
     per block, the class sums come from :func:`_adapted_class_sums` and the
     projectors from :func:`_projectors`, so no adapted unit is formed and no
@@ -401,20 +378,12 @@ def _check_closure(L: SubalgebraIndex, vecs: np.ndarray, tol: Tolerance) -> None
             raise ClosureFailure("central subspace is not closed under product")
 
 
-def pi_down(z: CentralElement, L: SubalgebraIndex, tol: Tolerance = DEFAULT_TOL) -> CentralElement:
-    """Projection of a central element onto the subalgebra's central subspace.
-
-    Expands z in the full class-sum basis of the adapted structure and zeroes
-    every coefficient outside the subalgebra's index set.
-    """
-    if z.ring is not L.ring:
-        raise ValueError("central element and subalgebra belong to different rings")
-    return CentralElement(L.ring, _pi_down_rows(L.class_sums[None], L.selected[None], z.coeffs)[0])
-
-
 def _pi_down_rows(sums: np.ndarray, keep: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """:func:`pi_down` of z for a stack of subalgebras, given their (k, n, r)
-    adapted class sums and (k, n) selected-unit masks, one batched solve."""
+    """Projection of the central element z onto the central subspace of each
+    of a stack of subalgebras, given their (k, n, r) adapted class sums and
+    (k, n) selected-unit masks: z is expanded in each full class-sum basis,
+    in one batched solve, and every coefficient outside the selection is
+    zeroed."""
     cols = sums.transpose(0, 2, 1)
     coeffs = np.linalg.solve(cols, np.broadcast_to(np.asarray(z)[:, None], (len(sums), len(z), 1)))
     return np.matmul(cols, coeffs * keep[:, :, None])[:, :, 0]
@@ -432,9 +401,11 @@ class LatticeTable:
     """The correspondence of one ring under one block structure.
 
     Entries are in enumeration order and are looked up by subcategory
-    indices; the lattice operations on subalgebras are lookups of the meet
-    and the join of the subcategories, one pair at a time or, through the
-    membership matrix, for many pairs at once.
+    indices.  The lattice operations on subalgebras are lookups of the meet
+    and the join of the subcategories, for many pairs at once through the
+    membership matrix (:meth:`meets_and_joins`): the product of two
+    subalgebras is the entry of the meet, their intersection the entry of
+    the join.
     """
 
     ring: FusionRingData
@@ -472,56 +443,9 @@ class LatticeTable:
         M = self.membership
         return self._lookup(M[a] & M[b]), self._lookup(_close_rows(self.ring, M[a] | M[b]))
 
-    def product(self, a: LatticeEntry, b: LatticeEntry) -> LatticeEntry | None:
-        """Smallest subalgebra containing both: the entry of the meet."""
-        return self.entry(subcategory_meet(a.subcategory, b.subcategory).indices)
-
-    def intersection(self, a: LatticeEntry, b: LatticeEntry) -> LatticeEntry | None:
-        """Intersection of the two subalgebras: the entry of the join."""
-        return self.entry(subcategory_join(a.subcategory, b.subcategory).indices)
-
-
-def verify_dim_inequality(
-    a: LatticeEntry,
-    b: LatticeEntry,
-    product: LatticeEntry,
-    intersection: LatticeEntry,
-    raw_ab: tuple[int, ...],
-    raw_ba: tuple[int, ...],
-) -> tuple[float, float, bool]:
-    """Check dim(LM) <= dim(L) dim(M) / dim(L n M), with equality diagnostics.
-
-    ``product`` and ``intersection`` are the table entries of the meet and the
-    join of the two subcategories; ``raw_ab`` and ``raw_ba`` are their raw
-    products in both orders (:func:`subcategory_product_set`).  Returns (lhs,
-    rhs, orders_agree) where orders_agree reports whether the two raw products
-    coincide.  On a commutative ring the two sides must agree within tolerance.
-    """
-    L, M = a.subalgebra, b.subalgebra
-    lhs = product.subalgebra.dim_l
-    rhs = L.dim_l * M.dim_l / intersection.subalgebra.dim_l
-    bound = 1e-8 * max(1.0, rhs)
-    if lhs > rhs + bound:
-        raise InequalityViolation(f"dim(LM) = {lhs} exceeds bound {rhs}")
-    if L.ring.commutative and abs(lhs - rhs) > bound:
-        raise InequalityViolation(
-            f"commutative ring but dim(LM) = {lhs} differs from {rhs}"
-        )
-    return lhs, rhs, raw_ab == raw_ba
-
-
-def verify_cointegral_trace_sum(e: LatticeEntry) -> float:
-    """Residual of dim(C)/fpdim(D) = weighted diagonal sum of the cointegral.
-
-    Expands the subcategory cointegral in the (not necessarily adapted) unit
-    basis and sums diagonal coefficients weighted by summand dimension; also
-    asserts that its adapted components vanish on unselected rows.
-    """
-    return float(_cointegral_trace_sums([e], _stack_entries([e]))[0])
-
 
 class _EntryStack(NamedTuple):
-    """Entries of one table stacked along axis 0; unit positions in unit_index order."""
+    """Entries of one table stacked along axis 0; unit positions in (block, row, column) order."""
 
     cointegrals: np.ndarray  # (k, r) subcategory cointegrals
     components: np.ndarray  # (k, n) adapted cointegral components
@@ -538,9 +462,14 @@ def _stack_entries(entries) -> _EntryStack:
 
 
 def _cointegral_trace_sums(entries, stack: _EntryStack) -> np.ndarray:
-    """:func:`verify_cointegral_trace_sum` of entries sharing one base structure.
+    """Residual of dim(C)/fpdim(D) = weighted diagonal sum of the cointegral,
+    for each of some entries sharing one base structure.
 
-    All cointegrals are expanded by one :meth:`BlockStructure._expand_rows`.
+    Each subcategory cointegral is expanded in the (not necessarily adapted)
+    base units, all by one :meth:`BlockStructure._expand_rows`, and its
+    diagonal coefficients are summed weighted by summand dimension.  The
+    residual also covers the adapted components on unselected rows, which
+    must vanish.
     """
     base = entries[0].subalgebra.base
     comps = base._expand_rows(stack.cointegrals)
@@ -561,8 +490,8 @@ def build_lattice(
     table.  Verifies, for every enumerated subcategory: the round trip
     through its subalgebra, injectivity of the central subspaces, and
     anti-monotonicity of the correspondence.  Emits Hasse edges of the
-    subcategory inclusion order.  The first failing subcategory, then the
-    first failing pair, raises as it would one at a time.
+    subcategory inclusion order.  The error of the first failing
+    subcategory, else of the first failing pair, is the one raised.
     """
     subcats = enumerate_subcategories(ring)
     entries = []

@@ -137,7 +137,7 @@ def _entry_residuals(ring: FusionRingData, entries, tol: Tolerance) -> list[floa
     in the order of ``ENTRY_CHECKS``.
 
     The entries are stacked along axis 0; every unit array is in the
-    unit_index order of the shared base structure.
+    (block, row, column) order of the shared base structure.
     """
     r, dim = ring.rank, ring.global_dim
     stack = subalg._stack_entries(entries)

@@ -87,9 +87,9 @@ class Block:
 
 
 class _UnitLayout(NamedTuple):
-    """Per matrix unit F^j_st, in unit_index order: its block j, row s and
-    column t, the position of F^j_ts, and the scale n_j and summand
-    dimension of its block."""
+    """Per matrix unit F^j_st, in (block, row, column) order: its block j,
+    row s and column t, the position of F^j_ts, and the scale n_j and
+    summand dimension of its block."""
 
     block: np.ndarray
     s: np.ndarray
@@ -101,7 +101,11 @@ class _UnitLayout(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class BlockStructure:
-    """The full Wedderburn data of CF(C) for one fusion ring."""
+    """The full Wedderburn data of CF(C) for one fusion ring.
+
+    Every array over all matrix units lists them block by block, each block
+    row by row and each row column by column: (block, row, column) order.
+    """
 
     ring: FusionRingData
     blocks: tuple[Block, ...]
@@ -111,21 +115,12 @@ class BlockStructure:
     def rank(self) -> int:
         return self.ring.rank
 
-    def unit_index(self) -> list[tuple[int, int, int]]:
-        """(block, row, col) triples in the fixed enumeration order."""
-        return [
-            (j, s, t)
-            for j, blk in enumerate(self.blocks)
-            for s in range(blk.m)
-            for t in range(blk.m)
-        ]
-
     def _rows(self, name: str) -> np.ndarray:
-        """The ``units`` or ``class_sums`` of all blocks as rows, in unit_index order."""
+        """The ``units`` or ``class_sums`` of all blocks as rows, in (block, row, column) order."""
         return np.concatenate([getattr(blk, name).reshape(-1, self.rank) for blk in self.blocks])
 
     def _layout(self) -> _UnitLayout:
-        """Index arrays of the matrix units, in unit_index order."""
+        """Index arrays of the matrix units, in (block, row, column) order."""
         ms = np.array([blk.m for blk in self.blocks])
         block = np.repeat(np.arange(len(ms)), ms * ms)
         start = np.repeat(np.cumsum(ms * ms) - ms * ms, ms * ms)
@@ -461,7 +456,7 @@ def _adapt_stack(B: BlockStructure, coeffs: np.ndarray, tol: Tolerance) -> _Adap
 
 
 def _adapted_class_sums(B: BlockStructure, adapted: _Adaptation) -> np.ndarray:
-    """(S, r, r) class sums of each row's adapted matrix units, rows in unit_index order.
+    """(S, r, r) class sums of each row's adapted matrix units, in (block, row, column) order.
 
     The adapted unit F'^j_st is ``sum_ab U[a, s] Uinv[t, b] F^j_ab`` for the
     eigenbasis U of block j, and the inverse Fourier image is linear, so the

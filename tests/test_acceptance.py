@@ -113,7 +113,7 @@ def test_criterion_10_group_oracle(battery):
     from fuscat.fusion_ring import subcategory_closure
 
     D = subcategory_closure(ring, [1])
-    L = subalg.subalgebra_from_subcategory(D, B)
+    L = subalg.build_lattice(ring, B).entry(D.indices).subalgebra
     partition = subalg.block_partition(L)
     assert partition == ((0, 1), (2,))
     ell0 = np.zeros(3, dtype=complex)

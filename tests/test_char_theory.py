@@ -25,11 +25,9 @@ from fuscat.char_theory import (
     idempotent,
     integral,
     pairing,
-    pairing_trace_residual,
     subcategory_cointegral,
     tau,
     unit_central_element,
-    unit_class_function,
 )
 from fuscat.fusion_ring import subcategory_closure
 
@@ -46,7 +44,7 @@ class TestMultiplication:
     def test_unit(self, s3_ring):
         rng = np.random.default_rng(0)
         f = rand_cf(s3_ring, rng)
-        out = cf_multiply(unit_class_function(s3_ring), f)
+        out = cf_multiply(chi(s3_ring, 0), f)
         assert np.allclose(out.coeffs, f.coeffs)
 
     def test_rho_squared(self, s3_ring):
@@ -91,7 +89,7 @@ class TestPairing:
         assert pairing(chi(s3_ring, 1), idempotent(s3_ring, 2)) == 0
 
     def test_unit_pairing(self, s3_ring):
-        assert pairing(unit_class_function(s3_ring), unit_central_element(s3_ring)) == 1
+        assert pairing(chi(s3_ring, 0), unit_central_element(s3_ring)) == 1
 
 
 class TestIntegralCointegral:
@@ -194,7 +192,7 @@ class TestRightAction:
 
 class TestTauBeta:
     def test_tau_unit(self, s3_ring):
-        assert tau(unit_class_function(s3_ring)) == 1
+        assert tau(chi(s3_ring, 0)) == 1
 
     def test_tau_rho_squared(self, s3_ring):
         assert tau(cf_multiply(chi(s3_ring, 2), chi(s3_ring, 2))) == 1
@@ -217,9 +215,11 @@ class TestTauBeta:
 
 
 class TestPairingTraceIdentity:
+    # <f, F^-1(g)> = dim(C) tau(f * g); with d_i = d_{i*} both sides equal
+    # dim(C) sum_i f_i g_{i*}.
     def test_unit_case(self, s3_ring):
-        assert pairing_trace_residual(unit_class_function(s3_ring), unit_class_function(s3_ring)) < 1e-12
         assert pairing(chi(s3_ring, 0), fourier_inverse(chi(s3_ring, 0))) == pytest.approx(6)
+        assert 6 * beta_tau(chi(s3_ring, 0), chi(s3_ring, 0)) == pytest.approx(6)
 
     def test_rho_both_sides_six(self, s3_ring):
         f = chi(s3_ring, 2)
@@ -229,8 +229,12 @@ class TestPairingTraceIdentity:
     def test_random_pairs(self, s3_ring, vec_s3_ring):
         rng = np.random.default_rng(9)
         for ring in (s3_ring, vec_s3_ring):
+            dual = list(ring.dual)
             for _ in range(20):
-                assert pairing_trace_residual(rand_cf(ring, rng), rand_cf(ring, rng)) < 1e-8
+                f, g = rand_cf(ring, rng), rand_cf(ring, rng)
+                closed = ring.global_dim * np.sum(f.coeffs * g.coeffs[dual])
+                assert abs(pairing(f, fourier_inverse(g)) - closed) < 1e-8
+                assert abs(ring.global_dim * beta_tau(f, g) - closed) < 1e-8
 
 
 def reference_star(ring, f, g):

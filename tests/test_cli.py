@@ -165,6 +165,29 @@ class TestVerify:
         code, _, err = run_cli(["verify"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["verify", "--battery", "rep:cyclic:2"], "not both"),
+            (["verify", "rep:cyclic:2", "--large"], "--large"),
+            (["verify", "--large"], "needs a source or --battery"),
+        ],
+        ids=["battery_and_source", "large_without_battery", "large_alone"],
+    )
+    def test_ignored_input_is_rejected(self, args, message, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    @pytest.mark.parametrize("target", ["missing_dir", "directory"])
+    def test_unwritable_output_is_one_line_error(self, command, target, tmp_path, capsys):
+        output = tmp_path / "missing" / "x.json" if target == "missing_dir" else tmp_path
+        code, out, err = run_cli([command, "rep:cyclic:2", "--output", str(output)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write the report: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
     def test_identity_failure_exits_one(self, capsys, monkeypatch):
         from fuscat.verify import CheckResult
 

@@ -19,7 +19,6 @@ from fuscat.fusion_ring import (
     subcategory_closure,
     subcategory_join,
     subcategory_meet,
-    subcategory_product,
     validate,
 )
 from fuscat.linalg import DEFAULT_TOL
@@ -499,39 +498,52 @@ class TestMeetJoinProduct:
         assert subcategory_join(pair[0], pair[1]).indices == tuple(range(6))
         assert subcategory_meet(pair[0], pair[1]).indices == (0,)
 
+    @staticmethod
+    def _raw_products(ring, subs):
+        """raw[a][b]: the simples k with N_ijk > 0 for some i in subs[a], j in
+        subs[b], from the batched table of all ordered pairs."""
+        member = np.zeros((len(subs), ring.rank), dtype=bool)
+        for e, D in enumerate(subs):
+            member[e, list(D.indices)] = True
+        table = fusion_ring._raw_product_table(ring, member)
+        return [[tuple(np.flatnonzero(row).tolist()) for row in rows] for rows in table]
+
     def test_vec_s3_coset_product_not_closed(self, vec_s3_ring):
-        pair = self._order_two_subcats(vec_s3_ring)[:2]
-        prod_ab, closed_ab = subcategory_product(pair[0], pair[1])
-        prod_ba, closed_ba = subcategory_product(pair[1], pair[0])
-        assert len(prod_ab) == 4 and not closed_ab
-        assert len(prod_ba) == 4 and not closed_ba
+        subs = enumerate_subcategories(vec_s3_ring)
+        a, b = [k for k, S in enumerate(subs) if len(S.indices) == 2][:2]
+        raw = self._raw_products(vec_s3_ring, subs)
+        prod_ab, prod_ba = raw[a][b], raw[b][a]
+        closed = {S.indices for S in subs}
+        assert len(prod_ab) == 4 and prod_ab not in closed
+        assert len(prod_ba) == 4 and prod_ba not in closed
         assert prod_ab != prod_ba
 
     def test_product_with_trivial(self, s3_ring):
         subs = enumerate_subcategories(s3_ring)
-        triv = subs[0]
-        for S in subs:
-            prod, closed = subcategory_product(S, triv)
-            assert prod == S.indices and closed
+        assert subs[0].indices == (0,)
+        raw = self._raw_products(s3_ring, subs)
+        for k, S in enumerate(subs):
+            assert raw[k][0] == raw[0][k] == S.indices
 
     def test_rep_s3_product_closed(self, s3_ring):
-        rep_c2 = subcategory_closure(s3_ring, [1])
-        prod, closed = subcategory_product(rep_c2, rep_c2)
-        assert prod == (0, 1) and closed
+        subs = enumerate_subcategories(s3_ring)
+        k = subs.index(subcategory_closure(s3_ring, [1]))
+        assert self._raw_products(s3_ring, subs)[k][k] == (0, 1)
 
     def test_product_inside_join(self, vec_s3_ring):
         subs = enumerate_subcategories(vec_s3_ring)
-        for A in subs:
-            for B in subs:
-                prod, _ = subcategory_product(A, B)
-                assert set(prod) <= set(subcategory_join(A, B).indices)
+        raw = self._raw_products(vec_s3_ring, subs)
+        for a, A in enumerate(subs):
+            for b, B in enumerate(subs):
+                assert set(raw[a][b]) <= set(subcategory_join(A, B).indices)
 
     def test_commutative_ring_products_symmetric(self, s3_ring):
         subs = enumerate_subcategories(s3_ring)
         assert s3_ring.commutative
-        for A in subs:
-            for B in subs:
-                assert subcategory_product(A, B) == subcategory_product(B, A)
+        raw = self._raw_products(s3_ring, subs)
+        for a in range(len(subs)):
+            for b in range(len(subs)):
+                assert raw[a][b] == raw[b][a]
 
 
 class TestJson:

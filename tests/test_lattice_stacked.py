@@ -30,7 +30,6 @@ from fuscat.subalg import (
     RoundTripFailure,
     SubalgebraIndex,
     build_lattice,
-    subalgebra_from_subcategory,
 )
 from fuscat.verify import battery_sources
 from fuscat.wedderburn import Block, BlockStructure, NotIdempotent, compute_blocks
@@ -100,7 +99,8 @@ def reference_subalgebra(D, B, tol=DEFAULT_TOL):
         raise ClosureViolation("unit summand is missing from the subalgebra")
     dim_l = float(sum(adapted.blocks[j].summand_dim * len(r) for j, r in enumerate(rows)))
     ce_dim = int(sum(len(r) * adapted.blocks[j].m for j, r in enumerate(rows)))
-    mask = np.array([t in rows[j] for j, _s, t in adapted.unit_index()])
+    lay = adapted._layout()
+    mask = np.array([t in rows[j] for j, t in zip(lay.block.tolist(), lay.t.tolist())])
     projector = adapted._unit_matrix[:, mask] @ adapted._unit_matrix_inv[mask]
     components = np.concatenate([P.ravel() for P in comps])
     return SubalgebraIndex(
@@ -282,14 +282,14 @@ def test_first_failure_matches_reference(monkeypatch, s4, case):
     outcome = raised(build_lattice, ring, B)
     assert outcome == raised(reference_build_lattice, ring, B)
     assert outcome[0] is expected
-    # Each single call fails, or succeeds, as the reference does for it alone.
-    for D in subs:
+    # Each stacked entry fails, or succeeds, as the reference does for it alone.
+    for D, L in zip(subs, subalg._subalgebras(subs, B, DEFAULT_TOL)):
         try:
             R = reference_subalgebra(D, B)
         except Exception as exc:  # noqa: BLE001 - compared below
-            assert raised(subalgebra_from_subcategory, D, B) == (type(exc), str(exc))
+            assert (type(L), str(L)) == (type(exc), str(exc))
         else:
-            assert subalgebra_from_subcategory(D, B).rows == R.rows
+            assert L.rows == R.rows
 
 
 def test_stacked_call_falls_back_matrix_by_matrix():

@@ -17,8 +17,6 @@ from fuscat.linalg import (
     joint_eigenspaces,
     orthonormal_basis,
     snap_integer,
-    subspace_contains,
-    subspace_intersection,
 )
 
 from conftest import s3_mult_table, su2_fusion_ring
@@ -206,29 +204,33 @@ class TestBatchedChecks:
 
 
 class TestSubspaces:
+    # linalg._intersection_dims(spans, a, b, tol)[k] is the dimension of
+    # span(spans[a[k]]) n span(spans[b[k]]) for orthonormal columns.
     def test_same_vector(self):
-        e1 = np.array([1.0, 0.0])
-        assert len(subspace_intersection([e1], [e1])) == 1
+        spans = [orthonormal_basis([np.array([1.0, 0.0])])]
+        assert linalg._intersection_dims(spans, np.array([0]), np.array([0]), DEFAULT_TOL).tolist() == [1]
 
     def test_disjoint(self):
-        e1 = np.array([1.0, 0.0])
-        e2 = np.array([0.0, 1.0])
-        assert len(subspace_intersection([e1], [e2])) == 0
+        spans = [orthonormal_basis([np.array([1.0, 0.0])]), orthonormal_basis([np.array([0.0, 1.0])])]
+        dims = linalg._intersection_dims(spans, np.array([0, 1]), np.array([1, 0]), DEFAULT_TOL)
+        assert dims.tolist() == [0, 0]
 
     def test_central_subspaces_inside_rep_s3(self):
         # CE spans in idempotent coordinates; oracle = class sums in A3.
         # K_e = (1,1,1); K_3cyc = (2,2,-1); K_transp = (3,-3,0).
         ce_a3 = [np.array([1.0, 1, 1]), np.array([2.0, 2, -1])]
         ce_s3 = ce_a3 + [np.array([3.0, -3, 0])]
-        inter = subspace_intersection(ce_a3, ce_s3)
-        assert len(inter) == 2
+        spans = [orthonormal_basis(ce_a3), orthonormal_basis(ce_s3)]
+        dims = linalg._intersection_dims(spans, np.array([0, 1, 1]), np.array([1, 0, 1]), DEFAULT_TOL)
+        assert dims.tolist() == [2, 2, 3]
 
     def test_intersection_of_self_is_rank(self):
         rng = np.random.default_rng(3)
         B = [rng.standard_normal(5) for _ in range(3)]
         B.append(B[0] + B[1])  # dependent vector: rank stays 3
-        assert orthonormal_basis(B).shape[1] == 3
-        assert len(subspace_intersection(B, B)) == 3
+        Q = orthonormal_basis(B)
+        assert Q.shape[1] == 3
+        assert linalg._intersection_dims([Q], np.array([0]), np.array([0]), DEFAULT_TOL).tolist() == [3]
 
     @pytest.mark.parametrize("shared", range(4))
     @pytest.mark.parametrize("gap", [0.0, 0.5, 2.0, 1e4])
@@ -244,10 +246,10 @@ class TestSubspaces:
         B1 = np.column_stack([Q[:, :shared], Q[:, shared : shared + 1], Q[:, 6:8]])
         B2 = np.column_stack([Q[:, :shared], tilted, Q[:, shared + 2 : shared + 4] + Q[:, 8:9]])
         Q1, Q2 = orthonormal_basis(B1), orthonormal_basis(B2)
-        expected = len(subspace_intersection(B1, B2))
-        assert expected == shared + (gap < 1)
-        assert linalg._intersection_dim(Q1, Q2, DEFAULT_TOL) == expected
-        assert linalg._intersection_dim(Q1, Q2[:, :0], DEFAULT_TOL) == 0
+        spans = [Q1, Q2, Q2[:, :0]]
+        dims = linalg._intersection_dims(spans, np.array([0, 1, 0, 2]), np.array([1, 0, 2, 0]), DEFAULT_TOL)
+        expected = shared + (gap < 1)
+        assert dims.tolist() == [expected, expected, 0, 0]
 
 
 def reference_contains(big, vectors, tol=DEFAULT_TOL):
@@ -291,7 +293,6 @@ class TestSubspaceContainsBatched:
         for kind, vecs in vectors.items():
             for v in vecs:
                 assert reference_contains(big, [v]) is expected[kind], kind
-                assert subspace_contains(big, [v]) is expected[kind], kind
                 assert linalg._span_contains(Q, v[:, None], DEFAULT_TOL) is expected[kind], kind
 
     def test_every_mixture_agrees_with_reference(self, mixed):
@@ -301,19 +302,15 @@ class TestSubspaceContainsBatched:
         for k in range(1, len(pool) + 1):
             for combo in itertools.combinations(pool, k):
                 want = reference_contains(big, combo)
-                assert subspace_contains(big, list(combo)) is want
-                assert subspace_contains(big, np.column_stack(combo)) is want
                 assert linalg._span_contains(Q, np.column_stack(combo), DEFAULT_TOL) is want
 
     def test_zero_span(self, mixed):
         _, vectors = mixed
-        empty = np.zeros((8, 1))
-        assert subspace_contains(empty, vectors["zero"])
-        assert not subspace_contains(empty, vectors["inside"][:1])
-        assert subspace_contains(empty, [])
-        no_columns = np.zeros((8, 0), dtype=complex)
+        no_columns = orthonormal_basis(np.zeros((8, 1)))
+        assert no_columns.shape == (8, 0)
         assert linalg._span_contains(no_columns, vectors["zero"][0][:, None], DEFAULT_TOL)
         assert not linalg._span_contains(no_columns, vectors["inside"][0][:, None], DEFAULT_TOL)
+        assert linalg._span_contains(no_columns, np.zeros((8, 0), dtype=complex), DEFAULT_TOL)
 
 
 class TestSnap:

@@ -11,16 +11,15 @@ from fuscat.char_theory import (
     integral,
     pairing,
     unit_central_element,
-    unit_class_function,
 )
 from fuscat.fusion_ring import (
+    _raw_product_table,
     enumerate_subcategories,
     subcategory_closure,
     subcategory_join,
     subcategory_meet,
-    subcategory_product_set,
 )
-from fuscat.linalg import DEFAULT_TOL, orthonormal_basis, subspace_contains, subspace_intersection
+from fuscat.linalg import DEFAULT_TOL, _span_contains, orthonormal_basis
 from fuscat.subalg import (
     ClosureFailure,
     LatticeTable,
@@ -29,20 +28,21 @@ from fuscat.subalg import (
     block_partition,
     ce_basis,
     epsilon_L,
-    pi_down,
     restrict,
-    subalgebra_from_subcategory,
     subcategory_from_subalgebra,
-    verify_cointegral_trace_sum,
-    verify_dim_inequality,
 )
+
+
+def subalgebras(ring, B):
+    """The subalgebra of every subcategory of the ring, in enumeration order."""
+    subs = enumerate_subcategories(ring)
+    return list(zip(subs, subalg._subalgebras(subs, B, DEFAULT_TOL)))
 
 
 @pytest.fixture(scope="module")
 def s3_subalgebras(s3_ring, s3_blocks):
     """Subalgebras of the adjoint algebra of Rep(S3), keyed by subcategory."""
-    subs = enumerate_subcategories(s3_ring)
-    return {D.indices: subalgebra_from_subcategory(D, s3_blocks) for D in subs}
+    return {D.indices: L for D, L in subalgebras(s3_ring, s3_blocks)}
 
 
 @pytest.fixture(scope="module")
@@ -55,12 +55,23 @@ def vec_s3_table(vec_s3_ring, vec_s3_blocks):
     return build_lattice(vec_s3_ring, vec_s3_blocks)
 
 
+def product_and_intersection(table, a, b):
+    """The entries of the product (the meet) and of the intersection (the
+    join) of the subalgebras of entries a and b."""
+    x, y = table.entries.index(a), table.entries.index(b)
+    meets, joins = table.meets_and_joins(np.array([x]), np.array([y]))
+    return table.entries[meets[0]], table.entries[joins[0]]
+
+
 def dim_inequality(table, a, b):
-    raw_ab = subcategory_product_set(a.subcategory, b.subcategory)
-    raw_ba = subcategory_product_set(b.subcategory, a.subcategory)
-    return verify_dim_inequality(
-        a, b, table.product(a, b), table.intersection(a, b), raw_ab, raw_ba
-    )
+    """(dim(LM), dim(L) dim(M) / dim(L n M), whether the raw products of the
+    two subcategories agree in both orders) for entries a and b."""
+    product, intersection = product_and_intersection(table, a, b)
+    lhs = product.subalgebra.dim_l
+    rhs = a.subalgebra.dim_l * b.subalgebra.dim_l / intersection.subalgebra.dim_l
+    raw = _raw_product_table(table.ring, table.membership)
+    x, y = table.entries.index(a), table.entries.index(b)
+    return lhs, rhs, np.array_equal(raw[x, y], raw[y, x])
 
 
 class TestFromSubcategory:
@@ -84,15 +95,14 @@ class TestFromSubcategory:
         assert L.ce_dim == 2
 
     def test_unit_row_always_selected(self, vec_s3_ring, vec_s3_blocks):
-        for D in enumerate_subcategories(vec_s3_ring):
-            L = subalgebra_from_subcategory(D, vec_s3_blocks)
+        for _D, L in subalgebras(vec_s3_ring, vec_s3_blocks):
             assert 0 in L.rows[0]
 
 
 class TestEpsilonAndRestrict:
     def test_epsilon_full(self, s3_ring, s3_subalgebras):
         eps = epsilon_L(s3_subalgebras[(0,)])
-        assert np.allclose(eps.coeffs, unit_class_function(s3_ring).coeffs)
+        assert np.allclose(eps.coeffs, chi(s3_ring, 0).coeffs)
 
     def test_epsilon_unit_subalgebra(self, s3_ring, s3_subalgebras):
         eps = epsilon_L(s3_subalgebras[(0, 1, 2)])
@@ -106,7 +116,7 @@ class TestEpsilonAndRestrict:
 
     def test_restrict_unit(self, s3_ring, s3_subalgebras):
         L = s3_subalgebras[(0, 1)]
-        out = restrict(unit_class_function(s3_ring), L)
+        out = restrict(chi(s3_ring, 0), L)
         assert np.allclose(out.coeffs, epsilon_L(L).coeffs)
 
     def test_restrict_rho_to_a3(self, s3_ring, s3_subalgebras):
@@ -130,13 +140,11 @@ class TestRoundTrip:
             assert subcategory_from_subalgebra(L).indices == indices
 
     def test_all_vec_s3(self, vec_s3_ring, vec_s3_blocks):
-        for D in enumerate_subcategories(vec_s3_ring):
-            L = subalgebra_from_subcategory(D, vec_s3_blocks)
+        for D, L in subalgebras(vec_s3_ring, vec_s3_blocks):
             assert subcategory_from_subalgebra(L).indices == D.indices
 
     def test_dimension_product(self, vec_s3_ring, vec_s3_blocks):
-        for D in enumerate_subcategories(vec_s3_ring):
-            L = subalgebra_from_subcategory(D, vec_s3_blocks)
+        for D, L in subalgebras(vec_s3_ring, vec_s3_blocks):
             assert abs(L.dim_l * D.fpdim - vec_s3_ring.global_dim) < 1e-6
 
 
@@ -176,8 +184,8 @@ class TestCeBasis:
         assert len(basis) == 2
         span = orthonormal_basis([b.coeffs for b in basis])
         expected = orthonormal_basis([np.array([1.0, 1, 1]), np.array([2.0, 2, -1])])
-        assert subspace_contains(span, expected)
-        assert subspace_contains(expected, span)
+        assert _span_contains(span, expected, DEFAULT_TOL)
+        assert _span_contains(expected, span, DEFAULT_TOL)
 
 
 def dropped_row(L, j, s):
@@ -267,63 +275,80 @@ class TestGroupEqualRows:
             )
 
 
+def pi_down_all(z, subalgebras):
+    """Projections of the central element z onto the central subspaces of a
+    stack of subalgebras, one row per subalgebra."""
+    sums = np.array([L.class_sums for L in subalgebras])
+    keep = np.array([L.selected for L in subalgebras])
+    return subalg._pi_down_rows(sums, keep, z.coeffs)
+
+
 class TestPiDown:
     def test_unit_retained(self, s3_ring, s3_subalgebras):
-        for L in s3_subalgebras.values():
-            out = pi_down(unit_central_element(s3_ring), L)
-            assert np.allclose(out.coeffs, 1.0)
+        out = pi_down_all(unit_central_element(s3_ring), list(s3_subalgebras.values()))
+        assert np.allclose(out, 1.0)
 
     def test_integral_projects_to_scaled_unit_idempotent(self, s3_ring, s3_subalgebras):
         # projection of the integral onto the A3 subalgebra is half the
-        # unit idempotent: (1/6)(K_e + K_3cyc) = (1/2)(E_0 + E_sgn)
-        L = s3_subalgebras[(0, 1)]
-        out = pi_down(integral(s3_ring), L)
-        assert np.allclose(out.coeffs, [0.5, 0.5, 0])
+        # unit idempotent: (1/6)(K_e + K_3cyc) = (1/2)(E_0 + E_sgn); onto
+        # the whole algebra it is the integral, onto the unit subalgebra
+        # (1/6) times the unit
+        keys = [(0, 1), (0,), (0, 1, 2)]
+        out = pi_down_all(integral(s3_ring), [s3_subalgebras[k] for k in keys])
+        assert np.allclose(out, [[0.5, 0.5, 0], [1, 0, 0], [1 / 6, 1 / 6, 1 / 6]])
 
     def test_whole_algebra_identity(self, s3_ring, s3_subalgebras):
         rng = np.random.default_rng(11)
         z = CentralElement(s3_ring, rng.standard_normal(3) + 1j * rng.standard_normal(3))
-        out = pi_down(z, s3_subalgebras[(0,)])
-        assert np.allclose(out.coeffs, z.coeffs)
+        out = pi_down_all(z, [s3_subalgebras[(0,)]])
+        assert np.allclose(out[0], z.coeffs)
 
 
 class TestLatticeOps:
     def test_product_with_unit_subalgebra(self, s3_table):
         one = s3_table.entry((0, 1, 2))  # the unit subalgebra
         for e in s3_table.entries:
-            assert s3_table.product(e, one).subalgebra.rows == e.subalgebra.rows
+            product, _ = product_and_intersection(s3_table, e, one)
+            assert product.subalgebra.rows == e.subalgebra.rows
 
     def test_intersect_with_whole(self, s3_table):
         whole = s3_table.entry((0,))
         for e in s3_table.entries:
-            assert s3_table.intersection(e, whole).subalgebra.rows == e.subalgebra.rows
+            _, intersection = product_and_intersection(s3_table, e, whole)
+            assert intersection.subalgebra.rows == e.subalgebra.rows
 
     def test_vec_s3_reflection_pair(self, vec_s3_table):
         a, b = [e for e in vec_s3_table.entries if len(e.subcategory) == 2][:2]
-        assert vec_s3_table.product(a, b).subalgebra.dim_l == pytest.approx(6)
-        assert vec_s3_table.intersection(a, b).subalgebra.dim_l == pytest.approx(1)
+        product, intersection = product_and_intersection(vec_s3_table, a, b)
+        assert product.subalgebra.dim_l == pytest.approx(6)
+        assert intersection.subalgebra.dim_l == pytest.approx(1)
 
     def test_rep_s3_idempotence_and_nesting(self, s3_table):
         a3 = s3_table.entry((0, 1))
         s3 = s3_table.entry((0,))  # the whole group algebra
-        assert s3_table.product(a3, a3) is a3
-        assert s3_table.intersection(a3, s3).subalgebra.dim_l == pytest.approx(3)
+        assert product_and_intersection(s3_table, a3, a3)[0] is a3
+        assert product_and_intersection(s3_table, a3, s3)[1].subalgebra.dim_l == pytest.approx(3)
 
     def test_meet_join_identities(self, vec_s3_table):
-        for a in vec_s3_table.entries:
-            for b in vec_s3_table.entries:
-                lm = vec_s3_table.product(a, b).subalgebra
-                assert (
-                    subcategory_from_subalgebra(lm).indices
-                    == subcategory_meet(a.subcategory, b.subcategory).indices
-                )
-                li = vec_s3_table.intersection(a, b).subalgebra
-                assert (
-                    subcategory_from_subalgebra(li).indices
-                    == subcategory_join(a.subcategory, b.subcategory).indices
-                )
-                ce = subspace_intersection(a.subalgebra.ce_span, b.subalgebra.ce_span)
-                assert len(ce) == li.ce_dim
+        entries = vec_s3_table.entries
+        a, b = (x.ravel() for x in np.indices((len(entries), len(entries))))
+        meets, joins = vec_s3_table.meets_and_joins(a, b)
+        for x, y, meet, join in zip(a, b, meets, joins):
+            A, B = entries[x], entries[y]
+            lm = entries[meet].subalgebra
+            assert (
+                subcategory_from_subalgebra(lm).indices
+                == subcategory_meet(A.subcategory, B.subcategory).indices
+            )
+            li = entries[join].subalgebra
+            assert (
+                subcategory_from_subalgebra(li).indices
+                == subcategory_join(A.subcategory, B.subcategory).indices
+            )
+            # dim(U n V) = dim U + dim V - dim(U + V)
+            QA, QB = A.subalgebra.ce_span, B.subalgebra.ce_span
+            shared = QA.shape[1] + QB.shape[1] - np.linalg.matrix_rank(np.hstack([QA, QB]), tol=1e-6)
+            assert shared == li.ce_dim
 
 
 class TestDimInequality:
@@ -348,20 +373,27 @@ class TestDimInequality:
         assert orders_agree
 
 
+def trace_sum_residuals(table):
+    """Cointegral trace-sum residual of every entry, keyed by subcategory."""
+    entries = table.entries
+    res = subalg._cointegral_trace_sums(entries, subalg._stack_entries(entries))
+    return {e.subcategory.indices: r for e, r in zip(entries, res)}
+
+
 class TestCointegralTraceSum:
     def test_trivial_subcategory(self, s3_ring, s3_table):
         D = subcategory_closure(s3_ring, [])
-        assert verify_cointegral_trace_sum(s3_table.entry(D.indices)) < 1e-8
+        assert trace_sum_residuals(s3_table)[D.indices] < 1e-8
 
     def test_rep_c2_value(self, s3_ring, s3_table):
         # diagonal coefficients of F^e + F^3cyc weighted by summand dims:
         # 1*1 + 1*2 = 3 = 6/2
         D = subcategory_closure(s3_ring, [1])
-        assert verify_cointegral_trace_sum(s3_table.entry(D.indices)) < 1e-8
+        assert trace_sum_residuals(s3_table)[D.indices] < 1e-8
 
     def test_whole_category(self, s3_ring, s3_table):
         D = subcategory_closure(s3_ring, [2])
-        assert verify_cointegral_trace_sum(s3_table.entry(D.indices)) < 1e-8
+        assert trace_sum_residuals(s3_table)[D.indices] < 1e-8
 
 
 class TestRestrictionPairing:
@@ -410,7 +442,7 @@ class TestProjector:
 
         monkeypatch.setattr(wedderburn.BlockStructure, "expand", no_expand)
         L = s3_subalgebras[(0, 1)]
-        assert np.allclose(restrict(unit_class_function(s3_ring), L).coeffs, epsilon_L(L).coeffs)
+        assert np.allclose(restrict(chi(s3_ring, 0), L).coeffs, epsilon_L(L).coeffs)
         assert subcategory_from_subalgebra(L).indices == (0, 1)
         assert block_partition(L) == ((0, 1), (2,))
 

@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 from fuscat import subalg, verify
-from fuscat.fusion_ring import (
-    _raw_product_table,
-    subcategory_join,
-    subcategory_meet,
-    subcategory_product_set,
-)
+from fuscat.fusion_ring import _raw_product_table, subcategory_join, subcategory_meet
 from fuscat.linalg import DEFAULT_TOL
 from fuscat.verify import verify_ring
 
@@ -65,9 +60,10 @@ class TestMatrixUnitCheck:
 
 
 def test_pair_loop_computes_each_ordered_product_once(monkeypatch, vec_s3_ring, vec_s3_blocks):
-    # The batched tables the pair loop reads agree with the per-pair
-    # functions on every ordered pair (raw products) and every unordered
-    # pair (meets and joins); vec_s3 is noncommutative, so order matters.
+    # The batched tables the pair loop reads agree with the raw products
+    # worked out from N on every ordered pair, and with the per-pair
+    # meets and joins on every unordered pair; vec_s3 is noncommutative,
+    # so order matters.
     table = subalg.build_lattice(vec_s3_ring, vec_s3_blocks)
     entries = table.entries
     S = len(entries)
@@ -75,8 +71,10 @@ def test_pair_loop_computes_each_ordered_product_once(monkeypatch, vec_s3_ring, 
     assert raw.shape == (S, S, vec_s3_ring.rank)
     for a, ea in enumerate(entries):
         for b, eb in enumerate(entries):
-            expected = subcategory_product_set(ea.subcategory, eb.subcategory)
-            assert tuple(np.flatnonzero(raw[a, b]).tolist()) == expected
+            N = vec_s3_ring.N
+            A, B = ea.subcategory.indices, eb.subcategory.indices
+            expected = {int(k) for i in A for j in B for k in np.flatnonzero(N[i, j])}
+            assert set(np.flatnonzero(raw[a, b]).tolist()) == expected
     pairs_a, pairs_b = np.triu_indices(S)
     meets, joins = table.meets_and_joins(pairs_a, pairs_b)
     assert len(meets) == len(joins) == S * (S + 1) // 2

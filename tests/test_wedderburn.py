@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fuscat import groups, wedderburn
-from fuscat.char_theory import ClassFunction, chi, cointegral, cf_multiply, unit_class_function
+from fuscat.char_theory import ClassFunction, chi, cointegral, cf_multiply
 from fuscat.fusion_ring import enumerate_subcategories
 from fuscat.char_theory import subcategory_cointegral
 from fuscat.linalg import DEFAULT_TOL
@@ -84,7 +84,7 @@ class TestComputeBlocks:
 
 class TestExpand:
     def test_unit_expands_to_identity(self, s3_ring, s3_blocks):
-        comps = s3_blocks.expand(unit_class_function(s3_ring).coeffs)
+        comps = s3_blocks.expand(chi(s3_ring, 0).coeffs)
         for blk, P in zip(s3_blocks.blocks, comps):
             assert np.allclose(P, np.eye(blk.m))
 
@@ -125,7 +125,7 @@ def adapted_structure(B, p):
 
 class TestAdapt:
     def test_identity_idempotent_is_noop(self, vec_s3_ring, vec_s3_blocks):
-        adapted = adapt_one(vec_s3_blocks, unit_class_function(vec_s3_ring))
+        adapted = adapt_one(vec_s3_blocks, chi(vec_s3_ring, 0))
         assert adapted.errors[0] is None
         for blk, U in zip(vec_s3_blocks.blocks, adapted.bases):
             assert np.allclose(U[0], np.eye(blk.m), atol=1e-12)
@@ -149,7 +149,7 @@ class TestAdapt:
         assert np.allclose(comps[2], np.diag([1.0, 0.0]), atol=1e-9)
 
     def test_non_idempotent_rejected(self, vec_s3_ring, vec_s3_blocks):
-        half = ClassFunction(vec_s3_ring, 0.5 * unit_class_function(vec_s3_ring).coeffs)
+        half = ClassFunction(vec_s3_ring, 0.5 * chi(vec_s3_ring, 0).coeffs)
         assert isinstance(adapt_one(vec_s3_blocks, half).errors[0], NotIdempotent)
 
     def test_adapt_preserves_block_invariants(self, vec_s3_ring, vec_s3_blocks):
