@@ -399,8 +399,24 @@ def _dimension_violations(ring: FusionRingData, tol: Tolerance) -> list[str]:
     return out
 
 
-# Largest (k, r, r) float32 product, in bytes, that one closure block forms.
+# Byte budget of the float32 products that one closure block forms up to
+# rank 40; above it the budget grows as r^3 (_closure_rows_per_block).
 _CLOSURE_BLOCK_BYTES = 1 << 16
+
+
+def _closure_rows_per_block(r: int, row_floats: int) -> int:
+    """Rows per closure block at rank r, for blocks that form ``row_floats``
+    float32 values per row.
+
+    Every block multiplies its rows by the whole (r, r^2) ``support`` table,
+    so one-row blocks stream that table once per row.  The budget is
+    ``_CLOSURE_BLOCK_BYTES`` times r^3 // 2^15, at least once (up to rank 40),
+    so a block stays below 2 r^3 bytes: with r^2 values per row that is about
+    r / 2 rows (27 at r = 60, 59 at r = 120).  A budget of 1 byte gives
+    one-row blocks at every rank.
+    """
+    budget = _CLOSURE_BLOCK_BYTES * max(1, r**3 // 2**15)
+    return max(1, budget // (4 * row_floats))
 
 
 def _fusion_hit(ring: FusionRingData, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -418,16 +434,17 @@ def _raw_product_table(ring: FusionRingData, member: np.ndarray) -> np.ndarray:
 
     ``out[a, b]`` is the (r,) bool row of :func:`_fusion_hit` for rows a and b.
     The product with ``support`` depends on the left row alone, so it is
-    formed once per row, in row blocks whose (k, r, r) product stays below
-    ``_CLOSURE_BLOCK_BYTES``, and meets every right row in one batched product.
+    formed once per row and meets every right row in one batched product.
+    Each left row forms r^2 + S r float32 values, which size its row blocks
+    (:func:`_closure_rows_per_block`).
     """
     S, r = member.shape
     m = member.astype(np.float32)
     out = np.empty((S, S, r), dtype=bool)
-    step = max(1, _CLOSURE_BLOCK_BYTES // (4 * r * r))
+    step = _closure_rows_per_block(r, r * (r + S))
     for lo in range(0, S, step):
         prods = (m[lo : lo + step] @ ring.support).reshape(-1, r, r)
-        out[lo : lo + step] = np.matmul(m, prods) > 0
+        np.greater(np.matmul(m, prods), 0, out=out[lo : lo + step])
     return out
 
 
@@ -447,11 +464,11 @@ def _close_rows(ring: FusionRingData, member: np.ndarray) -> np.ndarray:
 
     Only the rows that changed on the last pass are iterated again; equal
     rows close equally, so each distinct one is computed once per pass, in
-    row blocks whose (k, r, r) product stays below ``_CLOSURE_BLOCK_BYTES``.
+    row blocks of :func:`_closure_rows_per_block` rows.
     """
     r = ring.rank
     dual = np.array(ring.dual)
-    step = max(1, _CLOSURE_BLOCK_BYTES // (4 * r * r))
+    step = _closure_rows_per_block(r, r * r)
     active = np.arange(len(member))
     while active.size:
         rows = member[active]

@@ -7,7 +7,10 @@ products).  From a group we build two fusion rings: the representation ring
 the class-sum matrices) and the group-graded ring (simples = group elements).
 Classical group theory then predicts everything the correspondence machinery
 computes: normal subgroups, quotient representation categories, class sums,
-and subgroup lattices.
+and subgroup lattices.  The subgroups are enumerated from the multiplication
+table alone, never through the fusion-ring closure that they cross-check:
+breadth-first joins with cyclic subgroups (or conjugacy classes), each level
+closed as one batch of rows grown by right multiplication.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -105,11 +108,14 @@ class FiniteGroup:
     def mul(self, i: int, j: int) -> int:
         return int(self.table[i, j])
 
-    def class_of(self, i: int) -> int:
+    @cached_property
+    def class_index(self) -> np.ndarray:
+        """Conjugacy class of every element, as a (|G|,) index array."""
+        out = np.empty(self.order, dtype=np.intp)
         for c, cls in enumerate(self.classes):
-            if i in cls:
-                return c
-        raise ValueError(f"element {i} not found in any class")
+            out[list(cls)] = c
+        out.setflags(write=False)
+        return out
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -341,10 +347,6 @@ class CharacterTable:
 def _class_constants(G: FiniteGroup) -> np.ndarray:
     """a[c, d, e] = #{(x, y) in class_c x class_d : xy = rep_e}."""
     k = len(G.classes)
-    cls_index = np.zeros(G.order, dtype=int)
-    for c, cls in enumerate(G.classes):
-        for x in cls:
-            cls_index[x] = c
     a = np.zeros((k, k, k), dtype=int)
     reps = [cls[0] for cls in G.classes]
     rep_pos = {rep: e for e, rep in enumerate(reps)}
@@ -481,54 +483,109 @@ def vec_fusion_ring(G: FiniteGroup) -> FusionRingData:
     return build_ring(labels, N, dual)
 
 
-def _closure_of(G: FiniteGroup, seed) -> frozenset[int]:
-    """Subgroup generated by the seed: close under products read from the table.
+def _first_distinct(packed: np.ndarray) -> np.ndarray:
+    """Indices of the first occurrence of each distinct row of a packed
+    (K, bytes) uint8 matrix, in row order."""
+    first: dict[bytes, int] = {}
+    for i, row in enumerate(packed):
+        first.setdefault(row.tobytes(), i)
+    return np.fromiter(first.values(), dtype=np.intp, count=len(first))
 
-    A finite set that contains the identity and is closed under the product is
-    a subgroup.
+
+def _close_by_generators(G: FiniteGroup, packed: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """Subgroup generated by each row's generators, for rows that hold the identity.
+
+    ``packed`` is a bit-packed (K, |G|) membership matrix and ``gens`` (K, L)
+    holds element indices; the closed rows come back packed.  Every row grows
+    by right multiplication, M <- M u M g for each of its generators g, until
+    no row changes: from the identity this reaches every product of
+    generators, which in a finite group is the generated subgroup.  Each pass
+    multiplies, per generator g, all rows that hold g at once.
     """
-    member = np.zeros(G.order, dtype=bool)
-    member[G.identity] = True
-    member[list(seed)] = True
-    while True:
-        idx = np.flatnonzero(member)
-        member[G.table[np.ix_(idx, idx)].ravel()] = True
-        if np.count_nonzero(member) == len(idx):
-            return frozenset(int(g) for g in idx)
+    # right[g, k] = k g^-1, so k lies in M g exactly when M[right[g, k]].
+    right = G.table[:, np.asarray(G.inverse)].T
+    member = np.unpackbits(packed, axis=1, count=G.order).view(bool)
+    used = np.zeros(G.order, dtype=bool)
+    used[gens] = True
+    used[G.identity] = False
+    moves = [(np.flatnonzero((gens == g).any(axis=1)), right[g]) for g in np.flatnonzero(used)]
+    # Rows only grow, so a pass that adds no element changes nothing.
+    size = None
+    while size != np.count_nonzero(member):
+        size = np.count_nonzero(member)
+        for rows, perm in moves:
+            block = member[rows]
+            block |= block[:, perm]
+            member[rows] = block
+    return np.packbits(member, axis=1)
 
 
-def _extension_closure(G: FiniteGroup, pieces) -> list[tuple[int, ...]]:
-    """Every closure of unions of the pieces, by breadth-first extension."""
-    trivial = _closure_of(G, ())
-    found = {trivial}
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for H in frontier:
-            for piece in pieces:
-                if set(piece) <= H:
-                    continue
-                H2 = _closure_of(G, H | set(piece))
-                if H2 not in found:
-                    found.add(H2)
-                    nxt.append(H2)
-        frontier = nxt
-    return sorted((tuple(sorted(H)) for H in found), key=lambda h: (len(h), h))
+def _extension_closure(
+    G: FiniteGroup, pieces: np.ndarray, piece_gens: np.ndarray
+) -> list[tuple[int, ...]]:
+    """Every subgroup generated by a union of pieces, by breadth-first extension.
+
+    ``pieces`` is a (P, |G|) bool matrix of subgroups and ``piece_gens`` (P, L)
+    generates each of them.  One level joins every frontier subgroup with
+    every piece it does not contain, drops repeated rows and closes the rest
+    together; each subgroup found keeps the generators it was closed from.
+    Rows are held bit-packed.
+    """
+    n = G.order
+    pieces = np.packbits(pieces, axis=1)
+    frontier = np.zeros((1, n), dtype=bool)
+    frontier[0, G.identity] = True
+    frontier = np.packbits(frontier, axis=1)
+    frontier_gens = np.full((1, 0), G.identity, dtype=np.intp)
+    found = {frontier[0].tobytes()}
+    while len(frontier):
+        outside = np.any(pieces[None, :, :] & ~frontier[:, None, :], axis=2)
+        rows, cols = np.nonzero(outside)
+        candidates = frontier[rows] | pieces[cols]
+        first = _first_distinct(candidates)
+        rows, cols = rows[first], cols[first]
+        gens = np.hstack([frontier_gens[rows], piece_gens[cols]])
+        closed = _close_by_generators(G, candidates[first], gens)
+        new = [k for k in _first_distinct(closed) if closed[k].tobytes() not in found]
+        found.update(closed[k].tobytes() for k in new)
+        frontier, frontier_gens = closed[new], gens[new]
+    subs = (np.flatnonzero(np.unpackbits(np.frombuffer(H, np.uint8), count=n)) for H in found)
+    return sorted((tuple(H.tolist()) for H in subs), key=lambda h: (len(h), h))
 
 
 def subgroups(G: FiniteGroup) -> list[tuple[int, ...]]:
-    """All subgroups, as sorted element index tuples, by closure extension."""
-    return _extension_closure(G, [(g,) for g in range(G.order)])
+    """All subgroups, as sorted element index tuples, sorted by (order, indices).
+
+    Every subgroup is generated by the cyclic subgroups it contains, so
+    extending by the distinct cyclic subgroups <g>, each generated by one g,
+    reaches every subgroup (67 pieces for the 120 elements of S5).
+    """
+    n = G.order
+    idx = np.arange(n)
+    powers = np.zeros((n, n), dtype=bool)
+    cur = np.full(n, G.identity)
+    while not powers[idx, cur].all():
+        powers[idx, cur] = True
+        cur = G.table[cur, idx]
+    first = _first_distinct(np.packbits(powers, axis=1))
+    return _extension_closure(G, powers[first], first[:, None])
 
 
 def normal_subgroups(G: FiniteGroup) -> list[tuple[int, ...]]:
     """Normal subgroups, ordered like :func:`subgroups`.
 
     A normal subgroup is a union of conjugacy classes, and the subgroup
-    generated by a union of classes is normal, so extending by whole classes
-    reaches every normal subgroup and nothing else.
+    generated by a union of classes is normal, so extending by whole classes,
+    each generated by all of its elements, reaches every normal subgroup and
+    nothing else.
     """
-    return _extension_closure(G, G.classes)
+    width = max(len(cls) for cls in G.classes)
+    pieces = np.zeros((len(G.classes), G.order), dtype=bool)
+    gens = np.full((len(G.classes), width), G.identity, dtype=np.intp)
+    for c, cls in enumerate(G.classes):
+        pieces[c, list(cls)] = True
+        gens[c, : len(cls)] = cls
+    return _extension_closure(G, pieces, gens)
 
 
 def trivial_action_subcategory(
@@ -540,19 +597,19 @@ def trivial_action_subcategory(
     when N acts trivially.  The result is the representation category of the
     quotient, as a subcategory of the representation ring of G.
     """
-    members = set(N)
-    if not members <= set(range(G.order)):
+    if not set(N) <= set(range(G.order)):
         raise ValueError("subgroup indices out of range")
-    if not all(
-        G.mul(G.mul(g, h), G.inverse[g]) in members for g in range(G.order) for h in N
-    ):
+    h = np.asarray(N, dtype=np.intp)
+    members = np.zeros(G.order, dtype=bool)
+    members[h] = True
+    # conjugates[g, k] = g h_k g^-1
+    conjugates = G.table[G.table[:, h], np.asarray(G.inverse)[:, None]]
+    if not members[conjugates].all():
         raise NotNormal(f"{N} is not a normal subgroup")
     table, ring = _rep_data(G, seed)
-    indices = []
-    for i in range(len(G.classes)):
-        avg = sum(table.rows[i][G.class_of(h)] for h in N) / len(N)
-        if abs(avg - table.degrees[i]) <= 1e-7 * max(1, table.degrees[i]):
-            indices.append(i)
+    degrees = np.array(table.degrees, dtype=float)
+    avg = table.rows[:, G.class_index[h]].sum(axis=1) / len(N)
+    indices = np.flatnonzero(np.abs(avg - degrees) <= 1e-7 * np.maximum(1, degrees)).tolist()
     fpdim = float(np.sum(ring.dims[indices] ** 2))
     return FusionSubcategory(tuple(indices), fpdim, ring)
 

@@ -439,7 +439,9 @@ class TestEnumerateAgainstReference:
         assert len(subs) == 59
         assert set(subs) == _reference_subcategories(vec_a5_ring)[0]
 
-    @pytest.mark.parametrize("block_bytes", [None, 1], ids=["default_blocks", "one_row_blocks"])
+    @pytest.mark.parametrize(
+        "block_bytes", [None, 1, 1 << 40], ids=["default_blocks", "one_row_blocks", "one_block"]
+    )
     @pytest.mark.parametrize("source", ["vec:symmetric:4", "rep:symmetric:4", "vec:dihedral:8"])
     def test_close_rows_matches_reference_row_by_row(self, source, block_bytes, monkeypatch):
         if block_bytes is not None:
@@ -481,6 +483,96 @@ class TestEnumerateAgainstReference:
             tracemalloc.stop()
         assert len(subs) == 59
         assert peak < r**3 * 8  # one (K, r, r) product over a whole frontier level takes K * r^2 * 4
+
+    def test_raw_product_table_memory_below_r3(self, vec_a5_ring):
+        r = vec_a5_ring.rank
+        subs = enumerate_subcategories(vec_a5_ring)
+        member = np.zeros((len(subs), r), dtype=bool)
+        for e, D in enumerate(subs):
+            member[e, list(D.indices)] = True
+        vec_a5_ring.support  # cached before tracing
+        tracemalloc.start()
+        try:
+            table = fusion_ring._raw_product_table(vec_a5_ring, member)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (59, 59, r)
+        assert peak < r**3 * 8
+
+
+def _spy_block_rows(monkeypatch):
+    """Record the number of rows of every block that ``_fusion_hit`` multiplies."""
+    sizes = []
+    hit = fusion_ring._fusion_hit
+
+    def spy(ring, a, b):
+        sizes.append(len(a))
+        return hit(ring, a, b)
+
+    monkeypatch.setattr(fusion_ring, "_fusion_hit", spy)
+    return sizes
+
+
+def _seed_rows(r, n_rows, seed):
+    """(n_rows, r) membership rows: the unit and one or two random simples."""
+    rng = np.random.default_rng(seed)
+    member = np.zeros((n_rows, r), dtype=bool)
+    member[:, 0] = True
+    for row in member:
+        row[rng.choice(np.arange(1, r), size=rng.integers(1, 3), replace=False)] = True
+    return member
+
+
+class TestClosureBlocks:
+    @pytest.mark.parametrize("r", [1, 6, 24, 32, 40])
+    def test_budget_unchanged_up_to_rank_40(self, r):
+        assert fusion_ring._closure_rows_per_block(r, r * r) == max(1, (1 << 16) // (4 * r * r))
+
+    @pytest.mark.parametrize("r, rows", [(60, 27), (120, 59)])
+    def test_budget_grows_with_rank(self, r, rows):
+        assert fusion_ring._closure_rows_per_block(r, r * r) == rows
+
+    @pytest.mark.parametrize("r", [6, 41, 60, 120, 1000])
+    def test_one_byte_budget_gives_one_row(self, r, monkeypatch):
+        monkeypatch.setattr(fusion_ring, "_CLOSURE_BLOCK_BYTES", 1)
+        assert fusion_ring._closure_rows_per_block(r, r * r) == 1
+        assert fusion_ring._closure_rows_per_block(r, r * (r + 156)) == 1
+
+    @pytest.mark.parametrize("block_bytes", [None, 1, 1 << 40])
+    @pytest.mark.parametrize("source", ["vec:symmetric:4", "rep:symmetric:4"])
+    def test_raw_product_table_matches_pairwise_reference(self, source, block_bytes, monkeypatch):
+        if block_bytes is not None:
+            monkeypatch.setattr(fusion_ring, "_CLOSURE_BLOCK_BYTES", block_bytes)
+        ring, _group, _kind = parse_source(source, 0, DEFAULT_TOL)
+        subs = [D.indices for D in enumerate_subcategories(ring)]
+        member = np.zeros((len(subs), ring.rank), dtype=bool)
+        for e, D in enumerate(subs):
+            member[e, list(D)] = True
+        table = fusion_ring._raw_product_table(ring, member)
+        for a, A in enumerate(subs):
+            for b, B in enumerate(subs):
+                assert np.array_equal(table[a, b], np.any(ring.N[np.ix_(A, B)] > 0, axis=(0, 1)))
+
+    def test_one_byte_budget_closes_one_row_per_block_at_rank_60(self, vec_a5_ring, monkeypatch):
+        monkeypatch.setattr(fusion_ring, "_CLOSURE_BLOCK_BYTES", 1)
+        sizes = _spy_block_rows(monkeypatch)
+        member = _seed_rows(vec_a5_ring.rank, 8, seed=3)
+        expected = [_reference_closure(vec_a5_ring, np.flatnonzero(row)) for row in member]
+        closed = fusion_ring._close_rows(vec_a5_ring, member)
+        assert sizes and set(sizes) == {1}
+        assert [tuple(np.flatnonzero(row).tolist()) for row in closed] == expected
+
+    def test_default_budget_closes_many_rows_per_block_at_rank_120(self, monkeypatch):
+        ring, _group, _kind = parse_source("vec:symmetric:5", 0, DEFAULT_TOL)
+        r = ring.rank
+        sizes = _spy_block_rows(monkeypatch)
+        member = _seed_rows(r, 40, seed=4)
+        expected = [_reference_closure(ring, np.flatnonzero(row)) for row in member]
+        closed = fusion_ring._close_rows(ring, member)
+        assert sizes[0] >= r / 4
+        assert max(sizes) <= fusion_ring._closure_rows_per_block(r, r * r) == 59
+        assert [tuple(np.flatnonzero(row).tolist()) for row in closed] == expected
 
 
 class TestMeetJoinProduct:

@@ -1,6 +1,11 @@
+import ast
+import inspect
+import re
+
 import numpy as np
 import pytest
 
+from fuscat import groups
 from fuscat.groups import (
     BadTable,
     NotNormal,
@@ -190,8 +195,12 @@ class TestTrivialAction:
 
     def test_not_normal_rejected(self, s3_group):
         reflection = next(H for H in subgroups(s3_group) if len(H) == 2)
-        with pytest.raises(NotNormal):
+        with pytest.raises(NotNormal, match=f"^{re.escape(str(reflection))} is not a normal subgroup$"):
             trivial_action_subcategory(s3_group, reflection)
+
+    def test_out_of_range_rejected(self, s3_group):
+        with pytest.raises(ValueError, match="subgroup indices out of range"):
+            trivial_action_subcategory(s3_group, (0, 6))
 
 
 class TestCrosschecks:
@@ -234,3 +243,77 @@ def test_normal_subgroups_are_conjugation_closed_subgroups(name):
         return all(int(t[t[g, h], G.inverse[g]]) in members for g in range(G.order) for h in H)
 
     assert normal_subgroups(G) == [H for H in subgroups(G) if conjugation_closed(H)]
+
+
+def _reference_closure(G, seed):
+    """Subgroup generated by the seed, one element product at a time."""
+    members = {G.identity, *seed}
+    while True:
+        grown = members | {G.mul(a, b) for a in members for b in members}
+        if grown == members:
+            return frozenset(members)
+        members = grown
+
+
+def _reference_extension(G, pieces):
+    """Every closure of unions of the pieces, one candidate at a time."""
+    trivial = _reference_closure(G, ())
+    found, frontier = {trivial}, [trivial]
+    while frontier:
+        nxt = []
+        for H in frontier:
+            for piece in pieces:
+                if not set(piece) <= H:
+                    H2 = _reference_closure(G, H | set(piece))
+                    if H2 not in found:
+                        found.add(H2)
+                        nxt.append(H2)
+        frontier = nxt
+    return sorted((tuple(sorted(H)) for H in found), key=lambda h: (len(h), h))
+
+
+class TestSubgroupKernel:
+    @pytest.mark.parametrize("name", battery_groups(large=True) + ["cyclic:1", "alternating:5"])
+    def test_matches_element_by_element_reference(self, name):
+        G = parse_group(name)
+        assert subgroups(G) == _reference_extension(G, [(g,) for g in range(G.order)])
+        assert normal_subgroups(G) == _reference_extension(G, G.classes)
+
+    @pytest.mark.parametrize(
+        "name, n_subgroups, n_cyclic",
+        [("symmetric:4", 30, 17), ("alternating:5", 59, 32), ("symmetric:5", 156, 67)],
+    )
+    def test_counts(self, name, n_subgroups, n_cyclic):
+        G = parse_group(name)
+        subs = subgroups(G)
+        cyclic = {tuple(sorted(_reference_closure(G, (g,)))) for g in range(G.order)}
+        assert len(subs) == n_subgroups
+        assert len(cyclic) == n_cyclic
+        assert cyclic <= set(subs)
+
+    def test_independent_of_the_fusion_ring_closure(self):
+        tree = ast.parse(inspect.getsource(groups))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {
+            a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names
+        }
+        assert not names & {"_close_rows", "_fusion_hit", "support"}
+
+
+def _reference_trivial_action(G, N, table):
+    """Irreducibles whose average over N equals their degree, one element at a time."""
+    class_of = {g: c for c, cls in enumerate(G.classes) for g in cls}
+    return tuple(
+        i
+        for i, d in enumerate(table.degrees)
+        if abs(sum(table.rows[i][class_of[h]] for h in N) / len(N) - d) <= 1e-7 * max(1, d)
+    )
+
+
+@pytest.mark.parametrize("name", battery_groups(large=True) + ["alternating:5", "symmetric:5"])
+def test_trivial_action_matches_reference(name):
+    G = parse_group(name)
+    table = character_table(G)
+    for N in normal_subgroups(G):
+        assert trivial_action_subcategory(G, N).indices == _reference_trivial_action(G, N, table)
