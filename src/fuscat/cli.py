@@ -48,12 +48,10 @@ class InputFailure(Exception):
     """Source could not be parsed or validated; maps to exit code 2."""
 
 
-def _cx(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def _cvec(vec) -> list[list[float]]:
-    return [_cx(z) for z in np.asarray(vec)]
+    """A complex vector as [[re, im], ...] Python floats, for JSON."""
+    v = np.asarray(vec, dtype=complex)
+    return np.stack([v.real, v.imag], -1).tolist()
 
 
 def _fnum(x: float) -> str:

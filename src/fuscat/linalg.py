@@ -5,6 +5,14 @@ diagonalization of commuting families, orthonormal bases, subspace
 containment and intersection, and integer snapping.  Matrices and vectors are plain
 ``numpy`` arrays of ``complex128``; all randomness flows through one explicit
 seed and all comparisons go through a :class:`Tolerance`.
+
+:func:`joint_eigenspaces` works in four steps: split (eigenspaces of a seeded
+random combination, refined by the single matrices), verify (every matrix
+acts as a scalar on every space, within its bound), certify (the residuals of
+that verification bound every commutator below the pairwise commutation
+bound, see :func:`_commutation_certified`) and fall back (the dense pairwise
+scan :func:`_commuting_or_raise` runs only when the certificate declines or
+no seed splits; it alone raises :class:`NotCommuting`).
 """
 
 from __future__ import annotations
@@ -265,9 +273,13 @@ def _max_abs(S: np.ndarray) -> np.ndarray:
 def _commuting_or_raise(S: np.ndarray, tol: Tolerance) -> None:
     """Raise NotCommuting naming the first pair (i, j), i < j, that fails.
 
-    Each matrix is tested against all later ones, one row block of the stack
-    at a time, with the pairwise bound
-    ``10 * (abs_tol + rel_tol * max(1, max|A| * max|B|))``.
+    The dense fallback of :func:`joint_eigenspaces`: it runs only when the
+    residual certificate declines or when no seed splits the family.  Each
+    matrix is tested against all later ones, one row block of the stack at a
+    time, with the pairwise bound
+    ``10 * (abs_tol + rel_tol * max(1, max|A| * max|B|))`` on the largest
+    entry of the computed ``A @ B - B @ A``: c(c-1) products of n x n
+    matrices for c matrices.
     """
     m, n, _ = S.shape
     scale = _max_abs(S)
@@ -286,6 +298,48 @@ def _commuting_or_raise(S: np.ndarray, tol: Tolerance) -> None:
             if bad.size:
                 j = lo + int(bad[0])
                 raise NotCommuting(f"matrices {i} and {j} do not commute within tolerance")
+
+
+def _commutation_certified(
+    spaces: Sequence[np.ndarray], S: np.ndarray, e2: np.ndarray, tol: Tolerance
+) -> bool:
+    """True when the split's residuals prove that every pair of the stack
+    passes the commutation bound of :func:`_commuting_or_raise`.
+
+    Put the spaces side by side as P and let D_A hold A's block scalars, so
+    that ``A P = P D_A + E_A``; ``e2[A]`` is ``||E_A||_F^2`` as
+    :func:`_verify_joint` measured it.  The matrices ``P D_A P^-1`` commute
+    exactly, so with ``X = E P^-1``::
+
+        [A, B] = [A, X_B] + [X_A, B] - [X_A, X_B]
+        max|[A, B]| <= ||[A, B]||_2 <= 2 (a_A x_B + a_B x_A + x_A x_B)
+
+    where ``a = ||A||_F`` and ``x = (||E||_F + 10 n eps a) / s``, with
+    ``s = s_min(P) - n eps s_max(P)`` the smallest singular value of P less
+    the rounding of its computation.  The ``10 n eps a`` term covers the
+    rounding of the computed residuals and of the spaces' orthonormality,
+    on which the split of ``||E||_F^2`` in :func:`_verify_joint` rests; because ``s <= 1`` (every column of
+    P has unit norm), it also adds at least ``40 n eps a_A a_B`` to the
+    bound, more than the ``2 n eps a_A a_B`` by which rounding can move the
+    commutator that the dense scan computes.  A passing certificate therefore
+    bounds what the scan would measure.  It declines (returns False) when P
+    is too ill-conditioned, so the caller falls back to the scan.  The only
+    new work is the singular values of the n x n matrix P.
+    """
+    m, n, _ = S.shape
+    eps = np.finfo(float).eps
+    sv = np.linalg.svd(np.concatenate(spaces, axis=1), compute_uv=False)
+    floor = sv[-1] - n * eps * sv[0]
+    if not floor > 0:
+        return False
+    a = np.array([np.linalg.norm(M) for M in S])
+    x = (np.sqrt(e2) + 10 * n * eps * a) / floor
+    lhs = 2 * (np.outer(a, x) + np.outer(x, a) + np.outer(x, x))
+    scale = _max_abs(S)
+    bound = 10 * (tol.abs_tol + tol.rel_tol * np.maximum(1.0, np.outer(scale, scale)))
+    pairs = np.triu_indices(m, 1)
+    # Written so that a NaN residual declines.
+    return bool(np.all(lhs[pairs] <= bound[pairs]))
 
 
 def _cluster_indices(values: np.ndarray, ctol: float) -> list[np.ndarray]:
@@ -340,40 +394,75 @@ def _refine(V: np.ndarray, mats: Sequence[np.ndarray], tol: Tolerance) -> list[n
     return [V]
 
 
-def _verify_joint(spaces: Sequence[np.ndarray], S: np.ndarray, tol: Tolerance) -> None:
+def _space_residuals(rows: np.ndarray, Vs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The verification residuals of h matrices on Q spaces of one width k.
+
+    ``rows`` holds the h (n, n) matrices stacked as (h n, n) rows and ``Vs``
+    the (Q, n, k) spaces.  With ``Ap = V^H A V`` and ``mu = tr(Ap) / k``,
+    returns the (h, Q) arrays ``max|Ap - mu I|`` and ``max|A V - V Ap|`` and,
+    per matrix, the sum over the spaces of both squared Frobenius norms.
+    """
+    Q, n, k = Vs.shape
+    h = rows.shape[0] // n
+    W = Vs.transpose(1, 0, 2).reshape(n, Q * k)
+    if np.iscomplexobj(rows):
+        SV = rows @ W
+    else:
+        SV = np.empty((h * n, Q * k), dtype=complex)
+        SV.real = rows @ W.real
+        SV.imag = rows @ W.imag
+    SV = np.ascontiguousarray(SV.reshape(h, n, Q, k).transpose(0, 2, 1, 3))
+    Ap = np.matmul(Vs.conj().transpose(0, 2, 1), SV)
+    mu = np.trace(Ap, axis1=2, axis2=3) / k
+    dev = np.abs(Ap - mu[:, :, None, None] * np.eye(k))
+    SV -= np.matmul(Vs, Ap)
+    res = np.abs(SV)
+    e2 = np.einsum("hqij,hqij->h", dev, dev) + np.einsum("hqnk,hqnk->h", res, res)
+    return np.max(dev, axis=(2, 3)), np.max(res, axis=(2, 3)), e2
+
+
+def _verify_joint(spaces: Sequence[np.ndarray], S: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Every matrix of the stack acts on every space as a scalar.
 
-    Per space, ``S @ V`` is formed once per row block of matrices and both
-    tests (restriction is scalar; space is invariant) run on the whole block.
-    The first failing matrix of the first failing space names the failure.
+    For a space V and a matrix A, the restriction is scalar when
+    ``max|Ap - mu I|`` and the space invariant when ``max|A V - V Ap|`` is
+    within ``10 * abs_tol * max(1, max|A|)`` (:func:`_space_residuals`).  The
+    spaces of one width are tested together, one row block of matrices at a
+    time, with at most ``_BLOCK_BYTES`` (at least one matrix) in the product
+    ``S @ [V_1 ... V_Q]``.  The first failing matrix of the first failing
+    space in ``spaces`` order names the failure.
+
+    Returns ``||E_A||_F^2`` for every matrix A, where column block q of E_A is
+    ``A V_q - mu_q V_q``.  Since ``A V - mu V = V (Ap - mu I) + (A V - V Ap)``
+    and the second part is orthogonal to V, this is the sum over the spaces
+    of both tests' squared Frobenius norms: no further product is needed.
     """
     m, n, _ = S.shape
     bounds = 10 * tol.abs_tol * np.maximum(1.0, _max_abs(S))
     flat = S.reshape(m * n, n)
-    for V in spaces:
-        k = V.shape[1]
-        step = max(1, _BLOCK_BYTES // (n * k * 16))
+    widths = np.array([V.shape[1] for V in spaces])
+    # 0 passes, 1 is not scalar, 2 is scalar but not invariant.
+    failed = np.zeros((m, len(spaces)), dtype=np.int8)
+    e2 = np.zeros(m)
+    for k in sorted(set(widths.tolist())):
+        group = np.flatnonzero(widths == k)
+        Vs = np.stack([spaces[q] for q in group])
+        step = max(1, _BLOCK_BYTES // (n * len(group) * k * 16))
         for lo in range(0, m, step):
             hi = min(m, lo + step)
-            rows = flat[lo * n : hi * n]
-            if np.iscomplexobj(rows):
-                SV = rows @ V
-            else:
-                SV = np.empty((rows.shape[0], k), dtype=complex)
-                SV.real = rows @ V.real
-                SV.imag = rows @ V.imag
-            SV = SV.reshape(hi - lo, n, k)
-            Ap = np.matmul(V.conj().T, SV)
-            mu = np.trace(Ap, axis1=1, axis2=2) / k
-            non_scalar = np.max(np.abs(Ap - mu[:, None, None] * np.eye(k)), axis=(1, 2))
-            SV -= np.matmul(V, Ap)
-            not_invariant = np.max(np.abs(SV), axis=(1, 2))
-            bound = bounds[lo:hi]
-            bad = np.flatnonzero((non_scalar > bound) | (not_invariant > bound))
-            if bad.size:
-                if non_scalar[bad[0]] > bound[bad[0]]:
-                    raise _SplitFailed("joint eigenspace verification failed (non-scalar)")
-                raise _SplitFailed("joint eigenspace verification failed (not invariant)")
+            non_scalar, not_invariant, part = _space_residuals(flat[lo * n : hi * n], Vs)
+            bound = bounds[lo:hi, None]
+            failed[lo:hi, group] = np.where(
+                non_scalar > bound, 1, np.where(not_invariant > bound, 2, 0)
+            )
+            e2[lo:hi] += part
+    if failed.any():
+        q = int(np.flatnonzero(failed.any(axis=0))[0])
+        i = int(np.flatnonzero(failed[:, q])[0])
+        if failed[i, q] == 1:
+            raise _SplitFailed("joint eigenspace verification failed (non-scalar)")
+        raise _SplitFailed("joint eigenspace verification failed (not invariant)")
+    return e2
 
 
 def joint_eigenspaces(
@@ -381,16 +470,33 @@ def joint_eigenspaces(
 ) -> list[np.ndarray]:
     """Joint eigenspace decomposition of a commuting diagonalizable family.
 
-    Eigendecomposes a seeded random real linear combination, then refines any
-    degenerate cluster recursively with the individual matrices.  Each
-    returned array holds an orthonormal basis of one maximal joint eigenspace
-    (every input matrix acts on it as a scalar).  Deterministic given seed.
+    Each returned array holds an orthonormal basis of one maximal joint
+    eigenspace (every input matrix acts on it as a scalar).  Deterministic
+    given seed.  The steps, for c matrices of size n:
+
+    1. split: eigendecompose a seeded random real linear combination, then
+       refine any degenerate cluster recursively with the single matrices;
+    2. verify: :func:`_verify_joint` tests every matrix on every space,
+       O(c n^3) work, and measures each matrix's residual ``||E_A||_F``;
+    3. certify: :func:`_commutation_certified` turns those residuals into a
+       proven bound ``2 (a_A x_B + a_B x_A + x_A x_B)``, with
+       ``a = ||A||_F`` and ``x = (||E||_F + 10 n eps a) / (s_min(P) - n eps
+       s_max(P))`` for P the spaces side by side, on every pairwise
+       commutator, and compares it with the pairwise bound
+       ``10 * (abs_tol + rel_tol * max(1, max|A| * max|B|))``;
+    4. fall back: when the certificate declines, the dense O(c^2 n^3) scan
+       :func:`_commuting_or_raise` runs, and the spaces are returned if it
+       passes.
+
+    A split or verification failure retries the next seed.  When all
+    ``_MAX_SEED_TRIES`` seeds fail, the dense scan runs before
+    :class:`DegenerateSeed` is raised, so a family that does not commute
+    raises :class:`NotCommuting` naming its first failing pair.
     """
     S = _as_stack(mats)
     n = S.shape[1]
     if n == 0:
         return []
-    _commuting_or_raise(S, tol)
     last = None
     for attempt in range(_MAX_SEED_TRIES):
         rng = np.random.default_rng(seed + attempt)
@@ -409,10 +515,14 @@ def joint_eigenspaces(
                 spaces.extend(_refine(V, S, tol))
             if sum(V.shape[1] for V in spaces) != n:
                 raise _SplitFailed("joint eigenspaces do not fill the space")
-            _verify_joint(spaces, S, tol)
-            return spaces
+            e2 = _verify_joint(spaces, S, tol)
         except _SplitFailed as exc:
             last = exc
+            continue
+        if not _commutation_certified(spaces, S, e2, tol):
+            _commuting_or_raise(S, tol)
+        return spaces
+    _commuting_or_raise(S, tol)
     raise DegenerateSeed(f"no seed in [{seed}, {seed + _MAX_SEED_TRIES}) split cleanly: {last}")
 
 

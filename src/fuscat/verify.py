@@ -340,11 +340,13 @@ def verify_ring(
 
     # The per-subcategory checks, for a row block of entries at a time: each
     # entry takes r * r complex entries in about eight temporaries (its
-    # adapted class sums, projector, restriction products and solve), which
-    # together stay within _BLOCK_BYTES.
+    # adapted class sums, projector, restriction products and solve).  The
+    # budget is _BLOCK_BYTES times r^3 // 2^15 (at least once), so a block
+    # holds about r / 16 entries at large rank (3 at r = 60, 7 at r = 120)
+    # rather than one; a budget of 1 byte gives one-entry blocks at every rank.
     entries = table.entries
     worst = np.zeros(len(ENTRY_CHECKS))
-    step = max(1, _BLOCK_BYTES // (8 * 16 * r * r))
+    step = max(1, _BLOCK_BYTES * max(1, r**3 // 2**15) // (8 * 16 * r * r))
     for lo in range(0, len(entries), step):
         worst = np.maximum(worst, _entry_residuals(ring, entries[lo : lo + step], tol))
     for (name, bound), res in zip(ENTRY_CHECKS, worst.tolist()):

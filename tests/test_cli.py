@@ -4,6 +4,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,6 +45,22 @@ class TestAnalyze:
         report = json.loads(out)
         assert "matrix_units" in report
         assert len(report["matrix_units"]) == 2
+
+
+@pytest.mark.parametrize(
+    "vec",
+    [
+        np.array([1.5, -0.0, 0.0, 2, -3.25]),
+        np.array([1 + 2j, -0.0 - 0.0j, complex(0.0, -0.0), complex(-0.0, 1.0), 3.5]),
+        np.array([1, 0, -2]),
+    ],
+    ids=["real", "complex", "integer"],
+)
+def test_cvec_matches_the_per_entry_form(vec):
+    # The per-entry form the reports were written with; the JSON text tells
+    # -0.0 from 0.0 and 1.0 from 1.
+    per_entry = [[float(np.real(z)), float(np.imag(z))] for z in vec]
+    assert json.dumps(cli._cvec(vec)) == json.dumps(per_entry)
 
 
 class TestSubcategories:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuscat import linalg, wedderburn
+from fuscat import cli, linalg, verify, wedderburn
 from fuscat.linalg import (
     DEFAULT_TOL,
     DegenerateSeed,
@@ -146,17 +146,65 @@ def block_bytes(request, monkeypatch):
         monkeypatch.setattr(linalg, "_BLOCK_BYTES", request.param)
 
 
+@pytest.fixture
+def scan_calls(monkeypatch):
+    """Counts the runs of the dense pairwise commutation scan."""
+    calls = []
+    real = linalg._commuting_or_raise
+
+    def counted(S, tol):
+        calls.append(len(S))
+        return real(S, tol)
+
+    monkeypatch.setattr(linalg, "_commuting_or_raise", counted)
+    return calls
+
+
+real_and_complex = pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+bad_pair_sets = pytest.mark.parametrize(
+    "bad_pairs", [[(9, 11)], [(5, 6), (3, 10)], [(2, 7), (2, 8)]], ids=["last", "i_major", "shared_i"]
+)
+
+
 class TestBatchedChecks:
-    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
-    @pytest.mark.parametrize(
-        "bad_pairs", [[(9, 11)], [(5, 6), (3, 10)], [(2, 7), (2, 8)]], ids=["last", "i_major", "shared_i"]
-    )
+    @real_and_complex
+    @bad_pair_sets
     def test_commutation_names_reference_pair(self, complex_, bad_pairs, block_bytes):
         mats = _family(12, bad_pairs, complex_)
         expected = _first_noncommuting_pair(mats)
         assert expected is not None
         with pytest.raises(NotCommuting, match=rf"^matrices {expected[0]} and {expected[1]} do not"):
             linalg._commuting_or_raise(linalg._as_stack(mats), DEFAULT_TOL)
+
+    @real_and_complex
+    @bad_pair_sets
+    def test_joint_eigenspaces_names_reference_pair(self, complex_, bad_pairs, block_bytes):
+        # The split runs first and the scan only as its fallback; the pair
+        # named is still the scan's.
+        mats = _family(12, bad_pairs, complex_)
+        expected = _first_noncommuting_pair(mats)
+        with pytest.raises(NotCommuting, match=rf"^matrices {expected[0]} and {expected[1]} do not"):
+            joint_eigenspaces(mats)
+
+    def test_ill_conditioned_eigenbasis_falls_back_to_the_scan(self, scan_calls):
+        # A commuting family whose eigenvectors 0 and 1 are nearly parallel
+        # (cond(Q) ~ 2e8).  Its residuals are small enough that a certificate
+        # without the 1 / s_min(P) factor would pass, but with it the
+        # commutators cannot be bounded, so the dense scan decides, and it
+        # passes.
+        Q = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))[0]
+        Q[:, 1] = Q[:, 0] + 1e-8 * Q[:, 1]
+        assert 1e8 < np.linalg.cond(Q) < 1e9
+        A = Q @ np.diag([1.0, 1.0 + 1e-4, 3.0, 4.0]) @ np.linalg.inv(Q)
+        mats = [A, A @ A]
+        spaces = joint_eigenspaces(mats)
+        assert scan_calls == [2]
+        assert [V.shape[1] for V in spaces] == [1, 1, 1, 1]
+        for V in spaces:
+            v = V[:, 0]
+            for M in mats:
+                mu = np.vdot(v, M @ v)
+                assert np.max(np.abs(M @ v - mu * v)) <= 10 * DEFAULT_TOL.abs_tol * np.max(np.abs(M))
 
     @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
     def test_commuting_family_passes(self, complex_):
@@ -187,6 +235,57 @@ class TestBatchedChecks:
         spaces = [eye[:, [2]], eye[:, [3]], mixed]
         with pytest.raises(linalg._SplitFailed, match="not invariant"):
             linalg._verify_joint(spaces, self._diagonal_stack(), DEFAULT_TOL)
+
+    def test_split_that_verifies_but_does_not_commute_raises(self, scan_calls):
+        # B is scalar on A's eigenvectors only up to 1e-8, inside the
+        # verification bound 10 * abs_tol * max|B|, while the commutator
+        # [A, B] has entries of 1e-6, far past 10 * abs_tol at rel_tol 0.
+        tol = Tolerance(rel_tol=0.0)
+        A = np.diag([100.0, 200.0])
+        B = np.array([[1.0, 1e-8], [0.0, 2.0]])
+        linalg._verify_joint([np.eye(2)[:, [0]], np.eye(2)[:, [1]]], linalg._as_stack([A, B]), tol)
+        with pytest.raises(NotCommuting, match=r"^matrices 0 and 1 do not"):
+            joint_eigenspaces([A, B], tol=tol)
+        assert scan_calls == [2]
+
+    @pytest.mark.parametrize(
+        "source", [f"su2:{k}" for k in (*range(1, 11), 30, 40, 60)] + verify.battery_sources(large=True)
+    )
+    def test_centre_split_needs_no_scan(self, source, scan_calls):
+        if source.startswith("su2:"):
+            ring = su2_fusion_ring(int(source[4:]))
+        else:
+            ring = cli.parse_source(source, 0, DEFAULT_TOL)[0]
+        B = wedderburn.compute_blocks(ring)
+        assert scan_calls == []
+        assert sum(blk.m**2 for blk in B.blocks) == ring.rank
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_verify_joint_returns_the_residual_norms(self, complex_, block_bytes):
+        # ||A P - P D_A||_F^2 per matrix, with D_A the block scalars
+        # tr(V^H A V) / k; a loose tolerance lets a random family pass.
+        rng = np.random.default_rng(5)
+        S = rng.standard_normal((3, 5, 5))
+        if complex_:
+            S = S + 1j * rng.standard_normal((3, 5, 5))
+        P = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
+        spaces = [P[:, 0:2], P[:, 2:3], P[:, 3:5]]
+        e2 = linalg._verify_joint(spaces, S, Tolerance(abs_tol=10.0))
+        for A, got in zip(S, e2):
+            D = np.concatenate([np.full(V.shape[1], np.trace(V.conj().T @ A @ V) / V.shape[1]) for V in spaces])
+            assert got == pytest.approx(np.linalg.norm(A @ P - P * D) ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "order, kind", [((0, 1, 2), "non-scalar"), ((2, 1, 0), "not invariant")], ids=["wide_first", "narrow_first"]
+    )
+    def test_verify_joint_names_the_first_space_in_list_order(self, order, kind, block_bytes):
+        # Spaces are tested one width at a time, narrow first; the failure
+        # named is still that of the first failing space of the list.
+        eye = np.eye(4, dtype=complex)
+        mixed = (eye[:, [0]] + eye[:, [1]]) / np.sqrt(2)
+        candidates = [eye[:, [0, 1]], eye[:, [2]], mixed]
+        with pytest.raises(linalg._SplitFailed, match=kind):
+            linalg._verify_joint([candidates[k] for k in order], self._diagonal_stack(), DEFAULT_TOL)
 
     def test_su2_60_centre_split_memory_below_r3(self):
         ring = su2_fusion_ring(60)

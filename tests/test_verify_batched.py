@@ -628,6 +628,34 @@ def test_ce_basis_closure_in_blocks(monkeypatch, vec_a5_ring):
     assert [z.coeffs.tolist() for z in basis] == [v.tolist() for v in reference_ce_basis(L, DEFAULT_TOL)]
 
 
+class _Stop(Exception):
+    pass
+
+
+def test_entry_checks_in_blocks_sized_by_rank(monkeypatch, vec_a5_ring):
+    # At r = 60 a block of the per-subcategory checks holds 3 entries
+    # (test_same_report_as_the_loops checks their residuals); a budget of
+    # 1 byte still gives one entry per block.
+    sizes = []
+    real = verify._entry_residuals
+
+    def spy(ring, entries, tol):
+        sizes.append(len(entries))
+        return real(ring, entries, tol)
+
+    def stop(*args):
+        raise _Stop
+
+    monkeypatch.setattr(verify, "_entry_residuals", spy)
+    monkeypatch.setattr(verify, "_pair_checks", stop)
+    for budget, step in ((verify._BLOCK_BYTES, 3), (1, 1)):
+        monkeypatch.setattr(verify, "_BLOCK_BYTES", budget)
+        sizes.clear()
+        with pytest.raises(_Stop):
+            verify_ring(vec_a5_ring)
+        assert sum(sizes) == 59 and set(sizes[:-1]) == {step}
+
+
 def test_trace_sum_and_pi_down_match_the_loops(vec_s3_ring, vec_s3_blocks):
     table = subalg.build_lattice(vec_s3_ring, vec_s3_blocks)
     stack = subalg._stack_entries(table.entries)
