@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 identity failure, 2 input failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -365,9 +366,13 @@ def run(cfg: RunConfig) -> int:
     return 1 if cfg.command == "verify" and not report["passed"] else 0
 
 
+# One parser per process: ``parse_args`` returns a fresh namespace and keeps
+# no state on the parser, so every call of :func:`main` can share it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
         return run(cfg)

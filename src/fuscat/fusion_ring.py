@@ -504,15 +504,55 @@ def subcategory_closure(ring: FusionRingData, seeds: Iterable[int]) -> FusionSub
     return _make_subcategory(ring, _closure_indices(ring, seeds))
 
 
+def _coset_heads(ring: FusionRingData, member: np.ndarray) -> np.ndarray:
+    """For each row D of a (K, r) bool matrix of subcategories, the simples
+    j outside D that are the smallest index of their double coset D·j·D.
+
+    Per row, ``left[j, x]`` counts the d in D with x ⊂ d⊗j: one product
+    with ``support``.  Since y ⊂ x⊗d′ exactly when x* ⊂ d′⊗y* (the trace is
+    cyclic, see :func:`enumerate_subcategories`), ``right[x, y] =
+    left[y*, x*]`` marks y ⊂ x⊗d′ for some d′ in D, and row j of the (r, r)
+    product ``left @ right`` marks D·j·D.  Row blocks form three (r, r)
+    float32 arrays per row (:func:`_closure_rows_per_block`).
+    """
+    K, r = member.shape
+    dual = np.array(ring.dual)
+    heads = np.empty((K, r), dtype=bool)
+    step = _closure_rows_per_block(r, 3 * r * r)
+    for lo in range(0, K, step):
+        left = (member[lo : lo + step].astype(np.float32) @ ring.support).reshape(-1, r, r)
+        right = left[:, dual][:, :, dual].transpose(0, 2, 1)
+        coset = np.matmul(left, right) > 0
+        heads[lo : lo + step] = np.argmax(coset, axis=2) == np.arange(r)
+    return heads & ~member
+
+
 def enumerate_subcategories(
     ring: FusionRingData, max_closures: int = MAX_CLOSURE_CALLS
 ) -> list[FusionSubcategory]:
     """All fusion subcategories, by breadth-first closure of extensions.
 
     Complete because every fusion subcategory is the closure of a finite
-    generating set.  The extensions D + {i} of one breadth-first level are
-    closed together; ``max_closures`` bounds their total number.  Sorted by
-    (fpdim, lexicographic indices).
+    generating set.  Each breadth-first level extends every subcategory D
+    found on the level before by one simple i outside it, but closes only
+    one candidate D + {i} per double coset D·i·D: the i that is the smallest
+    index of its coset.  ``max_closures`` bounds the number of candidates
+    D + {i}, closed or skipped.  Sorted by (fpdim, lexicographic indices).
+
+    Lemma: if j ⊂ d⊗i⊗d′ for some d, d′ in D, then closure(D + {j}) =
+    closure(D + {i}).  Write τ for the coefficient of the unit, so that
+    N_ab^c = τ(a b c*) because N_kc*^0 = δ_{c,k}.  On simples τ(ab) =
+    N_ab^0 = δ_{b,a*} is symmetric, so with associativity τ(xyz) = τ(yzx).
+    closure(D + {i}) holds d, i and d′, so it holds j.  Conversely, let
+    E = closure(D + {j}) and x a simple with N_di^x > 0 and N_xd′^j > 0.
+    Then N_d′j*^x* = τ(d′ j* x) = τ(x d′ j*) = N_xd′^j > 0, so x* ⊂ d′⊗j*
+    lies in E, hence x does; and N_x*d^i* = τ(x* d i) = τ(d i x*) = N_di^x
+    > 0, so i* and i lie in E.  The axioms used (unit, duality,
+    associativity) are the ones :func:`build_ring` validates.  With d = d′ = 1 the relation "j lies in
+    D·i·D" is reflexive, the lemma's second half makes it symmetric and D
+    being closed makes it transitive, so the double cosets partition the
+    simples, and each skipped candidate closes to the row of its coset's
+    smallest index.
     """
     trivial = subcategory_closure(ring, [])
     found: dict[tuple[int, ...], FusionSubcategory] = {trivial.indices: trivial}
@@ -520,11 +560,11 @@ def enumerate_subcategories(
     frontier[0, list(trivial.indices)] = True
     calls = 0
     while len(frontier):
-        # One candidate D + {i} per frontier row D and simple i outside it.
-        rows, cols = np.nonzero(~frontier)
-        calls += len(rows)
+        # Every candidate D + {i} counts; one per double coset is closed.
+        calls += int(np.count_nonzero(~frontier))
         if calls > max_closures:
             raise RuntimeError(f"subcategory enumeration exceeded {max_closures} closure calls")
+        rows, cols = np.nonzero(_coset_heads(ring, frontier))
         candidates = frontier[rows]
         candidates[np.arange(len(rows)), cols] = True
         closed = _close_rows(ring, candidates)

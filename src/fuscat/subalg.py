@@ -498,10 +498,21 @@ def build_lattice(
     for D, L in zip(subcats, _subalgebras(subcats, B, tol)):
         if isinstance(L, Exception):
             raise L
-        back = subcategory_from_subalgebra(L, tol)
-        if back.indices != D.indices:
-            raise RoundTripFailure(f"{D.indices} round-tripped to {back.indices}")
-        entries.append(LatticeEntry(D, L, block_partition(L, tol)))
+        # The round trip's simple set is the unit class of the character-side
+        # partition, and D is closed: when that class is D, the round trip
+        # holds without recomputing it.  An error of the partition is raised
+        # only after the round trip has passed, as the round trip comes first.
+        try:
+            partition, error = block_partition(L, tol), None
+        except Exception as exc:  # noqa: BLE001 - re-raised below
+            partition, error = None, exc
+        if partition is None or partition[0] != D.indices:
+            back = subcategory_from_subalgebra(L, tol)
+            if back.indices != D.indices:
+                raise RoundTripFailure(f"{D.indices} round-tripped to {back.indices}")
+        if error is not None:
+            raise error
+        entries.append(LatticeEntry(D, L, partition))
 
     spans = [e.subalgebra.ce_span for e in entries]
     widths = np.array([Q.shape[1] for Q in spans])

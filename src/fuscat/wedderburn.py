@@ -282,8 +282,30 @@ def _build_block_units(
     raise SplitFailure(f"could not build matrix units for an m={m} block")
 
 
-def _block_sort_signature(idem: np.ndarray) -> tuple:
-    return tuple((round(float(c.real), 9), round(float(c.imag), 9)) for c in idem)
+def _round9(x) -> np.ndarray:
+    """``round(v, 9)`` of every entry of a float array, as Python computes it.
+
+    ``np.round(x, 9)`` is ``rint(x * 1e9) / 1e9``; the division is correctly
+    rounded like ``round``'s decimal conversion, so the two agree unless the
+    rounding error of ``x * 1e9`` (at most |x|·1e9·2^-53) moves it across a
+    half-integer.  Entries within 1e-6 of one, with a margin that grows with
+    |x| and covers all non-finite products, take ``round`` itself.
+    """
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = x * 1e9
+        out = np.round(x, 9)
+        margin = np.maximum(1e-6, np.abs(scaled) * 2.0**-50)
+        near = ~(np.abs(scaled - np.floor(scaled) - 0.5) > margin)
+    if near.any():
+        out[near] = [round(v, 9) for v in x[near].tolist()]
+    return out
+
+
+def _lex_order(keys: np.ndarray) -> np.ndarray:
+    """Stable sorting order of the rows of ``keys`` (..., n, k), each row
+    compared as a tuple of its k entries, along the n axis."""
+    return np.lexsort(np.moveaxis(keys, -1, 0)[::-1], axis=-1)
 
 
 def compute_blocks(
@@ -344,7 +366,18 @@ def compute_blocks(
         raise NotSemisimple("no block contains the cointegral")
 
     rest = [blk for j, blk in enumerate(raw) if j != lam_block]
-    rest.sort(key=lambda blk: (blk.m, round(blk.n, 9), _block_sort_signature(blk.central_idempotent)))
+    if rest:
+        # Sort keys: m, n and the idempotent's coefficients as re/im pairs,
+        # the last two rounded to 9 places.
+        idems = np.array([blk.central_idempotent for blk in rest])
+        keys = np.column_stack(
+            [
+                [blk.m for blk in rest],
+                _round9([blk.n for blk in rest]),
+                _round9(np.stack([idems.real, idems.imag], axis=-1).reshape(len(rest), -1)),
+            ]
+        )
+        rest = [rest[i] for i in _lex_order(keys)]
     return BlockStructure(ring, (raw[lam_block], *rest), seed)
 
 
@@ -395,12 +428,12 @@ def _adapt_stack(B: BlockStructure, coeffs: np.ndarray, tol: Tolerance) -> _Adap
 
     Per block, the eigenbasis U of the idempotent's component makes it
     diag(1..1, 0..0): eigenvalue-1 columns first, each group ordered by
-    eigenvector signature.  Per block with m > 1, one stacked eigvals, SVD
-    and inverse serve all S components; only the signature sort of the
-    eigenvectors runs per row.  A row with a block eigenvalue outside the
-    {0, 1} tolerance band gets :class:`NotIdempotent` as its error.  A row
-    that fails keeps the first error it would raise alone; its later blocks
-    are computed on the identity so that they cannot fail in its place.
+    eigenvector signature.  Per block with m > 1, one stacked eigvals, SVD,
+    signature sort and inverse serve all S components.  A row with a block
+    eigenvalue outside the {0, 1} tolerance band gets :class:`NotIdempotent`
+    as its error.  A row that fails keeps the first error it would raise
+    alone; its later blocks are computed on the identity so that they cannot
+    fail in its place.
     """
     comps = B._expand_rows(coeffs)
     S = len(comps[0])
@@ -438,17 +471,14 @@ def _adapt_stack(B: BlockStructure, coeffs: np.ndarray, tol: Tolerance) -> _Adap
         phase = np.ones_like(piv)
         np.divide(np.abs(piv), piv, out=phase, where=np.abs(piv) > 0)
         cols *= phase
-        U = np.empty_like(cols)
-        for s in range(S):
-            if failed[s]:
-                U[s] = eye
-                continue
-            neg_re, neg_im = (-cols[s].real).T.tolist(), (-cols[s].imag).T.tolist()
-            keys = [
-                (k >= ones[s], tuple((round(x, 9), round(y, 9)) for x, y in zip(re, im)))
-                for k, (re, im) in enumerate(zip(neg_re, neg_im))
-            ]
-            U[s] = cols[s][:, sorted(range(m), key=keys.__getitem__)]
+        # Column k's sort key: k >= ones, then its negated entries as re/im
+        # pairs rounded to 9 places.
+        signature = _round9(np.stack([-cols.real, -cols.imag], axis=-1).transpose(0, 2, 1, 3))
+        keys = np.concatenate(
+            [(np.arange(m) >= ones[:, None])[:, :, None], signature.reshape(S, m, 2 * m)], axis=2
+        )
+        U = np.take_along_axis(cols, _lex_order(keys)[:, None, :], axis=2)
+        U[failed] = eye
         Uinv = _stacked(np.linalg.inv, U, errors)
         bases.append(U)
         inverses.append(Uinv)

@@ -238,6 +238,50 @@ class TestDeterminism:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+class TestParserReuse:
+    # Each argv in order; the first and the third use different commands,
+    # flags and formats, the second fails in the parser with exit code 2.
+    CALLS = [
+        ["analyze", "rep:symmetric:3", "--dump-units", "--seed", "3", "--abs-tol", "1e-5", "--format", "json"],
+        ["lattice", "rep:cyclic:2", "--battery"],
+        ["verify", "--battery", "--format", "text"],
+        ["subcategories", "vec:symmetric:3"],
+    ]
+
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+
+    @staticmethod
+    def run(argv, capsys):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's own errors
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_main_calls_leave_no_state(self, capsys):
+        first = [self.run(argv, capsys) for argv in self.CALLS]
+        again = [self.run(argv, capsys) for argv in reversed(self.CALLS)][::-1]
+        assert [code for code, _out, _err in first] == [0, 2, 0, 0]
+        assert first == again
+        assert "unrecognized arguments: --battery" in first[1][2]
+
+    def test_parsed_namespace_matches_a_fresh_parser(self):
+        for argv in self.CALLS[:1] + self.CALLS[2:] + self.CALLS[:1]:
+            assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+
+    def test_help_text_unchanged(self, capsys):
+        for argv in (["--help"], ["lattice", "--help"], ["--help"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 0
+            with pytest.raises(SystemExit):
+                cli.build_parser().parse_args(argv)
+            cached, fresh = capsys.readouterr().out.split("usage:")[1:]
+            assert cached == fresh
+
+
 class TestConfig:
     def test_env_tolerance_override(self, monkeypatch):
         monkeypatch.setenv("FUSCAT_TOL", "1e-7")

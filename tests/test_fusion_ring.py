@@ -501,6 +501,104 @@ class TestEnumerateAgainstReference:
         assert peak < r**3 * 8
 
 
+def haagerup_izumi_ring(n):
+    """Haagerup-Izumi rules for Z_n: simples g and g·rho, with rho·g = (-g)·rho
+    and (g rho)(h rho) = (g - h) + sum_k k·rho.  Non-commutative for n > 2,
+    and d_rho = (n + sqrt(n^2 + 4)) / 2 is not an integer."""
+    r = 2 * n
+    N = np.zeros((r, r, r), dtype=int)
+    for a in range(n):
+        for b in range(n):
+            N[a, b, (a + b) % n] = 1
+            N[a, n + b, n + (a + b) % n] = 1
+            N[n + a, b, n + (a - b) % n] = 1
+            N[n + a, n + b, (a - b) % n] = 1
+            N[n + a, n + b, n:] = 1
+    labels = [f"g{a}" for a in range(n)] + [f"g{a}rho" for a in range(n)]
+    dual = [(-a) % n for a in range(n)] + list(range(n, r))
+    return build_ring(labels, N, dual)
+
+
+def deligne_product(R1, R2):
+    """The ring with N = N1 (x) N2 on simples (i, a), index i * r2 + a."""
+    N = np.einsum("ijk,abc->iajbkc", R1.N, R2.N).reshape((R1.rank * R2.rank,) * 3)
+    labels = [f"{x}.{y}" for x in R1.labels for y in R2.labels]
+    dual = [i * R2.rank + a for i in R1.dual for a in R2.dual]
+    return build_ring(labels, N, dual)
+
+
+class TestEnumerateBeyondGroups:
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_haagerup_izumi(self, n):
+        ring = haagerup_izumi_ring(n)
+        assert not ring.commutative
+        assert ring.dims[n] == pytest.approx((n + np.sqrt(n * n + 4)) / 2)
+        subs = [S.indices for S in enumerate_subcategories(ring)]
+        # n prime: the trivial subcategory, Z_n and the whole ring.
+        assert subs == [(0,), tuple(range(n)), tuple(range(2 * n))]
+        assert set(subs) == _reference_subcategories(ring)[0]
+
+    def test_su2_2_squared_has_the_diagonal(self):
+        su2_2 = su2_fusion_ring(2)
+        ring = deligne_product(su2_2, su2_2)
+        subs = [S.indices for S in enumerate_subcategories(ring)]
+        assert len(subs) == len(set(subs))
+        assert set(subs) == _reference_subcategories(ring)[0]
+        assert (0, 8) in subs  # {(0,0), (2,2)}, not a product of subcategories
+
+    def test_haagerup_izumi_3_times_su2_3(self):
+        ring = deligne_product(haagerup_izumi_ring(3), su2_fusion_ring(3))
+        assert not ring.commutative
+        subs = [S.indices for S in enumerate_subcategories(ring)]
+        assert len(subs) == len(set(subs))
+        assert set(subs) == _reference_subcategories(ring)[0]
+
+
+def _double_coset_minima(ring, D):
+    """For each simple j, the smallest y with y ⊂ d⊗j⊗d′ for d, d′ in D, from N."""
+    idx = list(D)
+    left = np.any(ring.N[idx] > 0, axis=0)  # [j, x]: x ⊂ d⊗j
+    right = np.any(ring.N[:, idx, :] > 0, axis=1)  # [x, y]: y ⊂ x⊗d′
+    coset = (left.astype(int) @ right.astype(int)) > 0
+    return np.argmax(coset, axis=1)
+
+
+@pytest.mark.parametrize("source", battery_sources(large=True) + ["vec:alternating:5"])
+def test_skipped_candidates_close_like_their_representative(source):
+    # Every subcategory is a frontier row once; each simple j outside it
+    # closes with it to the row that the smallest index of D·j·D gives.
+    ring, _group, _kind = parse_source(source, 0, DEFAULT_TOL)
+    subs = enumerate_subcategories(ring)
+    member = np.zeros((len(subs), ring.rank), dtype=bool)
+    for row, D in zip(member, subs):
+        row[list(D.indices)] = True
+    heads = fusion_ring._coset_heads(ring, member)
+    skipped = 0
+    for row, head_row, D in zip(member, heads, subs):
+        outside = np.flatnonzero(~row)
+        rep = _double_coset_minima(ring, D.indices)[outside]
+        assert np.array_equal(head_row[outside], rep == outside)
+        candidates = np.repeat(row[None], 2 * len(outside), axis=0)
+        candidates[np.arange(len(outside)), outside] = True
+        candidates[len(outside) + np.arange(len(outside)), rep] = True
+        closed = fusion_ring._close_rows(ring, candidates)
+        assert np.array_equal(closed[: len(outside)], closed[len(outside) :])
+        skipped += int(np.count_nonzero(rep != outside))
+    assert not heads[member].any()
+    if ring.rank > 6:
+        assert skipped > 0
+
+
+def test_coset_heads_in_one_row_blocks(vec_a5_ring, monkeypatch):
+    subs = enumerate_subcategories(vec_a5_ring)
+    member = np.zeros((len(subs), vec_a5_ring.rank), dtype=bool)
+    for row, D in zip(member, subs):
+        row[list(D.indices)] = True
+    heads = fusion_ring._coset_heads(vec_a5_ring, member)
+    monkeypatch.setattr(fusion_ring, "_CLOSURE_BLOCK_BYTES", 1)
+    assert np.array_equal(fusion_ring._coset_heads(vec_a5_ring, member), heads)
+
+
 def _spy_block_rows(monkeypatch):
     """Record the number of rows of every block that ``_fusion_hit`` multiplies."""
     sizes = []

@@ -437,3 +437,94 @@ def test_ce_basis_check_reads_the_stored_span(monkeypatch, vec_s3_ring, vec_s3_b
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     for e in table.entries:
         assert len(subalg.ce_basis(e.subalgebra)) == e.subalgebra.ce_dim
+
+
+def round_trip_first(ring, B, tol=DEFAULT_TOL):
+    """The per-entry checks of the stacked build as they ran before the round
+    trip was read from the partition: every entry's simple set recomputed and
+    closed by ``subcategory_from_subalgebra``, then its partition."""
+    subcats = enumerate_subcategories(ring)
+    for D, L in zip(subcats, subalg._subalgebras(subcats, B, tol)):
+        if isinstance(L, Exception):
+            raise L
+        back = subalg.subcategory_from_subalgebra(L, tol)
+        if back.indices != D.indices:
+            raise RoundTripFailure(f"{D.indices} round-tripped to {back.indices}")
+        subalg.block_partition(L, tol)
+    raise AssertionError("every entry passed")
+
+
+def corrupt_projector(monkeypatch, target, column, source=0):
+    """Column ``column`` of entry ``target``'s projector becomes column
+    ``source`` scaled by the dimension ratio, so that both simples restrict
+    alike; the central side is left as it was."""
+    original = subalg._projectors
+
+    def corrupted(B, idems):
+        out = np.array(original(B, idems))
+        d = B.ring.dims
+        out[target, :, column] = out[target, :, source] * d[column] / d[source]
+        return out
+
+    monkeypatch.setattr(subalg, "_projectors", corrupted)
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(subalg, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(subalg, name, counted)
+    return calls
+
+
+def test_round_trip_read_from_the_partition(monkeypatch, s4):
+    # Every unit class equals its subcategory, so no simple set is recomputed.
+    ring, B = s4
+    calls = count_calls(monkeypatch, "subcategory_from_subalgebra")
+    table = build_lattice(ring, B)
+    assert calls == []
+    assert len(table.entries) == 30
+    for e in table.entries:
+        assert e.partition[0] == e.subcategory.indices
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_corrupted_projector_fails_the_round_trip_as_before(monkeypatch, s4, order):
+    # Simple i joins the unit class of the trivial subcategory's subalgebra.
+    # An involution makes {1, i} closed: a round-trip failure.  An element of
+    # order 3 does not: a closure violation.  Either way the partitions now
+    # disagree too, and the round trip is still the error raised.
+    ring, B = s4
+    i = next(g for g in range(1, ring.rank) if len(subalg.subcategory_closure(ring, [g])) == order)
+    corrupt_projector(monkeypatch, 0, i)
+    calls = count_calls(monkeypatch, "subcategory_from_subalgebra")
+    outcome = raised(build_lattice, ring, B)
+    assert len(calls) == 1
+    assert outcome == raised(round_trip_first, ring, B)
+    if order == 2:
+        assert outcome == (RoundTripFailure, f"(0,) round-tripped to (0, {i})")
+    else:
+        closure = subalg.subcategory_closure(ring, [i]).indices
+        assert outcome == (
+            ClosureViolation,
+            f"computed simple set (0, {i}) is not fusion closed (closure {closure})",
+        )
+
+
+def test_corrupted_projector_outside_the_unit_class_fails_the_partition(monkeypatch, s4):
+    # Two simples outside subcategory 5 are made to restrict alike: the round
+    # trip holds (checked the long way, as the partition raised), the
+    # partitions disagree.
+    ring, B = s4
+    D = enumerate_subcategories(ring)[5]
+    a, b = [g for g in range(ring.rank) if g not in D.indices][:2]
+    corrupt_projector(monkeypatch, 5, b, source=a)
+    calls = count_calls(monkeypatch, "subcategory_from_subalgebra")
+    outcome = raised(build_lattice, ring, B)
+    assert len(calls) == 1
+    assert outcome == raised(round_trip_first, ring, B)
+    assert outcome[0] is subalg.PartitionMismatch

@@ -2,11 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuscat import groups, wedderburn
 from fuscat.char_theory import ClassFunction, chi, cointegral, cf_multiply
 from fuscat.fusion_ring import enumerate_subcategories
 from fuscat.char_theory import subcategory_cointegral
+from fuscat.cli import parse_source
 from fuscat.linalg import DEFAULT_TOL
 from fuscat.wedderburn import (
     Block,
@@ -18,7 +21,7 @@ from fuscat.wedderburn import (
     verify_integral_classsum,
 )
 
-from conftest import perturb_unit
+from conftest import perturb_unit, su2_fusion_ring
 
 
 def block_shape(B):
@@ -310,3 +313,76 @@ class TestUnitRelationResidual:
         r = vec_a5_ring.rank
         assert max(m for m, _ in seen) == 5
         assert all(peak < r**3 * 16 for _, peak in seen)  # an r^3 complex table
+
+
+# Floats whose product with 1e9 lies on or next to a half-integer: odd
+# multiples of 2^-10 are exact ties (x·1e9 = (2k+1)·976562.5), and the
+# nearest floats to (n + 1/2)·1e-9 and their neighbours straddle one (for
+# about half of them ``np.round`` alone differs from ``round``).
+_TIES = st.integers(-(2**40), 2**40).map(lambda k: (2 * k + 1) / 1024)
+_NEAR_TIES = st.tuples(st.integers(-(10**12), 10**12), st.sampled_from([-np.inf, 0.0, np.inf])).map(
+    lambda p: float(np.nextafter((p[0] + 0.5) / 1e9, p[1])) if p[1] else (p[0] + 0.5) / 1e9
+)
+_ROUNDING_FLOATS = st.one_of(
+    st.floats(allow_nan=False), st.floats(-2, 2), _TIES, _NEAR_TIES
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ROUNDING_FLOATS, min_size=1, max_size=40))
+def test_round9_equals_python_round(xs):
+    out = wedderburn._round9(np.array(xs))
+    assert out.tolist() == [round(x, 9) for x in xs]
+
+
+def test_round9_ties_round_half_even():
+    xs = [1 / 1024, 3 / 1024, -5 / 1024, 2.5e-9, 0.5e-9, 1e300, -0.0]
+    assert wedderburn._round9(np.array(xs)).tolist() == [round(x, 9) for x in xs]
+
+
+def python_key_block_order(blocks):
+    """Positions of the blocks sorted by the per-value ``round`` keys."""
+    def key(j):
+        blk = blocks[j]
+        sig = tuple((round(float(c.real), 9), round(float(c.imag), 9)) for c in blk.central_idempotent)
+        return blk.m, round(blk.n, 9), sig
+
+    return sorted(range(len(blocks)), key=key)
+
+
+@pytest.mark.parametrize(
+    "source", ["vec:symmetric:4", "rep:symmetric:4", "vec:dihedral:8", "vec:alternating:5", "su2:30"]
+)
+def test_block_order_matches_python_round_keys(source):
+    if source.startswith("su2:"):
+        ring = su2_fusion_ring(int(source[4:]))
+    else:
+        ring = parse_source(source, 0, DEFAULT_TOL)[0]
+    rest = compute_blocks(ring).blocks[1:]
+    assert python_key_block_order(rest) == list(range(len(rest)))
+
+
+@pytest.mark.parametrize("source", ["vec:symmetric:4", "vec:alternating:5", "vec:dihedral:8"])
+def test_adapted_columns_match_python_round_keys(source):
+    # Each adapted eigenbasis U lists its eigenvalue-1 columns first, each
+    # group in the order of the per-value ``round`` keys of its columns.
+    ring = parse_source(source, 0, DEFAULT_TOL)[0]
+    B = compute_blocks(ring)
+    subs = enumerate_subcategories(ring)
+    P = np.array([subcategory_cointegral(D).coeffs for D in subs])
+    adapted = wedderburn._adapt_stack(B, P, DEFAULT_TOL)
+    assert not any(adapted.errors)
+    checked = 0
+    for blk, comps, U, Uinv in zip(B.blocks, adapted.comps, adapted.bases, adapted.inverses):
+        if blk.m == 1:
+            continue
+        for s in range(len(subs)):
+            ones = int(np.count_nonzero(np.abs(np.diagonal(Uinv[s] @ comps[s] @ U[s]) - 1) <= 1e-6))
+            neg_re, neg_im = (-U[s].real).T.tolist(), (-U[s].imag).T.tolist()
+            keys = [
+                (k >= ones, tuple((round(x, 9), round(y, 9)) for x, y in zip(re, im)))
+                for k, (re, im) in enumerate(zip(neg_re, neg_im))
+            ]
+            assert sorted(range(blk.m), key=keys.__getitem__) == list(range(blk.m))
+            checked += 1
+    assert checked
