@@ -504,27 +504,56 @@ def subcategory_closure(ring: FusionRingData, seeds: Iterable[int]) -> FusionSub
     return _make_subcategory(ring, _closure_indices(ring, seeds))
 
 
+def _coset_tables(ring: FusionRingData, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, r, r) float32 coset tables of a block of (k, r) bool rows D.
+
+    ``left[j, x] > 0`` when x ⊂ d⊗j and ``right[x, y] > 0`` when y ⊂ x⊗d′,
+    for some d, d′ in D.  ``left`` is one product with ``support``; since
+    y ⊂ x⊗d′ exactly when x* ⊂ d′⊗y* (the trace is cyclic, see
+    :func:`enumerate_subcategories`), ``right[x, y] = left[y*, x*]``.
+    """
+    r = ring.rank
+    dual = np.array(ring.dual)
+    left = (rows.astype(np.float32) @ ring.support).reshape(-1, r, r)
+    return left, left[:, dual][:, :, dual].transpose(0, 2, 1)
+
+
 def _coset_heads(ring: FusionRingData, member: np.ndarray) -> np.ndarray:
     """For each row D of a (K, r) bool matrix of subcategories, the simples
     j outside D that are the smallest index of their double coset D·j·D.
 
-    Per row, ``left[j, x]`` counts the d in D with x ⊂ d⊗j: one product
-    with ``support``.  Since y ⊂ x⊗d′ exactly when x* ⊂ d′⊗y* (the trace is
-    cyclic, see :func:`enumerate_subcategories`), ``right[x, y] =
-    left[y*, x*]`` marks y ⊂ x⊗d′ for some d′ in D, and row j of the (r, r)
-    product ``left @ right`` marks D·j·D.  Row blocks form three (r, r)
-    float32 arrays per row (:func:`_closure_rows_per_block`).
+    Row j of ``left @ right`` (:func:`_coset_tables`) marks D·j·D.  Row
+    blocks form three (r, r) float32 arrays per row.
     """
     K, r = member.shape
-    dual = np.array(ring.dual)
     heads = np.empty((K, r), dtype=bool)
     step = _closure_rows_per_block(r, 3 * r * r)
     for lo in range(0, K, step):
-        left = (member[lo : lo + step].astype(np.float32) @ ring.support).reshape(-1, r, r)
-        right = left[:, dual][:, :, dual].transpose(0, 2, 1)
+        left, right = _coset_tables(ring, member[lo : lo + step])
         coset = np.matmul(left, right) > 0
         heads[lo : lo + step] = np.argmax(coset, axis=2) == np.arange(r)
     return heads & ~member
+
+
+def _right_cosets(ring: FusionRingData, member: np.ndarray) -> np.ndarray:
+    """Class ids of the right cosets x⊗D, for each row D of a (K, r) bool
+    matrix of subcategories: entry x is the smallest simple of x⊗D.
+
+    They partition the simples: x ⊂ x⊗1, and z ⊂ y⊗d″ with y ⊂ x⊗d′ lies
+    in x⊗d′⊗d″ ⊂ x⊗D as D is closed.  For symmetry let T[x, y] =
+    Σ_{d∈D} d_d N_xd^y, positive exactly when y ⊂ x⊗D.  T d = dim(D)·d, and
+    since N_xd^y = N_dy*^x* (cyclic trace) and d_x* = d_x, also dᵀT =
+    dim(D)·dᵀ.  Summed over U = y⊗D, which holds the coset of each of its
+    members, the two leave Σ_{x∉U, u∈U} d_x T[x, u] d_u = 0, so y ⊂ x⊗D
+    puts x in U.  Row blocks form two (r, r) float32 arrays per row.
+    """
+    K, r = member.shape
+    out = np.empty((K, r), dtype=np.intp)
+    step = _closure_rows_per_block(r, 2 * r * r)
+    for lo in range(0, K, step):
+        right = _coset_tables(ring, member[lo : lo + step])[1]
+        out[lo : lo + step] = np.argmax(right > 0, axis=2)
+    return out
 
 
 def enumerate_subcategories(

@@ -636,8 +636,8 @@ def crosscheck_rep(
     """Check the correspondence table of Rep(G) against normal-subgroup theory.
 
     Subcategories must biject with normal subgroups N, with subalgebra
-    dimension |N|, matching trivial-action subcategory, matching unit block of
-    the partition, and central subspace spanned by the class sums inside N.
+    dimension |N|, matching trivial-action subcategory, the partition of
+    Clifford theory, and central subspace spanned by the class sums inside N.
     Raises :class:`OracleMismatch` with the full diff on any disagreement.
     """
     seed = lattice.blocks.seed
@@ -662,10 +662,13 @@ def crosscheck_rep(
         L = e.subalgebra
         if abs(L.dim_l - len(N)) > 1e-6 * max(1, len(N)):
             mismatches.append(f"dim of subalgebra for N={N} is {L.dim_l}, expected {len(N)}")
-        if tuple(sorted(e.partition[0])) != D.indices:
-            mismatches.append(
-                f"unit partition block for N={N} is {e.partition[0]}, expected {D.indices}"
-            )
+        # Clifford theory: chi_i and chi_j restrict to N with a common constituent
+        # exactly when sum_{n in N} chi_i(n) conj chi_j(n), |N| times an integer, is not 0.
+        values = table.rows[:, G.class_index[list(N)]]
+        related = (values @ values.conj().T).real > len(N) / 2
+        clifford = tuple(sorted({tuple(np.flatnonzero(row).tolist()) for row in related}))
+        if e.partition != clifford:
+            mismatches.append(f"partition for N={N} is {e.partition}, expected {clifford}")
         expected_span = _expected_class_sum_span(table, N)
         span = L.ce_span
         n_classes = expected_span.shape[1]
@@ -705,9 +708,11 @@ def crosscheck_vec(
     """Check the correspondence table of the group-graded ring against subgroups.
 
     Subcategories must be exactly the subgroups, with subalgebra dimensions
-    |G|/|H|, and block summand dimensions the irreducible degrees of G.
+    |G|/|H| and partitions the cosets gH, and block summand dimensions the
+    irreducible degrees of G.
     """
-    _, pos = _vec_perm(G)
+    perm, pos = _vec_perm(G)
+    where = np.argsort(perm)  # the ring index of each element
     subs = subgroups(G)
     sub_indices = {H: tuple(sorted(pos[g] for g in H)) for H in subs}
     mismatches: list[str] = []
@@ -726,6 +731,9 @@ def crosscheck_vec(
             mismatches.append(
                 f"dim of subalgebra for H={H} is {L.dim_l}, expected {expected}"
             )
+        cosets = where[G.table[:, list(H)]].tolist()  # row g: the coset gH
+        if e.partition != tuple(sorted({tuple(sorted(c)) for c in cosets})):
+            mismatches.append(f"partition for H={H} differs from the cosets gH")
         entries.append({"subgroup": list(H), "subalgebra_dim": L.dim_l})
     degrees = sorted(character_table_cached(G, lattice.blocks.seed).degrees)
     block_dims = sorted(snap_integer(blk.summand_dim, tol) for blk in lattice.blocks.blocks)

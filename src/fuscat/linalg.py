@@ -157,39 +157,10 @@ def _span_contains(Q: np.ndarray, V: np.ndarray, tol: Tolerance) -> bool:
     Q holds orthonormal columns; all columns of V are tested by one
     projection, and zero columns are skipped.
     """
-    return not bool(np.any(_outside_columns(Q, V, tol)))
-
-
-def _outside_columns(Q: np.ndarray, V: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Which columns of V are nonzero and farther from span(Q) than the containment bound."""
     nrm = np.linalg.norm(V, axis=0)
     R = V - Q @ (Q.conj().T @ V) if Q.shape[1] else V
     res = np.max(np.abs(R), axis=0, initial=0.0)
-    return (nrm > 0) & (res > tol.abs_tol * 100 + tol.rel_tol * nrm)
-
-
-def _spans_contained(Q: np.ndarray, spans: Sequence[np.ndarray], tol: Tolerance) -> np.ndarray:
-    """``_span_contains(Q, V, tol)`` for each V of ``spans``, as a bool array.
-
-    The spans' columns are projected together, as many spans at a time as
-    fit in ``_BLOCK_BYTES`` (at least one), and the outside columns are
-    counted per span.
-    """
-    widths = [V.shape[1] for V in spans]
-    limit = max(1, _BLOCK_BYTES // (16 * Q.shape[0]))
-    out = np.empty(len(spans), dtype=bool)
-    lo = 0
-    while lo < len(spans):
-        hi, cols = lo + 1, widths[lo]
-        while hi < len(spans) and cols + widths[hi] <= limit:
-            cols += widths[hi]
-            hi += 1
-        outside = _outside_columns(Q, np.concatenate(spans[lo:hi], axis=1), tol)
-        counts = np.concatenate(([0], np.cumsum(outside)))
-        ends = np.cumsum(widths[lo:hi])
-        out[lo:hi] = counts[ends] == counts[ends - widths[lo:hi]]
-        lo = hi
-    return out
+    return not bool(np.any((nrm > 0) & (res > tol.abs_tol * 100 + tol.rel_tol * nrm)))
 
 
 def _unit_cosine_floor(tol: Tolerance) -> float:

@@ -5,10 +5,14 @@ relative to an adapted basis: the subcategory's cointegral is an idempotent
 of CF(C), each block is re-based so it becomes a diagonal 0/1 pattern, and
 the rows carrying 1 name the simple summands of the subalgebra.
 Each subalgebra also stores its restriction projector, from which restriction
-of class functions, the inverse map to subcategories and the induced
-partition of the simples are read.  The central subspace with its class-sum
-basis lives here too, and so does the correspondence table of a ring, which
-is built once and answers the lattice operations by lookup.
+of class functions and the inverse map to subcategories are read.  The
+partition of the simples that a subcategory D induces is the right cosets
+x⊗D, on which both sides have closed forms: restriction is f ↦ f·λ_D with
+χ_x·λ_D / d_x = Σ_{Y∈x⊗D} d_Y χ_Y / Σ_{Y∈x⊗D} d_Y², and the central
+subspace is spanned by the indicators of the cosets.  The central subspace
+with its class-sum basis lives here too, and so does the correspondence
+table of a ring, which is built once, checks the float data against these
+closed forms and answers the lattice operations by lookup.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .fusion_ring import (
     FusionRingData,
     FusionSubcategory,
     _close_rows,
+    _right_cosets,
     enumerate_subcategories,
     subcategory_closure,
 )
@@ -38,7 +43,6 @@ from .linalg import (
     Tolerance,
     _orthonormal_columns,
     _span_contains,
-    _spans_contained,
 )
 from .wedderburn import BlockStructure, _adapt_stack, _adapted_class_sums
 
@@ -47,14 +51,12 @@ __all__ = [
     "PartitionMismatch",
     "ClosureFailure",
     "RoundTripFailure",
-    "MonotonicityFailure",
     "SubalgebraIndex",
     "LatticeEntry",
     "LatticeTable",
     "epsilon_L",
     "restrict",
     "subcategory_from_subalgebra",
-    "block_partition",
     "ce_basis",
     "build_lattice",
 ]
@@ -78,10 +80,6 @@ class ClosureFailure(Exception):
 
 class RoundTripFailure(Exception):
     """A subcategory does not survive the round trip through its subalgebra."""
-
-
-class MonotonicityFailure(Exception):
-    """The correspondence failed to reverse an inclusion."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,90 +257,6 @@ def subcategory_from_subalgebra(
     return closed
 
 
-def block_partition(
-    L: SubalgebraIndex, tol: Tolerance = DEFAULT_TOL
-) -> tuple[tuple[int, ...], ...]:
-    """Partition of the simples by normalized restriction, unit class first.
-
-    Cross-checked against the partition induced by the central subspace: the
-    indicator idempotents of both partitions must agree and lie in the span of
-    the class-sum basis.
-    """
-    ring = L.ring
-    classes = _group_equal_rows(_normalized_restrictions(L).T, PARTITION_TOL)
-
-    # Central-side partition: coordinates i, i' are equivalent when every
-    # element of the central subspace has equal i and i' coordinates.
-    span = L.ce_span
-    scale = max(1.0, float(np.max(np.abs(span)))) if span.size else 1.0
-    ce_classes = _group_equal_rows(span, PARTITION_TOL * scale)
-    if classes != ce_classes:
-        raise PartitionMismatch(
-            f"character partition {classes} differs from central partition {ce_classes}"
-        )
-
-    indicators = np.zeros((ring.rank, len(classes)))
-    for c, cls in enumerate(classes):
-        indicators[cls, c] = 1.0
-    if not _span_contains(span, indicators, tol):
-        bad = next(
-            cls
-            for c, cls in enumerate(classes)
-            if not _span_contains(span, indicators[:, c : c + 1], tol)
-        )
-        raise PartitionMismatch(
-            f"indicator idempotent of class {bad} is outside the central subspace"
-        )
-    return tuple(tuple(c) for c in classes)
-
-
-def _group_equal_rows(rows: np.ndarray, tol: float) -> list[list[int]]:
-    """Partition of the row indices by near-equal rows.
-
-    Each row joins the first class whose first row is within ``tol`` of it in
-    the max norm, or starts a new class.  The class of row 0 comes first, the
-    rest in order of their smallest member.
-
-    Two rows within ``tol`` differ by at most ``bound`` in a fixed weighted
-    sum of their real and imaginary parts, so sorting by that key and cutting
-    where it jumps by more than ``bound`` never separates them, and the rule
-    runs on each run of keys alone.  A run whose rows all lie within ``tol``
-    of its smallest member is one class.  Any other run is split one class
-    at a time: its first row not yet placed takes every unplaced row near it,
-    which are exactly the rows that no earlier first row took.
-    """
-    parts = [rows.real, rows.imag] if np.iscomplexobj(rows) else [rows]
-    flat = np.concatenate(parts, axis=1)
-    # Generic weights: rows that differ keep distinct keys unless their
-    # difference happens to be orthogonal to the weights.
-    weights = np.random.default_rng(0).uniform(1, 2, flat.shape[1])
-    key = flat @ weights
-    rounding = 2 * flat.shape[1] * np.finfo(float).eps * float(np.max(np.abs(flat), initial=0.0))
-    bound = 2 * weights.sum() * (tol + rounding)
-    order = np.argsort(key, kind="stable")
-    run_of = np.empty(len(rows), dtype=np.intp)
-    run_of[order] = np.concatenate(([0], np.cumsum(np.diff(key[order]) > bound)))
-    members = np.lexsort((np.arange(len(rows)), run_of))  # by run, then by index
-    starts = np.flatnonzero(np.diff(run_of[members], prepend=-1))
-    heads = members[starts]
-    near_head = np.max(np.abs(rows - rows[heads[run_of]]), axis=1, initial=0.0) <= tol
-    whole = np.logical_and.reduceat(near_head[members], starts).tolist() if len(rows) else []
-    ends = [*starts.tolist()[1:], len(rows)]
-    members = members.tolist()
-    classes: list[list[int]] = []
-    for lo, hi, one_class in zip(starts.tolist(), ends, whole):
-        if one_class:
-            classes.append(members[lo:hi])
-            continue
-        rest = np.array(members[lo:hi])
-        while rest.size:
-            near = np.max(np.abs(rows[rest] - rows[rest[0]]), axis=1) <= tol
-            classes.append(rest[near].tolist())
-            rest = rest[~near]
-    classes.sort(key=lambda cls: (0 not in cls, cls[0]))
-    return classes
-
-
 def ce_basis(
     L: SubalgebraIndex, tol: Tolerance = DEFAULT_TOL, check: bool = True
 ) -> list[CentralElement]:
@@ -412,6 +326,7 @@ class LatticeTable:
     blocks: BlockStructure
     entries: tuple[LatticeEntry, ...]
     hasse_edges: tuple[tuple[int, int], ...]
+    membership: np.ndarray  # (S, r) bool: row e marks the simples of entry e's subcategory
 
     @cached_property
     def _by_indices(self) -> dict[tuple[int, ...], LatticeEntry]:
@@ -420,11 +335,6 @@ class LatticeTable:
     def entry(self, indices: tuple[int, ...]) -> LatticeEntry | None:
         """The entry of the subcategory with these indices, if it is in the table."""
         return self._by_indices.get(indices)
-
-    @cached_property
-    def membership(self) -> np.ndarray:
-        """(S, r) bool matrix: row e marks the simples of entry e's subcategory."""
-        return _membership(self.ring, [e.subcategory for e in self.entries])
 
     @cached_property
     def _by_row(self) -> dict[bytes, int]:
@@ -487,61 +397,84 @@ def build_lattice(
 
     The one place where subalgebras are built from subcategories, all of them
     in one stacked pass; every consumer of the correspondence reads this
-    table.  Verifies, for every enumerated subcategory: the round trip
-    through its subalgebra, injectivity of the central subspaces, and
-    anti-monotonicity of the correspondence.  Emits Hasse edges of the
-    subcategory inclusion order.  The error of the first failing
-    subcategory, else of the first failing pair, is the one raised.
+    table.  Each entry's partition is exact, the right cosets x⊗D
+    (:func:`fusion_ring._right_cosets`), and its float data are checked
+    against their closed forms on them (:func:`_checked_partition`); then no
+    subcategory may occur twice.  The error of the first failing entry, else
+    of the first repeated pair, is the one raised.  Emits Hasse edges of the
+    subcategory inclusion order.
+
+    Injectivity and anti-monotonicity follow without a test of their own.
+    Each central subspace is the span of the coset indicators of its D, and
+    D is the class of the unit, so only a repeated subcategory can repeat a
+    central subspace.  If D ⊆ D′ then x⊗D ⊆ x⊗D′: the cosets of D refine
+    those of D′, each indicator of D′ is a sum of indicators of D, and the
+    central subspace of D′ lies in that of D.
     """
     subcats = enumerate_subcategories(ring)
+    M = _membership(ring, subcats)
     entries = []
-    for D, L in zip(subcats, _subalgebras(subcats, B, tol)):
+    for D, L, head in zip(subcats, _subalgebras(subcats, B, tol), _right_cosets(ring, M)):
         if isinstance(L, Exception):
             raise L
-        # The round trip's simple set is the unit class of the character-side
-        # partition, and D is closed: when that class is D, the round trip
-        # holds without recomputing it.  An error of the partition is raised
-        # only after the round trip has passed, as the round trip comes first.
-        try:
-            partition, error = block_partition(L, tol), None
-        except Exception as exc:  # noqa: BLE001 - re-raised below
-            partition, error = None, exc
-        if partition is None or partition[0] != D.indices:
-            back = subcategory_from_subalgebra(L, tol)
-            if back.indices != D.indices:
-                raise RoundTripFailure(f"{D.indices} round-tripped to {back.indices}")
-        if error is not None:
-            raise error
-        entries.append(LatticeEntry(D, L, partition))
+        entries.append(LatticeEntry(D, L, _checked_partition(D, L, head, tol)))
+    inside = _inclusions(M)
+    twins = np.argwhere(np.triu(inside & inside.T, 1))
+    if len(twins):
+        a, b = twins[0]
+        raise RoundTripFailure(
+            "distinct subcategories produced identical central subspaces: "
+            f"{entries[a].subcategory.indices} vs {entries[b].subcategory.indices}"
+        )
+    return LatticeTable(ring, B, tuple(entries), _hasse_edges(inside), M)
 
-    spans = [e.subalgebra.ce_span for e in entries]
-    widths = np.array([Q.shape[1] for Q in spans])
-    for a in range(len(entries)):
-        later = a + 1 + np.flatnonzero(widths[a + 1 :] == widths[a])
-        if not later.size:
-            continue
-        same = _spans_contained(spans[a], [spans[b] for b in later], tol)
-        if same.any():
-            b = int(later[np.argmax(same)])
-            raise RoundTripFailure(
-                "distinct subcategories produced identical central subspaces: "
-                f"{entries[a].subcategory.indices} vs {entries[b].subcategory.indices}"
-            )
 
-    inside = _inclusions(_membership(ring, [e.subcategory for e in entries]))
-    for a in range(len(entries)):
-        supersets = np.flatnonzero(inside[a])
-        supersets = supersets[supersets != a]
-        if not supersets.size:
-            continue
-        reversed_ = _spans_contained(spans[a], [spans[b] for b in supersets], tol)
-        if not reversed_.all():
-            b = int(supersets[np.argmin(reversed_)])
-            raise MonotonicityFailure(
-                f"inclusion {entries[a].subcategory.indices} <= {entries[b].subcategory.indices} "
-                "was not reversed by the central subspaces"
-            )
-    return LatticeTable(ring, B, tuple(entries), _hasse_edges(inside))
+def _checked_partition(
+    D: FusionSubcategory, L: SubalgebraIndex, head: np.ndarray, tol: Tolerance
+) -> tuple[tuple[int, ...], ...]:
+    """The right cosets of D, class ids ``head``, once L's float data agree with them.
+
+    Restriction is f ↦ f·λ_D with λ_D = Σ_{d∈D} d_d χ_d / dim(D)
+    idempotent, so c = χ_x·λ_D = c·λ_D lives on x⊗D, where it is a left
+    eigenvector of the matrix T of :func:`fusion_ring._right_cosets`; T is
+    positive there with the positive left eigenvector d, so by
+    Perron–Frobenius, and taking dimensions, χ_x·λ_D / d_x =
+    Σ_{Y∈x⊗D} d_Y χ_Y / Σ_{Y∈x⊗D} d_Y².  The central subspace, the inverse
+    Fourier image of λ_D·CF, is then the span of the coset indicators.
+    Raised in this order: the round trip's error when the restrictions
+    within ``PARTITION_TOL`` of epsilon_L are not D; :class:`PartitionMismatch`
+    when a restriction is further than that from its closed form, when the
+    central subspace and the cosets differ in number, or when a coset
+    indicator lies outside the central subspace.  A false closed form fails.
+    """
+    d = L.ring.dims
+    Q = _normalized_restrictions(L)
+    if not np.array_equal(np.max(np.abs(Q - Q[:, :1]), axis=0) <= PARTITION_TOL, head == 0):
+        back = subcategory_from_subalgebra(L, tol)
+        raise RoundTripFailure(f"{D.indices} round-tripped to {back.indices}")
+    mass = np.bincount(head, weights=d * d, minlength=len(d))
+    closed = np.where(head[:, None] == head, d[:, None] / mass[head], 0.0)
+    gap = np.max(np.abs(Q - closed), axis=0)
+    if gap.max() > PARTITION_TOL:
+        x = int(np.argmax(gap))
+        raise PartitionMismatch(f"restriction of simple {x} is {gap[x]:.3g} from its closed form")
+    order = np.argsort(head, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(head[order])) + 1).tolist(), len(d)]
+    heads = order[cuts[:-1]]
+    partition = tuple(tuple(order[lo:hi].tolist()) for lo, hi in zip(cuts, cuts[1:]))
+    span = L.ce_span
+    if span.shape[1] != len(heads):
+        raise PartitionMismatch(
+            f"central subspace has dimension {span.shape[1]}, "
+            f"{D.indices} has {len(heads)} right cosets"
+        )
+    indicators = (head[:, None] == heads).astype(float)
+    if not _span_contains(span, indicators, tol):
+        c = next(c for c in range(len(heads)) if not _span_contains(span, indicators[:, [c]], tol))
+        raise PartitionMismatch(
+            f"indicator idempotent of class {list(partition[c])} is outside the central subspace"
+        )
+    return partition
 
 
 def _membership(ring: FusionRingData, subcats) -> np.ndarray:

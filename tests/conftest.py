@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from fuscat import fusion_ring, groups, wedderburn  # noqa: E402
+from fuscat import fusion_ring, groups, linalg, subalg, wedderburn  # noqa: E402
 
 
 def s3_mult_table():
@@ -42,6 +42,32 @@ def su2_fusion_ring(k):
         for b in range(r):
             N[a, b, abs(a - b) : min(a + b, 2 * k - a - b) + 1 : 2] = 1
     return fusion_ring.build_ring([f"j{a}" for a in range(r)], N, list(range(r)))
+
+
+def haagerup_izumi_ring(n):
+    """Haagerup-Izumi rules for Z_n: simples g and g·rho, with rho·g = (-g)·rho
+    and (g rho)(h rho) = (g - h) + sum_k k·rho.  Non-commutative for n > 2,
+    and d_rho = (n + sqrt(n^2 + 4)) / 2 is not an integer."""
+    r = 2 * n
+    N = np.zeros((r, r, r), dtype=int)
+    for a in range(n):
+        for b in range(n):
+            N[a, b, (a + b) % n] = 1
+            N[a, n + b, n + (a + b) % n] = 1
+            N[n + a, b, n + (a - b) % n] = 1
+            N[n + a, n + b, (a - b) % n] = 1
+            N[n + a, n + b, n:] = 1
+    labels = [f"g{a}" for a in range(n)] + [f"g{a}rho" for a in range(n)]
+    dual = [(-a) % n for a in range(n)] + list(range(n, r))
+    return fusion_ring.build_ring(labels, N, dual)
+
+
+def deligne_product(R1, R2):
+    """The ring with N = N1 (x) N2 on simples (i, a), index i * r2 + a."""
+    N = np.einsum("ijk,abc->iajbkc", R1.N, R2.N).reshape((R1.rank * R2.rank,) * 3)
+    labels = [f"{x}.{y}" for x in R1.labels for y in R2.labels]
+    dual = [i * R2.rank + a for i in R1.dual for a in R2.dual]
+    return fusion_ring.build_ring(labels, N, dual)
 
 
 @pytest.fixture(scope="session")
@@ -97,3 +123,79 @@ def s3_blocks(s3_ring):
 @pytest.fixture(scope="session")
 def vec_s3_blocks(vec_s3_ring):
     return wedderburn.compute_blocks(vec_s3_ring)
+
+
+def reference_group_equal_rows(rows, tol):
+    """Partition of the row indices by near-equal rows: the clustering that
+    found the block partition before it was read off the right cosets.
+
+    Each row joins the first class whose first row is within ``tol`` of it in
+    the max norm, or starts a new class.  The class of row 0 comes first, the
+    rest in order of their smallest member.
+
+    Two rows within ``tol`` differ by at most ``bound`` in a fixed weighted
+    sum of their real and imaginary parts, so sorting by that key and cutting
+    where it jumps by more than ``bound`` never separates them, and the rule
+    runs on each run of keys alone.  A run whose rows all lie within ``tol``
+    of its smallest member is one class.  Any other run is split one class
+    at a time: its first row not yet placed takes every unplaced row near it,
+    which are exactly the rows that no earlier first row took.
+    """
+    parts = [rows.real, rows.imag] if np.iscomplexobj(rows) else [rows]
+    flat = np.concatenate(parts, axis=1)
+    weights = np.random.default_rng(0).uniform(1, 2, flat.shape[1])
+    key = flat @ weights
+    rounding = 2 * flat.shape[1] * np.finfo(float).eps * float(np.max(np.abs(flat), initial=0.0))
+    bound = 2 * weights.sum() * (tol + rounding)
+    order = np.argsort(key, kind="stable")
+    run_of = np.empty(len(rows), dtype=np.intp)
+    run_of[order] = np.concatenate(([0], np.cumsum(np.diff(key[order]) > bound)))
+    members = np.lexsort((np.arange(len(rows)), run_of))
+    starts = np.flatnonzero(np.diff(run_of[members], prepend=-1))
+    heads = members[starts]
+    near_head = np.max(np.abs(rows - rows[heads[run_of]]), axis=1, initial=0.0) <= tol
+    whole = np.logical_and.reduceat(near_head[members], starts).tolist() if len(rows) else []
+    ends = [*starts.tolist()[1:], len(rows)]
+    members = members.tolist()
+    classes = []
+    for lo, hi, one_class in zip(starts.tolist(), ends, whole):
+        if one_class:
+            classes.append(members[lo:hi])
+            continue
+        rest = np.array(members[lo:hi])
+        while rest.size:
+            near = np.max(np.abs(rows[rest] - rows[rest[0]]), axis=1) <= tol
+            classes.append(rest[near].tolist())
+            rest = rest[~near]
+    classes.sort(key=lambda cls: (0 not in cls, cls[0]))
+    return classes
+
+
+def reference_block_partition(L, tol=linalg.DEFAULT_TOL):
+    """Partition of the simples by clustering both float sides, unit class first.
+
+    The character side clusters the columns of P_L / d, the central side the
+    rows of the central subspace; the two must agree, and every class
+    indicator must lie in the central subspace.
+    """
+    classes = reference_group_equal_rows(subalg._normalized_restrictions(L).T, subalg.PARTITION_TOL)
+    span = L.ce_span
+    scale = max(1.0, float(np.max(np.abs(span)))) if span.size else 1.0
+    ce_classes = reference_group_equal_rows(span, subalg.PARTITION_TOL * scale)
+    if classes != ce_classes:
+        raise subalg.PartitionMismatch(
+            f"character partition {classes} differs from central partition {ce_classes}"
+        )
+    indicators = np.zeros((L.ring.rank, len(classes)))
+    for c, cls in enumerate(classes):
+        indicators[cls, c] = 1.0
+    if not linalg._span_contains(span, indicators, tol):
+        bad = next(
+            cls
+            for c, cls in enumerate(classes)
+            if not linalg._span_contains(span, indicators[:, c : c + 1], tol)
+        )
+        raise subalg.PartitionMismatch(
+            f"indicator idempotent of class {bad} is outside the central subspace"
+        )
+    return tuple(tuple(c) for c in classes)

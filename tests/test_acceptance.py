@@ -113,8 +113,8 @@ def test_criterion_10_group_oracle(battery):
     from fuscat.fusion_ring import subcategory_closure
 
     D = subcategory_closure(ring, [1])
-    L = subalg.build_lattice(ring, B).entry(D.indices).subalgebra
-    partition = subalg.block_partition(L)
+    e = subalg.build_lattice(ring, B).entry(D.indices)
+    L, partition = e.subalgebra, e.partition
     assert partition == ((0, 1), (2,))
     ell0 = np.zeros(3, dtype=complex)
     ell0[[0, 1]] = 1

@@ -24,7 +24,7 @@ from fuscat.fusion_ring import (
 from fuscat.linalg import DEFAULT_TOL
 from fuscat.verify import battery_sources
 
-from conftest import su2_fusion_ring
+from conftest import deligne_product, haagerup_izumi_ring, su2_fusion_ring
 
 
 class TestValidate:
@@ -501,32 +501,6 @@ class TestEnumerateAgainstReference:
         assert peak < r**3 * 8
 
 
-def haagerup_izumi_ring(n):
-    """Haagerup-Izumi rules for Z_n: simples g and g·rho, with rho·g = (-g)·rho
-    and (g rho)(h rho) = (g - h) + sum_k k·rho.  Non-commutative for n > 2,
-    and d_rho = (n + sqrt(n^2 + 4)) / 2 is not an integer."""
-    r = 2 * n
-    N = np.zeros((r, r, r), dtype=int)
-    for a in range(n):
-        for b in range(n):
-            N[a, b, (a + b) % n] = 1
-            N[a, n + b, n + (a + b) % n] = 1
-            N[n + a, b, n + (a - b) % n] = 1
-            N[n + a, n + b, (a - b) % n] = 1
-            N[n + a, n + b, n:] = 1
-    labels = [f"g{a}" for a in range(n)] + [f"g{a}rho" for a in range(n)]
-    dual = [(-a) % n for a in range(n)] + list(range(n, r))
-    return build_ring(labels, N, dual)
-
-
-def deligne_product(R1, R2):
-    """The ring with N = N1 (x) N2 on simples (i, a), index i * r2 + a."""
-    N = np.einsum("ijk,abc->iajbkc", R1.N, R2.N).reshape((R1.rank * R2.rank,) * 3)
-    labels = [f"{x}.{y}" for x in R1.labels for y in R2.labels]
-    dual = [i * R2.rank + a for i in R1.dual for a in R2.dual]
-    return build_ring(labels, N, dual)
-
-
 class TestEnumerateBeyondGroups:
     @pytest.mark.parametrize("n", [3, 5])
     def test_haagerup_izumi(self, n):
@@ -595,8 +569,36 @@ def test_coset_heads_in_one_row_blocks(vec_a5_ring, monkeypatch):
     for row, D in zip(member, subs):
         row[list(D.indices)] = True
     heads = fusion_ring._coset_heads(vec_a5_ring, member)
+    cosets = fusion_ring._right_cosets(vec_a5_ring, member)
     monkeypatch.setattr(fusion_ring, "_CLOSURE_BLOCK_BYTES", 1)
     assert np.array_equal(fusion_ring._coset_heads(vec_a5_ring, member), heads)
+    assert np.array_equal(fusion_ring._right_cosets(vec_a5_ring, member), cosets)
+
+
+RIGHT_COSET_RINGS = {
+    **{s: lambda s=s: parse_source(s, 0, DEFAULT_TOL)[0] for s in battery_sources(large=True)},
+    "vec:alternating:5": lambda: parse_source("vec:alternating:5", 0, DEFAULT_TOL)[0],
+    "HI(Z_3)": lambda: haagerup_izumi_ring(3),
+    "HI(Z_5)": lambda: haagerup_izumi_ring(5),
+    "HI(Z_3)xSU(2)_3": lambda: deligne_product(haagerup_izumi_ring(3), su2_fusion_ring(3)),
+    "SU(2)_2xSU(2)_2": lambda: deligne_product(su2_fusion_ring(2), su2_fusion_ring(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RIGHT_COSET_RINGS))
+def test_right_cosets_partition_the_simples(name):
+    # For every subcategory D and simple x: the class id is the smallest y
+    # with y ⊂ x⊗d for some d in D, read from N, and the simples sharing it
+    # are exactly x⊗D, so the cosets are the classes of an equivalence.
+    ring = RIGHT_COSET_RINGS[name]()
+    subs = enumerate_subcategories(ring)
+    member = np.zeros((len(subs), ring.rank), dtype=bool)
+    for row, D in zip(member, subs):
+        row[list(D.indices)] = True
+    for head, D in zip(fusion_ring._right_cosets(ring, member), subs):
+        coset = np.any(ring.N[:, list(D.indices), :] > 0, axis=1)  # [x, y]: y ⊂ x⊗d
+        assert np.array_equal(head, np.argmax(coset, axis=1))
+        assert np.array_equal(coset, head[:, None] == head[None, :])
 
 
 def _spy_block_rows(monkeypatch):

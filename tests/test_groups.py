@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import re
 
@@ -232,6 +233,40 @@ class TestCrosschecks:
         report = crosscheck_vec(G, lattice_of(vec_fusion_ring(G)))
         assert report["subgroups"] == 10
 
+    def test_vec_partition_must_be_the_cosets_gh(self, s3_group):
+        # The left cosets D⊗x, read from N, differ from the right cosets x⊗D
+        # for an order-2 subgroup of S3, which is not normal.
+        table = lattice_of(vec_fusion_ring(s3_group))
+        e = next(e for e in table.entries if len(e.subcategory) == 2)
+        left = np.any(table.ring.N[list(e.subcategory.indices)] > 0, axis=0)  # [x, y]: y ⊂ d⊗x
+        wrong = tuple(sorted({tuple(np.flatnonzero(row).tolist()) for row in left}))
+        assert wrong != e.partition
+        bad = dataclasses.replace(e, partition=wrong)
+        entries = tuple(bad if f is e else f for f in table.entries)
+        with pytest.raises(OracleMismatch, match="differs from the cosets gH"):
+            crosscheck_vec(s3_group, dataclasses.replace(table, entries=entries))
+
+    def test_rep_partition_must_follow_clifford_theory(self, s3_group):
+        # Rep(S3/A3) must split the simples as ((0, 1), (2,)), not as singletons.
+        table = lattice_of(rep_fusion_ring(s3_group))
+        e = table.entry((0, 1))
+        assert e.partition == ((0, 1), (2,))
+        bad = dataclasses.replace(e, partition=((0,), (1,), (2,)))
+        entries = tuple(bad if f is e else f for f in table.entries)
+        with pytest.raises(OracleMismatch, match="partition for N="):
+            crosscheck_rep(s3_group, dataclasses.replace(table, entries=entries))
+
+
+@pytest.mark.parametrize(
+    "kind, name", [("rep", "alternating:5"), ("vec", "alternating:5"), ("rep", "symmetric:5")]
+)
+def test_partition_oracles_beyond_the_battery(kind, name):
+    # Clifford theory and the cosets gH, from the character table and the
+    # multiplication table alone, give every partition of the table.
+    G = parse_group(name)
+    ring, check = {"rep": (rep_fusion_ring, crosscheck_rep), "vec": (vec_fusion_ring, crosscheck_vec)}[kind]
+    assert check(G, lattice_of(ring(G)))["mismatches"] == []
+
 
 @pytest.mark.parametrize("name", battery_groups(large=True) + ["alternating:5"])
 def test_normal_subgroups_are_conjugation_closed_subgroups(name):
@@ -298,7 +333,7 @@ class TestSubgroupKernel:
         names |= {
             a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names
         }
-        assert not names & {"_close_rows", "_fusion_hit", "support"}
+        assert not names & {"_close_rows", "_fusion_hit", "_right_cosets", "_coset_tables", "support"}
 
 
 def _reference_trivial_action(G, N, table):

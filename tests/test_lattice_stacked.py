@@ -4,11 +4,12 @@ The reference below is the per-subcategory construction the stacked pass
 replaced: every block adapted by its own eigvals/SVD/inverse and an einsum,
 the class sums read as the inverse Fourier image of the adapted units, the
 cointegral expanded a second time in the adapted unit matrix, the
-projector read from that matrix and its inverse, one containment test per
-pair, and Hasse edges from an O(S^3) loop over Python sets.  It looks up
-``subcategory_cointegral``, ``enumerate_subcategories`` and
-``block_partition`` through ``subalg`` at call time, so a test that perturbs
-one of them perturbs both constructions alike.
+projector read from that matrix and its inverse, the partition found by
+clustering both float sides (``reference_block_partition``), one containment
+test per pair, and Hasse edges from an O(S^3) loop over Python sets.  It
+looks up ``subcategory_cointegral`` and ``enumerate_subcategories`` through
+``subalg`` at call time, so a test that perturbs one of them perturbs both
+constructions alike.
 """
 
 import os
@@ -26,7 +27,7 @@ from fuscat.subalg import (
     ClosureViolation,
     LatticeEntry,
     LatticeTable,
-    MonotonicityFailure,
+    PartitionMismatch,
     RoundTripFailure,
     SubalgebraIndex,
     build_lattice,
@@ -34,7 +35,12 @@ from fuscat.subalg import (
 from fuscat.verify import battery_sources
 from fuscat.wedderburn import Block, BlockStructure, NotIdempotent, compute_blocks
 
-from conftest import su2_fusion_ring
+from conftest import (
+    deligne_product,
+    haagerup_izumi_ring,
+    reference_block_partition,
+    su2_fusion_ring,
+)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -120,6 +126,10 @@ def reference_edges(sets):
     return tuple(sorted(edges))
 
 
+class MonotonicityFailure(Exception):
+    """The reference's pair check: an inclusion not reversed by the central subspaces."""
+
+
 def reference_build_lattice(ring, B, tol=DEFAULT_TOL):
     entries = []
     for D in subalg.enumerate_subcategories(ring):
@@ -127,7 +137,7 @@ def reference_build_lattice(ring, B, tol=DEFAULT_TOL):
         back = subalg.subcategory_from_subalgebra(L, tol)
         if back.indices != D.indices:
             raise RoundTripFailure(f"{D.indices} round-tripped to {back.indices}")
-        entries.append(LatticeEntry(D, L, subalg.block_partition(L, tol)))
+        entries.append(LatticeEntry(D, L, reference_block_partition(L, tol)))
     for a in range(len(entries)):
         for b in range(a + 1, len(entries)):
             La, Lb = entries[a].subalgebra, entries[b].subalgebra
@@ -146,7 +156,8 @@ def reference_build_lattice(ring, B, tol=DEFAULT_TOL):
                         "was not reversed by the central subspaces"
                     )
     edges = reference_edges([set(e.subcategory.indices) for e in entries])
-    return LatticeTable(ring, B, tuple(entries), edges)
+    M = np.array([np.isin(np.arange(ring.rank), e.subcategory.indices) for e in entries])
+    return LatticeTable(ring, B, tuple(entries), edges, M)
 
 
 def ring_of(source):
@@ -315,26 +326,59 @@ def test_duplicate_subcategory_fails_injectivity_as_reference(monkeypatch, s4, a
     assert outcome[0] is RoundTripFailure and "identical central subspaces" in outcome[1]
 
 
-@pytest.mark.parametrize("target", [4, 12, 21])
-def test_skewed_span_fails_monotonicity_as_reference(monkeypatch, s4, target):
-    # The target's central subspace is replaced by a random one of the same
-    # dimension; partitions are skipped, so only the pair checks can fail.
-    ring, B = s4
+def test_reference_clustering_finds_the_right_cosets():
+    # Both float sides, clustered as before the partition was exact, give
+    # the right cosets on every entry, also on non-commutative rings that
+    # come from no group.
+    sources = battery_sources(large=True) + ["vec:alternating:5"]
+    rings = [ring_of(s) for s in sources + [f"su2:{k}" for k in range(1, 21)]]
+    rings += [haagerup_izumi_ring(3), haagerup_izumi_ring(5)]
+    rings.append(deligne_product(haagerup_izumi_ring(3), su2_fusion_ring(3)))
+    for ring in rings:
+        for e in build_lattice(ring, compute_blocks(ring)).entries:
+            assert reference_block_partition(e.subalgebra) == e.partition, ring
+
+
+def span_of_target(monkeypatch, ring, target, change):
+    """Entry ``target``'s central subspace becomes ``change`` of its own."""
     indices = enumerate_subcategories(ring)[target].indices
     original = SubalgebraIndex.ce_span.func
 
-    def skewed(self):
+    def changed(self):
         Q = original(self)
-        if subalg.subcategory_from_subalgebra(self).indices != indices:
-            return Q
-        rng = np.random.default_rng(target)
+        return change(Q) if subalg.subcategory_from_subalgebra(self).indices == indices else Q
+
+    monkeypatch.setattr(SubalgebraIndex, "ce_span", property(changed))
+
+
+@pytest.mark.parametrize("target", [4, 12, 21])
+def test_skewed_span_fails_the_partition(monkeypatch, s4, target):
+    # A random central subspace of the right dimension misses a coset
+    # indicator; the clustering reference sees it too.
+    ring, B = s4
+    rng = np.random.default_rng(target)
+
+    def skew(Q):
         return np.linalg.qr(rng.standard_normal(Q.shape) + 1j * rng.standard_normal(Q.shape))[0]
 
-    monkeypatch.setattr(SubalgebraIndex, "ce_span", property(skewed))
-    monkeypatch.setattr(subalg, "block_partition", lambda L, tol=DEFAULT_TOL: ((0,),))
+    span_of_target(monkeypatch, ring, target, skew)
     outcome = raised(build_lattice, ring, B)
-    assert outcome == raised(reference_build_lattice, ring, B)
-    assert outcome[0] is MonotonicityFailure
+    assert outcome[0] is PartitionMismatch and "is outside the central subspace" in outcome[1]
+    assert raised(reference_build_lattice, ring, B)[0] is PartitionMismatch
+
+
+@pytest.mark.parametrize("target", [4, 12, 21])
+def test_short_span_fails_the_partition(monkeypatch, s4, target):
+    # Dropping one direction keeps every remaining vector inside the true
+    # central subspace; only the count of cosets can see it.
+    ring, B = s4
+    span_of_target(monkeypatch, ring, target, lambda Q: Q[:, :-1])
+    D = enumerate_subcategories(ring)[target]
+    cosets = ring.rank // len(D)
+    assert raised(build_lattice, ring, B) == (
+        PartitionMismatch,
+        f"central subspace has dimension {cosets - 1}, {D.indices} has {cosets} right cosets",
+    )
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -450,7 +494,7 @@ def round_trip_first(ring, B, tol=DEFAULT_TOL):
         back = subalg.subcategory_from_subalgebra(L, tol)
         if back.indices != D.indices:
             raise RoundTripFailure(f"{D.indices} round-tripped to {back.indices}")
-        subalg.block_partition(L, tol)
+        reference_block_partition(L, tol)
     raise AssertionError("every entry passed")
 
 
@@ -516,15 +560,17 @@ def test_corrupted_projector_fails_the_round_trip_as_before(monkeypatch, s4, ord
 
 
 def test_corrupted_projector_outside_the_unit_class_fails_the_partition(monkeypatch, s4):
-    # Two simples outside subcategory 5 are made to restrict alike: the round
-    # trip holds (checked the long way, as the partition raised), the
-    # partitions disagree.
+    # Two simples outside subcategory 5, in different right cosets, are made
+    # to restrict alike: the unit class is still D, so the round trip holds
+    # without being recomputed, and the restriction of the second leaves its
+    # closed form.  Clustering both sides finds the partitions disagree.
     ring, B = s4
     D = enumerate_subcategories(ring)[5]
     a, b = [g for g in range(ring.rank) if g not in D.indices][:2]
     corrupt_projector(monkeypatch, 5, b, source=a)
     calls = count_calls(monkeypatch, "subcategory_from_subalgebra")
     outcome = raised(build_lattice, ring, B)
-    assert len(calls) == 1
-    assert outcome == raised(round_trip_first, ring, B)
-    assert outcome[0] is subalg.PartitionMismatch
+    assert calls == []
+    assert outcome[0] is PartitionMismatch
+    assert outcome[1].startswith(f"restriction of simple {b} is ")
+    assert raised(round_trip_first, ring, B)[0] is PartitionMismatch

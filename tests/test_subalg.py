@@ -14,6 +14,7 @@ from fuscat.char_theory import (
 )
 from fuscat.fusion_ring import (
     _raw_product_table,
+    _right_cosets,
     enumerate_subcategories,
     subcategory_closure,
     subcategory_join,
@@ -22,15 +23,15 @@ from fuscat.fusion_ring import (
 from fuscat.linalg import DEFAULT_TOL, _span_contains, orthonormal_basis
 from fuscat.subalg import (
     ClosureFailure,
-    LatticeTable,
     PartitionMismatch,
     build_lattice,
-    block_partition,
     ce_basis,
     epsilon_L,
     restrict,
     subcategory_from_subalgebra,
 )
+
+from conftest import reference_group_equal_rows
 
 
 def subalgebras(ring, B):
@@ -149,19 +150,19 @@ class TestRoundTrip:
 
 
 class TestPartition:
-    def test_whole_algebra_gives_singletons(self, s3_subalgebras):
-        assert block_partition(s3_subalgebras[(0,)]) == ((0,), (1,), (2,))
+    def test_whole_algebra_gives_singletons(self, s3_table):
+        assert s3_table.entry((0,)).partition == ((0,), (1,), (2,))
 
-    def test_unit_subalgebra_gives_one_class(self, s3_subalgebras):
-        assert block_partition(s3_subalgebras[(0, 1, 2)]) == ((0, 1, 2),)
+    def test_unit_subalgebra_gives_one_class(self, s3_table):
+        assert s3_table.entry((0, 1, 2)).partition == ((0, 1, 2),)
 
-    def test_a3_partition(self, s3_subalgebras):
+    def test_a3_partition(self, s3_table):
         # oracle: primitive idempotents of the center of the A3 group algebra
-        assert block_partition(s3_subalgebras[(0, 1)]) == ((0, 1), (2,))
+        assert s3_table.entry((0, 1)).partition == ((0, 1), (2,))
 
-    def test_a3_unit_idempotent(self, s3_ring, s3_subalgebras):
-        L = s3_subalgebras[(0, 1)]
-        part = block_partition(L)
+    def test_a3_unit_idempotent(self, s3_ring, s3_table):
+        L = s3_table.entry((0, 1)).subalgebra
+        part = s3_table.entry((0, 1)).partition
         ell0 = np.zeros(3, dtype=complex)
         ell0[list(part[0])] = 1
         assert np.allclose(ell0, [1, 1, 0])  # E_0 + E_sgn
@@ -220,14 +221,16 @@ class TestCeBasisDetectsBadSelection:
 
 
 class TestBlockPartitionIndicators:
-    def test_names_the_first_class_outside_the_span(self, s3_subalgebras):
-        # span{E_0, E_sgn + 2 E_rho} separates all three coordinates, as the
-        # character partition ((0,), (1,), (2,)) does, but holds only the
-        # first indicator; the second class is the first one outside.
-        L = dataclasses.replace(s3_subalgebras[(0,)])
-        L.__dict__["ce_span"] = orthonormal_basis([np.array([1.0, 0, 0]), np.array([0.0, 1, 2])])
-        with pytest.raises(PartitionMismatch, match=r"class \[1\] is outside"):
-            block_partition(L)
+    def test_names_the_first_class_outside_the_span(self, s3_ring, s3_table):
+        # span{(1, 1, 0), (1, 0, 1)} has the dimension of the A3 partition
+        # ((0, 1), (2,)) and holds the indicator of (0, 1), but not that of
+        # (2,), the first class outside.
+        e = s3_table.entry((0, 1))
+        L = dataclasses.replace(e.subalgebra)
+        L.__dict__["ce_span"] = orthonormal_basis([np.array([1.0, 1, 0]), np.array([1.0, 0, 1])])
+        head = _right_cosets(s3_ring, s3_table.membership)[s3_table.entries.index(e)]
+        with pytest.raises(PartitionMismatch, match=r"class \[2\] is outside"):
+            subalg._checked_partition(e.subcategory, L, head, DEFAULT_TOL)
 
 
 def group_equal_rows_reference(rows, tol):
@@ -246,7 +249,9 @@ def group_equal_rows_reference(rows, tol):
     return classes
 
 
-class TestGroupEqualRows:
+class TestReferenceGroupEqualRows:
+    """The clustering kept as the partition's reference follows the per-row rule."""
+
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_per_row_rule(self, seed):
         # Clusters of noisy copies plus chains a ~ b ~ c with a !~ c, in
@@ -262,15 +267,15 @@ class TestGroupEqualRows:
         rows = np.array(rows)[rng.permutation(len(rows))]
         expected = group_equal_rows_reference(rows, tol)
         assert len(expected) < len(rows)
-        assert subalg._group_equal_rows(rows, tol) == expected
-        assert subalg._group_equal_rows(rows.real.copy(), tol) == group_equal_rows_reference(
+        assert reference_group_equal_rows(rows, tol) == expected
+        assert reference_group_equal_rows(rows.real.copy(), tol) == group_equal_rows_reference(
             rows.real.copy(), tol
         )
 
     def test_restriction_rows_of_a_table(self, vec_s3_table):
         for e in vec_s3_table.entries:
             rows = subalg._normalized_restrictions(e.subalgebra).T
-            assert subalg._group_equal_rows(rows, subalg.PARTITION_TOL) == (
+            assert reference_group_equal_rows(rows, subalg.PARTITION_TOL) == (
                 group_equal_rows_reference(rows, subalg.PARTITION_TOL)
             )
 
@@ -436,7 +441,9 @@ class TestProjector:
                 assert np.allclose(P @ P, P)
                 assert np.trace(P) == pytest.approx(e.subalgebra.ce_dim)
 
-    def test_restriction_reads_only_the_projector(self, s3_ring, s3_subalgebras, monkeypatch):
+    def test_restriction_reads_only_the_projector(
+        self, s3_ring, s3_blocks, s3_subalgebras, monkeypatch
+    ):
         def no_expand(self, coeffs):
             raise AssertionError("expand called")
 
@@ -444,7 +451,7 @@ class TestProjector:
         L = s3_subalgebras[(0, 1)]
         assert np.allclose(restrict(chi(s3_ring, 0), L).coeffs, epsilon_L(L).coeffs)
         assert subcategory_from_subalgebra(L).indices == (0, 1)
-        assert block_partition(L) == ((0, 1), (2,))
+        assert build_lattice(s3_ring, s3_blocks).entry((0, 1)).partition == ((0, 1), (2,))
 
 
 class TestVerifyReadsTable:
@@ -476,7 +483,7 @@ class TestVerifyReadsTable:
 
         def without_trivial(ring, B, tol=DEFAULT_TOL):
             t = real_build(ring, B, tol)
-            return LatticeTable(t.ring, t.blocks, t.entries[1:], t.hasse_edges)
+            return dataclasses.replace(t, entries=t.entries[1:], membership=t.membership[1:])
 
         monkeypatch.setattr(subalg, "build_lattice", without_trivial)
         checks = {c.name: c for c in verify.verify_ring(vec_s3_ring)}

@@ -106,7 +106,7 @@ def test_perturbed_projector_fails_restriction_pairing(monkeypatch, vec_s3_ring)
         P[0, 1] += 1e-6
         bad = dataclasses.replace(e, subalgebra=dataclasses.replace(e.subalgebra, projector=P))
         entries = t.entries[:1] + (bad,) + t.entries[2:]
-        return subalg.LatticeTable(t.ring, t.blocks, entries, t.hasse_edges)
+        return dataclasses.replace(t, entries=entries)
 
     assert by_name(verify_ring(vec_s3_ring))[RESTRICTION_CHECK].passed
     monkeypatch.setattr(subalg, "build_lattice", perturbed)

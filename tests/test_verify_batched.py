@@ -408,7 +408,7 @@ def _perturb_projector(monkeypatch, ring):
         P = e.subalgebra.projector.copy()
         P[0, 1] += 1e-6
         bad = dataclasses.replace(e, subalgebra=dataclasses.replace(e.subalgebra, projector=P))
-        return subalg.LatticeTable(t.ring, t.blocks, (t.entries[0], bad, *t.entries[2:]), t.hasse_edges)
+        return dataclasses.replace(t, entries=(t.entries[0], bad, *t.entries[2:]))
 
     monkeypatch.setattr(subalg, "build_lattice", perturbed)
 
@@ -493,7 +493,7 @@ def test_product_dimension_violation_fails_by_name(monkeypatch, vec_s3_ring):
         t = real_build(ring, B, tol)
         e = t.entries[0]
         bad = dataclasses.replace(e, subalgebra=dataclasses.replace(e.subalgebra, dim_l=e.subalgebra.dim_l + 1e-3))
-        return subalg.LatticeTable(t.ring, t.blocks, (bad, *t.entries[1:]), t.hasse_edges)
+        return dataclasses.replace(t, entries=(bad, *t.entries[1:]))
 
     monkeypatch.setattr(subalg, "build_lattice", perturbed)
     checks = verify_ring(vec_s3_ring)
@@ -517,7 +517,7 @@ def test_commutative_equality_fails_by_name(monkeypatch):
         e = t.entries[0]
         assert e.subcategory.indices == (0,)
         bad = dataclasses.replace(e, subalgebra=dataclasses.replace(e.subalgebra, dim_l=e.subalgebra.dim_l / 2))
-        return subalg.LatticeTable(t.ring, t.blocks, (bad, *t.entries[1:]), t.hasse_edges)
+        return dataclasses.replace(t, entries=(bad, *t.entries[1:]))
 
     names = [c.name for c in verify_ring(ring, group, kind)]
     monkeypatch.setattr(subalg, "build_lattice", perturbed)
