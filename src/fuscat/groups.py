@@ -56,6 +56,10 @@ __all__ = [
     "crosscheck_vec",
 ]
 
+# Groups are built as dense tables by Python loops, so cyclic, dihedral and
+# product orders above that of symmetric:5 × cyclic:2 are refused beforehand.
+MAX_GROUP_ORDER = 240
+
 
 class BadTable(Exception):
     """Multiplication table violates the group axioms."""
@@ -298,6 +302,11 @@ def product_group(factors: list[FiniteGroup]) -> FiniteGroup:
     return _group_from_pairs(name, items, mul)
 
 
+def _check_order(order: int, source: str) -> None:
+    if order > MAX_GROUP_ORDER:
+        raise UnknownBuiltin(f"{source!r} has order {order}, above the limit {MAX_GROUP_ORDER}")
+
+
 def parse_group(source: str) -> FiniteGroup:
     """Builtin group grammar: cyclic:n, dihedral:2n, symmetric:n, alternating:n,
     quaternion:8, product:A*B (also '×' or 'x' as separators)."""
@@ -308,17 +317,18 @@ def parse_group(source: str) -> FiniteGroup:
             if sep in body:
                 parts = [p for p in body.split(sep) if p]
                 if len(parts) >= 2:
-                    return product_group([parse_group(p) for p in parts])
+                    factors = [parse_group(p) for p in parts]
+                    _check_order(int(np.prod([G.order for G in factors])), source)
+                    return product_group(factors)
         raise UnknownBuiltin(f"cannot split product spec {body!r}")
     kind, _, arg = source.partition(":")
     try:
         n = int(arg) if arg else -1
     except ValueError as exc:
         raise UnknownBuiltin(f"bad group parameter in {source!r}") from exc
-    if kind == "cyclic":
-        return cyclic_group(n)
-    if kind == "dihedral":
-        return dihedral_group(n)
+    if kind in ("cyclic", "dihedral"):
+        _check_order(n, source)
+        return cyclic_group(n) if kind == "cyclic" else dihedral_group(n)
     if kind == "symmetric":
         return symmetric_group(n)
     if kind == "alternating":

@@ -2,7 +2,7 @@
 
 Every other module sits on top of these kernels: simultaneous
 diagonalization of commuting families, orthonormal bases, subspace
-containment and intersection, and integer snapping.  Matrices and vectors are plain
+containment, and integer snapping.  Matrices and vectors are plain
 ``numpy`` arrays of ``complex128``; all randomness flows through one explicit
 seed and all comparisons go through a :class:`Tolerance`.
 
@@ -161,52 +161,6 @@ def _span_contains(Q: np.ndarray, V: np.ndarray, tol: Tolerance) -> bool:
     R = V - Q @ (Q.conj().T @ V) if Q.shape[1] else V
     res = np.max(np.abs(R), axis=0, initial=0.0)
     return not bool(np.any((nrm > 0) & (res > tol.abs_tol * 100 + tol.rel_tol * nrm)))
-
-
-def _unit_cosine_floor(tol: Tolerance) -> float:
-    """Principal-angle cosines at or above this count as 1: a shared direction."""
-    return 1.0 - max(100 * tol.abs_tol, 1e-8)
-
-
-def _intersection_dims(
-    spans: Sequence[np.ndarray], a: np.ndarray, b: np.ndarray, tol: Tolerance
-) -> np.ndarray:
-    """dim(span(spans[a[k]]) n span(spans[b[k]])) for every pair k.
-
-    Each span is given by orthonormal columns.  The dimension of a pair's
-    intersection is the number of its principal-angle cosines at or above
-    :func:`_unit_cosine_floor`, and those cosines are the singular values
-    of its block of the Gram matrix of all spans' columns.  The Gram matrix is
-    formed for a row block of spans at a time, at most ``_BLOCK_BYTES`` (at
-    least one span), against the columns from the first span that a pair of
-    the row block reads; within a row block, the pairs of each (width of a,
-    width of b) share one batched SVD.
-    """
-    out = np.zeros(len(a), dtype=int)
-    if not len(a):
-        return out
-    widths = np.array([Q.shape[1] for Q in spans])
-    ends = np.cumsum(widths)
-    starts = ends - widths
-    Q = np.concatenate(spans, axis=1)
-    floor = _unit_cosine_floor(tol)
-    limit = max(1, _BLOCK_BYTES // (16 * max(1, Q.shape[1])))
-    lo = 0
-    while lo < len(spans):
-        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + limit, side="right")))
-        pairs = np.flatnonzero((a >= lo) & (a < hi) & (widths[a] > 0) & (widths[b] > 0))
-        if pairs.size:
-            col0 = starts[b[pairs]].min()
-            G = Q[:, starts[lo] : ends[hi - 1]].conj().T @ Q[:, col0:]
-            keys = widths[a[pairs]] * (widths.max() + 1) + widths[b[pairs]]
-            for key in set(keys.tolist()):
-                k = pairs[keys == key]
-                rows = starts[a[k]][:, None] - starts[lo] + np.arange(widths[a[k[0]]])
-                cols = starts[b[k]][:, None] - col0 + np.arange(widths[b[k[0]]])
-                s = np.linalg.svd(G[rows[:, :, None], cols[:, None, :]], compute_uv=False)
-                out[k] = np.count_nonzero(s >= floor, axis=1)
-        lo = hi
-    return out
 
 
 def snap_integer(x, tol: Tolerance = DEFAULT_TOL) -> int:

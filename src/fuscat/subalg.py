@@ -12,7 +12,7 @@ x⊗D, on which both sides have closed forms: restriction is f ↦ f·λ_D with
 subspace is spanned by the indicators of the cosets.  The central subspace
 with its class-sum basis lives here too, and so does the correspondence
 table of a ring, which is built once, checks the float data against these
-closed forms and answers the lattice operations by lookup.
+closed forms and reads the lattice operations off the inclusion order.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .char_theory import (
 from .fusion_ring import (
     FusionRingData,
     FusionSubcategory,
-    _close_rows,
     _right_cosets,
     enumerate_subcategories,
     subcategory_closure,
@@ -126,9 +125,8 @@ class SubalgebraIndex:
     def ce_span(self) -> np.ndarray:
         """Orthonormal basis of the central subspace, in idempotent coordinates.
 
-        The columns keep the SVD's own phases: every reader tests containment,
-        counts an intersection or compares rows, and none of these sees a
-        phase per column.
+        The columns keep the SVD's own phases: every reader tests containment
+        or counts columns, and neither sees a phase per column.
         """
         return _orthonormal_columns(self.class_sums[self.selected].T, DEFAULT_TOL)
 
@@ -315,11 +313,10 @@ class LatticeTable:
     """The correspondence of one ring under one block structure.
 
     Entries are in enumeration order and are looked up by subcategory
-    indices.  The lattice operations on subalgebras are lookups of the meet
-    and the join of the subcategories, for many pairs at once through the
-    membership matrix (:meth:`meets_and_joins`): the product of two
-    subalgebras is the entry of the meet, their intersection the entry of
-    the join.
+    indices; exact arrays over them hold the membership, the inclusion order
+    and the coset class ids.  The lattice operations on subalgebras are read
+    off the order (:meth:`meets_and_joins`): the product of two subalgebras
+    is the entry of the meet, their intersection the entry of the join.
     """
 
     ring: FusionRingData
@@ -327,6 +324,8 @@ class LatticeTable:
     entries: tuple[LatticeEntry, ...]
     hasse_edges: tuple[tuple[int, int], ...]
     membership: np.ndarray  # (S, r) bool: row e marks the simples of entry e's subcategory
+    inside: np.ndarray  # (S, S) bool: (a, b) when entry a's subcategory lies in entry b's
+    cosets: np.ndarray  # (S, r) class ids: entry x of row e is the smallest simple of x⊗D_e
 
     @cached_property
     def _by_indices(self) -> dict[tuple[int, ...], LatticeEntry]:
@@ -336,22 +335,25 @@ class LatticeTable:
         """The entry of the subcategory with these indices, if it is in the table."""
         return self._by_indices.get(indices)
 
-    @cached_property
-    def _by_row(self) -> dict[bytes, int]:
-        return {row.tobytes(): e for e, row in enumerate(self.membership)}
-
-    def _lookup(self, rows: np.ndarray) -> np.ndarray:
-        """Entry position of each (K, r) bool membership row, -1 where none has it."""
-        return np.array([self._by_row.get(row.tobytes(), -1) for row in rows], dtype=np.intp)
-
     def meets_and_joins(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Entry positions of the meet and the join of each pair (a[k], b[k]).
 
-        Meets are row intersections; the joins close all the row unions at
-        once.  -1 marks a result missing from the table.
+        The meet is the lower bound with the most simples, as it holds every
+        other one, and the join the upper bound with the fewest.  Bounds are
+        formed for a row block of pairs at a time, at most ``_BLOCK_BYTES``;
+        -1 marks a pair with no common bound in the table.
         """
-        M = self.membership
-        return self._lookup(M[a] & M[b]), self._lookup(_close_rows(self.ring, M[a] | M[b]))
+        size = self.membership.sum(axis=1)
+        orders = (np.argsort(-size, kind="stable"), np.argsort(size, kind="stable"))
+        bounds = (self.inside.T[:, orders[0]], self.inside[:, orders[1]])
+        out = np.empty((2, len(a)), dtype=np.intp)
+        step = max(1, _BLOCK_BYTES // max(1, len(size)))
+        for lo in range(0, len(a), step):
+            k = slice(lo, lo + step)
+            for side, (order, inside) in enumerate(zip(orders, bounds)):
+                common = inside[a[k]] & inside[b[k]]
+                out[side, k] = np.where(common.any(axis=1), order[np.argmax(common, axis=1)], -1)
+        return out[0], out[1]
 
 
 class _EntryStack(NamedTuple):
@@ -401,8 +403,8 @@ def build_lattice(
     (:func:`fusion_ring._right_cosets`), and its float data are checked
     against their closed forms on them (:func:`_checked_partition`); then no
     subcategory may occur twice.  The error of the first failing entry, else
-    of the first repeated pair, is the one raised.  Emits Hasse edges of the
-    subcategory inclusion order.
+    of the first repeated pair, is the one raised.  Keeps the inclusion order
+    and the coset class ids, and emits the Hasse edges of the order.
 
     Injectivity and anti-monotonicity follow without a test of their own.
     Each central subspace is the span of the coset indicators of its D, and
@@ -413,8 +415,10 @@ def build_lattice(
     """
     subcats = enumerate_subcategories(ring)
     M = _membership(ring, subcats)
+    cosets = _right_cosets(ring, M)
+    cosets.setflags(write=False)
     entries = []
-    for D, L, head in zip(subcats, _subalgebras(subcats, B, tol), _right_cosets(ring, M)):
+    for D, L, head in zip(subcats, _subalgebras(subcats, B, tol), cosets):
         if isinstance(L, Exception):
             raise L
         entries.append(LatticeEntry(D, L, _checked_partition(D, L, head, tol)))
@@ -426,7 +430,7 @@ def build_lattice(
             "distinct subcategories produced identical central subspaces: "
             f"{entries[a].subcategory.indices} vs {entries[b].subcategory.indices}"
         )
-    return LatticeTable(ring, B, tuple(entries), _hasse_edges(inside), M)
+    return LatticeTable(ring, B, tuple(entries), _hasse_edges(inside), M, inside, cosets)
 
 
 def _checked_partition(
@@ -443,9 +447,11 @@ def _checked_partition(
     Fourier image of λ_D·CF, is then the span of the coset indicators.
     Raised in this order: the round trip's error when the restrictions
     within ``PARTITION_TOL`` of epsilon_L are not D; :class:`PartitionMismatch`
-    when a restriction is further than that from its closed form, when the
-    central subspace and the cosets differ in number, or when a coset
-    indicator lies outside the central subspace.  A false closed form fails.
+    when a restriction is further than that from its closed form, when
+    ``ce_dim`` or the width of the central subspace is not the number of
+    cosets, or when a coset indicator lies outside the central subspace.  A
+    false closed form fails; a passing central subspace is closed under
+    pointwise product, as the coset indicators are.
     """
     d = L.ring.dims
     Q = _normalized_restrictions(L)
@@ -462,6 +468,8 @@ def _checked_partition(
     cuts = [0, *(np.flatnonzero(np.diff(head[order])) + 1).tolist(), len(d)]
     heads = order[cuts[:-1]]
     partition = tuple(tuple(order[lo:hi].tolist()) for lo, hi in zip(cuts, cuts[1:]))
+    if L.ce_dim != len(heads):
+        raise PartitionMismatch(f"ce_dim is {L.ce_dim}, {D.indices} has {len(heads)} right cosets")
     span = L.ce_span
     if span.shape[1] != len(heads):
         raise PartitionMismatch(

@@ -199,3 +199,49 @@ def reference_block_partition(L, tol=linalg.DEFAULT_TOL):
             f"indicator idempotent of class {bad} is outside the central subspace"
         )
     return tuple(tuple(c) for c in classes)
+
+
+def unit_cosine_floor(tol):
+    """Principal-angle cosines at or above this count as 1: a shared direction."""
+    return 1.0 - max(100 * tol.abs_tol, 1e-8)
+
+
+def intersection_dims(spans, a, b, tol=linalg.DEFAULT_TOL):
+    """dim(span(spans[a[k]]) n span(spans[b[k]])) for every pair k, in floats:
+    the count that verify's pair checks made before they compared coset
+    partitions exactly, kept as the reference for them.
+
+    Each span is given by orthonormal columns.  The dimension of a pair's
+    intersection is the number of its principal-angle cosines at or above
+    :func:`unit_cosine_floor`, and those cosines are the singular values
+    of its block of the Gram matrix of all spans' columns.  The Gram matrix is
+    formed for a row block of spans at a time, at most ``linalg._BLOCK_BYTES`` (at
+    least one span), against the columns from the first span that a pair of
+    the row block reads; within a row block, the pairs of each (width of a,
+    width of b) share one batched SVD.
+    """
+    out = np.zeros(len(a), dtype=int)
+    if not len(a):
+        return out
+    widths = np.array([Q.shape[1] for Q in spans])
+    ends = np.cumsum(widths)
+    starts = ends - widths
+    Q = np.concatenate(spans, axis=1)
+    floor = unit_cosine_floor(tol)
+    limit = max(1, linalg._BLOCK_BYTES // (16 * max(1, Q.shape[1])))
+    lo = 0
+    while lo < len(spans):
+        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + limit, side="right")))
+        pairs = np.flatnonzero((a >= lo) & (a < hi) & (widths[a] > 0) & (widths[b] > 0))
+        if pairs.size:
+            col0 = starts[b[pairs]].min()
+            G = Q[:, starts[lo] : ends[hi - 1]].conj().T @ Q[:, col0:]
+            keys = widths[a[pairs]] * (widths.max() + 1) + widths[b[pairs]]
+            for key in set(keys.tolist()):
+                k = pairs[keys == key]
+                rows = starts[a[k]][:, None] - starts[lo] + np.arange(widths[a[k[0]]])
+                cols = starts[b[k]][:, None] - col0 + np.arange(widths[b[k[0]]])
+                s = np.linalg.svd(G[rows[:, :, None], cols[:, None, :]], compute_uv=False)
+                out[k] = np.count_nonzero(s >= floor, axis=1)
+        lo = hi
+    return out

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuscat import cli
+from fuscat import cli, groups
 
 
 def run_cli(args, capsys):
@@ -317,6 +318,38 @@ class TestConfig:
         assert code == 2
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def _refuse_oversized(monkeypatch):
+    """Builders of cyclic, dihedral and product groups that fail instead of
+    building a group above ``MAX_GROUP_ORDER``."""
+    for name in ("cyclic_group", "dihedral_group", "product_group"):
+        build = getattr(groups, name)
+
+        def guarded(arg, build=build):
+            order = math.prod(G.order for G in arg) if isinstance(arg, list) else arg
+            assert order <= groups.MAX_GROUP_ORDER, f"built a group of order {order}"
+            return build(arg)
+
+        monkeypatch.setattr(groups, name, guarded)
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["vec:cyclic:99999999", "rep:dihedral:1000", "vec:product:cyclic:200*cyclic:2", "vec:product:symmetric:5*cyclic:4"],
+)
+def test_oversized_group_is_one_line_error(source, capsys, monkeypatch):
+    _refuse_oversized(monkeypatch)
+    code, out, err = run_cli(["subcategories", source], capsys)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "above the limit" in lines[0]
+
+
+def test_largest_builtin_group_parses(monkeypatch):
+    _refuse_oversized(monkeypatch)
+    assert groups.parse_group("product:symmetric:5*cyclic:2").order == groups.MAX_GROUP_ORDER == 240
+    assert groups.parse_group(f"cyclic:{groups.MAX_GROUP_ORDER}").order == 240
 
 
 _JSON = st.recursive(

@@ -155,9 +155,15 @@ def reference_build_lattice(ring, B, tol=DEFAULT_TOL):
                         f"inclusion {ea.subcategory.indices} <= {eb.subcategory.indices} "
                         "was not reversed by the central subspaces"
                     )
-    edges = reference_edges([set(e.subcategory.indices) for e in entries])
+    sets = [set(e.subcategory.indices) for e in entries]
     M = np.array([np.isin(np.arange(ring.rank), e.subcategory.indices) for e in entries])
-    return LatticeTable(ring, B, tuple(entries), edges, M)
+    inside = np.array([[x <= y for y in sets] for x in sets])
+    # Class ids from the clustered partitions: the smallest simple of each class.
+    cosets = np.empty((len(entries), ring.rank), dtype=np.intp)
+    for row, e in zip(cosets, entries):
+        for cls in e.partition:
+            row[list(cls)] = min(cls)
+    return LatticeTable(ring, B, tuple(entries), reference_edges(sets), M, inside, cosets)
 
 
 def ring_of(source):
@@ -176,6 +182,8 @@ def assert_tables_match(new, ref):
         assert np.max(np.abs(L.cointegral_components - R.cointegral_components)) <= 1e-12
         assert np.max(np.abs(L.projector - R.projector)) <= 1e-12
     assert new.hasse_edges == ref.hasse_edges
+    for field in ("membership", "inside", "cosets"):
+        assert np.array_equal(getattr(new, field), getattr(ref, field)), field
 
 
 @pytest.mark.parametrize(

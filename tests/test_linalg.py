@@ -19,7 +19,7 @@ from fuscat.linalg import (
     snap_integer,
 )
 
-from conftest import s3_mult_table, su2_fusion_ring
+from conftest import intersection_dims, s3_mult_table, su2_fusion_ring
 
 
 def s3_class_matrices():
@@ -303,15 +303,15 @@ class TestBatchedChecks:
 
 
 class TestSubspaces:
-    # linalg._intersection_dims(spans, a, b, tol)[k] is the dimension of
+    # intersection_dims(spans, a, b, tol)[k] is the dimension of
     # span(spans[a[k]]) n span(spans[b[k]]) for orthonormal columns.
     def test_same_vector(self):
         spans = [orthonormal_basis([np.array([1.0, 0.0])])]
-        assert linalg._intersection_dims(spans, np.array([0]), np.array([0]), DEFAULT_TOL).tolist() == [1]
+        assert intersection_dims(spans, np.array([0]), np.array([0]), DEFAULT_TOL).tolist() == [1]
 
     def test_disjoint(self):
         spans = [orthonormal_basis([np.array([1.0, 0.0])]), orthonormal_basis([np.array([0.0, 1.0])])]
-        dims = linalg._intersection_dims(spans, np.array([0, 1]), np.array([1, 0]), DEFAULT_TOL)
+        dims = intersection_dims(spans, np.array([0, 1]), np.array([1, 0]), DEFAULT_TOL)
         assert dims.tolist() == [0, 0]
 
     def test_central_subspaces_inside_rep_s3(self):
@@ -320,7 +320,7 @@ class TestSubspaces:
         ce_a3 = [np.array([1.0, 1, 1]), np.array([2.0, 2, -1])]
         ce_s3 = ce_a3 + [np.array([3.0, -3, 0])]
         spans = [orthonormal_basis(ce_a3), orthonormal_basis(ce_s3)]
-        dims = linalg._intersection_dims(spans, np.array([0, 1, 1]), np.array([1, 0, 1]), DEFAULT_TOL)
+        dims = intersection_dims(spans, np.array([0, 1, 1]), np.array([1, 0, 1]), DEFAULT_TOL)
         assert dims.tolist() == [2, 2, 3]
 
     def test_intersection_of_self_is_rank(self):
@@ -329,7 +329,7 @@ class TestSubspaces:
         B.append(B[0] + B[1])  # dependent vector: rank stays 3
         Q = orthonormal_basis(B)
         assert Q.shape[1] == 3
-        assert linalg._intersection_dims([Q], np.array([0]), np.array([0]), DEFAULT_TOL).tolist() == [3]
+        assert intersection_dims([Q], np.array([0]), np.array([0]), DEFAULT_TOL).tolist() == [3]
 
     @pytest.mark.parametrize("shared", range(4))
     @pytest.mark.parametrize("gap", [0.0, 0.5, 2.0, 1e4])
@@ -346,7 +346,7 @@ class TestSubspaces:
         B2 = np.column_stack([Q[:, :shared], tilted, Q[:, shared + 2 : shared + 4] + Q[:, 8:9]])
         Q1, Q2 = orthonormal_basis(B1), orthonormal_basis(B2)
         spans = [Q1, Q2, Q2[:, :0]]
-        dims = linalg._intersection_dims(spans, np.array([0, 1, 0, 2]), np.array([1, 0, 2, 0]), DEFAULT_TOL)
+        dims = intersection_dims(spans, np.array([0, 1, 0, 2]), np.array([1, 0, 2, 0]), DEFAULT_TOL)
         expected = shared + (gap < 1)
         assert dims.tolist() == [expected, expected, 0, 0]
 

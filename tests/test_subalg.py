@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fuscat import groups, subalg, verify, wedderburn
+from fuscat.cli import parse_source
 from fuscat.char_theory import (
     CentralElement,
     chi,
@@ -31,7 +32,31 @@ from fuscat.subalg import (
     subcategory_from_subalgebra,
 )
 
-from conftest import reference_group_equal_rows
+from conftest import (
+    deligne_product,
+    haagerup_izumi_ring,
+    intersection_dims,
+    reference_group_equal_rows,
+    su2_fusion_ring,
+)
+
+
+# Rings for the lattice-operation identities: the group battery, SU(2)_k,
+# Haagerup-Izumi rings and Deligne products, several of them non-commutative
+# or non-integral.
+LATTICE_RINGS = {source: (lambda source=source: parse_source(source, 0, DEFAULT_TOL)[0]) for source in verify.battery_sources(large=True)}
+LATTICE_RINGS.update({f"su2:{k}": (lambda k=k: su2_fusion_ring(k)) for k in (2, 3, 4, 6, 8)})
+LATTICE_RINGS.update({f"hi:{n}": (lambda n=n: haagerup_izumi_ring(n)) for n in (3, 4)})
+LATTICE_RINGS.update(
+    {
+        "su2:2*su2:2": lambda: deligne_product(su2_fusion_ring(2), su2_fusion_ring(2)),
+        "su2:4*su2:4": lambda: deligne_product(su2_fusion_ring(4), su2_fusion_ring(4)),
+        "hi:3*su2:3": lambda: deligne_product(haagerup_izumi_ring(3), su2_fusion_ring(3)),
+        "su2:2^3": lambda: deligne_product(
+            deligne_product(su2_fusion_ring(2), su2_fusion_ring(2)), su2_fusion_ring(2)
+        ),
+    }
+)
 
 
 def subalgebras(ring, B):
@@ -334,26 +359,44 @@ class TestLatticeOps:
         assert product_and_intersection(s3_table, a3, a3)[0] is a3
         assert product_and_intersection(s3_table, a3, s3)[1].subalgebra.dim_l == pytest.approx(3)
 
-    def test_meet_join_identities(self, vec_s3_table):
-        entries = vec_s3_table.entries
-        a, b = (x.ravel() for x in np.indices((len(entries), len(entries))))
-        meets, joins = vec_s3_table.meets_and_joins(a, b)
+    @pytest.mark.parametrize("name", sorted(LATTICE_RINGS))
+    def test_meet_join_identities(self, name):
+        # Order meets and joins against the index-set meet and the closure of
+        # the union; the partition join against the join's cosets, whose
+        # class count is the float intersection of the two central subspaces.
+        ring = LATTICE_RINGS[name]()
+        table = build_lattice(ring, wedderburn.compute_blocks(ring))
+        entries = table.entries
+        a, b = np.triu_indices(len(entries))
+        meets, joins = table.meets_and_joins(a, b)
         for x, y, meet, join in zip(a, b, meets, joins):
-            A, B = entries[x], entries[y]
-            lm = entries[meet].subalgebra
-            assert (
-                subcategory_from_subalgebra(lm).indices
-                == subcategory_meet(A.subcategory, B.subcategory).indices
-            )
-            li = entries[join].subalgebra
-            assert (
-                subcategory_from_subalgebra(li).indices
-                == subcategory_join(A.subcategory, B.subcategory).indices
-            )
-            # dim(U n V) = dim U + dim V - dim(U + V)
-            QA, QB = A.subalgebra.ce_span, B.subalgebra.ce_span
-            shared = QA.shape[1] + QB.shape[1] - np.linalg.matrix_rank(np.hstack([QA, QB]), tol=1e-6)
-            assert shared == li.ce_dim
+            A, B = entries[x].subcategory, entries[y].subcategory
+            assert entries[meet].subcategory.indices == subcategory_meet(A, B).indices
+            assert entries[join].subcategory.indices == subcategory_join(A, B).indices
+        ids = verify._coset_joins(table.cosets, a, b)
+        assert np.array_equal(ids, table.cosets[joins])
+        classes = [len(set(row)) for row in ids.tolist()]
+        spans = [e.subalgebra.ce_span for e in entries]
+        ce_dim = np.array([e.subalgebra.ce_dim for e in entries])
+        assert classes == intersection_dims(spans, a, b).tolist() == ce_dim[joins].tolist()
+
+
+def test_pointwise_products_of_central_subspaces_miss_the_meet():
+    # The product of two subalgebras is not the span of the pointwise
+    # products of their central subspaces beyond groups.  In
+    # SU(2)_2 x SU(2)_2, A = {(0,0), (0,2)} and the diagonal
+    # B = {(0,0), (2,2)} meet in the trivial subcategory, whose central
+    # subspace is everything, yet the products span one dimension less.
+    ring = deligne_product(su2_fusion_ring(2), su2_fusion_ring(2))
+    table = build_lattice(ring, wedderburn.compute_blocks(ring))
+    A, B = table.entry((0, 2)), table.entry((0, 8))
+    QA, QB = A.subalgebra.ce_span, B.subalgebra.ce_span
+    assert (QA.shape[1], QB.shape[1]) == (6, 5)
+    products = (QA[:, :, None] * QB[:, None, :]).reshape(ring.rank, -1)
+    assert np.linalg.matrix_rank(products, tol=1e-6) == 8
+    meets, _ = table.meets_and_joins(np.array([table.entries.index(A)]), np.array([table.entries.index(B)]))
+    meet = table.entries[meets[0]]
+    assert meet.subcategory.indices == (0,) and meet.subalgebra.ce_dim == 9
 
 
 class TestDimInequality:
@@ -483,7 +526,13 @@ class TestVerifyReadsTable:
 
         def without_trivial(ring, B, tol=DEFAULT_TOL):
             t = real_build(ring, B, tol)
-            return dataclasses.replace(t, entries=t.entries[1:], membership=t.membership[1:])
+            return dataclasses.replace(
+                t,
+                entries=t.entries[1:],
+                membership=t.membership[1:],
+                inside=t.inside[1:, 1:],
+                cosets=t.cosets[1:],
+            )
 
         monkeypatch.setattr(subalg, "build_lattice", without_trivial)
         checks = {c.name: c for c in verify.verify_ring(vec_s3_ring)}

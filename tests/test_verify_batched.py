@@ -7,7 +7,7 @@ earlier per-block ``verify_class_sum_pairings``, ``verify_dual_bases`` and
 the projection of the integral and the ``ce_basis`` closure test.  The
 product dimension bound is worked out inline, and the dimension of each
 intersection of central subspaces by rank, dim U + dim V - dim(U + V),
-independent of the principal angles that the suite counts.  The reference
+independent of the coset partitions that the suite compares.  The reference
 looks up ``compute_blocks`` through ``verify`` and ``build_lattice`` through
 ``subalg`` at call time, so a test that perturbs one of them perturbs both
 suites alike.
@@ -19,7 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fuscat import char_theory, linalg, subalg, verify, wedderburn
+from fuscat import char_theory, fusion_ring, linalg, subalg, verify, wedderburn
 from fuscat.char_theory import (
     CentralElement,
     ce_multiply,
@@ -44,7 +44,7 @@ from fuscat.linalg import DEFAULT_TOL, _span_contains, snap_integer
 from fuscat.verify import LATTICE_CHECK, CheckResult, battery_sources, verify_ring
 from fuscat.wedderburn import _unit_relation_residual
 
-from conftest import perturb_unit, su2_fusion_ring
+from conftest import intersection_dims, perturb_unit, su2_fusion_ring
 
 
 def reference_class_sum_pairings(B):
@@ -418,18 +418,85 @@ def _perturb_unit(monkeypatch, ring):
     monkeypatch.setattr(verify, "compute_blocks", lambda ring, seed=0, tol=None: bad)
 
 
-def _miscount_intersections(monkeypatch, ring):
-    """Count one dimension too many in the intersection of two distinct spans.
+def _replace_table(monkeypatch, change):
+    """build_lattice, in both suites, returns change(table) of the real table."""
+    real_build = subalg.build_lattice
+    monkeypatch.setattr(subalg, "build_lattice", lambda ring, B, tol=DEFAULT_TOL: change(real_build(ring, B, tol)))
 
-    The loops count by rank, so only the batched suite sees it.
+
+def _first_proper(table, side):
+    """Position of the first entry after the trivial subcategory that is the
+    meet (side 0) of two entries strictly above it, or the join (side 1) of
+    two strictly below it."""
+    inside = table.inside
+    for e in range(1, len(inside)):
+        others = np.flatnonzero(inside[e] & ~inside[:, e] if side == 0 else inside[:, e] & ~inside[e])
+        a, b = np.triu_indices(len(others), 1)
+        if np.any(table.meets_and_joins(others[a], others[b])[side] == e):
+            return e
+    raise AssertionError("no such entry")
+
+
+def _drop_entry(monkeypatch, side):
+    """Remove the first proper meet or join: the order then lands on another entry."""
+
+    def drop(t):
+        keep = np.arange(len(t.entries)) != _first_proper(t, side)
+        return dataclasses.replace(
+            t,
+            entries=tuple(e for e, k in zip(t.entries, keep) if k),
+            membership=t.membership[keep],
+            inside=t.inside[keep][:, keep],
+            cosets=t.cosets[keep],
+        )
+
+    _replace_table(monkeypatch, drop)
+
+
+def _drop_a_join(monkeypatch, ring):
+    _drop_entry(monkeypatch, 1)
+
+
+def _relabel_cosets(monkeypatch, ring):
+    """Swap the class ids of a simple in a join's unit class and one outside it.
+
+    Only the table's exact class ids change, so only the batched suite sees it.
     """
-    real = linalg._intersection_dims
 
-    def miscounted(spans, a, b, tol):
-        out = real(spans, a, b, tol)
-        return out + [spans[x] is not spans[y] for x, y in zip(a, b)]
+    def relabel(t):
+        e = _first_proper(t, 1)
+        ids = t.cosets.copy()
+        x = int(np.flatnonzero(ids[e] != 0)[0])
+        y = int(np.flatnonzero(ids[e] == 0)[1])
+        ids[e, [x, y]] = ids[e, [y, x]]
+        return dataclasses.replace(t, cosets=ids)
 
-    monkeypatch.setattr(verify, "_intersection_dims", miscounted)
+    _replace_table(monkeypatch, relabel)
+
+
+def _skew_span(monkeypatch, ring):
+    """Every central subspace becomes a random one of its width; the first
+    one below the whole space misses a coset indicator."""
+    rng = np.random.default_rng(0)
+    real = subalg.SubalgebraIndex.ce_span.func
+
+    def skewed(self):
+        Q = real(self)
+        return np.linalg.qr(rng.standard_normal(Q.shape) + 1j * rng.standard_normal(Q.shape))[0]
+
+    monkeypatch.setattr(subalg.SubalgebraIndex, "ce_span", property(skewed))
+
+
+def _ce_dim_off_by_one(monkeypatch, ring):
+    """The last subalgebra claims one central direction more than its cosets."""
+    real = subalg._subalgebras
+
+    def bumped(subcats, B, tol):
+        out = real(subcats, B, tol)
+        out[-1] = dataclasses.replace(out[-1], ce_dim=out[-1].ce_dim + 1)
+        return out
+
+    monkeypatch.setattr(subalg, "_subalgebras", bumped)
 
 
 def _patch_raw_products(monkeypatch, edit):
@@ -464,23 +531,53 @@ def _raw_products_in_different_orders(monkeypatch, ring):
     "perturb, source, expected, reference_sees",
     [
         (_swap_one_meet, "vec:symmetric:3", {"meet and join correspondence"}, True),
-        (_miscount_intersections, "vec:symmetric:3", {"meet and join correspondence"}, False),
+        (_drop_a_join, "vec:dihedral:8", {"meet and join correspondence"}, True),
+        (_relabel_cosets, "vec:dihedral:8", {"meet and join correspondence"}, False),
+        (_skew_span, "vec:symmetric:3", {LATTICE_CHECK}, True),
+        (_ce_dim_off_by_one, "vec:symmetric:3", {LATTICE_CHECK}, True),
         (_raw_product_outside_join, "vec:symmetric:3", {"meet and join correspondence"}, True),
         (_raw_products_in_different_orders, "rep:product:cyclic:2*cyclic:2", {"meet and join correspondence"}, True),
         (_perturb_projector, "vec:symmetric:3", {"restriction compatible with pairing"}, True),
-        (_perturb_unit, "vec:symmetric:3", {"class sum pairings", "dual bases identity"}, True),
+        (
+            _perturb_unit,
+            "vec:symmetric:3",
+            {"class sum pairings", "dual bases identity", "matrix unit relations and unit sum", LATTICE_CHECK},
+            True,
+        ),
     ],
-    ids=["meet", "intersection", "raw-outside-join", "raw-orders", "projector", "unit"],
+    ids=[
+        "meet",
+        "dropped-join",
+        "relabelled-cosets",
+        "skewed-span",
+        "ce-dim",
+        "raw-outside-join",
+        "raw-orders",
+        "projector",
+        "unit",
+    ],
 )
 def test_perturbations_fail_the_same_checks(monkeypatch, perturb, source, expected, reference_sees):
     ring = parse_source(source, 0, DEFAULT_TOL)[0]
     perturb(monkeypatch, ring)
     new = verify_ring(ring)
-    assert expected <= failing(new)
+    assert failing(new) == expected
     if reference_sees:
         assert failing(new) == failing(reference_verify_ring(ring))
     else:
-        assert failing(new) == expected and not failing(reference_verify_ring(ring))
+        assert not failing(reference_verify_ring(ring))
+
+
+def test_dropped_meet_fails_by_name(monkeypatch):
+    # In D8, {e, r^2} is the meet of the two Klein four-groups and of either
+    # with C4, and the join of no two entries.  Without it the order meet
+    # lands on the trivial subgroup, which is not the intersection, and
+    # whose subalgebra exceeds the product dimension bound.
+    ring = parse_source("vec:dihedral:8", 0, DEFAULT_TOL)[0]
+    _drop_entry(monkeypatch, 0)
+    assert failing(verify_ring(ring)) == {"meet and join correspondence", "product dimension bound"}
+    with pytest.raises(BoundViolation):
+        reference_verify_ring(ring)
 
 
 def test_product_dimension_violation_fails_by_name(monkeypatch, vec_s3_ring):
@@ -549,33 +646,20 @@ def test_no_per_element_pairings(monkeypatch, k):
 
 
 @pytest.mark.parametrize("source", ["vec:symmetric:3", "vec:dihedral:8", "vec:symmetric:4"])
-def test_pair_svds_one_per_width_group(monkeypatch, source):
-    # The Gram matrices of the two smaller rings fit one row block; the 30
-    # central spans of vec:symmetric:4 (234 columns) take several.
+def test_pair_checks_run_no_svd_and_no_closure(monkeypatch, source):
+    # Meets and joins come from the inclusion order and the intersections
+    # from the coset partitions, so the pair checks touch no float span.
     ring = parse_source(source, 0, DEFAULT_TOL)[0]
-    real_pairs, real_svd = verify._pair_checks, np.linalg.svd
-    seen = {"svd": 0}
+    table = subalg.build_lattice(ring, verify.compute_blocks(ring))
 
-    def pair_checks(ring, table, tol):
-        w = np.array([e.subalgebra.ce_dim for e in table.entries])
-        a, b = np.triu_indices(len(w))
-        seen["groups"], seen["pairs"] = len(set(zip(w[a].tolist(), w[b].tolist()))), len(a)
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        try:
-            return real_pairs(ring, table, tol)
-        finally:
-            monkeypatch.setattr(np.linalg, "svd", real_svd)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called")
 
-    def counting_svd(*args, **kwargs):
-        seen["svd"] += 1
-        return real_svd(*args, **kwargs)
-
-    monkeypatch.setattr(verify, "_pair_checks", pair_checks)
-    assert all(c.passed for c in verify_ring(ring))
-    if source == "vec:symmetric:4":
-        assert 0 < seen["svd"] < seen["pairs"] // 4
-    else:
-        assert 0 < seen["svd"] <= seen["groups"] < seen["pairs"]
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    monkeypatch.setattr(fusion_ring, "_close_rows", forbidden)
+    checks = verify._pair_checks(ring, table)
+    assert checks[0].name == "meet and join correspondence"
+    assert all(c.passed for c in checks)
 
 
 def test_intersection_dims_in_row_blocks(monkeypatch):
@@ -588,8 +672,8 @@ def test_intersection_dims_in_row_blocks(monkeypatch):
     a, b = np.triu_indices(len(spans))
     expected = [intersection_dim(spans[x], spans[y]) for x, y in zip(a, b)]
     monkeypatch.setattr(linalg, "_BLOCK_BYTES", 16 * 3 * 18)
-    assert linalg._intersection_dims(spans, b, a, DEFAULT_TOL).tolist() == expected
-    assert linalg._intersection_dims(spans, a, b, DEFAULT_TOL).tolist() == expected
+    assert intersection_dims(spans, b, a, DEFAULT_TOL).tolist() == expected
+    assert intersection_dims(spans, a, b, DEFAULT_TOL).tolist() == expected
     assert [expected[k] for k in np.flatnonzero(a == b)] == [0, 1, 3, 3, 5, 2, 4]
     assert expected[len(spans) + 1 : 2 * len(spans) - 3] == [1, 1, 1]  # span 1 inside 2, 3, 4
 
@@ -639,9 +723,9 @@ def test_entry_checks_in_blocks_sized_by_rank(monkeypatch, vec_a5_ring):
     sizes = []
     real = verify._entry_residuals
 
-    def spy(ring, entries, tol):
+    def spy(ring, entries):
         sizes.append(len(entries))
-        return real(ring, entries, tol)
+        return real(ring, entries)
 
     def stop(*args):
         raise _Stop
