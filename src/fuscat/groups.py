@@ -28,6 +28,7 @@ from .fusion_ring import FusionRingData, FusionSubcategory, build_ring
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _orthonormal_columns,
     _span_contains,
     common_eigenbasis,
     orthonormal_basis,
@@ -679,16 +680,18 @@ def crosscheck_rep(
         clifford = tuple(sorted({tuple(np.flatnonzero(row).tolist()) for row in related}))
         if e.partition != clifford:
             mismatches.append(f"partition for N={N} is {e.partition}, expected {clifford}")
+        # The selected class sums span the expected ones when they lie in
+        # their span and have full rank c against them.
         expected_span = _expected_class_sum_span(table, N)
-        span = L.ce_span
+        sums = L.class_sums[L.selected].T
         n_classes = expected_span.shape[1]
         if L.ce_dim != n_classes:
             mismatches.append(
                 f"central dimension for N={N} is {L.ce_dim}, expected {n_classes}"
             )
         elif not (
-            _span_contains(expected_span, span, tol)
-            and _span_contains(span, expected_span, tol)
+            _span_contains(expected_span, sums, tol)
+            and _orthonormal_columns(expected_span.conj().T @ sums, tol).shape[1] == n_classes
         ):
             mismatches.append(f"central subspace for N={N} is not the class sums in N")
         entries.append(

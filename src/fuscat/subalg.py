@@ -9,10 +9,12 @@ of class functions and the inverse map to subcategories are read.  The
 partition of the simples that a subcategory D induces is the right cosets
 x⊗D, on which both sides have closed forms: restriction is f ↦ f·λ_D with
 χ_x·λ_D / d_x = Σ_{Y∈x⊗D} d_Y χ_Y / Σ_{Y∈x⊗D} d_Y², and the central
-subspace is spanned by the indicators of the cosets.  The central subspace
-with its class-sum basis lives here too, and so does the correspondence
-table of a ring, which is built once, checks the float data against these
-closed forms and reads the lattice operations off the inclusion order.
+subspace is spanned by the indicators of the cosets.  These indicators are
+the one representation of a central subspace: its class-sum basis is
+checked against them, and no float basis of it is kept.  The
+correspondence table of a ring lives here too; it is built once, checks
+the float data against these closed forms and reads the lattice
+operations off the inclusion order.
 """
 
 from __future__ import annotations
@@ -23,12 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .char_theory import (
-    CentralElement,
-    ClassFunction,
-    subcategory_cointegral,
-    unit_central_element,
-)
+from .char_theory import CentralElement, ClassFunction, subcategory_cointegral
 from .fusion_ring import (
     FusionRingData,
     FusionSubcategory,
@@ -48,7 +45,6 @@ from .wedderburn import BlockStructure, _adapt_stack, _adapted_class_sums
 __all__ = [
     "ClosureViolation",
     "PartitionMismatch",
-    "ClosureFailure",
     "RoundTripFailure",
     "SubalgebraIndex",
     "LatticeEntry",
@@ -73,10 +69,6 @@ class PartitionMismatch(Exception):
     """Character-side and central-side partitions of the simples disagree."""
 
 
-class ClosureFailure(Exception):
-    """The class-sum span of a subalgebra is not multiplicatively closed."""
-
-
 class RoundTripFailure(Exception):
     """A subcategory does not survive the round trip through its subalgebra."""
 
@@ -96,7 +88,10 @@ class SubalgebraIndex:
     whose column t is a selected row.  ``class_sums`` (r, r) holds the
     E-basis coefficients of the class sum of each adapted unit, one row per
     unit, and ``cointegral_components`` (r,) the subcategory cointegral
-    expanded in the adapted units.
+    expanded in the adapted units.  The rows of ``class_sums`` at
+    :attr:`selected` are a basis of the central subspace, which
+    :func:`build_lattice` proves to be the span of the coset indicators of
+    the subcategory; no other basis of it is stored.
     """
 
     base: BlockStructure
@@ -120,15 +115,6 @@ class SubalgebraIndex:
         rows = np.zeros(ms.sum(), dtype=bool)
         rows[[first[j] + s for j, sel in enumerate(self.rows) for s in sel]] = True
         return rows[first[lay.block] + lay.s]
-
-    @cached_property
-    def ce_span(self) -> np.ndarray:
-        """Orthonormal basis of the central subspace, in idempotent coordinates.
-
-        The columns keep the SVD's own phases: every reader tests containment
-        or counts columns, and neither sees a phase per column.
-        """
-        return _orthonormal_columns(self.class_sums[self.selected].T, DEFAULT_TOL)
 
     def __repr__(self) -> str:
         return f"SubalgebraIndex(rows={self.rows}, dim={self.dim_l:.6g})"
@@ -255,39 +241,17 @@ def subcategory_from_subalgebra(
     return closed
 
 
-def ce_basis(
-    L: SubalgebraIndex, tol: Tolerance = DEFAULT_TOL, check: bool = True
-) -> list[CentralElement]:
+def ce_basis(L: SubalgebraIndex) -> list[CentralElement]:
     """Class-sum basis of the subalgebra's central subspace.
 
     The listed class sums are C^j_st with j selected, s a selected row, and t
-    arbitrary.  When ``check`` is set, verifies that the span contains the
-    unit and is closed under multiplication.
+    arbitrary.  :func:`build_lattice`, the only producer of a
+    :class:`SubalgebraIndex`, has proved that they span the coset
+    indicators (:func:`_checked_partition`); so the span holds the unit, the
+    sum of the indicators, and is closed under product, as a product of
+    indicators is an indicator.
     """
-    vecs = L.class_sums[L.selected]
-    if check:
-        _check_closure(L, vecs.T, tol)
-    return [CentralElement(L.ring, v) for v in vecs]
-
-
-def _check_closure(L: SubalgebraIndex, vecs: np.ndarray, tol: Tolerance) -> None:
-    """Raise ClosureFailure unless span(L) has dimension ce_dim, holds the unit
-    and holds every coordinatewise product of two columns of vecs.
-
-    The products ``vecs[:, k] * vecs`` are tested for a block of k at a time,
-    at most ``_BLOCK_BYTES`` of them, in one projection per block.
-    """
-    span = L.ce_span
-    if span.shape[1] != L.ce_dim:
-        raise ClosureFailure(f"class-sum span has dimension {span.shape[1]}, expected {L.ce_dim}")
-    if not _span_contains(span, unit_central_element(L.ring).coeffs[:, None], tol):
-        raise ClosureFailure("central subspace does not contain the unit")
-    r, n = vecs.shape
-    step = max(1, _BLOCK_BYTES // (16 * r * max(1, n)))
-    for lo in range(0, n, step):
-        prods = vecs[:, lo : lo + step, None] * vecs[:, None, :]
-        if not _span_contains(span, prods.reshape(r, -1), tol):
-            raise ClosureFailure("central subspace is not closed under product")
+    return [CentralElement(L.ring, v) for v in L.class_sums[L.selected]]
 
 
 def _pi_down_rows(sums: np.ndarray, keep: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -445,13 +409,18 @@ def _checked_partition(
     Perron–Frobenius, and taking dimensions, χ_x·λ_D / d_x =
     Σ_{Y∈x⊗D} d_Y χ_Y / Σ_{Y∈x⊗D} d_Y².  The central subspace, the inverse
     Fourier image of λ_D·CF, is then the span of the coset indicators.
+    Divided by the square roots of the class sizes, the indicators are
+    exactly orthonormal, as the classes are disjoint; the c selected class
+    sums V span them when V lies in their span and their inner products
+    with V, a (c × c) matrix, have rank c.
     Raised in this order: the round trip's error when the restrictions
     within ``PARTITION_TOL`` of epsilon_L are not D; :class:`PartitionMismatch`
     when a restriction is further than that from its closed form, when
-    ``ce_dim`` or the width of the central subspace is not the number of
-    cosets, or when a coset indicator lies outside the central subspace.  A
-    false closed form fails; a passing central subspace is closed under
-    pointwise product, as the coset indicators are.
+    ``ce_dim`` is not the number of cosets, when a class sum is not constant
+    on the cosets, or when the class sums span fewer directions than there
+    are cosets.  A false closed form fails; a passing central subspace is
+    closed under pointwise product and holds the unit, as the coset
+    indicators do.
     """
     d = L.ring.dims
     Q = _normalized_restrictions(L)
@@ -470,17 +439,14 @@ def _checked_partition(
     partition = tuple(tuple(order[lo:hi].tolist()) for lo, hi in zip(cuts, cuts[1:]))
     if L.ce_dim != len(heads):
         raise PartitionMismatch(f"ce_dim is {L.ce_dim}, {D.indices} has {len(heads)} right cosets")
-    span = L.ce_span
-    if span.shape[1] != len(heads):
+    indicators = (head[:, None] == heads) / np.sqrt(np.diff(cuts))
+    sums = L.class_sums[L.selected].T
+    if not _span_contains(indicators, sums, tol):
+        raise PartitionMismatch(f"a class sum of {D.indices} is not constant on its right cosets")
+    width = _orthonormal_columns(indicators.T @ sums, tol).shape[1]
+    if width != len(heads):
         raise PartitionMismatch(
-            f"central subspace has dimension {span.shape[1]}, "
-            f"{D.indices} has {len(heads)} right cosets"
-        )
-    indicators = (head[:, None] == heads).astype(float)
-    if not _span_contains(span, indicators, tol):
-        c = next(c for c in range(len(heads)) if not _span_contains(span, indicators[:, [c]], tol))
-        raise PartitionMismatch(
-            f"indicator idempotent of class {list(partition[c])} is outside the central subspace"
+            f"central subspace has dimension {width}, {D.indices} has {len(heads)} right cosets"
         )
     return partition
 

@@ -32,7 +32,7 @@ from .char_theory import (
     tau,
     unit_central_element,
 )
-from .fusion_ring import FusionRingData, _raw_product_table
+from .fusion_ring import FusionRingData, _close_rows, _raw_product_table
 from .groups import (
     FiniteGroup,
     character_table_cached,
@@ -66,6 +66,8 @@ BATTERY = [
 ]
 BATTERY_LARGE = BATTERY + ["symmetric:4"]
 LATTICE_CHECK = "lattice round trip, injectivity, monotonicity"
+# Bound of the product dimension bound, and the slack of its strict count.
+DIM_BOUND = 1e-8
 
 
 @dataclass(frozen=True)
@@ -198,6 +200,26 @@ def _coset_joins(cosets: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
             return label.reshape(K, r)
 
 
+def _lattice_check(ring: FusionRingData, table: subalg.LatticeTable) -> CheckResult:
+    """The lattice check of a table that :func:`subalg.build_lattice` returned:
+    it must hold the closure ⟨x⟩ of every single simple x.
+
+    The closures are formed together, by one :func:`fusion_ring._close_rows`
+    over the rows {1, x}.  With "meet and join correspondence" this proves
+    the table complete: that check proves it closed under joins, and every
+    subcategory D is the join of the ⟨x⟩ with x ∈ D.
+    """
+    member = np.eye(ring.rank, dtype=bool)
+    member[:, 0] = True
+    known = {row.tobytes() for row in table.membership}
+    for x, row in enumerate(_close_rows(ring, member)):
+        if row.tobytes() not in known:
+            closure = tuple(np.flatnonzero(row).tolist())
+            info = f"closure {closure} of simple {x} is not in the table"
+            return CheckResult(LATTICE_CHECK, 1.0, 0.0, info=info)
+    return CheckResult(LATTICE_CHECK, 0.0, 0.0, info=f"{len(table.entries)} subcategories")
+
+
 def _pair_checks(ring: FusionRingData, table: subalg.LatticeTable) -> list[CheckResult]:
     """Meet/join correspondence and the product dimension bound over all pairs.
 
@@ -228,13 +250,13 @@ def _pair_checks(ring: FusionRingData, table: subalg.LatticeTable) -> list[Check
         or np.any((ab | ba) & ~M[joins])
         or (ring.commutative and not np.array_equal(ab, ba))
     )
-    strict = int(np.sum(np.where(a == b, 1, 2)[lhs < rhs - 1e-8]))
+    strict = int(np.sum(np.where(a == b, 1, 2)[lhs < rhs - DIM_BOUND]))
     checks = [
         CheckResult("meet and join correspondence", float(mismatch), 0.0),
         CheckResult(
             "product dimension bound",
             float(np.max(gap, initial=0.0)),
-            1e-8,
+            DIM_BOUND,
             info=f"{strict} strict instances",
         ),
     ]
@@ -378,7 +400,7 @@ def verify_ring(
         worst = np.maximum(worst, _entry_residuals(ring, entries[lo : lo + step]))
     for (name, bound), res in zip(ENTRY_CHECKS, worst.tolist()):
         checks.append(CheckResult(name, res, bound))
-    checks.append(CheckResult(LATTICE_CHECK, 0.0, 0.0, info=f"{len(entries)} subcategories"))
+    checks.append(_lattice_check(ring, table))
     checks.extend(_pair_checks(ring, table))
 
     if group is not None:

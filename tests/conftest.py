@@ -171,6 +171,17 @@ def reference_group_equal_rows(rows, tol):
     return classes
 
 
+def ce_span(L, tol=linalg.DEFAULT_TOL):
+    """Orthonormal basis of L's central subspace, in idempotent coordinates:
+    the float basis that the table kept before its central subspaces were
+    checked against the exact coset indicators, kept as the reference.
+
+    The columns keep the SVD's own phases: every reader tests containment
+    or counts columns, and neither sees a phase per column.
+    """
+    return linalg._orthonormal_columns(L.class_sums[L.selected].T, tol)
+
+
 def reference_block_partition(L, tol=linalg.DEFAULT_TOL):
     """Partition of the simples by clustering both float sides, unit class first.
 
@@ -179,7 +190,7 @@ def reference_block_partition(L, tol=linalg.DEFAULT_TOL):
     indicator must lie in the central subspace.
     """
     classes = reference_group_equal_rows(subalg._normalized_restrictions(L).T, subalg.PARTITION_TOL)
-    span = L.ce_span
+    span = ce_span(L, tol)
     scale = max(1.0, float(np.max(np.abs(span)))) if span.size else 1.0
     ce_classes = reference_group_equal_rows(span, subalg.PARTITION_TOL * scale)
     if classes != ce_classes:

@@ -256,6 +256,26 @@ class TestCrosschecks:
         with pytest.raises(OracleMismatch, match="partition for N="):
             crosscheck_rep(s3_group, dataclasses.replace(table, entries=entries))
 
+    @pytest.mark.parametrize("skew", ["random", "repeated"])
+    def test_rep_central_subspace_must_be_the_class_sums_in_n(self, skew):
+        # Random class sums leave the span of the class sums in N; one class
+        # sum repeated in place of another stays inside it, one direction short.
+        G = parse_group("symmetric:4")
+        table = lattice_of(rep_fusion_ring(G))
+        e = next(e for e in table.entries if 1 < e.subalgebra.ce_dim < table.ring.rank)
+        L = e.subalgebra
+        sums = L.class_sums.copy()
+        V = sums[L.selected]
+        if skew == "random":
+            V = np.random.default_rng(0).standard_normal(V.shape) + 0j
+        else:
+            V[-1] = V[0]
+        sums[L.selected] = V
+        bad = dataclasses.replace(e, subalgebra=dataclasses.replace(L, class_sums=sums))
+        entries = tuple(bad if f is e else f for f in table.entries)
+        with pytest.raises(OracleMismatch, match=r"central subspace for N=\(.*\) is not the class sums in N"):
+            crosscheck_rep(G, dataclasses.replace(table, entries=entries))
+
 
 @pytest.mark.parametrize(
     "kind, name", [("rep", "alternating:5"), ("vec", "alternating:5"), ("rep", "symmetric:5")]

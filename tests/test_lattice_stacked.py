@@ -12,6 +12,7 @@ looks up ``subcategory_cointegral`` and ``enumerate_subcategories`` through
 constructions alike.
 """
 
+import dataclasses
 import os
 import tracemalloc
 
@@ -36,6 +37,7 @@ from fuscat.verify import battery_sources
 from fuscat.wedderburn import Block, BlockStructure, NotIdempotent, compute_blocks
 
 from conftest import (
+    ce_span,
     deligne_product,
     haagerup_izumi_ring,
     reference_block_partition,
@@ -138,11 +140,11 @@ def reference_build_lattice(ring, B, tol=DEFAULT_TOL):
         if back.indices != D.indices:
             raise RoundTripFailure(f"{D.indices} round-tripped to {back.indices}")
         entries.append(LatticeEntry(D, L, reference_block_partition(L, tol)))
+    spans = [ce_span(e.subalgebra, tol) for e in entries]
     for a in range(len(entries)):
         for b in range(a + 1, len(entries)):
-            La, Lb = entries[a].subalgebra, entries[b].subalgebra
-            same_dim = La.ce_span.shape[1] == Lb.ce_span.shape[1]
-            if same_dim and _span_contains(La.ce_span, Lb.ce_span, tol):
+            same_dim = spans[a].shape[1] == spans[b].shape[1]
+            if same_dim and _span_contains(spans[a], spans[b], tol):
                 raise RoundTripFailure(
                     "distinct subcategories produced identical central subspaces: "
                     f"{entries[a].subcategory.indices} vs {entries[b].subcategory.indices}"
@@ -150,7 +152,7 @@ def reference_build_lattice(ring, B, tol=DEFAULT_TOL):
     for a, ea in enumerate(entries):
         for b, eb in enumerate(entries):
             if a != b and set(ea.subcategory.indices) <= set(eb.subcategory.indices):
-                if not _span_contains(ea.subalgebra.ce_span, eb.subalgebra.ce_span, tol):
+                if not _span_contains(spans[a], spans[b], tol):
                     raise MonotonicityFailure(
                         f"inclusion {ea.subcategory.indices} <= {eb.subcategory.indices} "
                         "was not reversed by the central subspaces"
@@ -347,40 +349,52 @@ def test_reference_clustering_finds_the_right_cosets():
             assert reference_block_partition(e.subalgebra) == e.partition, ring
 
 
-def span_of_target(monkeypatch, ring, target, change):
-    """Entry ``target``'s central subspace becomes ``change`` of its own."""
-    indices = enumerate_subcategories(ring)[target].indices
-    original = SubalgebraIndex.ce_span.func
+def span_of_target(monkeypatch, target, change):
+    """Entry ``target``'s selected class sums become ``change`` of their own,
+    in the stacked build and in the reference alike."""
 
-    def changed(self):
-        Q = original(self)
-        return change(Q) if subalg.subcategory_from_subalgebra(self).indices == indices else Q
+    def changed(L):
+        sums = L.class_sums.copy()
+        sums[L.selected] = change(sums[L.selected])
+        return dataclasses.replace(L, class_sums=sums)
 
-    monkeypatch.setattr(SubalgebraIndex, "ce_span", property(changed))
+    real_stack, real_reference = subalg._subalgebras, reference_subalgebra
+
+    def stacked(subcats, B, tol):
+        out = real_stack(subcats, B, tol)
+        out[target] = changed(out[target])
+        return out
+
+    def reference(D, B, tol=DEFAULT_TOL):
+        L = real_reference(D, B, tol)
+        return changed(L) if D.indices == enumerate_subcategories(B.ring)[target].indices else L
+
+    monkeypatch.setattr(subalg, "_subalgebras", stacked)
+    monkeypatch.setitem(globals(), "reference_subalgebra", reference)
 
 
 @pytest.mark.parametrize("target", [4, 12, 21])
 def test_skewed_span_fails_the_partition(monkeypatch, s4, target):
-    # A random central subspace of the right dimension misses a coset
-    # indicator; the clustering reference sees it too.
+    # Random class sums of the right number are not constant on the right
+    # cosets; the clustering reference sees it too.
     ring, B = s4
     rng = np.random.default_rng(target)
 
-    def skew(Q):
-        return np.linalg.qr(rng.standard_normal(Q.shape) + 1j * rng.standard_normal(Q.shape))[0]
+    def skew(V):
+        return rng.standard_normal(V.shape) + 1j * rng.standard_normal(V.shape)
 
-    span_of_target(monkeypatch, ring, target, skew)
+    span_of_target(monkeypatch, target, skew)
     outcome = raised(build_lattice, ring, B)
-    assert outcome[0] is PartitionMismatch and "is outside the central subspace" in outcome[1]
+    assert outcome[0] is PartitionMismatch and "is not constant on its right cosets" in outcome[1]
     assert raised(reference_build_lattice, ring, B)[0] is PartitionMismatch
 
 
 @pytest.mark.parametrize("target", [4, 12, 21])
 def test_short_span_fails_the_partition(monkeypatch, s4, target):
-    # Dropping one direction keeps every remaining vector inside the true
-    # central subspace; only the count of cosets can see it.
+    # Repeating one class sum in place of the last keeps every vector inside
+    # the true central subspace; only the count of cosets can see it.
     ring, B = s4
-    span_of_target(monkeypatch, ring, target, lambda Q: Q[:, :-1])
+    span_of_target(monkeypatch, target, lambda V: np.concatenate([V[:-1], V[:1]]))
     D = enumerate_subcategories(ring)[target]
     cosets = ring.rank // len(D)
     assert raised(build_lattice, ring, B) == (
@@ -416,12 +430,9 @@ def test_lattice_memory_above_the_table(vec_a5_ring):
     finally:
         tracemalloc.stop()
     assert len(table.entries) == 59
-    # The table holds the class sums, projectors and spans of 59 entries,
-    # 7.8 MB; the adapted units of all entries would add 3.4 MB more.
-    held = sum(
-        L.class_sums.nbytes + L.projector.nbytes + L.ce_span.nbytes
-        for L in (e.subalgebra for e in table.entries)
-    )
+    # The table holds the class sums and projectors of 59 entries, 6.8 MB;
+    # the adapted units of all entries would add 3.4 MB more.
+    held = sum(e.subalgebra.class_sums.nbytes + e.subalgebra.projector.nbytes for e in table.entries)
     assert held <= retained - start <= 10e6
     assert peak - retained <= 2e6
 
@@ -470,25 +481,36 @@ def test_one_unit_matrix_inverse(monkeypatch, vec_a5_ring):
     assert all(len(s) == 3 and s[1] < r for s in shapes if s != (r, r))  # stacked block bases
 
 
+def test_no_svd_of_a_central_subspace(monkeypatch, vec_a5_ring):
+    # The class sums are tested against the exact coset indicators: the only
+    # matrices factored are the (c, c) products of the two, one per entry,
+    # and the stacked (m, m) block bases.  No (r, k) basis of a central
+    # subspace is factored; the one (r, r) matrix is the trivial
+    # subcategory's, whose r right cosets are its single simples.
+    ring = vec_a5_ring
+    B = compute_blocks(ring)
+    shapes = []
+    real_svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    table = build_lattice(ring, B)
+    r = ring.rank
+    square = sorted(s for s in shapes if len(s) == 2)
+    assert square == sorted((e.subalgebra.ce_dim,) * 2 for e in table.entries)
+    assert [s for s in square if s[0] == r] == [(r, r)]
+    assert all(len(s) == 3 and s[1] < r for s in shapes if len(s) != 2)
+
+
 def test_lattice_report_bytes_unchanged(tmp_path):
     out = tmp_path / "lattice.json"
     argv = ["lattice", "vec:symmetric:4", "--format", "json", "--seed", "0", "--output", str(out)]
     assert cli.main(argv) == 0
     with open(os.path.join(DATA, "lattice_vec_symmetric_4.json"), "rb") as fh:
         assert out.read_bytes() == fh.read()
-
-
-def test_ce_basis_check_reads_the_stored_span(monkeypatch, vec_s3_ring, vec_s3_blocks):
-    table = build_lattice(vec_s3_ring, vec_s3_blocks)
-    for e in table.entries:
-        e.subalgebra.ce_span
-
-    def no_svd(*args, **kwargs):
-        raise AssertionError("svd called")
-
-    monkeypatch.setattr(np.linalg, "svd", no_svd)
-    for e in table.entries:
-        assert len(subalg.ce_basis(e.subalgebra)) == e.subalgebra.ce_dim
 
 
 def round_trip_first(ring, B, tol=DEFAULT_TOL):

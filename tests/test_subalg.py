@@ -15,7 +15,6 @@ from fuscat.char_theory import (
 )
 from fuscat.fusion_ring import (
     _raw_product_table,
-    _right_cosets,
     enumerate_subcategories,
     subcategory_closure,
     subcategory_join,
@@ -23,7 +22,6 @@ from fuscat.fusion_ring import (
 )
 from fuscat.linalg import DEFAULT_TOL, _span_contains, orthonormal_basis
 from fuscat.subalg import (
-    ClosureFailure,
     PartitionMismatch,
     build_lattice,
     ce_basis,
@@ -33,6 +31,7 @@ from fuscat.subalg import (
 )
 
 from conftest import (
+    ce_span,
     deligne_product,
     haagerup_izumi_ring,
     intersection_dims,
@@ -221,41 +220,45 @@ def dropped_row(L, j, s):
     return dataclasses.replace(L, rows=tuple(rows), ce_dim=L.ce_dim - L.base.blocks[j].m)
 
 
-class TestCeBasisDetectsBadSelection:
-    @pytest.mark.parametrize(
-        "drop, message",
-        [((2, 0), "not closed under product"), ((0, 0), "does not contain the unit")],
-    )
-    def test_dropped_row(self, s3_subalgebras, drop, message):
-        L = dropped_row(s3_subalgebras[(0,)], *drop)
-        with pytest.raises(ClosureFailure, match=message):
-            ce_basis(L)
+def checked_partition(table, indices, L):
+    """``_checked_partition`` of the table's entry for ``indices``, with L as its subalgebra."""
+    k = table.entries.index(table.entry(indices))
+    return subalg._checked_partition(table.entries[k].subcategory, L, table.cosets[k], DEFAULT_TOL)
+
+
+class TestPartitionDetectsBadSelection:
+    # A dropped row leaves the projector as it was, so the round trip and
+    # the closed forms pass; the count of right cosets sees it.
+    @pytest.mark.parametrize("drop", [(2, 0), (0, 0)])
+    def test_dropped_row(self, s3_table, drop):
+        L = dropped_row(s3_table.entry((0,)).subalgebra, *drop)
+        with pytest.raises(PartitionMismatch, match=r"ce_dim is 2, \(0,\) has 3 right cosets"):
+            checked_partition(s3_table, (0,), L)
 
     @pytest.mark.parametrize("s", [0, 1])
     def test_dropped_row_of_a_matrix_block(self, vec_s3_table, s):
         L = vec_s3_table.entry((0,)).subalgebra
         assert L.base.blocks[2].m == 2 and L.rows[2] == (0, 1)
-        with pytest.raises(ClosureFailure, match="not closed under product"):
-            ce_basis(dropped_row(L, 2, s))
+        with pytest.raises(PartitionMismatch, match=r"ce_dim is 4, \(0,\) has 6 right cosets"):
+            checked_partition(vec_s3_table, (0,), dropped_row(L, 2, s))
 
-    def test_dropped_row_keeping_ce_dim(self, s3_subalgebras):
-        L = s3_subalgebras[(0,)]
+    def test_dropped_row_keeping_ce_dim(self, s3_table):
+        L = s3_table.entry((0,)).subalgebra
         L = dataclasses.replace(dropped_row(L, 2, 0), ce_dim=L.ce_dim)
-        with pytest.raises(ClosureFailure, match="span has dimension 2, expected 3"):
-            ce_basis(L)
+        with pytest.raises(PartitionMismatch, match=r"dimension 2, \(0,\) has 3 right cosets"):
+            checked_partition(s3_table, (0,), L)
 
 
 class TestBlockPartitionIndicators:
-    def test_names_the_first_class_outside_the_span(self, s3_ring, s3_table):
+    def test_class_sum_not_constant_on_a_coset(self, s3_table):
         # span{(1, 1, 0), (1, 0, 1)} has the dimension of the A3 partition
-        # ((0, 1), (2,)) and holds the indicator of (0, 1), but not that of
-        # (2,), the first class outside.
-        e = s3_table.entry((0, 1))
-        L = dataclasses.replace(e.subalgebra)
-        L.__dict__["ce_span"] = orthonormal_basis([np.array([1.0, 1, 0]), np.array([1.0, 0, 1])])
-        head = _right_cosets(s3_ring, s3_table.membership)[s3_table.entries.index(e)]
-        with pytest.raises(PartitionMismatch, match=r"class \[2\] is outside"):
-            subalg._checked_partition(e.subcategory, L, head, DEFAULT_TOL)
+        # ((0, 1), (2,)) and holds the indicator of (0, 1), but (1, 0, 1)
+        # differs on the coset (0, 1).
+        L = s3_table.entry((0, 1)).subalgebra
+        sums = L.class_sums.copy()
+        sums[L.selected] = [[1.0, 1, 0], [1.0, 0, 1]]
+        with pytest.raises(PartitionMismatch, match=r"class sum of \(0, 1\) is not constant"):
+            checked_partition(s3_table, (0, 1), dataclasses.replace(L, class_sums=sums))
 
 
 def group_equal_rows_reference(rows, tol):
@@ -376,7 +379,7 @@ class TestLatticeOps:
         ids = verify._coset_joins(table.cosets, a, b)
         assert np.array_equal(ids, table.cosets[joins])
         classes = [len(set(row)) for row in ids.tolist()]
-        spans = [e.subalgebra.ce_span for e in entries]
+        spans = [ce_span(e.subalgebra) for e in entries]
         ce_dim = np.array([e.subalgebra.ce_dim for e in entries])
         assert classes == intersection_dims(spans, a, b).tolist() == ce_dim[joins].tolist()
 
@@ -390,7 +393,7 @@ def test_pointwise_products_of_central_subspaces_miss_the_meet():
     ring = deligne_product(su2_fusion_ring(2), su2_fusion_ring(2))
     table = build_lattice(ring, wedderburn.compute_blocks(ring))
     A, B = table.entry((0, 2)), table.entry((0, 8))
-    QA, QB = A.subalgebra.ce_span, B.subalgebra.ce_span
+    QA, QB = ce_span(A.subalgebra), ce_span(B.subalgebra)
     assert (QA.shape[1], QB.shape[1]) == (6, 5)
     products = (QA[:, :, None] * QB[:, None, :]).reshape(ring.rank, -1)
     assert np.linalg.matrix_rank(products, tol=1e-6) == 8

@@ -44,7 +44,7 @@ from fuscat.linalg import DEFAULT_TOL, _span_contains, snap_integer
 from fuscat.verify import LATTICE_CHECK, CheckResult, battery_sources, verify_ring
 from fuscat.wedderburn import _unit_relation_residual
 
-from conftest import intersection_dims, perturb_unit, su2_fusion_ring
+from conftest import ce_span, intersection_dims, perturb_unit, su2_fusion_ring
 
 
 def reference_class_sum_pairings(B):
@@ -93,6 +93,10 @@ class BoundViolation(Exception):
     """The product dimension bound failed in the reference loops."""
 
 
+class ClosureFailure(Exception):
+    """The class-sum span of a subalgebra failed the reference closure test."""
+
+
 def unit_position(L):
     """Position of each adapted unit (j, s, t) in L's per-unit arrays."""
     lay = L.base._layout()
@@ -136,14 +140,14 @@ def reference_ce_basis(L, tol):
         for t in range(L.base.blocks[j].m)
     ]
     vecs = np.array(out).reshape(len(out), L.ring.rank).T
-    span = L.ce_span
+    span = ce_span(L, tol)
     if span.shape[1] != L.ce_dim:
-        raise subalg.ClosureFailure(f"class-sum span has dimension {span.shape[1]}, expected {L.ce_dim}")
+        raise ClosureFailure(f"class-sum span has dimension {span.shape[1]}, expected {L.ce_dim}")
     if not _span_contains(span, unit_central_element(L.ring).coeffs[:, None], tol):
-        raise subalg.ClosureFailure("central subspace does not contain the unit")
+        raise ClosureFailure("central subspace does not contain the unit")
     for k in range(vecs.shape[1]):
         if not _span_contains(span, vecs * vecs[:, k : k + 1], tol):
-            raise subalg.ClosureFailure("central subspace is not closed under product")
+            raise ClosureFailure("central subspace is not closed under product")
     return out
 
 
@@ -292,7 +296,14 @@ def reference_verify_ring(ring, group=None, kind=None, seed=0, tol=DEFAULT_TOL):
     )
     for (name, bound), res in zip(names, worst.values()):
         checks.append(CheckResult(name, res, bound))
-    checks.append(CheckResult(LATTICE_CHECK, 0.0, 0.0, info=f"{len(table.entries)} subcategories"))
+    closures = [fusion_ring.subcategory_closure(ring, [x]).indices for x in range(r)]
+    missing = [x for x, indices in enumerate(closures) if table.entry(indices) is None]
+    if missing:
+        info = f"closure {closures[missing[0]]} of simple {missing[0]} is not in the table"
+        checks.append(CheckResult(LATTICE_CHECK, 1.0, 0.0, info=info))
+    else:
+        info = f"{len(table.entries)} subcategories"
+        checks.append(CheckResult(LATTICE_CHECK, 0.0, 0.0, info=info))
 
     worst_meetjoin = worst_bound = worst_comm_eq = 0.0
     strict = 0
@@ -302,12 +313,13 @@ def reference_verify_ring(ring, group=None, kind=None, seed=0, tol=DEFAULT_TOL):
     raw_sets = [[tuple(np.flatnonzero(row).tolist()) for row in rows] for rows in raw]
     pairs_a, pairs_b = np.triu_indices(len(entries))
     meets, joins = table.meets_and_joins(pairs_a, pairs_b)
+    spans = [ce_span(e.subalgebra, tol) for e in entries]
     for a, b, m, j in zip(pairs_a.tolist(), pairs_b.tolist(), meets.tolist(), joins.tolist()):
         if m < 0 or j < 0:
             worst_meetjoin = 1.0
             continue
         meet, join = entries[m], entries[j]
-        ce_meet = intersection_dim(entries[a].subalgebra.ce_span, entries[b].subalgebra.ce_span)
+        ce_meet = intersection_dim(spans[a], spans[b])
         if ce_meet != join.subalgebra.ce_dim:
             worst_meetjoin = 1.0
         for x, y in ((a, b),) if a == b else ((a, b), (b, a)):
@@ -475,16 +487,40 @@ def _relabel_cosets(monkeypatch, ring):
 
 
 def _skew_span(monkeypatch, ring):
-    """Every central subspace becomes a random one of its width; the first
-    one below the whole space misses a coset indicator."""
+    """Every subalgebra's selected class sums become random ones of their
+    number; the first central subspace below the whole space is then not
+    constant on its right cosets."""
     rng = np.random.default_rng(0)
-    real = subalg.SubalgebraIndex.ce_span.func
+    real = subalg._subalgebras
 
-    def skewed(self):
-        Q = real(self)
-        return np.linalg.qr(rng.standard_normal(Q.shape) + 1j * rng.standard_normal(Q.shape))[0]
+    def skewed(subcats, B, tol):
+        out = []
+        for L in real(subcats, B, tol):
+            sums = L.class_sums.copy()
+            shape = (L.ce_dim, ring.rank)
+            sums[L.selected] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            out.append(dataclasses.replace(L, class_sums=sums))
+        return out
 
-    monkeypatch.setattr(subalg.SubalgebraIndex, "ce_span", property(skewed))
+    monkeypatch.setattr(subalg, "_subalgebras", skewed)
+
+
+def _drop_c3(monkeypatch, ring):
+    """Remove the C3 entry (0, 3, 4) of vec:symmetric:3, the meet and the
+    join of no two other entries: only the closures of single simples see it."""
+
+    def drop(t):
+        keep = np.array([e.subcategory.indices != (0, 3, 4) for e in t.entries])
+        assert not keep.all()
+        return dataclasses.replace(
+            t,
+            entries=tuple(e for e, k in zip(t.entries, keep) if k),
+            membership=t.membership[keep],
+            inside=t.inside[keep][:, keep],
+            cosets=t.cosets[keep],
+        )
+
+    _replace_table(monkeypatch, drop)
 
 
 def _ce_dim_off_by_one(monkeypatch, ring):
@@ -535,6 +571,7 @@ def _raw_products_in_different_orders(monkeypatch, ring):
         (_relabel_cosets, "vec:dihedral:8", {"meet and join correspondence"}, False),
         (_skew_span, "vec:symmetric:3", {LATTICE_CHECK}, True),
         (_ce_dim_off_by_one, "vec:symmetric:3", {LATTICE_CHECK}, True),
+        (_drop_c3, "vec:symmetric:3", {LATTICE_CHECK}, True),
         (_raw_product_outside_join, "vec:symmetric:3", {"meet and join correspondence"}, True),
         (_raw_products_in_different_orders, "rep:product:cyclic:2*cyclic:2", {"meet and join correspondence"}, True),
         (_perturb_projector, "vec:symmetric:3", {"restriction compatible with pairing"}, True),
@@ -551,6 +588,7 @@ def _raw_products_in_different_orders(monkeypatch, ring):
         "relabelled-cosets",
         "skewed-span",
         "ce-dim",
+        "dropped-c3",
         "raw-outside-join",
         "raw-orders",
         "projector",
@@ -572,10 +610,12 @@ def test_dropped_meet_fails_by_name(monkeypatch):
     # In D8, {e, r^2} is the meet of the two Klein four-groups and of either
     # with C4, and the join of no two entries.  Without it the order meet
     # lands on the trivial subgroup, which is not the intersection, and
-    # whose subalgebra exceeds the product dimension bound.
+    # whose subalgebra exceeds the product dimension bound.  It is also the
+    # closure of r^2, so the lattice check names it missing.
     ring = parse_source("vec:dihedral:8", 0, DEFAULT_TOL)[0]
     _drop_entry(monkeypatch, 0)
-    assert failing(verify_ring(ring)) == {"meet and join correspondence", "product dimension bound"}
+    expected = {LATTICE_CHECK, "meet and join correspondence", "product dimension bound"}
+    assert failing(verify_ring(ring)) == expected
     with pytest.raises(BoundViolation):
         reference_verify_ring(ring)
 
@@ -689,27 +729,6 @@ def test_duality_check_memory_below_r3():
         tracemalloc.stop()
     # Below one r^3 float table, let alone the r^3 * 16 bytes of a complex one.
     assert peak < r**3 * 8
-
-
-def test_ce_basis_closure_in_blocks(monkeypatch, vec_a5_ring):
-    table = subalg.build_lattice(vec_a5_ring, verify.compute_blocks(vec_a5_ring))
-    L = table.entries[0].subalgebra
-    assert L.ce_dim == vec_a5_ring.rank
-    L.ce_span
-    real = subalg._span_contains
-    columns = []
-
-    def spy(Q, V, tol):
-        columns.append(V.shape[1])
-        return real(Q, V, tol)
-
-    monkeypatch.setattr(subalg, "_span_contains", spy)
-    basis = subalg.ce_basis(L)
-    n = len(basis)
-    step = subalg._BLOCK_BYTES // (16 * vec_a5_ring.rank * n)
-    assert columns[0] == 1 and sum(columns[1:]) == n * n
-    assert len(columns) == 1 + -(-n // step)
-    assert [z.coeffs.tolist() for z in basis] == [v.tolist() for v in reference_ce_basis(L, DEFAULT_TOL)]
 
 
 class _Stop(Exception):
