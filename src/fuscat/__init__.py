@@ -46,7 +46,6 @@ from .wedderburn import BlockStructure, compute_blocks
 from .subalg import (
     SubalgebraIndex,
     build_lattice,
-    ce_basis,
     epsilon_L,
     restrict,
     subcategory_from_subalgebra,

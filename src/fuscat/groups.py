@@ -683,7 +683,7 @@ def crosscheck_rep(
         # The selected class sums span the expected ones when they lie in
         # their span and have full rank c against them.
         expected_span = _expected_class_sum_span(table, N)
-        sums = L.class_sums[L.selected].T
+        sums = L.ce_sums.T
         n_classes = expected_span.shape[1]
         if L.ce_dim != n_classes:
             mismatches.append(

@@ -4,8 +4,9 @@ A unitary subalgebra of the adjoint algebra is encoded by block-row selections
 relative to an adapted basis: the subcategory's cointegral is an idempotent
 of CF(C), each block is re-based so it becomes a diagonal 0/1 pattern, and
 the rows carrying 1 name the simple summands of the subalgebra.
-Each subalgebra also stores its restriction projector, from which restriction
-of class functions and the inverse map to subcategories are read.  The
+Each subalgebra also stores its snapped cointegral, from which its
+restriction projector is rebuilt, and from that the restriction of class
+functions and the inverse map to subcategories are read.  The
 partition of the simples that a subcategory D induces is the right cosets
 x⊗D, on which both sides have closed forms: restriction is f ↦ f·λ_D with
 χ_x·λ_D / d_x = Σ_{Y∈x⊗D} d_Y χ_Y / Σ_{Y∈x⊗D} d_Y², and the central
@@ -21,11 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .char_theory import CentralElement, ClassFunction, subcategory_cointegral
+from .char_theory import ClassFunction, subcategory_cointegral
 from .fusion_ring import (
     FusionRingData,
     FusionSubcategory,
@@ -52,7 +53,6 @@ __all__ = [
     "epsilon_L",
     "restrict",
     "subcategory_from_subalgebra",
-    "ce_basis",
     "build_lattice",
 ]
 
@@ -82,25 +82,29 @@ class SubalgebraIndex:
     never formed, only arrays over them, in the base's (block, row, column)
     order.  ``rows[j]`` lists the selected rows of block j; ``dim_l`` is the
     subalgebra dimension (a sum of summand dimensions) and ``ce_dim`` the
-    dimension of its central subspace.  ``projector`` is the restriction
-    projector ``U diag(mask) U^-1`` on chi-basis coefficients, where U has
-    the adapted matrix units as columns and the mask keeps the units F'^j_st
-    whose column t is a selected row.  ``class_sums`` (r, r) holds the
-    E-basis coefficients of the class sum of each adapted unit, one row per
-    unit, and ``cointegral_components`` (r,) the subcategory cointegral
-    expanded in the adapted units.  The rows of ``class_sums`` at
-    :attr:`selected` are a basis of the central subspace, which
-    :func:`build_lattice` proves to be the span of the coset indicators of
-    the subcategory; no other basis of it is stored.
+    dimension of its central subspace.  ``ce_sums`` (ce_dim, r) holds the
+    E-basis coefficients of the class sums of the units at :attr:`selected`,
+    a basis of the central subspace that :func:`build_lattice` proves to be
+    the span of the coset indicators of the subcategory; no other basis of
+    it is stored.  ``cointegral_components`` (r,) is the subcategory
+    cointegral expanded in the adapted units, and ``idempotent`` (r,) the
+    same cointegral snapped to its 0/1 pattern, ``U diag(mask) U^-1`` per
+    block, in the base units.
+
+    The (r, r) arrays of a subalgebra, its restriction projector and the
+    class sums of all adapted units, live only while the table checks its
+    row block of entries (:func:`_subalgebra_blocks`).  A one-entry read
+    rebuilds the projector from ``idempotent`` (:func:`_projector`), to the
+    same bits.
     """
 
     base: BlockStructure
     rows: tuple[tuple[int, ...], ...]
     dim_l: float
     ce_dim: int
-    projector: np.ndarray
-    class_sums: np.ndarray
+    ce_sums: np.ndarray
     cointegral_components: np.ndarray
+    idempotent: np.ndarray
 
     @property
     def ring(self) -> FusionRingData:
@@ -120,19 +124,27 @@ class SubalgebraIndex:
         return f"SubalgebraIndex(rows={self.rows}, dim={self.dim_l:.6g})"
 
 
-def _subalgebras(
-    subcats: list[FusionSubcategory], B: BlockStructure, tol: Tolerance
-) -> list[SubalgebraIndex | Exception]:
-    """The unitary subalgebra of each subcategory, all in one stacked pass.
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _subalgebra_blocks(
+    subcats: list[FusionSubcategory], B: BlockStructure, tol: Tolerance, step: int
+) -> Iterator[tuple[list[SubalgebraIndex | Exception], np.ndarray, np.ndarray]]:
+    """The unitary subalgebra of each subcategory, ``step`` subcategories at a time.
 
     Entry s is the subalgebra whose trivial-restriction subcategory is
     ``subcats[s]``, or the exception that building it raises: each block is
     adapted to the subcategory's cointegral and its diagonal 0/1 pattern is
     read off as the block-row selection.  All cointegrals are adapted by one
-    :func:`_adapt_stack`; their adapted components are ``U^-1 Lambda_j U``
-    per block, the class sums come from :func:`_adapted_class_sums` and the
-    projectors from :func:`_projectors`, so no adapted unit is formed and no
-    adapted unit matrix is inverted.
+    :func:`_adapt_stack`, which holds (S, m, m) arrays per block; their
+    adapted components are ``U^-1 Lambda_j U`` per block.  Then, for each
+    row block of entries, yields the entries with their (k, r, r)
+    restriction projectors (:func:`_projectors`) and (k, r, r) adapted class
+    sums (:func:`_adapted_class_sums`), one row per adapted unit; each
+    entry keeps only its selected class sums.  No adapted unit is formed and
+    no adapted unit matrix is inverted.
     """
     ring = B.ring
     if any(D.ring is not ring for D in subcats):
@@ -141,7 +153,7 @@ def _subalgebras(
     errors = list(adapted.errors)
     S = len(subcats)
     rows: list[list[tuple[int, ...]]] = [[] for _ in range(S)]
-    comps, idems = [], []
+    comps, idems, keep = [], [], []
     for blk, P, U, Uinv in zip(B.blocks, adapted.comps, adapted.bases, adapted.inverses):
         A = Uinv @ P @ U
         diag = np.diagonal(A, axis1=1, axis2=2)
@@ -158,71 +170,74 @@ def _subalgebras(
                 errors[s] = ClosureViolation("adapted cointegral has off-diagonal coefficients")
             else:
                 rows[s].append(tuple(np.flatnonzero(selected[s]).tolist()))
-        comps.append(A)
+        comps.append(A.reshape(S, -1))
         # The snapped idempotent U diag(mask) U^-1 of the block.
-        idems.append((U * selected[:, None, :]) @ Uinv)
-    projectors = _projectors(B, idems)
-    sums = _adapted_class_sums(B, adapted)
-    components = np.concatenate([A.reshape(S, -1) for A in comps], axis=1)
-    components.setflags(write=False)
-    out: list[SubalgebraIndex | Exception] = []
+        idems.append(((U * selected[:, None, :]) @ Uinv).reshape(S, -1))
+        keep.append(np.repeat(selected, blk.m, axis=1))
+    components = _readonly(np.concatenate(comps, axis=1))
+    idempotents = _readonly(np.concatenate(idems, axis=1))
+    keep = np.concatenate(keep, axis=1)
     for s in range(S):
         if errors[s] is None and 0 not in rows[s][0]:
             errors[s] = ClosureViolation("unit summand is missing from the subalgebra")
-        if errors[s] is not None:
-            out.append(errors[s])
-            continue
-        sel = rows[s]
-        dim_l = float(sum(B.blocks[j].summand_dim * len(r) for j, r in enumerate(sel)))
-        ce_dim = int(sum(len(r) * B.blocks[j].m for j, r in enumerate(sel)))
-        out.append(
-            SubalgebraIndex(B, tuple(sel), dim_l, ce_dim, projectors[s], sums[s], components[s])
-        )
-    return out
+    for lo in range(0, S, step):
+        k = slice(lo, lo + step)
+        projectors = _projectors(B, idempotents[k])
+        sums = _adapted_class_sums(B, adapted.take(k))
+        out: list[SubalgebraIndex | Exception] = []
+        for s in range(lo, lo + len(sums)):
+            if errors[s] is not None:
+                out.append(errors[s])
+                continue
+            sel = tuple(rows[s])
+            dim_l = float(sum(B.blocks[j].summand_dim * len(r) for j, r in enumerate(sel)))
+            ce_dim = int(sum(len(r) * B.blocks[j].m for j, r in enumerate(sel)))
+            ce_sums = _readonly(sums[s - lo][keep[s]])
+            out.append(SubalgebraIndex(B, sel, dim_l, ce_dim, ce_sums, components[s], idempotents[s]))
+        yield out, projectors, sums
 
 
-def _projectors(B: BlockStructure, idems: list[np.ndarray]) -> np.ndarray:
+def _projectors(B: BlockStructure, idems: np.ndarray) -> np.ndarray:
     """(S, r, r) projectors ``U blockdiag_j(I_m (x) L_j^T) U^-1`` from the base units.
 
-    ``idems[j]`` holds the (S, m, m) snapped idempotents L_j of block j and
-    U is the base unit matrix.  This equals ``U' diag(mask) U'^-1`` for the
-    adapted units U', without forming U'.  The (r, r) middle products are
-    formed for a row block of S at a time, at most ``_BLOCK_BYTES`` of them.
+    Row s of ``idems`` holds the snapped idempotents L_j of every block j in
+    (block, row, column) order, and U is the base unit matrix.  This equals
+    ``U' diag(mask) U'^-1`` for the adapted units U', without forming U'.
+    The output takes S r^2 complex numbers, and so does the one temporary;
+    a caller with many rows passes a row block of them.
     """
     r = B.rank
-    S = len(idems[0])
-    # Rows (k, a), columns b: the coefficient k of the base unit F^j_ab.
-    units = [blk.units.transpose(2, 0, 1).reshape(r * blk.m, blk.m) for blk in B.blocks]
-    out = np.empty((S, r, r), dtype=complex)
-    step = max(1, _BLOCK_BYTES // (r * r * out.itemsize))
-    buf = np.empty((min(step, S), r, r), dtype=complex)
-    for lo in range(0, S, step):
-        G = buf[: min(step, S - lo)]
-        pos = 0
-        for blk, F, L in zip(B.blocks, units, idems):
-            width = blk.m * blk.m
-            G[:, :, pos : pos + width] = np.matmul(
-                F, L[lo : lo + step].transpose(0, 2, 1)
-            ).reshape(len(G), r, width)
-            pos += width
-        np.matmul(G, B._unit_matrix_inv, out=out[lo : lo + step])
-    out.setflags(write=False)
-    return out
+    G = np.empty((len(idems), r, r), dtype=complex)
+    pos = 0
+    for blk in B.blocks:
+        m, width = blk.m, blk.m * blk.m
+        # Rows (k, a), columns b: the coefficient k of the base unit F^j_ab.
+        F = blk.units.transpose(2, 0, 1).reshape(r * m, m)
+        L = idems[:, pos : pos + width].reshape(-1, m, m)
+        G[:, :, pos : pos + width] = np.matmul(F, L.transpose(0, 2, 1)).reshape(len(G), r, width)
+        pos += width
+    return _readonly(np.matmul(G, B._unit_matrix_inv))
+
+
+def _projector(L: SubalgebraIndex) -> np.ndarray:
+    """(r, r) restriction projector ``U' diag(mask) U'^-1`` of one subalgebra,
+    rebuilt from its idempotent on each call, to the bits of its row block's."""
+    return _projectors(L.base, L.idempotent[None])[0]
 
 
 def epsilon_L(L: SubalgebraIndex) -> ClassFunction:
     """Restriction of the unit class function: the sum of selected diagonal units."""
-    return ClassFunction(L.ring, L.projector[:, 0])
+    return ClassFunction(L.ring, _projector(L)[:, 0])
 
 
 def restrict(f: ClassFunction, L: SubalgebraIndex) -> ClassFunction:
     """Component of f in the subalgebra's character space, embedded in CF(C)."""
-    return ClassFunction(L.ring, L.projector @ f.coeffs)
+    return ClassFunction(L.ring, _projector(L) @ f.coeffs)
 
 
 def _normalized_restrictions(L: SubalgebraIndex) -> np.ndarray:
     """Column i is the restriction of chi_i divided by d_i; column 0 is epsilon_L."""
-    return L.projector / L.ring.dims
+    return _projector(L) / L.ring.dims
 
 
 def subcategory_from_subalgebra(
@@ -239,19 +254,6 @@ def subcategory_from_subalgebra(
             f"computed simple set {indices} is not fusion closed (closure {closed.indices})"
         )
     return closed
-
-
-def ce_basis(L: SubalgebraIndex) -> list[CentralElement]:
-    """Class-sum basis of the subalgebra's central subspace.
-
-    The listed class sums are C^j_st with j selected, s a selected row, and t
-    arbitrary.  :func:`build_lattice`, the only producer of a
-    :class:`SubalgebraIndex`, has proved that they span the coset
-    indicators (:func:`_checked_partition`); so the span holds the unit, the
-    sum of the indicators, and is closed under product, as a product of
-    indicators is an indicator.
-    """
-    return [CentralElement(L.ring, v) for v in L.class_sums[L.selected]]
 
 
 def _pi_down_rows(sums: np.ndarray, keep: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -356,19 +358,33 @@ def _cointegral_trace_sums(entries, stack: _EntryStack) -> np.ndarray:
     return np.maximum(residual, outside)
 
 
+class _LiveBlock(NamedTuple):
+    """A row block of checked table entries with the (k, r, r) arrays they
+    were checked on, alive only while :func:`_stream_lattice` visits it."""
+
+    entries: list[LatticeEntry]
+    projectors: np.ndarray  # (k, r, r) restriction projectors
+    class_sums: np.ndarray  # (k, r, r) adapted class sums, one row per adapted unit
+
+
 def build_lattice(
     ring: FusionRingData, B: BlockStructure, tol: Tolerance = DEFAULT_TOL
 ) -> LatticeTable:
     """Full correspondence table between subcategories and subalgebras.
 
     The one place where subalgebras are built from subcategories, all of them
-    in one stacked pass; every consumer of the correspondence reads this
-    table.  Each entry's partition is exact, the right cosets x⊗D
+    adapted in one stacked pass; every consumer of the correspondence reads
+    this table.  Each entry's partition is exact, the right cosets x⊗D
     (:func:`fusion_ring._right_cosets`), and its float data are checked
     against their closed forms on them (:func:`_checked_partition`); then no
     subcategory may occur twice.  The error of the first failing entry, else
     of the first repeated pair, is the one raised.  Keeps the inclusion order
     and the coset class ids, and emits the Hasse edges of the order.
+
+    The (r, r) projectors and class sums are formed for a row block of
+    entries at a time, at most ``_BLOCK_BYTES`` each (at least one entry),
+    and dropped once the block is checked; an entry keeps its selected class
+    sums and two (r,) arrays (:class:`SubalgebraIndex`).
 
     Injectivity and anti-monotonicity follow without a test of their own.
     Each central subspace is the span of the coset indicators of its D, and
@@ -377,15 +393,34 @@ def build_lattice(
     those of D′, each indicator of D′ is a sum of indicators of D, and the
     central subspace of D′ lies in that of D.
     """
+    step = max(1, _BLOCK_BYTES // (16 * ring.rank * ring.rank))
+    return _stream_lattice(ring, B, tol, step, lambda block: None)
+
+
+def _stream_lattice(
+    ring: FusionRingData,
+    B: BlockStructure,
+    tol: Tolerance,
+    step: int,
+    visit: Callable[[_LiveBlock], object],
+) -> LatticeTable:
+    """:func:`build_lattice` in row blocks of ``step`` entries, each handed
+    to ``visit`` with its live arrays once its partitions are checked."""
     subcats = enumerate_subcategories(ring)
     M = _membership(ring, subcats)
     cosets = _right_cosets(ring, M)
     cosets.setflags(write=False)
-    entries = []
-    for D, L, head in zip(subcats, _subalgebras(subcats, B, tol), cosets):
-        if isinstance(L, Exception):
-            raise L
-        entries.append(LatticeEntry(D, L, _checked_partition(D, L, head, tol)))
+    entries: list[LatticeEntry] = []
+    for subalgebras, projectors, sums in _subalgebra_blocks(subcats, B, tol, step):
+        block = []
+        for k, (L, P) in enumerate(zip(subalgebras, projectors)):
+            if isinstance(L, Exception):
+                raise L
+            e = len(entries) + k
+            partition = _checked_partition(subcats[e], L, P, cosets[e], tol)
+            block.append(LatticeEntry(subcats[e], L, partition))
+        visit(_LiveBlock(block, projectors, sums))
+        entries.extend(block)
     inside = _inclusions(M)
     twins = np.argwhere(np.triu(inside & inside.T, 1))
     if len(twins):
@@ -398,15 +433,16 @@ def build_lattice(
 
 
 def _checked_partition(
-    D: FusionSubcategory, L: SubalgebraIndex, head: np.ndarray, tol: Tolerance
+    D: FusionSubcategory, L: SubalgebraIndex, P: np.ndarray, head: np.ndarray, tol: Tolerance
 ) -> tuple[tuple[int, ...], ...]:
     """The right cosets of D, class ids ``head``, once L's float data agree with them.
 
-    Restriction is f ↦ f·λ_D with λ_D = Σ_{d∈D} d_d χ_d / dim(D)
-    idempotent, so c = χ_x·λ_D = c·λ_D lives on x⊗D, where it is a left
-    eigenvector of the matrix T of :func:`fusion_ring._right_cosets`; T is
-    positive there with the positive left eigenvector d, so by
-    Perron–Frobenius, and taking dimensions, χ_x·λ_D / d_x =
+    ``P`` is L's restriction projector.  Restriction is f ↦ f·λ_D with
+    λ_D = Σ_{d∈D} d_d χ_d / dim(D) idempotent, so c = χ_x·λ_D = c·λ_D lives
+    on x⊗D, where it is a left eigenvector of the matrix T of
+    :func:`fusion_ring._right_cosets`; T is positive there with the
+    positive left eigenvector d, so by Perron–Frobenius, and taking
+    dimensions, χ_x·λ_D / d_x =
     Σ_{Y∈x⊗D} d_Y χ_Y / Σ_{Y∈x⊗D} d_Y².  The central subspace, the inverse
     Fourier image of λ_D·CF, is then the span of the coset indicators.
     Divided by the square roots of the class sizes, the indicators are
@@ -423,7 +459,7 @@ def _checked_partition(
     indicators do.
     """
     d = L.ring.dims
-    Q = _normalized_restrictions(L)
+    Q = P / d
     if not np.array_equal(np.max(np.abs(Q - Q[:, :1]), axis=0) <= PARTITION_TOL, head == 0):
         back = subcategory_from_subalgebra(L, tol)
         raise RoundTripFailure(f"{D.indices} round-tripped to {back.indices}")
@@ -440,7 +476,7 @@ def _checked_partition(
     if L.ce_dim != len(heads):
         raise PartitionMismatch(f"ce_dim is {L.ce_dim}, {D.indices} has {len(heads)} right cosets")
     indicators = (head[:, None] == heads) / np.sqrt(np.diff(cuts))
-    sums = L.class_sums[L.selected].T
+    sums = L.ce_sums.T
     if not _span_contains(indicators, sums, tol):
         raise PartitionMismatch(f"a class sum of {D.indices} is not constant on its right cosets")
     width = _orthonormal_columns(indicators.T @ sums, tol).shape[1]

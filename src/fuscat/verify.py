@@ -134,22 +134,22 @@ ENTRY_CHECKS = (
 )
 
 
-def _entry_residuals(ring: FusionRingData, entries) -> list[float]:
-    """Worst residuals of the per-subcategory checks over some table entries,
-    in the order of ``ENTRY_CHECKS``.
+def _entry_residuals(ring: FusionRingData, block: subalg._LiveBlock) -> list[float]:
+    """Worst residuals of the per-subcategory checks over a row block of
+    table entries, in the order of ``ENTRY_CHECKS``.
 
-    The entries are stacked along axis 0; every unit array is in the
-    (block, row, column) order of the shared base structure.
+    The entries are stacked along axis 0 with the block's live projectors
+    and class sums; every unit array is in the (block, row, column) order of
+    the shared base structure.
     """
     r, dim = ring.rank, ring.global_dim
+    entries, proj, sums = block
     stack = subalg._stack_entries(entries)
     lam, keep = stack.cointegrals, stack.keep
     lay = entries[0].subalgebra.base._layout()
     diag = lay.s == lay.t
     fpdim = np.array([e.subcategory.fpdim for e in entries])
     dim_l = np.array([e.subalgebra.dim_l for e in entries])
-    sums = np.array([e.subalgebra.class_sums for e in entries])
-    proj = np.array([e.subalgebra.projector for e in entries])
     ell0 = np.zeros((len(entries), r))
     for k, e in enumerate(entries):
         ell0[k, list(e.partition[0])] = 1.0
@@ -381,23 +381,23 @@ def verify_ring(
     checks.append(CheckResult("class sum pairings", verify_class_sum_pairings(B), 1e-8))
     checks.append(CheckResult("integral equals diagonal class sums", verify_integral_classsum(B), 1e-8))
 
-    try:
-        table = subalg.build_lattice(ring, B, tol)
-    except Exception as exc:  # noqa: BLE001 - report as a failed check
-        checks.append(CheckResult(LATTICE_CHECK, 1.0, 0.0, info=str(exc)))
-        return checks
-
-    # The per-subcategory checks, for a row block of entries at a time: each
-    # entry takes r * r complex entries in about eight temporaries (its
+    # The per-subcategory checks run while the table is built, on each row
+    # block of entries and the projectors and class sums it was checked on:
+    # each entry takes r * r complex entries in about eight temporaries (its
     # adapted class sums, projector, restriction products and solve).  The
     # budget is _BLOCK_BYTES times r^3 // 2^15 (at least once), so a block
     # holds about r / 16 entries at large rank (3 at r = 60, 7 at r = 120)
     # rather than one; a budget of 1 byte gives one-entry blocks at every rank.
-    entries = table.entries
-    worst = np.zeros(len(ENTRY_CHECKS))
     step = max(1, _BLOCK_BYTES * max(1, r**3 // 2**15) // (8 * 16 * r * r))
-    for lo in range(0, len(entries), step):
-        worst = np.maximum(worst, _entry_residuals(ring, entries[lo : lo + step]))
+    residuals = []
+    try:
+        table = subalg._stream_lattice(
+            ring, B, tol, step, lambda block: residuals.append(_entry_residuals(ring, block))
+        )
+    except Exception as exc:  # noqa: BLE001 - report as a failed check
+        checks.append(CheckResult(LATTICE_CHECK, 1.0, 0.0, info=str(exc)))
+        return checks
+    worst = np.max(residuals, axis=0)
     for (name, bound), res in zip(ENTRY_CHECKS, worst.tolist()):
         checks.append(CheckResult(name, res, bound))
     checks.append(_lattice_check(ring, table))

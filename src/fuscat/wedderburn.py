@@ -29,7 +29,7 @@ from .char_theory import (
     unit_central_element,
 )
 from .fusion_ring import FusionRingData
-from .linalg import _BLOCK_BYTES, DEFAULT_TOL, Tolerance, joint_eigenspaces, snap_integer
+from .linalg import DEFAULT_TOL, Tolerance, joint_eigenspaces, snap_integer
 
 __all__ = [
     "SplitFailure",
@@ -160,9 +160,16 @@ class BlockStructure:
 
 
 def _center_basis(ring: FusionRingData, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
-    """Center of CF(C) as chi-basis columns, plus the left-multiplication tensor."""
+    """Center of CF(C) as chi-basis columns, plus the left-multiplication tensor.
+
+    The centre is the null space of the (r^2, r) commutator stack.  A
+    commutative ring, by the exact integer test, is its own centre: its
+    stack is zero, and the SVD of a zero stack returns exactly the identity.
+    """
     N = ring.N_float
     left = N.transpose(0, 2, 1)  # left[a][k, j] = N[a, j, k]
+    if ring.commutative:
+        return np.eye(ring.rank), left
     right = N.transpose(1, 2, 0)  # right[a][k, j] = N[j, a, k]
     diff = (left - right).reshape(ring.rank, -1).T
     _, s, Vh = np.linalg.svd(diff, full_matrices=False)
@@ -398,6 +405,15 @@ class _Adaptation:
     inverses: tuple[np.ndarray, ...]
     errors: tuple[Exception | None, ...]
 
+    def take(self, rows: slice) -> _Adaptation:
+        """The adaptation of the idempotents in ``rows`` alone."""
+        return _Adaptation(
+            tuple(P[rows] for P in self.comps),
+            tuple(U[rows] for U in self.bases),
+            tuple(U[rows] for U in self.inverses),
+            self.errors[rows],
+        )
+
 
 def _stacked(fn, A: np.ndarray, errors: list):
     """``fn`` on a stack of matrices; matrix by matrix if the stacked call fails.
@@ -491,8 +507,9 @@ def _adapted_class_sums(B: BlockStructure, adapted: _Adaptation) -> np.ndarray:
     The adapted unit F'^j_st is ``sum_ab U[a, s] Uinv[t, b] F^j_ab`` for the
     eigenbasis U of block j, and the inverse Fourier image is linear, so the
     base class sums are conjugated the same way; no adapted unit is formed.
-    The products are formed for a row block of S at a time, at most
-    ``_BLOCK_BYTES`` of them.
+    The output takes S r^2 complex numbers; a caller with many rows passes
+    a row block of them (:meth:`_Adaptation.take`), and no temporary is
+    larger than the output.
     """
     r = B.rank
     S = len(adapted.errors)
@@ -505,11 +522,8 @@ def _adapted_class_sums(B: BlockStructure, adapted: _Adaptation) -> np.ndarray:
         if m == 1:
             sums[:] = blk.class_sums
             continue
-        X = blk.class_sums.reshape(m, m * r)
-        step = max(1, _BLOCK_BYTES // (m * m * r * out.itemsize))
-        for lo in range(0, S, step):
-            Y = np.matmul(U[lo : lo + step].transpose(0, 2, 1), X)
-            np.matmul(Uinv[lo : lo + step, None], Y.reshape(-1, m, m, r), out=sums[lo : lo + step])
+        Y = np.matmul(U.transpose(0, 2, 1), blk.class_sums.reshape(m, m * r))
+        np.matmul(Uinv[:, None], Y.reshape(S, m, m, r), out=sums)
     out.setflags(write=False)
     return out
 

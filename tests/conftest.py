@@ -179,7 +179,75 @@ def ce_span(L, tol=linalg.DEFAULT_TOL):
     The columns keep the SVD's own phases: every reader tests containment
     or counts columns, and neither sees a phase per column.
     """
-    return linalg._orthonormal_columns(L.class_sums[L.selected].T, tol)
+    return linalg._orthonormal_columns(L.ce_sums.T, tol)
+
+
+def subalgebras_of(subcats, B, tol=linalg.DEFAULT_TOL):
+    """The subalgebra of each subcategory, or the exception building it
+    raises, from one row block of ``subalg._subalgebra_blocks``."""
+    blocks = subalg._subalgebra_blocks(subcats, B, tol, max(1, len(subcats)))
+    return [L for out, _projectors, _sums in blocks for L in out]
+
+
+def live_table(ring, B, tol=linalg.DEFAULT_TOL):
+    """The table of ``subalg._stream_lattice`` in one-entry row blocks, with
+    each entry's live (projector, adapted class sums) keyed by its
+    subcategory indices."""
+    live = {}
+
+    def keep(block):
+        for e, P, sums in zip(*block):
+            live[e.subcategory.indices] = (P, sums)
+
+    return subalg._stream_lattice(ring, B, tol, 1, keep), live
+
+
+def patch_subalgebras(monkeypatch, change):
+    """``subalg._subalgebra_blocks`` yields ``change(s, L)`` in place of the
+    subalgebra L of entry s; entries that failed pass unchanged."""
+    real = subalg._subalgebra_blocks
+
+    def changed(subcats, B, tol, step):
+        lo = 0
+        for out, projectors, sums in real(subcats, B, tol, step):
+            out = [L if isinstance(L, Exception) else change(lo + k, L) for k, L in enumerate(out)]
+            yield out, projectors, sums
+            lo += len(out)
+
+    monkeypatch.setattr(subalg, "_subalgebra_blocks", changed)
+
+
+def patch_table(monkeypatch, change):
+    """``subalg._stream_lattice``, and so ``build_lattice`` and ``verify_ring``,
+    return ``change(table)`` of the real table."""
+    real = subalg._stream_lattice
+    monkeypatch.setattr(subalg, "_stream_lattice", lambda *args: change(real(*args)))
+
+
+def bump_0_1(P):
+    """P with 1e-6 added to its entry (0, 1)."""
+    P = P.copy()
+    P[0, 1] += 1e-6
+    return P
+
+
+def patch_live_projector(monkeypatch, target, change):
+    """The live projector that ``subalg._stream_lattice`` hands to its
+    visitor for the subcategory ``target`` becomes ``change`` of it; the
+    table's own checks see the real one."""
+    real = subalg._stream_lattice
+
+    def visited(ring, B, tol, step, visit):
+        def perturbed(block):
+            projectors = np.array(block.projectors)
+            for k, e in enumerate(block.entries):
+                if e.subcategory.indices == target:
+                    projectors[k] = change(projectors[k])
+            visit(block._replace(projectors=projectors))
+
+        return real(ring, B, tol, step, perturbed)
+
+    monkeypatch.setattr(subalg, "_stream_lattice", visited)
 
 
 def reference_block_partition(L, tol=linalg.DEFAULT_TOL):

@@ -264,14 +264,12 @@ class TestCrosschecks:
         table = lattice_of(rep_fusion_ring(G))
         e = next(e for e in table.entries if 1 < e.subalgebra.ce_dim < table.ring.rank)
         L = e.subalgebra
-        sums = L.class_sums.copy()
-        V = sums[L.selected]
+        V = L.ce_sums.copy()
         if skew == "random":
             V = np.random.default_rng(0).standard_normal(V.shape) + 0j
         else:
             V[-1] = V[0]
-        sums[L.selected] = V
-        bad = dataclasses.replace(e, subalgebra=dataclasses.replace(L, class_sums=sums))
+        bad = dataclasses.replace(e, subalgebra=dataclasses.replace(L, ce_sums=V))
         entries = tuple(bad if f is e else f for f in table.entries)
         with pytest.raises(OracleMismatch, match=r"central subspace for N=\(.*\) is not the class sums in N"):
             crosscheck_rep(G, dataclasses.replace(table, entries=entries))

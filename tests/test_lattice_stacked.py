@@ -9,7 +9,10 @@ clustering both float sides (``reference_block_partition``), one containment
 test per pair, and Hasse edges from an O(S^3) loop over Python sets.  It
 looks up ``subcategory_cointegral`` and ``enumerate_subcategories`` through
 ``subalg`` at call time, so a test that perturbs one of them perturbs both
-constructions alike.
+constructions alike.  A second reference, ``stacked_projectors``, is the
+stacked pass as it was before the table was streamed in row blocks: the
+projectors of all entries formed at once, against which the one-entry reads
+of the streamed table are compared bit for bit.
 """
 
 import dataclasses
@@ -40,17 +43,21 @@ from conftest import (
     ce_span,
     deligne_product,
     haagerup_izumi_ring,
+    live_table,
+    patch_subalgebras,
     reference_block_partition,
     su2_fusion_ring,
+    subalgebras_of,
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def reference_adapt(B, p, tol=DEFAULT_TOL):
+    """The block structure adapted to the idempotent p, and its eigenbasis U per block."""
     ring = B.ring
     comps = B.expand(p.coeffs)
-    new_blocks = []
+    new_blocks, bases = [], []
     for blk, P in zip(B.blocks, comps):
         m = blk.m
         if m == 1:
@@ -58,6 +65,7 @@ def reference_adapt(B, p, tol=DEFAULT_TOL):
             if min(abs(val), abs(val - 1)) > tol.snap_tol:
                 raise NotIdempotent(f"block eigenvalue {val!r} is not in {{0, 1}}")
             new_blocks.append(blk)
+            bases.append(np.ones((1, 1), dtype=complex))
             continue
         w = np.linalg.eigvals(P)
         ones = int(np.sum(np.abs(w - 1) <= tol.snap_tol))
@@ -83,12 +91,18 @@ def reference_adapt(B, p, tol=DEFAULT_TOL):
         new_blocks.append(
             Block(blk.m, blk.n, blk.summand_dim, units, _fourier_inverse_raw(ring, units))
         )
-    return BlockStructure(ring, tuple(new_blocks), B.seed)
+        bases.append(U)
+    return BlockStructure(ring, tuple(new_blocks), B.seed), bases
 
 
 def reference_subalgebra(D, B, tol=DEFAULT_TOL):
+    return reference_entry(D, B, tol)[0]
+
+
+def reference_entry(D, B, tol=DEFAULT_TOL):
+    """The subalgebra of D, with its (r, r) projector and adapted class sums."""
     lam = subalg.subcategory_cointegral(D)
-    adapted = reference_adapt(B, lam, tol)
+    adapted, bases = reference_adapt(B, lam, tol)
     comps = adapted.expand(lam.coeffs)
     rows = []
     for blk, P in zip(adapted.blocks, comps):
@@ -109,11 +123,41 @@ def reference_subalgebra(D, B, tol=DEFAULT_TOL):
     ce_dim = int(sum(len(r) * adapted.blocks[j].m for j, r in enumerate(rows)))
     lay = adapted._layout()
     mask = np.array([t in rows[j] for j, t in zip(lay.block.tolist(), lay.t.tolist())])
+    selected = np.array([s in rows[j] for j, s in zip(lay.block.tolist(), lay.s.tolist())])
     projector = adapted._unit_matrix[:, mask] @ adapted._unit_matrix_inv[mask]
     components = np.concatenate([P.ravel() for P in comps])
-    return SubalgebraIndex(
-        B, tuple(rows), dim_l, ce_dim, projector, adapted._rows("class_sums"), components
+    idempotent = np.concatenate(
+        [(U @ np.diag(np.isin(np.arange(len(U)), sel)) @ np.linalg.inv(U)).ravel() for U, sel in zip(bases, rows)]
     )
+    sums = adapted._rows("class_sums")
+    L = SubalgebraIndex(B, tuple(rows), dim_l, ce_dim, sums[selected], components, idempotent)
+    return L, projector, sums
+
+
+def stacked_projectors(subcats, B, tol=DEFAULT_TOL):
+    """(S, r, r) projectors of all subcategories from one stacked pass, as
+    the table formed them before it was streamed in row blocks."""
+    coeffs = np.array([subalg.subcategory_cointegral(D).coeffs for D in subcats])
+    adapted = wedderburn._adapt_stack(B, coeffs, tol)
+    r, S = B.rank, len(subcats)
+    idems = []
+    for P, U, Uinv in zip(adapted.comps, adapted.bases, adapted.inverses):
+        diag = np.diagonal(Uinv @ P @ U, axis1=1, axis2=2)
+        idems.append((U * (np.abs(diag - 1) <= tol.snap_tol)[:, None, :]) @ Uinv)
+    units = [blk.units.transpose(2, 0, 1).reshape(r * blk.m, blk.m) for blk in B.blocks]
+    out = np.empty((S, r, r), dtype=complex)
+    step = max(1, subalg._BLOCK_BYTES // (r * r * out.itemsize))
+    buf = np.empty((min(step, S), r, r), dtype=complex)
+    for lo in range(0, S, step):
+        G = buf[: min(step, S - lo)]
+        pos = 0
+        for blk, F, L in zip(B.blocks, units, idems):
+            width = blk.m * blk.m
+            prods = np.matmul(F, L[lo : lo + step].transpose(0, 2, 1))
+            G[:, :, pos : pos + width] = prods.reshape(len(G), r, width)
+            pos += width
+        np.matmul(G, B._unit_matrix_inv, out=out[lo : lo + step])
+    return out
 
 
 def reference_edges(sets):
@@ -169,20 +213,28 @@ def reference_build_lattice(ring, B, tol=DEFAULT_TOL):
 
 
 def ring_of(source):
+    if source == "hi:3*su2:3":
+        return deligne_product(haagerup_izumi_ring(3), su2_fusion_ring(3))
     if source.startswith("su2:"):
         return su2_fusion_ring(int(source[4:]))
     return parse_source(source, 0, DEFAULT_TOL)[0]
 
 
-def assert_tables_match(new, ref):
+def assert_tables_match(new, live, ref):
+    """The streamed table and its live arrays (``live_table``) against the reference table."""
     assert len(new.entries) == len(ref.entries)
     for e, f in zip(new.entries, ref.entries):
         L, R = e.subalgebra, f.subalgebra
         assert e.subcategory.indices == f.subcategory.indices
         assert (L.rows, L.dim_l, L.ce_dim, e.partition) == (R.rows, R.dim_l, R.ce_dim, f.partition)
-        assert np.max(np.abs(L.class_sums - R.class_sums)) <= 1e-12
+        projector, sums = live[e.subcategory.indices]
+        _, ref_projector, ref_sums = reference_entry(f.subcategory, new.blocks)
+        assert np.max(np.abs(sums - ref_sums)) <= 1e-12
+        assert np.max(np.abs(projector - ref_projector)) <= 1e-12
+        assert np.max(np.abs(L.ce_sums - R.ce_sums)) <= 1e-12
         assert np.max(np.abs(L.cointegral_components - R.cointegral_components)) <= 1e-12
-        assert np.max(np.abs(L.projector - R.projector)) <= 1e-12
+        assert np.max(np.abs(L.idempotent - R.idempotent)) <= 1e-12
+        assert np.array_equal(subalg._projector(L), projector)
     assert new.hasse_edges == ref.hasse_edges
     for field in ("membership", "inside", "cosets"):
         assert np.array_equal(getattr(new, field), getattr(ref, field)), field
@@ -194,7 +246,25 @@ def assert_tables_match(new, ref):
 def test_stacked_table_matches_per_subcategory_build(source):
     ring = ring_of(source)
     B = compute_blocks(ring)
-    assert_tables_match(build_lattice(ring, B), reference_build_lattice(ring, B))
+    assert_tables_match(*live_table(ring, B), reference_build_lattice(ring, B))
+
+
+@pytest.mark.parametrize("source", ["vec:symmetric:4", "vec:alternating:5", "su2:6", "hi:3*su2:3"])
+def test_one_entry_reads_match_the_stacked_pass_bitwise(source):
+    # Restriction, epsilon_L and the inverse map rebuild one entry's
+    # projector; it has the bits that the stacked pass gave all entries.
+    ring = ring_of(source)
+    B = compute_blocks(ring)
+    table = build_lattice(ring, B)
+    rng = np.random.default_rng(5)
+    f = ClassFunction(ring, rng.standard_normal(ring.rank) + 1j * rng.standard_normal(ring.rank))
+    projectors = stacked_projectors([e.subcategory for e in table.entries], B)
+    for e, P in zip(table.entries, projectors):
+        L = e.subalgebra
+        assert np.array_equal(subalg.epsilon_L(L).coeffs, P[:, 0])
+        assert np.array_equal(subalg.restrict(f, L).coeffs, P @ f.coeffs)
+        assert np.array_equal(subalg._normalized_restrictions(L), P / ring.dims)
+        assert subalg.subcategory_from_subalgebra(L).indices == e.subcategory.indices
 
 
 @pytest.fixture(scope="module")
@@ -304,7 +374,7 @@ def test_first_failure_matches_reference(monkeypatch, s4, case):
     assert outcome == raised(reference_build_lattice, ring, B)
     assert outcome[0] is expected
     # Each stacked entry fails, or succeeds, as the reference does for it alone.
-    for D, L in zip(subs, subalg._subalgebras(subs, B, DEFAULT_TOL)):
+    for D, L in zip(subs, subalgebras_of(subs, B)):
         try:
             R = reference_subalgebra(D, B)
         except Exception as exc:  # noqa: BLE001 - compared below
@@ -351,25 +421,18 @@ def test_reference_clustering_finds_the_right_cosets():
 
 def span_of_target(monkeypatch, target, change):
     """Entry ``target``'s selected class sums become ``change`` of their own,
-    in the stacked build and in the reference alike."""
+    in the streamed build and in the reference alike."""
 
     def changed(L):
-        sums = L.class_sums.copy()
-        sums[L.selected] = change(sums[L.selected])
-        return dataclasses.replace(L, class_sums=sums)
+        return dataclasses.replace(L, ce_sums=change(L.ce_sums))
 
-    real_stack, real_reference = subalg._subalgebras, reference_subalgebra
-
-    def stacked(subcats, B, tol):
-        out = real_stack(subcats, B, tol)
-        out[target] = changed(out[target])
-        return out
+    real_reference = reference_subalgebra
 
     def reference(D, B, tol=DEFAULT_TOL):
         L = real_reference(D, B, tol)
         return changed(L) if D.indices == enumerate_subcategories(B.ring)[target].indices else L
 
-    monkeypatch.setattr(subalg, "_subalgebras", stacked)
+    patch_subalgebras(monkeypatch, lambda s, L: changed(L) if s == target else L)
     monkeypatch.setitem(globals(), "reference_subalgebra", reference)
 
 
@@ -417,8 +480,8 @@ def test_hasse_edges_match_set_loop(seed):
     assert len(edges) > 0
 
 
-def test_lattice_memory_above_the_table(vec_a5_ring):
-    ring = vec_a5_ring
+def lattice_memory(ring):
+    """(memory retained, peak above it) of build_lattice, in bytes, and the table."""
     B = compute_blocks(ring)
     ring.N_float, ring.support, B._unit_matrix_inv  # cached before tracing
     enumerate_subcategories(ring)
@@ -429,38 +492,57 @@ def test_lattice_memory_above_the_table(vec_a5_ring):
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return retained - start, peak - retained, table
+
+
+def test_lattice_memory_above_the_table(vec_a5_ring):
+    # The (r, r) projectors and class sums of 59 entries would take 6.8 MB;
+    # streamed in row blocks, the table keeps the selected class sums,
+    # 0.98 MB, and (r,) arrays.
+    retained, peak, table = lattice_memory(vec_a5_ring)
     assert len(table.entries) == 59
-    # The table holds the class sums and projectors of 59 entries, 6.8 MB;
-    # the adapted units of all entries would add 3.4 MB more.
-    held = sum(e.subalgebra.class_sums.nbytes + e.subalgebra.projector.nbytes for e in table.entries)
-    assert held <= retained - start <= 10e6
-    assert peak - retained <= 2e6
+    assert sum(e.subalgebra.ce_sums.nbytes for e in table.entries) <= retained <= 1.5e6
+    assert peak <= 2e6
+
+
+def test_rank_120_lattice_memory():
+    # vec:symmetric:5: the (r, r) arrays of 156 entries would take 71.9 MB,
+    # the selected class sums take 8.3 MB.
+    retained, _, table = lattice_memory(ring_of("vec:symmetric:5"))
+    assert len(table.entries) == 156
+    assert retained < 12e6
 
 
 def test_adaptation_memory_above_its_result(vec_a5_ring):
     # The adaptation keeps per block the (S, m, m) components, bases and
     # inverses: 3 S r numbers, 170 kB for the 59 cointegrals, where one
-    # (S, r, r) array would take 3.4 MB.  The adapted class sums are that
-    # one array; they are formed in row blocks of S, without the units.
+    # (S, r, r) array would take 3.4 MB.  The adapted class sums are formed
+    # for a row block of entries at a time, without the units.
     ring = vec_a5_ring
     B = compute_blocks(ring)
     B._unit_matrix_inv
     subs = enumerate_subcategories(ring)
     coeffs = np.array([subalg.subcategory_cointegral(D).coeffs for D in subs])
+    step = subalg._BLOCK_BYTES // (16 * ring.rank**2)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         adapted = wedderburn._adapt_stack(B, coeffs, DEFAULT_TOL)
         retained, peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        sums = wedderburn._adapted_class_sums(B, adapted)
+        for lo in range(0, len(subs), step):
+            sums = wedderburn._adapted_class_sums(B, adapted.take(slice(lo, lo + step)))
+            alone = wedderburn._adapted_class_sums(B, adapted.take(slice(lo, lo + 1)))
+            assert np.array_equal(sums[0], alone[0])
+            del sums, alone
         sums_retained, sums_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert all(e is None for e in adapted.errors)
+    assert step == 4
     assert retained - start <= 5e5
     assert peak - retained <= 1e6
-    assert sums.shape == (59, 60, 60) and sums_retained - retained >= sums.nbytes
+    assert sums_retained - retained <= 1e4
     assert sums_peak - sums_retained <= 1e6
 
 
@@ -518,7 +600,7 @@ def round_trip_first(ring, B, tol=DEFAULT_TOL):
     trip was read from the partition: every entry's simple set recomputed and
     closed by ``subcategory_from_subalgebra``, then its partition."""
     subcats = enumerate_subcategories(ring)
-    for D, L in zip(subcats, subalg._subalgebras(subcats, B, tol)):
+    for D, L in zip(subcats, subalgebras_of(subcats, B, tol)):
         if isinstance(L, Exception):
             raise L
         back = subalg.subcategory_from_subalgebra(L, tol)
@@ -528,16 +610,19 @@ def round_trip_first(ring, B, tol=DEFAULT_TOL):
     raise AssertionError("every entry passed")
 
 
-def corrupt_projector(monkeypatch, target, column, source=0):
+def corrupt_projector(monkeypatch, B, target, column, source=0):
     """Column ``column`` of entry ``target``'s projector becomes column
     ``source`` scaled by the dimension ratio, so that both simples restrict
-    alike; the central side is left as it was."""
+    alike; the central side is left as it was.  The entry is found by its
+    idempotent, in every row block and in one-entry rebuilds alike."""
     original = subalg._projectors
+    idempotent = build_lattice(B.ring, B).entries[target].subalgebra.idempotent
 
     def corrupted(B, idems):
         out = np.array(original(B, idems))
         d = B.ring.dims
-        out[target, :, column] = out[target, :, source] * d[column] / d[source]
+        for k in np.flatnonzero((idems == idempotent).all(axis=1)):
+            out[k, :, column] = out[k, :, source] * d[column] / d[source]
         return out
 
     monkeypatch.setattr(subalg, "_projectors", corrupted)
@@ -574,7 +659,7 @@ def test_corrupted_projector_fails_the_round_trip_as_before(monkeypatch, s4, ord
     # disagree too, and the round trip is still the error raised.
     ring, B = s4
     i = next(g for g in range(1, ring.rank) if len(subalg.subcategory_closure(ring, [g])) == order)
-    corrupt_projector(monkeypatch, 0, i)
+    corrupt_projector(monkeypatch, B, 0, i)
     calls = count_calls(monkeypatch, "subcategory_from_subalgebra")
     outcome = raised(build_lattice, ring, B)
     assert len(calls) == 1
@@ -597,7 +682,7 @@ def test_corrupted_projector_outside_the_unit_class_fails_the_partition(monkeypa
     ring, B = s4
     D = enumerate_subcategories(ring)[5]
     a, b = [g for g in range(ring.rank) if g not in D.indices][:2]
-    corrupt_projector(monkeypatch, 5, b, source=a)
+    corrupt_projector(monkeypatch, B, 5, b, source=a)
     calls = count_calls(monkeypatch, "subcategory_from_subalgebra")
     outcome = raised(build_lattice, ring, B)
     assert calls == []

@@ -42,3 +42,12 @@ def test_package_imports_resolve():
     assert imported
     for module, attr in imported:
         assert getattr(importlib.import_module(f"fuscat.{module}"), attr) is getattr(fuscat, attr)
+
+
+@pytest.mark.parametrize("name", ["ce_basis"])
+def test_deleted_names_are_gone(name):
+    # The table keeps each subalgebra's selected class sums as
+    # ``SubalgebraIndex.ce_sums``; the list function over them had no caller.
+    from fuscat import subalg
+
+    assert not hasattr(subalg, name) and not hasattr(fuscat, name)

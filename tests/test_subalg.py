@@ -24,7 +24,6 @@ from fuscat.linalg import DEFAULT_TOL, _span_contains, orthonormal_basis
 from fuscat.subalg import (
     PartitionMismatch,
     build_lattice,
-    ce_basis,
     epsilon_L,
     restrict,
     subcategory_from_subalgebra,
@@ -35,8 +34,11 @@ from conftest import (
     deligne_product,
     haagerup_izumi_ring,
     intersection_dims,
+    live_table,
+    patch_table,
     reference_group_equal_rows,
     su2_fusion_ring,
+    subalgebras_of,
 )
 
 
@@ -61,7 +63,7 @@ LATTICE_RINGS.update(
 def subalgebras(ring, B):
     """The subalgebra of every subcategory of the ring, in enumeration order."""
     subs = enumerate_subcategories(ring)
-    return list(zip(subs, subalg._subalgebras(subs, B, DEFAULT_TOL)))
+    return list(zip(subs, subalgebras_of(subs, B)))
 
 
 @pytest.fixture(scope="module")
@@ -193,37 +195,40 @@ class TestPartition:
         assert pairing(epsilon_L(L), CentralElement(s3_ring, ell0)) == pytest.approx(1)
 
 
-class TestCeBasis:
+class TestCeSums:
     def test_unit_subalgebra(self, s3_ring, s3_subalgebras):
-        basis = ce_basis(s3_subalgebras[(0, 1, 2)])
+        basis = s3_subalgebras[(0, 1, 2)].ce_sums
         assert len(basis) == 1
-        assert np.allclose(basis[0].coeffs, unit_central_element(s3_ring).coeffs)
+        assert np.allclose(basis[0], unit_central_element(s3_ring).coeffs)
 
     def test_whole_algebra(self, s3_subalgebras):
-        assert len(ce_basis(s3_subalgebras[(0,)])) == 3
+        assert len(s3_subalgebras[(0,)].ce_sums) == 3
 
     def test_a3_class_sums(self, s3_subalgebras):
         # oracle: central elements of kA3 = class sums of e and the 3-cycles,
         # with idempotent coordinates (1,1,1) and (2,2,-1)
-        basis = ce_basis(s3_subalgebras[(0, 1)])
+        basis = s3_subalgebras[(0, 1)].ce_sums
         assert len(basis) == 2
-        span = orthonormal_basis([b.coeffs for b in basis])
+        span = orthonormal_basis(list(basis))
         expected = orthonormal_basis([np.array([1.0, 1, 1]), np.array([2.0, 2, -1])])
         assert _span_contains(span, expected, DEFAULT_TOL)
         assert _span_contains(expected, span, DEFAULT_TOL)
 
 
 def dropped_row(L, j, s):
-    """L with row s of block j unselected and its ce_dim lowered to match."""
+    """L with row s of block j unselected, and its ce_dim and selected class
+    sums lowered to match."""
     rows = list(L.rows)
     rows[j] = tuple(x for x in rows[j] if x != s)
-    return dataclasses.replace(L, rows=tuple(rows), ce_dim=L.ce_dim - L.base.blocks[j].m)
+    smaller = dataclasses.replace(L, rows=tuple(rows), ce_dim=L.ce_dim - L.base.blocks[j].m)
+    return dataclasses.replace(smaller, ce_sums=L.ce_sums[smaller.selected[L.selected]])
 
 
 def checked_partition(table, indices, L):
     """``_checked_partition`` of the table's entry for ``indices``, with L as its subalgebra."""
     k = table.entries.index(table.entry(indices))
-    return subalg._checked_partition(table.entries[k].subcategory, L, table.cosets[k], DEFAULT_TOL)
+    D = table.entries[k].subcategory
+    return subalg._checked_partition(D, L, subalg._projector(L), table.cosets[k], DEFAULT_TOL)
 
 
 class TestPartitionDetectsBadSelection:
@@ -255,10 +260,9 @@ class TestBlockPartitionIndicators:
         # ((0, 1), (2,)) and holds the indicator of (0, 1), but (1, 0, 1)
         # differs on the coset (0, 1).
         L = s3_table.entry((0, 1)).subalgebra
-        sums = L.class_sums.copy()
-        sums[L.selected] = [[1.0, 1, 0], [1.0, 0, 1]]
+        sums = np.array([[1.0, 1, 0], [1.0, 0, 1]], dtype=complex)
         with pytest.raises(PartitionMismatch, match=r"class sum of \(0, 1\) is not constant"):
-            checked_partition(s3_table, (0, 1), dataclasses.replace(L, class_sums=sums))
+            checked_partition(s3_table, (0, 1), dataclasses.replace(L, ce_sums=sums))
 
 
 def group_equal_rows_reference(rows, tol):
@@ -308,32 +312,39 @@ class TestReferenceGroupEqualRows:
             )
 
 
-def pi_down_all(z, subalgebras):
-    """Projections of the central element z onto the central subspaces of a
-    stack of subalgebras, one row per subalgebra."""
-    sums = np.array([L.class_sums for L in subalgebras])
-    keep = np.array([L.selected for L in subalgebras])
+@pytest.fixture(scope="module")
+def s3_live(s3_ring, s3_blocks):
+    """The Rep(S3) table with each entry's live arrays (``live_table``)."""
+    return live_table(s3_ring, s3_blocks)
+
+
+def pi_down_all(z, live, keys):
+    """Projections of the central element z onto the central subspaces of
+    the entries of some subcategories, one row per subcategory."""
+    table, arrays = live
+    sums = np.array([arrays[k][1] for k in keys])
+    keep = np.array([table.entry(k).subalgebra.selected for k in keys])
     return subalg._pi_down_rows(sums, keep, z.coeffs)
 
 
 class TestPiDown:
-    def test_unit_retained(self, s3_ring, s3_subalgebras):
-        out = pi_down_all(unit_central_element(s3_ring), list(s3_subalgebras.values()))
+    def test_unit_retained(self, s3_ring, s3_live):
+        out = pi_down_all(unit_central_element(s3_ring), s3_live, [(0,), (0, 1), (0, 1, 2)])
         assert np.allclose(out, 1.0)
 
-    def test_integral_projects_to_scaled_unit_idempotent(self, s3_ring, s3_subalgebras):
+    def test_integral_projects_to_scaled_unit_idempotent(self, s3_ring, s3_live):
         # projection of the integral onto the A3 subalgebra is half the
         # unit idempotent: (1/6)(K_e + K_3cyc) = (1/2)(E_0 + E_sgn); onto
         # the whole algebra it is the integral, onto the unit subalgebra
         # (1/6) times the unit
         keys = [(0, 1), (0,), (0, 1, 2)]
-        out = pi_down_all(integral(s3_ring), [s3_subalgebras[k] for k in keys])
+        out = pi_down_all(integral(s3_ring), s3_live, keys)
         assert np.allclose(out, [[0.5, 0.5, 0], [1, 0, 0], [1 / 6, 1 / 6, 1 / 6]])
 
-    def test_whole_algebra_identity(self, s3_ring, s3_subalgebras):
+    def test_whole_algebra_identity(self, s3_ring, s3_live):
         rng = np.random.default_rng(11)
         z = CentralElement(s3_ring, rng.standard_normal(3) + 1j * rng.standard_normal(3))
-        out = pi_down_all(z, [s3_subalgebras[(0,)]])
+        out = pi_down_all(z, s3_live, [(0,)])
         assert np.allclose(out[0], z.coeffs)
 
 
@@ -450,7 +461,7 @@ class TestCointegralTraceSum:
 class TestRestrictionPairing:
     def test_pairing_preserved_on_ce_elements(self, s3_ring, s3_subalgebras):
         for L in s3_subalgebras.values():
-            for z in ce_basis(L):
+            for z in (CentralElement(s3_ring, v) for v in L.ce_sums):
                 for i in range(3):
                     f = chi(s3_ring, i)
                     assert pairing(restrict(f, L), z) == pytest.approx(pairing(f, z))
@@ -483,7 +494,7 @@ class TestProjector:
     def test_idempotent_with_trace_ce_dim(self, s3_table, vec_s3_table):
         for table in (s3_table, vec_s3_table):
             for e in table.entries:
-                P = e.subalgebra.projector
+                P = subalg._projector(e.subalgebra)
                 assert np.allclose(P @ P, P)
                 assert np.trace(P) == pytest.approx(e.subalgebra.ce_dim)
 
@@ -524,11 +535,30 @@ class TestVerifyReadsTable:
         n_subcats = len(enumerate_subcategories(vec_s3_ring))
         assert calls == {"adapt": [n_subcats], "blocks": 1}
 
-    def test_missing_meet_fails_the_check(self, vec_s3_ring, monkeypatch):
-        real_build = subalg.build_lattice
+    @pytest.mark.parametrize("source", ["vec:symmetric:4", "vec:alternating:5"])
+    def test_one_adaptation_over_all_row_blocks(self, monkeypatch, source):
+        # The per-entry checks run on the row blocks of the one streamed
+        # table: one stacked adaptation, however many blocks there are.
+        ring = parse_source(source, 0, DEFAULT_TOL)[0]
+        adapted, blocks = [], []
+        real_adapt, real_residuals = subalg._adapt_stack, verify._entry_residuals
 
-        def without_trivial(ring, B, tol=DEFAULT_TOL):
-            t = real_build(ring, B, tol)
+        def counted_adapt(B, coeffs, tol):
+            adapted.append(len(coeffs))
+            return real_adapt(B, coeffs, tol)
+
+        def counted_residuals(ring, block):
+            blocks.append(len(block.entries))
+            return real_residuals(ring, block)
+
+        monkeypatch.setattr(subalg, "_adapt_stack", counted_adapt)
+        monkeypatch.setattr(verify, "_entry_residuals", counted_residuals)
+        assert all(c.passed for c in verify.verify_ring(ring))
+        n_subcats = len(enumerate_subcategories(ring))
+        assert adapted == [n_subcats] and sum(blocks) == n_subcats and len(blocks) >= 10
+
+    def test_missing_meet_fails_the_check(self, vec_s3_ring, monkeypatch):
+        def without_trivial(t):
             return dataclasses.replace(
                 t,
                 entries=t.entries[1:],
@@ -537,6 +567,6 @@ class TestVerifyReadsTable:
                 cosets=t.cosets[1:],
             )
 
-        monkeypatch.setattr(subalg, "build_lattice", without_trivial)
+        patch_table(monkeypatch, without_trivial)
         checks = {c.name: c for c in verify.verify_ring(vec_s3_ring)}
         assert not checks["meet and join correspondence"].passed

@@ -1,15 +1,18 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from fuscat import subalg, verify
-from fuscat.fusion_ring import _raw_product_table, subcategory_join, subcategory_meet
-from fuscat.linalg import DEFAULT_TOL
+from fuscat.fusion_ring import (
+    _raw_product_table,
+    enumerate_subcategories,
+    subcategory_join,
+    subcategory_meet,
+)
 from fuscat.verify import verify_ring
 
-from conftest import perturb_unit
+from conftest import bump_0_1, patch_live_projector, perturb_unit
 
 MATRIX_UNIT_CHECK = "matrix unit relations and unit sum"
 RESTRICTION_CHECK = "restriction compatible with pairing"
@@ -97,19 +100,11 @@ def test_pair_loop_computes_each_ordered_product_once(monkeypatch, vec_s3_ring, 
 
 
 def test_perturbed_projector_fails_restriction_pairing(monkeypatch, vec_s3_ring):
-    real_build = subalg.build_lattice
-
-    def perturbed(ring, B, tol=DEFAULT_TOL):
-        t = real_build(ring, B, tol)
-        e = t.entries[1]
-        P = e.subalgebra.projector.copy()
-        P[0, 1] += 1e-6
-        bad = dataclasses.replace(e, subalgebra=dataclasses.replace(e.subalgebra, projector=P))
-        entries = t.entries[:1] + (bad,) + t.entries[2:]
-        return dataclasses.replace(t, entries=entries)
-
+    # Entry 1's live projector is perturbed after the table checked it, as
+    # verify's per-entry checks read it.
+    target = enumerate_subcategories(vec_s3_ring)[1].indices
     assert by_name(verify_ring(vec_s3_ring))[RESTRICTION_CHECK].passed
-    monkeypatch.setattr(subalg, "build_lattice", perturbed)
+    patch_live_projector(monkeypatch, target, bump_0_1)
     assert not by_name(verify_ring(vec_s3_ring))[RESTRICTION_CHECK].passed
 
 

@@ -8,9 +8,10 @@ the projection of the integral and the ``ce_basis`` closure test.  The
 product dimension bound is worked out inline, and the dimension of each
 intersection of central subspaces by rank, dim U + dim V - dim(U + V),
 independent of the coset partitions that the suite compares.  The reference
-looks up ``compute_blocks`` through ``verify`` and ``build_lattice`` through
-``subalg`` at call time, so a test that perturbs one of them perturbs both
-suites alike.
+looks up ``compute_blocks`` through ``verify`` and the streamed table
+``_stream_lattice`` through ``subalg`` at call time, so a test that perturbs
+one of them perturbs both suites alike; it reads each entry's projector and
+class sums from the live row blocks of that table, one entry at a time.
 """
 
 import dataclasses
@@ -38,13 +39,23 @@ from fuscat.char_theory import (
     unit_central_element,
 )
 from fuscat.cli import parse_source
-from fuscat.fusion_ring import _raw_product_table
+from fuscat.fusion_ring import _raw_product_table, enumerate_subcategories
 from fuscat.groups import OracleMismatch, character_table_cached, crosscheck_rep, crosscheck_vec
 from fuscat.linalg import DEFAULT_TOL, _span_contains, snap_integer
 from fuscat.verify import LATTICE_CHECK, CheckResult, battery_sources, verify_ring
 from fuscat.wedderburn import _unit_relation_residual
 
-from conftest import ce_span, intersection_dims, perturb_unit, su2_fusion_ring
+from conftest import (
+    bump_0_1,
+    ce_span,
+    intersection_dims,
+    live_table,
+    patch_live_projector,
+    patch_subalgebras,
+    patch_table,
+    perturb_unit,
+    su2_fusion_ring,
+)
 
 
 def reference_class_sum_pairings(B):
@@ -124,17 +135,17 @@ def reference_trace_sum(e):
     return float(residual)
 
 
-def reference_pi_down(z, L):
-    cols = L.class_sums.T
+def reference_pi_down(z, L, class_sums):
+    cols = class_sums.T
     coeffs = np.linalg.solve(cols, z.coeffs)
     keep = np.array([s in L.rows[j] for j, s, _t in unit_position(L)])
     return cols[:, keep] @ coeffs[keep]
 
 
-def reference_ce_basis(L, tol):
+def reference_ce_basis(L, class_sums, tol):
     pos = unit_position(L)
     out = [
-        L.class_sums[pos[j, s, t]]
+        class_sums[pos[j, s, t]]
         for j, r in enumerate(L.rows)
         for s in r
         for t in range(L.base.blocks[j].m)
@@ -255,7 +266,7 @@ def reference_verify_ring(ring, group=None, kind=None, seed=0, tol=DEFAULT_TOL):
     )
 
     try:
-        table = subalg.build_lattice(ring, B, tol)
+        table, live = live_table(ring, B, tol)
     except Exception as exc:  # noqa: BLE001
         checks.append(CheckResult(LATTICE_CHECK, 1.0, 0.0, info=str(exc)))
         return checks
@@ -263,6 +274,7 @@ def reference_verify_ring(ring, group=None, kind=None, seed=0, tol=DEFAULT_TOL):
     worst = dict.fromkeys(("idem", "dimprod", "diag", "trace", "norm", "proj", "respair"), 0.0)
     for e in table.entries:
         D, L = e.subcategory, e.subalgebra
+        projector, class_sums = live[D.indices]
         lam_d = subcategory_cointegral(D)
         sq = cf_multiply(lam_d, lam_d)
         worst["idem"] = max(worst["idem"], float(np.max(np.abs(sq.coeffs - lam_d.coeffs))))
@@ -279,12 +291,12 @@ def reference_verify_ring(ring, group=None, kind=None, seed=0, tol=DEFAULT_TOL):
         diag_sum = np.zeros(r, dtype=complex)
         for j, rr in enumerate(L.rows):
             for s in rr:
-                diag_sum += L.class_sums[pos[j, s, s]]
+                diag_sum += class_sums[pos[j, s, s]]
         worst["proj"] = max(worst["proj"], float(np.max(np.abs(ell0 - (D.fpdim / dim) * diag_sum))))
-        pid = reference_pi_down(integral(ring), L)
+        pid = reference_pi_down(integral(ring), L, class_sums)
         worst["proj"] = max(worst["proj"], float(np.max(np.abs(pid - ell0 / D.fpdim))))
-        Z = np.array(reference_ce_basis(L, tol)).T * ring.dims[:, None]
-        worst["respair"] = max(worst["respair"], float(np.max(np.abs(L.projector.T @ Z - Z))))
+        Z = np.array(reference_ce_basis(L, class_sums, tol)).T * ring.dims[:, None]
+        worst["respair"] = max(worst["respair"], float(np.max(np.abs(projector.T @ Z - Z))))
     names = (
         ("subcategory cointegrals idempotent", 1e-8),
         ("subalgebra dimension product", 1e-6),
@@ -412,17 +424,8 @@ def _swap_one_meet(monkeypatch, ring):
 
 
 def _perturb_projector(monkeypatch, ring):
-    real_build = subalg.build_lattice
-
-    def perturbed(ring, B, tol=DEFAULT_TOL):
-        t = real_build(ring, B, tol)
-        e = t.entries[1]
-        P = e.subalgebra.projector.copy()
-        P[0, 1] += 1e-6
-        bad = dataclasses.replace(e, subalgebra=dataclasses.replace(e.subalgebra, projector=P))
-        return dataclasses.replace(t, entries=(t.entries[0], bad, *t.entries[2:]))
-
-    monkeypatch.setattr(subalg, "build_lattice", perturbed)
+    """Entry 1's live projector, after the table has checked it, gets 1e-6 at (0, 1)."""
+    patch_live_projector(monkeypatch, enumerate_subcategories(ring)[1].indices, bump_0_1)
 
 
 def _perturb_unit(monkeypatch, ring):
@@ -431,9 +434,8 @@ def _perturb_unit(monkeypatch, ring):
 
 
 def _replace_table(monkeypatch, change):
-    """build_lattice, in both suites, returns change(table) of the real table."""
-    real_build = subalg.build_lattice
-    monkeypatch.setattr(subalg, "build_lattice", lambda ring, B, tol=DEFAULT_TOL: change(real_build(ring, B, tol)))
+    """The table, in both suites, is change(table) of the real table."""
+    patch_table(monkeypatch, change)
 
 
 def _first_proper(table, side):
@@ -491,18 +493,12 @@ def _skew_span(monkeypatch, ring):
     number; the first central subspace below the whole space is then not
     constant on its right cosets."""
     rng = np.random.default_rng(0)
-    real = subalg._subalgebras
 
-    def skewed(subcats, B, tol):
-        out = []
-        for L in real(subcats, B, tol):
-            sums = L.class_sums.copy()
-            shape = (L.ce_dim, ring.rank)
-            sums[L.selected] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            out.append(dataclasses.replace(L, class_sums=sums))
-        return out
+    def skewed(s, L):
+        shape = (L.ce_dim, ring.rank)
+        return dataclasses.replace(L, ce_sums=rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
-    monkeypatch.setattr(subalg, "_subalgebras", skewed)
+    patch_subalgebras(monkeypatch, skewed)
 
 
 def _drop_c3(monkeypatch, ring):
@@ -525,14 +521,8 @@ def _drop_c3(monkeypatch, ring):
 
 def _ce_dim_off_by_one(monkeypatch, ring):
     """The last subalgebra claims one central direction more than its cosets."""
-    real = subalg._subalgebras
-
-    def bumped(subcats, B, tol):
-        out = real(subcats, B, tol)
-        out[-1] = dataclasses.replace(out[-1], ce_dim=out[-1].ce_dim + 1)
-        return out
-
-    monkeypatch.setattr(subalg, "_subalgebras", bumped)
+    last = len(enumerate_subcategories(ring)) - 1
+    patch_subalgebras(monkeypatch, lambda s, L: dataclasses.replace(L, ce_dim=L.ce_dim + 1) if s == last else L)
 
 
 def _patch_raw_products(monkeypatch, edit):
@@ -624,15 +614,7 @@ def test_product_dimension_violation_fails_by_name(monkeypatch, vec_s3_ring):
     # Raising dim_l of the trivial subcategory's subalgebra breaks the bound
     # for the pairs of incomparable subcategories that meet in it.
     names = [c.name for c in verify_ring(vec_s3_ring)]
-    real_build = subalg.build_lattice
-
-    def perturbed(ring, B, tol=DEFAULT_TOL):
-        t = real_build(ring, B, tol)
-        e = t.entries[0]
-        bad = dataclasses.replace(e, subalgebra=dataclasses.replace(e.subalgebra, dim_l=e.subalgebra.dim_l + 1e-3))
-        return dataclasses.replace(t, entries=(bad, *t.entries[1:]))
-
-    monkeypatch.setattr(subalg, "build_lattice", perturbed)
+    patch_subalgebras(monkeypatch, lambda s, L: dataclasses.replace(L, dim_l=L.dim_l + 1e-3) if s == 0 else L)
     checks = verify_ring(vec_s3_ring)
     assert [c.name for c in checks] == names
     bound = {c.name: c for c in checks}["product dimension bound"]
@@ -647,17 +629,9 @@ def test_commutative_equality_fails_by_name(monkeypatch):
     # Lowering dim_l of the trivial subcategory's subalgebra leaves the bound
     # but breaks the equality for two order-2 subcategories, which meet in it.
     ring, group, kind = parse_source("rep:product:cyclic:2*cyclic:2", 0, DEFAULT_TOL)
-    real_build = subalg.build_lattice
-
-    def perturbed(ring, B, tol=DEFAULT_TOL):
-        t = real_build(ring, B, tol)
-        e = t.entries[0]
-        assert e.subcategory.indices == (0,)
-        bad = dataclasses.replace(e, subalgebra=dataclasses.replace(e.subalgebra, dim_l=e.subalgebra.dim_l / 2))
-        return dataclasses.replace(t, entries=(bad, *t.entries[1:]))
-
+    assert enumerate_subcategories(ring)[0].indices == (0,)
     names = [c.name for c in verify_ring(ring, group, kind)]
-    monkeypatch.setattr(subalg, "build_lattice", perturbed)
+    patch_subalgebras(monkeypatch, lambda s, L: dataclasses.replace(L, dim_l=L.dim_l / 2) if s == 0 else L)
     checks = verify_ring(ring, group, kind)
     assert [c.name for c in checks] == names
     assert {"product dimension equality (commutative)", "subalgebra dimension product"} <= failing(checks)
@@ -742,9 +716,9 @@ def test_entry_checks_in_blocks_sized_by_rank(monkeypatch, vec_a5_ring):
     sizes = []
     real = verify._entry_residuals
 
-    def spy(ring, entries):
-        sizes.append(len(entries))
-        return real(ring, entries)
+    def spy(ring, block):
+        sizes.append(len(block.entries))
+        return real(ring, block)
 
     def stop(*args):
         raise _Stop
@@ -760,15 +734,15 @@ def test_entry_checks_in_blocks_sized_by_rank(monkeypatch, vec_a5_ring):
 
 
 def test_trace_sum_and_pi_down_match_the_loops(vec_s3_ring, vec_s3_blocks):
-    table = subalg.build_lattice(vec_s3_ring, vec_s3_blocks)
+    table, live = live_table(vec_s3_ring, vec_s3_blocks)
     stack = subalg._stack_entries(table.entries)
     z = CentralElement(vec_s3_ring, np.arange(vec_s3_ring.rank) + 1j)
-    sums = np.array([e.subalgebra.class_sums for e in table.entries])
+    sums = np.array([live[e.subcategory.indices][1] for e in table.entries])
     projected = subalg._pi_down_rows(sums, stack.keep, z.coeffs)
     trace_sums = subalg._cointegral_trace_sums(table.entries, stack)
-    for e, res, got in zip(table.entries, trace_sums, projected):
+    for e, res, got, class_sums in zip(table.entries, trace_sums, projected, sums):
         assert res == pytest.approx(reference_trace_sum(e), abs=1e-15)
-        assert np.allclose(got, reference_pi_down(z, e.subalgebra), atol=1e-13)
+        assert np.allclose(got, reference_pi_down(z, e.subalgebra, class_sums), atol=1e-13)
 
 
 def test_fourier_forward_rows(su2_ring):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fuscat import groups, wedderburn
 from fuscat.char_theory import ClassFunction, chi, cointegral, cf_multiply
-from fuscat.fusion_ring import enumerate_subcategories
+from fuscat.fusion_ring import FusionRingData, enumerate_subcategories
 from fuscat.char_theory import subcategory_cointegral
 from fuscat.cli import parse_source
 from fuscat.linalg import DEFAULT_TOL
@@ -386,3 +386,59 @@ def test_adapted_columns_match_python_round_keys(source):
             assert sorted(range(blk.m), key=keys.__getitem__) == list(range(blk.m))
             checked += 1
     assert checked
+
+
+def svd_center_basis(ring, tol):
+    """The centre from the SVD of the (r^2, r) commutator stack, on every
+    ring: the path that commutative rings took before they skipped it."""
+    N = ring.N_float
+    left = N.transpose(0, 2, 1)
+    right = N.transpose(1, 2, 0)
+    diff = (left - right).reshape(ring.rank, -1).T
+    _, s, Vh = np.linalg.svd(diff, full_matrices=False)
+    smax = s[0] if s.size else 0.0
+    thr = max(tol.abs_tol, smax * ring.rank**2 * np.finfo(float).eps, smax * 1e-10)
+    null_dim = ring.rank - int(np.sum(s > thr))
+    return Vh[ring.rank - null_dim :].conj().T
+
+
+def svd_shapes(monkeypatch):
+    """Shapes of the matrices passed to np.linalg.svd from now on."""
+    shapes = []
+    real = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return shapes
+
+
+class TestCommutativeCentre:
+    @pytest.mark.parametrize("source", ["su2", "rep:symmetric:4", "vec:cyclic:6"])
+    def test_commutative_ring_runs_no_svd(self, monkeypatch, su2_ring, source):
+        ring = su2_ring if source == "su2" else parse_source(source, 0, DEFAULT_TOL)[0]
+        assert ring.commutative
+        expected = svd_center_basis(ring, DEFAULT_TOL)
+        shapes = svd_shapes(monkeypatch)
+        center, left = wedderburn._center_basis(ring, DEFAULT_TOL)
+        assert shapes == []
+        assert center.dtype == expected.dtype and np.array_equal(center, expected)
+        assert np.array_equal(left, ring.N_float.transpose(0, 2, 1))
+
+    def test_non_commutative_rings_take_the_svd(self, monkeypatch):
+        # vec:symmetric:3, and rep:cyclic:3 with N[1, 2] made to differ from
+        # N[2, 1] in one entry (not a fusion ring; only the test reads it).
+        s3 = parse_source("vec:symmetric:3", 0, DEFAULT_TOL)[0]
+        c3 = parse_source("rep:cyclic:3", 0, DEFAULT_TOL)[0]
+        N = c3.N.copy()
+        N[1, 2, 1] += 1
+        skewed = FusionRingData(c3.labels, N, c3.dual, c3.dims, c3.global_dim)
+        for ring in (s3, skewed):
+            assert not ring.commutative
+            shapes = svd_shapes(monkeypatch)
+            center, _ = wedderburn._center_basis(ring, DEFAULT_TOL)
+            assert shapes == [(ring.rank**2, ring.rank)]
+            assert np.array_equal(center, svd_center_basis(ring, DEFAULT_TOL))
+        assert center.shape[1] < skewed.rank
