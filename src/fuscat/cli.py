@@ -313,6 +313,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     snap_tol = args.snap_tol if args.snap_tol is not None else 1e-6
     if not all(np.isfinite(t) and t > 0 for t in (abs_tol, rel_tol, snap_tol)):
         raise InputFailure("tolerances must be finite and positive")
+    if args.seed < 0:
+        raise InputFailure(f"--seed must be non-negative, got {args.seed}")
     return RunConfig(
         command=args.command,
         source=args.source,

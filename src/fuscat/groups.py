@@ -648,7 +648,9 @@ def crosscheck_rep(
 
     Subcategories must biject with normal subgroups N, with subalgebra
     dimension |N|, matching trivial-action subcategory, the partition of
-    Clifford theory, and central subspace spanned by the class sums inside N.
+    Clifford theory, and central subspace spanned by the class sums inside N;
+    the blocks must have summand dimensions the class sizes |c| and n the
+    centralizer orders |G|/|c|.
     Raises :class:`OracleMismatch` with the full diff on any disagreement.
     """
     seed = lattice.blocks.seed
@@ -703,6 +705,15 @@ def crosscheck_rep(
         )
     if len(seen) != len(normals):
         mismatches.append("trivial-action map is not injective on normal subgroups")
+    class_sizes = sorted(len(c) for c in G.classes)
+    centralizers = sorted(G.order // size for size in class_sizes)
+    block_dims = sorted(snap_integer(blk.summand_dim, tol) for blk in lattice.blocks.blocks)
+    block_ns = sorted(snap_integer(blk.n, tol) for blk in lattice.blocks.blocks)
+    if block_dims != class_sizes or block_ns != centralizers:
+        mismatches.append(
+            f"block summand dims {block_dims} / n {block_ns} vs class sizes {class_sizes}"
+            f" / centralizer orders {centralizers}"
+        )
     report = {
         "group": G.name,
         "normal_subgroups": len(normals),

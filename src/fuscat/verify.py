@@ -33,14 +33,8 @@ from .char_theory import (
     unit_central_element,
 )
 from .fusion_ring import FusionRingData, _close_rows, _raw_product_table
-from .groups import (
-    FiniteGroup,
-    character_table_cached,
-    crosscheck_rep,
-    crosscheck_vec,
-    OracleMismatch,
-)
-from .linalg import _BLOCK_BYTES, DEFAULT_TOL, Tolerance, snap_integer
+from .groups import FiniteGroup, OracleMismatch, crosscheck_rep, crosscheck_vec
+from .linalg import _BLOCK_BYTES, DEFAULT_TOL, Tolerance
 from .wedderburn import (
     _unit_relation_residual,
     compute_blocks,
@@ -103,23 +97,6 @@ def _random_cf(ring: FusionRingData, rng) -> ClassFunction:
 def _worst(*arrays) -> float:
     """Largest absolute entry over all the given arrays."""
     return max(float(np.max(np.abs(a), initial=0.0)) for a in arrays)
-
-
-def _duality_residual(ring: FusionRingData) -> float:
-    """Max residual of <chi_i, E_j> = d_i delta_ij and E_i E_j = delta_ij E_i.
-
-    All pairings come from one product; the coordinatewise products are
-    formed one row block of i at a time, at most ``_BLOCK_BYTES`` of them.
-    """
-    r, dims = ring.rank, ring.dims
-    chis, idems = np.eye(r), np.eye(r)
-    worst = _worst(chis @ (idems * dims).T - np.diag(dims))
-    step = max(1, _BLOCK_BYTES // (idems.itemsize * r * r))
-    for lo in range(0, r, step):
-        prods = idems[lo : lo + step, None, :] * idems
-        prods[np.arange(len(prods)), np.arange(lo, lo + len(prods))] -= idems[lo : lo + step]
-        worst = max(worst, _worst(prods))
-    return worst
 
 
 # The per-subcategory checks, with their bounds, in report order.
@@ -272,7 +249,7 @@ def verify_ring(
     seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
 ) -> list[CheckResult]:
-    """Run every identity suite on one ring; group/kind enable the oracle checks."""
+    """Run every identity suite on one ring; group/kind enable the group oracle crosscheck."""
     checks: list[CheckResult] = []
     rng = np.random.default_rng(seed)
     r = ring.rank
@@ -294,10 +271,6 @@ def verify_ring(
         inv - closed,
     )
     checks.append(CheckResult("fourier round trip and closed form", worst, 1e-8))
-
-    checks.append(
-        CheckResult("pairing duality and idempotent orthogonality", _duality_residual(ring), 1e-8)
-    )
 
     lam = cointegral(ring)
     worst = abs(pairing(lam, integral(ring)) - 1.0 / dim)
@@ -332,9 +305,6 @@ def verify_ring(
     checks.append(CheckResult("right action adjointness, random round trips", worst, 1e-8))
 
     B = compute_blocks(ring, seed=seed, tol=tol)
-    count_residual = abs(sum(blk.m**2 for blk in B.blocks) - r)
-    checks.append(CheckResult("block multiplicities fill the rank", count_residual, 0.0))
-
     lay = B._layout()
     diag = lay.s == lay.t
     units = B._rows("units")
@@ -348,34 +318,6 @@ def verify_ring(
         [lay.summand_dim[diag].sum() - dim],
     )
     checks.append(CheckResult("block trace constants", worst, 1e-8))
-
-    if group is not None and kind == "rep":
-        class_sizes = sorted(len(c) for c in group.classes)
-        snapped = sorted(snap_integer(blk.summand_dim, tol) for blk in B.blocks)
-        nvals = sorted(snap_integer(blk.n, tol) for blk in B.blocks)
-        expected_n = sorted(group.order // len(c) for c in group.classes)
-        residual = 0.0 if (snapped == class_sizes and nvals == expected_n) else 1.0
-        checks.append(
-            CheckResult(
-                "block data matches conjugacy classes",
-                residual,
-                0.0,
-                info=f"summand dims {snapped} vs class sizes {class_sizes}",
-            )
-        )
-    if group is not None and kind == "vec":
-        degrees = sorted(character_table_cached(group, seed).degrees)
-        snapped = sorted(snap_integer(blk.summand_dim, tol) for blk in B.blocks)
-        mults = sorted(blk.m for blk in B.blocks)
-        residual = 0.0 if (snapped == degrees and mults == degrees) else 1.0
-        checks.append(
-            CheckResult(
-                "block data matches irreducible degrees",
-                residual,
-                0.0,
-                info=f"summand dims {snapped} vs degrees {degrees}",
-            )
-        )
 
     checks.append(CheckResult("dual bases identity", verify_dual_bases(B), 1e-8))
     checks.append(CheckResult("class sum pairings", verify_class_sum_pairings(B), 1e-8))
@@ -404,15 +346,6 @@ def verify_ring(
     checks.extend(_pair_checks(ring, table))
 
     if group is not None:
-        T = character_table_cached(group, seed)
-        sizes = np.array([len(c) for c in group.classes], dtype=float)
-        gram = (T.rows * sizes) @ T.rows.conj().T
-        row_res = float(np.max(np.abs(gram - group.order * np.eye(len(sizes)))))
-        col = T.rows.conj().T @ T.rows
-        col_res = float(np.max(np.abs(col - np.diag(group.order / sizes))))
-        deg_res = abs(sum(d * d for d in T.degrees) - group.order)
-        checks.append(CheckResult("character orthogonality", max(row_res, col_res), 1e-7))
-        checks.append(CheckResult("squared degrees sum to the order", deg_res, 0.0))
         try:
             if kind == "rep":
                 report = crosscheck_rep(group, table, tol)

@@ -14,6 +14,7 @@ dimension dim(C)/n_j of the underlying simple summand of the adjoint algebra.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -29,7 +30,7 @@ from .char_theory import (
     unit_central_element,
 )
 from .fusion_ring import FusionRingData
-from .linalg import DEFAULT_TOL, Tolerance, joint_eigenspaces, snap_integer
+from .linalg import DEFAULT_TOL, Tolerance, joint_eigenspaces
 
 __all__ = [
     "SplitFailure",
@@ -341,12 +342,11 @@ def compute_blocks(
     lam = cointegral(ring).coeffs
     lam_coords = np.linalg.solve(basis, lam)
 
-    ms = []
-    for V in spaces:
-        try:
-            ms.append(snap_integer(np.sqrt(V.shape[1]), tol))
-        except Exception as exc:
-            raise NotSemisimple(f"block dimension {V.shape[1]} is not a perfect square") from exc
+    # Exact: the widths sum to r, so the multiplicities fill the rank.
+    ms = [math.isqrt(V.shape[1]) for V in spaces]
+    for V, m in zip(spaces, ms):
+        if m * m != V.shape[1]:
+            raise NotSemisimple(f"block dimension {V.shape[1]} is not a perfect square")
 
     rng = np.random.default_rng(seed)
     raw = []

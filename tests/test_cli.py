@@ -319,6 +319,21 @@ class TestConfig:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["analyze", "vec:cyclic:2", "--seed", "-1"],
+            ["lattice", "rep:cyclic:3", "--seed", "-2"],
+            ["verify", "rep:cyclic:3", "--seed", "-5"],
+            ["verify", "--battery", "--seed", "-1"],
+        ],
+    )
+    def test_negative_seed_rejected(self, capsys, args):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "--seed" in lines[0]
+
 
 def _refuse_oversized(monkeypatch):
     """Builders of cyclic, dihedral and product groups that fail instead of

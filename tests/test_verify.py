@@ -1,15 +1,18 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from fuscat import subalg, verify
+from fuscat.cli import parse_source
 from fuscat.fusion_ring import (
     _raw_product_table,
     enumerate_subcategories,
     subcategory_join,
     subcategory_meet,
 )
+from fuscat.linalg import DEFAULT_TOL
 from fuscat.verify import verify_ring
 
 from conftest import bump_0_1, patch_live_projector, perturb_unit
@@ -121,3 +124,30 @@ def test_pairing_check_uses_blocked_star_products(monkeypatch, su2_ring):
     checks = by_name(verify_ring(su2_ring))
     assert checks["pairing against trace form"].passed
     assert sum(rows) == su2_ring.rank and max(rows) <= su2_ring.rank // 16
+
+
+@pytest.mark.parametrize(
+    "source, crosscheck, field",
+    [
+        ("rep:symmetric:3", "crosscheck_rep", "n"),
+        ("rep:symmetric:3", "crosscheck_rep", "summand_dim"),
+        ("vec:symmetric:3", "crosscheck_vec", "summand_dim"),
+    ],
+)
+def test_block_data_off_the_group_fails_only_the_oracle(monkeypatch, source, crosscheck, field):
+    # The group oracle is handed the blocks with one value of block 1 one too
+    # large; every other check reads the blocks as computed.
+    ring, group, kind = parse_source(source, 0, DEFAULT_TOL)
+    real = getattr(verify, crosscheck)
+
+    def skewed(G, table, tol):
+        B = table.blocks
+        blocks = list(B.blocks)
+        blocks[1] = dataclasses.replace(blocks[1], **{field: getattr(blocks[1], field) + 1})
+        skewed_B = dataclasses.replace(B, blocks=tuple(blocks))
+        return real(G, dataclasses.replace(table, blocks=skewed_B), tol)
+
+    monkeypatch.setattr(verify, crosscheck, skewed)
+    checks = verify_ring(ring, group, kind)
+    assert {c.name for c in checks if not c.passed} == {"group oracle crosscheck"}
+    assert "block summand dims" in by_name(checks)["group oracle crosscheck"].info

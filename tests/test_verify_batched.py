@@ -15,7 +15,6 @@ class sums from the live row blocks of that table, one entry at a time.
 """
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,8 +39,8 @@ from fuscat.char_theory import (
 )
 from fuscat.cli import parse_source
 from fuscat.fusion_ring import _raw_product_table, enumerate_subcategories
-from fuscat.groups import OracleMismatch, character_table_cached, crosscheck_rep, crosscheck_vec
-from fuscat.linalg import DEFAULT_TOL, _span_contains, snap_integer
+from fuscat.groups import OracleMismatch, crosscheck_rep, crosscheck_vec
+from fuscat.linalg import DEFAULT_TOL, _span_contains
 from fuscat.verify import LATTICE_CHECK, CheckResult, battery_sources, verify_ring
 from fuscat.wedderburn import _unit_relation_residual
 
@@ -182,16 +181,6 @@ def reference_verify_ring(ring, group=None, kind=None, seed=0, tol=DEFAULT_TOL):
         worst = max(worst, float(np.max(np.abs(fourier_inverse(f).coeffs - expected))))
     checks.append(CheckResult("fourier round trip and closed form", worst, 1e-8))
 
-    worst = 0.0
-    for i in range(r):
-        for j in range(r):
-            expected = ring.dims[i] if i == j else 0.0
-            worst = max(worst, abs(pairing(basis[i], idempotent(ring, j)) - expected))
-            prod = ce_multiply(idempotent(ring, i), idempotent(ring, j)).coeffs
-            exp_vec = idempotent(ring, i).coeffs if i == j else 0.0
-            worst = max(worst, float(np.max(np.abs(prod - exp_vec))))
-    checks.append(CheckResult("pairing duality and idempotent orthogonality", worst, 1e-8))
-
     lam = cointegral(ring)
     worst = abs(pairing(lam, integral(ring)) - 1.0 / dim)
     worst = max(worst, abs(tau(lam) - 1.0 / dim))
@@ -225,9 +214,6 @@ def reference_verify_ring(ring, group=None, kind=None, seed=0, tol=DEFAULT_TOL):
     checks.append(CheckResult("right action adjointness, random round trips", worst, 1e-8))
 
     B = verify.compute_blocks(ring, seed=seed, tol=tol)
-    checks.append(
-        CheckResult("block multiplicities fill the rank", abs(sum(b.m**2 for b in B.blocks) - r), 0.0)
-    )
     worst = _unit_relation_residual(ring, [blk.units for blk in B.blocks])
     unit_sum = sum(blk.units[s, s] for blk in B.blocks for s in range(blk.m))
     eps1 = np.zeros(r, dtype=complex)
@@ -242,22 +228,6 @@ def reference_verify_ring(ring, group=None, kind=None, seed=0, tol=DEFAULT_TOL):
         worst = max(worst, abs(blk.summand_dim - dim / blk.n))
     worst = max(worst, abs(sum(blk.m * blk.summand_dim for blk in B.blocks) - dim))
     checks.append(CheckResult("block trace constants", worst, 1e-8))
-
-    if group is not None and kind == "rep":
-        class_sizes = sorted(len(c) for c in group.classes)
-        snapped = sorted(snap_integer(blk.summand_dim, tol) for blk in B.blocks)
-        nvals = sorted(snap_integer(blk.n, tol) for blk in B.blocks)
-        expected_n = sorted(group.order // len(c) for c in group.classes)
-        residual = 0.0 if (snapped == class_sizes and nvals == expected_n) else 1.0
-        info = f"summand dims {snapped} vs class sizes {class_sizes}"
-        checks.append(CheckResult("block data matches conjugacy classes", residual, 0.0, info=info))
-    if group is not None and kind == "vec":
-        degrees = sorted(character_table_cached(group, seed).degrees)
-        snapped = sorted(snap_integer(blk.summand_dim, tol) for blk in B.blocks)
-        mults = sorted(blk.m for blk in B.blocks)
-        residual = 0.0 if (snapped == degrees and mults == degrees) else 1.0
-        info = f"summand dims {snapped} vs degrees {degrees}"
-        checks.append(CheckResult("block data matches irreducible degrees", residual, 0.0, info=info))
 
     checks.append(CheckResult("dual bases identity", reference_dual_bases(B), 1e-8))
     checks.append(CheckResult("class sum pairings", reference_class_sum_pairings(B), 1e-8))
@@ -355,15 +325,6 @@ def reference_verify_ring(ring, group=None, kind=None, seed=0, tol=DEFAULT_TOL):
         checks.append(CheckResult("product dimension equality (commutative)", worst_comm_eq, 1e-8))
 
     if group is not None:
-        T = character_table_cached(group, seed)
-        sizes = np.array([len(c) for c in group.classes], dtype=float)
-        gram = (T.rows * sizes) @ T.rows.conj().T
-        row_res = float(np.max(np.abs(gram - group.order * np.eye(len(sizes)))))
-        col = T.rows.conj().T @ T.rows
-        col_res = float(np.max(np.abs(col - np.diag(group.order / sizes))))
-        deg_res = abs(sum(d * d for d in T.degrees) - group.order)
-        checks.append(CheckResult("character orthogonality", max(row_res, col_res), 1e-7))
-        checks.append(CheckResult("squared degrees sum to the order", deg_res, 0.0))
         try:
             if kind == "rep":
                 info = f"{crosscheck_rep(group, table, tol)['normal_subgroups']} normal subgroups"
@@ -690,19 +651,6 @@ def test_intersection_dims_in_row_blocks(monkeypatch):
     assert intersection_dims(spans, a, b, DEFAULT_TOL).tolist() == expected
     assert [expected[k] for k in np.flatnonzero(a == b)] == [0, 1, 3, 3, 5, 2, 4]
     assert expected[len(spans) + 1 : 2 * len(spans) - 3] == [1, 1, 1]  # span 1 inside 2, 3, 4
-
-
-def test_duality_check_memory_below_r3():
-    ring = su2_fusion_ring(60)
-    r = ring.rank
-    tracemalloc.start()
-    try:
-        assert verify._duality_residual(ring) == 0.0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # Below one r^3 float table, let alone the r^3 * 16 bytes of a complex one.
-    assert peak < r**3 * 8
 
 
 class _Stop(Exception):

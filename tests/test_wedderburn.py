@@ -10,11 +10,12 @@ from fuscat.char_theory import ClassFunction, chi, cointegral, cf_multiply
 from fuscat.fusion_ring import FusionRingData, enumerate_subcategories
 from fuscat.char_theory import subcategory_cointegral
 from fuscat.cli import parse_source
-from fuscat.linalg import DEFAULT_TOL
+from fuscat.linalg import DEFAULT_TOL, Tolerance
 from fuscat.wedderburn import (
     Block,
     BlockStructure,
     NotIdempotent,
+    NotSemisimple,
     compute_blocks,
     verify_class_sum_pairings,
     verify_dual_bases,
@@ -47,6 +48,22 @@ class TestComputeBlocks:
     def test_multiplicities_fill_rank(self, vec_s3_blocks, s3_blocks):
         assert sum(b.m**2 for b in vec_s3_blocks.blocks) == 6
         assert sum(b.m**2 for b in s3_blocks.blocks) == 3
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerance(snap_tol=0.6)])
+    def test_width_not_a_square_is_not_semisimple(self, monkeypatch, vec_s3_ring, tol):
+        # The widths 1, 1, 4 of Vec(S3) re-split as 2, 2, 2: as many spaces as
+        # the centre has dimensions, but no block of width 2 is a matrix
+        # algebra, however loose the snapping tolerance.
+        real = wedderburn.joint_eigenspaces
+
+        def resplit(mats, seed=0, tol=DEFAULT_TOL):
+            spaces = real(mats, seed=seed, tol=tol)
+            assert sorted(V.shape[1] for V in spaces) == [1, 1, 4]
+            return np.split(np.column_stack(spaces), 3, axis=1)
+
+        monkeypatch.setattr(wedderburn, "joint_eigenspaces", resplit)
+        with pytest.raises(NotSemisimple, match="block dimension 2 is not a perfect square"):
+            compute_blocks(vec_s3_ring, tol=tol)
 
     def test_block_zero_is_cointegral(self, s3_ring, s3_blocks):
         assert np.allclose(s3_blocks.blocks[0].units[0, 0], cointegral(s3_ring).coeffs)
