@@ -27,8 +27,9 @@ from .char_theory import chi
 from .fusion_ring import FusionRingData, FusionSubcategory, build_ring
 from .linalg import (
     DEFAULT_TOL,
+    NotNearInteger,
     Tolerance,
-    _orthonormal_columns,
+    _numerical_rank,
     _span_contains,
     common_eigenbasis,
     orthonormal_basis,
@@ -57,8 +58,9 @@ __all__ = [
     "crosscheck_vec",
 ]
 
-# Groups are built as dense tables by Python loops, so cyclic, dihedral and
-# product orders above that of symmetric:5 × cyclic:2 are refused beforehand.
+# Groups are built as dense (|G|, |G|) tables, and their rings as |G|^3
+# arrays, so cyclic, dihedral and product orders above that of
+# symmetric:5 × cyclic:2 are refused beforehand.
 MAX_GROUP_ORDER = 240
 
 
@@ -135,21 +137,17 @@ def build_group(name: str, elements, table) -> FiniteGroup:
         raise BadTable(f"table must be {n}x{n}, got {table.shape}")
     if np.any(table < 0) or np.any(table >= n):
         raise BadTable("table entries out of range")
-    identity = None
-    for e in range(n):
-        if all(table[e, j] == j and table[j, e] == j for j in range(n)):
-            identity = e
-            break
-    if identity is None:
+    idx = np.arange(n)
+    units = np.flatnonzero(np.all(table == idx, axis=1) & np.all(table.T == idx, axis=1))
+    if not units.size:
         raise BadTable("no identity element")
-    inverse = [-1] * n
-    for i in range(n):
-        for j in range(n):
-            if table[i, j] == identity and table[j, i] == identity:
-                inverse[i] = j
-                break
-        if inverse[i] < 0:
-            raise BadTable(f"element {i} has no inverse")
+    identity = int(units[0])
+    # The first j with ij = ji = e.
+    unit_pairs = (table == identity) & (table.T == identity)
+    lonely = np.flatnonzero(~unit_pairs.any(axis=1))
+    if lonely.size:
+        raise BadTable(f"element {lonely[0]} has no inverse")
+    inverse = np.argmax(unit_pairs, axis=1)
     # associativity: table[table[i,j],k] == table[i,table[j,k]]
     lhs = table[table, :]
     rhs = table[:, table]
@@ -157,54 +155,43 @@ def build_group(name: str, elements, table) -> FiniteGroup:
         bad = np.argwhere(lhs != rhs)[0]
         raise BadTable("associativity fails at ({},{},{})".format(*(int(x) for x in bad)))
 
-    seen = [False] * n
-    classes = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        orbit = sorted({int(table[table[g, i], inverse[g]]) for g in range(n)})
-        for x in orbit:
-            seen[x] = True
-        classes.append(tuple(orbit))
-    classes.sort(key=lambda cls: (identity not in cls, len(cls), cls[0]))
-    return FiniteGroup(name, elements, table, identity, tuple(inverse), tuple(classes))
-
-
-def _group_from_pairs(name, items, mul):
-    """Build a group from abstract elements and a multiplication callable."""
-    index = {e: i for i, (e, _label) in enumerate(items)}
-    labels = [label for _e, label in items]
-    n = len(items)
-    table = np.zeros((n, n), dtype=int)
-    for i, (a, _la) in enumerate(items):
-        for j, (b, _lb) in enumerate(items):
-            table[i, j] = index[mul(a, b)]
-    return build_group(name, labels, table)
+    # conjugates[g, i] = g i g^-1; each class is named by its least element,
+    # and classes are ordered with the identity's first, then by (size, least).
+    least = table[table, inverse[:, None]].min(axis=0)
+    sizes = np.bincount(least, minlength=n)
+    heads = np.flatnonzero(sizes)
+    heads = heads[np.lexsort((heads, sizes[heads], heads != least[identity]))]
+    members = np.argsort(least, kind="stable")
+    cuts = np.cumsum(sizes)
+    classes = tuple(
+        tuple(members[cuts[h] - sizes[h] : cuts[h]].tolist()) for h in heads.tolist()
+    )
+    return FiniteGroup(name, elements, table, identity, tuple(inverse.tolist()), classes)
 
 
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise UnknownBuiltin("cyclic group order must be positive")
-    items = [(k, "e" if k == 0 else f"g{k}") for k in range(n)]
-    return _group_from_pairs(f"cyclic:{n}", items, lambda a, b: (a + b) % n)
+    k = np.arange(n)
+    labels = ["e" if i == 0 else f"g{i}" for i in range(n)]
+    return build_group(f"cyclic:{n}", labels, (k[:, None] + k) % n)
 
 
 def dihedral_group(order: int) -> FiniteGroup:
-    """Dihedral group of the given (even) order 2n."""
+    """Dihedral group of the given (even) order 2n.
+
+    Element f * n + k is s^f r^k, where (f1, k1)(f2, k2) = (f1 + f2, k2 ± k1)
+    with + when f2 = 0.
+    """
     if order < 2 or order % 2:
         raise UnknownBuiltin("dihedral order must be even and at least 2")
     n = order // 2
-    items = []
-    for f in range(2):
-        for k in range(n):
-            label = ("e" if k == 0 else f"r{k}") if f == 0 else (f"s" if k == 0 else f"sr{k}")
-            items.append(((f, k), label))
-
-    def mul(a, b):
-        (f1, k1), (f2, k2) = a, b
-        return ((f1 + f2) % 2, (k2 + (k1 if f2 == 0 else -k1)) % n)
-
-    return _group_from_pairs(f"dihedral:{order}", items, mul)
+    f, k = np.divmod(np.arange(order), n)
+    labels = [("e" if i == 0 else f"r{i}") for i in range(n)]
+    labels += [("s" if i == 0 else f"sr{i}") for i in range(n)]
+    flip = (f[:, None] + f) % 2
+    turn = (k + np.where(f == 0, 1, -1) * k[:, None]) % n
+    return build_group(f"dihedral:{order}", labels, flip * n + turn)
 
 
 def _perm_label(p: tuple[int, ...]) -> str:
@@ -242,65 +229,53 @@ def _perm_sign(p: tuple[int, ...]) -> int:
     return sign
 
 
+def _permutation_group(name: str, perms: list[tuple[int, ...]]) -> FiniteGroup:
+    """Group of the given permutations, sorted lexicographically, under
+    composition (ab)(i) = a(b(i))."""
+    P = np.array(perms)
+    # Read as base-n numbers, the permutations are ascending.
+    code = P.shape[1] ** np.arange(P.shape[1] - 1, -1, -1)
+    table = np.searchsorted(P @ code, P[:, P] @ code)  # P[:, P][a, b] = a∘b
+    return build_group(name, [_perm_label(p) for p in perms], table)
+
+
 def symmetric_group(n: int) -> FiniteGroup:
     if not 1 <= n <= 5:
         raise UnknownBuiltin("symmetric group supported for 1 <= n <= 5")
-    perms = sorted(itertools.permutations(range(n)))
-    items = [(p, _perm_label(p)) for p in perms]
-    compose = lambda a, b: tuple(a[b[i]] for i in range(n))
-    return _group_from_pairs(f"symmetric:{n}", items, compose)
+    return _permutation_group(f"symmetric:{n}", sorted(itertools.permutations(range(n))))
 
 
 def alternating_group(n: int) -> FiniteGroup:
     if not 1 <= n <= 5:
         raise UnknownBuiltin("alternating group supported for 1 <= n <= 5")
     perms = sorted(p for p in itertools.permutations(range(n)) if _perm_sign(p) == 1)
-    items = [(p, _perm_label(p)) for p in perms]
-    compose = lambda a, b: tuple(a[b[i]] for i in range(n))
-    return _group_from_pairs(f"alternating:{n}", items, compose)
+    return _permutation_group(f"alternating:{n}", perms)
 
 
 def quaternion_group() -> FiniteGroup:
-    """The quaternion group of order 8 on {±1, ±i, ±j, ±k}."""
+    """The quaternion group of order 8 on {±1, ±i, ±j, ±k}.
+
+    Element 2u + s is (-1)^s times the unit u of 1, i, j, k.  The unit of a
+    product is u XOR v, and two units other than 1 contribute a sign -1
+    unless they are cyclic (ij = k, jk = i, ki = j).
+    """
+    u, s = np.divmod(np.arange(8), 2)
+    a, b = u[:, None], u[None, :]
+    sign = s[:, None] ^ s ^ ((a != 0) & (b != 0) & ((b - a) % 3 != 1))
     names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    base = {"1": (1, "1"), "i": (1, "i"), "j": (1, "j"), "k": (1, "k")}
-
-    def unit_mul(a, b):
-        order = "ijk"
-        if a == "1":
-            return 1, b
-        if b == "1":
-            return 1, a
-        if a == b:
-            return -1, "1"
-        ia, ib = order.index(a), order.index(b)
-        sign = 1 if (ib - ia) % 3 == 1 else -1
-        return sign, order[3 - ia - ib]
-
-    def mul(x, y):
-        sx, ux = (1, x) if not x.startswith("-") else (-1, x[1:])
-        sy, uy = (1, y) if not y.startswith("-") else (-1, y[1:])
-        s, u = unit_mul(ux, uy)
-        s *= sx * sy
-        return u if s == 1 else f"-{u}"
-
-    items = [(nm, nm) for nm in names]
-    return _group_from_pairs("quaternion:8", items, mul)
+    return build_group("quaternion:8", names, 2 * (a ^ b) + sign)
 
 
 def product_group(factors: list[FiniteGroup]) -> FiniteGroup:
+    """Direct product; element tuples in lexicographic order, the last factor fastest."""
     if len(factors) < 2:
         raise UnknownBuiltin("product needs at least two factors")
-    tuples = list(itertools.product(*(range(G.order) for G in factors)))
-    items = [
-        (t, "(" + "|".join(G.elements[i] for G, i in zip(factors, t)) + ")") for t in tuples
-    ]
-
-    def mul(a, b):
-        return tuple(G.mul(i, j) for G, i, j in zip(factors, a, b))
-
+    orders = tuple(G.order for G in factors)
+    coords = np.unravel_index(np.arange(int(np.prod(orders))), orders)
+    table = np.ravel_multi_index([G.table[c[:, None], c] for G, c in zip(factors, coords)], orders)
+    labels = ["(" + "|".join(t) + ")" for t in itertools.product(*(G.elements for G in factors))]
     name = "product:" + "*".join(G.name for G in factors)
-    return _group_from_pairs(name, items, mul)
+    return build_group(name, labels, table)
 
 
 def _check_order(order: int, source: str) -> None:
@@ -358,17 +333,12 @@ class CharacterTable:
 def _class_constants(G: FiniteGroup) -> np.ndarray:
     """a[c, d, e] = #{(x, y) in class_c x class_d : xy = rep_e}."""
     k = len(G.classes)
+    rep_of = np.full(G.order, -1)
+    rep_of[[cls[0] for cls in G.classes]] = np.arange(k)
+    e = rep_of[G.table]
+    x, y = np.nonzero(e >= 0)
     a = np.zeros((k, k, k), dtype=int)
-    reps = [cls[0] for cls in G.classes]
-    rep_pos = {rep: e for e, rep in enumerate(reps)}
-    for c, cls_c in enumerate(G.classes):
-        for d, cls_d in enumerate(G.classes):
-            for x in cls_c:
-                for y in cls_d:
-                    z = G.mul(x, y)
-                    e = rep_pos.get(z)
-                    if e is not None and G.classes[e][0] == z:
-                        a[c, d, e] += 1
+    np.add.at(a, (G.class_index[x], G.class_index[y], e[x, y]), 1)
     return a
 
 
@@ -382,37 +352,35 @@ def character_table(G: FiniteGroup, seed: int = 0, tol: Tolerance = DEFAULT_TOL)
     k = len(G.classes)
     sizes = np.array([len(cls) for cls in G.classes], dtype=float)
     a = _class_constants(G)
-    mats = [a[c].astype(float) for c in range(k)]
     try:
-        vecs = common_eigenbasis(mats, seed=seed, tol=tol)
+        vecs = common_eigenbasis(a.astype(float), seed=seed, tol=tol)
     except Exception as exc:
         raise DegenerationFailure(f"class-sum diagonalization failed: {exc}") from exc
     if len(vecs) != k:
         raise DegenerationFailure(f"found {len(vecs)} common eigenvectors, expected {k}")
 
-    rows = []
+    V = np.array(vecs)
+    if np.any(np.abs(V[:, 0]) < 1e-8):
+        raise DegenerationFailure("central character vanishes on the identity class")
+    # omega[i, c]: the eigenvalue of class matrix c on common eigenvector i.
+    omega = np.einsum("ia,cab,ib->ic", V.conj(), a, V) / np.einsum("ia,ia->i", V.conj(), V)[:, None]
+    norm = np.sum(np.abs(omega) ** 2 / sizes, axis=1)
     degrees = []
-    for v in vecs:
-        if abs(v[0]) < 1e-8:
-            raise DegenerationFailure("central character vanishes on the identity class")
-        omega = np.array([complex(np.vdot(v, mats[c] @ v) / np.vdot(v, v)) for c in range(k)])
-        norm = float(np.sum(np.abs(omega) ** 2 / sizes).real)
+    for x in np.sqrt(G.order / norm).tolist():
         try:
-            d = snap_integer(np.sqrt(G.order / norm), tol)
+            degrees.append(snap_integer(x, tol))
         except Exception as exc:
-            raise SnapFailure(f"degree {np.sqrt(G.order / norm)} did not snap") from exc
-        rows.append(d * omega / sizes)
-        degrees.append(d)
+            raise SnapFailure(f"degree {x} did not snap") from exc
+    rows = np.array(degrees)[:, None] * omega / sizes
 
-    order = sorted(
-        range(k),
-        key=lambda i: (
-            not np.allclose(rows[i], 1.0, atol=1e-7),
-            degrees[i],
-            tuple((round(float(c.real), 7), round(float(c.imag), 7)) for c in rows[i]),
-        ),
-    )
-    rows = np.array([rows[i] for i in order])
+    # The trivial character first, then by degree and by values rounded to 7 places.
+    trivial = np.all(np.abs(rows - 1.0) <= 1e-7 + 1e-5, axis=1)
+    values = [
+        tuple(zip((round(x, 7) for x in re), (round(y, 7) for y in im)))
+        for re, im in zip(rows.real.tolist(), rows.imag.tolist())
+    ]
+    order = sorted(range(k), key=lambda i: (not trivial[i], degrees[i], values[i]))
+    rows = rows[order]
     degrees = tuple(degrees[i] for i in order)
 
     if sum(d * d for d in degrees) != G.order:
@@ -446,14 +414,12 @@ def _rep_ring_from_table(T: CharacterTable) -> FusionRingData:
         raise SnapFailure(f"fusion multiplicities did not snap: {exc}") from exc
     if np.any(N < 0):
         raise SnapFailure("negative fusion multiplicity")
-    dual = []
-    for i in range(k):
-        matches = [
-            j for j in range(k) if np.max(np.abs(rows[j] - rows[i].conj())) < 1e-7
-        ]
-        if len(matches) != 1:
-            raise SnapFailure(f"conjugate of character {i} is not unique")
-        dual.append(matches[0])
+    # dual[i]: the one j with chi_j = conj(chi_i).
+    conjugate = np.max(np.abs(rows[None, :, :] - rows.conj()[:, None, :]), axis=2) < 1e-7
+    unmatched = np.flatnonzero(np.count_nonzero(conjugate, axis=1) != 1)
+    if unmatched.size:
+        raise SnapFailure(f"conjugate of character {unmatched[0]} is not unique")
+    dual = np.argmax(conjugate, axis=1).tolist()
     labels = [f"chi{i}" for i in range(k)]
     ring = build_ring(labels, N, dual)
     if np.max(np.abs(ring.dims - np.array(T.degrees, dtype=float))) > 1e-7:
@@ -485,13 +451,13 @@ def vec_fusion_ring(G: FiniteGroup) -> FusionRingData:
     """
     n = G.order
     perm, pos = _vec_perm(G)
-    N = np.zeros((n, n, n), dtype=int)
-    for i in range(n):
-        for j in range(n):
-            N[i, j, pos[G.mul(perm[i], perm[j])]] = 1
+    p = np.array(perm)
+    where = np.argsort(p)  # the ring index of each element
+    N = np.zeros((n * n, n), dtype=int)
+    N[np.arange(n * n), where[G.table[p[:, None], p]].ravel()] = 1
     labels = [G.elements[g] for g in perm]
     dual = [pos[G.inverse[g]] for g in perm]
-    return build_ring(labels, N, dual)
+    return build_ring(labels, N.reshape(n, n, n), dual)
 
 
 def _first_distinct(packed: np.ndarray) -> np.ndarray:
@@ -641,6 +607,19 @@ def _expected_class_sum_span(
     return orthonormal_basis(vecs)
 
 
+def _snapped_sorted(values, tol: Tolerance) -> list:
+    """The values, sorted, each as the integer it snaps to or, when it is
+    not within ``snap_tol`` of one, as itself: it then matches no integer
+    list, and the mismatch line shows it."""
+    out = []
+    for x in values:
+        try:
+            out.append(snap_integer(x, tol))
+        except NotNearInteger:
+            out.append(float(x))
+    return sorted(out)
+
+
 def crosscheck_rep(
     G: FiniteGroup, lattice: subalg.LatticeTable, tol: Tolerance = DEFAULT_TOL
 ) -> dict:
@@ -693,7 +672,7 @@ def crosscheck_rep(
             )
         elif not (
             _span_contains(expected_span, sums, tol)
-            and _orthonormal_columns(expected_span.conj().T @ sums, tol).shape[1] == n_classes
+            and _numerical_rank(expected_span.conj().T @ sums, tol) == n_classes
         ):
             mismatches.append(f"central subspace for N={N} is not the class sums in N")
         entries.append(
@@ -707,8 +686,8 @@ def crosscheck_rep(
         mismatches.append("trivial-action map is not injective on normal subgroups")
     class_sizes = sorted(len(c) for c in G.classes)
     centralizers = sorted(G.order // size for size in class_sizes)
-    block_dims = sorted(snap_integer(blk.summand_dim, tol) for blk in lattice.blocks.blocks)
-    block_ns = sorted(snap_integer(blk.n, tol) for blk in lattice.blocks.blocks)
+    block_dims = _snapped_sorted([blk.summand_dim for blk in lattice.blocks.blocks], tol)
+    block_ns = _snapped_sorted([blk.n for blk in lattice.blocks.blocks], tol)
     if block_dims != class_sizes or block_ns != centralizers:
         mismatches.append(
             f"block summand dims {block_dims} / n {block_ns} vs class sizes {class_sizes}"
@@ -759,8 +738,8 @@ def crosscheck_vec(
         if e.partition != tuple(sorted({tuple(sorted(c)) for c in cosets})):
             mismatches.append(f"partition for H={H} differs from the cosets gH")
         entries.append({"subgroup": list(H), "subalgebra_dim": L.dim_l})
-    degrees = sorted(character_table_cached(G, lattice.blocks.seed).degrees)
-    block_dims = sorted(snap_integer(blk.summand_dim, tol) for blk in lattice.blocks.blocks)
+    degrees = sorted(character_table(G, seed=lattice.blocks.seed).degrees)
+    block_dims = _snapped_sorted([blk.summand_dim for blk in lattice.blocks.blocks], tol)
     mults = sorted(blk.m for blk in lattice.blocks.blocks)
     if block_dims != degrees or mults != degrees:
         mismatches.append(

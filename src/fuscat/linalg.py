@@ -92,7 +92,14 @@ class _SplitFailed(Exception):
 
 
 def _as_stack(mats) -> np.ndarray:
-    """The family as one (m, n, n) array, float64 for real input, else complex128."""
+    """The family as one (m, n, n) array, float64 for real input, else complex128.
+
+    A contiguous (m, n, n) float64 or complex128 array is that stack already
+    and comes back as it is, not copied.
+    """
+    if isinstance(mats, np.ndarray) and mats.dtype in (np.float64, np.complex128):
+        if mats.ndim == 3 and len(mats) and mats.shape[1] == mats.shape[2] and mats.flags.c_contiguous:
+            return mats
     mats = [np.asarray(M) for M in mats]
     if not mats:
         raise ValueError("need at least one matrix")
@@ -136,11 +143,21 @@ def _orthonormal_columns(vectors, tol: Tolerance) -> np.ndarray:
     if M.shape[1] == 0:
         return M
     U, s, _ = np.linalg.svd(M, full_matrices=False)
-    if s.size == 0 or s[0] == 0:
-        return np.zeros((M.shape[0], 0), dtype=complex)
-    thr = max(tol.abs_tol, s[0] * max(tol.rel_tol, M.shape[0] * np.finfo(float).eps))
-    rank = int(np.sum(s > thr))
-    return U[:, :rank]
+    return U[:, : _rank_of(s, M.shape[0], tol)]
+
+
+def _rank_of(s: np.ndarray, rows: int, tol: Tolerance) -> int:
+    """Number of the descending singular values ``s`` of a matrix with
+    ``rows`` rows above ``max(abs_tol, s_max * max(rel_tol, rows * eps))``."""
+    if s.size == 0:
+        return 0
+    return int(np.sum(s > max(tol.abs_tol, s[0] * max(tol.rel_tol, rows * np.finfo(float).eps))))
+
+
+def _numerical_rank(M: np.ndarray, tol: Tolerance) -> int:
+    """The width of :func:`_orthonormal_columns` of the matrix M, from its
+    singular values alone: no singular vector is formed."""
+    return _rank_of(np.linalg.svd(M, compute_uv=False), M.shape[0], tol)
 
 
 def orthonormal_basis(vectors, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -38,7 +38,7 @@ from .linalg import (
     _BLOCK_BYTES,
     DEFAULT_TOL,
     Tolerance,
-    _orthonormal_columns,
+    _numerical_rank,
     _span_contains,
 )
 from .wedderburn import BlockStructure, _adapt_stack, _adapted_class_sums
@@ -479,7 +479,7 @@ def _checked_partition(
     sums = L.ce_sums.T
     if not _span_contains(indicators, sums, tol):
         raise PartitionMismatch(f"a class sum of {D.indices} is not constant on its right cosets")
-    width = _orthonormal_columns(indicators.T @ sums, tol).shape[1]
+    width = _numerical_rank(indicators.T @ sums, tol)
     if width != len(heads):
         raise PartitionMismatch(
             f"central subspace has dimension {width}, {D.indices} has {len(heads)} right cosets"

@@ -1,5 +1,7 @@
+import itertools
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -15,12 +17,107 @@ def s3_mult_table():
     Independent of the groups module: used as the oracle for class-algebra
     and fusion-matrix tests.
     """
-    import itertools
-
     perms = sorted(itertools.permutations(range(3)))
     index = {p: i for i, p in enumerate(perms)}
     table = [[index[tuple(p[q[i]] for i in range(3))] for q in perms] for p in perms]
     return perms, table
+
+
+class ReferenceGroup(NamedTuple):
+    elements: tuple
+    table: np.ndarray
+    identity: int
+    inverse: tuple
+    classes: tuple
+
+    def mul(self, i, j):
+        return int(self.table[i, j])
+
+
+def _reference_group(items, mul):
+    """Labels, table, identity, inverses and conjugacy classes of the group
+    of abstract elements ``items`` (element, label) under the callable
+    ``mul``, built one pair at a time.  Classes are ordered with the
+    identity's first, then by (size, least element)."""
+    index = {e: i for i, (e, _label) in enumerate(items)}
+    n = len(items)
+    table = np.array([[index[mul(a, b)] for b, _ in items] for a, _ in items], dtype=int)
+    identity = next(
+        e for e in range(n) if all(table[e, j] == j and table[j, e] == j for j in range(n))
+    )
+    inverse = tuple(
+        next(j for j in range(n) if table[i, j] == identity and table[j, i] == identity)
+        for i in range(n)
+    )
+    seen = set()
+    classes = []
+    for i in range(n):
+        if i in seen:
+            continue
+        orbit = sorted({int(table[table[g, i], inverse[g]]) for g in range(n)})
+        seen.update(orbit)
+        classes.append(tuple(orbit))
+    classes.sort(key=lambda cls: (identity not in cls, len(cls), cls[0]))
+    labels = tuple(label for _e, label in items)
+    return ReferenceGroup(labels, table, identity, inverse, tuple(classes))
+
+
+def _quaternion_mul(x, y):
+    def unit_mul(a, b):
+        order = "ijk"
+        if a == "1":
+            return 1, b
+        if b == "1":
+            return 1, a
+        if a == b:
+            return -1, "1"
+        ia, ib = order.index(a), order.index(b)
+        return (1 if (ib - ia) % 3 == 1 else -1), order[3 - ia - ib]
+
+    sx, ux = (1, x) if not x.startswith("-") else (-1, x[1:])
+    sy, uy = (1, y) if not y.startswith("-") else (-1, y[1:])
+    sign, u = unit_mul(ux, uy)
+    return u if sign * sx * sy == 1 else f"-{u}"
+
+
+def reference_group(source):
+    """The builtin group ``source`` from its elements and a multiplication
+    callable, independent of the array constructors of ``groups``."""
+    if source.startswith("product:"):
+        factors = [reference_group(part) for part in source[len("product:"):].split("*")]
+        items = [
+            (t, "(" + "|".join(G.elements[i] for G, i in zip(factors, t)) + ")")
+            for t in itertools.product(*(range(len(G.elements)) for G in factors))
+        ]
+        return _reference_group(
+            items, lambda a, b: tuple(G.mul(i, j) for G, i, j in zip(factors, a, b))
+        )
+    kind, _, arg = source.partition(":")
+    n = int(arg)
+    if kind == "cyclic":
+        items = [(k, "e" if k == 0 else f"g{k}") for k in range(n)]
+        return _reference_group(items, lambda a, b: (a + b) % n)
+    if kind == "dihedral":
+        half = n // 2
+        items = [
+            ((f, k), ("e" if k == 0 else f"r{k}") if f == 0 else ("s" if k == 0 else f"sr{k}"))
+            for f in range(2)
+            for k in range(half)
+        ]
+        return _reference_group(
+            items,
+            lambda a, b: ((a[0] + b[0]) % 2, (b[1] + (a[1] if b[0] == 0 else -a[1])) % half),
+        )
+    if kind in ("symmetric", "alternating"):
+        perms = sorted(itertools.permutations(range(n)))
+        if kind == "alternating":
+            perms = [p for p in perms if groups._perm_sign(p) == 1]
+        items = [(p, groups._perm_label(p)) for p in perms]
+        return _reference_group(items, lambda a, b: tuple(a[b[i]] for i in range(n)))
+    if kind == "quaternion":
+        names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
+        return _reference_group([(x, x) for x in names], _quaternion_mul)
+    raise ValueError(f"no reference for {source!r}")
 
 
 def perturb_unit(B, s, t, k, eps):

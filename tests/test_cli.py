@@ -1,6 +1,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -408,3 +411,22 @@ def test_fuzzed_ring_file_exits_0_or_2_with_one_error_line(content):
         assert len(lines) == 2 and lines[0].startswith("error:") and lines[1] == ""
     else:
         assert err.getvalue() == "" and out.getvalue()
+
+
+def test_first_ops_leave_numpy_ma_unimported():
+    # Each benchmark pass starts a fresh process, where the lazy import of
+    # numpy.ma (pulled in by a plain np.unique) costs more than these ops gain.
+    script = (
+        "import contextlib, io, sys\n"
+        "from fuscat import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['lattice', 'vec:alternating:5', '--format', 'json']),\n"
+        "             cli.main(['verify', 'rep:alternating:5', '--format', 'json'])]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split("\n")[-2] == "[0, 0] False"

@@ -23,9 +23,12 @@ from fuscat.groups import (
     trivial_action_subcategory,
     vec_fusion_ring,
 )
+from fuscat.linalg import common_eigenbasis
 from fuscat.subalg import build_lattice
 from fuscat.verify import battery_groups
 from fuscat.wedderburn import compute_blocks
+
+from conftest import reference_group
 
 
 def lattice_of(ring):
@@ -370,3 +373,98 @@ def test_trivial_action_matches_reference(name):
     table = character_table(G)
     for N in normal_subgroups(G):
         assert trivial_action_subcategory(G, N).indices == _reference_trivial_action(G, N, table)
+
+
+@pytest.mark.parametrize(
+    "name",
+    battery_groups(large=True) + ["alternating:5", "symmetric:5", "product:symmetric:5*cyclic:2"],
+)
+def test_builtin_groups_match_the_pairwise_reference(name):
+    # The array constructors against the closure called once per pair.
+    G = parse_group(name)
+    ref = reference_group(name)
+    assert G.elements == ref.elements
+    assert np.array_equal(G.table, ref.table)
+    assert G.identity == ref.identity
+    assert G.inverse == ref.inverse
+    assert G.classes == ref.classes
+
+
+def _reference_class_constants(G):
+    k = len(G.classes)
+    a = np.zeros((k, k, k), dtype=int)
+    for c, cls_c in enumerate(G.classes):
+        for d, cls_d in enumerate(G.classes):
+            for e, cls_e in enumerate(G.classes):
+                a[c, d, e] = sum(G.mul(x, y) == cls_e[0] for x in cls_c for y in cls_d)
+    return a
+
+
+def _reference_vec_n(G):
+    perm = list(range(G.order))
+    perm[0], perm[G.identity] = perm[G.identity], perm[0]
+    pos = {g: i for i, g in enumerate(perm)}
+    N = np.zeros((G.order,) * 3, dtype=int)
+    for i in range(G.order):
+        for j in range(G.order):
+            N[i, j, pos[G.mul(perm[i], perm[j])]] = 1
+    return N
+
+
+def _identity_moved(G):
+    """G with its elements relabelled so that the identity is not at index 0."""
+    sigma = np.roll(np.arange(G.order), -1)  # element x becomes x + 1 (mod |G|)
+    table = np.empty_like(G.table)
+    table[np.ix_(sigma, sigma)] = sigma[G.table]
+    elements = [G.elements[x] for x in np.argsort(sigma)]
+    return build_group(G.name, elements, table)
+
+
+@pytest.mark.parametrize("name", battery_groups(large=True) + ["alternating:5"])
+def test_class_constants_and_graded_ring_match_the_loops(name):
+    G = parse_group(name)
+    assert np.array_equal(groups._class_constants(G), _reference_class_constants(G))
+    for H in (G, _identity_moved(G)):
+        assert np.array_equal(vec_fusion_ring(H).N, _reference_vec_n(H))
+    assert _identity_moved(G).identity == 1
+
+
+def _reference_character_table(G, seed):
+    """Rows and degrees one common eigenvector at a time, sorted by a key
+    that tests each row with np.allclose: the loop the arrays replaced."""
+    sizes = np.array([len(cls) for cls in G.classes], dtype=float)
+    mats = [m.astype(float) for m in groups._class_constants(G)]
+    rows, degrees = [], []
+    for v in common_eigenbasis(mats, seed=seed):
+        omega = np.array([complex(np.vdot(v, M @ v) / np.vdot(v, v)) for M in mats])
+        d = round(float(np.sqrt(G.order / np.sum(np.abs(omega) ** 2 / sizes))))
+        rows.append(d * omega / sizes)
+        degrees.append(d)
+    order = sorted(
+        range(len(rows)),
+        key=lambda i: (
+            not np.allclose(rows[i], 1.0, atol=1e-7),
+            degrees[i],
+            tuple((round(float(c.real), 7), round(float(c.imag), 7)) for c in rows[i]),
+        ),
+    )
+    return np.array([rows[i] for i in order]), tuple(degrees[i] for i in order)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize(
+    "name", battery_groups(large=True) + ["alternating:5", "symmetric:5", "product:symmetric:5*cyclic:2"]
+)
+def test_character_table_matches_the_loop_reference(name, seed):
+    # The eigenvalues are summed in another order, so the rows agree to
+    # rounding; the degrees, the row order and the duals agree exactly.
+    G = parse_group(name)
+    T = character_table(G, seed=seed)
+    rows, degrees = _reference_character_table(G, seed)
+    assert T.degrees == degrees
+    assert np.allclose(T.rows, rows, rtol=0, atol=1e-12)
+    conj = [
+        [j for j in range(len(rows)) if np.max(np.abs(rows[j] - rows[i].conj())) < 1e-7]
+        for i in range(len(rows))
+    ]
+    assert [[j] for j in rep_fusion_ring(G, seed).dual] == conj

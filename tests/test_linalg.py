@@ -302,6 +302,39 @@ class TestBatchedChecks:
         assert peak < r**3 * 16  # per-matrix complex copies of the family alone take m * r^2 * 16
 
 
+class TestStackAndRank:
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_contiguous_stack_comes_back_uncopied(self, dtype):
+        S = np.arange(18, dtype=dtype).reshape(2, 3, 3)
+        assert linalg._as_stack(S) is S
+
+    @pytest.mark.parametrize(
+        "make",
+        [list, lambda S: S.astype(int), lambda S: S.astype(np.float32), lambda S: S.transpose(0, 2, 1)],
+        ids=["list", "int", "float32", "transposed"],
+    )
+    def test_other_families_are_stacked_as_float64(self, make):
+        family = make(np.arange(18, dtype=float).reshape(2, 3, 3))
+        out = linalg._as_stack(family)
+        assert out is not family and out.dtype == np.float64
+        assert np.array_equal(out, np.asarray(family, dtype=float))
+
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (2, 3, 4)])
+    def test_empty_or_non_square_stack_rejected(self, shape):
+        with pytest.raises(ValueError):
+            linalg._as_stack(np.zeros(shape))
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("rows, cols, rank", [(6, 4, 4), (6, 4, 2), (4, 6, 3), (5, 5, 0), (7, 1, 1)])
+    def test_numerical_rank_is_the_width_of_the_orthonormal_columns(self, rows, cols, rank, complex_):
+        rng = np.random.default_rng(rows * cols + rank)
+        A = rng.standard_normal((rows, rank)) + (1j * rng.standard_normal((rows, rank)) if complex_ else 0)
+        M = A @ rng.standard_normal((rank, cols))
+        M += 1e-13 * rng.standard_normal(M.shape)  # below the threshold
+        width = linalg._orthonormal_columns(M, DEFAULT_TOL).shape[1]
+        assert linalg._numerical_rank(M, DEFAULT_TOL) == width == rank
+
+
 class TestSubspaces:
     # intersection_dims(spans, a, b, tol)[k] is the dimension of
     # span(spans[a[k]]) n span(spans[b[k]]) for orthonormal columns.

@@ -126,6 +126,7 @@ def test_pairing_check_uses_blocked_star_products(monkeypatch, su2_ring):
     assert sum(rows) == su2_ring.rank and max(rows) <= su2_ring.rank // 16
 
 
+@pytest.mark.parametrize("offset", [1, 0.5])
 @pytest.mark.parametrize(
     "source, crosscheck, field",
     [
@@ -134,16 +135,19 @@ def test_pairing_check_uses_blocked_star_products(monkeypatch, su2_ring):
         ("vec:symmetric:3", "crosscheck_vec", "summand_dim"),
     ],
 )
-def test_block_data_off_the_group_fails_only_the_oracle(monkeypatch, source, crosscheck, field):
-    # The group oracle is handed the blocks with one value of block 1 one too
-    # large; every other check reads the blocks as computed.
+def test_block_data_off_the_group_fails_only_the_oracle(
+    monkeypatch, source, crosscheck, field, offset
+):
+    # The group oracle is handed the blocks with one value of block 1 off by
+    # one, or off by a half, so that it is near no integer; every other
+    # check reads the blocks as computed.
     ring, group, kind = parse_source(source, 0, DEFAULT_TOL)
     real = getattr(verify, crosscheck)
 
     def skewed(G, table, tol):
         B = table.blocks
         blocks = list(B.blocks)
-        blocks[1] = dataclasses.replace(blocks[1], **{field: getattr(blocks[1], field) + 1})
+        blocks[1] = dataclasses.replace(blocks[1], **{field: getattr(blocks[1], field) + offset})
         skewed_B = dataclasses.replace(B, blocks=tuple(blocks))
         return real(G, dataclasses.replace(table, blocks=skewed_B), tol)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuscat import groups, wedderburn
+from fuscat import groups, linalg, wedderburn
 from fuscat.char_theory import ClassFunction, chi, cointegral, cf_multiply
 from fuscat.fusion_ring import FusionRingData, enumerate_subcategories
 from fuscat.char_theory import subcategory_cointegral
@@ -22,7 +22,7 @@ from fuscat.wedderburn import (
     verify_integral_classsum,
 )
 
-from conftest import perturb_unit, su2_fusion_ring
+from conftest import deligne_product, haagerup_izumi_ring, perturb_unit, su2_fusion_ring
 
 
 def block_shape(B):
@@ -419,16 +419,16 @@ def svd_center_basis(ring, tol):
     return Vh[ring.rank - null_dim :].conj().T
 
 
-def svd_shapes(monkeypatch):
-    """Shapes of the matrices passed to np.linalg.svd from now on."""
+def linalg_shapes(monkeypatch, name="svd"):
+    """Shapes of the matrices passed to np.linalg.<name> from now on."""
     shapes = []
-    real = np.linalg.svd
+    real = getattr(np.linalg, name)
 
     def spy(a, *args, **kwargs):
         shapes.append(np.shape(a))
         return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", spy)
+    monkeypatch.setattr(np.linalg, name, spy)
     return shapes
 
 
@@ -438,7 +438,7 @@ class TestCommutativeCentre:
         ring = su2_ring if source == "su2" else parse_source(source, 0, DEFAULT_TOL)[0]
         assert ring.commutative
         expected = svd_center_basis(ring, DEFAULT_TOL)
-        shapes = svd_shapes(monkeypatch)
+        shapes = linalg_shapes(monkeypatch)
         center, left = wedderburn._center_basis(ring, DEFAULT_TOL)
         assert shapes == []
         assert center.dtype == expected.dtype and np.array_equal(center, expected)
@@ -447,6 +447,8 @@ class TestCommutativeCentre:
     def test_non_commutative_rings_take_the_svd(self, monkeypatch):
         # vec:symmetric:3, and rep:cyclic:3 with N[1, 2] made to differ from
         # N[2, 1] in one entry (not a fusion ring; only the test reads it).
+        # The SVD is of the (r, r) R of the stack's QR, to the bits of the
+        # SVD of the stack itself.
         s3 = parse_source("vec:symmetric:3", 0, DEFAULT_TOL)[0]
         c3 = parse_source("rep:cyclic:3", 0, DEFAULT_TOL)[0]
         N = c3.N.copy()
@@ -454,8 +456,64 @@ class TestCommutativeCentre:
         skewed = FusionRingData(c3.labels, N, c3.dual, c3.dims, c3.global_dim)
         for ring in (s3, skewed):
             assert not ring.commutative
-            shapes = svd_shapes(monkeypatch)
+            expected = svd_center_basis(ring, DEFAULT_TOL)
+            qr_shapes = linalg_shapes(monkeypatch, "qr")
+            svd_shapes = linalg_shapes(monkeypatch, "svd")
             center, _ = wedderburn._center_basis(ring, DEFAULT_TOL)
-            assert shapes == [(ring.rank**2, ring.rank)]
-            assert np.array_equal(center, svd_center_basis(ring, DEFAULT_TOL))
+            assert qr_shapes == [(ring.rank**2, ring.rank)]
+            assert svd_shapes == [(ring.rank, ring.rank)]
+            monkeypatch.undo()
+            assert np.array_equal(center, expected)
         assert center.shape[1] < skewed.rank
+
+    def test_commutative_ring_splits_the_left_multiplications_uncopied(self, monkeypatch):
+        # The identity centre's product would return its input exactly, so
+        # the split is handed the one contiguous copy of the left
+        # multiplications, which it does not copy again.
+        ring = su2_fusion_ring(60)
+        r = ring.rank
+        assert ring.commutative and ring.N_float is not None  # cached before tracing
+        seen = []
+        real = wedderburn.joint_eigenspaces
+
+        def spy(mats, *args, **kwargs):
+            seen.append(mats)
+            return real(mats, *args, **kwargs)
+
+        monkeypatch.setattr(wedderburn, "joint_eigenspaces", spy)
+        tracemalloc.start()
+        try:
+            compute_blocks(ring)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        (lz,) = seen
+        assert lz.flags.c_contiguous and np.array_equal(lz, ring.N_float.transpose(0, 2, 1))
+        assert linalg._as_stack(lz) is lz
+        # 1.44 r^3 doubles measured; the identity product and a second
+        # stack of it took 2.43.
+        assert peak < 2 * r**3 * 8
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize(
+        "source", ["vec:symmetric:3", "vec:symmetric:4", "vec:alternating:5", "hi:3", "hi:3*su2:3"]
+    )
+    def test_blocks_match_the_svd_centre_bitwise(self, monkeypatch, source, seed):
+        if source == "hi:3":
+            ring = haagerup_izumi_ring(3)
+        elif source == "hi:3*su2:3":
+            ring = deligne_product(haagerup_izumi_ring(3), su2_fusion_ring(3))
+        else:
+            ring = parse_source(source, 0, DEFAULT_TOL)[0]
+        assert not ring.commutative
+        B = compute_blocks(ring, seed=seed)
+        monkeypatch.setattr(
+            wedderburn,
+            "_center_basis",
+            lambda ring, tol: (svd_center_basis(ring, tol), ring.N_float.transpose(0, 2, 1)),
+        )
+        reference = compute_blocks(ring, seed=seed)
+        assert len(B.blocks) == len(reference.blocks)
+        for blk, ref in zip(B.blocks, reference.blocks):
+            assert np.array_equal(blk.units, ref.units)
+            assert np.array_equal(blk.class_sums, ref.class_sums)
