@@ -351,9 +351,9 @@ def character_table(G: FiniteGroup, seed: int = 0, tol: Tolerance = DEFAULT_TOL)
     """
     k = len(G.classes)
     sizes = np.array([len(cls) for cls in G.classes], dtype=float)
-    a = _class_constants(G)
+    A = _class_constants(G).astype(float)
     try:
-        vecs = common_eigenbasis(a.astype(float), seed=seed, tol=tol)
+        vecs = common_eigenbasis(A, seed=seed, tol=tol)
     except Exception as exc:
         raise DegenerationFailure(f"class-sum diagonalization failed: {exc}") from exc
     if len(vecs) != k:
@@ -362,8 +362,11 @@ def character_table(G: FiniteGroup, seed: int = 0, tol: Tolerance = DEFAULT_TOL)
     V = np.array(vecs)
     if np.any(np.abs(V[:, 0]) < 1e-8):
         raise DegenerationFailure("central character vanishes on the identity class")
-    # omega[i, c]: the eigenvalue of class matrix c on common eigenvector i.
-    omega = np.einsum("ia,cab,ib->ic", V.conj(), a, V) / np.einsum("ia,ia->i", V.conj(), V)[:, None]
+    # omega[i, c]: the eigenvalue of class matrix c on common eigenvector i,
+    # as a Rayleigh quotient; one BLAS product per class.
+    W = V.conj()
+    omega = np.stack([np.sum((W @ A[c]) * V, axis=1) for c in range(k)], axis=1)
+    omega /= np.sum(W * V, axis=1)[:, None]
     norm = np.sum(np.abs(omega) ** 2 / sizes, axis=1)
     degrees = []
     for x in np.sqrt(G.order / norm).tolist():
@@ -436,12 +439,15 @@ def rep_fusion_ring(G: FiniteGroup, seed: int = 0) -> FusionRingData:
     return _rep_data(G, seed)[1]
 
 
-def _vec_perm(G: FiniteGroup) -> tuple[list[int], dict[int, int]]:
-    """Element order for the graded ring: identity first, else unchanged."""
-    perm = list(range(G.order))
-    if G.identity != 0:
-        perm[0], perm[G.identity] = perm[G.identity], perm[0]
-    return perm, {g: i for i, g in enumerate(perm)}
+def _vec_perm(G: FiniteGroup) -> np.ndarray:
+    """Element order for the graded ring: identity first, else unchanged.
+
+    At most one transposition, so the array is its own inverse: it maps a
+    ring index to its element and an element to its ring index.
+    """
+    perm = np.arange(G.order)
+    perm[[0, G.identity]] = perm[[G.identity, 0]]
+    return perm
 
 
 def vec_fusion_ring(G: FiniteGroup) -> FusionRingData:
@@ -450,13 +456,11 @@ def vec_fusion_ring(G: FiniteGroup) -> FusionRingData:
     Elements are permuted so the identity sits at index 0 when necessary.
     """
     n = G.order
-    perm, pos = _vec_perm(G)
-    p = np.array(perm)
-    where = np.argsort(p)  # the ring index of each element
+    p = _vec_perm(G)
     N = np.zeros((n * n, n), dtype=int)
-    N[np.arange(n * n), where[G.table[p[:, None], p]].ravel()] = 1
-    labels = [G.elements[g] for g in perm]
-    dual = [pos[G.inverse[g]] for g in perm]
+    N[np.arange(n * n), p[G.table[p[:, None], p]].ravel()] = 1
+    labels = [G.elements[g] for g in p.tolist()]
+    dual = p[np.asarray(G.inverse)[p]].tolist()
     return build_ring(labels, N.reshape(n, n, n), dual)
 
 
@@ -714,10 +718,9 @@ def crosscheck_vec(
     |G|/|H| and partitions the cosets gH, and block summand dimensions the
     irreducible degrees of G.
     """
-    perm, pos = _vec_perm(G)
-    where = np.argsort(perm)  # the ring index of each element
+    p = _vec_perm(G)
     subs = subgroups(G)
-    sub_indices = {H: tuple(sorted(pos[g] for g in H)) for H in subs}
+    sub_indices = {H: tuple(sorted(p[list(H)].tolist())) for H in subs}
     mismatches: list[str] = []
     if len(lattice.entries) != len(subs):
         mismatches.append(f"{len(lattice.entries)} subcategories vs {len(subs)} subgroups")
@@ -734,7 +737,7 @@ def crosscheck_vec(
             mismatches.append(
                 f"dim of subalgebra for H={H} is {L.dim_l}, expected {expected}"
             )
-        cosets = where[G.table[:, list(H)]].tolist()  # row g: the coset gH
+        cosets = p[G.table[:, list(H)]].tolist()  # row g: the coset gH
         if e.partition != tuple(sorted({tuple(sorted(c)) for c in cosets})):
             mismatches.append(f"partition for H={H} differs from the cosets gH")
         entries.append({"subgroup": list(H), "subalgebra_dim": L.dim_l})

@@ -92,24 +92,12 @@ class _SplitFailed(Exception):
 
 
 def _as_stack(mats) -> np.ndarray:
-    """The family as one (m, n, n) array, float64 for real input, else complex128.
-
-    A contiguous (m, n, n) float64 or complex128 array is that stack already
-    and comes back as it is, not copied.
-    """
-    if isinstance(mats, np.ndarray) and mats.dtype in (np.float64, np.complex128):
-        if mats.ndim == 3 and len(mats) and mats.shape[1] == mats.shape[2] and mats.flags.c_contiguous:
-            return mats
-    mats = [np.asarray(M) for M in mats]
-    if not mats:
-        raise ValueError("need at least one matrix")
-    for M in mats:
-        if M.ndim != 2:
-            raise ValueError(f"expected a matrix, got ndim={M.ndim}")
-    n = mats[0].shape[0]
-    if any(M.shape != (n, n) for M in mats):
-        raise ValueError("all matrices must be square of equal dimension")
-    return np.stack(mats, dtype=np.result_type(float, *mats))
+    """The family as one contiguous (m, n, n) array, float64 for real input,
+    else complex128; a stack that is that already comes back uncopied."""
+    S = np.asarray(mats)
+    if S.ndim != 3 or not len(S) or S.shape[1] != S.shape[2]:
+        raise ValueError(f"expected a non-empty stack of square matrices, got shape {S.shape}")
+    return np.ascontiguousarray(S, dtype=np.result_type(float, S))
 
 
 def _as_vector(b) -> np.ndarray:

@@ -161,27 +161,33 @@ class BlockStructure:
 
 
 def _center_basis(ring: FusionRingData, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
-    """Center of CF(C) as chi-basis columns, plus the left-multiplication tensor.
+    """Center of CF(C) as chi-basis columns, plus the (center_dim, r, r)
+    stack of their left multiplications, contiguous.
 
     The centre is the null space of the (r^2, r) commutator stack.  A
     commutative ring, by the exact integer test, is its own centre: its
-    stack is zero, and the SVD of a zero stack returns exactly the identity.
+    stack is zero, the SVD of a zero stack returns exactly the identity, and
+    the identity's left multiplications are the ring's own, copied once.
     Otherwise the SVD is taken of the R of the stack's QR: LAPACK's SVD of
     a tall matrix runs the same QR and bidiagonalizes the same R, so the
     singular values and right vectors are those of the stack, bit for bit,
     and its unread (r^2, r) left vectors are never formed.
     """
     N = ring.N_float
+    r = ring.rank
     left = N.transpose(0, 2, 1)  # left[a][k, j] = N[a, j, k]
     if ring.commutative:
-        return np.eye(ring.rank), left
+        return np.eye(r), np.ascontiguousarray(left)
     right = N.transpose(1, 2, 0)  # right[a][k, j] = N[j, a, k]
-    diff = (left - right).reshape(ring.rank, -1).T
-    _, s, Vh = np.linalg.svd(np.linalg.qr(diff, mode="r"), full_matrices=False)
+    R = np.linalg.qr((left - right).reshape(r, -1).T, mode="r")
+    _, s, Vh = np.linalg.svd(R, full_matrices=False)
     smax = s[0] if s.size else 0.0
-    thr = max(tol.abs_tol, smax * ring.rank**2 * np.finfo(float).eps, smax * 1e-10)
-    null_dim = ring.rank - int(np.sum(s > thr))
-    return Vh[ring.rank - null_dim :].conj().T, left
+    thr = max(tol.abs_tol, smax * r**2 * np.finfo(float).eps, smax * 1e-10)
+    null_dim = r - int(np.sum(s > thr))
+    center = Vh[r - null_dim :].conj().T
+    # One copy of the transposed view, then one product for all centre vectors.
+    lz = center.T @ np.ascontiguousarray(left).reshape(r, r * r)
+    return center, lz.reshape(null_dim, r, r)
 
 
 def _left_mult_matrix(ring: FusionRingData, x: np.ndarray) -> np.ndarray:
@@ -328,15 +334,8 @@ def compute_blocks(
     The block containing the cointegral comes first; the remaining blocks are
     ordered by (m ascending, n ascending, idempotent coefficient signature).
     """
-    center, left = _center_basis(ring, tol)
+    center, lz = _center_basis(ring, tol)
     center_dim = center.shape[1]
-    r = ring.rank
-    # One copy of the transposed view, then one product for all centre
-    # vectors; a commutative ring's centre is the identity, whose product
-    # would return that copy exactly.
-    lz = np.ascontiguousarray(left)
-    if not ring.commutative:
-        lz = (center.T @ lz.reshape(r, r * r)).reshape(center_dim, r, r)
     spaces = joint_eigenspaces(lz, seed=seed, tol=tol)
     if len(spaces) != center_dim:
         raise NotSemisimple(

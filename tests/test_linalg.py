@@ -290,8 +290,8 @@ class TestBatchedChecks:
     def test_su2_60_centre_split_memory_below_r3(self):
         ring = su2_fusion_ring(60)
         r = ring.rank
-        center, left = wedderburn._center_basis(ring, DEFAULT_TOL)
-        lz = [np.tensordot(center[:, b], left, axes=(0, 0)) for b in range(center.shape[1])]
+        _, stack = wedderburn._center_basis(ring, DEFAULT_TOL)
+        lz = list(stack)
         tracemalloc.start()
         try:
             spaces = joint_eigenspaces(lz)
@@ -319,10 +319,14 @@ class TestStackAndRank:
         assert out is not family and out.dtype == np.float64
         assert np.array_equal(out, np.asarray(family, dtype=float))
 
-    @pytest.mark.parametrize("shape", [(0, 3, 3), (2, 3, 4)])
-    def test_empty_or_non_square_stack_rejected(self, shape):
+    @pytest.mark.parametrize(
+        "family",
+        [np.zeros((0, 3, 3)), np.zeros((2, 3, 4)), np.zeros((3, 3)), [], [np.eye(3), np.eye(2)]],
+        ids=["empty", "non-square", "one-matrix", "empty-list", "ragged"],
+    )
+    def test_empty_non_square_or_ragged_stack_rejected(self, family):
         with pytest.raises(ValueError):
-            linalg._as_stack(np.zeros(shape))
+            linalg._as_stack(family)
 
     @pytest.mark.parametrize("complex_", [False, True])
     @pytest.mark.parametrize("rows, cols, rank", [(6, 4, 4), (6, 4, 2), (4, 6, 3), (5, 5, 0), (7, 1, 1)])

@@ -419,6 +419,15 @@ def svd_center_basis(ring, tol):
     return Vh[ring.rank - null_dim :].conj().T
 
 
+def svd_center_and_left_mults(ring, tol):
+    """:func:`svd_center_basis` and its centre's left multiplications, made
+    as ``_center_basis`` makes them."""
+    r = ring.rank
+    center = svd_center_basis(ring, tol)
+    lz = center.T @ np.ascontiguousarray(ring.N_float.transpose(0, 2, 1)).reshape(r, r * r)
+    return center, lz.reshape(center.shape[1], r, r)
+
+
 def linalg_shapes(monkeypatch, name="svd"):
     """Shapes of the matrices passed to np.linalg.<name> from now on."""
     shapes = []
@@ -439,10 +448,10 @@ class TestCommutativeCentre:
         assert ring.commutative
         expected = svd_center_basis(ring, DEFAULT_TOL)
         shapes = linalg_shapes(monkeypatch)
-        center, left = wedderburn._center_basis(ring, DEFAULT_TOL)
+        center, lz = wedderburn._center_basis(ring, DEFAULT_TOL)
         assert shapes == []
         assert center.dtype == expected.dtype and np.array_equal(center, expected)
-        assert np.array_equal(left, ring.N_float.transpose(0, 2, 1))
+        assert lz.flags.c_contiguous and np.array_equal(lz, ring.N_float.transpose(0, 2, 1))
 
     def test_non_commutative_rings_take_the_svd(self, monkeypatch):
         # vec:symmetric:3, and rep:cyclic:3 with N[1, 2] made to differ from
@@ -459,11 +468,13 @@ class TestCommutativeCentre:
             expected = svd_center_basis(ring, DEFAULT_TOL)
             qr_shapes = linalg_shapes(monkeypatch, "qr")
             svd_shapes = linalg_shapes(monkeypatch, "svd")
-            center, _ = wedderburn._center_basis(ring, DEFAULT_TOL)
+            center, lz = wedderburn._center_basis(ring, DEFAULT_TOL)
             assert qr_shapes == [(ring.rank**2, ring.rank)]
             assert svd_shapes == [(ring.rank, ring.rank)]
             monkeypatch.undo()
             assert np.array_equal(center, expected)
+            assert lz.flags.c_contiguous and lz.shape == (center.shape[1], ring.rank, ring.rank)
+            assert np.allclose(lz, np.tensordot(center, ring.N_float.transpose(0, 2, 1), axes=(0, 0)))
         assert center.shape[1] < skewed.rank
 
     def test_commutative_ring_splits_the_left_multiplications_uncopied(self, monkeypatch):
@@ -507,11 +518,7 @@ class TestCommutativeCentre:
             ring = parse_source(source, 0, DEFAULT_TOL)[0]
         assert not ring.commutative
         B = compute_blocks(ring, seed=seed)
-        monkeypatch.setattr(
-            wedderburn,
-            "_center_basis",
-            lambda ring, tol: (svd_center_basis(ring, tol), ring.N_float.transpose(0, 2, 1)),
-        )
+        monkeypatch.setattr(wedderburn, "_center_basis", svd_center_and_left_mults)
         reference = compute_blocks(ring, seed=seed)
         assert len(B.blocks) == len(reference.blocks)
         for blk, ref in zip(B.blocks, reference.blocks):
