@@ -124,14 +124,12 @@ def unit_central_element(ring: FusionRingData) -> CentralElement:
     return CentralElement(ring, np.ones(ring.rank, dtype=complex))
 
 
-def cf_star_table(ring: FusionRingData, F: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """All star products of two stacks of coefficient vectors: out[a, b] = F[a] * G[b].
+def _star_factors(ring: FusionRingData, F: np.ndarray) -> np.ndarray:
+    """The (len(F), r, r) stack T with F[a] * g = g @ T[a] for every vector g.
 
-    ``F @ N.reshape(r, r*r)`` contracts the first factor in one BLAS product
-    (real and imaginary parts separately, so the float N is never cast to
-    complex), and one batched ``matmul`` with G contracts the second.  The
-    output has shape (len(F), len(G), r); callers with many rows pass F in
-    row blocks to bound the len(F) * r * r temporary.
+    ``F @ N.reshape(r, r*r)`` in one BLAS product, real and imaginary parts
+    separately, so the float N is never cast to complex.  ``T[a].T`` is the
+    matrix of left star multiplication by F[a].
     """
     F = np.asarray(F)
     r = ring.rank
@@ -142,7 +140,18 @@ def cf_star_table(ring: FusionRingData, F: np.ndarray, G: np.ndarray) -> np.ndar
         T.imag = F.imag @ N
     else:
         T = F @ N
-    return np.matmul(np.asarray(G), T.reshape(F.shape[0], r, r))
+    return T.reshape(F.shape[0], r, r)
+
+
+def cf_star_table(ring: FusionRingData, F: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """All star products of two stacks of coefficient vectors: out[a, b] = F[a] * G[b].
+
+    :func:`_star_factors` contracts the first factor, and one batched
+    ``matmul`` with G contracts the second.  The output has shape (len(F),
+    len(G), r); callers with many rows pass F in row blocks to bound the
+    len(F) * r * r temporary.
+    """
+    return np.matmul(np.asarray(G), _star_factors(ring, F))
 
 
 # Cap on the rows * r * r entries of one cf_star_blocks block; it binds for r > 161.

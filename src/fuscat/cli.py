@@ -21,7 +21,13 @@ import numpy as np
 
 from . import subalg
 from .char_theory import chi, cointegral, fourier_inverse
-from .fusion_ring import FusionRingData, RingDataError, enumerate_subcategories, load_ring_json
+from .fusion_ring import (
+    EnumerationLimit,
+    FusionRingData,
+    RingDataError,
+    enumerate_subcategories,
+    load_ring_json,
+)
 from .groups import BadTable, FiniteGroup, UnknownBuiltin, parse_group, rep_fusion_ring, vec_fusion_ring
 from .linalg import Tolerance
 from .verify import CheckResult, battery_sources, verify_ring
@@ -231,6 +237,8 @@ def verify_report(cfg: RunConfig) -> dict:
         ring, group, kind = parse_source(source, cfg.seed, cfg.tol)
         try:
             checks = verify_ring(ring, group=group, kind=kind, seed=cfg.seed, tol=cfg.tol)
+        except EnumerationLimit:
+            raise
         except Exception as exc:  # noqa: BLE001 - any suite error is a failed run
             checks = [CheckResult("suite completed", 1.0, 0.0, info=f"{type(exc).__name__}: {exc}")]
         results.append(
@@ -285,7 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="ring summary, block table, transform data")
     p.add_argument("source", help=source_help)
     add_common(p, ["text", "json"])
-    p.add_argument("--dump-units", action="store_true", help="include full matrix-unit coefficients")
+    p.add_argument(
+        "--dump-units",
+        action="store_true",
+        help="include full matrix-unit coefficients (their digits depend on the seed "
+        "and on the order in which star products are taken)",
+    )
 
     p = sub.add_parser("subcategories", help="enumerate fusion subcategories")
     p.add_argument("source", help=source_help)
@@ -359,7 +372,10 @@ def run(cfg: RunConfig) -> int:
         if cfg.large and not cfg.battery:
             raise InputFailure("--large applies only to --battery")
     build, renderers = _COMMANDS[cfg.command]
-    report = build(cfg)
+    try:
+        report = build(cfg)
+    except EnumerationLimit as exc:
+        raise InputFailure(f"{cfg.source}: {exc}") from exc
     if cfg.format == "json":
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:

@@ -21,6 +21,7 @@ import numpy as np
 from .linalg import DEFAULT_TOL, Tolerance
 
 __all__ = [
+    "EnumerationLimit",
     "PerronFailure",
     "RingDataError",
     "FusionRingData",
@@ -47,6 +48,10 @@ MAX_MULTIPLICITY = 2**20
 
 class PerronFailure(Exception):
     """The Perron eigenvector is not positive or residuals are too large."""
+
+
+class EnumerationLimit(RuntimeError):
+    """Subcategory enumeration passed its bound on closure candidates."""
 
 
 class RingDataError(Exception):
@@ -592,7 +597,7 @@ def enumerate_subcategories(
         # Every candidate D + {i} counts; one per double coset is closed.
         calls += int(np.count_nonzero(~frontier))
         if calls > max_closures:
-            raise RuntimeError(f"subcategory enumeration exceeded {max_closures} closure calls")
+            raise EnumerationLimit(f"subcategory enumeration exceeded {max_closures} closure calls")
         rows, cols = np.nonzero(_coset_heads(ring, frontier))
         candidates = frontier[rows]
         candidates[np.arange(len(rows)), cols] = True

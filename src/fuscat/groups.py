@@ -62,6 +62,8 @@ __all__ = [
 # arrays, so cyclic, dihedral and product orders above that of
 # symmetric:5 × cyclic:2 are refused beforehand.
 MAX_GROUP_ORDER = 240
+# Entries of each (rows, n, n) slab that the associativity check compares.
+_ASSOC_BLOCK_ENTRIES = 2**20
 
 
 class BadTable(Exception):
@@ -148,12 +150,16 @@ def build_group(name: str, elements, table) -> FiniteGroup:
     if lonely.size:
         raise BadTable(f"element {lonely[0]} has no inverse")
     inverse = np.argmax(unit_pairs, axis=1)
-    # associativity: table[table[i,j],k] == table[i,table[j,k]]
-    lhs = table[table, :]
-    rhs = table[:, table]
-    if not np.array_equal(lhs, rhs):
-        bad = np.argwhere(lhs != rhs)[0]
-        raise BadTable("associativity fails at ({},{},{})".format(*(int(x) for x in bad)))
+    # associativity: table[table[i,j],k] == table[i,table[j,k]], compared
+    # one block of i at a time, in i order, so no |G|^3 array is formed.
+    step = max(1, _ASSOC_BLOCK_ENTRIES // (n * n))
+    for lo in range(0, n, step):
+        rows = table[lo : lo + step]
+        lhs = table[rows]
+        rhs = rows[:, table]
+        if not np.array_equal(lhs, rhs):
+            i, j, k = np.argwhere(lhs != rhs)[0]
+            raise BadTable(f"associativity fails at ({lo + i},{j},{k})")
 
     # conjugates[g, i] = g i g^-1; each class is named by its least element,
     # and classes are ordered with the identity's first, then by (size, least).

@@ -32,7 +32,7 @@ from .char_theory import (
     tau,
     unit_central_element,
 )
-from .fusion_ring import FusionRingData, _close_rows, _raw_product_table
+from .fusion_ring import EnumerationLimit, FusionRingData, _close_rows, _raw_product_table
 from .groups import FiniteGroup, OracleMismatch, crosscheck_rep, crosscheck_vec
 from .linalg import _BLOCK_BYTES, DEFAULT_TOL, Tolerance
 from .wedderburn import (
@@ -336,6 +336,8 @@ def verify_ring(
         table = subalg._stream_lattice(
             ring, B, tol, step, lambda block: residuals.append(_entry_residuals(ring, block))
         )
+    except EnumerationLimit:
+        raise
     except Exception as exc:  # noqa: BLE001 - report as a failed check
         checks.append(CheckResult(LATTICE_CHECK, 1.0, 0.0, info=str(exc)))
         return checks

@@ -23,7 +23,7 @@ import numpy as np
 
 from .char_theory import (
     _fourier_inverse_raw,
-    cf_star,
+    _star_factors,
     cf_star_blocks,
     cf_star_table,
     cointegral,
@@ -191,25 +191,25 @@ def _center_basis(ring: FusionRingData, tol: Tolerance) -> tuple[np.ndarray, np.
 
 
 def _left_mult_matrix(ring: FusionRingData, x: np.ndarray) -> np.ndarray:
-    """Matrix of left star multiplication by the chi-basis vector x."""
-    return np.einsum("i,ijk->kj", x, ring.N_float)
+    """Matrix L_x of left star multiplication by the chi-basis vector x: x * p = L_x @ p."""
+    return _star_factors(ring, x[None])[0].T
 
 
-def _lagrange_idempotents(
-    ring: FusionRingData,
-    x: np.ndarray,
-    unit: np.ndarray,
-    lambdas: list[complex],
-) -> list[np.ndarray]:
-    """Spectral idempotents of x inside its block, by Lagrange interpolation."""
-    out = []
+def _lagrange_idempotents(L: np.ndarray, unit: np.ndarray, lambdas: list[complex]) -> np.ndarray:
+    """Spectral idempotents of x inside its block, by Lagrange interpolation,
+    as (len(lambdas), rank) rows, given x's left multiplication matrix L.
+
+    Each factor p * (x - lambda_t u) is taken as L @ p - lambda_t p, an r^2
+    product: p is a polynomial in x and the block unit u, so it commutes with
+    x and p * u = p.
+    """
+    out = np.empty((len(lambdas), len(unit)), dtype=complex)
     for s, ls in enumerate(lambdas):
         p = unit
         for t, lt in enumerate(lambdas):
-            if t == s:
-                continue
-            p = cf_star(ring, p, (x - lt * unit)) / (ls - lt)
-        out.append(p)
+            if t != s:
+                p = (L @ p - lt * p) / (ls - lt)
+        out[s] = p
     return out
 
 
@@ -251,7 +251,8 @@ def _build_block_units(
     check_tol = max(100 * tol.abs_tol, 1e-10)
     for _ in range(_MAX_SPLIT_TRIES):
         x = space @ (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-        X = space.conj().T @ _left_mult_matrix(ring, x) @ space
+        L = _left_mult_matrix(ring, x)
+        X = space.conj().T @ L @ space
         w = np.linalg.eigvals(X)
         order = np.lexsort((-w.imag, -w.real))
         w = w[order]
@@ -270,30 +271,31 @@ def _build_block_units(
         )
         if sep < 1e-3:
             continue
-        idems = _lagrange_idempotents(ring, x, block_unit, lambdas)
-        ok = all(
-            np.max(np.abs(cf_star(ring, e, e) - e)) <= check_tol for e in idems
-        ) and np.max(np.abs(sum(idems) - block_unit)) <= check_tol
-        if not ok:
+        E = _lagrange_idempotents(L, block_unit, lambdas)
+        # E[s] * g = g @ TE[s]: one stack of factors serves the idempotent
+        # test and the products E[s] * y.
+        TE = _star_factors(ring, E)
+        square_error = np.max(np.abs(np.matmul(E[:, None], TE)[:, 0] - E))
+        sum_error = np.max(np.abs(E.sum(axis=0) - block_unit))
+        if not (square_error <= check_tol and sum_error <= check_tol):
             continue
         y = space @ (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-        units = np.zeros((m, m, ring.rank), dtype=complex)
-        units[0, 0] = idems[0]
-        degenerate = False
-        for s in range(1, m):
-            a = cf_star(ring, cf_star(ring, idems[0], y), idems[s])
-            b = cf_star(ring, cf_star(ring, idems[s], y), idems[0])
-            z = cf_star(ring, a, b)
-            e0 = idems[0]
-            c = complex(np.vdot(e0, z) / np.vdot(e0, e0))
-            if abs(c) < 1e-8 or np.max(np.abs(z - c * e0)) > check_tol * max(1.0, abs(c)):
-                degenerate = True
-                break
-            scale = abs(c) ** 0.5
-            units[0, s] = a / scale
-            units[s, 0] = b / (c / scale)
-        if degenerate:
+        EY = y @ TE
+        e0 = E[0]
+        a = cf_star_table(ring, EY[:1], E[1:])[0]  # (e0 * y) * E[s]
+        b = cf_star_table(ring, EY[1:], E[:1])[:, 0]  # (E[s] * y) * e0
+        z = np.matmul(b[:, None], _star_factors(ring, a))[:, 0]  # a[s] * b[s]
+        c = (z @ e0.conj()) / np.vdot(e0, e0)
+        degenerate = (np.abs(c) < 1e-8) | (
+            np.max(np.abs(z - c[:, None] * e0), axis=1) > check_tol * np.maximum(1.0, np.abs(c))
+        )
+        if degenerate.any():
             continue
+        scale = np.abs(c) ** 0.5
+        units = np.zeros((m, m, ring.rank), dtype=complex)
+        units[0, 0] = e0
+        units[0, 1:] = a / scale[:, None]
+        units[1:, 0] = b / (c / scale)[:, None]
         units[1:, 1:] = cf_star_table(ring, units[1:, 0], units[0, 1:])
         if _unit_relation_residual(ring, [units]) <= check_tol:
             return units

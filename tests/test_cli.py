@@ -430,3 +430,16 @@ def test_first_ops_leave_numpy_ma_unimported():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.split("\n")[-2] == "[0, 0] False"
+
+
+@pytest.mark.parametrize("command", ["subcategories", "lattice", "verify"])
+def test_enumeration_limit_is_one_line_error(command, capsys, monkeypatch):
+    # (Z_2)^7 passes the closure cap of enumerate_subcategories; here
+    # (Z_2)^3 meets a cap of 5 candidates the same way.
+    from fuscat import fusion_ring
+
+    monkeypatch.setattr(fusion_ring.enumerate_subcategories, "__defaults__", (5,))
+    source = "vec:product:cyclic:2*cyclic:2*cyclic:2"
+    code, out, err = run_cli([command, source], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {source}: subcategory enumeration exceeded 5 closure calls\n"

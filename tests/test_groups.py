@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import inspect
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,6 +75,37 @@ class TestParse:
         table[2][2] = 2
         with pytest.raises(BadTable):
             build_group("broken", ["e", "a", "b"], table)
+
+    @pytest.mark.parametrize("source", ["symmetric:4", "product:dihedral:8*cyclic:3"])
+    def test_associativity_failure_in_a_later_block(self, monkeypatch, source):
+        # Swapping two products in one row keeps the identity and the
+        # inverses but breaks associativity at every i other than the
+        # identity (index 0), so with one row of i per block the first
+        # block passes and a later one fails, at the (i, j, k) that the
+        # whole |G|^3 comparison finds first.
+        G = parse_group(source)
+        table = np.array(G.table)
+        row = table[3]
+        b, c = np.flatnonzero(row != G.identity)[[2, 5]]
+        row[[b, c]] = row[[c, b]]
+        lhs, rhs = table[table, :], table[:, table]
+        first = tuple(int(x) for x in np.argwhere(lhs != rhs)[0])
+        assert first[0] > 0 and np.array_equal(lhs[0], rhs[0])
+        n = G.order
+        for rows in (1, 2, n - 1, n):
+            monkeypatch.setattr(groups, "_ASSOC_BLOCK_ENTRIES", rows * n * n)
+            with pytest.raises(BadTable, match=re.escape("associativity fails at ({},{},{})".format(*first))):
+                build_group("broken", G.elements, table)
+
+    def test_associativity_check_forms_no_cubic_array(self):
+        tracemalloc.start()
+        try:
+            G = parse_group("product:symmetric:5*cyclic:2")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Two (240, 240, 240) int64 slabs took 225 MB; a block of rows, 24 MB.
+        assert G.order == 240 and peak < 64 * 2**20
 
     def test_missing_inverse_rejected(self):
         table = [[0, 1], [1, 1]]

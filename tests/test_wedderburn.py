@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuscat import groups, linalg, wedderburn
-from fuscat.char_theory import ClassFunction, chi, cointegral, cf_multiply
+from fuscat import char_theory, cli, groups, linalg, wedderburn
+from fuscat.char_theory import ClassFunction, cf_multiply, cf_star, cf_star_table, chi, cointegral
 from fuscat.fusion_ring import FusionRingData, enumerate_subcategories
 from fuscat.char_theory import subcategory_cointegral
 from fuscat.cli import parse_source
@@ -78,8 +78,6 @@ class TestComputeBlocks:
             assert np.array_equal(b1.units, b2.units)
 
     def test_matrix_unit_relations(self, vec_s3_ring, vec_s3_blocks):
-        from fuscat.char_theory import cf_star
-
         units = [
             (j, s, t, blk.units[s, t])
             for j, blk in enumerate(vec_s3_blocks.blocks)
@@ -258,8 +256,6 @@ class TestStructuralInvariants:
     def test_commutative_idempotents_diagonalize_fusion(self, s3_ring, s3_blocks):
         # commutative ring: every central idempotent is a joint eigenvector
         # of all the left star-multiplications
-        from fuscat.char_theory import cf_star
-
         for blk in s3_blocks.blocks:
             F = blk.units[0, 0]
             for i in range(3):
@@ -524,3 +520,139 @@ class TestCommutativeCentre:
         for blk, ref in zip(B.blocks, reference.blocks):
             assert np.array_equal(blk.units, ref.units)
             assert np.array_equal(blk.class_sums, ref.class_sums)
+
+
+def reference_lagrange_idempotents(ring, x, unit, lambdas):
+    """Lagrange interpolation with one star product per factor p * (x - lambda_t u)."""
+    out = []
+    for s, ls in enumerate(lambdas):
+        p = unit
+        for t, lt in enumerate(lambdas):
+            if t != s:
+                p = cf_star(ring, p, x - lt * unit) / (ls - lt)
+        out.append(p)
+    return out
+
+
+def reference_build_block_units(ring, space, block_unit, m, rng, tol):
+    """Matrix units of one block with one star product per pair of vectors:
+    the einsum left multiplication, the one-pair Lagrange steps and a unit
+    loop over s, drawing x and y at the same points as _build_block_units."""
+    if m == 1:
+        return block_unit[None, None, :]
+    dim = space.shape[1]
+    check_tol = max(100 * tol.abs_tol, 1e-10)
+    for _ in range(wedderburn._MAX_SPLIT_TRIES):
+        x = space @ (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        X = space.conj().T @ np.einsum("i,ijk->kj", x, ring.N_float) @ space
+        w = np.linalg.eigvals(X)
+        w = w[np.lexsort((-w.imag, -w.real))]
+        ctol = 1e-6 * max(1.0, float(np.max(np.abs(w))))
+        groups_ = []
+        for val in w:
+            if groups_ and abs(val - groups_[-1][0]) <= ctol:
+                groups_[-1].append(val)
+            else:
+                groups_.append([val])
+        if len(groups_) != m or any(len(g) != m for g in groups_):
+            continue
+        lambdas = [complex(np.mean(g)) for g in groups_]
+        if min(abs(a - b) for i, a in enumerate(lambdas) for b in lambdas[i + 1 :]) < 1e-3:
+            continue
+        idems = reference_lagrange_idempotents(ring, x, block_unit, lambdas)
+        ok = all(np.max(np.abs(cf_star(ring, e, e) - e)) <= check_tol for e in idems)
+        if not ok or np.max(np.abs(sum(idems) - block_unit)) > check_tol:
+            continue
+        y = space @ (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        units = np.zeros((m, m, ring.rank), dtype=complex)
+        units[0, 0] = e0 = idems[0]
+        degenerate = False
+        for s in range(1, m):
+            a = cf_star(ring, cf_star(ring, e0, y), idems[s])
+            b = cf_star(ring, cf_star(ring, idems[s], y), e0)
+            z = cf_star(ring, a, b)
+            c = complex(np.vdot(e0, z) / np.vdot(e0, e0))
+            if abs(c) < 1e-8 or np.max(np.abs(z - c * e0)) > check_tol * max(1.0, abs(c)):
+                degenerate = True
+                break
+            scale = abs(c) ** 0.5
+            units[0, s] = a / scale
+            units[s, 0] = b / (c / scale)
+        if degenerate:
+            continue
+        units[1:, 1:] = cf_star_table(ring, units[1:, 0], units[0, 1:])
+        if wedderburn._unit_relation_residual(ring, [units]) <= check_tol:
+            return units
+    raise wedderburn.SplitFailure(f"could not build matrix units for an m={m} block")
+
+
+@pytest.fixture(scope="module")
+def split_rings(vec_a5_ring):
+    return {"vec:alternating:5": vec_a5_ring, "vec:symmetric:4": parse_source("vec:symmetric:4", 0, DEFAULT_TOL)[0]}
+
+
+class TestUnitsThroughMultiplicationMatrices:
+    @pytest.mark.parametrize("source", ["vec:alternating:5", "vec:symmetric:4"])
+    def test_idempotents_match_the_one_pair_steps(self, monkeypatch, split_rings, source):
+        ring = split_rings[source]
+        xs, seen = [], []
+        real_left, real_lagrange = wedderburn._left_mult_matrix, wedderburn._lagrange_idempotents
+
+        def left(ring_, x):
+            xs.append(x)
+            return real_left(ring_, x)
+
+        def lagrange(L, unit, lambdas):
+            out = real_lagrange(L, unit, lambdas)
+            seen.append((xs[-1], unit, lambdas, out))
+            return out
+
+        monkeypatch.setattr(wedderburn, "_left_mult_matrix", left)
+        monkeypatch.setattr(wedderburn, "_lagrange_idempotents", lagrange)
+        B = compute_blocks(ring)
+        assert len(seen) == sum(blk.m > 1 for blk in B.blocks)
+        for x, unit, lambdas, out in seen:
+            assert np.allclose(real_left(ring, x), np.einsum("i,ijk->kj", x, ring.N_float), rtol=0, atol=1e-12)
+            ref = np.array(reference_lagrange_idempotents(ring, x, unit, lambdas))
+            assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("source", ["vec:alternating:5", "vec:symmetric:4"])
+    def test_units_match_the_one_pair_unit_loop(self, monkeypatch, split_rings, source, seed):
+        ring = split_rings[source]
+        B = compute_blocks(ring, seed=seed)
+        monkeypatch.setattr(wedderburn, "_build_block_units", reference_build_block_units)
+        ref = compute_blocks(ring, seed=seed)
+        assert [blk.m for blk in B.blocks] == [blk.m for blk in ref.blocks]
+        for blk, rb in zip(B.blocks, ref.blocks):
+            assert np.max(np.abs(blk.units - rb.units)) <= 1e-12 * np.max(np.abs(rb.units))
+            assert np.max(np.abs(blk.class_sums - rb.class_sums)) <= 1e-12 * np.max(np.abs(rb.class_sums))
+
+    def test_no_star_product_of_one_pair(self, monkeypatch, vec_a5_ring):
+        # Every block of vec A5 has m = 1 or m >= 3, so a batched step has at
+        # least two pairs; cf_star is never called.
+        pairs = []
+        real_table = wedderburn.cf_star_table
+
+        def table(ring, F, G):
+            pairs.append(len(F) * len(G))
+            return real_table(ring, F, G)
+
+        def one_pair(ring, f, g):
+            raise AssertionError("one-pair cf_star call")
+
+        monkeypatch.setattr(char_theory, "cf_star", one_pair)
+        monkeypatch.setattr(wedderburn, "cf_star", one_pair, raising=False)
+        monkeypatch.setattr(wedderburn, "cf_star_table", table)
+        B = compute_blocks(vec_a5_ring)
+        assert sorted(blk.m for blk in B.blocks) == [1, 3, 3, 4, 5]
+        assert pairs and min(pairs) > 1
+
+    @pytest.mark.parametrize("command", ["analyze", "lattice"])
+    @pytest.mark.parametrize("source", ["vec:alternating:5", "vec:symmetric:4"])
+    def test_reports_match_the_one_pair_path_bytewise(self, monkeypatch, tmp_path, source, command):
+        argv = [command, source, "--format", "json", "--output"]
+        assert cli.main([*argv, str(tmp_path / "new.json")]) == 0
+        monkeypatch.setattr(wedderburn, "_build_block_units", reference_build_block_units)
+        assert cli.main([*argv, str(tmp_path / "ref.json")]) == 0
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
