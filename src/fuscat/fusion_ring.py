@@ -434,23 +434,10 @@ def _fusion_hit(ring: FusionRingData, a: np.ndarray, b: np.ndarray) -> np.ndarra
     return np.matmul(b[:, None, :], prods)[:, 0, :] > 0
 
 
-def _raw_product_table(ring: FusionRingData, member: np.ndarray) -> np.ndarray:
-    """Raw products of all ordered pairs of rows of a (S, r) bool membership matrix.
-
-    ``out[a, b]`` is the (r,) bool row of :func:`_fusion_hit` for rows a and b.
-    The product with ``support`` depends on the left row alone, so it is
-    formed once per row and meets every right row in one batched product.
-    Each left row forms r^2 + S r float32 values, which size its row blocks
-    (:func:`_closure_rows_per_block`).
-    """
-    S, r = member.shape
-    m = member.astype(np.float32)
-    out = np.empty((S, S, r), dtype=bool)
-    step = _closure_rows_per_block(r, r * (r + S))
-    for lo in range(0, S, step):
-        prods = (m[lo : lo + step] @ ring.support).reshape(-1, r, r)
-        np.greater(np.matmul(m, prods), 0, out=out[lo : lo + step])
-    return out
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """(K,) keys of the rows of a (K, r) bool matrix, equal exactly when the rows are."""
+    packed = np.packbits(rows, axis=1)
+    return packed.view(f"V{packed.shape[1]}").ravel()
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -458,9 +445,7 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for every row the position of its distinct row in that list."""
     if len(rows) == 1:
         return np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
-    packed = np.packbits(rows, axis=1)
-    keys = packed.view(f"V{packed.shape[1]}").ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
     return first, inverse.ravel()
 
 

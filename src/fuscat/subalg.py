@@ -14,8 +14,8 @@ subspace is spanned by the indicators of the cosets.  These indicators are
 the one representation of a central subspace: its class-sum basis is
 checked against them, and no float basis of it is kept.  The
 correspondence table of a ring lives here too; it is built once, checks
-the float data against these closed forms and reads the lattice
-operations off the inclusion order.
+the float data against these closed forms and looks the lattice
+operations up by their exact membership rows.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .fusion_ring import (
     FusionRingData,
     FusionSubcategory,
     _right_cosets,
+    _row_keys,
     enumerate_subcategories,
     subcategory_closure,
 )
@@ -280,9 +281,9 @@ class LatticeTable:
 
     Entries are in enumeration order and are looked up by subcategory
     indices; exact arrays over them hold the membership, the inclusion order
-    and the coset class ids.  The lattice operations on subalgebras are read
-    off the order (:meth:`meets_and_joins`): the product of two subalgebras
-    is the entry of the meet, their intersection the entry of the join.
+    and the coset class ids.  The lattice operations on subalgebras are looked
+    up by membership row (:meth:`meets_and_joins`): the product of two
+    subalgebras is the entry of the meet, their intersection that of the join.
     """
 
     ring: FusionRingData
@@ -301,25 +302,57 @@ class LatticeTable:
         """The entry of the subcategory with these indices, if it is in the table."""
         return self._by_indices.get(indices)
 
-    def meets_and_joins(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Entry positions of the meet and the join of each pair (a[k], b[k]).
+    @cached_property
+    def _keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """The packed membership rows in sorted order, and the entry of each."""
+        keys = _row_keys(self.membership)
+        order = np.argsort(keys, kind="stable")
+        return keys[order], order
 
-        The meet is the lower bound with the most simples, as it holds every
-        other one, and the join the upper bound with the fewest.  Bounds are
-        formed for a row block of pairs at a time, at most ``_BLOCK_BYTES``;
-        -1 marks a pair with no common bound in the table.
-        """
-        size = self.membership.sum(axis=1)
-        orders = (np.argsort(-size, kind="stable"), np.argsort(size, kind="stable"))
-        bounds = (self.inside.T[:, orders[0]], self.inside[:, orders[1]])
-        out = np.empty((2, len(a)), dtype=np.intp)
-        step = max(1, _BLOCK_BYTES // max(1, len(size)))
-        for lo in range(0, len(a), step):
-            k = slice(lo, lo + step)
-            for side, (order, inside) in enumerate(zip(orders, bounds)):
-                common = inside[a[k]] & inside[b[k]]
-                out[side, k] = np.where(common.any(axis=1), order[np.argmax(common, axis=1)], -1)
-        return out[0], out[1]
+    def _lookup(self, rows: np.ndarray) -> np.ndarray:
+        """The entry whose membership row is each of the (K, r) bool rows, or -1."""
+        keys, order = self._keys
+        wanted = _row_keys(rows)
+        pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        return np.where(keys[pos] == wanted, order[pos], -1)
+
+    def meets_and_joins(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Entry positions of the meet and the join of each pair (a[k], b[k]),
+        or -1 where the table has none; O(r) work and memory per pair.  The
+        meet holds the intersection of the index sets, and the join the
+        unit's class of the join of the two coset partitions, which its
+        cosets must be (:func:`_coset_joins`: the class of x is x⊗(A∨B))."""
+        M, cosets = self.membership, self.cosets
+        meets = self._lookup(M[a] & M[b])
+        ids = _coset_joins(cosets, a, b)
+        joins = self._lookup(ids == 0)
+        joins[np.any(cosets[joins] != ids, axis=1)] = -1
+        return meets, joins
+
+
+def _coset_joins(cosets: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(K, r) class ids of the join of the partitions ``cosets[a[k]]`` and
+    ``cosets[b[k]]``, each the smallest simple of its class as in ``cosets``.
+
+    From the ids of A, the least label over each class of B, then of A, is
+    taken until nothing changes: the labels are then constant on the classes
+    of the join, and the smallest simple of each keeps its own id."""
+    K, r = len(a), cosets.shape[1]
+    sides = []
+    for ids in (cosets[b], cosets[a]):
+        key = (ids + np.arange(K)[:, None] * r).ravel()
+        at = np.argsort(key, kind="stable")
+        starts = np.diff(key[at], prepend=-1) != 0
+        seg = np.empty_like(at)
+        seg[at] = np.cumsum(starts) - 1
+        sides.append((at, np.flatnonzero(starts), seg))
+    label = cosets[a].ravel()
+    while True:
+        before = label
+        for at, starts, seg in sides:
+            label = np.minimum.reduceat(label[at], starts)[seg]
+        if np.array_equal(label, before):
+            return label.reshape(K, r)
 
 
 class _EntryStack(NamedTuple):

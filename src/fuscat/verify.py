@@ -22,7 +22,6 @@ from .char_theory import (
     _fourier_inverse_raw,
     ce_multiply,
     cf_right_action,
-    cf_star_blocks,
     cf_star_table,
     cointegral,
     fourier_forward,
@@ -32,7 +31,7 @@ from .char_theory import (
     tau,
     unit_central_element,
 )
-from .fusion_ring import EnumerationLimit, FusionRingData, _close_rows, _raw_product_table
+from .fusion_ring import EnumerationLimit, FusionRingData, _close_rows, _closure_rows_per_block, _fusion_hit
 from .groups import FiniteGroup, OracleMismatch, crosscheck_rep, crosscheck_vec
 from .linalg import _BLOCK_BYTES, DEFAULT_TOL, Tolerance
 from .wedderburn import (
@@ -152,31 +151,6 @@ def _entry_residuals(ring: FusionRingData, block: subalg._LiveBlock) -> list[flo
     ]
 
 
-def _coset_joins(cosets: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(K, r) class ids of the join of the partitions ``cosets[a[k]]`` and
-    ``cosets[b[k]]``, each the smallest simple of its class as in ``cosets``.
-
-    From the ids of A, the least label over each class of B, then of A, is
-    taken until nothing changes: the labels are then constant on the classes
-    of the join, and the smallest simple of each keeps its own id."""
-    K, r = len(a), cosets.shape[1]
-    sides = []
-    for ids in (cosets[b], cosets[a]):
-        key = (ids + np.arange(K)[:, None] * r).ravel()
-        at = np.argsort(key, kind="stable")
-        starts = np.diff(key[at], prepend=-1) != 0
-        seg = np.empty_like(at)
-        seg[at] = np.cumsum(starts) - 1
-        sides.append((at, np.flatnonzero(starts), seg))
-    label = cosets[a].ravel()
-    while True:
-        before = label
-        for at, starts, seg in sides:
-            label = np.minimum.reduceat(label[at], starts)[seg]
-        if np.array_equal(label, before):
-            return label.reshape(K, r)
-
-
 def _lattice_check(ring: FusionRingData, table: subalg.LatticeTable) -> CheckResult:
     """The lattice check of a table that :func:`subalg.build_lattice` returned:
     it must hold the closure ⟨x⟩ of every single simple x.
@@ -188,57 +162,65 @@ def _lattice_check(ring: FusionRingData, table: subalg.LatticeTable) -> CheckRes
     """
     member = np.eye(ring.rank, dtype=bool)
     member[:, 0] = True
-    known = {row.tobytes() for row in table.membership}
-    for x, row in enumerate(_close_rows(ring, member)):
-        if row.tobytes() not in known:
-            closure = tuple(np.flatnonzero(row).tolist())
-            info = f"closure {closure} of simple {x} is not in the table"
-            return CheckResult(LATTICE_CHECK, 1.0, 0.0, info=info)
+    closures = _close_rows(ring, member)
+    missing = np.flatnonzero(table._lookup(closures) < 0)
+    if len(missing):
+        x = int(missing[0])
+        info = f"closure {tuple(np.flatnonzero(closures[x]).tolist())} of simple {x} is not in the table"
+        return CheckResult(LATTICE_CHECK, 1.0, 0.0, info=info)
     return CheckResult(LATTICE_CHECK, 0.0, 0.0, info=f"{len(table.entries)} subcategories")
 
 
 def _pair_checks(ring: FusionRingData, table: subalg.LatticeTable) -> list[CheckResult]:
     """Meet/join correspondence and the product dimension bound over all pairs.
 
-    Meet and join are read once per unordered pair off the inclusion order,
-    then checked in both orders; exactly, for a row block of pairs at a time,
-    the meet is the intersection of the index sets and the join's cosets the
-    join of the two coset partitions (the class of x is x⊗(words in A ∪ B) =
-    x⊗(A∨B)), so its central subspace is the intersection of the two.
+    Meets and joins are looked up exactly (:meth:`subalg.LatticeTable.meets_and_joins`)
+    once per unordered pair, a row block of pairs at a time, keeping only
+    running maxima and counts; the bound is checked in both orders.  The
+    correspondence fails when an entry's products with itself leave it, or
+    when a pair has no meet or join in the table.  Otherwise every product
+    of two entries lies in their join, which holds both.
     """
     entries = table.entries
-    M, cosets = table.membership, table.cosets
-    raw = _raw_product_table(ring, M)
-    a, b = np.triu_indices(len(entries))
-    meets, joins = table.meets_and_joins(a, b)
-    found = (meets >= 0) & (joins >= 0)
-    a, b, meets, joins = a[found], b[found], meets[found], joins[found]
+    M = table.membership
+    S, r = M.shape
     dim_l = np.array([e.subalgebra.dim_l for e in entries])
-    # dim(LM) against dim(L) dim(M) / dim(L n M): the meet's subalgebra is the product.
-    lhs, rhs = dim_l[meets], dim_l[a] * dim_l[b] / dim_l[joins]
-    gap = lhs - rhs
-    ab, ba = raw[a, b], raw[b, a]
-    step = max(1, _BLOCK_BYTES // (8 * 8 * ring.rank))  # _coset_joins holds about 8 (K, r) index arrays
-    blocks = [slice(lo, lo + step) for lo in range(0, len(a), step)]
-    mismatch = (
-        not found.all()
-        or not all(np.array_equal(M[meets[k]], M[a[k]] & M[b[k]]) for k in blocks)
-        or not all(np.array_equal(_coset_joins(cosets, a[k], b[k]), cosets[joins[k]]) for k in blocks)
-        or np.any((ab | ba) & ~M[joins])
-        or (ring.commutative and not np.array_equal(ab, ba))
-    )
-    strict = int(np.sum(np.where(a == b, 1, 2)[lhs < rhs - DIM_BOUND]))
+    info = ""
+    step = _closure_rows_per_block(r, r * r)
+    for lo in range(0, S, step):
+        m = M[lo : lo + step]
+        f = m.astype(np.float32)
+        leave = np.flatnonzero(np.any(_fusion_hit(ring, f, f) & ~m, axis=1))
+        if len(leave):
+            info = f"products of {entries[lo + leave[0]].subcategory.indices} leave it"
+            break
+    worst, worst_abs, strict = 0.0, 0.0, 0
+    ends = np.cumsum(np.arange(S, 0, -1))  # the pairs (a, b >= a) of row a end before ends[a]
+    step = max(1, _BLOCK_BYTES // (8 * 8 * r))  # _coset_joins holds about 8 (K, r) index arrays
+    for lo in range(0, ends[-1], step):
+        k = np.arange(lo, min(lo + step, ends[-1]))
+        a = np.searchsorted(ends, k, side="right")
+        b = k - ends[a] + S
+        meets, joins = table.meets_and_joins(a, b)
+        found = (meets >= 0) & (joins >= 0)
+        if not found.all():
+            if not info:
+                x = int(np.argmin(found))
+                A, B = (entries[e].subcategory.indices for e in (a[x], b[x]))
+                info = f"no {'meet' if meets[x] < 0 else 'join'} of {A} and {B} in the table"
+            a, b, meets, joins = a[found], b[found], meets[found], joins[found]
+        # dim(LM) against dim(L) dim(M) / dim(L n M): the meet's subalgebra is the product.
+        lhs, rhs = dim_l[meets], dim_l[a] * dim_l[b] / dim_l[joins]
+        gap = lhs - rhs
+        worst = max(worst, float(np.max(gap, initial=0.0)))
+        worst_abs = max(worst_abs, _worst(gap))
+        strict += int(np.sum(np.where(a == b, 1, 2)[lhs < rhs - DIM_BOUND]))
     checks = [
-        CheckResult("meet and join correspondence", float(mismatch), 0.0),
-        CheckResult(
-            "product dimension bound",
-            float(np.max(gap, initial=0.0)),
-            DIM_BOUND,
-            info=f"{strict} strict instances",
-        ),
+        CheckResult("meet and join correspondence", float(bool(info)), 0.0, info=info),
+        CheckResult("product dimension bound", worst, DIM_BOUND, info=f"{strict} strict instances"),
     ]
     if ring.commutative:
-        checks.append(CheckResult("product dimension equality (commutative)", _worst(gap), 1e-8))
+        checks.append(CheckResult("product dimension equality (commutative)", worst_abs, 1e-8))
     return checks
 
 
@@ -280,14 +262,10 @@ def verify_ring(
     checks.append(CheckResult("cointegral normalization", worst, 1e-8))
 
     # <chi_i, F^-1(chi_j)> = d_i F^-1(chi_j)_i against dim(C) tau(chi_i * chi_j),
-    # and tau(chi_i * chi_j) against delta_{j, i*}, one row block of products at a time.
-    pair = (inv * dims).T
-    dual_eye = eye[dual]
-    worst = 0.0
-    for lo, prods in cf_star_blocks(ring, eye, eye):
-        taus = prods[:, :, 0]
-        rows = slice(lo, lo + len(prods))
-        worst = max(worst, _worst(pair[rows] - dim * taus, taus - dual_eye[rows]))
+    # and tau(chi_i * chi_j) against delta_{j, i*}.  The star product of two
+    # basis vectors is their row of N, so tau(chi_i * chi_j) is N_ij^0.
+    taus = ring.N_float[:, :, 0]
+    worst = _worst((inv * dims).T - dim * taus, taus - eye[dual])
     checks.append(CheckResult("pairing against trace form", worst, 1e-8))
 
     worst = 0.0

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from fuscat import fusion_ring, groups, linalg, subalg, wedderburn  # noqa: E402
+from fuscat import fusion_ring, groups, linalg, subalg, verify, wedderburn  # noqa: E402
 
 
 def s3_mult_table():
@@ -279,6 +280,25 @@ def ce_span(L, tol=linalg.DEFAULT_TOL):
     return linalg._orthonormal_columns(L.ce_sums.T, tol)
 
 
+def reference_meets_and_joins(table, a, b):
+    """Entry positions of the meet and the join of each pair (a[k], b[k]),
+    searched in the inclusion order: the lookup that the table made before
+    it looked meets and joins up by their exact rows, kept as the reference.
+
+    The meet is the lower bound with the most simples, as it holds every
+    other one, and the join the upper bound with the fewest; -1 marks a pair
+    with no common bound in the table.
+    """
+    size = table.membership.sum(axis=1)
+    orders = (np.argsort(-size, kind="stable"), np.argsort(size, kind="stable"))
+    bounds = (table.inside.T[:, orders[0]], table.inside[:, orders[1]])
+    out = []
+    for order, inside in zip(orders, bounds):
+        common = inside[a] & inside[b]
+        out.append(np.where(common.any(axis=1), order[np.argmax(common, axis=1)], -1))
+    return out[0], out[1]
+
+
 def subalgebras_of(subcats, B, tol=linalg.DEFAULT_TOL):
     """The subalgebra of each subcategory, or the exception building it
     raises, from one row block of ``subalg._subalgebra_blocks``."""
@@ -319,6 +339,32 @@ def patch_table(monkeypatch, change):
     return ``change(table)`` of the real table."""
     real = subalg._stream_lattice
     monkeypatch.setattr(subalg, "_stream_lattice", lambda *args: change(real(*args)))
+
+
+def without_entries(t, keep):
+    """The table t with only the entries where the (S,) bool ``keep`` holds."""
+    return dataclasses.replace(
+        t,
+        entries=tuple(e for e, k in zip(t.entries, keep) if k),
+        membership=t.membership[keep],
+        inside=t.inside[keep][:, keep],
+        cosets=t.cosets[keep],
+    )
+
+
+def patch_leaky_products(monkeypatch, ring, indices):
+    """``verify._fusion_hit`` finds every simple among the products of the
+    subcategory of these indices with itself; every other product is real."""
+    row = np.zeros(ring.rank, dtype=np.float32)
+    row[list(indices)] = 1
+    real = fusion_ring._fusion_hit
+
+    def leaky(ring, a, b):
+        hit = real(ring, a, b)
+        hit[np.all(a == row, axis=1) & np.all(b == row, axis=1)] = True
+        return hit
+
+    monkeypatch.setattr(verify, "_fusion_hit", leaky)
 
 
 def bump_0_1(P):

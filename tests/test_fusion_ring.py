@@ -484,22 +484,6 @@ class TestEnumerateAgainstReference:
         assert len(subs) == 59
         assert peak < r**3 * 8  # one (K, r, r) product over a whole frontier level takes K * r^2 * 4
 
-    def test_raw_product_table_memory_below_r3(self, vec_a5_ring):
-        r = vec_a5_ring.rank
-        subs = enumerate_subcategories(vec_a5_ring)
-        member = np.zeros((len(subs), r), dtype=bool)
-        for e, D in enumerate(subs):
-            member[e, list(D.indices)] = True
-        vec_a5_ring.support  # cached before tracing
-        tracemalloc.start()
-        try:
-            table = fusion_ring._raw_product_table(vec_a5_ring, member)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert table.shape == (59, 59, r)
-        assert peak < r**3 * 8
-
 
 class TestEnumerateBeyondGroups:
     @pytest.mark.parametrize("n", [3, 5])
@@ -639,21 +623,6 @@ class TestClosureBlocks:
         assert fusion_ring._closure_rows_per_block(r, r * r) == 1
         assert fusion_ring._closure_rows_per_block(r, r * (r + 156)) == 1
 
-    @pytest.mark.parametrize("block_bytes", [None, 1, 1 << 40])
-    @pytest.mark.parametrize("source", ["vec:symmetric:4", "rep:symmetric:4"])
-    def test_raw_product_table_matches_pairwise_reference(self, source, block_bytes, monkeypatch):
-        if block_bytes is not None:
-            monkeypatch.setattr(fusion_ring, "_CLOSURE_BLOCK_BYTES", block_bytes)
-        ring, _group, _kind = parse_source(source, 0, DEFAULT_TOL)
-        subs = [D.indices for D in enumerate_subcategories(ring)]
-        member = np.zeros((len(subs), ring.rank), dtype=bool)
-        for e, D in enumerate(subs):
-            member[e, list(D)] = True
-        table = fusion_ring._raw_product_table(ring, member)
-        for a, A in enumerate(subs):
-            for b, B in enumerate(subs):
-                assert np.array_equal(table[a, b], np.any(ring.N[np.ix_(A, B)] > 0, axis=(0, 1)))
-
     def test_one_byte_budget_closes_one_row_per_block_at_rank_60(self, vec_a5_ring, monkeypatch):
         monkeypatch.setattr(fusion_ring, "_CLOSURE_BLOCK_BYTES", 1)
         sizes = _spy_block_rows(monkeypatch)
@@ -692,13 +661,11 @@ class TestMeetJoinProduct:
 
     @staticmethod
     def _raw_products(ring, subs):
-        """raw[a][b]: the simples k with N_ijk > 0 for some i in subs[a], j in
-        subs[b], from the batched table of all ordered pairs."""
-        member = np.zeros((len(subs), ring.rank), dtype=bool)
-        for e, D in enumerate(subs):
-            member[e, list(D.indices)] = True
-        table = fusion_ring._raw_product_table(ring, member)
-        return [[tuple(np.flatnonzero(row).tolist()) for row in rows] for rows in table]
+        """raw[a][b]: the simples k with N_ijk > 0 for some i in subs[a], j in subs[b]."""
+        return [
+            [tuple(np.flatnonzero(np.any(ring.N[np.ix_(A.indices, B.indices)] > 0, axis=(0, 1))).tolist()) for B in subs]
+            for A in subs
+        ]
 
     def test_vec_s3_coset_product_not_closed(self, vec_s3_ring):
         subs = enumerate_subcategories(vec_s3_ring)

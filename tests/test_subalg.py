@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fuscat import groups, subalg, verify, wedderburn
+from fuscat import fusion_ring, groups, subalg, verify, wedderburn
 from fuscat.cli import parse_source
 from fuscat.char_theory import (
     CentralElement,
@@ -14,7 +14,6 @@ from fuscat.char_theory import (
     unit_central_element,
 )
 from fuscat.fusion_ring import (
-    _raw_product_table,
     enumerate_subcategories,
     subcategory_closure,
     subcategory_join,
@@ -37,6 +36,7 @@ from conftest import (
     live_table,
     patch_table,
     reference_group_equal_rows,
+    reference_meets_and_joins,
     su2_fusion_ring,
     subalgebras_of,
 )
@@ -96,9 +96,10 @@ def dim_inequality(table, a, b):
     product, intersection = product_and_intersection(table, a, b)
     lhs = product.subalgebra.dim_l
     rhs = a.subalgebra.dim_l * b.subalgebra.dim_l / intersection.subalgebra.dim_l
-    raw = _raw_product_table(table.ring, table.membership)
-    x, y = table.entries.index(a), table.entries.index(b)
-    return lhs, rhs, np.array_equal(raw[x, y], raw[y, x])
+    A, B = a.subcategory.indices, b.subcategory.indices
+    N = table.ring.N
+    ab, ba = (np.any(N[np.ix_(X, Y)] > 0, axis=(0, 1)) for X, Y in ((A, B), (B, A)))
+    return lhs, rhs, np.array_equal(ab, ba)
 
 
 class TestFromSubcategory:
@@ -387,12 +388,75 @@ class TestLatticeOps:
             A, B = entries[x].subcategory, entries[y].subcategory
             assert entries[meet].subcategory.indices == subcategory_meet(A, B).indices
             assert entries[join].subcategory.indices == subcategory_join(A, B).indices
-        ids = verify._coset_joins(table.cosets, a, b)
+        ids = subalg._coset_joins(table.cosets, a, b)
         assert np.array_equal(ids, table.cosets[joins])
         classes = [len(set(row)) for row in ids.tolist()]
         spans = [ce_span(e.subalgebra) for e in entries]
         ce_dim = np.array([e.subalgebra.ce_dim for e in entries])
         assert classes == intersection_dims(spans, a, b).tolist() == ce_dim[joins].tolist()
+
+
+# The rings of the lookup test: LATTICE_RINGS and (Z_2)^4, with 67 subcategories.
+LOOKUP_RINGS = dict(LATTICE_RINGS)
+LOOKUP_RINGS["vec:(Z_2)^4"] = lambda: parse_source("vec:product:" + "*".join(["cyclic:2"] * 4), 0, DEFAULT_TOL)[0]
+
+
+@pytest.mark.parametrize("name", sorted(LOOKUP_RINGS))
+def test_lookup_matches_the_order_search(name):
+    # Every pair has a meet and a join in a complete table, and the exact
+    # lookup lands where the inclusion order's search does, whether the
+    # pairs come all at once or one per call.
+    ring = LOOKUP_RINGS[name]()
+    table = build_lattice(ring, wedderburn.compute_blocks(ring))
+    a, b = np.triu_indices(len(table.entries))
+    expected = np.array(reference_meets_and_joins(table, a, b))
+    assert (expected >= 0).all()
+    assert np.array_equal(table.meets_and_joins(a, b), expected)
+    one_pair = [table.meets_and_joins(a[k : k + 1], b[k : k + 1]) for k in range(len(a))]
+    assert np.array_equal(np.hstack(one_pair), expected)
+
+
+def relabelled(ring, p):
+    """The ring whose simple i is simple p[i] of ``ring``; p[0] = 0."""
+    back = np.argsort(p)
+    dual = back[np.array(ring.dual)[p]]
+    return fusion_ring.build_ring([ring.labels[x] for x in p], ring.N[np.ix_(p, p, p)], dual.tolist())
+
+
+RELABEL_RINGS = {
+    "vec:symmetric:4": lambda: parse_source("vec:symmetric:4", 0, DEFAULT_TOL)[0],
+    "rep:symmetric:4": lambda: parse_source("rep:symmetric:4", 0, DEFAULT_TOL)[0],
+    "hi:3": lambda: haagerup_izumi_ring(3),
+    "su2:2*su2:2": lambda: deligne_product(su2_fusion_ring(2), su2_fusion_ring(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RELABEL_RINGS))
+def test_tables_commute_with_relabelling(name):
+    # Permuting the simples, with the unit fixed, permutes the table: the
+    # subcategories, their cosets and subalgebras, the meets and the joins.
+    ring = RELABEL_RINGS[name]()
+    table = build_lattice(ring, wedderburn.compute_blocks(ring))
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        p = np.concatenate(([0], 1 + rng.permutation(ring.rank - 1)))
+        other = relabelled(ring, p)
+        moved = build_lattice(other, wedderburn.compute_blocks(other))
+        # Position in ``table`` of each entry of ``moved``.
+        old = np.array([
+            table.entries.index(table.entry(tuple(sorted(p[list(e.subcategory.indices)].tolist()))))
+            for e in moved.entries
+        ])
+        assert sorted(old.tolist()) == list(range(len(table.entries)))
+        for e, o in zip(moved.entries, old):
+            f = table.entries[o]
+            assert {frozenset(p[list(c)].tolist()) for c in e.partition} == set(map(frozenset, f.partition))
+            assert e.subalgebra.ce_dim == f.subalgebra.ce_dim
+            assert e.subalgebra.dim_l == pytest.approx(f.subalgebra.dim_l, rel=1e-6)
+        a, b = np.triu_indices(len(moved.entries))
+        meets, joins = moved.meets_and_joins(a, b)
+        assert np.array_equal(np.array([old[meets], old[joins]]), table.meets_and_joins(old[a], old[b]))
+        assert all(c.passed for c in verify.verify_ring(other))
 
 
 def test_pointwise_products_of_central_subspaces_miss_the_meet():

@@ -5,17 +5,20 @@ import numpy as np
 import pytest
 
 from fuscat import subalg, verify
+from fuscat.char_theory import cf_star_blocks
 from fuscat.cli import parse_source
-from fuscat.fusion_ring import (
-    _raw_product_table,
-    enumerate_subcategories,
-    subcategory_join,
-    subcategory_meet,
-)
+from fuscat.fusion_ring import enumerate_subcategories
 from fuscat.linalg import DEFAULT_TOL
 from fuscat.verify import verify_ring
 
-from conftest import bump_0_1, patch_live_projector, perturb_unit
+from conftest import (
+    bump_0_1,
+    patch_leaky_products,
+    patch_live_projector,
+    patch_table,
+    perturb_unit,
+    without_entries,
+)
 
 MATRIX_UNIT_CHECK = "matrix unit relations and unit sum"
 RESTRICTION_CHECK = "restriction compatible with pairing"
@@ -65,41 +68,54 @@ class TestMatrixUnitCheck:
         assert peak < r**3 * 16  # an r^3 complex table
 
 
-def test_pair_loop_computes_each_ordered_product_once(monkeypatch, vec_s3_ring, vec_s3_blocks):
-    # The batched tables the pair loop reads agree with the raw products
-    # worked out from N on every ordered pair, and with the per-pair
-    # meets and joins on every unordered pair; vec_s3 is noncommutative,
-    # so order matters.
-    table = subalg.build_lattice(vec_s3_ring, vec_s3_blocks)
-    entries = table.entries
-    S = len(entries)
-    raw = _raw_product_table(vec_s3_ring, table.membership)
-    assert raw.shape == (S, S, vec_s3_ring.rank)
-    for a, ea in enumerate(entries):
-        for b, eb in enumerate(entries):
-            N = vec_s3_ring.N
-            A, B = ea.subcategory.indices, eb.subcategory.indices
-            expected = {int(k) for i in A for j in B for k in np.flatnonzero(N[i, j])}
-            assert set(np.flatnonzero(raw[a, b]).tolist()) == expected
-    pairs_a, pairs_b = np.triu_indices(S)
-    meets, joins = table.meets_and_joins(pairs_a, pairs_b)
-    assert len(meets) == len(joins) == S * (S + 1) // 2
-    for a, b, m, j in zip(pairs_a, pairs_b, meets, joins):
-        Da, Db = entries[a].subcategory, entries[b].subcategory
-        assert m >= 0 and j >= 0
-        assert entries[m].subcategory.indices == subcategory_meet(Da, Db).indices
-        assert entries[j].subcategory.indices == subcategory_join(Da, Db).indices
+def test_pair_checks_memory_below_one_product_per_pair():
+    # (Z_2)^5: S = 374 subcategories of rank 32.  The pair checks keep
+    # running maxima and counts over row blocks of pairs, so they stay below
+    # one (r,) bool product row per ordered pair, the (S, S, r) table that
+    # they no longer form.
+    ring = parse_source("vec:product:" + "*".join(["cyclic:2"] * 5), 0, DEFAULT_TOL)[0]
+    table = subalg.build_lattice(ring, verify.compute_blocks(ring))
+    S, r = table.membership.shape
+    assert (S, r) == (374, 32)
+    ring.support  # cached before tracing
+    tracemalloc.start()
+    try:
+        checks = verify._pair_checks(ring, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(c.passed for c in checks)
+    assert peak < S * S * r
 
-    calls = []
 
-    def spy(ring, member):
-        calls.append(len(member))
-        return _raw_product_table(ring, member)
+def _drop_entry(monkeypatch, indices):
+    """The table that verify_ring reads lacks the entry of these indices."""
+    patch_table(monkeypatch, lambda t: without_entries(t, [e.subcategory.indices != indices for e in t.entries]))
 
-    monkeypatch.setattr(verify, "_raw_product_table", spy)
-    checks = by_name(verify_ring(vec_s3_ring))
-    assert checks["meet and join correspondence"].passed
-    assert calls == [S]
+
+class TestMeetJoinInfo:
+    def test_passing_row_has_no_info(self, vec_s3_ring):
+        assert by_name(verify_ring(vec_s3_ring))["meet and join correspondence"].info == ""
+
+    def test_names_the_first_pair_without_a_meet(self, monkeypatch):
+        # In D8, {e, r^2} = (0, 2) is the meet of C4 and a Klein four-group.
+        ring = parse_source("vec:dihedral:8", 0, DEFAULT_TOL)[0]
+        _drop_entry(monkeypatch, (0, 2))
+        check = by_name(verify_ring(ring))["meet and join correspondence"]
+        assert (check.passed, check.info) == (False, "no meet of (0, 1, 2, 3) and (0, 2, 4, 6) in the table")
+
+    def test_names_the_first_pair_without_a_join(self, monkeypatch, vec_s3_ring):
+        # The two-element subgroups of S3 join to the whole group.
+        _drop_entry(monkeypatch, tuple(range(vec_s3_ring.rank)))
+        check = by_name(verify_ring(vec_s3_ring))["meet and join correspondence"]
+        assert (check.passed, check.info) == (False, "no join of (0, 1) and (0, 2) in the table")
+
+    def test_names_the_first_entry_that_is_not_closed(self, monkeypatch, vec_s3_ring):
+        # Products of entry 1 with itself reach every simple.
+        target = enumerate_subcategories(vec_s3_ring)[1].indices
+        patch_leaky_products(monkeypatch, vec_s3_ring, target)
+        check = by_name(verify_ring(vec_s3_ring))["meet and join correspondence"]
+        assert (check.passed, check.info) == (False, f"products of {target} leave it")
 
 
 def test_perturbed_projector_fails_restriction_pairing(monkeypatch, vec_s3_ring):
@@ -111,19 +127,17 @@ def test_perturbed_projector_fails_restriction_pairing(monkeypatch, vec_s3_ring)
     assert not by_name(verify_ring(vec_s3_ring))[RESTRICTION_CHECK].passed
 
 
-def test_pairing_check_uses_blocked_star_products(monkeypatch, su2_ring):
-    original = verify.cf_star_blocks
-    rows = []
-
-    def spy(ring, F, G):
-        for lo, table in original(ring, F, G):
-            rows.append(len(table))
-            yield lo, table
-
-    monkeypatch.setattr(verify, "cf_star_blocks", spy)
-    checks = by_name(verify_ring(su2_ring))
-    assert checks["pairing against trace form"].passed
-    assert sum(rows) == su2_ring.rank and max(rows) <= su2_ring.rank // 16
+@pytest.mark.parametrize(
+    "source", ["vec:symmetric:4", "rep:symmetric:4", "vec:alternating:5", "rep:alternating:5", "vec:dihedral:8", "vec:quaternion:8"]
+)
+def test_pairing_check_reads_the_unit_column_of_n(source):
+    # The star products of the basis vectors are N bit for bit, so the
+    # check reads tau(chi_i * chi_j) = N_ij^0 without forming them.
+    ring = parse_source(source, 0, DEFAULT_TOL)[0]
+    eye = np.eye(ring.rank)
+    for lo, prods in cf_star_blocks(ring, eye, eye):
+        assert np.array_equal(prods, ring.N_float[lo : lo + len(prods)])
+    assert by_name(verify_ring(ring))["pairing against trace form"].passed
 
 
 @pytest.mark.parametrize("offset", [1, 0.5])

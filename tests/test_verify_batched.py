@@ -7,8 +7,10 @@ earlier per-block ``verify_class_sum_pairings``, ``verify_dual_bases`` and
 the projection of the integral and the ``ce_basis`` closure test.  The
 product dimension bound is worked out inline, and the dimension of each
 intersection of central subspaces by rank, dim U + dim V - dim(U + V),
-independent of the coset partitions that the suite compares.  The reference
-looks up ``compute_blocks`` through ``verify`` and the streamed table
+independent of the coset partitions that the suite compares; meets and
+joins come from a search of the inclusion order (``reference_meets_and_joins``),
+and the products of each ordered pair of entries from ``verify._fusion_hit``.
+The reference looks up ``compute_blocks`` through ``verify`` and the streamed table
 ``_stream_lattice`` through ``subalg`` at call time, so a test that perturbs
 one of them perturbs both suites alike; it reads each entry's projector and
 class sums from the live row blocks of that table, one entry at a time.
@@ -38,7 +40,7 @@ from fuscat.char_theory import (
     unit_central_element,
 )
 from fuscat.cli import parse_source
-from fuscat.fusion_ring import _raw_product_table, enumerate_subcategories
+from fuscat.fusion_ring import enumerate_subcategories
 from fuscat.groups import OracleMismatch, crosscheck_rep, crosscheck_vec
 from fuscat.linalg import DEFAULT_TOL, _span_contains
 from fuscat.verify import LATTICE_CHECK, CheckResult, battery_sources, verify_ring
@@ -49,11 +51,14 @@ from conftest import (
     ce_span,
     intersection_dims,
     live_table,
+    patch_leaky_products,
     patch_live_projector,
     patch_subalgebras,
     patch_table,
     perturb_unit,
+    reference_meets_and_joins,
     su2_fusion_ring,
+    without_entries,
 )
 
 
@@ -291,13 +296,13 @@ def reference_verify_ring(ring, group=None, kind=None, seed=0, tol=DEFAULT_TOL):
     strict = 0
     entries = table.entries
     M = table.membership
-    raw = _raw_product_table(ring, M)
-    raw_sets = [[tuple(np.flatnonzero(row).tolist()) for row in rows] for rows in raw]
+    rows = M.astype(np.float32)
     pairs_a, pairs_b = np.triu_indices(len(entries))
-    meets, joins = table.meets_and_joins(pairs_a, pairs_b)
+    meets, joins = reference_meets_and_joins(table, pairs_a, pairs_b)
     spans = [ce_span(e.subalgebra, tol) for e in entries]
     for a, b, m, j in zip(pairs_a.tolist(), pairs_b.tolist(), meets.tolist(), joins.tolist()):
-        if m < 0 or j < 0:
+        # A pair whose meet is not the intersection is reported, not measured.
+        if m < 0 or j < 0 or not np.array_equal(M[m], M[a] & M[b]):
             worst_meetjoin = 1.0
             continue
         meet, join = entries[m], entries[j]
@@ -310,12 +315,12 @@ def reference_verify_ring(ring, group=None, kind=None, seed=0, tol=DEFAULT_TOL):
             rhs = entries[x].subalgebra.dim_l * entries[y].subalgebra.dim_l / join.subalgebra.dim_l
             if lhs > rhs + 1e-8 * max(1.0, rhs):
                 raise BoundViolation(f"dim(LM) = {lhs} exceeds bound {rhs}")
-            orders_agree = raw_sets[x][y] == raw_sets[y][x]
             worst_bound = max(worst_bound, lhs - rhs)
             strict += lhs < rhs - 1e-8
             if ring.commutative:
                 worst_comm_eq = max(worst_comm_eq, abs(lhs - rhs))
-            if np.any(raw[x, y] & ~M[j]) or (ring.commutative and not orders_agree):
+            # The products of the two subcategories lie in their join.
+            if np.any(verify._fusion_hit(ring, rows[[x]], rows[[y]]) & ~M[j]):
                 worst_meetjoin = 1.0
     checks.append(CheckResult("meet and join correspondence", worst_meetjoin, 0.0))
     checks.append(
@@ -370,20 +375,6 @@ def test_block_suites_match_the_loops(vec_a5_ring):
         assert abs(new(B) - ref(B)) <= 1e-13
 
 
-def _swap_one_meet(monkeypatch, ring):
-    """For the first pair (a, b) with a strictly below b, report the meet and the join swapped."""
-    real = subalg.LatticeTable.meets_and_joins
-
-    def swapped(self, a, b):
-        meets, joins = real(self, a, b)
-        k = int(np.flatnonzero(meets != joins)[0])
-        meets, joins = meets.copy(), joins.copy()
-        meets[k], joins[k] = joins[k], meets[k]
-        return meets, joins
-
-    monkeypatch.setattr(subalg.LatticeTable, "meets_and_joins", swapped)
-
-
 def _perturb_projector(monkeypatch, ring):
     """Entry 1's live projector, after the table has checked it, gets 1e-6 at (0, 1)."""
     patch_live_projector(monkeypatch, enumerate_subcategories(ring)[1].indices, bump_0_1)
@@ -413,19 +404,18 @@ def _first_proper(table, side):
 
 
 def _drop_entry(monkeypatch, side):
-    """Remove the first proper meet or join: the order then lands on another entry."""
+    """Remove the first proper meet or join: the pairs it was the meet or the
+    join of then have none in the table."""
 
     def drop(t):
         keep = np.arange(len(t.entries)) != _first_proper(t, side)
-        return dataclasses.replace(
-            t,
-            entries=tuple(e for e, k in zip(t.entries, keep) if k),
-            membership=t.membership[keep],
-            inside=t.inside[keep][:, keep],
-            cosets=t.cosets[keep],
-        )
+        return without_entries(t, keep)
 
     _replace_table(monkeypatch, drop)
+
+
+def _drop_a_meet(monkeypatch, ring):
+    _drop_entry(monkeypatch, 0)
 
 
 def _drop_a_join(monkeypatch, ring):
@@ -469,13 +459,7 @@ def _drop_c3(monkeypatch, ring):
     def drop(t):
         keep = np.array([e.subcategory.indices != (0, 3, 4) for e in t.entries])
         assert not keep.all()
-        return dataclasses.replace(
-            t,
-            entries=tuple(e for e, k in zip(t.entries, keep) if k),
-            membership=t.membership[keep],
-            inside=t.inside[keep][:, keep],
-            cosets=t.cosets[keep],
-        )
+        return without_entries(t, keep)
 
     _replace_table(monkeypatch, drop)
 
@@ -486,45 +470,21 @@ def _ce_dim_off_by_one(monkeypatch, ring):
     patch_subalgebras(monkeypatch, lambda s, L: dataclasses.replace(L, ce_dim=L.ce_dim + 1) if s == last else L)
 
 
-def _patch_raw_products(monkeypatch, edit):
-    """Raw products edited by edit(table, membership) in both suites."""
-    real = _raw_product_table
-
-    def edited(ring, member):
-        raw = real(ring, member)
-        edit(raw, member)
-        return raw
-
-    monkeypatch.setattr(verify, "_raw_product_table", edited)
-    monkeypatch.setitem(globals(), "_raw_product_table", edited)
-
-
-def _raw_product_outside_join(monkeypatch, ring):
-    # Entry 1 times itself reaches a simple outside entry 1, its own join.
-    _patch_raw_products(monkeypatch, lambda raw, M: raw[1, 1].__ior__(~M[1]))
-
-
-def _raw_products_in_different_orders(monkeypatch, ring):
-    # On a commutative ring both orders must give one product; keep the
-    # changed one inside the whole category so that only the order differs.
-    def edit(raw, M):
-        raw[1, 2] = M[-1]
-        raw[2, 1] = M[0]
-
-    _patch_raw_products(monkeypatch, edit)
+def _entry_products_leave_it(monkeypatch, ring):
+    """Entry 1's products with itself reach every simple, in both suites."""
+    patch_leaky_products(monkeypatch, ring, enumerate_subcategories(ring)[1].indices)
 
 
 @pytest.mark.parametrize(
     "perturb, source, expected, reference_sees",
     [
-        (_swap_one_meet, "vec:symmetric:3", {"meet and join correspondence"}, True),
+        (_drop_a_meet, "vec:symmetric:4", {"meet and join correspondence", LATTICE_CHECK}, True),
         (_drop_a_join, "vec:dihedral:8", {"meet and join correspondence"}, True),
         (_relabel_cosets, "vec:dihedral:8", {"meet and join correspondence"}, False),
         (_skew_span, "vec:symmetric:3", {LATTICE_CHECK}, True),
         (_ce_dim_off_by_one, "vec:symmetric:3", {LATTICE_CHECK}, True),
         (_drop_c3, "vec:symmetric:3", {LATTICE_CHECK}, True),
-        (_raw_product_outside_join, "vec:symmetric:3", {"meet and join correspondence"}, True),
-        (_raw_products_in_different_orders, "rep:product:cyclic:2*cyclic:2", {"meet and join correspondence"}, True),
+        (_entry_products_leave_it, "vec:symmetric:3", {"meet and join correspondence"}, True),
         (_perturb_projector, "vec:symmetric:3", {"restriction compatible with pairing"}, True),
         (
             _perturb_unit,
@@ -534,14 +494,13 @@ def _raw_products_in_different_orders(monkeypatch, ring):
         ),
     ],
     ids=[
-        "meet",
+        "dropped-meet",
         "dropped-join",
         "relabelled-cosets",
         "skewed-span",
         "ce-dim",
         "dropped-c3",
-        "raw-outside-join",
-        "raw-orders",
+        "entry-products-leave-it",
         "projector",
         "unit",
     ],
@@ -559,16 +518,15 @@ def test_perturbations_fail_the_same_checks(monkeypatch, perturb, source, expect
 
 def test_dropped_meet_fails_by_name(monkeypatch):
     # In D8, {e, r^2} is the meet of the two Klein four-groups and of either
-    # with C4, and the join of no two entries.  Without it the order meet
-    # lands on the trivial subgroup, which is not the intersection, and
-    # whose subalgebra exceeds the product dimension bound.  It is also the
+    # with C4, and the join of no two entries.  Without it those pairs have
+    # no meet in the table, and are reported rather than measured against
+    # the trivial subgroup, which the order search lands on.  It is also the
     # closure of r^2, so the lattice check names it missing.
     ring = parse_source("vec:dihedral:8", 0, DEFAULT_TOL)[0]
     _drop_entry(monkeypatch, 0)
-    expected = {LATTICE_CHECK, "meet and join correspondence", "product dimension bound"}
+    expected = {LATTICE_CHECK, "meet and join correspondence"}
     assert failing(verify_ring(ring)) == expected
-    with pytest.raises(BoundViolation):
-        reference_verify_ring(ring)
+    assert failing(reference_verify_ring(ring)) == expected
 
 
 def test_product_dimension_violation_fails_by_name(monkeypatch, vec_s3_ring):
@@ -622,8 +580,8 @@ def test_no_per_element_pairings(monkeypatch, k):
 
 @pytest.mark.parametrize("source", ["vec:symmetric:3", "vec:dihedral:8", "vec:symmetric:4"])
 def test_pair_checks_run_no_svd_and_no_closure(monkeypatch, source):
-    # Meets and joins come from the inclusion order and the intersections
-    # from the coset partitions, so the pair checks touch no float span.
+    # Meets and joins are looked up by their exact rows and the intersections
+    # come from the coset partitions, so the pair checks touch no float span.
     ring = parse_source(source, 0, DEFAULT_TOL)[0]
     table = subalg.build_lattice(ring, verify.compute_blocks(ring))
 
