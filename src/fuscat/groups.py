@@ -30,9 +30,9 @@ from .linalg import (
     NotNearInteger,
     Tolerance,
     _numerical_rank,
+    _orthonormal_columns,
     _span_contains,
     common_eigenbasis,
-    orthonormal_basis,
     snap_integer,
     snap_integer_array,
 )
@@ -601,20 +601,17 @@ def trivial_action_subcategory(
     return FusionSubcategory(tuple(indices), fpdim, ring)
 
 
-def _expected_class_sum_span(
-    T: CharacterTable, N: tuple[int, ...]
-) -> np.ndarray:
-    """Span of the class sums of the classes inside N, in idempotent coordinates."""
-    G = T.group
+def _class_sum_columns(T: CharacterTable) -> np.ndarray:
+    """The class sums in idempotent coordinates: column c is |c| chi_i(g_c) / d_i."""
+    sizes = np.array([len(cls) for cls in T.group.classes])
+    return sizes * T.rows / np.array(T.degrees)[:, None]
+
+
+def _expected_class_sum_span(omega: np.ndarray, G: FiniteGroup, N: tuple[int, ...]) -> np.ndarray:
+    """Orthonormal columns spanning the class sums ``omega`` of the classes inside N."""
     members = set(N)
-    vecs = []
-    for c, cls in enumerate(G.classes):
-        if set(cls) <= members:
-            omega = np.array(
-                [len(cls) * T.rows[i][c] / T.degrees[i] for i in range(len(G.classes))]
-            )
-            vecs.append(omega)
-    return orthonormal_basis(vecs)
+    inside = [c for c, cls in enumerate(G.classes) if set(cls) <= members]
+    return _orthonormal_columns(omega[:, inside], DEFAULT_TOL)
 
 
 def _snapped_sorted(values, tol: Tolerance) -> list:
@@ -652,12 +649,12 @@ def crosscheck_rep(
         )
     entries = []
     seen = set()
-    for N in normals:
-        D = trivial_action_subcategory(G, N, seed, tol)
+    omega = _class_sum_columns(table)
+    subcats = [trivial_action_subcategory(G, N, seed, tol) for N in normals]
+    for N, D, e in zip(normals, subcats, lattice.entries_of(D.indices for D in subcats)):
         if D.indices in seen:
             mismatches.append(f"duplicate subcategory for N={N}")
         seen.add(D.indices)
-        e = lattice.entry(D.indices)
         if e is None:
             mismatches.append(f"subcategory of N={N} missing from enumeration")
             continue
@@ -668,12 +665,12 @@ def crosscheck_rep(
         # exactly when sum_{n in N} chi_i(n) conj chi_j(n), |N| times an integer, is not 0.
         values = table.rows[:, G.class_index[list(N)]]
         related = (values @ values.conj().T).real > len(N) / 2
-        clifford = tuple(sorted({tuple(np.flatnonzero(row).tolist()) for row in related}))
+        clifford = tuple(sorted({tuple(i for i, x in enumerate(row) if x) for row in related.tolist()}))
         if e.partition != clifford:
             mismatches.append(f"partition for N={N} is {e.partition}, expected {clifford}")
         # The selected class sums span the expected ones when they lie in
         # their span and have full rank c against them.
-        expected_span = _expected_class_sum_span(table, N)
+        expected_span = _expected_class_sum_span(omega, G, N)
         sums = L.ce_sums.T
         n_classes = expected_span.shape[1]
         if L.ce_dim != n_classes:
@@ -733,8 +730,7 @@ def crosscheck_vec(
     if {e.subcategory.indices for e in lattice.entries} != set(sub_indices.values()):
         mismatches.append("subcategory index sets differ from subgroups")
     entries = []
-    for H in subs:
-        e = lattice.entry(sub_indices[H])
+    for H, e in zip(subs, lattice.entries_of(sub_indices[H] for H in subs)):
         if e is None:
             continue
         L = e.subalgebra

@@ -134,18 +134,21 @@ def _orthonormal_columns(vectors, tol: Tolerance) -> np.ndarray:
     return U[:, : _rank_of(s, M.shape[0], tol)]
 
 
-def _rank_of(s: np.ndarray, rows: int, tol: Tolerance) -> int:
+def _rank_of(s: np.ndarray, rows: int, tol: Tolerance):
     """Number of the descending singular values ``s`` of a matrix with
-    ``rows`` rows above ``max(abs_tol, s_max * max(rel_tol, rows * eps))``."""
-    if s.size == 0:
-        return 0
-    return int(np.sum(s > max(tol.abs_tol, s[0] * max(tol.rel_tol, rows * np.finfo(float).eps))))
+    ``rows`` rows above ``max(abs_tol, s_max * max(rel_tol, rows * eps))``;
+    for a stack of such rows of values, one count per row."""
+    scale = max(tol.rel_tol, rows * np.finfo(float).eps)
+    if s.ndim == 1:
+        return int(np.sum(s > max(tol.abs_tol, s[0] * scale))) if s.size else 0
+    return np.count_nonzero(s > np.maximum(tol.abs_tol, s[:, :1] * scale), axis=1)
 
 
-def _numerical_rank(M: np.ndarray, tol: Tolerance) -> int:
+def _numerical_rank(M: np.ndarray, tol: Tolerance):
     """The width of :func:`_orthonormal_columns` of the matrix M, from its
-    singular values alone: no singular vector is formed."""
-    return _rank_of(np.linalg.svd(M, compute_uv=False), M.shape[0], tol)
+    singular values alone: no singular vector is formed.  A stack of
+    matrices takes one batched SVD and gets one width per matrix."""
+    return _rank_of(np.linalg.svd(M, compute_uv=False), M.shape[-2], tol)
 
 
 def orthonormal_basis(vectors, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -164,8 +167,14 @@ def _span_contains(Q: np.ndarray, V: np.ndarray, tol: Tolerance) -> bool:
     """
     nrm = np.linalg.norm(V, axis=0)
     R = V - Q @ (Q.conj().T @ V) if Q.shape[1] else V
-    res = np.max(np.abs(R), axis=0, initial=0.0)
-    return not bool(np.any((nrm > 0) & (res > tol.abs_tol * 100 + tol.rel_tol * nrm)))
+    return not bool(np.any(_outside_span(np.max(np.abs(R), axis=0, initial=0.0), nrm, tol)))
+
+
+def _outside_span(residual: np.ndarray, norm: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Which columns leave a span: those of nonzero ``norm`` whose largest
+    absolute ``residual`` from their projection onto it is above
+    ``abs_tol * 100 + rel_tol * norm``."""
+    return (norm > 0) & (residual > tol.abs_tol * 100 + tol.rel_tol * norm)
 
 
 def snap_integer(x, tol: Tolerance = DEFAULT_TOL) -> int:

@@ -40,7 +40,7 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     _numerical_rank,
-    _span_contains,
+    _outside_span,
 )
 from .wedderburn import BlockStructure, _adapt_stack, _adapted_class_sums
 
@@ -116,7 +116,7 @@ class SubalgebraIndex:
         """(r,) bool: the adapted units F'^j_st whose row s is selected, in (block, row, column) order."""
         ms = np.array([blk.m for blk in self.base.blocks])
         first = np.cumsum(ms) - ms
-        lay = self.base._layout()
+        lay = self.base._layout
         rows = np.zeros(ms.sum(), dtype=bool)
         rows[[first[j] + s for j, sel in enumerate(self.rows) for s in sel]] = True
         return rows[first[lay.block] + lay.s]
@@ -130,9 +130,24 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class _SubalgebraBlock(NamedTuple):
+    """A row block of :func:`_subalgebra_blocks`: the subalgebra of each of
+    its subcategories, or the exception building it raised, and the arrays
+    they were built from, stacked along axis 0, with unit positions in the
+    (block, row, column) order of the base structure."""
+
+    subalgebras: list[SubalgebraIndex | Exception]
+    projectors: np.ndarray  # (k, r, r) restriction projectors
+    class_sums: np.ndarray  # (k, r, r) adapted class sums, one row per adapted unit
+    cointegrals: np.ndarray  # (k, r) subcategory cointegrals
+    expansions: np.ndarray  # (k, r) the cointegrals in the base units
+    components: np.ndarray  # (k, r) adapted cointegral components
+    keep: np.ndarray  # (k, r) bool: the selected units, :attr:`SubalgebraIndex.selected`
+
+
 def _subalgebra_blocks(
     subcats: list[FusionSubcategory], B: BlockStructure, tol: Tolerance, step: int
-) -> Iterator[tuple[list[SubalgebraIndex | Exception], np.ndarray, np.ndarray]]:
+) -> Iterator[_SubalgebraBlock]:
     """The unitary subalgebra of each subcategory, ``step`` subcategories at a time.
 
     Entry s is the subalgebra whose trivial-restriction subcategory is
@@ -140,47 +155,51 @@ def _subalgebra_blocks(
     adapted to the subcategory's cointegral and its diagonal 0/1 pattern is
     read off as the block-row selection.  All cointegrals are adapted by one
     :func:`_adapt_stack`, which holds (S, m, m) arrays per block; their
-    adapted components are ``U^-1 Lambda_j U`` per block.  Then, for each
-    row block of entries, yields the entries with their (k, r, r)
+    adapted components are ``U^-1 Lambda_j U`` per block, and each block's
+    snapping tests run on all of them at once.  Then, for each row block of
+    entries, yields a :class:`_SubalgebraBlock` with their (k, r, r)
     restriction projectors (:func:`_projectors`) and (k, r, r) adapted class
-    sums (:func:`_adapted_class_sums`), one row per adapted unit; each
-    entry keeps only its selected class sums.  No adapted unit is formed and
-    no adapted unit matrix is inverted.
+    sums (:func:`_adapted_class_sums`); each entry keeps only its selected
+    class sums.  No adapted unit is formed and no adapted unit matrix is
+    inverted.
     """
     ring = B.ring
     if any(D.ring is not ring for D in subcats):
         raise ValueError("subcategory and block structure belong to different rings")
-    adapted = _adapt_stack(B, np.array([subcategory_cointegral(D).coeffs for D in subcats]), tol)
+    cointegrals = _readonly(np.array([subcategory_cointegral(D).coeffs for D in subcats]))
+    adapted = _adapt_stack(B, cointegrals, tol)
     errors = list(adapted.errors)
+    ok = np.array([e is None for e in errors], dtype=bool)
     S = len(subcats)
-    rows: list[list[tuple[int, ...]]] = [[] for _ in range(S)]
-    comps, idems, keep = [], [], []
+    selections, comps, idems, keep = [], [], [], []
     for blk, P, U, Uinv in zip(B.blocks, adapted.comps, adapted.bases, adapted.inverses):
         A = Uinv @ P @ U
         diag = np.diagonal(A, axis1=1, axis2=2)
         selected = np.abs(diag - 1) <= tol.snap_tol
         bad = ~selected & (np.abs(diag) > tol.snap_tol)
         off = np.max(np.abs(np.where(np.eye(blk.m, dtype=bool), 0, A)), axis=(1, 2))
-        for s in range(S):
-            if errors[s] is not None:
-                continue
+        # A row keeps the error of the first block it fails in.
+        for s in np.flatnonzero(ok & (bad.any(axis=1) | (off > tol.snap_tol))):
             if bad[s].any():
                 val = complex(diag[s, int(np.argmax(bad[s]))])
                 errors[s] = ClosureViolation(f"diagonal coefficient {val!r} is not 0 or 1")
-            elif off[s] > tol.snap_tol:
-                errors[s] = ClosureViolation("adapted cointegral has off-diagonal coefficients")
             else:
-                rows[s].append(tuple(np.flatnonzero(selected[s]).tolist()))
+                errors[s] = ClosureViolation("adapted cointegral has off-diagonal coefficients")
+            ok[s] = False
+        selections.append(selected)
         comps.append(A.reshape(S, -1))
         # The snapped idempotent U diag(mask) U^-1 of the block.
         idems.append(((U * selected[:, None, :]) @ Uinv).reshape(S, -1))
         keep.append(np.repeat(selected, blk.m, axis=1))
+    for s in np.flatnonzero(ok & ~selections[0][:, 0]):
+        errors[s] = ClosureViolation("unit summand is missing from the subalgebra")
+    selections = [x.tolist() for x in selections]
+    expansions = _readonly(np.concatenate([P.reshape(S, -1) for P in adapted.comps], axis=1))
     components = _readonly(np.concatenate(comps, axis=1))
     idempotents = _readonly(np.concatenate(idems, axis=1))
-    keep = np.concatenate(keep, axis=1)
-    for s in range(S):
-        if errors[s] is None and 0 not in rows[s][0]:
-            errors[s] = ClosureViolation("unit summand is missing from the subalgebra")
+    keep = _readonly(np.concatenate(keep, axis=1))
+    ce_dims = np.count_nonzero(keep, axis=1).tolist()
+    summand_dims = [blk.summand_dim for blk in B.blocks]
     for lo in range(0, S, step):
         k = slice(lo, lo + step)
         projectors = _projectors(B, idempotents[k])
@@ -190,12 +209,11 @@ def _subalgebra_blocks(
             if errors[s] is not None:
                 out.append(errors[s])
                 continue
-            sel = tuple(rows[s])
-            dim_l = float(sum(B.blocks[j].summand_dim * len(r) for j, r in enumerate(sel)))
-            ce_dim = int(sum(len(r) * B.blocks[j].m for j, r in enumerate(sel)))
+            sel = tuple(tuple(i for i, on in enumerate(rows[s]) if on) for rows in selections)
+            dim_l = float(sum(d * len(r) for d, r in zip(summand_dims, sel)))
             ce_sums = _readonly(sums[s - lo][keep[s]])
-            out.append(SubalgebraIndex(B, sel, dim_l, ce_dim, ce_sums, components[s], idempotents[s]))
-        yield out, projectors, sums
+            out.append(SubalgebraIndex(B, sel, dim_l, ce_dims[s], ce_sums, components[s], idempotents[s]))
+        yield _SubalgebraBlock(out, projectors, sums, cointegrals[k], expansions[k], components[k], keep[k])
 
 
 def _projectors(B: BlockStructure, idems: np.ndarray) -> np.ndarray:
@@ -294,13 +312,25 @@ class LatticeTable:
     inside: np.ndarray  # (S, S) bool: (a, b) when entry a's subcategory lies in entry b's
     cosets: np.ndarray  # (S, r) class ids: entry x of row e is the smallest simple of x⊗D_e
 
-    @cached_property
-    def _by_indices(self) -> dict[tuple[int, ...], LatticeEntry]:
-        return {e.subcategory.indices: e for e in self.entries}
-
     def entry(self, indices: tuple[int, ...]) -> LatticeEntry | None:
         """The entry of the subcategory with these indices, if it is in the table."""
-        return self._by_indices.get(indices)
+        return self.entries_of([indices])[0]
+
+    def entries_of(self, index_sets) -> list[LatticeEntry | None]:
+        """:meth:`entry` of each of a sequence of index tuples, by one lookup
+        of the membership rows they mark: an entry is found when its sorted
+        indices are the tuple."""
+        r = self.ring.rank
+        sets = [tuple(indices) for indices in index_sets]
+        valid = [all(0 <= i < r for i in indices) for indices in sets]
+        rows = np.zeros((len(sets), r), dtype=bool)
+        owner = [k for k, indices in enumerate(sets) if valid[k] for _ in indices]
+        rows[owner, [i for k, indices in enumerate(sets) if valid[k] for i in indices]] = True
+        found = self._lookup(rows).tolist()
+        return [
+            self.entries[e] if ok and e >= 0 and self.entries[e].subcategory.indices == indices else None
+            for indices, ok, e in zip(sets, valid, found)
+        ]
 
     @cached_property
     def _keys(self) -> tuple[np.ndarray, np.ndarray]:
@@ -355,49 +385,38 @@ def _coset_joins(cosets: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
             return label.reshape(K, r)
 
 
-class _EntryStack(NamedTuple):
-    """Entries of one table stacked along axis 0; unit positions in (block, row, column) order."""
-
-    cointegrals: np.ndarray  # (k, r) subcategory cointegrals
-    components: np.ndarray  # (k, n) adapted cointegral components
-    keep: np.ndarray  # (k, n) :attr:`SubalgebraIndex.selected`
-
-
-def _stack_entries(entries) -> _EntryStack:
-    """The :class:`_EntryStack` of table entries that share one base structure."""
-    return _EntryStack(
-        np.array([subcategory_cointegral(e.subcategory).coeffs for e in entries]),
-        np.array([e.subalgebra.cointegral_components for e in entries]),
-        np.array([e.subalgebra.selected for e in entries]),
-    )
-
-
-def _cointegral_trace_sums(entries, stack: _EntryStack) -> np.ndarray:
-    """Residual of dim(C)/fpdim(D) = weighted diagonal sum of the cointegral,
-    for each of some entries sharing one base structure.
-
-    Each subcategory cointegral is expanded in the (not necessarily adapted)
-    base units, all by one :meth:`BlockStructure._expand_rows`, and its
-    diagonal coefficients are summed weighted by summand dimension.  The
-    residual also covers the adapted components on unselected rows, which
-    must vanish.
-    """
-    base = entries[0].subalgebra.base
-    comps = base._expand_rows(stack.cointegrals)
-    total = sum(np.trace(P, axis1=1, axis2=2) * blk.summand_dim for blk, P in zip(base.blocks, comps))
-    fpdim = np.array([e.subcategory.fpdim for e in entries])
-    residual = np.abs(total - base.ring.global_dim / fpdim)
-    outside = np.max(np.abs(np.where(stack.keep, 0.0, stack.components)), axis=1)
-    return np.maximum(residual, outside)
-
-
 class _LiveBlock(NamedTuple):
-    """A row block of checked table entries with the (k, r, r) arrays they
-    were checked on, alive only while :func:`_stream_lattice` visits it."""
+    """A row block of checked table entries with the arrays of its
+    :class:`_SubalgebraBlock` and its rows of the coset class ids, alive
+    only while :func:`_stream_lattice` visits it."""
 
     entries: list[LatticeEntry]
     projectors: np.ndarray  # (k, r, r) restriction projectors
     class_sums: np.ndarray  # (k, r, r) adapted class sums, one row per adapted unit
+    cointegrals: np.ndarray  # (k, r) subcategory cointegrals
+    expansions: np.ndarray  # (k, r) the cointegrals in the base units
+    components: np.ndarray  # (k, r) adapted cointegral components
+    keep: np.ndarray  # (k, r) bool: the selected units
+    cosets: np.ndarray  # (k, r) class ids, as in :attr:`LatticeTable.cosets`
+
+
+def _cointegral_trace_sums(block: _LiveBlock) -> np.ndarray:
+    """Residual of dim(C)/fpdim(D) = weighted diagonal sum of the cointegral,
+    for each entry of a row block.
+
+    Each subcategory cointegral is read in the (not necessarily adapted)
+    base units, as :meth:`BlockStructure._expand_rows` expanded it for the
+    adaptation, and its diagonal coefficients are summed weighted by summand
+    dimension.  The residual also covers the adapted components on
+    unselected rows, which must vanish.
+    """
+    base = block.entries[0].subalgebra.base
+    comps = base._split_rows(block.expansions)
+    total = sum(np.trace(P, axis1=1, axis2=2) * blk.summand_dim for blk, P in zip(base.blocks, comps))
+    fpdim = np.array([e.subcategory.fpdim for e in block.entries])
+    residual = np.abs(total - base.ring.global_dim / fpdim)
+    outside = np.max(np.abs(np.where(block.keep, 0.0, block.components)), axis=1)
+    return np.maximum(residual, outside)
 
 
 def build_lattice(
@@ -409,7 +428,7 @@ def build_lattice(
     adapted in one stacked pass; every consumer of the correspondence reads
     this table.  Each entry's partition is exact, the right cosets x⊗D
     (:func:`fusion_ring._right_cosets`), and its float data are checked
-    against their closed forms on them (:func:`_checked_partition`); then no
+    against their closed forms on them (:func:`_checked_partitions`); then no
     subcategory may occur twice.  The error of the first failing entry, else
     of the first repeated pair, is the one raised.  Keeps the inclusion order
     and the coset class ids, and emits the Hasse edges of the order.
@@ -444,16 +463,12 @@ def _stream_lattice(
     cosets = _right_cosets(ring, M)
     cosets.setflags(write=False)
     entries: list[LatticeEntry] = []
-    for subalgebras, projectors, sums in _subalgebra_blocks(subcats, B, tol, step):
-        block = []
-        for k, (L, P) in enumerate(zip(subalgebras, projectors)):
-            if isinstance(L, Exception):
-                raise L
-            e = len(entries) + k
-            partition = _checked_partition(subcats[e], L, P, cosets[e], tol)
-            block.append(LatticeEntry(subcats[e], L, partition))
-        visit(_LiveBlock(block, projectors, sums))
-        entries.extend(block)
+    for block in _subalgebra_blocks(subcats, B, tol, step):
+        lo, hi = len(entries), len(entries) + len(block.subalgebras)
+        partitions = _checked_partitions(subcats[lo:hi], block.subalgebras, block.projectors, cosets[lo:hi], tol)
+        checked = [LatticeEntry(*e) for e in zip(subcats[lo:hi], block.subalgebras, partitions)]
+        visit(_LiveBlock(checked, *block[1:], cosets[lo:hi]))
+        entries.extend(checked)
     inside = _inclusions(M)
     twins = np.argwhere(np.triu(inside & inside.T, 1))
     if len(twins):
@@ -465,16 +480,21 @@ def _stream_lattice(
     return LatticeTable(ring, B, tuple(entries), _hasse_edges(inside), M, inside, cosets)
 
 
-def _checked_partition(
-    D: FusionSubcategory, L: SubalgebraIndex, P: np.ndarray, head: np.ndarray, tol: Tolerance
-) -> tuple[tuple[int, ...], ...]:
-    """The right cosets of D, class ids ``head``, once L's float data agree with them.
+def _checked_partitions(
+    subcats: list[FusionSubcategory],
+    subalgebras: list[SubalgebraIndex | Exception],
+    projectors: np.ndarray,
+    heads: np.ndarray,
+    tol: Tolerance,
+) -> list[tuple[tuple[int, ...], ...]]:
+    """The right cosets of each subcategory D of a row block, class ids
+    ``heads`` (k, r), once its subalgebra L's float data agree with them.
 
-    ``P`` is L's restriction projector.  Restriction is f ↦ f·λ_D with
-    λ_D = Σ_{d∈D} d_d χ_d / dim(D) idempotent, so c = χ_x·λ_D = c·λ_D lives
-    on x⊗D, where it is a left eigenvector of the matrix T of
-    :func:`fusion_ring._right_cosets`; T is positive there with the
-    positive left eigenvector d, so by Perron–Frobenius, and taking
+    ``projectors`` (k, r, r) holds the restriction projectors.  Restriction
+    is f ↦ f·λ_D with λ_D = Σ_{d∈D} d_d χ_d / dim(D) idempotent, so
+    c = χ_x·λ_D = c·λ_D lives on x⊗D, where it is a left eigenvector of the
+    matrix T of :func:`fusion_ring._right_cosets`; T is positive there with
+    the positive left eigenvector d, so by Perron–Frobenius, and taking
     dimensions, χ_x·λ_D / d_x =
     Σ_{Y∈x⊗D} d_Y χ_Y / Σ_{Y∈x⊗D} d_Y².  The central subspace, the inverse
     Fourier image of λ_D·CF, is then the span of the coset indicators.
@@ -482,8 +502,15 @@ def _checked_partition(
     exactly orthonormal, as the classes are disjoint; the c selected class
     sums V span them when V lies in their span and their inner products
     with V, a (c × c) matrix, have rank c.
-    Raised in this order: the round trip's error when the restrictions
-    within ``PARTITION_TOL`` of epsilon_L are not D; :class:`PartitionMismatch`
+
+    The round trip and the closed forms are tested on the (k, r, r) stack
+    at once, the span on all the entries' class sums at once, and the width
+    by one batched SVD per count of cosets (and of kept class sums), so
+    that each (c × c) matrix and its rank threshold are those of the entry
+    alone.  The first entry that fails
+    raises: the exception building its subalgebra, or else, in
+    this order, the round trip's error when the restrictions within
+    ``PARTITION_TOL`` of epsilon_L are not D; :class:`PartitionMismatch`
     when a restriction is further than that from its closed form, when
     ``ce_dim`` is not the number of cosets, when a class sum is not constant
     on the cosets, or when the class sums span fewer directions than there
@@ -491,33 +518,84 @@ def _checked_partition(
     closed under pointwise product and holds the unit, as the coset
     indicators do.
     """
-    d = L.ring.dims
-    Q = P / d
-    if not np.array_equal(np.max(np.abs(Q - Q[:, :1]), axis=0) <= PARTITION_TOL, head == 0):
-        back = subcategory_from_subalgebra(L, tol)
-        raise RoundTripFailure(f"{D.indices} round-tripped to {back.indices}")
-    mass = np.bincount(head, weights=d * d, minlength=len(d))
-    closed = np.where(head[:, None] == head, d[:, None] / mass[head], 0.0)
-    gap = np.max(np.abs(Q - closed), axis=0)
-    if gap.max() > PARTITION_TOL:
-        x = int(np.argmax(gap))
-        raise PartitionMismatch(f"restriction of simple {x} is {gap[x]:.3g} from its closed form")
-    order = np.argsort(head, kind="stable")
-    cuts = [0, *(np.flatnonzero(np.diff(head[order])) + 1).tolist(), len(d)]
-    heads = order[cuts[:-1]]
-    partition = tuple(tuple(order[lo:hi].tolist()) for lo, hi in zip(cuts, cuts[1:]))
-    if L.ce_dim != len(heads):
-        raise PartitionMismatch(f"ce_dim is {L.ce_dim}, {D.indices} has {len(heads)} right cosets")
-    indicators = (head[:, None] == heads) / np.sqrt(np.diff(cuts))
-    sums = L.ce_sums.T
-    if not _span_contains(indicators, sums, tol):
-        raise PartitionMismatch(f"a class sum of {D.indices} is not constant on its right cosets")
-    width = _numerical_rank(indicators.T @ sums, tol)
-    if width != len(heads):
+    built = [not isinstance(L, Exception) for L in subalgebras]
+    n = built.index(False) if False in built else len(built)  # the entries checked here
+    d = subcats[0].ring.dims
+    r = len(d)
+    H = heads[:n]
+    # The round trip and the closed forms, on the restrictions P / d; the
+    # closed forms are subtracted in place, so that the two tests hold one
+    # complex and one real (k, r, r) array besides their temporaries.
+    R = projectors[:n] / d
+    dev = np.abs(R - R[:, :, :1])
+    trip = np.any((dev.max(axis=1) <= PARTITION_TOL) != (H == 0), axis=1)
+    same = H[:, :, None] == H[:, None, :]  # (e, x, y): x and y lie in one coset
+    R -= same * (d[:, None] / (same @ (d * d))[:, None, :])  # d_x / Σ d_z² over y's coset
+    gap = np.abs(R, out=dev).max(axis=1)
+    far = gap.max(axis=1) > PARTITION_TOL
+    del R, dev, same
+    cosets = np.count_nonzero(H == np.arange(r), axis=1)
+    ce_dims = np.array([L.ce_dim for L in subalgebras[:n]], dtype=int)
+    miscount = ce_dims != cosets
+    # V holds each entry's kept class sums as columns, padded with zero
+    # columns, which the span test skips.  Its rows (e, x) are sorted by
+    # entry and then coset id, each coset a run: the inner products with the
+    # orthonormal coset indicators are the run sums over the square roots of
+    # the run lengths, and the projection onto their span repeats each run's
+    # mean over the run.
+    kept = [len(L.ce_sums) for L in subalgebras[:n]]
+    m = max(kept, default=0)
+    V = np.zeros((n, r, m), dtype=complex)
+    for e, L in enumerate(subalgebras[:n]):
+        V[e, :, : kept[e]] = L.ce_sums.T
+    norms = np.linalg.norm(V, axis=1)
+    run = (H + r * np.arange(n)[:, None]).ravel()
+    order = np.argsort(run, kind="stable")
+    starts = np.flatnonzero(np.diff(run[order], prepend=-1))
+    sizes = np.diff(starts, append=n * r)
+    root = np.sqrt(sizes)[:, None]
+    V = V.reshape(n * r, m)[order]
+    G = np.add.reduceat(V, starts) / root
+    V -= np.repeat(G / root, sizes, axis=0)
+    skew = _outside_span(np.abs(V).reshape(n, r, m).max(axis=1, initial=0.0), norms, tol).any(axis=1)
+    del V
+    # The width is the rank of the (c × m) inner products of the c
+    # indicators with the m kept class sums, entry e's run of rows of G.
+    first_run = np.cumsum(cosets) - cosets
+    width = cosets.copy()
+    groups: dict[tuple[int, int], list[int]] = {}
+    for e in np.flatnonzero(~(trip | far | miscount | skew)).tolist():
+        groups.setdefault((int(cosets[e]), kept[e]), []).append(e)
+    for (c, count), members in groups.items():
+        rows = first_run[members][:, None] + np.arange(c)
+        width[members] = _numerical_rank(G[rows, :count], tol)
+    failed = trip | far | miscount | skew | (width != cosets)
+    first = int(np.argmax(failed)) if failed.any() else n
+    if first < len(subalgebras):
+        D, L = subcats[first], subalgebras[first]
+        if first == n:
+            raise L
+        if trip[first]:
+            back = subcategory_from_subalgebra(L, tol)
+            raise RoundTripFailure(f"{D.indices} round-tripped to {back.indices}")
+        if far[first]:
+            x = int(np.argmax(gap[first]))
+            raise PartitionMismatch(f"restriction of simple {x} is {gap[first, x]:.3g} from its closed form")
+        if miscount[first]:
+            raise PartitionMismatch(f"ce_dim is {L.ce_dim}, {D.indices} has {cosets[first]} right cosets")
+        if skew[first]:
+            raise PartitionMismatch(f"a class sum of {D.indices} is not constant on its right cosets")
         raise PartitionMismatch(
-            f"central subspace has dimension {width}, {D.indices} has {len(heads)} right cosets"
+            f"central subspace has dimension {width[first]}, {D.indices} has {cosets[first]} right cosets"
         )
-    return partition
+    partitions = []
+    for head in H.tolist():
+        classes: dict[int, list[int]] = {}
+        for x, h in enumerate(head):
+            classes.setdefault(h, []).append(x)
+        # Each class first appears at its smallest simple, its id: in order of ids.
+        partitions.append(tuple(map(tuple, classes.values())))
+    return partitions
 
 
 def _membership(ring: FusionRingData, subcats) -> np.ndarray:

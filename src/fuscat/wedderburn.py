@@ -120,8 +120,10 @@ class BlockStructure:
         """The ``units`` or ``class_sums`` of all blocks as rows, in (block, row, column) order."""
         return np.concatenate([getattr(blk, name).reshape(-1, self.rank) for blk in self.blocks])
 
+    @cached_property
     def _layout(self) -> _UnitLayout:
-        """Index arrays of the matrix units, in (block, row, column) order."""
+        """Index arrays of the matrix units, in (block, row, column) order,
+        formed on first use and read-only."""
         ms = np.array([blk.m for blk in self.blocks])
         block = np.repeat(np.arange(len(ms)), ms * ms)
         start = np.repeat(np.cumsum(ms * ms) - ms * ms, ms * ms)
@@ -129,7 +131,10 @@ class BlockStructure:
         s, t = np.divmod(np.arange(len(block)) - start, m)
         n = np.array([blk.n for blk in self.blocks])[block]
         summand_dim = np.array([blk.summand_dim for blk in self.blocks])[block]
-        return _UnitLayout(block, s, t, start + t * m + s, n, summand_dim)
+        layout = _UnitLayout(block, s, t, start + t * m + s, n, summand_dim)
+        for a in layout:
+            a.setflags(write=False)
+        return layout
 
     @cached_property
     def _unit_matrix(self) -> np.ndarray:
@@ -151,11 +156,15 @@ class BlockStructure:
         round differently.
         """
         inv = self._unit_matrix_inv
-        alpha = np.stack([inv @ c for c in np.asarray(coeffs, dtype=complex)])
+        return self._split_rows(np.stack([inv @ c for c in np.asarray(coeffs, dtype=complex)]))
+
+    def _split_rows(self, rows: np.ndarray) -> list[np.ndarray]:
+        """The (S, r) rows over all matrix units, in (block, row, column)
+        order, as one (S, m, m) view per block."""
         out = []
         pos = 0
         for blk in self.blocks:
-            out.append(alpha[:, pos : pos + blk.m * blk.m].reshape(-1, blk.m, blk.m))
+            out.append(rows[:, pos : pos + blk.m * blk.m].reshape(-1, blk.m, blk.m))
             pos += blk.m * blk.m
         return out
 
@@ -544,7 +553,7 @@ def verify_class_sum_pairings(B: BlockStructure) -> float:
     <eps_1, C^j_st> = delta_st dim_j, over all index tuples: the first is one
     product of all units against all class sums.
     """
-    lay = B._layout()
+    lay = B._layout
     sums = B._rows("class_sums")
     vals = (B._rows("units") * B.ring.dims) @ sums.T
     vals[np.arange(len(vals)), lay.transpose] -= lay.summand_dim
@@ -555,7 +564,7 @@ def verify_class_sum_pairings(B: BlockStructure) -> float:
 
 def verify_dual_bases(B: BlockStructure) -> float:
     """Max entry deviation of sum_j n_j F^j_st (x) F^j_ts = sum_i chi_i (x) chi_{i*}."""
-    lay = B._layout()
+    lay = B._layout
     units = B._rows("units")
     lhs = (units * lay.n[:, None]).T @ units[lay.transpose]
     return float(np.max(np.abs(lhs - np.eye(B.rank)[list(B.ring.dual)])))
@@ -563,7 +572,7 @@ def verify_dual_bases(B: BlockStructure) -> float:
 
 def verify_integral_classsum(B: BlockStructure) -> float:
     """Residual of dim(C) * Lambda = sum of the diagonal class sums."""
-    lay = B._layout()
+    lay = B._layout
     total = B._rows("class_sums")[lay.s == lay.t].sum(axis=0)
     total[0] -= B.ring.global_dim
     u = unit_central_element(B.ring).coeffs

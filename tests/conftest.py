@@ -9,7 +9,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from fuscat import fusion_ring, groups, linalg, subalg, verify, wedderburn  # noqa: E402
+from fuscat import char_theory, fusion_ring, groups, linalg, subalg, verify, wedderburn  # noqa: E402
 
 
 def s3_mult_table():
@@ -280,6 +280,26 @@ def ce_span(L, tol=linalg.DEFAULT_TOL):
     return linalg._orthonormal_columns(L.ce_sums.T, tol)
 
 
+def reference_random_round_trips(ring, rng):
+    """Worst residual of "right action adjointness, random round trips" over
+    20 random triples drawn one at a time: the per-draw loop through the
+    public class-function API, kept as the reference for the stacked draw."""
+    r = ring.rank
+    worst = 0.0
+    for _ in range(20):
+        f = char_theory.ClassFunction(ring, rng.standard_normal(r) + 1j * rng.standard_normal(r))
+        a = np.asarray(rng.standard_normal(r) + 1j * rng.standard_normal(r))
+        b = np.asarray(rng.standard_normal(r) + 1j * rng.standard_normal(r))
+        ca, cb = char_theory.CentralElement(ring, a), char_theory.CentralElement(ring, b)
+        lhs = char_theory.pairing(char_theory.cf_right_action(f, cb), ca)
+        rhs = char_theory.pairing(f, char_theory.ce_multiply(cb, ca))
+        scale = max(1.0, abs(lhs), abs(rhs))
+        worst = max(worst, abs(lhs - rhs) / scale)
+        back = char_theory.fourier_forward(char_theory.fourier_inverse(f))
+        worst = max(worst, float(np.max(np.abs(back.coeffs - f.coeffs))))
+    return worst
+
+
 def reference_meets_and_joins(table, a, b):
     """Entry positions of the meet and the join of each pair (a[k], b[k]),
     searched in the inclusion order: the lookup that the table made before
@@ -303,7 +323,7 @@ def subalgebras_of(subcats, B, tol=linalg.DEFAULT_TOL):
     """The subalgebra of each subcategory, or the exception building it
     raises, from one row block of ``subalg._subalgebra_blocks``."""
     blocks = subalg._subalgebra_blocks(subcats, B, tol, max(1, len(subcats)))
-    return [L for out, _projectors, _sums in blocks for L in out]
+    return [L for block in blocks for L in block.subalgebras]
 
 
 def live_table(ring, B, tol=linalg.DEFAULT_TOL):
@@ -313,10 +333,19 @@ def live_table(ring, B, tol=linalg.DEFAULT_TOL):
     live = {}
 
     def keep(block):
-        for e, P, sums in zip(*block):
+        for e, P, sums in zip(block.entries, block.projectors, block.class_sums):
             live[e.subcategory.indices] = (P, sums)
 
     return subalg._stream_lattice(ring, B, tol, 1, keep), live
+
+
+def live_block(ring, B, tol=linalg.DEFAULT_TOL):
+    """The table of ``subalg._stream_lattice`` in one row block, and that
+    block as its visitor saw it, with its arrays alive."""
+    blocks = []
+    table = subalg._stream_lattice(ring, B, tol, sys.maxsize, blocks.append)
+    (block,) = blocks
+    return table, block
 
 
 def patch_subalgebras(monkeypatch, change):
@@ -326,9 +355,9 @@ def patch_subalgebras(monkeypatch, change):
 
     def changed(subcats, B, tol, step):
         lo = 0
-        for out, projectors, sums in real(subcats, B, tol, step):
-            out = [L if isinstance(L, Exception) else change(lo + k, L) for k, L in enumerate(out)]
-            yield out, projectors, sums
+        for block in real(subcats, B, tol, step):
+            out = [L if isinstance(L, Exception) else change(lo + k, L) for k, L in enumerate(block.subalgebras)]
+            yield block._replace(subalgebras=out)
             lo += len(out)
 
     monkeypatch.setattr(subalg, "_subalgebra_blocks", changed)
@@ -421,6 +450,43 @@ def reference_block_partition(L, tol=linalg.DEFAULT_TOL):
             f"indicator idempotent of class {bad} is outside the central subspace"
         )
     return tuple(tuple(c) for c in classes)
+
+
+def reference_checked_partition(D, L, P, head, tol=linalg.DEFAULT_TOL):
+    """The right cosets of D, class ids ``head``, once L's float data
+    (projector P) agree with them: the check of one entry at a time that
+    ``subalg._checked_partitions`` runs over a row block, kept as its
+    reference.  Raises what the block check raises for a first failing
+    entry, in the same order: the round trip, the closed forms, ``ce_dim``
+    against the count of cosets, the span of the kept class sums and their
+    width."""
+    d = L.ring.dims
+    Q = P / d
+    if not np.array_equal(np.max(np.abs(Q - Q[:, :1]), axis=0) <= subalg.PARTITION_TOL, head == 0):
+        back = subalg.subcategory_from_subalgebra(L, tol)
+        raise subalg.RoundTripFailure(f"{D.indices} round-tripped to {back.indices}")
+    mass = np.bincount(head, weights=d * d, minlength=len(d))
+    closed = np.where(head[:, None] == head, d[:, None] / mass[head], 0.0)
+    gap = np.max(np.abs(Q - closed), axis=0)
+    if gap.max() > subalg.PARTITION_TOL:
+        x = int(np.argmax(gap))
+        raise subalg.PartitionMismatch(f"restriction of simple {x} is {gap[x]:.3g} from its closed form")
+    order = np.argsort(head, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(head[order])) + 1).tolist(), len(d)]
+    heads = order[cuts[:-1]]
+    partition = tuple(tuple(order[lo:hi].tolist()) for lo, hi in zip(cuts, cuts[1:]))
+    if L.ce_dim != len(heads):
+        raise subalg.PartitionMismatch(f"ce_dim is {L.ce_dim}, {D.indices} has {len(heads)} right cosets")
+    indicators = (head[:, None] == heads) / np.sqrt(np.diff(cuts))
+    sums = L.ce_sums.T
+    if not linalg._span_contains(indicators, sums, tol):
+        raise subalg.PartitionMismatch(f"a class sum of {D.indices} is not constant on its right cosets")
+    width = linalg._numerical_rank(indicators.T @ sums, tol)
+    if width != len(heads):
+        raise subalg.PartitionMismatch(
+            f"central subspace has dimension {width}, {D.indices} has {len(heads)} right cosets"
+        )
+    return partition
 
 
 def unit_cosine_floor(tol):

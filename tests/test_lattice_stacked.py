@@ -22,7 +22,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fuscat import cli, subalg, wedderburn
+from fuscat import cli, fusion_ring, subalg, wedderburn
 from fuscat.char_theory import ClassFunction, _fourier_inverse_raw
 from fuscat.cli import parse_source
 from fuscat.fusion_ring import enumerate_subcategories
@@ -46,6 +46,7 @@ from conftest import (
     live_table,
     patch_subalgebras,
     reference_block_partition,
+    reference_checked_partition,
     su2_fusion_ring,
     subalgebras_of,
 )
@@ -121,7 +122,7 @@ def reference_entry(D, B, tol=DEFAULT_TOL):
         raise ClosureViolation("unit summand is missing from the subalgebra")
     dim_l = float(sum(adapted.blocks[j].summand_dim * len(r) for j, r in enumerate(rows)))
     ce_dim = int(sum(len(r) * adapted.blocks[j].m for j, r in enumerate(rows)))
-    lay = adapted._layout()
+    lay = adapted._layout
     mask = np.array([t in rows[j] for j, t in zip(lay.block.tolist(), lay.t.tolist())])
     selected = np.array([s in rows[j] for j, s in zip(lay.block.tolist(), lay.s.tolist())])
     projector = adapted._unit_matrix[:, mask] @ adapted._unit_matrix_inv[mask]
@@ -566,25 +567,33 @@ def test_one_unit_matrix_inverse(monkeypatch, vec_a5_ring):
 def test_no_svd_of_a_central_subspace(monkeypatch, vec_a5_ring):
     # The class sums are tested against the exact coset indicators: the only
     # matrices factored are the (c, c) products of the two, one per entry,
-    # and the stacked (m, m) block bases.  No (r, k) basis of a central
-    # subspace is factored; the one (r, r) matrix is the trivial
-    # subcategory's, whose r right cosets are its single simples.
+    # stacked per coset count of a row block, and the stacked (m, m) block
+    # bases.  No (r, k) basis of a central subspace is factored; the one
+    # (r, r) matrix is the trivial subcategory's, whose r right cosets are
+    # its single simples.
     ring = vec_a5_ring
     B = compute_blocks(ring)
-    shapes = []
-    real_svd = np.linalg.svd
+    shapes, stacks = [], []
+    real_svd, real_rank = np.linalg.svd, subalg._numerical_rank
 
     def spy(a, *args, **kwargs):
         shapes.append(np.shape(a))
         return real_svd(a, *args, **kwargs)
 
+    def rank_spy(M, tol):
+        stacks.append(M.shape)
+        return real_rank(M, tol)
+
     monkeypatch.setattr(np.linalg, "svd", spy)
+    monkeypatch.setattr(subalg, "_numerical_rank", rank_spy)
     table = build_lattice(ring, B)
     r = ring.rank
-    square = sorted(s for s in shapes if len(s) == 2)
-    assert square == sorted((e.subalgebra.ce_dim,) * 2 for e in table.entries)
-    assert [s for s in square if s[0] == r] == [(r, r)]
-    assert all(len(s) == 3 and s[1] < r for s in shapes if len(s) != 2)
+    widths = sorted(s[1:] for s in stacks for _ in range(s[0]))
+    assert widths == sorted((e.subalgebra.ce_dim,) * 2 for e in table.entries)
+    assert [s for s in widths if s[0] == r] == [(r, r)]
+    for s in stacks:
+        shapes.remove(s)
+    assert all(len(s) == 3 and s[0] == len(table.entries) and s[1] < r for s in shapes)
 
 
 def test_lattice_report_bytes_unchanged(tmp_path):
@@ -689,3 +698,87 @@ def test_corrupted_projector_outside_the_unit_class_fails_the_partition(monkeypa
     assert outcome[0] is PartitionMismatch
     assert outcome[1].startswith(f"restriction of simple {b} is ")
     assert raised(round_trip_first, ring, B)[0] is PartitionMismatch
+
+
+@pytest.fixture(scope="module")
+def s4_row_blocks(s4):
+    """The row blocks of vec:symmetric:4 in which verify checks its table
+    (3 entries at r = 24): per block its subcategories, subalgebras,
+    projectors and coset ids."""
+    ring, B = s4
+    subcats = enumerate_subcategories(ring)
+    cosets = fusion_ring._right_cosets(ring, subalg._membership(ring, subcats))
+    out, lo = [], 0
+    for block in subalg._subalgebra_blocks(subcats, B, DEFAULT_TOL, 3):
+        hi = lo + len(block.subalgebras)
+        out.append((subcats[lo:hi], block.subalgebras, block.projectors, cosets[lo:hi]))
+        lo = hi
+    return out
+
+
+def test_block_partitions_match_the_entry_by_entry_check(s4_row_blocks):
+    for subcats, subalgebras, projectors, heads in s4_row_blocks:
+        expected = [reference_checked_partition(*args) for args in zip(subcats, subalgebras, projectors, heads)]
+        assert subalg._checked_partitions(subcats, subalgebras, projectors, heads, DEFAULT_TOL) == expected
+
+
+def _outside(D, L, P):
+    """The first simple outside D."""
+    return next(x for x in range(len(P)) if x not in D.indices)
+
+
+def _join_unit_class(D, L, P):
+    """A simple outside D restricts as the unit does."""
+    P = P.copy()
+    x = _outside(D, L, P)
+    P[:, x] = P[:, 0] * L.ring.dims[x]
+    return L, P
+
+
+def _bump_outside(D, L, P):
+    """The restriction of a simple outside D moves by 1e-6."""
+    P = P.copy()
+    P[0, _outside(D, L, P)] += 1e-6
+    return L, P
+
+
+def _random_sums(D, L, P):
+    rng = np.random.default_rng(len(D.indices))
+    V = rng.standard_normal(L.ce_sums.shape) + 1j * rng.standard_normal(L.ce_sums.shape)
+    return dataclasses.replace(L, ce_sums=V), P
+
+
+def _repeated_sum(D, L, P):
+    """Every kept class sum becomes the first: in the span, of width one."""
+    return dataclasses.replace(L, ce_sums=np.repeat(L.ce_sums[:1], len(L.ce_sums), axis=0)), P
+
+
+ENTRY_CORRUPTIONS = {
+    "not built": lambda D, L, P: (ClosureViolation("adapted cointegral has off-diagonal coefficients"), P),
+    "round trip": _join_unit_class,
+    "closed form": _bump_outside,
+    "ce_dim": lambda D, L, P: (dataclasses.replace(L, ce_dim=L.ce_dim + 1), P),
+    "span": _random_sums,
+    "width": _repeated_sum,
+}
+
+
+@pytest.mark.parametrize("second", sorted(ENTRY_CORRUPTIONS))
+@pytest.mark.parametrize("first", sorted(ENTRY_CORRUPTIONS))
+@pytest.mark.parametrize("block, at", [(4, (0, 2)), (6, (1, 2))])
+def test_block_check_raises_for_its_first_failing_entry(s4_row_blocks, block, at, first, second):
+    # Two entries of one row block are corrupted; the block check raises
+    # what the entry-by-entry check raises for the first of them, with the
+    # same message, whatever the second would raise.
+    subcats, subalgebras, projectors, heads = s4_row_blocks[block]
+    subalgebras, projectors = list(subalgebras), np.array(projectors)
+    for k, kind in zip(at, (first, second)):
+        subalgebras[k], projectors[k] = ENTRY_CORRUPTIONS[kind](subcats[k], subalgebras[k], projectors[k])
+    k = at[0]
+    if isinstance(subalgebras[k], Exception):
+        expected = (type(subalgebras[k]), str(subalgebras[k]))
+    else:
+        expected = raised(reference_checked_partition, subcats[k], subalgebras[k], projectors[k], heads[k])
+    for j in range(k):
+        reference_checked_partition(subcats[j], subalgebras[j], projectors[j], heads[j])  # passes
+    assert raised(subalg._checked_partitions, subcats, subalgebras, projectors, heads, DEFAULT_TOL) == expected

@@ -33,6 +33,7 @@ from conftest import (
     deligne_product,
     haagerup_izumi_ring,
     intersection_dims,
+    live_block,
     live_table,
     patch_table,
     reference_group_equal_rows,
@@ -226,10 +227,11 @@ def dropped_row(L, j, s):
 
 
 def checked_partition(table, indices, L):
-    """``_checked_partition`` of the table's entry for ``indices``, with L as its subalgebra."""
+    """``_checked_partitions`` of the table's entry for ``indices`` alone, with L as its subalgebra."""
     k = table.entries.index(table.entry(indices))
     D = table.entries[k].subcategory
-    return subalg._checked_partition(D, L, subalg._projector(L), table.cosets[k], DEFAULT_TOL)
+    (partition,) = subalg._checked_partitions([D], [L], subalg._projector(L)[None], table.cosets[k : k + 1], DEFAULT_TOL)
+    return partition
 
 
 class TestPartitionDetectsBadSelection:
@@ -416,6 +418,25 @@ def test_lookup_matches_the_order_search(name):
     assert np.array_equal(np.hstack(one_pair), expected)
 
 
+@pytest.mark.parametrize("name", sorted(LATTICE_RINGS))
+def test_entry_matches_a_dict_over_the_entries(name):
+    # entry() reads the membership row its indices mark; it agrees with a
+    # dict keyed by each entry's indices, one set per call or all at once,
+    # and finds nothing for a set that is no subcategory, is not sorted or
+    # holds an index outside the ring.
+    ring = LATTICE_RINGS[name]()
+    table = build_lattice(ring, wedderburn.compute_blocks(ring))
+    by_indices = {e.subcategory.indices: e for e in table.entries}
+    r = ring.rank
+    sets = [*by_indices, (), tuple(range(1, r)), (r,), (0, r), (-1,), (0, 0)]
+    if r > 1:
+        sets.append((1, 0))
+    for indices in sets:
+        assert table.entry(indices) is by_indices.get(indices), indices
+    assert table.entries_of(sets) == [by_indices.get(indices) for indices in sets]
+    assert table.entries_of([]) == []
+
+
 def relabelled(ring, p):
     """The ring whose simple i is simple p[i] of ``ring``; p[0] = 0."""
     back = np.argsort(p)
@@ -501,9 +522,9 @@ class TestDimInequality:
 
 def trace_sum_residuals(table):
     """Cointegral trace-sum residual of every entry, keyed by subcategory."""
-    entries = table.entries
-    res = subalg._cointegral_trace_sums(entries, subalg._stack_entries(entries))
-    return {e.subcategory.indices: r for e, r in zip(entries, res)}
+    _, block = live_block(table.ring, table.blocks)
+    res = subalg._cointegral_trace_sums(block)
+    return {e.subcategory.indices: r for e, r in zip(block.entries, res)}
 
 
 class TestCointegralTraceSum:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fuscat import subalg, verify
+from fuscat import subalg, verify, wedderburn
 from fuscat.char_theory import cf_star_blocks
 from fuscat.cli import parse_source
 from fuscat.fusion_ring import enumerate_subcategories
@@ -169,3 +169,37 @@ def test_block_data_off_the_group_fails_only_the_oracle(
     checks = verify_ring(ring, group, kind)
     assert {c.name for c in checks if not c.passed} == {"group oracle crosscheck"}
     assert "block summand dims" in by_name(checks)["group oracle crosscheck"].info
+
+
+@pytest.mark.parametrize(
+    "failure",
+    [
+        subalg.ClosureViolation("closure witness"),
+        subalg.PartitionMismatch("partition witness"),
+        subalg.RoundTripFailure("round trip witness"),
+        wedderburn.NotIdempotent("idempotent witness"),
+    ],
+)
+def test_table_failures_fail_the_lattice_row(monkeypatch, vec_s3_ring, failure):
+    # The failures of the correspondence table itself end the suite with a
+    # failed lattice row that carries their message.
+    def fail(*args):
+        raise failure
+
+    monkeypatch.setattr(subalg, "_checked_partitions", fail)
+    checks = verify_ring(vec_s3_ring)
+    assert checks[-1].name == verify.LATTICE_CHECK
+    assert not checks[-1].passed and checks[-1].info == str(failure)
+
+
+@pytest.mark.parametrize("fault", [AssertionError("no such entry"), IndexError("row 7"), TypeError("bad block")])
+def test_program_faults_in_the_stream_propagate(monkeypatch, vec_s3_ring, fault):
+    # Any other exception inside the streamed table is a fault of the
+    # program: it propagates instead of reading as a failed lattice row.
+    def visit_fails(block):
+        raise fault
+
+    real = subalg._stream_lattice
+    monkeypatch.setattr(subalg, "_stream_lattice", lambda ring, B, tol, step, visit: real(ring, B, tol, step, visit_fails))
+    with pytest.raises(type(fault), match=str(fault)):
+        verify_ring(vec_s3_ring)

@@ -24,9 +24,7 @@ import pytest
 from fuscat import char_theory, fusion_ring, linalg, subalg, verify, wedderburn
 from fuscat.char_theory import (
     CentralElement,
-    ce_multiply,
     cf_multiply,
-    cf_right_action,
     cf_star_blocks,
     chi,
     cointegral,
@@ -50,6 +48,7 @@ from conftest import (
     bump_0_1,
     ce_span,
     intersection_dims,
+    live_block,
     live_table,
     patch_leaky_products,
     patch_live_projector,
@@ -57,6 +56,7 @@ from conftest import (
     patch_table,
     perturb_unit,
     reference_meets_and_joins,
+    reference_random_round_trips,
     su2_fusion_ring,
     without_entries,
 )
@@ -114,7 +114,7 @@ class ClosureFailure(Exception):
 
 def unit_position(L):
     """Position of each adapted unit (j, s, t) in L's per-unit arrays."""
-    lay = L.base._layout()
+    lay = L.base._layout
     return {jst: u for u, jst in enumerate(zip(lay.block.tolist(), lay.s.tolist(), lay.t.tolist()))}
 
 
@@ -205,17 +205,7 @@ def reference_verify_ring(ring, group=None, kind=None, seed=0, tol=DEFAULT_TOL):
         worst = max(worst, float(np.max(np.abs(taus - dual_eye[rows]))))
     checks.append(CheckResult("pairing against trace form", worst, 1e-8))
 
-    worst = 0.0
-    for _ in range(20):
-        f = char_theory.ClassFunction(ring, rng.standard_normal(r) + 1j * rng.standard_normal(r))
-        a = np.asarray(rng.standard_normal(r) + 1j * rng.standard_normal(r))
-        b = np.asarray(rng.standard_normal(r) + 1j * rng.standard_normal(r))
-        ca, cb = CentralElement(ring, a), CentralElement(ring, b)
-        lhs = pairing(cf_right_action(f, cb), ca)
-        rhs = pairing(f, ce_multiply(cb, ca))
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
-        back = fourier_forward(fourier_inverse(f))
-        worst = max(worst, float(np.max(np.abs(back.coeffs - f.coeffs))))
+    worst = reference_random_round_trips(ring, rng)
     checks.append(CheckResult("right action adjointness, random round trips", worst, 1e-8))
 
     B = verify.compute_blocks(ring, seed=seed, tol=tol)
@@ -557,6 +547,18 @@ def test_commutative_equality_fails_by_name(monkeypatch):
     assert "product dimension bound" not in failing(checks)
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("source", battery_sources(large=True))
+def test_random_round_trips_equal_the_loop_bit_for_bit(source, seed):
+    # The stacked draw reads the same normals in the same order as the loop,
+    # and its residual is the loop's to the last bit, as is the check's row.
+    ring, group, kind = parse_source(source, 0, DEFAULT_TOL)
+    ref = reference_random_round_trips(ring, np.random.default_rng(seed))
+    assert verify._random_round_trips(ring, np.random.default_rng(seed)) == ref
+    row = next(c for c in verify_ring(ring, group, kind, seed=seed) if c.name.startswith("right action"))
+    assert row.residual == ref
+
+
 @pytest.mark.parametrize("k", [30, 40])
 def test_no_per_element_pairings(monkeypatch, k):
     ring = su2_fusion_ring(k)
@@ -574,8 +576,8 @@ def test_no_per_element_pairings(monkeypatch, k):
         for name, spy in spies.items():
             monkeypatch.setattr(mod, name, spy, raising=False)
     assert all(c.passed for c in verify_ring(ring))
-    # One cointegral pairing and two per random draw; the integral is E_0.
-    assert calls == {"idempotent": 1, "pairing": 41}
+    # One cointegral pairing; the random draws pair as one stack, and the integral is E_0.
+    assert calls == {"idempotent": 1, "pairing": 1}
 
 
 @pytest.mark.parametrize("source", ["vec:symmetric:3", "vec:dihedral:8", "vec:symmetric:4"])
@@ -640,13 +642,14 @@ def test_entry_checks_in_blocks_sized_by_rank(monkeypatch, vec_a5_ring):
 
 
 def test_trace_sum_and_pi_down_match_the_loops(vec_s3_ring, vec_s3_blocks):
-    table, live = live_table(vec_s3_ring, vec_s3_blocks)
-    stack = subalg._stack_entries(table.entries)
+    table, block = live_block(vec_s3_ring, vec_s3_blocks)
+    # The block's stacks are the per-entry data, row by row.
+    assert np.array_equal(block.keep, [e.subalgebra.selected for e in table.entries])
+    assert np.array_equal(block.cointegrals, [subcategory_cointegral(e.subcategory).coeffs for e in table.entries])
     z = CentralElement(vec_s3_ring, np.arange(vec_s3_ring.rank) + 1j)
-    sums = np.array([live[e.subcategory.indices][1] for e in table.entries])
-    projected = subalg._pi_down_rows(sums, stack.keep, z.coeffs)
-    trace_sums = subalg._cointegral_trace_sums(table.entries, stack)
-    for e, res, got, class_sums in zip(table.entries, trace_sums, projected, sums):
+    projected = subalg._pi_down_rows(block.class_sums, block.keep, z.coeffs)
+    trace_sums = subalg._cointegral_trace_sums(block)
+    for e, res, got, class_sums in zip(table.entries, trace_sums, projected, block.class_sums):
         assert res == pytest.approx(reference_trace_sum(e), abs=1e-15)
         assert np.allclose(got, reference_pi_down(z, e.subalgebra, class_sums), atol=1e-13)
 
