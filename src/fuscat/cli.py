@@ -13,9 +13,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -26,10 +29,10 @@ from .fusion_ring import (
     FusionRingData,
     RingDataError,
     enumerate_subcategories,
-    load_ring_json,
 )
 from .groups import BadTable, FiniteGroup, UnknownBuiltin, parse_group, rep_fusion_ring, vec_fusion_ring
 from .linalg import Tolerance
+from .ring_json import load_ring_json
 from .verify import CheckResult, battery_sources, verify_ring
 from .wedderburn import compute_blocks
 
@@ -341,6 +344,65 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _dumps(value, nl: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for a JSON value whose
+    dict keys are strings; ``nl`` is the newline and indent of its own line.
+
+    With ``indent`` set, ``json`` falls back to its pure-Python encoder, one
+    generator step per item.  Here a list of ints and finite floats is one
+    ``repr`` join, a list of equal-length such lists one ``%r`` template
+    (:func:`_number_lines`), and everything else recurses, with the type
+    tests in ``json``'s order.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    inner = nl + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        body = _number_lines(value, inner)
+        if body is None:
+            body = ("," + inner).join([_dumps(v, inner) for v in value])
+        return "[" + inner + body + nl + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _dumps(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _number_lines(items: list, inner: str) -> str | None:
+    """The lines of a list of ints and finite floats, or of a list of
+    equal-length such lists, between its brackets; None for any other list."""
+    kinds = set(map(type, items))
+    if kinds <= {int, float}:
+        text = ("," + inner).join(map(repr, items))
+    elif kinds == {list} and len(set(map(len, items))) == 1 and items[0]:
+        flat = tuple(chain.from_iterable(items))
+        if not set(map(type, flat)) <= {int, float}:
+            return None
+        deeper = inner + "  "
+        row = "[" + deeper + ("," + deeper).join(["%r"] * len(items[0])) + inner + "]"
+        text = ("," + inner).join([row] * len(items)) % flat
+    else:
+        return None
+    # repr spells the infinities and NaN inf and nan, which JSON spells otherwise.
+    return None if "n" in text else text
+
+
 def _emit(text: str, output: str | None) -> None:
     if not output:
         sys.stdout.write(text)
@@ -377,7 +439,7 @@ def run(cfg: RunConfig) -> int:
     except EnumerationLimit as exc:
         raise InputFailure(f"{cfg.source}: {exc}") from exc
     if cfg.format == "json":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        text = _dumps(report) + "\n"
     else:
         text = renderers[cfg.format](report)
     _emit(text, cfg.output)

@@ -10,7 +10,6 @@ under duality and fusion.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -35,7 +34,6 @@ __all__ = [
     "subcategory_join",
     "ring_to_dict",
     "ring_from_dict",
-    "load_ring_json",
 ]
 
 MAX_CLOSURE_CALLS = 10**6
@@ -145,7 +143,10 @@ def _structure_violations(N: np.ndarray, dual: Sequence[int]) -> list[str]:
         return [f"N must be rank x rank x rank, got {N.shape}"]
     if len(dual) != r:
         return [f"dual must have length {r}, got {len(dual)}"]
-    if np.any(N < 0):
+    # Sign and magnitude from two reductions; the offender is located only
+    # when there is one.
+    lo, hi = int(N.min(initial=0)), int(N.max(initial=0))
+    if lo < 0:
         i, j, k = np.unravel_index(int(np.argmin(N)), N.shape)
         out.append(f"negative multiplicity N[{i}][{j}][{k}]")
     eye = np.eye(r, dtype=int)
@@ -171,9 +172,8 @@ def _structure_violations(N: np.ndarray, dual: Sequence[int]) -> list[str]:
         if not np.array_equal(N[:, :, 0], expected):
             bad = np.argwhere(N[:, :, 0] != expected)[0]
             out.append(f"duality axiom fails: N[{bad[0]}][{bad[1]}][0]")
-    too_big = np.abs(N) > MAX_MULTIPLICITY
-    if np.any(too_big):
-        i, j, k = np.argwhere(too_big)[0]
+    if max(hi, -lo) > MAX_MULTIPLICITY:
+        i, j, k = np.argwhere((N > MAX_MULTIPLICITY) | (N < -MAX_MULTIPLICITY))[0]
         out.append(f"multiplicity N[{i}][{j}][{k}] exceeds {MAX_MULTIPLICITY}")
         return out
     # The certificate is sound only when e_0 is a two-sided unit, so it runs
@@ -625,6 +625,25 @@ def ring_to_dict(ring: FusionRingData) -> dict:
 
 def ring_from_dict(data: dict, tol: Tolerance = DEFAULT_TOL) -> FusionRingData:
     """Ring from parsed JSON; shape and entry types are checked before any cast."""
+    labels, dual, N = _json_fields(data)
+    r = len(N)
+    cube = all(
+        isinstance(row, list)
+        and len(row) == r
+        and all(isinstance(v, list) and len(v) == r for v in row)
+        for row in N
+    )
+    if not cube:
+        raise RingDataError([f"N must be a {r} x {r} x {r} nested list"])
+    N = _integer_array(N, 3, MAX_MULTIPLICITY)
+    if N is None:
+        raise RingDataError([f"N entries must be integers of magnitude at most {MAX_MULTIPLICITY}"])
+    return _json_ring(labels, dual, N, tol)
+
+
+def _json_fields(data) -> tuple[list, list, list]:
+    """The labels, dual and N of parsed ring JSON: an object holding all three
+    as lists, with distinct string labels."""
     fields = ("labels", "dual", "N")
     if not isinstance(data, dict):
         raise RingDataError([f"ring JSON must be an object with fields {', '.join(fields)}"])
@@ -638,18 +657,12 @@ def ring_from_dict(data: dict, tol: Tolerance = DEFAULT_TOL) -> FusionRingData:
         raise RingDataError(["labels must be strings"])
     if len(set(labels)) != len(labels):
         raise RingDataError(["labels must be distinct"])
-    r = len(N)
-    cube = all(
-        isinstance(row, list)
-        and len(row) == r
-        and all(isinstance(v, list) and len(v) == r for v in row)
-        for row in N
-    )
-    if not cube:
-        raise RingDataError([f"N must be a {r} x {r} x {r} nested list"])
-    N = _integer_array(N, 3, MAX_MULTIPLICITY)
-    if N is None:
-        raise RingDataError([f"N entries must be integers of magnitude at most {MAX_MULTIPLICITY}"])
+    return labels, dual, N
+
+
+def _json_ring(labels: list, dual: list, N: np.ndarray, tol: Tolerance) -> FusionRingData:
+    """:func:`build_ring` on checked labels and an integer N, once the dual
+    entries pass their type check."""
     dual = _integer_array(dual, 1, MAX_MULTIPLICITY)
     if dual is None:
         raise RingDataError([f"dual entries must be integers of magnitude at most {MAX_MULTIPLICITY}"])
@@ -682,9 +695,3 @@ def _integer_array(values: list, depth: int, bound: int) -> np.ndarray | None:
     if arr.size and (arr.max() > bound or arr.min() < -bound):
         return None
     return arr
-
-
-def load_ring_json(path, tol: Tolerance = DEFAULT_TOL) -> FusionRingData:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return ring_from_dict(data, tol)

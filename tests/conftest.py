@@ -1,11 +1,13 @@
 import dataclasses
 import itertools
+import json
 import os
 import sys
 from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -533,3 +535,42 @@ def intersection_dims(spans, a, b, tol=linalg.DEFAULT_TOL):
                 out[k] = np.count_nonzero(s >= floor, axis=1)
         lo = hi
     return out
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=24,
+)
+
+
+@st.composite
+def small_cubes(draw):
+    """Ring-shaped objects of rank 1-3 with small entries: these reach the
+    axiom checks, and now and then a valid ring that is analysed in full."""
+    r = draw(st.integers(1, 3))
+    entries = st.integers(-1, 2)
+    N = draw(st.lists(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=r, max_size=r), min_size=r, max_size=r))
+    dual = draw(st.lists(st.integers(-1, r), min_size=r, max_size=r))
+    return {"labels": [f"s{i}" for i in range(r)], "dual": dual, "N": N}
+
+
+# Contents of ``ring:`` files: arbitrary bytes, arbitrary JSON, objects with
+# the three fields holding arbitrary JSON, and small ring-shaped objects.
+RING_FILES = st.one_of(
+    st.binary(max_size=64),
+    JSON_VALUES.map(lambda v: json.dumps(v).encode()),
+    st.fixed_dictionaries({"labels": JSON_VALUES, "dual": JSON_VALUES, "N": JSON_VALUES}).map(
+        lambda v: json.dumps(v).encode()
+    ),
+    small_cubes().map(lambda v: json.dumps(v).encode()),
+)
+
+
+def reference_load_ring_json(path, tol=linalg.DEFAULT_TOL):
+    """``json.load`` and ``ring_from_dict``: how every ``ring:`` file was read
+    before canonical cubes were scanned, kept as the reference for
+    ``ring_json.load_ring_json``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    return fusion_ring.ring_from_dict(data, tol)

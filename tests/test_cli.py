@@ -10,10 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuscat import cli, groups
+
+from conftest import RING_FILES
 
 
 def run_cli(args, capsys):
@@ -370,34 +372,8 @@ def test_largest_builtin_group_parses(monkeypatch):
     assert groups.parse_group(f"cyclic:{groups.MAX_GROUP_ORDER}").order == 240
 
 
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
-    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
-    max_leaves=24,
-)
-
-
-@st.composite
-def _small_cubes(draw):
-    """Ring-shaped objects of rank 1-3 with small entries: these reach the
-    axiom checks, and now and then a valid ring that is analysed in full."""
-    r = draw(st.integers(1, 3))
-    entries = st.integers(-1, 2)
-    N = draw(st.lists(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=r, max_size=r), min_size=r, max_size=r))
-    dual = draw(st.lists(st.integers(-1, r), min_size=r, max_size=r))
-    return {"labels": [f"s{i}" for i in range(r)], "dual": dual, "N": N}
-
-
-_RING_FILES = st.one_of(
-    st.binary(max_size=64),
-    _JSON.map(lambda v: json.dumps(v).encode()),
-    st.fixed_dictionaries({"labels": _JSON, "dual": _JSON, "N": _JSON}).map(lambda v: json.dumps(v).encode()),
-    _small_cubes().map(lambda v: json.dumps(v).encode()),
-)
-
-
 @settings(max_examples=150, deadline=None)
-@given(_RING_FILES)
+@given(RING_FILES)
 def test_fuzzed_ring_file_exits_0_or_2_with_one_error_line(content):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ring.json"
@@ -443,3 +419,48 @@ def test_enumeration_limit_is_one_line_error(command, capsys, monkeypatch):
     code, out, err = run_cli([command, source], capsys)
     assert code == 2 and out == ""
     assert err == f"error: {source}: subcategory enumeration exceeded 5 closure calls\n"
+
+
+_NUMBERS = (
+    st.integers()
+    | st.integers(min_value=2**63, max_value=10**40)
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300])
+)
+_SCALARS = st.none() | st.booleans() | _NUMBERS | st.text(max_size=6)
+_REPORT_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.dictionaries(st.text(max_size=6), children, max_size=4)
+        # Lists of equal-length lists of numbers (the [re, im] pairs), some
+        # with bools among them.
+        | st.integers(0, 3).flatmap(
+            lambda k: st.lists(st.lists(_NUMBERS | st.booleans(), min_size=k, max_size=k), max_size=4)
+        )
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_REPORT_VALUES)
+# Ragged lists of number lists, which must not take the one-template path.
+@example([[1, 2], [3]])
+@example([[], [1.5]])
+@example([[0.5], [1, True]])
+def test_report_emitter_matches_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "value", [[np.float64(1.5), 2], {"a": np.float64(-0.0)}, [1, np.int64(2)]], ids=["float64", "float64_in_dict", "int64"]
+)
+def test_report_emitter_matches_json_dumps_on_numpy_scalars(value):
+    try:
+        expected = json.dumps(value, indent=2, sort_keys=True)
+    except TypeError as exc:
+        with pytest.raises(TypeError, match=str(exc)):
+            cli._dumps(value)
+    else:
+        assert cli._dumps(value) == expected

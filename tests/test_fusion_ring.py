@@ -118,6 +118,34 @@ class TestStructureCheck:
             build_ring(s3_ring.labels, N, s3_ring.dual)
         assert exc.value.violations == _reference_associativity(N)
 
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_sign_and_magnitude_name_the_offender_as_before(self, s3_ring, sign):
+        # The index named is argmin(N) for a negative entry and the first
+        # entry above the bound in C order, as the r^3 masks found them.
+        N = s3_ring.N.copy()
+        N[2, 1, 2] = sign * 2**21
+        N[1, 2, 1] = sign * 2**22
+        N[2, 2, 1] = -1
+        with pytest.raises(RingDataError) as exc:
+            build_ring(s3_ring.labels, N, s3_ring.dual)
+        i, j, k = np.unravel_index(int(np.argmin(N)), N.shape)
+        a, b, c = np.argwhere(np.abs(N) > MAX_MULTIPLICITY)[0]
+        assert exc.value.violations == [
+            f"negative multiplicity N[{i}][{j}][{k}]",
+            f"multiplicity N[{a}][{b}][{c}] exceeds {MAX_MULTIPLICITY}",
+        ]
+
+    def test_sign_and_magnitude_form_no_r3_temporaries(self, monkeypatch):
+        ring = su2_fusion_ring(60)
+        monkeypatch.setattr(fusion_ring, "_associative_by_words", lambda N: True)
+        tracemalloc.start()
+        try:
+            assert fusion_ring._structure_violations(ring.N, ring.dual) == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ring.rank**3  # one byte per entry; an r^3 bool mask alone takes that
+
     def test_float64_path_for_large_multiplicities(self):
         # lhs(0,0,0,0) = 2**40 + 1 and rhs(0,0,0,0) = 2**40 + 2: float32
         # rounds both to 2**40, so r * max|N|**2 >= 2**24 must select float64.
