@@ -17,12 +17,12 @@ from .fusion_ring import (
     build_ring,
     enumerate_subcategories,
     fp_dims,
+    load_ring_json,
     subcategory_closure,
     subcategory_join,
     subcategory_meet,
     validate,
 )
-from .ring_json import load_ring_json
 from .char_theory import (
     CentralElement,
     ClassFunction,

@@ -29,10 +29,10 @@ from .fusion_ring import (
     FusionRingData,
     RingDataError,
     enumerate_subcategories,
+    load_ring_json,
 )
 from .groups import BadTable, FiniteGroup, UnknownBuiltin, parse_group, rep_fusion_ring, vec_fusion_ring
 from .linalg import Tolerance
-from .ring_json import load_ring_json
 from .verify import CheckResult, battery_sources, verify_ring
 from .wedderburn import compute_blocks
 

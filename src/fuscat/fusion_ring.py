@@ -10,10 +10,11 @@ under duality and fusion.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,6 +35,7 @@ __all__ = [
     "subcategory_join",
     "ring_to_dict",
     "ring_from_dict",
+    "load_ring_json",
 ]
 
 MAX_CLOSURE_CALLS = 10**6
@@ -625,7 +627,7 @@ def ring_to_dict(ring: FusionRingData) -> dict:
 
 def ring_from_dict(data: dict, tol: Tolerance = DEFAULT_TOL) -> FusionRingData:
     """Ring from parsed JSON; shape and entry types are checked before any cast."""
-    labels, dual, N = _json_fields(data)
+    labels, dual, N = _json_fields(data, _RING_FIELDS)
     r = len(N)
     cube = all(
         isinstance(row, list)
@@ -641,23 +643,26 @@ def ring_from_dict(data: dict, tol: Tolerance = DEFAULT_TOL) -> FusionRingData:
     return _json_ring(labels, dual, N, tol)
 
 
-def _json_fields(data) -> tuple[list, list, list]:
-    """The labels, dual and N of parsed ring JSON: an object holding all three
-    as lists, with distinct string labels."""
-    fields = ("labels", "dual", "N")
+_RING_FIELDS = ("labels", "dual", "N")
+
+
+def _json_fields(data, names: tuple[str, ...]) -> list:
+    """The values of the fields ``names`` (labels first) of parsed ring JSON:
+    an object holding them as lists, with distinct string labels."""
     if not isinstance(data, dict):
-        raise RingDataError([f"ring JSON must be an object with fields {', '.join(fields)}"])
-    missing = [f for f in fields if f not in data]
+        raise RingDataError([f"ring JSON must be an object with fields {', '.join(_RING_FIELDS)}"])
+    missing = [f for f in names if f not in data]
     if missing:
         raise RingDataError([f"missing field: {', '.join(missing)}"])
-    labels, dual, N = (data[f] for f in fields)
-    if not all(isinstance(x, list) for x in (labels, dual, N)):
+    values = [data[f] for f in names]
+    if not all(isinstance(x, list) for x in values):
         raise RingDataError(["labels, dual and N must be lists"])
+    labels = values[0]
     if not all(isinstance(x, str) for x in labels):
         raise RingDataError(["labels must be strings"])
     if len(set(labels)) != len(labels):
         raise RingDataError(["labels must be distinct"])
-    return labels, dual, N
+    return values
 
 
 def _json_ring(labels: list, dual: list, N: np.ndarray, tol: Tolerance) -> FusionRingData:
@@ -695,3 +700,143 @@ def _integer_array(values: list, depth: int, bound: int) -> np.ndarray | None:
     if arr.size and (arr.max() > bound or arr.min() < -bound):
         return None
     return arr
+
+
+def load_ring_json(path, tol: Tolerance = DEFAULT_TOL) -> FusionRingData:
+    """Ring from a ``ring:`` JSON file.
+
+    A file whose ``N`` is a cube of one-digit entries (:func:`_digit_cube`)
+    is read without a Python int per entry.  Every other file is read again
+    through ``json.load`` and :func:`ring_from_dict`, and that path alone
+    words the errors about the file's syntax and its N.
+    """
+    with open(path, "rb") as fh:
+        scanned = _scan_ring(fh.read())
+    if scanned is None:
+        with open(path, "r", encoding="utf-8") as fh:
+            return ring_from_dict(json.load(fh), tol)
+    fields, N = scanned
+    # The scan read N as a list, so only labels and dual are left to check.
+    labels, dual = _json_fields(fields, ("labels", "dual"))
+    return _json_ring(labels, dual, N, tol)
+
+
+def _scan_ring(raw: bytes) -> tuple[dict, np.ndarray] | None:
+    """The top-level fields of a ring file but N, and its N as an int64
+    array, or None when the file is not UTF-8 JSON whose last ``N`` is a cube
+    of one-digit entries.
+
+    The walk follows ``json``'s own object parser: keys through
+    ``scanstring``, every value but N through ``raw_decode``, so every other
+    field, and which of repeated keys wins, is exactly what ``json.loads``
+    gives.  N ends at the last ``]`` before the next ``"`` or ``}``; if that
+    is not where the value ends, the bytes up to it are no cube.
+    """
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    ws = json.decoder.WHITESPACE.match
+    decode = json.JSONDecoder().raw_decode
+    ascii_only = len(text) == len(raw)
+    fields: dict = {}
+    try:
+        i = ws(text, 0).end()
+        if text[i : i + 1] != "{":
+            return None
+        i = ws(text, i + 1).end()
+        while text[i : i + 1] == '"':
+            key, i = json.decoder.scanstring(text, i + 1)
+            i = ws(text, i).end()
+            if text[i : i + 1] != ":":
+                return None
+            i = ws(text, i + 1).end()
+            if key == "N" and text[i : i + 1] == "[":
+                start = i if ascii_only else len(text[:i].encode("utf-8"))
+                stops = [k for k in (raw.find(b'"', start), raw.find(b"}", start)) if k >= 0]
+                end = raw.rfind(b"]", start, min(stops, default=len(raw))) + 1
+                value = _digit_cube(raw, start, end) if end else None
+                if value is None:
+                    return None
+                i += end - start
+            else:
+                value, i = decode(text, i)
+            fields[key] = value
+            i = ws(text, i).end()
+            if text[i : i + 1] == ",":
+                i = ws(text, i + 1).end()
+            elif text[i : i + 1] == "}":
+                break
+            else:
+                return None
+        else:
+            return None
+    except (ValueError, RecursionError):
+        return None
+    cube = fields.pop("N", None)
+    if ws(text, i + 1).end() != len(text) or not isinstance(cube, _Cube):
+        return None
+    # The file's bytes and text go before N is built (the caller passes the
+    # bytes without keeping them), so only the cube's compact copy is left.
+    del raw, text
+    # Entry (i, j, k) is one digit at a fixed stride of the compact text.
+    r = cube.r
+    digits = np.lib.stride_tricks.as_strided(
+        np.frombuffer(cube.compact, np.uint8)[3:],
+        shape=(r, r, r),
+        strides=(2 * r * r + 2 * r + 2, 2 * r + 2, 2),
+        writeable=False,
+    )
+    return fields, np.subtract(digits, ord("0"), dtype=np.int64)
+
+
+# JSON whitespace, and the digits mapped to "0" for the comparison with the
+# cube's template.
+_JSON_WS = b" \t\n\r"
+_DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"000000000")
+# Bytes of the span whitespace is deleted from at a time.
+_SCAN_BLOCK = 1 << 16
+
+
+class _Cube(NamedTuple):
+    """N's text without whitespace, checked as an r x r x r cube of
+    one-digit entries."""
+
+    compact: bytearray
+    r: int
+
+
+def _is_template(buf, r: int) -> bool:
+    """Whether ``buf`` with its digits mapped to ``0`` is the compact JSON of
+    the r x r x r cube of zeros, compared one r x r row at a time."""
+    inner = b"[" + b"0," * (r - 1) + b"0]"
+    row = b"[" + (inner + b",") * (r - 1) + inner + b"]"
+    step = len(row) + 1
+    if len(buf) != 1 + r * step or buf[:1] != b"[":
+        return False
+    # Row i fills buf[1 + i * step : (i + 1) * step]; a "," follows each row
+    # but the last, which the closing "]" follows.
+    if any(buf[a : a + len(row)].translate(_DIGITS_TO_ZERO) != row for a in range(1, len(buf), step)):
+        return False
+    return buf[step::step] == b"," * (r - 1) + b"]"
+
+
+def _digit_cube(raw: bytes, start: int, end: int) -> _Cube | None:
+    """The JSON array ``raw[start:end]`` as a :class:`_Cube` when it nests
+    exactly r x r x r entries of one digit each, with JSON whitespace
+    anywhere between them, else None.
+
+    With the whitespace deleted such a cube is its template, the compact
+    zero cube, with digits in place of the zeros.  Anything else, a sign, a
+    second digit, a fraction or an exponent included, is no such cube.
+    """
+    compact = bytearray()
+    for a in range(start, end, _SCAN_BLOCK):
+        compact += raw[a : min(a + _SCAN_BLOCK, end)].translate(None, _JSON_WS)
+    # r is the length of the first innermost list; the template's size
+    # bounds it by the length of the text before any template row is built.
+    first = compact.find(b"]")
+    r = compact.count(b",", 0, first) + 1
+    if first < 0 or 2 * r**3 + 2 * r**2 + 2 * r + 1 > len(compact):
+        return None
+    return _Cube(compact, r) if _is_template(compact, r) else None
