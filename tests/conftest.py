@@ -569,7 +569,7 @@ RING_FILES = st.one_of(
 
 def reference_load_ring_json(path, tol=linalg.DEFAULT_TOL):
     """``json.load`` and ``ring_from_dict``: how every ``ring:`` file was read
-    before canonical cubes were scanned, kept as the reference for
+    before one-digit cubes were scanned, kept as the reference for
     ``fusion_ring.load_ring_json``."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)

@@ -161,7 +161,7 @@ def _z2(N):
         "truncated",
         "N_first",
         "duplicate_N_last_wins",
-        "duplicate_N_last_not_canonical",
+        "duplicate_N_last_not_one_digit",
         "label_escapes_after_N",
         "label_escapes_and_utf8_before_N",
         "utf8_bom",
