@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import subalg
-from .char_theory import chi, cointegral, fourier_inverse
+from .char_theory import _fourier_inverse_raw, cointegral
 from .fusion_ring import (
     EnumerationLimit,
     FusionRingData,
@@ -58,8 +58,8 @@ class InputFailure(Exception):
     """Source could not be parsed or validated; maps to exit code 2."""
 
 
-def _cvec(vec) -> list[list[float]]:
-    """A complex vector as [[re, im], ...] Python floats, for JSON."""
+def _cvec(vec) -> list:
+    """A complex vector, or array of them, as [[re, im], ...] Python floats, for JSON."""
     v = np.asarray(vec, dtype=complex)
     return np.stack([v.real, v.imag], -1).tolist()
 
@@ -111,9 +111,8 @@ def analyze_report(cfg: RunConfig) -> dict:
             for j, blk in enumerate(B.blocks)
         ],
         "cointegral": _cvec(lam.coeffs),
-        "fourier_chi_images": [
-            _cvec(fourier_inverse(chi(ring, i)).coeffs) for i in range(ring.rank)
-        ],
+        # Row i is the inverse Fourier image of chi_i, entrywise: the bits of r separate images.
+        "fourier_chi_images": _cvec(_fourier_inverse_raw(ring, np.eye(ring.rank, dtype=complex))),
     }
     if cfg.dump_units:
         report["matrix_units"] = [

@@ -252,13 +252,11 @@ def _associative_by_words(N: np.ndarray) -> bool:
     return True
 
 
-# Prime modulus of the word search: entries stay below p, so every sum of r
-# products of two of them is below r * p**2, which int64 holds for r < 2**31.
+# Prime modulus of the word search; float64 holds its products of residues exactly.
 _WORD_PRIME = 65521
 # Rank from which build_ring proves associativity by words before any dense
-# scan.  Below it the dense r^5 scan is faster: with one BLAS thread the word
-# proof costs 1.5x the scan on SU(2)_23 and vec:symmetric:4 (rank 24), 1.1x
-# on SU(2)_27 (rank 28), 0.9x on SU(2)_29 and vec:cyclic:30 (rank 30).
+# scan.  With one BLAS thread the word proof costs 1.8x the scan on
+# vec:symmetric:4 (rank 24), 0.9x on SU(2)_23, 0.35x on SU(2)_29 (rank 30).
 _WORD_PROOF_MIN_RANK = 29
 
 
@@ -266,75 +264,75 @@ def _word_generators(N: np.ndarray) -> list[int]:
     """Simples G whose left-normed words (e_0 g_1 g_2 ... g_n) span Q^r.
 
     A Krylov search mod ``_WORD_PRIME``: the span starts as {e_0} and is
-    right-multiplied by the generators found so far (v -> v N[:, g, :]);
-    whenever it stops growing, the first simple outside it joins G, and that
-    simple itself joins the span.  Rank r mod p implies rank r over Q, since
-    some r x r minor of the integer word vectors is non-zero mod p and so
-    non-zero.
+    closed under right multiplication by the generators found so far
+    (v -> v N[:, g, :]); once closed, the first simple outside it joins G
+    and the span owes its products with it (e_0 g = g).  Each round doubles
+    the owed rows v of each generator M into v M, ..., v M^n, with n rows
+    per v for the r - k missing dimensions, and reduces all chains by one
+    :func:`_extend_mod`; the rows that entered are owed to every generator.
+    Rank r mod p implies rank r over Q, since some r x r minor of the
+    integer word vectors is non-zero mod p and so non-zero.
     """
-    p = _WORD_PRIME
-    r = N.shape[0]
-    span = _EchelonMod(r, p)
-    added = span.extend(np.eye(1, r, dtype=np.int64))
-    right: list[np.ndarray] = []  # N[:, g, :] mod p, one (r, r) slice per generator
-    gens: list[int] = []
-    while span.k < r:
-        if len(added) and right:
-            # The new rows times every generator, one generator at a time, so
-            # that each product is first reduced against what the previous
-            # ones added.
-            added = np.concatenate([span.extend(added @ m % p) for m in right])
-            continue
-        # The span stopped growing: the first simple outside it is the first
-        # row of the identity that the basis does not reduce to zero.
-        outside = np.eye(r, dtype=np.int64)
-        outside[span.pivots] -= span.basis[: span.k]
+    p, r = _WORD_PRIME, N.shape[0]
+    # The span's reduced basis and pivots, and per generator g the matrix N[:, g, :] to the 2**i.
+    basis, pivots, powers, gens = np.eye(1, r), [0], [], []
+    while len(pivots) < r:
+        # The first simple outside the span: a row of I the basis does not clear.
+        outside = np.eye(r)
+        outside[pivots] -= basis
         g = int(np.flatnonzero(outside.any(axis=1))[0])
         gens.append(g)
-        right.append(N[:, g, :] % p)
-        # The generator itself, and the whole span times it.
-        added = np.concatenate(
-            [span.extend(np.eye(1, r, g, dtype=np.int64)), span.extend(span.basis[: span.k] @ right[-1] % p)]
-        )
+        powers.append([(N[:, g, :] % p).astype(float)])
+        owed = [basis[:0]] * (len(gens) - 1) + [basis]
+        while len(owed[-1]) and len(pivots) < r:
+            chains = []
+            for rows, squares in zip(owed, powers):
+                chain, i = _mod(rows @ squares[0], p), 0
+                while 0 < len(chain) < r - len(pivots):
+                    if i == len(squares):
+                        squares.append(_mod(squares[-1] @ squares[-1], p))
+                    chain, i = np.concatenate([chain, _mod(chain @ squares[i], p)]), i + 1
+                chains.append(chain)
+            basis, pivots, new = _extend_mod(basis, pivots, np.concatenate(chains), p)
+            owed = [new] * len(gens)
     return gens
 
 
-class _EchelonMod:
-    """A subspace of (Z/p)^r as a reduced row echelon basis, grown in place."""
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x less a multiple of p, of magnitude at most p, for float integers
+    below 2**53: exact, and 0 exactly on multiples of p (x / p is then exact)."""
+    return x - np.rint(x / p) * p
 
-    def __init__(self, r: int, p: int):
-        self.p = p
-        self.basis = np.zeros((r, r), dtype=np.int64)
-        self.pivots: list[int] = []
-        self.k = 0
 
-    def extend(self, rows: np.ndarray) -> np.ndarray:
-        """Add ``rows`` to the span; returns the rows that entered the basis.
-
-        The rows are reduced against the basis in one product, brought to
-        reduced echelon form among themselves, and then cleared from the old
-        basis rows in one more product; with the old basis they span the new
-        one.
-        """
-        p, k = self.p, self.k
-        rows = (rows - rows[:, self.pivots] @ self.basis[:k]) % p
-        rows = rows[rows.any(axis=1)]
-        new = rows[:0]
-        cols: list[int] = []
-        while len(rows):
-            row = rows[0]
-            c = int(row.nonzero()[0][0])
-            row = row * pow(int(row[c]), -1, p) % p
-            rows = (rows[1:] - rows[1:, c, None] * row) % p
-            rows = rows[rows.any(axis=1)]
-            new = np.concatenate([(new - new[:, c, None] * row) % p, row[None]])
-            cols.append(c)
-        if cols:
-            self.basis[:k] = (self.basis[:k] - self.basis[:k, cols] @ new) % p
-        self.basis[k : k + len(cols)] = new
-        self.pivots += cols
-        self.k += len(cols)
-        return new
+def _extend_mod(basis: np.ndarray, pivots: list[int], rows: np.ndarray, p: int) -> tuple:
+    """The reduced basis of the span of ``basis`` and ``rows`` mod p (row i
+    is 1 at ``pivots[i]``, 0 at the other pivots), and the rows that entered.
+    Each pass takes one row per distinct last non-zero column, triangular on
+    those columns, reduces them by the triangle's inverse and clears their
+    columns from the rest: Krylov rows take a pass or two.
+    """
+    r = rows.shape[1]
+    rows = _mod(rows - rows[:, pivots] @ basis, p)
+    entered = [rows[:0]]
+    while len(rows := rows[rows.any(axis=1)]):
+        last = r - 1 - np.argmax(rows[:, ::-1] != 0, axis=1)
+        order = np.argsort(last, kind="stable")
+        first = order[np.diff(last[order], prepend=-1) != 0]
+        cols = last[first].tolist()
+        inv = np.array([pow(int(x), -1, p) for x in rows[first, cols].tolist()], dtype=float)
+        P = _mod(rows[first] * inv[:, None], p)
+        # P[:, cols] is I + L, L strictly lower: its inverse is (I - L)(I + L^2)(I + L^4)...
+        eye = np.eye(len(cols))
+        L = P[:, cols] - eye
+        T = _mod(eye - L, p)
+        while (L := _mod(L @ L, p)).any():
+            T = _mod(T @ (eye + L), p)
+        P = _mod(T @ P, p)
+        rows = _mod(rows - rows[:, cols] @ P, p)
+        basis = np.concatenate([_mod(basis - basis[:, cols] @ P, p), P])
+        pivots = pivots + cols
+        entered.append(P)
+    return basis, pivots, np.concatenate(entered)
 
 
 def fp_dims(N) -> tuple[np.ndarray, float]:

@@ -12,7 +12,8 @@ acts as a scalar on every space, within its bound), certify (the residuals of
 that verification bound every commutator below the pairwise commutation
 bound, see :func:`_commutation_certified`) and fall back (the dense pairwise
 scan :func:`_commuting_or_raise` runs only when the certificate declines or
-no seed splits; it alone raises :class:`NotCommuting`).
+no seed splits; it alone raises :class:`NotCommuting`).  Each step takes the
+spaces of one width as one stack, so one-dimensional spaces take no loop.
 """
 
 from __future__ import annotations
@@ -78,9 +79,6 @@ class Tolerance:
         bound = self.abs_tol + self.rel_tol * np.maximum(np.abs(a), np.abs(b))
         return bool(np.all(np.abs(a - b) <= bound))
 
-    def zero(self, a) -> bool:
-        return bool(np.max(np.abs(np.atleast_1d(np.asarray(a)))) <= self.abs_tol)
-
 
 DEFAULT_TOL = Tolerance()
 
@@ -107,16 +105,15 @@ def _as_vector(b) -> np.ndarray:
     return b
 
 
-def _canonical_phase(v: np.ndarray) -> np.ndarray:
-    """Normalize and rotate so the largest-magnitude entry is real positive."""
-    nrm = np.linalg.norm(v)
-    if nrm == 0:
-        return v
-    v = v / nrm
-    piv = v[int(np.argmax(np.abs(v)))]
-    if abs(piv) > 0:
-        v = v * (abs(piv) / piv)
-    return v
+def _canonical_phases(Q: np.ndarray) -> np.ndarray:
+    """Each non-zero column of the (..., n, k) stack Q normalized and rotated
+    so that its largest-magnitude entry is real positive, C-ordered, to the
+    bits of one column at a time: ``|piv|`` is ``hypot``, as for a scalar."""
+    W = np.ascontiguousarray(np.swapaxes(Q, -1, -2), dtype=complex)
+    W /= _row_norms(W)[..., None]
+    piv = np.take_along_axis(W, np.argmax(np.abs(W), axis=-1)[..., None], axis=-1)
+    W *= np.hypot(piv.real, piv.imag) / piv
+    return np.ascontiguousarray(np.swapaxes(W, -1, -2))
 
 
 def _orthonormal_columns(vectors, tol: Tolerance) -> np.ndarray:
@@ -153,10 +150,7 @@ def _numerical_rank(M: np.ndarray, tol: Tolerance):
 
 def orthonormal_basis(vectors, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (as columns) of the span of the given vectors."""
-    Q = _orthonormal_columns(vectors, tol)
-    for k in range(Q.shape[1]):
-        Q[:, k] = _canonical_phase(Q[:, k])
-    return Q
+    return _canonical_phases(_orthonormal_columns(vectors, tol))
 
 
 def _span_contains(Q: np.ndarray, V: np.ndarray, tol: Tolerance) -> bool:
@@ -204,34 +198,45 @@ def snap_integer_array(arr, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 _BLOCK_BYTES = 1 << 18
 
 
-def _max_abs(S: np.ndarray) -> np.ndarray:
-    """max |S[i]| for each matrix of the stack, without a full-size temporary."""
-    return np.array([float(np.max(np.abs(M))) for M in S])
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row of X, to the bits of ``np.linalg.norm`` of it alone."""
+    parts = (X.real, X.imag) if np.iscomplexobj(X) else (X,)
+    return np.sqrt(sum(np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0] for x in parts))
 
 
-def _commuting_or_raise(S: np.ndarray, tol: Tolerance) -> None:
+def _row_blocks(S: np.ndarray):
+    """(start, block) over the stack in blocks of at most ``_BLOCK_BYTES``."""
+    step = max(1, _BLOCK_BYTES // (S[0].size * S.itemsize))
+    return ((lo, S[lo : lo + step]) for lo in range(0, len(S), step))
+
+
+def _family_norms(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``max|A|`` and ``||A||_F`` of each matrix of the stack."""
+    peak, fro = np.empty(len(S)), np.empty(len(S))
+    for lo, blk in _row_blocks(S):
+        flat = blk.reshape(len(blk), -1)
+        peak[lo : lo + len(blk)], fro[lo : lo + len(blk)] = np.abs(flat).max(axis=1), _row_norms(flat)
+    return peak, fro
+
+
+def _commuting_or_raise(S: np.ndarray, peak: np.ndarray, tol: Tolerance) -> None:
     """Raise NotCommuting naming the first pair (i, j), i < j, that fails.
 
-    The dense fallback of :func:`joint_eigenspaces`: it runs only when the
-    residual certificate declines or when no seed splits the family.  Each
-    matrix is tested against all later ones, one row block of the stack at a
-    time, with the pairwise bound
-    ``10 * (abs_tol + rel_tol * max(1, max|A| * max|B|))`` on the largest
-    entry of the computed ``A @ B - B @ A``: c(c-1) products of n x n
-    matrices for c matrices.
+    The dense fallback of :func:`joint_eigenspaces`, run only when the
+    certificate declines or no seed splits.  Each matrix is tested against
+    all later ones, a row block at a time, with the pairwise bound
+    ``10 * (abs_tol + rel_tol * max(1, max|A| * max|B|))`` (``peak``) on the
+    largest entry of ``A @ B - B @ A``: c(c-1) n x n products for c matrices.
     """
-    m, n, _ = S.shape
-    scale = _max_abs(S)
-    step = max(1, _BLOCK_BYTES // (n * n * S.itemsize))
-    for i in range(m - 1):
+    for i in range(len(S) - 1):
         A = S[i]
-        for lo in range(i + 1, m, step):
-            blk = S[lo : lo + step]
+        for lo, blk in _row_blocks(S[i + 1 :]):
+            lo += i + 1
             comm = np.matmul(A, blk)
             comm -= np.matmul(blk, A)
             res = np.max(np.abs(comm), axis=(1, 2))
             bound = 10 * (
-                tol.abs_tol + tol.rel_tol * np.maximum(1.0, scale[i] * scale[lo : lo + step])
+                tol.abs_tol + tol.rel_tol * np.maximum(1.0, peak[i] * peak[lo : lo + len(blk)])
             )
             bad = np.flatnonzero(res > bound)
             if bad.size:
@@ -239,65 +244,57 @@ def _commuting_or_raise(S: np.ndarray, tol: Tolerance) -> None:
                 raise NotCommuting(f"matrices {i} and {j} do not commute within tolerance")
 
 
-def _commutation_certified(
-    spaces: Sequence[np.ndarray], S: np.ndarray, e2: np.ndarray, tol: Tolerance
-) -> bool:
+def _commutation_certified(spaces: list, e2: np.ndarray, peak: np.ndarray, fro: np.ndarray, tol: Tolerance) -> bool:
     """True when the split's residuals prove that every pair of the stack
     passes the commutation bound of :func:`_commuting_or_raise`.
 
     Put the spaces side by side as P and let D_A hold A's block scalars, so
-    that ``A P = P D_A + E_A``; ``e2[A]`` is ``||E_A||_F^2`` as
-    :func:`_verify_joint` measured it.  The matrices ``P D_A P^-1`` commute
-    exactly, so with ``X = E P^-1``::
+    that ``A P = P D_A + E_A``, with ``e2[A] = ||E_A||_F^2`` from
+    :func:`_verify_joint`.  The ``P D_A P^-1`` commute, so with ``X = E P^-1``::
 
         [A, B] = [A, X_B] + [X_A, B] - [X_A, X_B]
         max|[A, B]| <= ||[A, B]||_2 <= 2 (a_A x_B + a_B x_A + x_A x_B)
 
-    where ``a = ||A||_F`` and ``x = (||E||_F + 10 n eps a) / s``, with
-    ``s = s_min(P) - n eps s_max(P)`` the smallest singular value of P less
-    the rounding of its computation.  The ``10 n eps a`` term covers the
-    rounding of the computed residuals and of the spaces' orthonormality,
-    on which the split of ``||E||_F^2`` in :func:`_verify_joint` rests; because ``s <= 1`` (every column of
-    P has unit norm), it also adds at least ``40 n eps a_A a_B`` to the
-    bound, more than the ``2 n eps a_A a_B`` by which rounding can move the
-    commutator that the dense scan computes.  A passing certificate therefore
-    bounds what the scan would measure.  It declines (returns False) when P
-    is too ill-conditioned, so the caller falls back to the scan.  The only
-    new work is the singular values of the n x n matrix P.
+    where ``a = ||A||_F`` (``fro``), ``x = (||E||_F + 10 n eps a) / s`` and
+    ``s = s_min(P) - n eps s_max(P)``, P's smallest singular value less its
+    rounding.  The ``10 n eps a`` term covers the rounding of the residuals
+    and of the spaces' orthonormality, on which the split of ``||E||_F^2``
+    rests; as ``s <= 1`` (P's columns have unit norm), it adds at least
+    ``40 n eps a_A a_B``, more than the ``2 n eps a_A a_B`` by which rounding
+    can move the scan's commutator, so a passing certificate bounds what the
+    scan would measure.  It declines when P is too ill-conditioned, and the
+    caller falls back to the scan.  The only new work is P's singular values.
     """
-    m, n, _ = S.shape
+    n = len(spaces[0])
     eps = np.finfo(float).eps
     sv = np.linalg.svd(np.concatenate(spaces, axis=1), compute_uv=False)
     floor = sv[-1] - n * eps * sv[0]
     if not floor > 0:
         return False
-    a = np.array([np.linalg.norm(M) for M in S])
-    x = (np.sqrt(e2) + 10 * n * eps * a) / floor
-    lhs = 2 * (np.outer(a, x) + np.outer(x, a) + np.outer(x, x))
-    scale = _max_abs(S)
-    bound = 10 * (tol.abs_tol + tol.rel_tol * np.maximum(1.0, np.outer(scale, scale)))
-    pairs = np.triu_indices(m, 1)
+    x = (np.sqrt(e2) + 10 * n * eps * fro) / floor
+    lhs = 2 * (np.outer(fro, x) + np.outer(x, fro) + np.outer(x, x))
+    bound = 10 * (tol.abs_tol + tol.rel_tol * np.maximum(1.0, np.outer(peak, peak)))
+    pairs = np.triu_indices(len(fro), 1)
     # Written so that a NaN residual declines.
     return bool(np.all(lhs[pairs] <= bound[pairs]))
 
 
-def _cluster_indices(values: np.ndarray, ctol: float) -> list[np.ndarray]:
-    """Group indices of near-equal complex values; clusters in descending order."""
+def _cluster_indices(values: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of near-equal eigenvalues, cluster by cluster, and the widths.
+    In descending order each value joins the first cluster whose first value
+    is within ``ctol`` (``hypot``, as the scalar ``abs``), else starts one;
+    the loop visits only values near earlier ones but near no sure start."""
+    ctol = max(tol.abs_tol, 1e-7 * max(1.0, float(np.max(np.abs(values)))))
     order = np.lexsort((-values.imag, -values.real))
-    clusters: list[list[int]] = []
-    reps: list[complex] = []
-    for idx in order:
-        v = values[idx]
-        placed = False
-        for c, rep in enumerate(reps):
-            if abs(v - rep) <= ctol:
-                clusters[c].append(int(idx))
-                placed = True
-                break
-        if not placed:
-            clusters.append([int(idx)])
-            reps.append(v)
-    return [np.array(c) for c in clusters]
+    v = values[order]
+    diff = v[:, None] - v
+    near = np.hypot(diff.real, diff.imag) <= ctol
+    earlier = np.tril(near, -1)
+    first = ~earlier.any(axis=1)  # certainly starts a cluster
+    for i in np.flatnonzero(~first & ~(earlier & first).any(axis=1)).tolist():
+        first[i] = not (earlier[i] & first).any()
+    label = np.argmax(near & first, axis=1)
+    return order[np.argsort(label, kind="stable")], np.bincount(label, minlength=len(v))[first]
 
 
 def _split_space(V: np.ndarray, A: np.ndarray, tol: Tolerance) -> list[np.ndarray]:
@@ -313,11 +310,10 @@ def _split_space(V: np.ndarray, A: np.ndarray, tol: Tolerance) -> list[np.ndarra
     if np.max(np.abs(Ap - mu * np.eye(k))) <= max(tol.abs_tol, 1e-9 * scale):
         return [V]
     w, U = np.linalg.eig(Ap)
-    ctol = max(tol.abs_tol, 1e-7 * max(1.0, float(np.max(np.abs(w)))))
-    clusters = _cluster_indices(w, ctol)
-    if len(clusters) == 1:
+    idx, widths = _cluster_indices(w, tol)
+    if len(widths) == 1:
         raise _SplitFailed("non-scalar action with unsplittable spectrum")
-    return [orthonormal_basis(V @ U[:, c], tol) for c in clusters]
+    return [orthonormal_basis(V @ U[:, c], tol) for c in np.split(idx, np.cumsum(widths)[:-1])]
 
 
 def _refine(V: np.ndarray, mats: Sequence[np.ndarray], tol: Tolerance) -> list[np.ndarray]:
@@ -360,24 +356,23 @@ def _space_residuals(rows: np.ndarray, Vs: np.ndarray) -> tuple[np.ndarray, ...]
     return np.max(dev, axis=(2, 3)), np.max(res, axis=(2, 3)), e2
 
 
-def _verify_joint(spaces: Sequence[np.ndarray], S: np.ndarray, tol: Tolerance) -> np.ndarray:
+def _verify_joint(spaces: list[np.ndarray], S: np.ndarray, peak: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Every matrix of the stack acts on every space as a scalar.
 
     For a space V and a matrix A, the restriction is scalar when
     ``max|Ap - mu I|`` and the space invariant when ``max|A V - V Ap|`` is
-    within ``10 * abs_tol * max(1, max|A|)`` (:func:`_space_residuals`).  The
-    spaces of one width are tested together, one row block of matrices at a
-    time, with at most ``_BLOCK_BYTES`` (at least one matrix) in the product
-    ``S @ [V_1 ... V_Q]``.  The first failing matrix of the first failing
+    within ``10 * abs_tol * max(1, max|A|)``, ``max|A|`` from ``peak``
+    (:func:`_space_residuals`).  The spaces of one width are tested as one
+    stack, a row block of matrices at a time, with at most ``_BLOCK_BYTES``
+    in ``S @ [V_1 ... V_Q]``.  The first failing matrix of the first failing
     space in ``spaces`` order names the failure.
 
-    Returns ``||E_A||_F^2`` for every matrix A, where column block q of E_A is
-    ``A V_q - mu_q V_q``.  Since ``A V - mu V = V (Ap - mu I) + (A V - V Ap)``
-    and the second part is orthogonal to V, this is the sum over the spaces
-    of both tests' squared Frobenius norms: no further product is needed.
+    Returns ``||E_A||_F^2`` for every A, column block q of E_A being
+    ``A V_q - mu_q V_q = V_q (Ap - mu I) + (A V_q - V_q Ap)``, whose parts are
+    orthogonal: the sum of both tests' squared Frobenius norms.
     """
     m, n, _ = S.shape
-    bounds = 10 * tol.abs_tol * np.maximum(1.0, _max_abs(S))
+    bounds = 10 * tol.abs_tol * np.maximum(1.0, peak)
     flat = S.reshape(m * n, n)
     widths = np.array([V.shape[1] for V in spaces])
     # 0 passes, 1 is not scalar, 2 is scalar but not invariant.
@@ -391,9 +386,7 @@ def _verify_joint(spaces: Sequence[np.ndarray], S: np.ndarray, tol: Tolerance) -
             hi = min(m, lo + step)
             non_scalar, not_invariant, part = _space_residuals(flat[lo * n : hi * n], Vs)
             bound = bounds[lo:hi, None]
-            failed[lo:hi, group] = np.where(
-                non_scalar > bound, 1, np.where(not_invariant > bound, 2, 0)
-            )
+            failed[lo:hi, group] = np.where(non_scalar > bound, 1, np.where(not_invariant > bound, 2, 0))
             e2[lo:hi] += part
     if failed.any():
         q = int(np.flatnonzero(failed.any(axis=0))[0])
@@ -404,64 +397,78 @@ def _verify_joint(spaces: Sequence[np.ndarray], S: np.ndarray, tol: Tolerance) -
     return e2
 
 
-def joint_eigenspaces(
-    mats, seed: int = 0, tol: Tolerance = DEFAULT_TOL
-) -> list[np.ndarray]:
+def _split(w: np.ndarray, U: np.ndarray, S: np.ndarray, tol: Tolerance) -> list[np.ndarray]:
+    """Step 1 of :func:`joint_eigenspaces` from the eigenpairs (w, U): the
+    :func:`orthonormal_basis` of each cluster's eigenvectors, to its bits by
+    one batched SVD per cluster width, each wider one refined in order."""
+    idx, widths = _cluster_indices(w, tol)
+    starts = np.cumsum(widths) - widths
+    bases = [None] * len(widths)  # None where the cluster is rank deficient
+    for k in sorted(set(widths.tolist())):
+        group = np.flatnonzero(widths == k)
+        Q, s, _ = np.linalg.svd(U[:, idx[starts[group, None] + np.arange(k)]].transpose(1, 0, 2), full_matrices=False)
+        for c, V, full in zip(group.tolist(), _canonical_phases(Q), _rank_of(s, len(U), tol) == k):
+            bases[c] = V if full else None
+    spaces, done = [], 0
+    for c in [*np.flatnonzero(widths > 1).tolist(), len(widths)]:
+        if any(V is None for V in bases[done : c + 1]):
+            raise _SplitFailed("eigenvector cluster is rank deficient")
+        spaces += bases[done:c] + (_refine(bases[c], S, tol) if c < len(widths) else [])
+        done = c + 1
+    return spaces
+
+
+def joint_eigenspaces(mats, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     """Joint eigenspace decomposition of a commuting diagonalizable family.
 
     Each returned array holds an orthonormal basis of one maximal joint
     eigenspace (every input matrix acts on it as a scalar).  Deterministic
     given seed.  The steps, for c matrices of size n:
 
-    1. split: eigendecompose a seeded random real linear combination, then
-       refine any degenerate cluster recursively with the single matrices;
+    1. split (:func:`_split`): eigendecompose a seeded random real linear
+       combination, then refine any wider cluster with the single matrices;
     2. verify: :func:`_verify_joint` tests every matrix on every space,
        O(c n^3) work, and measures each matrix's residual ``||E_A||_F``;
     3. certify: :func:`_commutation_certified` turns those residuals into a
-       proven bound ``2 (a_A x_B + a_B x_A + x_A x_B)``, with
-       ``a = ||A||_F`` and ``x = (||E||_F + 10 n eps a) / (s_min(P) - n eps
-       s_max(P))`` for P the spaces side by side, on every pairwise
-       commutator, and compares it with the pairwise bound
-       ``10 * (abs_tol + rel_tol * max(1, max|A| * max|B|))``;
+       proven bound on every pairwise commutator and compares it with the
+       pairwise bound ``10 * (abs_tol + rel_tol * max(1, max|A| * max|B|))``;
     4. fall back: when the certificate declines, the dense O(c^2 n^3) scan
-       :func:`_commuting_or_raise` runs, and the spaces are returned if it
-       passes.
+       :func:`_commuting_or_raise` runs, and passes the spaces or raises.
 
     A split or verification failure retries the next seed.  When all
-    ``_MAX_SEED_TRIES`` seeds fail, the dense scan runs before
-    :class:`DegenerateSeed` is raised, so a family that does not commute
-    raises :class:`NotCommuting` naming its first failing pair.
+    ``_MAX_SEED_TRIES`` seeds fail, the dense scan runs before raising
+    :class:`DegenerateSeed`, so a family that does not commute raises
+    :class:`NotCommuting` naming its first failing pair.
     """
     S = _as_stack(mats)
     n = S.shape[1]
     if n == 0:
         return []
+    peak, fro = _family_norms(S)
     last = None
     for attempt in range(_MAX_SEED_TRIES):
         rng = np.random.default_rng(seed + attempt)
-        coeffs = rng.standard_normal(len(S))
-        # Summed in the stack's dtype: for a real stack the real part is the
-        # same, bit for bit, as the sum of the complex casts.
-        Y = sum(c * M for c, M in zip(coeffs, S)).astype(complex, copy=False)
+        # c_0 A_0 + c_1 A_1 + ... in order, to the bits of Python's sum, in the
+        # stack's dtype: for a real stack, the real part of the complex sum.
+        Y, coeffs = 0.0, rng.standard_normal(len(S))
+        for lo, blk in _row_blocks(S):
+            T = coeffs[lo : lo + len(blk), None, None] * blk
+            T[0] += Y
+            Y = np.add.reduce(T, axis=0)
+        Y = Y.astype(complex, copy=False)
         try:
             w, U = np.linalg.eig(Y)
-            ctol = max(tol.abs_tol, 1e-7 * max(1.0, float(np.max(np.abs(w)))))
-            spaces: list[np.ndarray] = []
-            for c in _cluster_indices(w, ctol):
-                V = orthonormal_basis(U[:, c], tol)
-                if V.shape[1] != len(c):
-                    raise _SplitFailed("eigenvector cluster is rank deficient")
-                spaces.extend(_refine(V, S, tol))
+            spaces = _split(w, U, S, tol)
             if sum(V.shape[1] for V in spaces) != n:
                 raise _SplitFailed("joint eigenspaces do not fill the space")
-            e2 = _verify_joint(spaces, S, tol)
+            e2 = _verify_joint(spaces, S, peak, tol)
         except _SplitFailed as exc:
             last = exc
             continue
-        if not _commutation_certified(spaces, S, e2, tol):
-            _commuting_or_raise(S, tol)
+        if not _commutation_certified(spaces, e2, peak, fro, tol):
+            _commuting_or_raise(S, peak, tol)
         return spaces
-    _commuting_or_raise(S, tol)
+    _commuting_or_raise(S, peak, tol)
     raise DegenerateSeed(f"no seed in [{seed}, {seed + _MAX_SEED_TRIES}) split cleanly: {last}")
 
 

@@ -3,7 +3,8 @@
 A unitary subalgebra of the adjoint algebra is encoded by block-row selections
 relative to an adapted basis: the subcategory's cointegral is an idempotent
 of CF(C), each block is re-based so it becomes a diagonal 0/1 pattern, and
-the rows carrying 1 name the simple summands of the subalgebra.
+the rows carrying 1 name the simple summands of the subalgebra (the m = 1
+blocks need no basis and are read as one slab).
 Each subalgebra also stores its snapped cointegral, from which its
 restriction projector is rebuilt, and from that the restriction of class
 functions and the inverse map to subcategories are read.  The
@@ -42,7 +43,7 @@ from .linalg import (
     _numerical_rank,
     _outside_span,
 )
-from .wedderburn import BlockStructure, _adapt_stack, _adapted_class_sums
+from .wedderburn import BlockStructure, _adapt_stack, _adapted_class_sums, _readonly
 
 __all__ = [
     "ClosureViolation",
@@ -125,11 +126,6 @@ class SubalgebraIndex:
         return f"SubalgebraIndex(rows={self.rows}, dim={self.dim_l:.6g})"
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 class _SubalgebraBlock(NamedTuple):
     """A row block of :func:`_subalgebra_blocks`: the subalgebra of each of
     its subcategories, or the exception building it raised, and the arrays
@@ -154,14 +150,14 @@ def _subalgebra_blocks(
     ``subcats[s]``, or the exception that building it raises: each block is
     adapted to the subcategory's cointegral and its diagonal 0/1 pattern is
     read off as the block-row selection.  All cointegrals are adapted by one
-    :func:`_adapt_stack`, which holds (S, m, m) arrays per block; their
-    adapted components are ``U^-1 Lambda_j U`` per block, and each block's
-    snapping tests run on all of them at once.  Then, for each row block of
-    entries, yields a :class:`_SubalgebraBlock` with their (k, r, r)
-    restriction projectors (:func:`_projectors`) and (k, r, r) adapted class
-    sums (:func:`_adapted_class_sums`); each entry keeps only its selected
-    class sums.  No adapted unit is formed and no adapted unit matrix is
-    inverted.
+    :func:`_adapt_stack`; per block, their adapted components are
+    ``U^-1 Lambda_j U`` and the snapping tests run on all of them at once.
+    The m = 1 blocks, tested by the adaptation, are their own adapted
+    components, with the 0/1 masks as snapped idempotents: one (S, q) slab.
+    Then, for each row block of entries, yields a :class:`_SubalgebraBlock`
+    with their (k, r, r) restriction projectors (:func:`_projectors`) and
+    adapted class sums (:func:`_adapted_class_sums`); each entry keeps only
+    its selected class sums.  No adapted unit is formed or inverted.
     """
     ring = B.ring
     if any(D.ring is not ring for D in subcats):
@@ -170,9 +166,13 @@ def _subalgebra_blocks(
     adapted = _adapt_stack(B, cointegrals, tol)
     errors = list(adapted.errors)
     ok = np.array([e is None for e in errors], dtype=bool)
-    S = len(subcats)
-    selections, comps, idems, keep = [], [], [], []
-    for blk, P, U, Uinv in zip(B.blocks, adapted.comps, adapted.bases, adapted.inverses):
+    S, q = len(subcats), B._ones
+    ones, later = B._split_rows(adapted.rows)
+    chosen = np.abs(ones - 1) <= tol.snap_tol
+    comps, idems, keep = [ones], [chosen.astype(complex)], [chosen]
+    # Each entry's selected rows per block, (0,) or () for an m = 1 block.
+    rows = [[((), (0,))[on] for on in sel] for sel in chosen.tolist()]
+    for blk, P, U, Uinv in zip(B.blocks[q:], later, adapted.bases, adapted.inverses):
         A = Uinv @ P @ U
         diag = np.diagonal(A, axis1=1, axis2=2)
         selected = np.abs(diag - 1) <= tol.snap_tol
@@ -186,20 +186,20 @@ def _subalgebra_blocks(
             else:
                 errors[s] = ClosureViolation("adapted cointegral has off-diagonal coefficients")
             ok[s] = False
-        selections.append(selected)
+        for s, on in enumerate(selected.tolist()):
+            rows[s].append(tuple(i for i, x in enumerate(on) if x))
         comps.append(A.reshape(S, -1))
         # The snapped idempotent U diag(mask) U^-1 of the block.
         idems.append(((U * selected[:, None, :]) @ Uinv).reshape(S, -1))
         keep.append(np.repeat(selected, blk.m, axis=1))
-    for s in np.flatnonzero(ok & ~selections[0][:, 0]):
+    for s in np.flatnonzero(ok & ~chosen[:, 0]):
         errors[s] = ClosureViolation("unit summand is missing from the subalgebra")
-    selections = [x.tolist() for x in selections]
-    expansions = _readonly(np.concatenate([P.reshape(S, -1) for P in adapted.comps], axis=1))
+    summand_dims = [blk.summand_dim for blk in B.blocks]
+    expansions = _readonly(adapted.rows)
     components = _readonly(np.concatenate(comps, axis=1))
     idempotents = _readonly(np.concatenate(idems, axis=1))
     keep = _readonly(np.concatenate(keep, axis=1))
     ce_dims = np.count_nonzero(keep, axis=1).tolist()
-    summand_dims = [blk.summand_dim for blk in B.blocks]
     for lo in range(0, S, step):
         k = slice(lo, lo + step)
         projectors = _projectors(B, idempotents[k])
@@ -209,10 +209,9 @@ def _subalgebra_blocks(
             if errors[s] is not None:
                 out.append(errors[s])
                 continue
-            sel = tuple(tuple(i for i, on in enumerate(rows[s]) if on) for rows in selections)
-            dim_l = float(sum(d * len(r) for d, r in zip(summand_dims, sel)))
+            dim_l = float(sum(d * len(r) for d, r in zip(summand_dims, rows[s])))
             ce_sums = _readonly(sums[s - lo][keep[s]])
-            out.append(SubalgebraIndex(B, sel, dim_l, ce_dims[s], ce_sums, components[s], idempotents[s]))
+            out.append(SubalgebraIndex(B, tuple(rows[s]), dim_l, ce_dims[s], ce_sums, components[s], idempotents[s]))
         yield _SubalgebraBlock(out, projectors, sums, cointegrals[k], expansions[k], components[k], keep[k])
 
 
@@ -222,13 +221,15 @@ def _projectors(B: BlockStructure, idems: np.ndarray) -> np.ndarray:
     Row s of ``idems`` holds the snapped idempotents L_j of every block j in
     (block, row, column) order, and U is the base unit matrix.  This equals
     ``U' diag(mask) U'^-1`` for the adapted units U', without forming U'.
-    The output takes S r^2 complex numbers, and so does the one temporary;
-    a caller with many rows passes a row block of them.
+    The m = 1 blocks' columns are their units times the 0/1 masks, in one
+    product.  The output and the one temporary take S r^2 complex numbers
+    each; a caller with many rows passes a row block of them.
     """
-    r = B.rank
+    r, q = B.rank, B._ones
     G = np.empty((len(idems), r, r), dtype=complex)
-    pos = 0
-    for blk in B.blocks:
+    np.multiply(B._unit_matrix[:, :q], idems[:, None, :q], out=G[:, :, :q])
+    pos = q
+    for blk in B.blocks[q:]:
         m, width = blk.m, blk.m * blk.m
         # Rows (k, a), columns b: the coefficient k of the base unit F^j_ab.
         F = blk.units.transpose(2, 0, 1).reshape(r * m, m)
@@ -404,15 +405,16 @@ def _cointegral_trace_sums(block: _LiveBlock) -> np.ndarray:
     """Residual of dim(C)/fpdim(D) = weighted diagonal sum of the cointegral,
     for each entry of a row block.
 
-    Each subcategory cointegral is read in the (not necessarily adapted)
-    base units, as :meth:`BlockStructure._expand_rows` expanded it for the
-    adaptation, and its diagonal coefficients are summed weighted by summand
-    dimension.  The residual also covers the adapted components on
+    Each cointegral's diagonal coefficients in the base units, as
+    :meth:`BlockStructure._expand_rows` expanded it, are summed weighted by
+    summand dimension.  The residual also covers the adapted components on
     unselected rows, which must vanish.
     """
     base = block.entries[0].subalgebra.base
-    comps = base._split_rows(block.expansions)
-    total = sum(np.trace(P, axis1=1, axis2=2) * blk.summand_dim for blk, P in zip(base.blocks, comps))
+    ones, later = base._split_rows(block.expansions)
+    total = np.cumsum(ones * base._layout.summand_dim[: base._ones], axis=1)[:, -1]  # in block order
+    for blk, P in zip(base.blocks[base._ones :], later):
+        total = total + np.trace(P, axis1=1, axis2=2) * blk.summand_dim
     fpdim = np.array([e.subcategory.fpdim for e in block.entries])
     residual = np.abs(total - base.ring.global_dim / fpdim)
     outside = np.max(np.abs(np.where(block.keep, 0.0, block.components)), axis=1)

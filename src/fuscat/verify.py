@@ -288,7 +288,7 @@ def verify_ring(
     B = compute_blocks(ring, seed=seed, tol=tol)
     lay = B._layout
     diag = lay.s == lay.t
-    units = B._rows("units")
+    units = B._unit_rows
     worst = _unit_relation_residual(ring, [blk.units for blk in B.blocks])
     worst = max(worst, _worst(units[diag].sum(axis=0) - eye[0]))
     checks.append(CheckResult("matrix unit relations and unit sum", worst, 1e-8))

@@ -5,7 +5,8 @@ This module finds that splitting numerically: the center is computed from the
 regular representation, its joint eigenspaces are the blocks, and matrix units
 inside each block are built by splitting the block idempotent with a seeded
 random element.  Each matrix unit has an inverse Fourier image, its conjugacy
-class sum.
+class sum.  The blocks with m = 1, all of them for a commutative ring, come
+first, and arrays over their units are handled as one (S, q) slab.
 
 Block data recorded per block j: the multiplicity m_j (so the block is an
 m_j x m_j matrix algebra), the scale n_j with tau(F^j_ss) = 1/n_j, and the
@@ -75,16 +76,8 @@ class Block:
     class_sums: np.ndarray
 
     def __post_init__(self) -> None:
-        units = np.ascontiguousarray(np.asarray(self.units, dtype=complex))
-        sums = np.ascontiguousarray(np.asarray(self.class_sums, dtype=complex))
-        units.setflags(write=False)
-        sums.setflags(write=False)
-        object.__setattr__(self, "units", units)
-        object.__setattr__(self, "class_sums", sums)
-
-    @property
-    def central_idempotent(self) -> np.ndarray:
-        return self.units[range(self.m), range(self.m)].sum(axis=0)
+        for name in ("units", "class_sums"):
+            object.__setattr__(self, name, _readonly(np.ascontiguousarray(getattr(self, name), dtype=complex)))
 
 
 class _UnitLayout(NamedTuple):
@@ -106,6 +99,8 @@ class BlockStructure:
 
     Every array over all matrix units lists them block by block, each block
     row by row and each row column by column: (block, row, column) order.
+    The q blocks with m = 1 come first (:attr:`_ones`), so an (S, q) slab
+    of such an array covers them, and only later blocks are visited singly.
     """
 
     ring: FusionRingData
@@ -116,9 +111,20 @@ class BlockStructure:
     def rank(self) -> int:
         return self.ring.rank
 
-    def _rows(self, name: str) -> np.ndarray:
-        """The ``units`` or ``class_sums`` of all blocks as rows, in (block, row, column) order."""
-        return np.concatenate([getattr(blk, name).reshape(-1, self.rank) for blk in self.blocks])
+    @cached_property
+    def _ones(self) -> int:
+        """The number q of leading blocks with m = 1."""
+        return next((j for j, blk in enumerate(self.blocks) if blk.m != 1), len(self.blocks))
+
+    @cached_property
+    def _unit_rows(self) -> np.ndarray:
+        """The ``units`` of all blocks as (r, r) rows, in (block, row, column) order."""
+        return _readonly(np.concatenate([blk.units.reshape(-1, self.rank) for blk in self.blocks]))
+
+    @cached_property
+    def _class_sum_rows(self) -> np.ndarray:
+        """The ``class_sums`` of all blocks as (r, r) rows, in (block, row, column) order."""
+        return _readonly(np.concatenate([blk.class_sums.reshape(-1, self.rank) for blk in self.blocks]))
 
     @cached_property
     def _layout(self) -> _UnitLayout:
@@ -131,14 +137,11 @@ class BlockStructure:
         s, t = np.divmod(np.arange(len(block)) - start, m)
         n = np.array([blk.n for blk in self.blocks])[block]
         summand_dim = np.array([blk.summand_dim for blk in self.blocks])[block]
-        layout = _UnitLayout(block, s, t, start + t * m + s, n, summand_dim)
-        for a in layout:
-            a.setflags(write=False)
-        return layout
+        return _UnitLayout(*map(_readonly, (block, s, t, start + t * m + s, n, summand_dim)))
 
     @cached_property
     def _unit_matrix(self) -> np.ndarray:
-        return np.ascontiguousarray(self._rows("units").T)
+        return np.ascontiguousarray(self._unit_rows.T)
 
     @cached_property
     def _unit_matrix_inv(self) -> np.ndarray:
@@ -146,27 +149,32 @@ class BlockStructure:
 
     def expand(self, coeffs: np.ndarray) -> list[np.ndarray]:
         """Coefficients of a chi-basis vector in the matrix-unit basis, per block."""
-        return [comps[0] for comps in self._expand_rows(np.asarray(coeffs)[None])]
+        ones, later = self._split_rows(self._expand_rows(np.asarray(coeffs)[None]))
+        return list(ones[0].reshape(-1, 1, 1)) + [P[0] for P in later]
 
-    def _expand_rows(self, coeffs: np.ndarray) -> list[np.ndarray]:
-        """:meth:`expand` of each row of an (S, rank) array: one (S, m, m) array per block.
+    def _expand_rows(self, coeffs: np.ndarray) -> np.ndarray:
+        """Each row of an (S, rank) array in the matrix-unit basis, as (S, r) rows.
 
         Each row is multiplied by the inverse on its own, so it expands to the
         same bits as it does alone; one matrix product for all rows would
         round differently.
         """
         inv = self._unit_matrix_inv
-        return self._split_rows(np.stack([inv @ c for c in np.asarray(coeffs, dtype=complex)]))
+        return np.stack([inv @ c for c in np.asarray(coeffs, dtype=complex)])
 
-    def _split_rows(self, rows: np.ndarray) -> list[np.ndarray]:
-        """The (S, r) rows over all matrix units, in (block, row, column)
-        order, as one (S, m, m) view per block."""
-        out = []
-        pos = 0
-        for blk in self.blocks:
-            out.append(rows[:, pos : pos + blk.m * blk.m].reshape(-1, blk.m, blk.m))
+    def _split_rows(self, rows: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """(S, r) rows over all matrix units as the (S, q) slab of the m = 1
+        blocks and one (S, m, m) view per later block."""
+        later, pos = [], self._ones
+        for blk in self.blocks[self._ones :]:
+            later.append(rows[:, pos : pos + blk.m * blk.m].reshape(-1, blk.m, blk.m))
             pos += blk.m * blk.m
-        return out
+        return rows[:, : self._ones], later
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _center_basis(ring: FusionRingData, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
@@ -253,9 +261,7 @@ def _build_block_units(
     rng: np.random.Generator,
     tol: Tolerance,
 ) -> np.ndarray:
-    """Matrix units of one block, as an (m, m, rank) coefficient array."""
-    if m == 1:
-        return block_unit[None, None, :]
+    """Matrix units of one block with m > 1, as an (m, m, rank) coefficient array."""
     dim = space.shape[1]
     check_tol = max(100 * tol.abs_tol, 1e-10)
     for _ in range(_MAX_SPLIT_TRIES):
@@ -337,100 +343,96 @@ def _lex_order(keys: np.ndarray) -> np.ndarray:
     return np.lexsort(np.moveaxis(keys, -1, 0)[::-1], axis=-1)
 
 
-def compute_blocks(
-    ring: FusionRingData, seed: int = 0, tol: Tolerance = DEFAULT_TOL
-) -> BlockStructure:
+def compute_blocks(ring: FusionRingData, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> BlockStructure:
     """Full Wedderburn decomposition of CF(C), deterministic given seed.
 
     The block containing the cointegral comes first; the remaining blocks are
-    ordered by (m ascending, n ascending, idempotent coefficient signature).
+    ordered by (m ascending, n ascending, idempotent coefficient signature),
+    so the m = 1 blocks lead, views of two read-only (q, r) slabs made by one
+    product and one inverse Fourier image.  Errors are those of the first failing block.
     """
     center, lz = _center_basis(ring, tol)
-    center_dim = center.shape[1]
     spaces = joint_eigenspaces(lz, seed=seed, tol=tol)
-    if len(spaces) != center_dim:
-        raise NotSemisimple(
-            f"center has dimension {center_dim} but {len(spaces)} blocks were found"
-        )
+    if len(spaces) != center.shape[1]:
+        raise NotSemisimple(f"center has dimension {center.shape[1]} but {len(spaces)} blocks were found")
 
     basis = np.column_stack(spaces)
-    eps1 = np.zeros(ring.rank, dtype=complex)
-    eps1[0] = 1.0
-    unit_coords = np.linalg.solve(basis, eps1)
+    unit_coords = np.linalg.solve(basis, np.eye(1, ring.rank, dtype=complex)[0])
     lam = cointegral(ring).coeffs
     lam_coords = np.linalg.solve(basis, lam)
 
     # Exact: the widths sum to r, so the multiplicities fill the rank.
-    ms = [math.isqrt(V.shape[1]) for V in spaces]
-    for V, m in zip(spaces, ms):
-        if m * m != V.shape[1]:
-            raise NotSemisimple(f"block dimension {V.shape[1]} is not a perfect square")
+    widths = np.array([V.shape[1] for V in spaces])
+    ms = np.array([math.isqrt(w) for w in widths.tolist()])
+    if np.any(ms * ms != widths):
+        raise NotSemisimple(f"block dimension {widths[np.argmax(ms * ms != widths)]} is not a perfect square")
 
+    # Block units and cointegral parts V @ coords, in products of one space's shape.
+    units1, lam_parts = np.empty((2, len(spaces), ring.rank), dtype=complex)
+    for w in sorted(set(widths.tolist())):
+        group = np.flatnonzero(widths == w)
+        at = np.cumsum(widths)[group, None] - w + np.arange(w)
+        V = np.stack([spaces[j] for j in group])
+        units1[group] = np.matmul(V, unit_coords[at, None])[:, :, 0]
+        lam_parts[group] = np.matmul(V, lam_coords[at, None])[:, :, 0]
+
+    # The first failure as (block, step): 0 the cointegral, 1 the units, 2 the trace.
+    hits = np.flatnonzero(np.max(np.abs(lam_parts), axis=1) > 1e-6)
+    tau = units1[:, 0]
+    bad_tau = np.flatnonzero((np.abs(tau.imag) > 1e-6) | (tau.real <= 0))[:1]
+    fails = [(len(spaces), 1, "")] + [(j, 2, f"block trace {complex(tau[j])!r} is not real positive") for j in bad_tau]
+    if len(hits) > 1:
+        fails.append((hits[1], 0, "cointegral spreads over more than one block"))
+    if len(hits) and (ms[hits[0]] != 1 or np.max(np.abs(lam_parts[hits[0]] - lam)) > 1e-6):
+        fails.append((hits[0], 0, "cointegral block is not one dimensional"))
+    first = min(fails)
     rng = np.random.default_rng(seed)
-    raw = []
-    pos = 0
-    lam_block = -1
-    for j, (V, m) in enumerate(zip(spaces, ms)):
-        width = V.shape[1]
-        block_unit = V @ unit_coords[pos : pos + width]
-        lam_part = V @ lam_coords[pos : pos + width]
-        if np.max(np.abs(lam_part)) > 1e-6:
-            if lam_block >= 0:
-                raise NotSemisimple("cointegral spreads over more than one block")
-            lam_block = j
-            if m != 1 or np.max(np.abs(lam_part - lam)) > 1e-6:
-                raise NotSemisimple("cointegral block is not one dimensional")
-        pos += width
-        units = _build_block_units(ring, V, block_unit, m, rng, tol)
-        tau_f = complex(block_unit[0])
-        if abs(tau_f.imag) > 1e-6 or tau_f.real <= 0:
-            raise NotSemisimple(f"block trace {tau_f!r} is not real positive")
-        n = m / tau_f.real
-        raw.append(Block(m, n, ring.global_dim / n, units, _fourier_inverse_raw(ring, units)))
-    if lam_block < 0:
+    wide = [j for j in np.flatnonzero(ms > 1).tolist() if (j, 1) < first[:2]]
+    units = {j: _build_block_units(ring, spaces[j], units1[j], int(ms[j]), rng, tol) for j in wide}
+    if first[2]:
+        raise NotSemisimple(first[2])
+    if not len(hits):
         raise NotSemisimple("no block contains the cointegral")
 
-    rest = [blk for j, blk in enumerate(raw) if j != lam_block]
-    if rest:
-        # Sort keys: m, n and the idempotent's coefficients as re/im pairs,
-        # the last two rounded to 9 places.
-        idems = np.array([blk.central_idempotent for blk in rest])
-        keys = np.column_stack(
-            [
-                [blk.m for blk in rest],
-                _round9([blk.n for blk in rest]),
-                _round9(np.stack([idems.real, idems.imag], axis=-1).reshape(len(rest), -1)),
-            ]
-        )
-        rest = [rest[i] for i in _lex_order(keys)]
-    return BlockStructure(ring, (raw[lam_block], *rest), seed)
+    ns = ms / tau.real
+    idems = units1.copy()
+    for j in wide:
+        idems[j] = units[j][range(ms[j]), range(ms[j])].sum(axis=0)
+    # Sort keys: m, n and the idempotent's coefficients as re/im pairs, the
+    # last two rounded to 9 places.
+    rest = np.delete(np.arange(len(spaces)), hits[0])
+    pairs = np.stack([idems.real, idems.imag], axis=-1)[rest].reshape(len(rest), 2 * ring.rank)
+    order = [hits[0], *rest[_lex_order(np.column_stack([ms[rest], _round9(ns[rest]), _round9(pairs)]))]]
+    q = int(np.count_nonzero(ms == 1))
+    slab = _readonly(units1[order[:q]])
+    units.update(zip(order[:q], slab[:, None, None]))
+    sums = dict(zip(order[:q], _readonly(_fourier_inverse_raw(ring, slab))[:, None, None]))
+    sums.update((j, _fourier_inverse_raw(ring, units[j])) for j in wide)
+    dims = ring.global_dim / ns
+    blocks = tuple(Block(int(ms[j]), float(ns[j]), float(dims[j]), units[j], sums[j]) for j in order)
+    return BlockStructure(ring, blocks, seed)
 
 
 @dataclass(frozen=True, eq=False)
 class _Adaptation:
     """S idempotents adapted at once (:func:`_adapt_stack`).
 
-    Per block j, stacked over the S idempotents: ``comps[j]`` holds their
-    (S, m, m) components in the base matrix units, ``bases[j]`` the
-    eigenbases U that adapt the block (ones for an m = 1 block) and
-    ``inverses[j]`` their inverses.  ``errors[s]`` is the exception that
-    adapting idempotent s alone raises; where that is set, the arrays of row
-    s are placeholders.
+    ``rows`` (S, r) holds their components in the base matrix units.  Per
+    block j after the m = 1 ones, which need no change of basis, ``bases[j]``
+    holds the (S, m, m) eigenbases U that adapt it and ``inverses[j]`` their
+    inverses.  ``errors[s]`` is the exception that adapting idempotent s
+    alone raises; where that is set, the arrays of row s are placeholders.
     """
 
-    comps: tuple[np.ndarray, ...]
+    rows: np.ndarray
     bases: tuple[np.ndarray, ...]
     inverses: tuple[np.ndarray, ...]
     errors: tuple[Exception | None, ...]
 
     def take(self, rows: slice) -> _Adaptation:
         """The adaptation of the idempotents in ``rows`` alone."""
-        return _Adaptation(
-            tuple(P[rows] for P in self.comps),
-            tuple(U[rows] for U in self.bases),
-            tuple(U[rows] for U in self.inverses),
-            self.errors[rows],
-        )
+        pick = tuple(tuple(U[rows] for U in Us) for Us in (self.bases, self.inverses))
+        return _Adaptation(self.rows[rows], *pick, self.errors[rows])
 
 
 def _stacked(fn, A: np.ndarray, errors: list):
@@ -462,29 +464,24 @@ def _adapt_stack(B: BlockStructure, coeffs: np.ndarray, tol: Tolerance) -> _Adap
 
     Per block, the eigenbasis U of the idempotent's component makes it
     diag(1..1, 0..0): eigenvalue-1 columns first, each group ordered by
-    eigenvector signature.  Per block with m > 1, one stacked eigvals, SVD,
+    eigenvector signature.  The m = 1 blocks' components are eigenvalues,
+    tested as one (S, q) slab; per later block, one stacked eigvals, SVD,
     signature sort and inverse serve all S components.  A row with a block
-    eigenvalue outside the {0, 1} tolerance band gets :class:`NotIdempotent`
-    as its error.  A row that fails keeps the first error it would raise
-    alone; its later blocks are computed on the identity so that they cannot
-    fail in its place.
+    eigenvalue outside the {0, 1} tolerance band gets :class:`NotIdempotent`,
+    the first it would raise alone; its later blocks are computed on the
+    identity so that they cannot fail in its place.
     """
-    comps = B._expand_rows(coeffs)
-    S = len(comps[0])
+    rows = B._expand_rows(coeffs)
+    ones, comps = B._split_rows(rows)
+    S = len(rows)
     errors: list[Exception | None] = [None] * S
+    bad = np.minimum(np.abs(ones), np.abs(ones - 1)) > tol.snap_tol
+    for s in np.flatnonzero(bad.any(axis=1)).tolist():
+        val = complex(ones[s, np.argmax(bad[s])])
+        errors[s] = NotIdempotent(f"block eigenvalue {val!r} is not in {{0, 1}}")
     bases, inverses = [], []
-    for blk, P in zip(B.blocks, comps):
-        m = blk.m
-        if m == 1:
-            vals = P[:, 0, 0]
-            for s in np.flatnonzero(np.minimum(np.abs(vals), np.abs(vals - 1)) > tol.snap_tol):
-                if errors[s] is None:
-                    errors[s] = NotIdempotent(
-                        f"block eigenvalue {complex(vals[s])!r} is not in {{0, 1}}"
-                    )
-            bases.append(np.ones_like(P))
-            inverses.append(bases[-1])
-            continue
+    for P in comps:
+        m = P.shape[1]
         eye = np.eye(m, dtype=complex)
         failed = np.array([e is not None for e in errors])
         w = _stacked(np.linalg.eigvals, np.where(failed[:, None, None], eye, P), errors)
@@ -516,7 +513,7 @@ def _adapt_stack(B: BlockStructure, coeffs: np.ndarray, tol: Tolerance) -> _Adap
         Uinv = _stacked(np.linalg.inv, U, errors)
         bases.append(U)
         inverses.append(Uinv)
-    return _Adaptation(tuple(comps), tuple(bases), tuple(inverses), tuple(errors))
+    return _Adaptation(rows, tuple(bases), tuple(inverses), tuple(errors))
 
 
 def _adapted_class_sums(B: BlockStructure, adapted: _Adaptation) -> np.ndarray:
@@ -524,22 +521,19 @@ def _adapted_class_sums(B: BlockStructure, adapted: _Adaptation) -> np.ndarray:
 
     The adapted unit F'^j_st is ``sum_ab U[a, s] Uinv[t, b] F^j_ab`` for the
     eigenbasis U of block j, and the inverse Fourier image is linear, so the
-    base class sums are conjugated the same way; no adapted unit is formed.
-    The output takes S r^2 complex numbers; a caller with many rows passes
-    a row block of them (:meth:`_Adaptation.take`), and no temporary is
-    larger than the output.
+    base class sums are conjugated the same way; no adapted unit is formed,
+    and the m = 1 blocks keep theirs.  The output takes S r^2 complex
+    numbers; a caller with many rows passes a row block of them
+    (:meth:`_Adaptation.take`), and no temporary is larger than the output.
     """
-    r = B.rank
-    S = len(adapted.errors)
+    S, r, q = len(adapted.errors), B.rank, B._ones
     out = np.empty((S, r, r), dtype=complex)
-    pos = 0
-    for blk, U, Uinv in zip(B.blocks, adapted.bases, adapted.inverses):
+    out[:, :q] = B._class_sum_rows[:q]
+    pos = q
+    for blk, U, Uinv in zip(B.blocks[q:], adapted.bases, adapted.inverses):
         m = blk.m
         sums = out[:, pos : pos + m * m].reshape(S, m, m, r)
         pos += m * m
-        if m == 1:
-            sums[:] = blk.class_sums
-            continue
         Y = np.matmul(U.transpose(0, 2, 1), blk.class_sums.reshape(m, m * r))
         np.matmul(Uinv[:, None], Y.reshape(S, m, m, r), out=sums)
     out.setflags(write=False)
@@ -554,8 +548,8 @@ def verify_class_sum_pairings(B: BlockStructure) -> float:
     product of all units against all class sums.
     """
     lay = B._layout
-    sums = B._rows("class_sums")
-    vals = (B._rows("units") * B.ring.dims) @ sums.T
+    sums = B._class_sum_rows
+    vals = (B._unit_rows * B.ring.dims) @ sums.T
     vals[np.arange(len(vals)), lay.transpose] -= lay.summand_dim
     # <eps_1, C> picks the E_0 coefficient, d_0 = 1
     unit = sums[:, 0] - np.where(lay.s == lay.t, lay.summand_dim, 0.0)
@@ -565,7 +559,7 @@ def verify_class_sum_pairings(B: BlockStructure) -> float:
 def verify_dual_bases(B: BlockStructure) -> float:
     """Max entry deviation of sum_j n_j F^j_st (x) F^j_ts = sum_i chi_i (x) chi_{i*}."""
     lay = B._layout
-    units = B._rows("units")
+    units = B._unit_rows
     lhs = (units * lay.n[:, None]).T @ units[lay.transpose]
     return float(np.max(np.abs(lhs - np.eye(B.rank)[list(B.ring.dual)])))
 
@@ -573,7 +567,7 @@ def verify_dual_bases(B: BlockStructure) -> float:
 def verify_integral_classsum(B: BlockStructure) -> float:
     """Residual of dim(C) * Lambda = sum of the diagonal class sums."""
     lay = B._layout
-    total = B._rows("class_sums")[lay.s == lay.t].sum(axis=0)
+    total = B._class_sum_rows[lay.s == lay.t].sum(axis=0)
     total[0] -= B.ring.global_dim
     u = unit_central_element(B.ring).coeffs
     return max(float(np.max(np.abs(total))), float(np.max(np.abs(B.blocks[0].class_sums[0, 0] - u))))

@@ -321,6 +321,16 @@ def reference_meets_and_joins(table, a, b):
     return out[0], out[1]
 
 
+def per_block_adaptation(B, adapted):
+    """(comps, bases, inverses) of a ``wedderburn._Adaptation``, one (S, m, m)
+    array per block of B; the m = 1 blocks, which it keeps as one slab of
+    components, get the basis 1."""
+    ones, later = B._split_rows(adapted.rows)
+    unit = [np.ones((len(ones), 1, 1), dtype=complex)] * B._ones
+    comps = list(ones.T.reshape(-1, len(ones), 1, 1)) + later
+    return comps, unit + list(adapted.bases), unit + list(adapted.inverses)
+
+
 def subalgebras_of(subcats, B, tol=linalg.DEFAULT_TOL):
     """The subalgebra of each subcategory, or the exception building it
     raises, from one row block of ``subalg._subalgebra_blocks``."""

@@ -45,6 +45,7 @@ from conftest import (
     haagerup_izumi_ring,
     live_table,
     patch_subalgebras,
+    per_block_adaptation,
     reference_block_partition,
     reference_checked_partition,
     su2_fusion_ring,
@@ -130,7 +131,7 @@ def reference_entry(D, B, tol=DEFAULT_TOL):
     idempotent = np.concatenate(
         [(U @ np.diag(np.isin(np.arange(len(U)), sel)) @ np.linalg.inv(U)).ravel() for U, sel in zip(bases, rows)]
     )
-    sums = adapted._rows("class_sums")
+    sums = adapted._class_sum_rows
     L = SubalgebraIndex(B, tuple(rows), dim_l, ce_dim, sums[selected], components, idempotent)
     return L, projector, sums
 
@@ -142,7 +143,7 @@ def stacked_projectors(subcats, B, tol=DEFAULT_TOL):
     adapted = wedderburn._adapt_stack(B, coeffs, tol)
     r, S = B.rank, len(subcats)
     idems = []
-    for P, U, Uinv in zip(adapted.comps, adapted.bases, adapted.inverses):
+    for P, U, Uinv in zip(*per_block_adaptation(B, adapted)):
         diag = np.diagonal(Uinv @ P @ U, axis1=1, axis2=2)
         idems.append((U * (np.abs(diag - 1) <= tol.snap_tol)[:, None, :]) @ Uinv)
     units = [blk.units.transpose(2, 0, 1).reshape(r * blk.m, blk.m) for blk in B.blocks]
@@ -299,7 +300,7 @@ def unit(B, j, s, t):
 
 
 def central(B, j):
-    return B.blocks[j].central_idempotent
+    return B.blocks[j].units[range(B.blocks[j].m), range(B.blocks[j].m)].sum(axis=0)
 
 
 def swap_to(k):
@@ -521,7 +522,8 @@ def test_adaptation_memory_above_its_result(vec_a5_ring):
     # for a row block of entries at a time, without the units.
     ring = vec_a5_ring
     B = compute_blocks(ring)
-    B._unit_matrix_inv
+    # The structure's cached arrays are formed once per ring, not per adaptation.
+    B._unit_matrix_inv, B._class_sum_rows
     subs = enumerate_subcategories(ring)
     coeffs = np.array([subalg.subcategory_cointegral(D).coeffs for D in subs])
     step = subalg._BLOCK_BYTES // (16 * ring.rank**2)

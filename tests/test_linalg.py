@@ -152,12 +152,23 @@ def scan_calls(monkeypatch):
     calls = []
     real = linalg._commuting_or_raise
 
-    def counted(S, tol):
+    def counted(S, peak, tol):
         calls.append(len(S))
-        return real(S, tol)
+        return real(S, peak, tol)
 
     monkeypatch.setattr(linalg, "_commuting_or_raise", counted)
     return calls
+
+
+def _scan(mats):
+    """The dense commutation scan of a family, with its max|A| taken once."""
+    S = linalg._as_stack(mats)
+    linalg._commuting_or_raise(S, linalg._family_norms(S)[0], DEFAULT_TOL)
+
+
+def _verify(spaces, S, tol):
+    """:func:`linalg._verify_joint` of the spaces, with the stack's max|A| taken once."""
+    return linalg._verify_joint(spaces, S, linalg._family_norms(S)[0], tol)
 
 
 real_and_complex = pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
@@ -174,7 +185,7 @@ class TestBatchedChecks:
         expected = _first_noncommuting_pair(mats)
         assert expected is not None
         with pytest.raises(NotCommuting, match=rf"^matrices {expected[0]} and {expected[1]} do not"):
-            linalg._commuting_or_raise(linalg._as_stack(mats), DEFAULT_TOL)
+            _scan(mats)
 
     @real_and_complex
     @bad_pair_sets
@@ -210,7 +221,7 @@ class TestBatchedChecks:
     def test_commuting_family_passes(self, complex_):
         mats = _family(12, [], complex_)
         assert _first_noncommuting_pair(mats) is None
-        linalg._commuting_or_raise(linalg._as_stack(mats), DEFAULT_TOL)
+        _scan(mats)
 
     @staticmethod
     def _diagonal_stack(m=9):
@@ -221,20 +232,20 @@ class TestBatchedChecks:
 
     def test_verify_joint_accepts_joint_eigenspaces(self, block_bytes):
         spaces = [np.eye(4, dtype=complex)[:, [k]] for k in range(4)]
-        linalg._verify_joint(spaces, self._diagonal_stack(), DEFAULT_TOL)
+        _verify(spaces, self._diagonal_stack(), DEFAULT_TOL)
 
     def test_verify_joint_rejects_non_scalar_space(self, block_bytes):
         eye = np.eye(4, dtype=complex)
         spaces = [eye[:, [2]], eye[:, [3]], eye[:, [0, 1]]]
         with pytest.raises(linalg._SplitFailed, match="non-scalar"):
-            linalg._verify_joint(spaces, self._diagonal_stack(), DEFAULT_TOL)
+            _verify(spaces, self._diagonal_stack(), DEFAULT_TOL)
 
     def test_verify_joint_rejects_non_invariant_space(self, block_bytes):
         eye = np.eye(4, dtype=complex)
         mixed = (eye[:, [0]] + eye[:, [1]]) / np.sqrt(2)
         spaces = [eye[:, [2]], eye[:, [3]], mixed]
         with pytest.raises(linalg._SplitFailed, match="not invariant"):
-            linalg._verify_joint(spaces, self._diagonal_stack(), DEFAULT_TOL)
+            _verify(spaces, self._diagonal_stack(), DEFAULT_TOL)
 
     def test_split_that_verifies_but_does_not_commute_raises(self, scan_calls):
         # B is scalar on A's eigenvectors only up to 1e-8, inside the
@@ -243,7 +254,7 @@ class TestBatchedChecks:
         tol = Tolerance(rel_tol=0.0)
         A = np.diag([100.0, 200.0])
         B = np.array([[1.0, 1e-8], [0.0, 2.0]])
-        linalg._verify_joint([np.eye(2)[:, [0]], np.eye(2)[:, [1]]], linalg._as_stack([A, B]), tol)
+        _verify([np.eye(2)[:, [0]], np.eye(2)[:, [1]]], linalg._as_stack([A, B]), tol)
         with pytest.raises(NotCommuting, match=r"^matrices 0 and 1 do not"):
             joint_eigenspaces([A, B], tol=tol)
         assert scan_calls == [2]
@@ -270,7 +281,7 @@ class TestBatchedChecks:
             S = S + 1j * rng.standard_normal((3, 5, 5))
         P = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
         spaces = [P[:, 0:2], P[:, 2:3], P[:, 3:5]]
-        e2 = linalg._verify_joint(spaces, S, Tolerance(abs_tol=10.0))
+        e2 = _verify(spaces, S, Tolerance(abs_tol=10.0))
         for A, got in zip(S, e2):
             D = np.concatenate([np.full(V.shape[1], np.trace(V.conj().T @ A @ V) / V.shape[1]) for V in spaces])
             assert got == pytest.approx(np.linalg.norm(A @ P - P * D) ** 2, rel=1e-12)
@@ -285,7 +296,7 @@ class TestBatchedChecks:
         mixed = (eye[:, [0]] + eye[:, [1]]) / np.sqrt(2)
         candidates = [eye[:, [0, 1]], eye[:, [2]], mixed]
         with pytest.raises(linalg._SplitFailed, match=kind):
-            linalg._verify_joint([candidates[k] for k in order], self._diagonal_stack(), DEFAULT_TOL)
+            _verify([candidates[k] for k in order], self._diagonal_stack(), DEFAULT_TOL)
 
     def test_su2_60_centre_split_memory_below_r3(self):
         ring = su2_fusion_ring(60)

@@ -22,7 +22,7 @@ from fuscat.wedderburn import (
     verify_integral_classsum,
 )
 
-from conftest import deligne_product, haagerup_izumi_ring, perturb_unit, su2_fusion_ring
+from conftest import deligne_product, haagerup_izumi_ring, per_block_adaptation, perturb_unit, su2_fusion_ring
 
 
 def block_shape(B):
@@ -133,7 +133,8 @@ def adapted_structure(B, p):
     assert adapted.errors[0] is None
     sums = wedderburn._adapted_class_sums(B, adapted)[0]
     blocks, pos = [], 0
-    for blk, U, Uinv in zip(B.blocks, adapted.bases, adapted.inverses):
+    _, bases, inverses = per_block_adaptation(B, adapted)
+    for blk, U, Uinv in zip(B.blocks, bases, inverses):
         m = blk.m
         units = np.einsum("as,tb,abk->stk", U[0], Uinv[0], blk.units)
         blocks.append(Block(m, blk.n, blk.summand_dim, units, sums[pos : pos + m * m].reshape(m, m, -1)))
@@ -145,10 +146,10 @@ class TestAdapt:
     def test_identity_idempotent_is_noop(self, vec_s3_ring, vec_s3_blocks):
         adapted = adapt_one(vec_s3_blocks, chi(vec_s3_ring, 0))
         assert adapted.errors[0] is None
-        for blk, U in zip(vec_s3_blocks.blocks, adapted.bases):
+        for blk, U in zip(vec_s3_blocks.blocks, per_block_adaptation(vec_s3_blocks, adapted)[1]):
             assert np.allclose(U[0], np.eye(blk.m), atol=1e-12)
         sums = wedderburn._adapted_class_sums(vec_s3_blocks, adapted)[0]
-        assert np.allclose(sums, vec_s3_blocks._rows("class_sums"), atol=1e-12)
+        assert np.allclose(sums, vec_s3_blocks._class_sum_rows, atol=1e-12)
 
     def test_reflection_subgroup_idempotent(self, vec_s3_ring, vec_s3_blocks, s3_group):
         # p = (chi_e + chi_t)/2 for a transposition t: a rank-one projection
@@ -357,7 +358,7 @@ def python_key_block_order(blocks):
     """Positions of the blocks sorted by the per-value ``round`` keys."""
     def key(j):
         blk = blocks[j]
-        sig = tuple((round(float(c.real), 9), round(float(c.imag), 9)) for c in blk.central_idempotent)
+        sig = tuple((round(float(c.real), 9), round(float(c.imag), 9)) for c in blk.units[range(blk.m), range(blk.m)].sum(axis=0))
         return blk.m, round(blk.n, 9), sig
 
     return sorted(range(len(blocks)), key=key)
@@ -386,7 +387,7 @@ def test_adapted_columns_match_python_round_keys(source):
     adapted = wedderburn._adapt_stack(B, P, DEFAULT_TOL)
     assert not any(adapted.errors)
     checked = 0
-    for blk, comps, U, Uinv in zip(B.blocks, adapted.comps, adapted.bases, adapted.inverses):
+    for blk, comps, U, Uinv in zip(B.blocks, *per_block_adaptation(B, adapted)):
         if blk.m == 1:
             continue
         for s in range(len(subs)):
