@@ -474,16 +474,6 @@ def _close_rows(ring: FusionRingData, member: np.ndarray) -> np.ndarray:
     return member
 
 
-def _closure_indices(ring: FusionRingData, seeds: Iterable[int]) -> tuple[int, ...]:
-    member = np.zeros((1, ring.rank), dtype=bool)
-    member[0, 0] = True
-    for s in seeds:
-        if not 0 <= int(s) < ring.rank:
-            raise ValueError(f"seed index {s} out of range")
-        member[0, int(s)] = True
-    return tuple(np.flatnonzero(_close_rows(ring, member)[0]).tolist())
-
-
 def _make_subcategory(ring: FusionRingData, indices: tuple[int, ...]) -> FusionSubcategory:
     fpdim = float(np.sum(ring.dims[list(indices)] ** 2))
     return FusionSubcategory(indices, fpdim, ring)
@@ -491,7 +481,13 @@ def _make_subcategory(ring: FusionRingData, indices: tuple[int, ...]) -> FusionS
 
 def subcategory_closure(ring: FusionRingData, seeds: Iterable[int]) -> FusionSubcategory:
     """Smallest fusion subcategory containing the unit and the seed simples."""
-    return _make_subcategory(ring, _closure_indices(ring, seeds))
+    member = np.zeros((1, ring.rank), dtype=bool)
+    member[0, 0] = True
+    for s in seeds:
+        if not 0 <= int(s) < ring.rank:
+            raise ValueError(f"seed index {s} out of range")
+        member[0, int(s)] = True
+    return _make_subcategory(ring, tuple(np.flatnonzero(_close_rows(ring, member)[0]).tolist()))
 
 
 def _coset_tables(ring: FusionRingData, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -509,20 +505,19 @@ def _coset_tables(ring: FusionRingData, rows: np.ndarray) -> tuple[np.ndarray, n
 
 
 def _coset_heads(ring: FusionRingData, member: np.ndarray) -> np.ndarray:
-    """For each row D of a (K, r) bool matrix of subcategories, the simples
-    j outside D that are the smallest index of their double coset D·j·D.
+    """For each row D of a (K, r) bool matrix of subcategories, the head of
+    every simple j: the smallest index of its double coset D·j·D, 0 for j in D.
 
     Row j of ``left @ right`` (:func:`_coset_tables`) marks D·j·D.  Row
     blocks form three (r, r) float32 arrays per row.
     """
     K, r = member.shape
-    heads = np.empty((K, r), dtype=bool)
+    heads = np.empty((K, r), dtype=np.intp)
     step = _closure_rows_per_block(r, 3 * r * r)
     for lo in range(0, K, step):
         left, right = _coset_tables(ring, member[lo : lo + step])
-        coset = np.matmul(left, right) > 0
-        heads[lo : lo + step] = np.argmax(coset, axis=2) == np.arange(r)
-    return heads & ~member
+        heads[lo : lo + step] = np.argmax(np.matmul(left, right) > 0, axis=2)
+    return heads
 
 
 def _right_cosets(ring: FusionRingData, member: np.ndarray) -> np.ndarray:
@@ -571,30 +566,48 @@ def enumerate_subcategories(
     D·i·D" is reflexive, the lemma's second half makes it symmetric and D
     being closed makes it transitive, so the double cosets partition the
     simples, and each skipped candidate closes to the row of its coset's
-    smallest index.
+    smallest index.  :func:`_enumerate` also keeps every closure it makes.
     """
-    trivial = subcategory_closure(ring, [])
-    found: dict[tuple[int, ...], FusionSubcategory] = {trivial.indices: trivial}
-    frontier = np.zeros((1, ring.rank), dtype=bool)
-    frontier[0, list(trivial.indices)] = True
-    calls = 0
+    return _enumerate(ring, max_closures)[0]
+
+
+def _enumerate(ring: FusionRingData, max_closures: int = MAX_CLOSURE_CALLS) -> tuple:
+    """:func:`enumerate_subcategories`, their read-only (S, r) bool membership rows
+    and int32 extension table J[e, x] = closure(D_e + {x}), e for x in D_e, read at x's head."""
+    r = ring.rank
+    subcats, found = [_make_subcategory(ring, (0,))], {(0,): 0}  # the unit alone, closed by the unit axioms
+    frontier = np.eye(1, r, dtype=bool)
+    members, extensions, calls = [], [], 0
     while len(frontier):
         # Every candidate D + {i} counts; one per double coset is closed.
         calls += int(np.count_nonzero(~frontier))
         if calls > max_closures:
             raise EnumerationLimit(f"subcategory enumeration exceeded {max_closures} closure calls")
-        rows, cols = np.nonzero(_coset_heads(ring, frontier))
+        heads = _coset_heads(ring, frontier)
+        rows, cols = np.nonzero((heads == np.arange(r)) & ~frontier)
         candidates = frontier[rows]
         candidates[np.arange(len(rows)), cols] = True
         closed = _close_rows(ring, candidates)
-        new = []
-        for row in closed[_distinct_rows(closed)[0]]:
+        first, inverse = _distinct_rows(closed)
+        ids, new = [], []
+        for row in closed[first]:
             indices = tuple(np.flatnonzero(row).tolist())
-            if indices not in found:
-                found[indices] = _make_subcategory(ring, indices)
+            ids.append(found.setdefault(indices, len(found)))
+            if ids[-1] == len(subcats):
+                subcats.append(_make_subcategory(ring, indices))
                 new.append(row)
-        frontier = np.array(new, dtype=bool).reshape(len(new), ring.rank)
-    return sorted(found.values(), key=lambda D: (round(D.fpdim, 9), D.indices))
+        closure = np.empty(frontier.shape, dtype=np.int32)  # read at the heads only
+        closure[:, 0] = np.arange(len(frontier)) + sum(map(len, members))
+        closure[rows, cols] = np.array(ids, dtype=np.int32)[inverse]
+        members.append(frontier)
+        extensions.append(np.take_along_axis(closure, heads, axis=1))
+        frontier = np.array(new, dtype=bool).reshape(len(new), r)
+    order = sorted(range(len(subcats)), key=lambda e: (round(subcats[e].fpdim, 9), subcats[e].indices))
+    membership = np.concatenate(members)[order]
+    extensions = np.argsort(order, kind="stable").astype(np.int32)[np.concatenate(extensions)[order]]
+    membership.setflags(write=False)
+    extensions.setflags(write=False)
+    return [subcats[e] for e in order], membership, extensions
 
 
 def _check_same_ring(D1: FusionSubcategory, D2: FusionSubcategory) -> FusionRingData:

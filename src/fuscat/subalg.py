@@ -31,9 +31,9 @@ from .char_theory import ClassFunction, subcategory_cointegral
 from .fusion_ring import (
     FusionRingData,
     FusionSubcategory,
+    _enumerate,
     _right_cosets,
     _row_keys,
-    enumerate_subcategories,
     subcategory_closure,
 )
 from .linalg import (
@@ -299,10 +299,10 @@ class LatticeTable:
     """The correspondence of one ring under one block structure.
 
     Entries are in enumeration order and are looked up by subcategory
-    indices; exact arrays over them hold the membership, the inclusion order
-    and the coset class ids.  The lattice operations on subalgebras are looked
-    up by membership row (:meth:`meets_and_joins`): the product of two
-    subalgebras is the entry of the meet, their intersection that of the join.
+    indices; exact arrays over them hold the membership, the extension table
+    and the coset class ids.  The lattice operations on subalgebras are read
+    off them (:meth:`meets_and_joins`): the product of two subalgebras is
+    the entry of the meet, their intersection that of the join.
     """
 
     ring: FusionRingData
@@ -310,7 +310,7 @@ class LatticeTable:
     entries: tuple[LatticeEntry, ...]
     hasse_edges: tuple[tuple[int, int], ...]
     membership: np.ndarray  # (S, r) bool: row e marks the simples of entry e's subcategory
-    inside: np.ndarray  # (S, S) bool: (a, b) when entry a's subcategory lies in entry b's
+    extensions: np.ndarray  # (S, r) int32: entry (e, x) is the entry of closure(D_e + {x}), e for x in D_e, or -1
     cosets: np.ndarray  # (S, r) class ids: entry x of row e is the smallest simple of x⊗D_e
 
     def entry(self, indices: tuple[int, ...]) -> LatticeEntry | None:
@@ -350,14 +350,15 @@ class LatticeTable:
     def meets_and_joins(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Entry positions of the meet and the join of each pair (a[k], b[k]),
         or -1 where the table has none; O(r) work and memory per pair.  The
-        meet holds the intersection of the index sets, and the join the
-        unit's class of the join of the two coset partitions, which its
-        cosets must be (:func:`_coset_joins`: the class of x is x⊗(A∨B))."""
-        M, cosets = self.membership, self.cosets
-        meets = self._lookup(M[a] & M[b])
-        ids = _coset_joins(cosets, a, b)
-        joins = self._lookup(ids == 0)
-        joins[np.any(cosets[joins] != ids, axis=1)] = -1
+        meet is the entry holding the intersection of the index sets; the
+        join folds :attr:`extensions` from b over the simples x of a, each
+        step to J[join, x], and stays -1 once it reaches -1."""
+        A, J = self.membership[a], self.extensions
+        meets = self._lookup(A & self.membership[b])
+        joins = np.array(b, dtype=np.intp)
+        for x in np.flatnonzero(A.any(axis=0)):
+            k = np.flatnonzero(A[:, x] & (joins >= 0))
+            joins[k] = J[joins[k], x]
         return meets, joins
 
 
@@ -368,22 +369,16 @@ def _coset_joins(cosets: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
     From the ids of A, the least label over each class of B, then of A, is
     taken until nothing changes: the labels are then constant on the classes
     of the join, and the smallest simple of each keeps its own id."""
-    K, r = len(a), cosets.shape[1]
-    sides = []
-    for ids in (cosets[b], cosets[a]):
-        key = (ids + np.arange(K)[:, None] * r).ravel()
-        at = np.argsort(key, kind="stable")
-        starts = np.diff(key[at], prepend=-1) != 0
-        seg = np.empty_like(at)
-        seg[at] = np.cumsum(starts) - 1
-        sides.append((at, np.flatnonzero(starts), seg))
+    sides = [(ids + cosets.shape[1] * np.arange(len(a))[:, None]).ravel() for ids in (cosets[b], cosets[a])]
     label = cosets[a].ravel()
     while True:
         before = label
-        for at, starts, seg in sides:
-            label = np.minimum.reduceat(label[at], starts)[seg]
+        for ids in sides:
+            low = label.copy()
+            np.minimum.at(low, ids, label)  # each class's least label, at its id's flat position
+            label = low[ids]
         if np.array_equal(label, before):
-            return label.reshape(K, r)
+            return label.reshape(len(a), cosets.shape[1])
 
 
 class _LiveBlock(NamedTuple):
@@ -432,8 +427,8 @@ def build_lattice(
     (:func:`fusion_ring._right_cosets`), and its float data are checked
     against their closed forms on them (:func:`_checked_partitions`); then no
     subcategory may occur twice.  The error of the first failing entry, else
-    of the first repeated pair, is the one raised.  Keeps the inclusion order
-    and the coset class ids, and emits the Hasse edges of the order.
+    of the first repeated pair, is the one raised.  Keeps the enumeration's
+    arrays and the coset class ids, and emits the Hasse edges (:func:`_hasse_edges`).
 
     The (r, r) projectors and class sums are formed for a row block of
     entries at a time, at most ``_BLOCK_BYTES`` each (at least one entry),
@@ -460,8 +455,7 @@ def _stream_lattice(
 ) -> LatticeTable:
     """:func:`build_lattice` in row blocks of ``step`` entries, each handed
     to ``visit`` with its live arrays once its partitions are checked."""
-    subcats = enumerate_subcategories(ring)
-    M = _membership(ring, subcats)
+    subcats, M, J = _enumerate(ring)
     cosets = _right_cosets(ring, M)
     cosets.setflags(write=False)
     entries: list[LatticeEntry] = []
@@ -471,15 +465,16 @@ def _stream_lattice(
         checked = [LatticeEntry(*e) for e in zip(subcats[lo:hi], block.subalgebras, partitions)]
         visit(_LiveBlock(checked, *block[1:], cosets[lo:hi]))
         entries.extend(checked)
-    inside = _inclusions(M)
-    twins = np.argwhere(np.triu(inside & inside.T, 1))
+    table = LatticeTable(ring, B, tuple(entries), _hasse_edges(J, M.sum(axis=1)), M, J, cosets)
+    keys, order = table._keys
+    twins = np.flatnonzero(keys[1:] == keys[:-1])  # in runs of equal keys, each in entry order
     if len(twins):
-        a, b = twins[0]
+        t = twins[np.argmin(order[twins])]  # the run with the smallest first entry
         raise RoundTripFailure(
             "distinct subcategories produced identical central subspaces: "
-            f"{entries[a].subcategory.indices} vs {entries[b].subcategory.indices}"
+            f"{entries[order[t]].subcategory.indices} vs {entries[order[t + 1]].subcategory.indices}"
         )
-    return LatticeTable(ring, B, tuple(entries), _hasse_edges(inside), M, inside, cosets)
+    return table
 
 
 def _checked_partitions(
@@ -600,28 +595,15 @@ def _checked_partitions(
     return partitions
 
 
-def _membership(ring: FusionRingData, subcats) -> np.ndarray:
-    """(S, r) bool matrix: row e marks the simples of subcategory e."""
-    out = np.zeros((len(subcats), ring.rank), dtype=bool)
-    for e, D in enumerate(subcats):
-        out[e, list(D.indices)] = True
-    out.setflags(write=False)
-    return out
-
-
-def _inclusions(M: np.ndarray) -> np.ndarray:
-    """(S, S) bool matrix: entry (a, b) when row a of M is a subset of row b."""
-    Mf = M.astype(float)
-    return Mf @ Mf.T == Mf.sum(axis=1)[:, None]
-
-
-def _hasse_edges(inside: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """Covering pairs (a, b) of the strict inclusions, in sorted order.
-
-    ``inside`` is :func:`_inclusions`; a pair is strict when the inclusion
-    does not hold both ways, and covering when no c lies strictly between.
-    """
-    strict = inside & ~inside.T
-    Sf = strict.astype(float)
-    cover = strict & ~(Sf @ Sf > 0)
-    return tuple((int(a), int(b)) for a, b in np.argwhere(cover))
+def _hasse_edges(J: np.ndarray, sizes: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """Covering pairs (D, E) of the inclusion order, sorted, from the (S, r)
+    extension table J and the (S,) numbers of simples: E = J[D, x] covers D
+    exactly when E occurs |E| - |D| times in row D, once per y in E outside
+    D.  Else some y there has D ⊊ J[D, y] ⊊ E, and any F strictly between D
+    and E holds such a y.  D occurs |D| > 0 times in its own row."""
+    # The int64 stable argsort of _checked_partitions: another sort kernel maps more NumPy code into each process.
+    values = np.take_along_axis(J, np.argsort(J.astype(np.intp), axis=1, kind="stable"), axis=1)
+    starts = np.flatnonzero(np.diff(values, axis=1, prepend=-2) != 0)  # each run, each row's first
+    rows, E = starts // J.shape[1], values.ravel()[starts]
+    cover = np.diff(starts, append=J.size) == sizes[E] - sizes[rows]
+    return tuple(zip(rows[cover].tolist(), E[cover].tolist()))

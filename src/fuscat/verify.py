@@ -166,20 +166,22 @@ def _entry_residuals(ring: FusionRingData, block: subalg._LiveBlock) -> list[flo
 
 def _lattice_check(ring: FusionRingData, table: subalg.LatticeTable) -> CheckResult:
     """The lattice check of a table that :func:`subalg.build_lattice` returned:
-    it must hold the closure ⟨x⟩ of every single simple x.
+    it must hold the closure ⟨x⟩ of every single simple x, as J[0, x].
 
     The closures are formed together, by one :func:`fusion_ring._close_rows`
     over the rows {1, x}.  With "meet and join correspondence" this proves
-    the table complete: that check proves it closed under joins, and every
-    subcategory D is the join of the ⟨x⟩ with x ∈ D.
+    the table complete: that check proves every extension J[A, x] the join
+    of A and ⟨x⟩, and every subcategory D is the join of the ⟨x⟩ with x ∈ D.
     """
     member = np.eye(ring.rank, dtype=bool)
     member[:, 0] = True
     closures = _close_rows(ring, member)
-    missing = np.flatnonzero(table._lookup(closures) < 0)
-    if len(missing):
-        x = int(missing[0])
-        info = f"closure {tuple(np.flatnonzero(closures[x]).tolist())} of simple {x} is not in the table"
+    found, J0 = table._lookup(closures), table.extensions[0]
+    wrong = np.flatnonzero((found < 0) | (found != J0))
+    if len(wrong):
+        x = int(wrong[0])
+        where = "not in the table" if found[x] < 0 else f"entry {found[x]}, the extension table has {J0[x]}"
+        info = f"closure {tuple(np.flatnonzero(closures[x]).tolist())} of simple {x} is {where}"
         return CheckResult(LATTICE_CHECK, 1.0, 0.0, info=info)
     return CheckResult(LATTICE_CHECK, 0.0, 0.0, info=f"{len(table.entries)} subcategories")
 
@@ -187,15 +189,24 @@ def _lattice_check(ring: FusionRingData, table: subalg.LatticeTable) -> CheckRes
 def _pair_checks(ring: FusionRingData, table: subalg.LatticeTable) -> list[CheckResult]:
     """Meet/join correspondence and the product dimension bound over all pairs.
 
-    Meets and joins are looked up exactly (:meth:`subalg.LatticeTable.meets_and_joins`)
+    Meets and joins are read off the table (:meth:`subalg.LatticeTable.meets_and_joins`)
     once per unordered pair, a row block of pairs at a time, keeping only
     running maxima and counts; the bound is checked in both orders.  The
     correspondence fails when an entry's products with itself leave it, or
-    when a pair has no meet or join in the table.  Otherwise every product
-    of two entries lies in their join, which holds both.
+    when a pair has no meet or join in the table (by cosets for (A, ⟨x⟩) below).
+    Otherwise every product of two entries lies in their join, which holds both.
+
+    Each closure ⟨x⟩ = J[0, x] in the table (the lattice check finds the
+    rest) is taken once, with its smallest x: J[A, x], and J[A, x′] for
+    every x′ of the same closure, must have the cosets P(A) ∨ P(⟨x⟩)
+    (:func:`subalg._coset_joins`).  By induction over the steps of the fold
+    of :meth:`subalg.LatticeTable.meets_and_joins`, the join of b and a then
+    has the partition P(b) ∨ ⋁ P(⟨x⟩) over x ∈ a.  From the trivial entry,
+    whose P is the finest, the fold over B ends at B with P(B) = ⋁ P(⟨x⟩):
+    every B is the join of the ⟨x⟩ with x ∈ B, so P(A ∨ B) = P(A) ∨ P(B).
     """
     entries = table.entries
-    M = table.membership
+    M, J, cosets = table.membership, table.extensions, table.cosets
     S, r = M.shape
     dim_l = np.array([e.subalgebra.dim_l for e in entries])
     info = ""
@@ -209,7 +220,7 @@ def _pair_checks(ring: FusionRingData, table: subalg.LatticeTable) -> list[Check
             break
     worst, worst_abs, strict = 0.0, 0.0, 0
     ends = np.cumsum(np.arange(S, 0, -1))  # the pairs (a, b >= a) of row a end before ends[a]
-    step = max(1, _BLOCK_BYTES // (8 * 8 * r))  # _coset_joins holds about 8 (K, r) index arrays
+    step = max(1, _BLOCK_BYTES // (4 * r))  # meets_and_joins holds about four (K, r) bool arrays
     for lo in range(0, ends[-1], step):
         k = np.arange(lo, min(lo + step, ends[-1]))
         a = np.searchsorted(ends, k, side="right")
@@ -228,6 +239,20 @@ def _pair_checks(ring: FusionRingData, table: subalg.LatticeTable) -> list[Check
         worst = max(worst, float(np.max(gap, initial=0.0)))
         worst_abs = max(worst_abs, _worst(gap))
         strict += int(np.sum(np.where(a == b, 1, 2)[lhs < rhs - DIM_BOUND]))
+    xs = np.flatnonzero(J[0] >= 0)
+    own = xs[np.argmax(J[0, xs, None] == J[0, xs], axis=1)]  # the smallest simple of each x's closure
+    heads = xs[own == xs] if not info else xs[:0]  # no partition joins once the check has failed
+    step = max(1, _BLOCK_BYTES // (8 * 8 * r))  # _coset_joins holds about 8 (K, r) index arrays
+    for lo in range(0, S * len(heads), step):
+        k = np.arange(lo, min(lo + step, S * len(heads)))
+        a, x = k // len(heads), heads[k % len(heads)]
+        e = J[a, x]
+        split = (J[a][:, xs] != e[:, None]) & (own == x[:, None])  # another x′ of ⟨x⟩
+        bad = (e < 0) | split.any(axis=1) | np.any(cosets[e] != subalg._coset_joins(cosets, a, J[0, x]), axis=1)
+        if bad.any():
+            A, C = (entries[i].subcategory.indices for i in (a[bad][0], J[0, x[bad][0]]))
+            info = f"no join of {A} and {C} in the table"
+            break
     checks = [
         CheckResult("meet and join correspondence", float(bool(info)), 0.0, info=info),
         CheckResult("product dimension bound", worst, DIM_BOUND, info=f"{strict} strict instances"),

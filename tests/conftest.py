@@ -302,18 +302,38 @@ def reference_random_round_trips(ring, rng):
     return worst
 
 
+def reference_edges(sets):
+    """Covering pairs (a, b) of a list of Python sets, sorted: a < b with no set strictly between."""
+    edges = []
+    for a in range(len(sets)):
+        for b in range(len(sets)):
+            if a == b or not sets[a] < sets[b]:
+                continue
+            if any(sets[a] < sets[c] < sets[b] for c in range(len(sets))):
+                continue
+            edges.append((a, b))
+    return tuple(sorted(edges))
+
+
+def inclusions(M):
+    """(S, S) bool: entry (a, b) when row a of the (S, r) bool M lies in row b."""
+    return np.all(M[:, None, :] <= M[None, :, :], axis=2)
+
+
 def reference_meets_and_joins(table, a, b):
     """Entry positions of the meet and the join of each pair (a[k], b[k]),
-    searched in the inclusion order: the lookup that the table made before
-    it looked meets and joins up by their exact rows, kept as the reference.
+    searched in the inclusion order of the membership rows: the lookup that
+    the table made before it looked meets and joins up by their exact rows,
+    kept as the reference.
 
     The meet is the lower bound with the most simples, as it holds every
     other one, and the join the upper bound with the fewest; -1 marks a pair
     with no common bound in the table.
     """
     size = table.membership.sum(axis=1)
+    inside = inclusions(table.membership)
     orders = (np.argsort(-size, kind="stable"), np.argsort(size, kind="stable"))
-    bounds = (table.inside.T[:, orders[0]], table.inside[:, orders[1]])
+    bounds = (inside.T[:, orders[0]], inside[:, orders[1]])
     out = []
     for order, inside in zip(orders, bounds):
         common = inside[a] & inside[b]
@@ -383,12 +403,16 @@ def patch_table(monkeypatch, change):
 
 
 def without_entries(t, keep):
-    """The table t with only the entries where the (S,) bool ``keep`` holds."""
+    """The table t with only the entries where the (S,) bool ``keep`` holds;
+    its extension table points at the kept entries, and at -1 for a dropped one."""
+    keep = np.asarray(keep, dtype=bool)
+    position = np.where(keep, np.cumsum(keep) - 1, -1)
+    J = t.extensions[keep]
     return dataclasses.replace(
         t,
         entries=tuple(e for e, k in zip(t.entries, keep) if k),
         membership=t.membership[keep],
-        inside=t.inside[keep][:, keep],
+        extensions=np.where(J < 0, -1, position[J]).astype(np.int32),
         cosets=t.cosets[keep],
     )
 

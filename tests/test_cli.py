@@ -397,7 +397,8 @@ def test_first_ops_leave_numpy_ma_unimported():
         "from fuscat import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cli.main(['lattice', 'vec:alternating:5', '--format', 'json']),\n"
-        "             cli.main(['verify', 'rep:alternating:5', '--format', 'json'])]\n"
+        "             cli.main(['verify', 'rep:alternating:5', '--format', 'json']),\n"
+        "             cli.main(['verify', 'vec:symmetric:4', '--format', 'json'])]\n"
         "print(codes, 'numpy.ma' in sys.modules)\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -405,16 +406,17 @@ def test_first_ops_leave_numpy_ma_unimported():
     out = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.split("\n")[-2] == "[0, 0] False"
+    assert out.split("\n")[-2] == "[0, 0, 0] False"
 
 
 @pytest.mark.parametrize("command", ["subcategories", "lattice", "verify"])
 def test_enumeration_limit_is_one_line_error(command, capsys, monkeypatch):
-    # (Z_2)^7 passes the closure cap of enumerate_subcategories; here
-    # (Z_2)^3 meets a cap of 5 candidates the same way.
+    # (Z_2)^7 passes the closure cap of the enumeration; here (Z_2)^3
+    # meets a cap of 5 candidates the same way.
     from fuscat import fusion_ring
 
     monkeypatch.setattr(fusion_ring.enumerate_subcategories, "__defaults__", (5,))
+    monkeypatch.setattr(fusion_ring._enumerate, "__defaults__", (5,))
     source = "vec:product:cyclic:2*cyclic:2*cyclic:2"
     code, out, err = run_cli([command, source], capsys)
     assert code == 2 and out == ""

@@ -563,14 +563,14 @@ def test_skipped_candidates_close_like_their_representative(source):
     for row, head_row, D in zip(member, heads, subs):
         outside = np.flatnonzero(~row)
         rep = _double_coset_minima(ring, D.indices)[outside]
-        assert np.array_equal(head_row[outside], rep == outside)
+        assert np.array_equal(head_row[outside], rep)
         candidates = np.repeat(row[None], 2 * len(outside), axis=0)
         candidates[np.arange(len(outside)), outside] = True
         candidates[len(outside) + np.arange(len(outside)), rep] = True
         closed = fusion_ring._close_rows(ring, candidates)
         assert np.array_equal(closed[: len(outside)], closed[len(outside) :])
         skipped += int(np.count_nonzero(rep != outside))
-    assert not heads[member].any()
+    assert not heads[member].any()  # the head of a simple in D is the unit
     if ring.rank > 6:
         assert skipped > 0
 

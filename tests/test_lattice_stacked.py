@@ -6,13 +6,15 @@ the class sums read as the inverse Fourier image of the adapted units, the
 cointegral expanded a second time in the adapted unit matrix, the
 projector read from that matrix and its inverse, the partition found by
 clustering both float sides (``reference_block_partition``), one containment
-test per pair, and Hasse edges from an O(S^3) loop over Python sets.  It
-looks up ``subcategory_cointegral`` and ``enumerate_subcategories`` through
-``subalg`` at call time, so a test that perturbs one of them perturbs both
-constructions alike.  A second reference, ``stacked_projectors``, is the
-stacked pass as it was before the table was streamed in row blocks: the
-projectors of all entries formed at once, against which the one-entry reads
-of the streamed table are compared bit for bit.
+test per pair, Hasse edges from an O(S^3) loop over Python sets
+(``reference_edges``), and each extension as the smallest entry holding D
+and x.  It looks up ``subcategory_cointegral`` and the enumeration
+``_enumerate`` through ``subalg`` at call time, so a test that perturbs one
+of them perturbs both constructions alike.  A second reference,
+``stacked_projectors``, is the stacked pass as it was before the table was
+streamed in row blocks: the projectors of all entries formed at once,
+against which the one-entry reads of the streamed table are compared bit
+for bit.
 """
 
 import dataclasses
@@ -43,11 +45,13 @@ from conftest import (
     ce_span,
     deligne_product,
     haagerup_izumi_ring,
+    inclusions,
     live_table,
     patch_subalgebras,
     per_block_adaptation,
     reference_block_partition,
     reference_checked_partition,
+    reference_edges,
     su2_fusion_ring,
     subalgebras_of,
 )
@@ -162,25 +166,13 @@ def stacked_projectors(subcats, B, tol=DEFAULT_TOL):
     return out
 
 
-def reference_edges(sets):
-    edges = []
-    for a in range(len(sets)):
-        for b in range(len(sets)):
-            if a == b or not sets[a] < sets[b]:
-                continue
-            if any(sets[a] < sets[c] < sets[b] for c in range(len(sets))):
-                continue
-            edges.append((a, b))
-    return tuple(sorted(edges))
-
-
 class MonotonicityFailure(Exception):
     """The reference's pair check: an inclusion not reversed by the central subspaces."""
 
 
 def reference_build_lattice(ring, B, tol=DEFAULT_TOL):
     entries = []
-    for D in subalg.enumerate_subcategories(ring):
+    for D in subalg._enumerate(ring)[0]:
         L = reference_subalgebra(D, B, tol)
         back = subalg.subcategory_from_subalgebra(L, tol)
         if back.indices != D.indices:
@@ -205,13 +197,17 @@ def reference_build_lattice(ring, B, tol=DEFAULT_TOL):
                     )
     sets = [set(e.subcategory.indices) for e in entries]
     M = np.array([np.isin(np.arange(ring.rank), e.subcategory.indices) for e in entries])
-    inside = np.array([[x <= y for y in sets] for x in sets])
+    # Extension (D, x): the entry with the fewest simples that holds D and x.
+    size = np.array([len(s) for s in sets])
+    order = np.argsort(size, kind="stable")
+    holds = inclusions(M)[:, order][:, None, :] & M[order].T[None, :, :]  # [D, x, E]
+    J = order[np.argmax(holds, axis=2)].astype(np.int32)
     # Class ids from the clustered partitions: the smallest simple of each class.
     cosets = np.empty((len(entries), ring.rank), dtype=np.intp)
     for row, e in zip(cosets, entries):
         for cls in e.partition:
             row[list(cls)] = min(cls)
-    return LatticeTable(ring, B, tuple(entries), reference_edges(sets), M, inside, cosets)
+    return LatticeTable(ring, B, tuple(entries), reference_edges(sets), M, J, cosets)
 
 
 def ring_of(source):
@@ -238,7 +234,7 @@ def assert_tables_match(new, live, ref):
         assert np.max(np.abs(L.idempotent - R.idempotent)) <= 1e-12
         assert np.array_equal(subalg._projector(L), projector)
     assert new.hasse_edges == ref.hasse_edges
-    for field in ("membership", "inside", "cosets"):
+    for field in ("membership", "extensions", "cosets"):
         assert np.array_equal(getattr(new, field), getattr(ref, field)), field
 
 
@@ -400,9 +396,11 @@ def test_stacked_call_falls_back_matrix_by_matrix():
 @pytest.mark.parametrize("at", [5, 9])
 def test_duplicate_subcategory_fails_injectivity_as_reference(monkeypatch, s4, at):
     ring, B = s4
-    subs = enumerate_subcategories(ring)
-    with_duplicate = subs[:at] + [subs[4]] + subs[at:]
-    monkeypatch.setattr(subalg, "enumerate_subcategories", lambda _ring: with_duplicate)
+    subs, M, J = fusion_ring._enumerate(ring)
+    # Entry 4 again at position at: later entries move up by one.
+    J = np.insert(J + (J >= at), at, J[4] + (J[4] >= at), axis=0)
+    with_duplicate = subs[:at] + [subs[4]] + subs[at:], np.insert(M, at, M[4], axis=0), J
+    monkeypatch.setattr(subalg, "_enumerate", lambda _ring: with_duplicate)
     outcome = raised(build_lattice, ring, B)
     assert outcome == raised(reference_build_lattice, ring, B)
     assert outcome[0] is RoundTripFailure and "identical central subspaces" in outcome[1]
@@ -466,20 +464,6 @@ def test_short_span_fails_the_partition(monkeypatch, s4, target):
         PartitionMismatch,
         f"central subspace has dimension {cosets - 1}, {D.indices} has {cosets} right cosets",
     )
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_hasse_edges_match_set_loop(seed):
-    # Random families of subsets of 7 points, with repeated rows, the empty
-    # set and the full set.
-    rng = np.random.default_rng(seed)
-    M = rng.random((30, 7)) < rng.uniform(0.2, 0.8)
-    M = np.concatenate([M, M[:4], np.zeros((1, 7), bool), np.ones((1, 7), bool)])
-    M = M[rng.permutation(len(M))]
-    sets = [set(np.flatnonzero(row).tolist()) for row in M]
-    edges = subalg._hasse_edges(subalg._inclusions(M))
-    assert edges == reference_edges(sets)
-    assert len(edges) > 0
 
 
 def lattice_memory(ring):
@@ -708,8 +692,8 @@ def s4_row_blocks(s4):
     (3 entries at r = 24): per block its subcategories, subalgebras,
     projectors and coset ids."""
     ring, B = s4
-    subcats = enumerate_subcategories(ring)
-    cosets = fusion_ring._right_cosets(ring, subalg._membership(ring, subcats))
+    subcats, member, _ = fusion_ring._enumerate(ring)
+    cosets = fusion_ring._right_cosets(ring, member)
     out, lo = [], 0
     for block in subalg._subalgebra_blocks(subcats, B, DEFAULT_TOL, 3):
         hi = lo + len(block.subalgebras)

@@ -37,9 +37,11 @@ from conftest import (
     live_table,
     patch_table,
     reference_group_equal_rows,
+    reference_edges,
     reference_meets_and_joins,
     su2_fusion_ring,
     subalgebras_of,
+    without_entries,
 )
 
 
@@ -418,6 +420,20 @@ def test_lookup_matches_the_order_search(name):
     assert np.array_equal(np.hstack(one_pair), expected)
 
 
+@pytest.mark.parametrize("name", sorted(LOOKUP_RINGS))
+def test_extensions_match_closures(name):
+    # Every (D, x): the extension table that the enumeration kept holds the
+    # entry of closure(D + {x}), closed afresh, and the Hasse edges read
+    # off it are the covering pairs of the index sets.
+    ring = LOOKUP_RINGS[name]()
+    table = build_lattice(ring, wedderburn.compute_blocks(ring))
+    sets = [e.subcategory.indices for e in table.entries]
+    position = {D: k for k, D in enumerate(sets)}
+    expected = [[position[subcategory_closure(ring, D + (x,)).indices] for x in range(ring.rank)] for D in sets]
+    assert table.extensions.tolist() == expected
+    assert table.hasse_edges == reference_edges([set(D) for D in sets])
+
+
 @pytest.mark.parametrize("name", sorted(LATTICE_RINGS))
 def test_entry_matches_a_dict_over_the_entries(name):
     # entry() reads the membership row its indices mark; it agrees with a
@@ -643,15 +659,6 @@ class TestVerifyReadsTable:
         assert adapted == [n_subcats] and sum(blocks) == n_subcats and len(blocks) >= 10
 
     def test_missing_meet_fails_the_check(self, vec_s3_ring, monkeypatch):
-        def without_trivial(t):
-            return dataclasses.replace(
-                t,
-                entries=t.entries[1:],
-                membership=t.membership[1:],
-                inside=t.inside[1:, 1:],
-                cosets=t.cosets[1:],
-            )
-
-        patch_table(monkeypatch, without_trivial)
+        patch_table(monkeypatch, lambda t: without_entries(t, np.arange(len(t.entries)) > 0))
         checks = {c.name: c for c in verify.verify_ring(vec_s3_ring)}
         assert not checks["meet and join correspondence"].passed

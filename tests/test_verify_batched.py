@@ -8,7 +8,8 @@ the projection of the integral and the ``ce_basis`` closure test.  The
 product dimension bound is worked out inline, and the dimension of each
 intersection of central subspaces by rank, dim U + dim V - dim(U + V),
 independent of the coset partitions that the suite compares; meets and
-joins come from a search of the inclusion order (``reference_meets_and_joins``),
+joins come from a search of the inclusion order of the membership rows
+(``reference_meets_and_joins``),
 and the products of each ordered pair of entries from ``verify._fusion_hit``.
 The reference looks up ``compute_blocks`` through ``verify`` and the streamed table
 ``_stream_lattice`` through ``subalg`` at call time, so a test that perturbs
@@ -47,6 +48,7 @@ from fuscat.wedderburn import _unit_relation_residual
 from conftest import (
     bump_0_1,
     ce_span,
+    inclusions,
     intersection_dims,
     live_block,
     live_table,
@@ -384,7 +386,7 @@ def _first_proper(table, side):
     """Position of the first entry after the trivial subcategory that is the
     meet (side 0) of two entries strictly above it, or the join (side 1) of
     two strictly below it."""
-    inside = table.inside
+    inside = inclusions(table.membership)
     for e in range(1, len(inside)):
         others = np.flatnonzero(inside[e] & ~inside[:, e] if side == 0 else inside[:, e] & ~inside[e])
         a, b = np.triu_indices(len(others), 1)
@@ -460,6 +462,55 @@ def _ce_dim_off_by_one(monkeypatch, ring):
     patch_subalgebras(monkeypatch, lambda s, L: dataclasses.replace(L, ce_dim=L.ce_dim + 1) if s == last else L)
 
 
+def _extend_to(monkeypatch, pick):
+    """The table's extension table, in both suites, has J[D, x] = E for the
+    (D, x, E) that ``pick(table)`` returns."""
+
+    def change(t):
+        D, x, E = pick(t)
+        J = t.extensions.copy()
+        J[D, x] = E
+        return dataclasses.replace(t, extensions=J)
+
+    _replace_table(monkeypatch, change)
+
+
+def _extension_too_large(monkeypatch, ring):
+    """The first extension J[D, x] of a non-trivial D by a simple outside it
+    points at the top entry instead of at a smaller one: joins through it
+    are too large, which the coset partitions see."""
+
+    def pick(t):
+        top = len(t.entries) - 1
+        D, x = next((D, x) for D, x in np.argwhere(t.extensions < top) if D > 0 and t.extensions[D, x] != D)
+        return D, x, top
+
+    _extend_to(monkeypatch, pick)
+
+
+def _closure_missing(monkeypatch, ring):
+    """J[0, x] of the first simple x whose closure ⟨x⟩ is a proper entry
+    points at no entry: only the lattice check compares it with ⟨x⟩."""
+
+    def pick(t):
+        x = int(np.flatnonzero(t.extensions[0] != 0)[0])
+        return 0, x, -1
+
+    _extend_to(monkeypatch, pick)
+
+
+def _closure_elsewhere(monkeypatch, ring):
+    """J[0, x] of the first simple x with a proper closure points at the top
+    entry: the lattice check sees it, and the joins by x′ of that closure
+    or by x no longer agree with the cosets."""
+
+    def pick(t):
+        x = int(np.flatnonzero(t.extensions[0] != 0)[0])
+        return 0, x, len(t.entries) - 1
+
+    _extend_to(monkeypatch, pick)
+
+
 def _entry_products_leave_it(monkeypatch, ring):
     """Entry 1's products with itself reach every simple, in both suites."""
     patch_leaky_products(monkeypatch, ring, enumerate_subcategories(ring)[1].indices)
@@ -475,6 +526,9 @@ def _entry_products_leave_it(monkeypatch, ring):
         (_ce_dim_off_by_one, "vec:symmetric:3", {LATTICE_CHECK}, True),
         (_drop_c3, "vec:symmetric:3", {LATTICE_CHECK}, True),
         (_entry_products_leave_it, "vec:symmetric:3", {"meet and join correspondence"}, True),
+        (_extension_too_large, "vec:symmetric:4", {"meet and join correspondence"}, False),
+        (_closure_missing, "vec:symmetric:4", {LATTICE_CHECK}, False),
+        (_closure_elsewhere, "vec:symmetric:4", {"meet and join correspondence", LATTICE_CHECK}, False),
         (_perturb_projector, "vec:symmetric:3", {"restriction compatible with pairing"}, True),
         (
             _perturb_unit,
@@ -491,6 +545,9 @@ def _entry_products_leave_it(monkeypatch, ring):
         "ce-dim",
         "dropped-c3",
         "entry-products-leave-it",
+        "extension-too-large",
+        "closure-missing",
+        "closure-elsewhere",
         "projector",
         "unit",
     ],
